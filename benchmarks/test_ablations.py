@@ -15,20 +15,29 @@ Not figures from the paper — these probe the knobs the paper holds fixed:
 from __future__ import annotations
 
 from bench_common import bench_config, jobs, seeds, write_result
-from repro.core.experiment import run_point
 from repro.core.simulation import run_simulation
+from repro.exec import ExperimentPlan, Runner
 from repro.utils.tables import format_table
+
+
+def run_points(configs):
+    """Seed-averaged SweepPoint of each config, all cells in one plan."""
+    plan = ExperimentPlan.merge(
+        ExperimentPlan.point(cfg, seeds=seeds()) for cfg in configs
+    )
+    res = Runner(jobs=jobs()).run(plan)
+    res.raise_for_failures()
+    return [res.point(cfg) for cfg in configs]
 
 
 def test_priority_ablation_uniform_min(benchmark):
     """Removing the priority changes MIN/UN throughput only marginally."""
     def run():
         base = bench_config(routing="min").with_traffic(pattern="uniform", load=0.8)
-        with_prio = run_point(base, seeds=seeds(), jobs=jobs()).accepted_load
-        without = run_point(
-            base.with_router(transit_priority=False), seeds=seeds(), jobs=jobs()
-        ).accepted_load
-        return with_prio, without
+        with_prio, without = run_points(
+            [base, base.with_router(transit_priority=False)]
+        )
+        return with_prio.accepted_load, without.accepted_load
 
     with_prio, without = benchmark.pedantic(run, rounds=1, iterations=1)
     write_result(
@@ -45,13 +54,19 @@ def test_priority_ablation_uniform_min(benchmark):
 def test_threshold_ablation(benchmark):
     """Misroute threshold sweep: looser thresholds divert earlier."""
     def run():
-        out = []
-        for th in (0.25, 0.43, 0.75):
-            cfg = bench_config(routing="in-trns-mm", misroute_threshold=th)
-            cfg = cfg.with_traffic(pattern="advc", load=0.4)
-            pt = run_point(cfg, seeds=seeds(), jobs=jobs())
-            out.append((th, pt.accepted_load, pt.avg_latency))
-        return out
+        thresholds = (0.25, 0.43, 0.75)
+        points = run_points(
+            [
+                bench_config(
+                    routing="in-trns-mm", misroute_threshold=th
+                ).with_traffic(pattern="advc", load=0.4)
+                for th in thresholds
+            ]
+        )
+        return [
+            (th, pt.accepted_load, pt.avg_latency)
+            for th, pt in zip(thresholds, points)
+        ]
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     write_result(

@@ -25,6 +25,10 @@ from setuptools.command.build_ext import build_ext
 class optional_build_ext(build_ext):
     """Build the compiled kernel if possible; never fail the install."""
 
+    def initialize_options(self):
+        super().initialize_options()
+        self.failed = []  # extensions whose build failed this invocation
+
     def run(self):
         try:
             super().run()
@@ -35,13 +39,23 @@ class optional_build_ext(build_ext):
         try:
             super().build_extension(ext)
         except Exception as exc:  # compile/link failure
+            self.failed.append(ext)
             self._warn(exc)
+
+    def copy_extensions_to_source(self):
+        # build/lib* may still hold the output of an earlier, successful
+        # build; copying it for an extension that failed to build now
+        # would install a stale binary that does not match the sources.
+        self.extensions = [e for e in self.extensions if e not in self.failed]
+        super().copy_extensions_to_source()
 
     @staticmethod
     def _warn(exc):
         print(
             "WARNING: building the optional compiled engine kernel "
             f"(repro.engine._ckernel) failed: {exc}\n"
+            "         No binary was copied into src/ (a leftover of an "
+            "earlier build is never installed in its place).\n"
             "         The package works without it (pure-Python engine "
             "backend); set REPRO_ENGINE_BACKEND=python to silence the "
             "auto-detection.",

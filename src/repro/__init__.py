@@ -31,15 +31,7 @@ from repro.config import (
     small_config,
     tiny_config,
 )
-from repro.core import (
-    LoadSweepResult,
-    Simulation,
-    SimulationResult,
-    SweepPoint,
-    run_load_sweep,
-    run_point,
-    run_simulation,
-)
+from repro.core import Simulation, SimulationResult, run_simulation
 from repro.errors import (
     AnalysisError,
     ConfigurationError,
@@ -50,7 +42,15 @@ from repro.errors import (
     SimulationError,
     TopologyError,
 )
-from repro.exec import ExperimentPlan, PlanResult, ResultStore, Runner, Shard
+from repro.exec import (
+    ExperimentPlan,
+    LoadSweepResult,
+    PlanResult,
+    ResultStore,
+    Runner,
+    Shard,
+    SweepPoint,
+)
 from repro.metrics import (
     FairnessMetrics,
     OracleReport,
@@ -104,8 +104,6 @@ __all__ = [
     "medium_config",
     "paper_config",
     "pattern_name",
-    "run_load_sweep",
-    "run_point",
     "run_simulation",
     "scenario_names",
     "small_config",

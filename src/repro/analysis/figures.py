@@ -59,7 +59,6 @@ def figure2_sweeps(
     store: ResultStore | str | os.PathLike | None = None,
     offline: bool = False,
     retry: RetryPolicy | None = None,
-    batch: int | None = None,
 ) -> dict[str, LoadSweepResult]:
     """One latency/throughput curve per mechanism for one traffic pattern.
 
@@ -70,9 +69,7 @@ def figure2_sweeps(
         ExperimentPlan.sweep(base.with_(routing=mech), loads, seeds=seeds)
         for mech in mechanisms
     )
-    res = Runner(
-        jobs=jobs, store=store, offline=offline, retry=retry, batch=batch
-    ).run(plan)
+    res = Runner(jobs=jobs, store=store, offline=offline, retry=retry).run(plan)
     res.raise_for_failures()
     return {mech: res.sweep(base.with_(routing=mech), loads) for mech in mechanisms}
 

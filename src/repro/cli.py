@@ -196,16 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="wall-clock limit per cell attempt (parallel runs only; "
             "default: none)",
         )
-        sp.add_argument(
-            "--batch",
-            type=int,
-            default=None,
-            metavar="K",
-            help="pack up to K compatible cells (same config except "
-            "load/seed) into one fused batched simulation per attempt; "
-            "bit-identical results, fewer per-cell overheads "
-            "(default: off)",
-        )
 
     run_p = sub.add_parser("run", help="run one simulation")
     common(run_p)
@@ -573,10 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _config(args)
         plan = ExperimentPlan.sweep(cfg, args.loads, seeds=args.seeds)
         res = Runner(
-            jobs=args.jobs,
-            store=args.cache,
-            retry=_retry_policy(args),
-            batch=args.batch,
+            jobs=args.jobs, store=args.cache, retry=_retry_policy(args)
         ).run(plan)
         if _print_failures(res):
             return 1
@@ -935,7 +922,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         retry=_retry_policy(args),
         leases=args.leases,
         lease_ttl=args.lease_ttl,
-        batch=args.batch,
     )
     res = runner.run(plan, shard=shard)
     failed = _print_failures(res)
@@ -1001,7 +987,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         store=args.cache,
         offline=args.offline,
         retry=_retry_policy(args),
-        batch=args.batch,
     )
     priority = "with" if base.router.transit_priority else "without"
     print(

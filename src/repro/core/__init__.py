@@ -1,30 +1,10 @@
-"""Simulation driver and experiment harness."""
+"""Simulation driver."""
 
 from repro.core.results import SimulationResult
 from repro.core.simulation import Simulation, run_simulation
-from repro.core.batch import (
-    BatchSimulation,
-    batch_compat_key,
-    run_simulation_batch,
-)
-from repro.core.experiment import (
-    LoadSweepResult,
-    SweepPoint,
-    average_results,
-    run_load_sweep,
-    run_point,
-)
 
 __all__ = [
-    "BatchSimulation",
-    "LoadSweepResult",
     "Simulation",
     "SimulationResult",
-    "SweepPoint",
-    "average_results",
-    "batch_compat_key",
-    "run_load_sweep",
-    "run_point",
     "run_simulation",
-    "run_simulation_batch",
 ]

@@ -9,13 +9,12 @@ one traffic pattern and one stats collector.  ``run()`` executes
 
 from __future__ import annotations
 
-import os
 from math import log
 
 from repro.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.engine import OP_GEN, EventQueue
-from repro.engine.kernel import LowerState, resolve_backend, resolve_lower
+from repro.engine.kernel import LowerState, resolve_backend
 from repro.engine.soa import SoAStore
 from repro.errors import OracleError, SimulationError
 from repro.hardware.packet import Packet
@@ -43,22 +42,17 @@ _STREAM_PATTERN = 3
 # frozen dataclass, so the (config, seed) tuple key has exactly the
 # same identity semantics as the topology sub-config digest.  The cache
 # is per process — each Runner worker warms it once per topology and
-# every later cell of the sweep skips construction.  Disable with
-# REPRO_TOPO_CACHE=0.
+# every later cell of the sweep skips construction.  The arrangement
+# seed is part of the key only for the ``random`` arrangement, the one
+# it influences, so palmtree/consecutive cells of any seed share one
+# instance.
 _TOPO_CACHE: dict[tuple, DragonflyTopology] = {}
 _TOPO_CACHE_MAX = 8  # a sweep rarely mixes topologies; keep it tiny
 
 
 def _shared_topology(network, arrangement_seed: int) -> DragonflyTopology:
-    """A (possibly cached) topology for *network* + *arrangement_seed*."""
-    if os.environ.get("REPRO_TOPO_CACHE", "1").lower() in (
-        "0",
-        "false",
-        "off",
-        "no",
-    ):
-        return DragonflyTopology(network, arrangement_seed=arrangement_seed)
-    key = (network, arrangement_seed)
+    """The cached topology for *network* + *arrangement_seed*."""
+    key = (network, arrangement_seed if network.arrangement == "random" else 0)
     topo = _TOPO_CACHE.get(key)
     if topo is None:
         if len(_TOPO_CACHE) >= _TOPO_CACHE_MAX:
@@ -78,14 +72,8 @@ class Simulation:
         *,
         check_decomposition: bool = False,
         engine_backend: str | None = None,
-        engine_lower: str | None = None,
-        soa: SoAStore | None = None,
-        soa_base: int = 0,
     ) -> None:
         self.config = config
-        # Strict timestamp validation defaults on (REPRO_ENGINE_STRICT=0
-        # disables it for production sweeps); the typed activation path
-        # the routers use never validates either way.
         self.engine = EventQueue()
         # Engine backend (see repro.engine.kernel): the explicit argument
         # wins over REPRO_ENGINE_BACKEND; the default 'auto' degrades to
@@ -110,30 +98,18 @@ class Simulation:
 
         # Structure-of-arrays store for the hot router state (flat typed
         # buffers for the compiled backend, flat lists for the Python
-        # one), then the router views that fill their segments.  A
-        # BatchSimulation passes a shared widened store plus this cell's
-        # base row (`soa_base`): the routers then occupy rows
-        # [soa_base, soa_base + num_routers) of the batch-axis layout.
+        # one), then the router views that fill their segments.
         rc = config.router
-        self.soa_base = soa_base
-        if soa is None:
-            self.soa = SoAStore(
-                self.topo.num_routers,
-                self.topo.radix,
-                max(rc.local_vcs, rc.global_vcs, 1),
-                typed=backend.typed,
-            )
-        else:
-            self.soa = soa
+        self.soa = SoAStore(
+            self.topo.num_routers,
+            self.topo.radix,
+            max(rc.local_vcs, rc.global_vcs, 1),
+            typed=backend.typed,
+        )
 
         # Routers and wiring.
         self.routers = [Router(self, rid) for rid in range(self.topo.num_routers)]
-        if soa is None:
-            self.soa.routers = self.routers
-        else:
-            # Shared store: append in cell order so store.routers lists
-            # every router of the batch in erid order.
-            self.soa.routers.extend(self.routers)
+        self.soa.routers = self.routers
         self._wire()
         if backend.name != "python":
             self.engine.bind_backend(backend, self.soa)
@@ -181,15 +157,14 @@ class Simulation:
             self._c_local, self._c_global, self._c_eject
         )
 
-        # Lowered OP_GEN / OP_DELIVER fast path (REPRO_ENGINE_LOWER; see
-        # repro.engine.kernel.LowerState).  Decided before _bind_hot so
-        # the lowered on_injection hook is the one frozen into each
-        # router's hot tuples; oracle runs, decomposition-checked runs
-        # and patterns without a lowering descriptor keep the callback
-        # path untouched.
-        mode = resolve_lower(engine_lower)
+        # Lowered OP_GEN / OP_DELIVER fast path (see
+        # repro.engine.kernel.LowerState), selected by the cell itself:
+        # a static pattern with a lowering descriptor, no oracle and no
+        # decomposition check.  Decided before _bind_hot so the lowered
+        # on_injection hook is the one frozen into each router's hot
+        # tuples; every other cell keeps the callback path untouched.
         descriptor = None
-        if mode != "0" and self.oracle is None and not check_decomposition:
+        if self.oracle is None and not check_decomposition:
             descriptor = self.traffic.lower()
         self._lower = (
             LowerState(self, descriptor) if descriptor is not None else None
@@ -380,9 +355,10 @@ class Simulation:
         Called by :meth:`start` when ``self.traffic`` is no longer the
         pattern instance the lowering descriptor was taken from — the
         replacement's ``dest()``/``active()`` must be consulted, so the
-        run falls back to the (bit-identical) callback path.  Runs
-        before the first drain, hence before the compiled kernel caches
-        its state.
+        run falls back to the (bit-identical) callback path — and by the
+        equivalence tests, which use the callback path as the reference.
+        Must run before the first drain, i.e. before the compiled kernel
+        caches its state.
         """
         self._lower = None
         self._lower_src = None
@@ -396,12 +372,7 @@ class Simulation:
         )
 
     def start(self) -> None:
-        """Post the initial generator/watchdog records (no stepping yet).
-
-        Split out of :meth:`run` so a :class:`~repro.core.batch.
-        BatchSimulation` can start every member cell before draining
-        their calendars through one fused loop.
-        """
+        """Post the initial generator/watchdog records (no stepping yet)."""
         if self._lower is not None and self.traffic is not self._lower_src:
             self._unlower()
         # Desynchronised start: each node's Bernoulli process begins at an
@@ -428,6 +399,12 @@ class Simulation:
         if self.oracle is not None:
             self._drain()
             oracle_verdict = self.oracle.verify(self).to_dict()
+        # The run is over: drop the compiled kernel's cached state.  Its
+        # capsule owns strong references to the routers and is invisible
+        # to the cycle collector, so keeping it would make engine ->
+        # capsule -> routers -> sim -> engine uncollectable and leak
+        # every Simulation.  (A later drain rebuilds it on demand.)
+        self.engine._ckstate = None
 
         stats = self.stats
         return SimulationResult(
@@ -475,12 +452,10 @@ def run_simulation(
     *,
     check_decomposition: bool = False,
     engine_backend: str | None = None,
-    engine_lower: str | None = None,
 ) -> SimulationResult:
     """Build and run one simulation (convenience wrapper)."""
     return Simulation(
         config,
         check_decomposition=check_decomposition,
         engine_backend=engine_backend,
-        engine_lower=engine_lower,
     ).run()

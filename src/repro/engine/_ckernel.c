@@ -303,7 +303,7 @@ typedef struct {
     PyObject *send_recs, *link_recs, *rel_recs, *out_peer; /* owned lists */
     PyObject *rid_obj;          /* owned */
     PyObject *py_step;          /* owned bound method, or NULL: C step */
-    int64_t kb, pb, rid, erid, group, boundary, max_vcs, nkeys, radix;
+    int64_t kb, pb, rid, group, boundary, max_vcs, nkeys, radix;
     int64_t cache_policy, transit_priority, internal, num_node_ports,
         psize, pipe_lat;
     /* MinimalRouting decide() lowered to C (used only on lowered runs;
@@ -352,10 +352,10 @@ typedef struct {
     PyObject *gauss_next;  /* owned: getstate()[2], round-tripped */
     Py_buffer ms_view, si_view, sf_view, inj_view, del_view;
     int64_t *ms_table;     /* R*R contention-free service costs */
-    int64_t *si;           /* this cell's NSTAT_I block */
-    double *sf;            /* this cell's NSTAT_F block */
-    int64_t *inj_router, *del_router; /* full arrays, erid-indexed */
-    int64_t soa_base, R, p, a, psize, end_time, ws, we, num_nodes;
+    int64_t *si;           /* the NSTAT_I block */
+    double *sf;            /* the NSTAT_F block */
+    int64_t *inj_router, *del_router; /* router_id-indexed */
+    int64_t R, p, a, psize, end_time, ws, we, num_nodes;
     double log_q;
     int has_log_q;
     int64_t pid;           /* mirrored from owner._pid per drain */
@@ -668,7 +668,6 @@ lstate_build(PyObject *lower)
 {
     LState *ls = PyMem_Calloc(1, sizeof(LState));
     PyObject *mod = NULL, *item = NULL;
-    int64_t si_base, sf_base;
     int err = 0;
 
     if (ls == NULL) {
@@ -692,7 +691,6 @@ lstate_build(PyObject *lower)
     if (ls->rng_getstate == NULL || ls->rng_setstate == NULL)
         goto fail;
 
-    ls->soa_base = get_ll_attr(lower, "soa_base", &err);
     ls->R = get_ll_attr(lower, "R", &err);
     ls->p = get_ll_attr(lower, "p", &err);
     ls->a = get_ll_attr(lower, "a", &err);
@@ -701,8 +699,6 @@ lstate_build(PyObject *lower)
     ls->ws = get_ll_attr(lower, "ws", &err);
     ls->we = get_ll_attr(lower, "we", &err);
     ls->num_nodes = get_ll_attr(lower, "num_nodes", &err);
-    si_base = get_ll_attr(lower, "si_base", &err);
-    sf_base = get_ll_attr(lower, "sf_base", &err);
     if (err)
         goto fail;
     item = PyObject_GetAttrString(lower, "log_q");
@@ -737,8 +733,6 @@ lstate_build(PyObject *lower)
                         "LowerState.ms_table has the wrong shape");
         goto fail;
     }
-    ls->si += si_base;
-    ls->sf += sf_base;
 
     /* descriptor */
     ls->kind = (int)get_ll_attr(lower, "_kind", &err);
@@ -1127,7 +1121,7 @@ c_gen(KState *ks, LState *ls, PyObject *rec, int64_t t, PyObject *t_obj)
 
     /* inlined Router.inject(node % p, pkt, t); Packet.__init__ already
      * set t_enq = gen_time = t */
-    rs = &ks->routers[ls->soa_base + src_router];
+    rs = &ks->routers[src_router];
     key = (node % ls->p) * rs->max_vcs;
     q = PyList_GET_ITEM(ks->in_q, rs->kb + key);
     {
@@ -1169,7 +1163,7 @@ c_deliver(KState *ks, LState *ls, PyObject *pkt, int64_t t)
     ls->si[SI_DEL_PHITS] += slot_ll(pkt, ks->ps.size);
     n = ls->si[SI_DEL_PACKETS] + 1;
     ls->si[SI_DEL_PACKETS] = n;
-    ls->del_router[ls->soa_base + slot_ll(pkt, ks->ps.dst_router)] += 1;
+    ls->del_router[slot_ll(pkt, ks->ps.dst_router)] += 1;
 
     xi = t - slot_ll(pkt, ks->ps.gen_time);
     x = (double)xi;
@@ -1411,7 +1405,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
         && PySet_Discard(rs->active_keys, ks->key_objs[key]) < 0)
         return -1;
     PyList_SetItem(ks->dc_pkt, gk, Py_NewRef(Py_None));
-    ks->cong_epoch[rs->erid] += 1;
+    ks->cong_epoch[rs->rid] += 1;
     ks->in_port_free[gin] = now + rs->internal;
     ks->switch_free[gout] = now + rs->internal;
     ks->out_occ[gout] += size;
@@ -1425,7 +1419,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
             LState *ls = ks->low;
             ls->si[SI_TOTAL_INJECTED] += 1;
             if (now >= ls->ws && now < ls->we)
-                ls->inj_router[rs->erid] += 1;
+                ls->inj_router[rs->rid] += 1;
         }
         else {
             PyObject *res = PyObject_CallFunctionObjArgs(
@@ -1559,7 +1553,7 @@ c_step(KState *ks, RState *rs, int64_t now, PyObject *now_obj)
     Py_ssize_t n_act, n_dead = 0, n_cand = 0, n_ports = 0;
     int64_t next_time = -1; /* -1 = None */
     int granted = 0, td_active = 0;
-    int64_t epoch = ks->cong_epoch[rs->erid];
+    int64_t epoch = ks->cong_epoch[rs->rid];
     Py_ssize_t i;
     int rc = -1;
 
@@ -1948,7 +1942,7 @@ c_release_output(KState *ks, RState *rs, int64_t port, int64_t size,
                  int64_t now)
 {
     int64_t gp = rs->pb + port;
-    ks->cong_epoch[rs->erid] += 1;
+    ks->cong_epoch[rs->rid] += 1;
     ks->out_occ[gp] -= size;
     if (ks->chk && ks->out_occ[gp] < 0) {
         PyErr_Format(ks->flow_err,
@@ -1964,7 +1958,7 @@ c_release_credit(KState *ks, RState *rs, int64_t port, int64_t vc,
                  int64_t size, int64_t now)
 {
     int64_t ck = rs->kb + port * rs->max_vcs + vc;
-    ks->cong_epoch[rs->erid] += 1;
+    ks->cong_epoch[rs->rid] += 1;
     ks->credits_used[ck] -= size;
     if (ks->chk && ks->credits_used[ck] < 0) {
         PyErr_Format(ks->flow_err,
@@ -1980,7 +1974,7 @@ c_link_step(KState *ks, RState *rs, int64_t port, int64_t size, int64_t now,
             PyObject *now_obj)
 {
     int64_t gp = rs->pb + port;
-    ks->cong_epoch[rs->erid] += 1;
+    ks->cong_epoch[rs->rid] += 1;
     ks->out_occ[gp] -= size;
     if (ks->chk && ks->out_occ[gp] < 0) {
         PyErr_Format(ks->flow_err,
@@ -2223,9 +2217,6 @@ build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
     rs->kb = get_ll_attr(r, "kb", &err);
     rs->pb = get_ll_attr(r, "pb", &err);
     rs->rid = get_ll_attr(r, "router_id", &err);
-    /* engine-level store row: soa_base + router_id (batch cell axis);
-     * rid stays cell-local (stats, topology coordinates, messages). */
-    rs->erid = get_ll_attr(r, "erid", &err);
     rs->group = get_ll_attr(r, "group", &err);
     rs->boundary = get_ll_attr(r, "injection_boundary", &err);
     rs->max_vcs = get_ll_attr(r, "max_vcs", &err);
@@ -2680,9 +2671,8 @@ get_kstate(PyObject *eq, KState **out)
 }
 
 /* The bucket loop: process every activation with time <= t_end.  Leaves
- * eq.now at the last drained cycle — callers advance it to the horizon
- * themselves (ck_drain right away; ck_drain_batch only once every
- * member queue is exhausted). */
+ * eq.now at the last drained cycle — ck_drain advances it to the
+ * horizon. */
 static int
 drain_core(KState *ks, PyObject *eq, int64_t t_end)
 {
@@ -2811,79 +2801,6 @@ ck_drain(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-ck_drain_batch(PyObject *self, PyObject *args)
-{
-    /* Fused drain of K independent calendars.  Cells never post into
-     * each other's calendars, so each queue sees exactly the record
-     * sequence it would have seen unbatched under any cross-cell
-     * interleaving; the cheapest valid schedule — used here, mirroring
-     * kernel.py_drain_batch — drains each member straight to the
-     * horizon in cell order (deterministic by construction; a
-     * cycle-interleaved min-head merge costs a K-way head scan per
-     * distinct cycle for the same per-queue sequences). */
-    PyObject *eqs_obj, *t_end_obj, *seq;
-    PyObject **eqs;
-    KState **kss;
-    Py_ssize_t k, j;
-    int64_t t_end;
-    int ok = 0;
-
-    if (!PyArg_ParseTuple(args, "OO:drain_batch", &eqs_obj, &t_end_obj))
-        return NULL;
-    t_end = as_ll(t_end_obj);
-    if (t_end == -1 && PyErr_Occurred())
-        return NULL;
-    seq = PySequence_Fast(eqs_obj, "drain_batch expects a sequence of "
-                                   "event queues");
-    if (seq == NULL)
-        return NULL;
-    k = PySequence_Fast_GET_SIZE(seq);
-    eqs = PyMem_Malloc((size_t)(k > 0 ? k : 1) * sizeof(PyObject *));
-    kss = PyMem_Malloc((size_t)(k > 0 ? k : 1) * sizeof(KState *));
-    if (eqs == NULL || kss == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (j = 0; j < k; j++) {
-        int got;
-        eqs[j] = PySequence_Fast_GET_ITEM(seq, j);
-        got = get_kstate(eqs[j], &kss[j]);
-        if (got < 0)
-            goto done;
-        if (got == 1) {
-            PyErr_SetString(PyExc_RuntimeError,
-                            "drain_batch: queue has no bound SoA store "
-                            "(bind_backend was not called)");
-            goto done;
-        }
-    }
-    for (j = 0; j < k; j++) {
-        if (kss[j]->low != NULL) {
-            int rc;
-            if (lstate_sync_in(kss[j]->low) < 0)
-                goto done;
-            rc = drain_core(kss[j], eqs[j], t_end);
-            if (lstate_exit(kss[j]->low, rc) < 0)
-                goto done;
-        }
-        else if (drain_core(kss[j], eqs[j], t_end) < 0)
-            goto done;
-    }
-    for (j = 0; j < k; j++) {
-        Py_INCREF(t_end_obj);
-        slot_set(eqs[j], kss[j]->eq_now, t_end_obj);
-    }
-    ok = 1;
-done:
-    PyMem_Free(eqs);
-    PyMem_Free(kss);
-    Py_DECREF(seq);
-    if (!ok)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
 /* Test hook: replay a sequence of RNG operations on the in-kernel
  * MT19937 and return the drawn values plus the resulting state, so the
  * RNG-stream equivalence suite can compare against random.Random
@@ -2983,9 +2900,6 @@ static PyMethodDef ckernel_methods[] = {
     {"drain", ck_drain, METH_VARARGS,
      "drain(eq, t_end): process activations with time <= t_end on the "
      "compiled kernel (bit-identical to repro.engine.kernel.py_drain)."},
-    {"drain_batch", ck_drain_batch, METH_VARARGS,
-     "drain_batch(eqs, t_end): fused drain of K independent calendars "
-     "(bit-identical to repro.engine.kernel.py_drain_batch)."},
     {"mt_ops", ck_mt_ops, METH_VARARGS,
      "mt_ops(state, ops): replay RNG operations (None -> random(), "
      "int k -> getrandbits(k)) on the in-kernel MT19937; returns "

@@ -48,10 +48,10 @@ bottleneck cheap" workflow):
 
 * **Integer timestamps.**  A float timestamp would silently create a
   bucket that the integer bucket lookup can never coalesce with, so the
-  generic ``schedule``/``schedule_at`` API validates timestamps up front
-  — gated behind *strict mode* (default on; disable for production
-  sweeps with ``REPRO_ENGINE_STRICT=0``) so trusted hot paths never pay
-  for it.  The typed :meth:`post` path is internal and never validates.
+  generic ``schedule``/``schedule_at`` API validates timestamps up
+  front.  It is a cool path (the deadlock watchdog calls it once per
+  ``deadlock_cycles``); the typed :meth:`post` path is internal and
+  never validates.
 
 * no cancellation — components use generation counters / dirty marks
   instead, which is cheaper than queue surgery.
@@ -59,8 +59,7 @@ bottleneck cheap" workflow):
 
 from __future__ import annotations
 
-import os
-from heapq import heappop, heappush
+from heapq import heappush
 from collections.abc import Callable
 
 from repro.errors import SimulationError
@@ -105,22 +104,11 @@ OP_GEN = 9
 _WEIGHT_2 = OP_LINK
 
 
-def _strict_default() -> bool:
-    """Strict mode default: on unless REPRO_ENGINE_STRICT is falsy."""
-    return os.environ.get("REPRO_ENGINE_STRICT", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
 class EventQueue:
     """Calendar (bucket) activation queue with integer cycle timestamps."""
 
     __slots__ = (
         "now",
-        "strict",
         "_buckets",
         "_times",
         "_processed",
@@ -132,13 +120,10 @@ class EventQueue:
         "_soa",
         "_ckstate",
         "_lower",
-        "schedule",
-        "schedule_at",
     )
 
-    def __init__(self, *, strict: bool | None = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
-        self.strict: bool = _strict_default() if strict is None else strict
         # _buckets[t] is the FIFO list of activation records for cycle t;
         # _times is a min-heap of the distinct keys of _buckets (never
         # empty buckets).
@@ -160,14 +145,6 @@ class EventQueue:
         self._get_bucket = self._buckets.get
         self._sink: Callable = _unbound_sink
         self._gen: Callable = _unbound_gen
-        # Strict mode selects the validated generic API per instance
-        # (``schedule`` shadows nothing: it is a slot, not a method).
-        if self.strict:
-            self.schedule = self._schedule_checked
-            self.schedule_at = self._schedule_at_checked
-        else:
-            self.schedule = self._schedule_fast
-            self.schedule_at = self._schedule_at_fast
 
     # ------------------------------------------------------------------
     # wiring
@@ -240,7 +217,7 @@ class EventQueue:
         else:
             bucket.append(record)
 
-    def _schedule_checked(self, delay: int, fn: Callable, *args) -> None:
+    def schedule(self, delay: int, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` *delay* cycles from now (integer delay >= 0)."""
         if delay.__class__ is not int and not isinstance(delay, int):
             raise SimulationError(
@@ -252,7 +229,7 @@ class EventQueue:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         self.post(self.now + delay, (0, fn, args))
 
-    def _schedule_at_checked(self, time: int, fn: Callable, *args) -> None:
+    def schedule_at(self, time: int, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` at absolute integer cycle *time* (>= now)."""
         if time.__class__ is not int and not isinstance(time, int):
             raise SimulationError(
@@ -264,14 +241,6 @@ class EventQueue:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self.now}"
             )
-        self.post(time, (0, fn, args))
-
-    def _schedule_fast(self, delay: int, fn: Callable, *args) -> None:
-        """Unvalidated :meth:`schedule` (strict mode off)."""
-        self.post(self.now + delay, (0, fn, args))
-
-    def _schedule_at_fast(self, time: int, fn: Callable, *args) -> None:
-        """Unvalidated :meth:`schedule_at` (strict mode off)."""
         self.post(time, (0, fn, args))
 
     # ------------------------------------------------------------------
@@ -306,53 +275,6 @@ class EventQueue:
         """
         self.run_until(t_max)
         return not self._times
-
-    def run_next(self) -> bool:
-        """Process the single earliest record; False if the queue is empty.
-
-        A merged ``OP_LINK`` record executes both of its phases (release
-        and next transmission) and counts 2 processed events.
-        """
-        times = self._times
-        if not times:
-            return False
-        t = times[0]
-        bucket = self._buckets[t]
-        rec = bucket.pop(0)
-        self.now = t
-        self._activations += 1
-        op = rec[0]
-        self._processed += 2 if op == _WEIGHT_2 else 1
-        if op == 1:
-            r = rec[1]
-            if r._arb_time == t:
-                r._arb_time = None
-                if r.active_keys:
-                    r.step(t)
-        elif op == 3:
-            rec[1].output_enqueue(rec[2], rec[3], rec[4], t)
-        elif op == 5:
-            rec[1].link_step(rec[2], rec[3], t)
-        elif op == 2:
-            rec[1].arrive(rec[2], rec[3], rec[4], t)
-        elif op == 9:
-            self._gen(rec[1])
-        elif op == 7:
-            rec[1].release_credit(rec[2], rec[3], rec[4], t)
-        elif op == 6:
-            rec[1].release_output(rec[2], rec[3], t)
-        elif op == 8:
-            self._sink(rec[1], t)
-        elif op == 4:
-            rec[1].send(rec[2], t)
-        else:
-            rec[1](*rec[2])
-        # Deleting the bucket only after dispatch lets typed handlers
-        # append same-cycle follow-ups (e.g. a release re-arming a step).
-        if not bucket:
-            heappop(times)
-            del self._buckets[t]
-        return True
 
     # ------------------------------------------------------------------
     # introspection (not on the hot path)

@@ -53,8 +53,6 @@ from math import log
 
 from repro.engine.events import OP_CREDIT, OP_OUT_ARRIVE
 from repro.engine.soa import (
-    NSTAT_F,
-    NSTAT_I,
     SF_BD_BASE,
     SF_BD_GLOBAL,
     SF_BD_INJ,
@@ -79,15 +77,11 @@ from repro.hardware.packet import Packet
 __all__ = [
     "BACKEND_ENV",
     "ENGINE_BACKEND_CHOICES",
-    "ENGINE_LOWER_CHOICES",
-    "LOWER_ENV",
     "EngineBackend",
     "LowerState",
     "available_backends",
     "py_drain",
-    "py_drain_batch",
     "resolve_backend",
-    "resolve_lower",
     "step",
 ]
 
@@ -96,27 +90,6 @@ BACKEND_ENV = "REPRO_ENGINE_BACKEND"
 
 #: Valid values for --engine-backend / REPRO_ENGINE_BACKEND.
 ENGINE_BACKEND_CHOICES = ("auto", "python", "compiled")
-
-#: Environment variable gating the lowered OP_GEN / OP_DELIVER fast path.
-LOWER_ENV = "REPRO_ENGINE_LOWER"
-
-#: Valid values for REPRO_ENGINE_LOWER.  "auto" and "1" both lower
-#: whenever the run is lowerable (static pattern, no oracle); "0" never
-#: does.  "1" is not a *force* — non-lowerable configurations silently
-#: keep the callback path (both values exist so CI can pin the intent).
-ENGINE_LOWER_CHOICES = ("auto", "0", "1")
-
-
-def resolve_lower(mode: str | None = None) -> str:
-    """Resolve the lowering mode (explicit argument wins over the env)."""
-    if mode is None:
-        mode = os.environ.get(LOWER_ENV) or "auto"
-    if mode not in ENGINE_LOWER_CHOICES:
-        raise ConfigurationError(
-            f"unknown engine lowering mode {mode!r}; choose from "
-            f"{', '.join(ENGINE_LOWER_CHOICES)}"
-        )
-    return mode
 
 # The router module injects itself here at import time (it imports this
 # module for `step`, so importing it back at module level would cycle);
@@ -202,32 +175,14 @@ def py_drain(eq, t_end: int) -> None:
     eq.now = t_end
 
 
-def py_drain_batch(eqs, t_end: int) -> None:
-    """Fused drain of K independent calendars up to ``t_end``.
-
-    Because the member simulations never post into each other's
-    calendars, each queue observes exactly the record sequence it would
-    have seen unbatched whatever the interleaving across cells — so the
-    fused loop picks the cheapest valid one: each member drains straight
-    to the horizon, in cell order (deterministic by construction).  A
-    cycle-interleaved min-head merge was measured 10-25% slower purely
-    on merge bookkeeping (one drain re-entry plus a K-way head scan per
-    distinct cycle) while producing the very same per-queue record
-    sequences, so the cell-order schedule is both the fastest and the
-    simplest correct choice.
-    """
-    for eq in eqs:
-        py_drain(eq, t_end)
-
-
 # ----------------------------------------------------------------------
 # lowered OP_GEN / OP_DELIVER fast path (reference mirror)
 # ----------------------------------------------------------------------
 class LowerState:
-    """Lowered traffic generator + delivery sink for one simulation cell.
+    """Lowered traffic generator + delivery sink for one simulation.
 
     This class is the *reference implementation* of the lowering the C
-    kernel performs natively: when a run is lowerable (static pattern
+    kernel performs natively: when a cell is lowerable (static pattern
     with a :meth:`~repro.traffic.base.TrafficPattern.lower` descriptor,
     no oracle, no decomposition checking), the simulation builds one
     ``LowerState`` and binds it via :meth:`EventQueue.bind_lower
@@ -242,8 +197,8 @@ class LowerState:
       state and runs C twins of the same two methods, with an in-kernel
       MT19937 seeded from ``rng_traffic.getstate()`` at drain entry and
       written back at drain exit — so RNG consumption, packet fields and
-      accumulated statistics are bit-identical across all four
-      backend x lowering combinations (pinned by the equivalence suite).
+      accumulated statistics are bit-identical to the callback path on
+      both backends (pinned by the equivalence suite).
 
     ``Simulation._collect`` commits the accumulated buffers back into
     the :class:`~repro.metrics.collector.StatsCollector` exactly once.
@@ -263,8 +218,6 @@ class LowerState:
         "a",
         "R",
         "num_nodes",
-        "soa_base",
-        "cell",
         "ms_table",
         "gen_recs",
         "inject_map",
@@ -272,8 +225,6 @@ class LowerState:
         "sf",
         "inj_router",
         "del_router",
-        "si_base",
-        "sf_base",
         "_kind",
         "_n1",
         "_n1_bits",
@@ -303,8 +254,6 @@ class LowerState:
         self.a = sim.topo.a
         self.R = sim.topo.num_routers
         self.num_nodes = sim.topo.num_nodes
-        self.soa_base = sim.soa_base
-        self.cell = sim.soa_base // sim.topo.num_routers
         self.ms_table = sim._ms_table
         self.gen_recs = sim._gen_recs
         self.inject_map = sim._inject_map
@@ -312,8 +261,6 @@ class LowerState:
         self.sf = store.stat_f64
         self.inj_router = store.stat_inj_router
         self.del_router = store.stat_del_router
-        self.si_base = self.cell * NSTAT_I
-        self.sf_base = self.cell * NSTAT_F
         self._committed = False
         # Unpack the descriptor into flat slots (one tuple load per draw
         # saved; the C twin does the same into struct fields).
@@ -414,11 +361,10 @@ class LowerState:
             self.ms_table[src_router * self.R + dst_router],
         )
         si = self.si
-        b = self.si_base
-        si[b + SI_TOTAL_GENERATED] += 1
+        si[SI_TOTAL_GENERATED] += 1
         if self.ws <= now < self.we:
-            si[b + SI_GEN_PHITS] += self.psize
-            si[b + SI_GEN_PACKETS] += 1
+            si[SI_GEN_PHITS] += self.psize
+            si[SI_GEN_PACKETS] += 1
         router, node_port = self.inject_map[node]
         router.inject(node_port, pkt, now)
         # Inlined geometric_gap over the precomputed log(1 - p), exactly
@@ -445,73 +391,60 @@ class LowerState:
         the committed mean/M2 are bit-identical floats.
         """
         si = self.si
-        b = self.si_base
-        si[b + SI_TOTAL_DELIVERED] += 1
+        si[SI_TOTAL_DELIVERED] += 1
         if not (self.ws <= now < self.we):
             return
-        si[b + SI_DEL_PHITS] += pkt.size
-        n = si[b + SI_DEL_PACKETS] + 1
-        si[b + SI_DEL_PACKETS] = n
-        self.del_router[self.soa_base + pkt.dst_router] += 1
+        si[SI_DEL_PHITS] += pkt.size
+        n = si[SI_DEL_PACKETS] + 1
+        si[SI_DEL_PACKETS] = n
+        self.del_router[pkt.dst_router] += 1
         sf = self.sf
-        fb = self.sf_base
         x = now - pkt.gen_time
-        mean = sf[fb + SF_LAT_MEAN]
+        mean = sf[SF_LAT_MEAN]
         delta = x - mean
         mean += delta / n
-        sf[fb + SF_LAT_MEAN] = mean
-        sf[fb + SF_LAT_M2] += delta * (x - mean)
-        if x < sf[fb + SF_LAT_MIN]:
-            sf[fb + SF_LAT_MIN] = x
-        if x > sf[fb + SF_LAT_MAX]:
-            sf[fb + SF_LAT_MAX] = x
+        sf[SF_LAT_MEAN] = mean
+        sf[SF_LAT_M2] += delta * (x - mean)
+        if x < sf[SF_LAT_MIN]:
+            sf[SF_LAT_MIN] = x
+        if x > sf[SF_LAT_MAX]:
+            sf[SF_LAT_MAX] = x
         base = pkt.base_latency
-        sf[fb + SF_BD_INJ] += pkt.inject_time - pkt.gen_time
-        sf[fb + SF_BD_LOCAL] += pkt.wait_local
-        sf[fb + SF_BD_GLOBAL] += pkt.wait_global
-        sf[fb + SF_BD_BASE] += base
-        sf[fb + SF_BD_MIS] += pkt.service_sum - base
+        sf[SF_BD_INJ] += pkt.inject_time - pkt.gen_time
+        sf[SF_BD_LOCAL] += pkt.wait_local
+        sf[SF_BD_GLOBAL] += pkt.wait_global
+        sf[SF_BD_BASE] += base
+        sf[SF_BD_MIS] += pkt.service_sum - base
 
     # ------------------------------------------------------------------
     def on_injection(self, rid: int, now: int) -> None:
         """Lowered commit-phase hook: mirrors ``StatsCollector.on_injection``.
 
-        Installed as every member router's ``_on_injection`` *before*
+        Installed as every router's ``_on_injection`` *before*
         ``_bind_hot`` freezes it, so both kernels' commit phases call it
         (the C kernel additionally inlines the equivalent accumulation).
         """
-        si = self.si
-        si[self.si_base + SI_TOTAL_INJECTED] += 1
+        self.si[SI_TOTAL_INJECTED] += 1
         if self.ws <= now < self.we:
-            self.inj_router[self.soa_base + rid] += 1
+            self.inj_router[rid] += 1
 
     # ------------------------------------------------------------------
     # mid-run reads (deadlock watchdog) and the end-of-run commit
     # ------------------------------------------------------------------
     def total_delivered(self) -> int:
         """All-time delivered count (watchdog progress signal)."""
-        return self.si[self.si_base + SI_TOTAL_DELIVERED]
+        return self.si[SI_TOTAL_DELIVERED]
 
     def in_flight(self) -> int:
         """Packets injected but not yet delivered."""
-        b = self.si_base
-        return self.si[b + SI_TOTAL_INJECTED] - self.si[b + SI_TOTAL_DELIVERED]
+        return self.si[SI_TOTAL_INJECTED] - self.si[SI_TOTAL_DELIVERED]
 
     def commit(self, stats) -> None:
         """Fold the accumulated window into *stats* (idempotent)."""
         if self._committed:
             return
         self._committed = True
-        b = self.si_base
-        fb = self.sf_base
-        s = self.soa_base
-        R = self.R
-        stats.absorb_window(
-            self.si[b : b + NSTAT_I],
-            self.sf[fb : fb + NSTAT_F],
-            self.inj_router[s : s + R],
-            self.del_router[s : s + R],
-        )
+        stats.absorb_window(self.si, self.sf, self.inj_router, self.del_router)
 
 
 # ----------------------------------------------------------------------
@@ -560,11 +493,11 @@ def step(r, now: int) -> None:
         kb,
         pb,
         epochs,
-        erid,
+        rid,
         last_grant,
     ) = r._hot
     my_group = r.group
-    epoch = epochs[erid]  # stable through the scan (no commits yet)
+    epoch = epochs[rid]  # stable through the scan (no commits yet)
 
     if len(active_keys) == 1:
         # Uncontended fast path (the most common activation shape):
@@ -941,7 +874,6 @@ def _commit(r, out_port, gout, key, gk, pkt, dec, now) -> None:
         rid,
         global_out,
         in_q,
-        erid,
     ) = r._hot2
     in_port = key // max_vcs
     gin = pb + in_port
@@ -952,7 +884,7 @@ def _commit(r, out_port, gout, key, gk, pkt, dec, now) -> None:
     if not q:
         active_keys.discard(key)
     dc_pkt[gk] = None  # head changed: decision no longer valid
-    epochs[erid] += 1  # out_occ / credits are about to change
+    epochs[rid] += 1  # out_occ / credits are about to change
     in_port_free[gin] = now + internal
     switch_free[gout] = now + internal
     out_occ[gout] += size
@@ -1029,28 +961,20 @@ def _commit(r, out_port, gout, key, gk, pkt, dec, now) -> None:
 # backend selection
 # ----------------------------------------------------------------------
 class EngineBackend:
-    """A resolved engine backend: name, SoA buffer mode, drain callables.
+    """A resolved engine backend: name, SoA buffer mode, drain callable."""
 
-    ``drain_batch`` is the fused multi-cell loop (``drain_batch(eqs,
-    t_end)``); it may be ``None`` on a compiled extension built before
-    the batch axis existed, in which case callers fall back to draining
-    each queue sequentially — bit-identical, since batched cells never
-    interact.
-    """
+    __slots__ = ("name", "typed", "drain")
 
-    __slots__ = ("name", "typed", "drain", "drain_batch")
-
-    def __init__(self, name: str, typed: bool, drain, drain_batch=None) -> None:
+    def __init__(self, name: str, typed: bool, drain) -> None:
         self.name = name
         self.typed = typed
         self.drain = drain
-        self.drain_batch = drain_batch
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EngineBackend({self.name!r}, typed={self.typed})"
 
 
-_PY_BACKEND = EngineBackend("python", False, py_drain, py_drain_batch)
+_PY_BACKEND = EngineBackend("python", False, py_drain)
 
 
 def _load_compiled() -> EngineBackend | None:
@@ -1059,12 +983,7 @@ def _load_compiled() -> EngineBackend | None:
         from repro.engine import _ckernel
     except ImportError:
         return None
-    return EngineBackend(
-        "compiled",
-        True,
-        _ckernel.drain,
-        getattr(_ckernel, "drain_batch", None),
-    )
+    return EngineBackend("compiled", True, _ckernel.drain)
 
 
 def available_backends() -> tuple[str, ...]:

@@ -6,21 +6,13 @@ one *flat* buffer per field, shared by every router of a simulation,
 instead of per-:class:`~repro.hardware.router.Router` instance lists:
 
 * **per-key fields** (one slot per input FIFO) are indexed
-  ``erid * nkeys + key`` where ``key = port * max_vcs + vc`` and
+  ``router_id * nkeys + key`` where ``key = port * max_vcs + vc`` and
   ``nkeys = radix * max_vcs``;
-* **per-port fields** are indexed ``erid * radix + port``;
-* **per-router fields** (the congestion epoch) are indexed ``erid``.
+* **per-port fields** are indexed ``router_id * radix + port``;
+* **per-router fields** (the congestion epoch) are indexed ``router_id``.
 
-``erid`` is the router's *engine row*: for a single simulation it equals
-``router_id``, and for a :class:`~repro.core.batch.BatchSimulation` the
-store grows a **cell axis** — K same-topology cells stacked as
-``erid = cell * routers_per_cell + router_id``, so "more cells" is
-literally "more rows in the same arrays" and one fused drain loop steps
-them all.  ``router_id`` stays cell-local throughout (topology
-coordinates, per-cell stats, routing comparisons).
-
-A router keeps its two base offsets (``kb = erid * nkeys``,
-``pb = erid * radix``) and references to the shared buffers, making
+A router keeps its two base offsets (``kb = router_id * nkeys``,
+``pb = router_id * radix``) and references to the shared buffers, making
 it a thin view: ``router.out_occ[router.pb + port]`` is the one canonical
 copy of that counter.  Memo-guard tuples emitted by routing mechanisms
 (see :mod:`repro.routing.base`) carry these *flat* indices, so guard
@@ -50,12 +42,11 @@ __all__ = ["SoAStore"]
 
 # ---- lowered-sink stat layout -------------------------------------------
 # When traffic generation and the delivery sink are lowered into the
-# kernel (REPRO_ENGINE_LOWER, see repro.engine.kernel.LowerState), the
-# window accounting that StatsCollector would do per event accumulates
-# instead into two flat per-cell blocks on the store — stat_i64 (integer
-# counters) and stat_f64 (latency Welford state + breakdown sums) — and
-# is committed back into the collector once, at Simulation._collect().
-# Slot indices within a cell's block:
+# kernel (see repro.engine.kernel.LowerState), the window accounting
+# that StatsCollector would do per event accumulates instead into two
+# flat blocks on the store — stat_i64 (integer counters) and stat_f64
+# (latency Welford state + breakdown sums) — and is committed back into
+# the collector once, at Simulation._collect().  Slot indices:
 SI_TOTAL_GENERATED = 0
 SI_TOTAL_INJECTED = 1
 SI_TOTAL_DELIVERED = 2
@@ -110,7 +101,6 @@ class SoAStore:
         "max_vcs",
         "nkeys",
         "typed",
-        "cells",
         "routers",
         # per-key: router_id * nkeys + (port * max_vcs + vc)
         "in_q",
@@ -153,18 +143,12 @@ class SoAStore:
         max_vcs: int,
         *,
         typed: bool = False,
-        cells: int = 1,
     ) -> None:
-        # ``cells`` records the batch width: a batched store is built as
-        # ``SoAStore(K * R, radix, max_vcs, cells=K)`` and rows
-        # ``[cell * R, (cell + 1) * R)`` belong to member cell ``cell``.
-        # Unbatched stores keep the default of 1; indexing is identical.
         self.num_routers = num_routers
         self.radix = radix
         self.max_vcs = max_vcs
         self.nkeys = nkeys = radix * max_vcs
         self.typed = typed
-        self.cells = cells
         self.routers: list = []  # set by the Simulation after wiring
 
         K = num_routers * nkeys
@@ -221,14 +205,13 @@ class SoAStore:
         # signal for epoch-conditioned cached decisions.
         self.cong_epoch = _int_buffer(num_routers, typed)
 
-        # ---- lowered-sink accumulators (per cell / per engine row) -----
-        # One NSTAT_I / NSTAT_F block per batch cell, plus per-engine-row
-        # injected/delivered packet counts.  Always allocated (tiny) so
-        # lowering can be decided per member after store construction.
-        self.stat_i64 = _int_buffer(cells * NSTAT_I, typed)
-        self.stat_f64 = _float_buffer(cells * NSTAT_F, typed)
+        # ---- lowered-sink accumulators --------------------------------
+        # One NSTAT_I / NSTAT_F block, plus per-router injected/delivered
+        # packet counts.  Always allocated (tiny) so lowering can be
+        # decided after store construction.
+        self.stat_i64 = _int_buffer(NSTAT_I, typed)
+        self.stat_f64 = _float_buffer(NSTAT_F, typed)
         self.stat_inj_router = _int_buffer(num_routers, typed)
         self.stat_del_router = _int_buffer(num_routers, typed)
-        for c in range(cells):
-            self.stat_f64[c * NSTAT_F + SF_LAT_MIN] = float("inf")
-            self.stat_f64[c * NSTAT_F + SF_LAT_MAX] = float("-inf")
+        self.stat_f64[SF_LAT_MIN] = float("inf")
+        self.stat_f64[SF_LAT_MAX] = float("-inf")

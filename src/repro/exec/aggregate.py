@@ -1,10 +1,10 @@
 """Aggregation of cell results into the paper's sweep-level containers.
 
-:class:`SweepPoint` and :class:`LoadSweepResult` are the historical
-containers of ``repro.core.experiment`` (which now re-exports them);
-:func:`average_results` folds several same-config seed repetitions into
-one point, and :func:`average_injections` produces the seed-averaged
-per-router injection counts behind Figures 4/6.
+:class:`SweepPoint` and :class:`LoadSweepResult` are the containers the
+figure/table generators consume; :func:`average_results` folds several
+same-config seed repetitions into one point, and
+:func:`average_injections` produces the seed-averaged per-router
+injection counts behind Figures 4/6.
 """
 
 from __future__ import annotations

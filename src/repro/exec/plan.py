@@ -7,9 +7,9 @@ splitting.  Plans are built declaratively (cartesian grids, load sweeps,
 single points), combined with ``+``, and handed to
 :class:`repro.exec.runner.Runner` for serial or parallel execution.
 
-Seed derivation matches the historical ``run_point`` protocol exactly
-(``split_seed(master, 100 + s)``), so results are bit-identical to the
-old serial harness regardless of execution order or parallelism.
+Per-repetition seeds are derived up front (``split_seed(master, 100 +
+s)``), so results are bit-identical regardless of execution order or
+parallelism.
 """
 
 from __future__ import annotations
@@ -224,35 +224,6 @@ class ExperimentPlan:
         return ExperimentPlan(
             tuple(cell for cell in self.cells if cell.digest in owned)
         )
-
-    # -- batching -----------------------------------------------------------
-    def batches(self, width: int) -> list[list[Cell]]:
-        """Group the plan's unique cells into batch-compatible chunks.
-
-        Cells sharing a :func:`repro.core.batch.batch_compat_key` (same
-        everything except ``traffic.load`` and ``seed``) are grouped in
-        first-appearance order and chunked to at most *width* cells, the
-        unit a :class:`repro.core.batch.BatchSimulation` executes in one
-        fused drain.  Singleton chunks are returned too — callers that
-        only benefit from true batches (the runner) skip them and let
-        the per-cell path handle the stragglers.
-        """
-        if width < 1:
-            raise AnalysisError(f"batch width must be >= 1, got {width}")
-        from repro.core.batch import batch_compat_key
-
-        groups: dict[str, list[Cell]] = {}
-        seen: set[str] = set()
-        for cell in self.cells:
-            if cell.digest in seen:
-                continue
-            seen.add(cell.digest)
-            groups.setdefault(batch_compat_key(cell.config), []).append(cell)
-        return [
-            members[i : i + width]
-            for members in groups.values()
-            for i in range(0, len(members), width)
-        ]
 
     # -- introspection ------------------------------------------------------
     def points(self) -> list[SimulationConfig]:

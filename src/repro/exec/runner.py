@@ -57,7 +57,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -65,7 +64,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.config import SimulationConfig
-from repro.core.batch import batch_compat_key, run_simulation_batch
 from repro.core.results import SimulationResult
 from repro.core.simulation import run_simulation
 from repro.errors import (
@@ -92,7 +90,6 @@ __all__ = [
     "describe_error",
     "is_retryable",
     "run_cell",
-    "run_cell_batch",
 ]
 
 #: wait-loop slice: future polling, foreign-lease store polling, idle sleep.
@@ -129,35 +126,6 @@ def run_cell(digest: str, config: SimulationConfig) -> SimulationResult:
 #: seam) route through this name so a patched entry point affects every
 #: executor uniformly.
 _run_cell = run_cell
-
-
-def run_cell_batch(
-    items: Sequence[tuple[str, SimulationConfig]]
-) -> list[SimulationResult]:
-    """Pool entry point for one batched attempt: K cells, one fused drain.
-
-    *items* is a ``(digest, config)`` sequence of batch-compatible cells
-    (see :func:`repro.core.batch.batch_compat_key`); results come back in
-    the same order and are bit-identical to :func:`run_cell` on each
-    member.  Fault-injection hooks fire per member so the ``REPRO_FAULTS``
-    harness can poison an individual cell of a batch — the injected
-    exception fails the whole attempt, and the runner re-runs the members
-    through the per-cell path where the siblings succeed and only the
-    poisoned cell keeps failing.
-    """
-    injector = FaultInjector.from_env()
-    if injector is not None:
-        for digest, _ in items:
-            injector.on_cell_start(digest)
-    results = run_simulation_batch([config for _, config in items])
-    if injector is not None:
-        for digest, _ in items:
-            injector.on_cell_end(digest)
-    return results
-
-
-#: monkeypatch seam for the batched entry point (mirrors ``_run_cell``).
-_run_cell_batch = run_cell_batch
 
 
 @dataclass(frozen=True)
@@ -383,13 +351,6 @@ class Runner:
     disjoint, dynamically balanced subset — see the module docstring.
     ``offline=True`` forbids computation: every cell a run needs must
     already be in the attached store (missing cells raise).
-    ``batch=K`` (K >= 2) enables the batched pre-pass: compatible missing
-    cells (same everything except load/seed — see
-    :func:`repro.core.batch.batch_compat_key`) are packed K at a time
-    into :class:`repro.core.batch.BatchSimulation` attempts that step all
-    members through one fused drain loop; stragglers and any member of a
-    failed batch fall through to the unchanged per-cell retry machinery.
-    Results are bit-identical either way.
     """
 
     jobs: int | None = None
@@ -399,18 +360,12 @@ class Runner:
     leases: bool = False
     lease_ttl: float = 60.0
     worker_id: str | None = None
-    batch: int | None = None
 
     def __post_init__(self) -> None:
         if self.jobs is None:
             self.jobs = default_jobs()
         if self.jobs < 1:
             raise AnalysisError(f"jobs must be >= 1, got {self.jobs}")
-        if self.batch is not None and self.batch < 2:
-            raise AnalysisError(
-                f"batch width must be >= 2 (or None to disable batching), "
-                f"got {self.batch}"
-            )
         if self.store is not None and not isinstance(self.store, ResultStore):
             self.store = ResultStore(self.store)
         if self.offline and self.store is None:
@@ -618,10 +573,6 @@ class _PlanExecution:
         if not self.order:
             return
         try:
-            if self.runner.batch is not None and len(self.pending) > 1:
-                self._run_batches()
-            if not self.pending:
-                return
             if self.runner.jobs <= 1 or len(self.order) <= 1:
                 self._run_serial()
             else:
@@ -632,82 +583,6 @@ class _PlanExecution:
                     if st.lease is not None:
                         self.coordinator.release(st.lease)
                         st.lease = None
-
-    # -- batched pre-pass ----------------------------------------------------
-    def _run_batches(self) -> None:
-        """One-shot batched pre-pass over the missing cells.
-
-        Compatible cells are packed ``runner.batch`` at a time and each
-        pack is attempted exactly once as a single fused
-        :class:`~repro.core.batch.BatchSimulation` (one pool task per
-        pack when pooled).  A successful pack completes every member —
-        stored, leased-complete, bit-identical to per-cell execution.  A
-        failed attempt (one poison member fails the whole fused run)
-        burns **no** per-cell attempts: the members simply stay pending
-        and flow into the unchanged per-cell retry loop, which retries
-        the innocent siblings individually and quarantines the real
-        offender.  Cells whose lease another worker holds are left out
-        of the pack and handled by the per-cell loop's adopt/steal
-        machinery; acquired leases are kept across a failed batch so the
-        per-cell attempt does not have to re-acquire them.
-        """
-        width = self.runner.batch
-        groups: dict[str, list[str]] = {}
-        for digest in self.order:
-            if digest in self.pending:
-                key = batch_compat_key(self.states[digest].config)
-                groups.setdefault(key, []).append(digest)
-        batches: list[list[str]] = []
-        for members in groups.values():
-            for i in range(0, len(members), width):
-                chunk = members[i : i + width]
-                if len(chunk) < 2:
-                    continue
-                owned = [d for d in chunk if self._try_lease(self.states[d])]
-                if len(owned) >= 2:
-                    batches.append(owned)
-        if not batches:
-            return
-        if self.runner.jobs <= 1 or len(batches) <= 1:
-            for members in batches:
-                try:
-                    results = _run_cell_batch(
-                        [(d, self.states[d].config) for d in members]
-                    )
-                except Exception:
-                    results = None
-                self._finish_batch(members, results)
-                self._heartbeat()
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.runner.jobs, len(batches))
-            )
-            try:
-                inflight = {
-                    pool.submit(
-                        _run_cell_batch,
-                        [(d, self.states[d].config) for d in members],
-                    ): members
-                    for members in batches
-                }
-                for future in as_completed(list(inflight)):
-                    try:
-                        results = future.result()
-                    except Exception:
-                        results = None
-                    self._finish_batch(inflight[future], results)
-                    self._heartbeat()
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _finish_batch(
-        self, members: list[str], results: list[SimulationResult] | None
-    ) -> None:
-        """Complete a pack's members, or leave them pending on failure."""
-        if results is None:
-            return
-        for digest, result in zip(members, results):
-            self._complete(self.states[digest], result)
 
     def _run_serial(self) -> None:
         """Inline execution with retries (no per-cell timeout enforcement)."""

@@ -76,7 +76,7 @@ Hot-path layout (the allocation pass dominates simulation wall-clock):
   head, so the packet-identity check covers arrivals behind the head.
   The cache is keyed per activation: epoch-conditioned entries reuse a
   decision across activations only while the router's congestion epoch
-  (``store.cong_epoch[erid]``, bumped at every commit/release phase
+  (``store.cong_epoch[router_id]``, bumped at every commit/release phase
   boundary) is unchanged.  Memo-guard tuples carry *flat* store indices,
   so revalidation is a single flat load.
 """
@@ -122,7 +122,6 @@ class Router:
         "rconf",
         "store",
         "router_id",
-        "erid",
         "group",
         "pos",
         "radix",
@@ -189,18 +188,13 @@ class Router:
         store = sim.soa
         self.store = store
         self.router_id = router_id
-        # Engine-level slot: in a batched simulation the shared store is
-        # K cells wide and this router occupies row `soa_base +
-        # router_id`; router_id stays cell-local (topology coordinates,
-        # per-cell stats, routing comparisons all key on it).
-        erid = self.erid = sim.soa_base + router_id
         self.group, self.pos = divmod(router_id, topo.a)
         self.radix = topo.radix
         rc = self.rconf
         self.max_vcs = max(rc.local_vcs, rc.global_vcs, 1)
         self.nkeys = self.radix * self.max_vcs
-        kb = self.kb = erid * store.nkeys
-        pb = self.pb = erid * self.radix
+        kb = self.kb = router_id * store.nkeys
+        pb = self.pb = router_id * self.radix
         self.injection_boundary = topo.p * self.max_vcs
         # A packet crosses the 2x-speedup crossbar in size/speedup cycles.
         psize = sim.config.traffic.packet_size
@@ -278,7 +272,7 @@ class Router:
         self._dc_pkt = store.dc_pkt
         self._dc_dec = store.dc_dec
         self._dc_cond = store.dc_cond
-        # cong_epoch[erid]: bumped whenever out_occ / credits_used
+        # cong_epoch[router_id]: bumped whenever out_occ / credits_used
         # change (commit, output release, credit release) — the
         # invalidation signal for epoch-conditioned cached decisions.
         self._epochs = store.cong_epoch
@@ -526,7 +520,7 @@ class Router:
             self.kb,
             self.pb,
             self._epochs,
-            self.erid,
+            self.router_id,
             self.last_grant,
         )
         # Arrival-phase working set.  The base arrival bookkeeping is
@@ -599,7 +593,6 @@ class Router:
             self.router_id,
             self._global_out,
             self.in_q,
-            self.erid,
         )
         psize = self._psize
         max_vcs = self.max_vcs
@@ -747,7 +740,7 @@ class Router:
         steady-state case (the output FIFO was non-empty when the current
         transmission started, so the link pumps back to back).
         """
-        self._epochs[self.erid] += 1
+        self._epochs[self.router_id] += 1
         gp = self.pb + port
         self.out_occ[gp] -= size
         if CHECK_INVARIANTS and self.out_occ[gp] < 0:
@@ -769,7 +762,7 @@ class Router:
 
     def release_output(self, port: int, size: int, now: int) -> None:
         """Phase handler: a packet's tail left the link; FIFO space frees."""
-        self._epochs[self.erid] += 1
+        self._epochs[self.router_id] += 1
         gp = self.pb + port
         self.out_occ[gp] -= size
         if CHECK_INVARIANTS and self.out_occ[gp] < 0:
@@ -789,7 +782,7 @@ class Router:
 
     def release_credit(self, port: int, vc: int, size: int, now: int) -> None:
         """Phase handler: credits for (port, vc) returned from downstream."""
-        self._epochs[self.erid] += 1
+        self._epochs[self.router_id] += 1
         ck = self.kb + port * self.max_vcs + vc
         self.credits_used[ck] -= size
         if CHECK_INVARIANTS and self.credits_used[ck] < 0:

@@ -152,7 +152,7 @@ class StatsCollector:
         :class:`repro.engine.kernel.LowerState`) accumulates the window
         statistics this collector would normally build per event into
         flat int64/float64 blocks on the SoA store; ``Simulation.
-        _collect`` hands this cell's slices here exactly once.  The fold
+        _collect`` hands them here exactly once.  The fold
         is bit-exact: counters add, the latency Welford state transfers
         by direct field assignment (this collector saw no per-event adds
         in a lowered run, and ``merge`` of an empty accumulator is *not*

@@ -16,7 +16,7 @@ Since the phase-batched engine rewrite, the harness reports two rates:
   events/activations ratio measures how much per-event dispatch the
   batched engine avoided.
 
-Since the OP_GEN / OP_DELIVER lowering (``REPRO_ENGINE_LOWER``), it also
+Since the OP_GEN / OP_DELIVER lowering, it also
 reports the **python-callback share**: the cumulative profiled time
 spent inside the traffic-generation and delivery-sink callbacks
 (``Simulation._gen_event`` and the bound sink).  On a lowered run both

@@ -15,13 +15,3 @@ def _enable_invariant_checks():
     yield
     router_mod.CHECK_INVARIANTS = old
 
-
-@pytest.fixture(autouse=True)
-def _strict_engine_default(monkeypatch):
-    """Tests run with the engine's strict mode at its default (on).
-
-    A developer's exported ``REPRO_ENGINE_STRICT=0`` (the documented
-    production setting) must not leak into the suite: the validation
-    tests assert the default-on contract.
-    """
-    monkeypatch.delenv("REPRO_ENGINE_STRICT", raising=False)

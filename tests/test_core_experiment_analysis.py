@@ -24,33 +24,41 @@ from repro.analysis.interference import (
 )
 from repro.analysis.tables import fairness_table, format_fairness_table
 from repro.config import JobSpec, NetworkConfig, small_config
-from repro.core.experiment import (
-    average_results,
-    run_load_sweep,
-    run_point,
-)
 from repro.core.simulation import run_simulation
 from repro.errors import AnalysisError
+from repro.exec import ExperimentPlan, Runner, average_results
 
 
 def quick_cfg(**kw):
     return small_config(warmup_cycles=200, measure_cycles=600, **kw)
 
 
+def _point(cfg, *, seeds=1):
+    res = Runner(jobs=1).run(ExperimentPlan.point(cfg, seeds=seeds))
+    res.raise_for_failures()
+    return res.point(cfg)
+
+
+def _sweep(cfg, loads):
+    res = Runner(jobs=1).run(ExperimentPlan.sweep(cfg, loads))
+    res.raise_for_failures()
+    return res.sweep(cfg, loads)
+
+
 class TestRunPoint:
     def test_single_seed(self):
-        pt = run_point(quick_cfg(routing="min").with_traffic(load=0.2))
+        pt = _point(quick_cfg(routing="min").with_traffic(load=0.2))
         assert pt.seeds == 1
         assert 0 < pt.accepted_load <= 0.3
 
     def test_multi_seed_averages(self):
-        pt = run_point(quick_cfg(routing="min").with_traffic(load=0.2), seeds=2)
+        pt = _point(quick_cfg(routing="min").with_traffic(load=0.2), seeds=2)
         assert pt.seeds == 2
         assert pt.avg_latency > 0
 
     def test_invalid_seeds(self):
         with pytest.raises(AnalysisError):
-            run_point(quick_cfg(), seeds=0)
+            _point(quick_cfg(), seeds=0)
 
 
 class TestAverageResults:
@@ -76,7 +84,7 @@ class TestAverageResults:
 
 class TestLoadSweep:
     def test_sweep_structure(self):
-        sweep = run_load_sweep(quick_cfg(routing="min"), [0.1, 0.3])
+        sweep = _sweep(quick_cfg(routing="min"), [0.1, 0.3])
         assert len(sweep.points) == 2
         assert sweep.routing == "min"
         assert sweep.pattern == "UN"
@@ -87,7 +95,7 @@ class TestLoadSweep:
 
     def test_empty_loads_raises(self):
         with pytest.raises(AnalysisError):
-            run_load_sweep(quick_cfg(), [])
+            _sweep(quick_cfg(), [])
 
 
 class TestPaperReference:

@@ -98,14 +98,6 @@ class TestScheduling:
         q.run_until(10)
         assert log == ["child"]
 
-    def test_run_next(self):
-        q = EventQueue()
-        log = []
-        q.schedule(7, log.append, "x")
-        assert q.run_next() is True
-        assert q.now == 7
-        assert q.run_next() is False
-
     def test_peek_time(self):
         q = EventQueue()
         assert q.peek_time() is None
@@ -166,43 +158,6 @@ def test_arbitrary_delays_execute_sorted(delays):
     q.run_until(100)
     assert seen == sorted(delays)
     assert len(seen) == len(delays)
-
-
-class TestStrictMode:
-    """Timestamp validation is debug-gated: on by default, off on demand."""
-
-    def test_default_is_strict(self):
-        assert EventQueue().strict is True
-
-    def test_env_var_disables_strict(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_STRICT", "0")
-        assert EventQueue().strict is False
-
-    def test_env_var_true_values_keep_strict(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_STRICT", "1")
-        assert EventQueue().strict is True
-
-    def test_constructor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_STRICT", "0")
-        assert EventQueue(strict=True).strict is True
-
-    def test_fast_mode_skips_validation(self):
-        """With strict off the generic API trusts its caller (no
-        isinstance/negative checks on the hot path)."""
-        q = EventQueue(strict=False)
-        log = []
-        q.schedule(2.0, log.append, "x")  # would raise under strict mode
-        q.run_until(3)
-        assert log == ["x"]
-
-    def test_fast_mode_still_runs_in_order(self):
-        q = EventQueue(strict=False)
-        log = []
-        q.schedule(5, log.append, "b")
-        q.schedule(1, log.append, "a")
-        q.schedule_at(9, log.append, "c")
-        q.run_until(10)
-        assert log == ["a", "b", "c"]
 
 
 class _FakeRouter:
@@ -309,16 +264,6 @@ class TestTypedRecords:
         assert r.steps == 0
         assert r._arb_time is None  # the mark is still cleared
         assert q.processed == 1
-
-    def test_run_next_dispatches_typed_records(self):
-        q, log = self._queue()
-        r = _FakeRouter(log)
-        q.post(2, (5, r, 1, 8))  # OP_LINK (weight 2)
-        assert q.run_next() is True
-        assert q.now == 2
-        assert q.processed == 2
-        assert log == [("link", 1)]
-        assert q.run_next() is False
 
 
 @settings(max_examples=50, deadline=None)

@@ -25,6 +25,7 @@ built (pure-Python checkouts stay green); they run wherever
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,30 @@ def test_store_contents_identical_across_backends(seed, load, routing):
     ck, ck_res = _run(cfg, "compiled")
     assert _store_snapshot(py) == _store_snapshot(ck)
     assert _result_fields(py_res) == _result_fields(ck_res)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_finished_simulations_are_collectable(backend):
+    """A finished run leaves nothing the cycle collector cannot free.
+
+    The compiled kernel's cached state owns strong references to the
+    routers and is not GC-traversed, so unless ``_collect()`` drops it
+    every Simulation stays alive forever (eq -> capsule -> routers ->
+    sim -> eq).  The counters ``_collect()`` leaves behind stay readable.
+    """
+    cfg = tiny_config().with_traffic(pattern="uniform", load=0.4)
+    counts = []
+    for seed in range(10):
+        sim, result = _run(cfg.with_(seed=seed), backend)
+        assert sim.engine.processed == result.events_processed
+        assert sim.engine.activations > 0
+        assert sim._lower is not None
+        del sim, result
+        gc.collect()
+        counts.append(len(gc.get_objects()))
+    # flat after the second run (the first two warm caches / interned
+    # objects); a leaked tiny Simulation is thousands of objects
+    assert max(counts[2:]) - counts[1] < 200, counts
 
 
 def test_dataclass_result_fields_cover_everything():

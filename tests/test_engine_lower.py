@@ -1,19 +1,23 @@
 """The lowered OP_GEN / OP_DELIVER fast path is bit-identical.
 
-``REPRO_ENGINE_LOWER`` moves traffic generation and the delivery sink
-out of per-event Python callbacks and into the kernel (interpreted
+Lowering moves traffic generation and the delivery sink out of
+per-event Python callbacks and into the kernel (interpreted
 ``LowerState`` on the python backend, native C twins — including an
 in-kernel MT19937 — on the compiled backend).  The contract is the same
-as for the backends themselves: *bit-identical is the contract*.  This
-module pins it four ways:
+as for the backends themselves: *bit-identical is the contract*.  The
+callback path is the reference; a lowerable cell reaches it through
+``Simulation._unlower()`` before ``start()``.  This module pins the
+contract four ways:
 
-* the lowering **decision** — which configurations lower and which fall
-  back (oracle, decomposition checking, non-static patterns, ``"0"``);
+* the lowering **selection** — it follows from the cell alone (static
+  pattern with a descriptor, no oracle, no decomposition check, traffic
+  not swapped after construction), on both backends;
 * the **equivalence matrix** — lowered vs unlowered runs compared
   field-by-field (result, event/activation counts, and the traffic RNG
-  state after the run) across backends, patterns and the batch axis;
-* the golden-trace digests replayed under every backend x lowering
-  combination;
+  state after the run) across backends and patterns, down to the
+  byte-identical store entry;
+* the golden-trace digests replayed on both backends, lowered and
+  unlowered;
 * the **RNG stream** — a hypothesis property test driving the compiled
   kernel's MT19937 from arbitrary ``random.Random`` states and checking
   every draw and the resulting state word-for-word; and the
@@ -26,6 +30,7 @@ built.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -34,25 +39,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import small_config, tiny_config
-from repro.core.batch import run_simulation_batch
-from repro.core.simulation import Simulation, run_simulation
-from repro.engine.kernel import (
-    ENGINE_LOWER_CHOICES,
-    LOWER_ENV,
-    available_backends,
-    resolve_lower,
-)
-from repro.errors import ConfigurationError
+from repro.core.simulation import Simulation
+from repro.engine.kernel import available_backends
 from repro.exec.serialize import result_to_dict
 from repro.hardware.packet import Packet
 from repro.hardware.router import Router
+from repro.traffic import SCENARIOS
+from repro.traffic.patterns import make_traffic
 from test_determinism_matrix import _result_fields
 from test_golden_trace import (
     BURSTY_CONFIG,
     BURSTY_DIGEST,
     STATIC_CONFIG,
     STATIC_DIGEST,
-    _run_digest,
 )
 
 HAVE_COMPILED = "compiled" in available_backends()
@@ -78,57 +77,58 @@ def _payload(result) -> str:
     )
 
 
-def _run(cfg, backend, lower):
-    sim = Simulation(cfg, engine_backend=backend, engine_lower=lower)
+def _run(cfg, backend, lowered):
+    """Run *cfg*; ``lowered=False`` takes the callback reference path."""
+    sim = Simulation(cfg, engine_backend=backend)
+    if not lowered:
+        sim._unlower()
     result = sim.run()
     return sim, result
 
 
 # ----------------------------------------------------------------------
-# the lowering decision
+# lowering is selected by the cell, not by a switch
 # ----------------------------------------------------------------------
-def test_resolve_lower_choices(monkeypatch):
-    monkeypatch.delenv(LOWER_ENV, raising=False)
-    assert resolve_lower() == "auto"
-    for mode in ENGINE_LOWER_CHOICES:
-        assert resolve_lower(mode) == mode
-        monkeypatch.setenv(LOWER_ENV, mode)
-        assert resolve_lower() == mode
-    # explicit argument wins over the environment
-    monkeypatch.setenv(LOWER_ENV, "0")
-    assert resolve_lower("1") == "1"
-    with pytest.raises(ConfigurationError):
-        resolve_lower("yes")
+def _cell(pattern="uniform", **kw):
+    return tiny_config(**kw).with_traffic(pattern=pattern, load=0.3)
 
 
-@pytest.mark.parametrize("pattern", LOWERABLE)
-def test_static_patterns_lower(pattern):
-    cfg = tiny_config().with_traffic(pattern=pattern, load=0.3)
-    for mode in ("auto", "1"):
-        assert Simulation(cfg, engine_lower=mode)._lower is not None
-    assert Simulation(cfg, engine_lower="0")._lower is None
-
-
-def test_non_lowerable_configurations_fall_back():
+#: id -> (config, check_decomposition, swap sim.traffic?, lowered?)
+SELECTION = {
+    **{pattern: (_cell(pattern), False, False, True) for pattern in LOWERABLE},
     # hotspot draws a bernoulli before the destination: no descriptor
-    hotspot = tiny_config().with_traffic(pattern="hotspot", load=0.3)
-    assert Simulation(hotspot, engine_lower="1")._lower is None
-    # oracle audits every delivery: the callback sink must stay
-    oracle = tiny_config(oracle=True).with_traffic(
-        pattern="uniform", load=0.3
-    )
-    assert Simulation(oracle, engine_lower="1")._lower is None
+    "hotspot": (_cell("hotspot"), False, False, False),
+    # the oracle audits every delivery: the callback sink must stay
+    "oracle": (_cell(oracle=True), False, False, False),
     # decomposition checking needs the per-packet sink assertions
-    plain = tiny_config().with_traffic(pattern="uniform", load=0.3)
-    assert (
-        Simulation(plain, engine_lower="1", check_decomposition=True)._lower
-        is None
+    "check_decomposition": (_cell(), True, False, False),
+    # time-varying scenarios gate activity per cycle: no static descriptor
+    **{
+        f"scenario:{name}": (
+            sc.apply(small_config().with_traffic(load=0.3)),
+            False,
+            False,
+            False,
+        )
+        for name, sc in SCENARIOS.items()
+    },
+    # a pattern swapped in after construction must be consulted
+    "traffic_swap": (_cell(), False, True, False),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", SELECTION)
+def test_lowering_is_selected_by_input(backend, case):
+    cfg, check_decomposition, swap, lowered = SELECTION[case]
+    sim = Simulation(
+        cfg, engine_backend=backend, check_decomposition=check_decomposition
     )
-    # bursty scenarios gate activity per cycle: no static descriptor
-    bursty = tiny_config().with_traffic(
-        pattern="adversarial", load=0.3, burst_on=120, burst_off=80
-    )
-    assert Simulation(bursty, engine_lower="1")._lower is None
+    if swap:
+        sim.traffic = make_traffic(cfg.traffic, sim.topo, seed=1)
+        sim.start()
+    assert sim.engine_backend == backend
+    assert (sim._lower is not None) == lowered
 
 
 # ----------------------------------------------------------------------
@@ -140,8 +140,9 @@ def test_lowering_is_bit_identical(backend, pattern):
     cfg = tiny_config(seed=11, routing="in-trns-mm").with_traffic(
         pattern=pattern, load=0.35
     )
-    off_sim, off = _run(cfg, backend, "0")
-    on_sim, on = _run(cfg, backend, "1")
+    off_sim, off = _run(cfg, backend, lowered=False)
+    on_sim, on = _run(cfg, backend, lowered=True)
+    assert off_sim._lower is None
     assert (on_sim._lower is not None) == (pattern != "hotspot")
     assert _result_fields(off) == _result_fields(on)
     assert _payload(off) == _payload(on)
@@ -154,41 +155,28 @@ def test_lowering_is_bit_identical(backend, pattern):
 
 @needs_compiled
 def test_lowering_matrix_agrees_across_backends():
-    """All four backend x lowering combinations, one payload."""
+    """Backend x {lowered, unlowered}: one byte-identical store payload."""
     cfg = tiny_config(seed=4, routing="obl-rrg").with_traffic(
         pattern="advc", load=0.4
     )
     payloads = {
-        (backend, mode): _payload(_run(cfg, backend, mode)[1])
+        (backend, lowered): _payload(_run(cfg, backend, lowered)[1])
         for backend in ("python", "compiled")
-        for mode in ("0", "1")
+        for lowered in (False, True)
     }
     assert len(set(payloads.values())) == 1
 
 
+@pytest.mark.parametrize("lowered", [False, True])
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_lowering_is_bit_identical_batched(backend):
-    cfgs = [
-        tiny_config(seed=s).with_traffic(pattern="adversarial", load=load)
-        for s, load in [(3, 0.2), (4, 0.35), (5, 0.5)]
-    ]
-    on = run_simulation_batch(cfgs, engine_backend=backend, engine_lower="1")
-    off = run_simulation_batch(cfgs, engine_backend=backend, engine_lower="0")
-    solo = [
-        run_simulation(c, engine_backend=backend, engine_lower="1")
-        for c in cfgs
-    ]
-    for a, b, c in zip(on, off, solo):
-        assert _payload(a) == _payload(b) == _payload(c)
-
-
-@pytest.mark.parametrize("mode", ["0", "1"])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_golden_traces_per_backend_and_lowering(backend, mode, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
-    monkeypatch.setenv(LOWER_ENV, mode)
-    assert _run_digest(STATIC_CONFIG) == STATIC_DIGEST
-    assert _run_digest(BURSTY_CONFIG) == BURSTY_DIGEST
+def test_golden_traces_per_backend_and_lowering(backend, lowered):
+    # BURSTY_CONFIG never lowers; it rides along as the scenario golden.
+    for cfg, digest in (
+        (STATIC_CONFIG, STATIC_DIGEST),
+        (BURSTY_CONFIG, BURSTY_DIGEST),
+    ):
+        payload = _payload(_run(cfg, backend, lowered)[1])
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +192,8 @@ def test_make_packet_matches_gen_event(make_cfg, pattern, monkeypatch):
     produce identical packets for the same (source, destination, cycle)
     over random node pairs of real topologies."""
     cfg = make_cfg(seed=23).with_traffic(pattern=pattern, load=0.5)
-    sim = Simulation(cfg, engine_lower="0")
+    sim = Simulation(cfg)
+    sim._unlower()
     captured = []
     original = Router.inject
 

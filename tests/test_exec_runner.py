@@ -9,7 +9,6 @@ import random
 import pytest
 
 from repro.config import tiny_config
-from repro.core.experiment import run_load_sweep, run_point
 from repro.core.simulation import run_simulation
 from repro.errors import AnalysisError
 from repro.exec import (
@@ -117,15 +116,20 @@ class TestRunnerDeterminism:
         """Same plan, jobs=1 vs jobs=4: identical SweepPoints."""
         cfg = quick_cfg(routing="min")
         loads = [0.2, 0.4]
-        serial = run_load_sweep(cfg, loads, seeds=2, jobs=1)
-        parallel = run_load_sweep(cfg, loads, seeds=2, jobs=4)
-        assert serial == parallel
+        plan = ExperimentPlan.sweep(cfg, loads, seeds=2)
+        serial = Runner(jobs=1).run(plan)
+        parallel = Runner(jobs=4).run(plan)
+        serial.raise_for_failures()
+        parallel.raise_for_failures()
+        assert serial.sweep(cfg, loads) == parallel.sweep(cfg, loads)
 
-    def test_plan_result_point_matches_run_point(self):
+    def test_plan_result_point_averages_its_cells(self):
         cfg = quick_cfg(routing="obl-crg").with_traffic(load=0.3)
         plan = ExperimentPlan.point(cfg, seeds=2)
         pt = Runner(jobs=1).run(plan).point(cfg)
-        assert pt == run_point(cfg, seeds=2)
+        assert pt == average_results(
+            [run_simulation(cell.config) for cell in plan]
+        )
 
     def test_invalid_jobs(self):
         with pytest.raises(AnalysisError):
@@ -358,6 +362,7 @@ class TestPatternName:
         assert pattern_name(t) == "JOB"
 
     def test_sweep_pattern_label_without_topology(self):
-        """run_load_sweep's pattern label matches the live pattern name."""
-        sweep = run_load_sweep(quick_cfg().with_traffic(pattern="advc"), [0.3])
-        assert sweep.pattern == "ADVc"
+        """A sweep's pattern label matches the live pattern name."""
+        cfg = quick_cfg().with_traffic(pattern="advc")
+        res = Runner(jobs=1).run(ExperimentPlan.sweep(cfg, [0.3]))
+        assert res.sweep(cfg, [0.3]).pattern == "ADVc"

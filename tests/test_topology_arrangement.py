@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import tiny_config
+from repro.core.simulation import Simulation
 from repro.errors import TopologyError
 from repro.topology.arrangement import (
     ConsecutiveArrangement,
@@ -117,3 +119,22 @@ class TestQueries:
     def test_invalid_shape_raises(self):
         with pytest.raises(TopologyError):
             PalmtreeArrangement(0, 2)
+
+
+class TestSimulationTopologySharing:
+    """The per-process topology cache keys on the arrangement seed only
+    where it matters: the ``random`` arrangement."""
+
+    @staticmethod
+    def _topologies(arrangement):
+        base = tiny_config().with_network(arrangement=arrangement)
+        return [Simulation(base.with_(seed=seed)).topo for seed in (1, 2)]
+
+    @pytest.mark.parametrize("arrangement", ["palmtree", "consecutive"])
+    def test_seed_independent_arrangements_share_one_topology(self, arrangement):
+        first, second = self._topologies(arrangement)
+        assert first is second
+
+    def test_random_arrangement_is_per_seed(self):
+        first, second = self._topologies("random")
+        assert first is not second
