@@ -26,7 +26,11 @@ import argparse
 import pathlib
 
 from bench_common import metadata_lines, write_result
-from repro.utils.profiling import PROFILE_SORTS, profile_simulation
+from repro.utils.profiling import (
+    PROFILE_SORTS,
+    describe_callbacks,
+    profile_simulation,
+)
 from test_engine_throughput import throughput_cases
 
 
@@ -65,9 +69,7 @@ def main(argv: list[str] | None = None) -> int:
             f"delivered={result.delivered_packets}\n"
             f"profiled rates: {metrics['events_per_s']:,.0f} events/s | "
             f"{metrics['activations_per_s']:,.0f} activations/s\n"
-            f"python-callback share (gen + sink): "
-            f"{metrics['callback_s']:.3f}s "
-            f"({metrics['callback_share']:.1%} of wall)\n"
+            f"{describe_callbacks(metrics)}\n"
             f"{report.rstrip()}"
         )
     sections.append(metadata_lines())

@@ -84,7 +84,11 @@ from repro.traffic.scenarios import (
     get_scenario,
     scenario_names,
 )
-from repro.utils.profiling import PROFILE_SORTS, profile_simulation
+from repro.utils.profiling import (
+    PROFILE_SORTS,
+    describe_callbacks,
+    profile_simulation,
+)
 from repro.utils.tables import format_table
 
 __all__ = ["main", "build_parser"]
@@ -549,11 +553,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"({metrics['activations_per_s']:,.0f}/s) "
             "[profiled rates]"
         )
-        print(
-            f"python-callback share (gen + sink): "
-            f"{metrics['callback_s']:.3f}s "
-            f"({metrics['callback_share']:.1%} of wall)"
-        )
+        print(describe_callbacks(metrics))
         print(result.summary())
         if args.output:
             print(f"raw profile written to {args.output}")

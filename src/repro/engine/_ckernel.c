@@ -15,9 +15,10 @@
  * - the drain order (heap of distinct cycles + FIFO buckets with a
  *   growing-list cursor) and the opcode dispatch semantics are the same;
  * - the allocation scan iterates `active_keys` in Python's own set
- *   iteration order (a snapshot taken with the set's iterator), calls
- *   `routing.decide` at exactly the same points (so RNG consumption is
- *   identical), and applies the same decision-memo contract;
+ *   iteration order (a snapshot taken with the set's iterator), decides
+ *   at exactly the same points — through `routing.decide` or its C twin,
+ *   which draws the same words from the same stream — and applies the
+ *   same decision-memo contract;
  * - arithmetic is int64 throughout, matching the value range of the
  *   Python ints the interpreted kernels produce;
  * - `events_processed` / `activations` accounting, including the
@@ -25,9 +26,11 @@
  *   remainder), mirrors py_drain's try/finally.
  *
  * Python is called back for exactly the work that is Python by contract:
- * routing decisions (which may consume the simulation RNG), traffic
- * generation (OP_GEN), the delivery sink (OP_DELIVER), generic OP_CALL
- * callbacks, overridden routing hooks and stats injection callbacks.
+ * routing decisions of mechanisms without a twin (the twins are
+ * c_min_decide and c_intransit_decide; the modules of repro/routing
+ * stay the reference), traffic generation (OP_GEN) and the delivery sink
+ * (OP_DELIVER) of cells that are not lowered, generic OP_CALL callbacks,
+ * overridden routing hooks and stats injection callbacks.
  * The input/output FIFOs are plain Python lists in both kernels, so
  * queue access compiles to list macros instead of method calls.
  *
@@ -212,13 +215,14 @@ heap_pop(PyObject *heap)
 /* in-kernel MT19937 (bit-exact twin of CPython's _random.Random)      */
 /* ------------------------------------------------------------------ */
 
-/* The lowered traffic generator consumes the simulation's rng_traffic
- * stream natively: the 625-word state from random.Random.getstate() is
- * copied in at drain entry and written back via setstate() at drain
- * exit, and the two consumers the generator needs — random() (the
- * 53-bit genrand_res53 construction) and getrandbits(k<=32) — are
- * reproduced word-for-word, so the stream position and every drawn
- * value match the interpreted path exactly. */
+/* The lowered traffic generator and the in-transit routing twin consume
+ * the simulation's rng_traffic / rng_routing streams natively: the
+ * 625-word state from random.Random.getstate() is copied in at drain
+ * entry and written back via setstate() at drain exit (RngMirror), and
+ * the consumers they need — random() (the 53-bit genrand_res53
+ * construction), getrandbits(k<=32) and randrange(n) — are reproduced
+ * word-for-word, so the stream position and every drawn value match the
+ * interpreted path exactly. */
 
 #define MT_N 624
 #define MT_M 397
@@ -271,6 +275,132 @@ mt_getrandbits(MtState *st, int k)
     return mt_next(st) >> (32 - k);
 }
 
+/* random.Random._randbelow_with_getrandbits(n) for 1 <= n < 2**32, with
+ * `bits` = n.bit_length() precomputed: the same rejection loop over
+ * getrandbits, so the same number of words leaves the stream. */
+static inline int64_t
+mt_randbelow(MtState *st, int64_t n, int bits)
+{
+    int64_t r = (int64_t)mt_getrandbits(st, bits);
+    while (r >= n)
+        r = (int64_t)mt_getrandbits(st, bits);
+    return r;
+}
+
+/* int.bit_length() for 0 <= n. */
+static int
+bit_length(int64_t n)
+{
+    int bits = 0;
+    while (n > 0) {
+        bits += 1;
+        n >>= 1;
+    }
+    return bits;
+}
+
+/* random.Random.getstate() tuple -> MtState.  Returns the borrowed
+ * gauss_next item (state[2]), NULL with an error set on a foreign
+ * layout. */
+static PyObject *
+mt_from_state(PyObject *state, MtState *st)
+{
+    PyObject *inner;
+    Py_ssize_t i;
+    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != 3
+        || !PyTuple_Check(PyTuple_GET_ITEM(state, 1))
+        || PyTuple_GET_SIZE(PyTuple_GET_ITEM(state, 1)) != MT_N + 1) {
+        PyErr_SetString(PyExc_TypeError,
+                        "unexpected random.Random state layout");
+        return NULL;
+    }
+    inner = PyTuple_GET_ITEM(state, 1);
+    for (i = 0; i < MT_N; i++) {
+        unsigned long w =
+            PyLong_AsUnsignedLong(PyTuple_GET_ITEM(inner, i));
+        if (w == (unsigned long)-1 && PyErr_Occurred())
+            return NULL;
+        st->mt[i] = (uint32_t)w;
+    }
+    st->mti = (int)PyLong_AsLong(PyTuple_GET_ITEM(inner, MT_N));
+    if (st->mti == -1 && PyErr_Occurred())
+        return NULL;
+    return PyTuple_GET_ITEM(state, 2);
+}
+
+/* MtState -> a fresh (3, (624 words, index), gauss_next) state tuple. */
+static PyObject *
+mt_to_state(const MtState *st, PyObject *gauss_next)
+{
+    PyObject *inner = PyTuple_New(MT_N + 1), *w;
+    Py_ssize_t i;
+    if (inner == NULL)
+        return NULL;
+    for (i = 0; i <= MT_N; i++) {
+        w = (i < MT_N) ? PyLong_FromUnsignedLong((unsigned long)st->mt[i])
+                       : PyLong_FromLong((long)st->mti);
+        if (w == NULL) {
+            Py_DECREF(inner);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(inner, i, w);
+    }
+    return Py_BuildValue("(iNO)", 3, inner, gauss_next);
+}
+
+/* One random.Random stream held by the kernel for the length of a
+ * drain: loaded from getstate() at entry, stored with setstate() at
+ * exit (and around every call into Python code that draws from it).
+ * Both streams the kernel consumes — rng_traffic on lowered cells,
+ * rng_routing under the in-transit decide twin — go through these two
+ * routines. */
+typedef struct {
+    PyObject *rng;        /* owned: the random.Random */
+    PyObject *gauss_next; /* owned: getstate()[2], round-tripped */
+    MtState mt;
+} RngMirror;
+
+static int
+rng_load(RngMirror *m)
+{
+    PyObject *state = PyObject_CallMethod(m->rng, "getstate", NULL);
+    PyObject *gauss;
+    if (state == NULL)
+        return -1;
+    gauss = mt_from_state(state, &m->mt);
+    if (gauss == NULL) {
+        Py_DECREF(state);
+        return -1;
+    }
+    Py_INCREF(gauss);
+    Py_XSETREF(m->gauss_next, gauss);
+    Py_DECREF(state);
+    return 0;
+}
+
+static int
+rng_store(RngMirror *m)
+{
+    PyObject *state =
+        mt_to_state(&m->mt, m->gauss_next ? m->gauss_next : Py_None);
+    PyObject *res;
+    if (state == NULL)
+        return -1;
+    res = PyObject_CallMethod(m->rng, "setstate", "(O)", state);
+    Py_DECREF(state);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+static void
+rng_clear(RngMirror *m)
+{
+    Py_CLEAR(m->rng);
+    Py_CLEAR(m->gauss_next);
+}
+
 /* Python's % (result sign follows the divisor; divisors here > 0). */
 static inline int64_t
 pymod(int64_t x, int64_t m)
@@ -305,14 +435,55 @@ typedef struct {
     PyObject *py_step;          /* owned bound method, or NULL: C step */
     int64_t kb, pb, rid, group, boundary, max_vcs, nkeys, radix;
     int64_t cache_policy, transit_priority, internal, num_node_ports,
-        psize, pipe_lat;
-    /* MinimalRouting decide() lowered to C (used only on lowered runs;
-     * gw tables owned, `groups` entries each) */
-    int min_low;
-    int64_t min_a, min_groups, min_pos, first_local, first_global,
-        n_local_vcs, n_global_vcs;
-    int64_t *gw_router, *gw_port;
+        psize, pipe_lat, pos;
+    int twin;                   /* TWIN_*: which decide() this router runs */
 } RState;
+
+/* ---- routing-decision twins ---------------------------------------- */
+
+/* `routing.decide` has a C twin for two mechanisms (c_min_decide,
+ * c_intransit_decide).  Which one a run gets is decided once, in Python,
+ * by repro.routing.factory.decide_twin — exact type, `decide` neither
+ * shadowed nor patched — independently of traffic lowering; everything
+ * else calls the Python method.  The constants below are frozen facts of
+ * the mechanism / topology, read once when the KState is built and
+ * shared by all routers. */
+#define TWIN_NONE 0
+#define TWIN_MIN 1
+#define TWIN_INTRANSIT 2
+
+/* candidates sampled per decision by NRG / RRG (misrouting.SAMPLE_K) and
+ * routers probed by the OLM sampler (_try_local_misroute) */
+#define SAMPLE_K 4
+#define OLM_PROBES 3
+
+typedef struct {
+    PyObject *routing;   /* owned: the mechanism the twin stands in for */
+    int kind;            /* TWIN_* */
+    int64_t a, h, groups, first_local, first_global, n_local_vcs,
+        n_global_vcs;
+    int64_t *gw_router, *gw_port; /* owned, `groups` entries each */
+    /* in-transit only */
+    int64_t thr_occ;     /* integer form of the source-router threshold */
+    int code_source, code_transit; /* 0 CRG, 1 NRG, 2 RRG */
+    int a_bits, am1_bits, h_bits, groups_bits; /* n.bit_length() */
+    int64_t *go_port, *go_off; /* owned, a*h: topo.global_out[pos][j] */
+    RngMirror rng;       /* rng_routing, in-kernel during a drain */
+} Twin;
+
+/* What a twin hands back besides the decision: the purity / guard pair
+ * the Python reference leaves in last_decide_pure / last_decide_guard. */
+#define GUARD_OUT_OCC 0  /* (0, idx, val): valid while out_occ[idx] == val */
+#define GUARD_CREDITS 1  /* (1, idx, val): while credits_used[idx] == val */
+#define GUARD_EPOCH 2    /* None: valid for the router's congestion epoch */
+#define GUARD_STABLE 3   /* (): read no congestion state */
+
+typedef struct {
+    int64_t port, vc, action, aux;
+    int pure;            /* consumed no RNG */
+    int guard;           /* GUARD_* */
+    int64_t g_idx, g_val;
+} Verdict;
 
 /* ---- lowered OP_GEN / OP_DELIVER fast path ------------------------- */
 
@@ -340,16 +511,14 @@ typedef struct {
  * when the KState is constructed.  Scalars and the pattern descriptor
  * are unpacked into struct fields; the stat accumulators and the
  * min-service table are buffer views; the traffic RNG runs in-kernel
- * (MtState) between lstate_sync_in / lstate_sync_out. */
+ * (RngMirror) between lstate_sync_in / lstate_sync_out. */
 typedef struct {
     PyObject *lower;       /* owned: the Python LowerState */
-    PyObject *rng;         /* owned: the random.Random */
-    PyObject *rng_getstate, *rng_setstate; /* owned bound methods */
+    RngMirror rng;         /* rng_traffic, in-kernel during a drain */
     PyObject *owner;       /* owned: the Simulation (for _pid) */
     PyObject *packet_type; /* owned */
     PyObject *gen_recs;    /* owned list of (OP_GEN, node) records */
     PyObject *psize_obj;   /* owned int */
-    PyObject *gauss_next;  /* owned: getstate()[2], round-tripped */
     Py_buffer ms_view, si_view, sf_view, inj_view, del_view;
     int64_t *ms_table;     /* R*R contention-free service costs */
     int64_t *si;           /* the NSTAT_I block */
@@ -359,7 +528,6 @@ typedef struct {
     double log_q;
     int has_log_q;
     int64_t pid;           /* mirrored from owner._pid per drain */
-    MtState mt;
     /* descriptor (see TrafficPattern.lower) */
     int kind;              /* 0 uniform, 1 adversarial, 2 advc, 3 perm */
     int64_t n1, offset, per_group, groups;
@@ -420,14 +588,15 @@ typedef struct {
     int64_t *order_ports; /* radix: first-seen output order */
     uint8_t *td_mask;     /* radix: transit-demand membership */
     int64_t *f_idx;       /* nkeys: filtered candidate scratch */
-    /* lowered OP_GEN / OP_DELIVER fast path (NULL when not lowered) */
     /* one-entry post-target memo: the bucket list `buckets` currently
      * maps to `post_cache_t` (owned ref; INT64_MIN = invalid).  Only
      * valid within one drain_core call — reset at its entry, dropped
      * when the bucket is drained and deleted. */
     int64_t post_cache_t;
     PyObject *post_cache_bucket;
+    /* lowered OP_GEN / OP_DELIVER fast path (NULL when not lowered) */
     LState *low;
+    Twin twin;
 } KState;
 
 static void
@@ -447,8 +616,17 @@ rstate_clear(RState *rs)
     Py_XDECREF(rs->out_peer);
     Py_XDECREF(rs->rid_obj);
     Py_XDECREF(rs->py_step);
-    PyMem_Free(rs->gw_router);
-    PyMem_Free(rs->gw_port);
+}
+
+static void
+twin_clear(Twin *tw)
+{
+    Py_CLEAR(tw->routing);
+    PyMem_Free(tw->gw_router);
+    PyMem_Free(tw->gw_port);
+    PyMem_Free(tw->go_port);
+    PyMem_Free(tw->go_off);
+    rng_clear(&tw->rng);
 }
 
 static void
@@ -511,6 +689,7 @@ kstate_free(KState *ks)
     PyMem_Free(ks->td_mask);
     PyMem_Free(ks->f_idx);
     lstate_free(ks->low);
+    twin_clear(&ks->twin);
     for (i = 0; i < ks->nviews; i++)
         PyBuffer_Release(&ks->views[i]);
     PyMem_Free(ks);
@@ -587,14 +766,11 @@ lstate_free(LState *ls)
     if (ls == NULL)
         return;
     Py_XDECREF(ls->lower);
-    Py_XDECREF(ls->rng);
-    Py_XDECREF(ls->rng_getstate);
-    Py_XDECREF(ls->rng_setstate);
+    rng_clear(&ls->rng);
     Py_XDECREF(ls->owner);
     Py_XDECREF(ls->packet_type);
     Py_XDECREF(ls->gen_recs);
     Py_XDECREF(ls->psize_obj);
-    Py_XDECREF(ls->gauss_next);
     PyMem_Free(ls->offsets);
     PyMem_Free(ls->perm);
     PyBuffer_Release(&ls->ms_view);
@@ -676,21 +852,16 @@ lstate_build(PyObject *lower)
     }
     Py_INCREF(lower);
     ls->lower = lower;
-    ls->rng = PyObject_GetAttrString(lower, "rng");
+    ls->rng.rng = PyObject_GetAttrString(lower, "rng");
     ls->owner = PyObject_GetAttrString(lower, "owner");
     ls->gen_recs = PyObject_GetAttrString(lower, "gen_recs");
-    if (ls->rng == NULL || ls->owner == NULL || ls->gen_recs == NULL)
+    if (ls->rng.rng == NULL || ls->owner == NULL || ls->gen_recs == NULL)
         goto fail;
     if (!PyList_CheckExact(ls->gen_recs)) {
         PyErr_SetString(PyExc_TypeError,
                         "LowerState.gen_recs is not a list");
         goto fail;
     }
-    ls->rng_getstate = PyObject_GetAttrString(ls->rng, "getstate");
-    ls->rng_setstate = PyObject_GetAttrString(ls->rng, "setstate");
-    if (ls->rng_getstate == NULL || ls->rng_setstate == NULL)
-        goto fail;
-
     ls->R = get_ll_attr(lower, "R", &err);
     ls->p = get_ll_attr(lower, "p", &err);
     ls->a = get_ll_attr(lower, "a", &err);
@@ -788,107 +959,56 @@ fail:
     return NULL;
 }
 
-/* Copy rng_traffic's MT19937 state (and the owner's packet-id counter)
- * into the kernel at drain entry. */
+/* Take rng_traffic and the owner's packet-id counter into the kernel at
+ * drain entry. */
 static int
 lstate_sync_in(LState *ls)
 {
-    PyObject *state, *inner;
-    Py_ssize_t i;
     int err = 0;
-    state = PyObject_CallFunctionObjArgs(ls->rng_getstate, NULL);
-    if (state == NULL)
+    if (rng_load(&ls->rng) < 0)
         return -1;
-    if (!PyTuple_CheckExact(state) || PyTuple_GET_SIZE(state) != 3
-        || !PyTuple_CheckExact(PyTuple_GET_ITEM(state, 1))
-        || PyTuple_GET_SIZE(PyTuple_GET_ITEM(state, 1)) != MT_N + 1) {
-        Py_DECREF(state);
-        PyErr_SetString(PyExc_TypeError,
-                        "unexpected random.Random state layout");
-        return -1;
-    }
-    inner = PyTuple_GET_ITEM(state, 1);
-    for (i = 0; i < MT_N; i++) {
-        unsigned long w =
-            PyLong_AsUnsignedLong(PyTuple_GET_ITEM(inner, i));
-        if (w == (unsigned long)-1 && PyErr_Occurred()) {
-            Py_DECREF(state);
-            return -1;
-        }
-        ls->mt.mt[i] = (uint32_t)w;
-    }
-    ls->mt.mti = (int)as_ll(PyTuple_GET_ITEM(inner, MT_N));
-    if (ls->mt.mti == -1 && PyErr_Occurred()) {
-        Py_DECREF(state);
-        return -1;
-    }
-    Py_INCREF(PyTuple_GET_ITEM(state, 2));
-    Py_XSETREF(ls->gauss_next, PyTuple_GET_ITEM(state, 2));
-    Py_DECREF(state);
     ls->pid = get_ll_attr(ls->owner, "_pid", &err);
     return err ? -1 : 0;
 }
 
-/* Write the kernel's MT19937 state and packet-id counter back to the
- * Python side at drain exit. */
+/* Hand both back to the Python side at drain exit. */
 static int
 lstate_sync_out(LState *ls)
 {
-    PyObject *inner, *state, *res, *pid_obj;
-    Py_ssize_t i;
-    inner = PyTuple_New(MT_N + 1);
-    if (inner == NULL)
+    PyObject *pid_obj;
+    int rc;
+    if (rng_store(&ls->rng) < 0)
         return -1;
-    for (i = 0; i < MT_N; i++) {
-        PyObject *w = PyLong_FromUnsignedLong((unsigned long)ls->mt.mt[i]);
-        if (w == NULL) {
-            Py_DECREF(inner);
-            return -1;
-        }
-        PyTuple_SET_ITEM(inner, i, w);
-    }
-    {
-        PyObject *mti = PyLong_FromLong((long)ls->mt.mti);
-        if (mti == NULL) {
-            Py_DECREF(inner);
-            return -1;
-        }
-        PyTuple_SET_ITEM(inner, MT_N, mti);
-    }
-    state = Py_BuildValue("(iOO)", 3, inner,
-                          ls->gauss_next ? ls->gauss_next : Py_None);
-    Py_DECREF(inner);
-    if (state == NULL)
-        return -1;
-    res = PyObject_CallFunctionObjArgs(ls->rng_setstate, state, NULL);
-    Py_DECREF(state);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
     pid_obj = PyLong_FromLongLong((long long)ls->pid);
     if (pid_obj == NULL)
         return -1;
-    if (PyObject_SetAttrString(ls->owner, "_pid", pid_obj) < 0) {
-        Py_DECREF(pid_obj);
-        return -1;
-    }
+    rc = PyObject_SetAttrString(ls->owner, "_pid", pid_obj);
     Py_DECREF(pid_obj);
+    return rc;
+}
+
+/* Take every RNG stream this run consumes in C into the kernel (drain
+ * entry, and after a fallback into Python code that may draw) ... */
+static int
+kstate_rng_in(KState *ks)
+{
+    if (ks->low != NULL && lstate_sync_in(ks->low) < 0)
+        return -1;
+    if (ks->twin.kind == TWIN_INTRANSIT && rng_load(&ks->twin.rng) < 0)
+        return -1;
     return 0;
 }
 
-/* Sync the RNG back after a drain, preserving a pending drain error. */
+/* ... and hand them back (drain exit, error exit, before a fallback). */
 static int
-lstate_exit(LState *ls, int rc)
+kstate_rng_out(KState *ks)
 {
-    if (rc < 0) {
-        PyObject *et, *ev, *tb;
-        PyErr_Fetch(&et, &ev, &tb);
-        if (lstate_sync_out(ls) < 0)
-            PyErr_Clear();
-        PyErr_Restore(et, ev, tb);
-        return -1;
-    }
-    return lstate_sync_out(ls);
+    int rc = 0;
+    if (ks->low != NULL && lstate_sync_out(ks->low) < 0)
+        rc = -1;
+    if (ks->twin.kind == TWIN_INTRANSIT && rng_store(&ks->twin.rng) < 0)
+        rc = -1;
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1016,31 +1136,24 @@ c_gen(KState *ks, LState *ls, PyObject *rec, int64_t t, PyObject *t_obj)
     /* destination draw: same rejection sampling, same stream position */
     switch (ls->kind) {
     case 0: { /* uniform over the n1 foreign nodes */
-        int64_t d = (int64_t)mt_getrandbits(&ls->mt, ls->n1_bits);
-        while (d >= ls->n1)
-            d = (int64_t)mt_getrandbits(&ls->mt, ls->n1_bits);
+        int64_t d = mt_randbelow(&ls->rng.mt, ls->n1, ls->n1_bits);
         dst = (d < node) ? d : d + 1;
         break;
     }
     case 1: { /* adversarial: fixed group offset, random member */
         int64_t tg =
             pymod(node / ls->per_group + ls->offset, ls->groups);
-        int64_t d = (int64_t)mt_getrandbits(&ls->mt, ls->pg_bits);
-        while (d >= ls->per_group)
-            d = (int64_t)mt_getrandbits(&ls->mt, ls->pg_bits);
-        dst = tg * ls->per_group + d;
+        dst = tg * ls->per_group
+              + mt_randbelow(&ls->rng.mt, ls->per_group, ls->pg_bits);
         break;
     }
     case 2: { /* advc: random offset from the set, then random member */
-        int64_t i = (int64_t)mt_getrandbits(&ls->mt, ls->off_bits);
-        int64_t tg, d;
-        while (i >= (int64_t)ls->n_off)
-            i = (int64_t)mt_getrandbits(&ls->mt, ls->off_bits);
-        tg = pymod(node / ls->per_group + ls->offsets[i], ls->groups);
-        d = (int64_t)mt_getrandbits(&ls->mt, ls->pg_bits);
-        while (d >= ls->per_group)
-            d = (int64_t)mt_getrandbits(&ls->mt, ls->pg_bits);
-        dst = tg * ls->per_group + d;
+        int64_t i =
+            mt_randbelow(&ls->rng.mt, (int64_t)ls->n_off, ls->off_bits);
+        int64_t tg =
+            pymod(node / ls->per_group + ls->offsets[i], ls->groups);
+        dst = tg * ls->per_group
+              + mt_randbelow(&ls->rng.mt, ls->per_group, ls->pg_bits);
         break;
     }
     default: /* permutation: zero draws */
@@ -1139,7 +1252,7 @@ c_gen(KState *ks, LState *ls, PyObject *rec, int64_t t, PyObject *t_obj)
     if (!ls->has_log_q)
         gap = 1;
     else {
-        double u = mt_random(&ls->mt);
+        double u = mt_random(&ls->rng.mt);
         if (u == 0.0)
             gap = 1;
         else {
@@ -1207,87 +1320,455 @@ set_memo(KState *ks, Py_ssize_t gk, PyObject *pkt, PyObject *dec,
     return 0;
 }
 
+/* ------------------------------------------------------------------ */
+/* routing-decision twins                                              */
+/* ------------------------------------------------------------------ */
+
+/* Both twins fill a Verdict and return 0, or return 1 — before drawing
+ * from the RNG — on a branch where the Python reference raises (VC
+ * overflow, a degenerate randrange): the caller then runs the reference
+ * for its exact exception. */
+
+/* Minimal next hop towards group offset `delta` from position `pos`. */
+static inline int64_t
+gateway_hop(const Twin *tw, int64_t pos, int64_t delta, int64_t *gw_pos)
+{
+    int64_t g = tw->gw_router[delta];
+    *gw_pos = g;
+    if (pos == g)
+        return tw->gw_port[delta];
+    return tw->first_local + ((g < pos) ? g : g - 1);
+}
+
 /* C twin of MinimalRouting.decide (repro/routing/minimal.py): a pure
  * function of the packet's frozen fields and router/topology constants,
- * so the decision is identical by construction.  Returns a new
- * (out_port, vc, 0, 0) tuple; NULL with *no* error set means a
- * VC-overflow path was hit and the (raising) Python reference must run
- * instead for its exact exception. */
-static PyObject *
-c_min_decide(KState *ks, RState *rs, PyObject *pkt)
+ * so the decision is identical by construction. */
+static int
+c_min_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
 {
     static const int64_t pos_base[3] = {0, 1, 3}; /* vc._POSITION_BASE */
+    const Twin *tw = &ks->twin;
     int64_t dst_router = slot_ll(pkt, ks->ps.dst_router);
-    int64_t out_port, vc;
-    PyObject *dec, *v;
-    int j;
+    int64_t tg, ti, gh, gw_pos;
 
+    v->action = v->aux = 0;
+    v->pure = 1;
+    v->guard = GUARD_STABLE;
     if (rs->rid == dst_router) { /* eject_decision(pkt) */
-        out_port = slot_ll(pkt, ks->ps.dst_node_port);
-        vc = 0;
+        v->port = slot_ll(pkt, ks->ps.dst_node_port);
+        v->vc = 0;
+        return 0;
+    }
+    tg = dst_router / tw->a;
+    ti = dst_router % tw->a;
+    if (rs->group == tg)
+        v->port = tw->first_local + ((ti < rs->pos) ? ti : ti - 1);
+    else
+        v->port = gateway_hop(tw, rs->pos,
+                              pymod(tg - rs->group, tw->groups), &gw_pos);
+    gh = slot_ll(pkt, ks->ps.global_hops);
+    if (v->port >= tw->first_global) {
+        v->vc = gh;
+        if (v->vc >= tw->n_global_vcs)
+            return 1; /* position_global_vc raises */
     }
     else {
-        int64_t tg = dst_router / rs->min_a;
-        int64_t ti = dst_router % rs->min_a;
-        int64_t pos = rs->min_pos;
-        int64_t gh;
-        if (rs->group == tg)
-            out_port = rs->first_local + ((ti < pos) ? ti : ti - 1);
-        else {
-            int64_t delta = pymod(tg - rs->group, rs->min_groups);
-            int64_t gw_pos = rs->gw_router[delta];
-            if (pos == gw_pos)
-                out_port = rs->gw_port[delta];
-            else
-                out_port = rs->first_local
-                           + ((gw_pos < pos) ? gw_pos : gw_pos - 1);
-        }
-        gh = slot_ll(pkt, ks->ps.global_hops);
-        if (out_port >= rs->first_global) {
-            vc = gh;
-            if (vc >= rs->n_global_vcs)
-                return NULL; /* position_global_vc raises */
-        }
-        else {
-            if (gh < 0 || gh > 2)
-                return NULL; /* _POSITION_BASE[gh] raises IndexError */
-            vc = pos_base[gh] + slot_ll(pkt, ks->ps.group_local_hops);
-            if (vc >= rs->n_local_vcs)
-                return NULL; /* position_local_vc raises */
+        if (gh < 0 || gh > 2)
+            return 1; /* _POSITION_BASE[gh] raises IndexError */
+        v->vc = pos_base[gh] + slot_ll(pkt, ks->ps.group_local_hops);
+        if (v->vc >= tw->n_local_vcs)
+            return 1; /* position_local_vc raises */
+    }
+    return 0;
+}
+
+/* OLM (the inlined precheck + _try_local_misroute of intransit.py):
+ * `v` holds the minimal local hop of a packet that has taken no local
+ * hop in this group yet; divert it through a third router when that hop
+ * is credit-blocked.  Fills the purity / guard pair either way. */
+static int
+c_olm(KState *ks, RState *rs, int64_t size, int64_t avoid_pos, Verdict *v)
+{
+    Twin *tw = &ks->twin;
+    int64_t ck = rs->kb + v->port * rs->max_vcs + v->vc;
+    int64_t gp = rs->pb + v->port;
+    int64_t used = ks->credits_used[ck];
+    int64_t best_port = -1;
+    double best_frac;
+    int n;
+
+    if (!ks->credit_nvc[gp]) {
+        v->guard = GUARD_STABLE;
+        return 0;
+    }
+    v->guard = GUARD_CREDITS;
+    v->g_idx = ck;
+    v->g_val = used;
+    /* Opportunistic: only when the minimal hop is blocked, and a group
+     * of two has no third router (the sampler bails RNG-free). */
+    if (!(used + size > ks->credit_cap[gp]) || tw->a < 3)
+        return 0;
+    if (ks->credit_cap[gp] == 0)
+        return 1; /* the reference divides by it */
+    v->pure = 0;
+    v->guard = GUARD_EPOCH;
+    best_frac = (double)used / (double)ks->credit_cap[gp];
+    for (n = 0; n < OLM_PROBES; n++) {
+        int64_t w = mt_randbelow(&tw->rng.mt, tw->a, tw->a_bits);
+        int64_t port, pk, pg;
+        double frac;
+        if (w == rs->pos || w == avoid_pos)
+            continue;
+        port = tw->first_local + ((w < rs->pos) ? w : w - 1);
+        pk = rs->kb + port * rs->max_vcs + v->vc;
+        pg = rs->pb + port;
+        if (ks->credit_nvc[pg]
+            && ks->credits_used[pk] + size > ks->credit_cap[pg])
+            continue;
+        /* an unblocked port with credits has credit_cap >= size > 0 */
+        frac = ks->credit_nvc[pg] ? (double)ks->credits_used[pk]
+                                        / (double)ks->credit_cap[pg]
+                                  : 0.0;
+        if (frac < best_frac) {
+            best_frac = frac;
+            best_port = port;
         }
     }
-    dec = PyTuple_New(4);
+    if (best_port >= 0) {
+        /* same stage VC; the corrective hop will use the escape VC */
+        v->port = best_port;
+        v->action = 2;
+    }
+    return 0;
+}
+
+/* Stage + escape VC for a hop outside the destination group (the
+ * inlined repro.routing.vc staging of intransit.py).  Returns 1 where
+ * stage_global_vc raises. */
+static inline int
+stage_vc(const Twin *tw, int64_t port, int64_t gh, int64_t glh, int64_t *vc)
+{
+    if (port >= tw->first_global) {
+        *vc = gh;
+        return gh >= tw->n_global_vcs;
+    }
+    if (glh >= 1)
+        *vc = tw->n_local_vcs - 1;
+    else
+        *vc = (gh >= 1) ? 1 : 0;
+    return 0;
+}
+
+/* The global-misroute candidate scan of the PAR branch: keep the
+ * least-occupied first hop that is strictly better than `best_occ` and
+ * not credit-blocked. */
+typedef struct {
+    int64_t best_occ, best_port, best_vc, best_inter;
+    int64_t local_vc, size;
+    int skip_local;
+} Scan;
+
+static inline void
+scan_candidate(KState *ks, RState *rs, const Twin *tw, Scan *sc,
+               int64_t port, int64_t inter_group)
+{
+    int64_t vc, gp = rs->pb + port;
+    if (port < tw->first_global) {
+        if (sc->skip_local)
+            return;
+        vc = sc->local_vc;
+    }
+    else
+        vc = 0;
+    if (ks->out_occ[gp] >= sc->best_occ)
+        return;
+    if (ks->credit_nvc[gp]
+        && ks->credits_used[rs->kb + port * rs->max_vcs + vc] + sc->size
+               > ks->credit_cap[gp])
+        return;
+    sc->best_occ = ks->out_occ[gp];
+    sc->best_port = port;
+    sc->best_vc = vc;
+    sc->best_inter = inter_group;
+}
+
+/* C twin of InTransitAdaptiveRouting.decide (repro/routing/intransit.py,
+ * the reference): same branches in the same order, the same congestion
+ * counters read, and — through the in-kernel rng_routing mirror — the
+ * same words drawn from the same stream.  The randomised candidate
+ * generators (misrouting.nrg_candidates / rrg_candidates) and the CRG
+ * filter are fused with the scan; the scan draws nothing, so generating
+ * and judging a candidate in one step leaves the stream as the
+ * generate-all-then-scan reference does. */
+static int
+c_intransit_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+{
+    Twin *tw = &ks->twin;
+    const PacketSlots *ps = &ks->ps;
+    int64_t group = rs->group, pos = rs->pos;
+    int64_t dst_group = slot_ll(pkt, ps->dst_group);
+    int64_t glh = slot_ll(pkt, ps->group_local_hops);
+    int64_t gh, inter, src_group, size, gw_pos;
+
+    v->action = v->aux = 0;
+    v->pure = 1;
+    v->guard = GUARD_STABLE;
+
+    /* Destination group: minimal local hop (or ejection), with OLM. */
+    if (group == dst_group) {
+        int64_t ti;
+        if (rs->rid == slot_ll(pkt, ps->dst_router)) {
+            v->port = slot_ll(pkt, ps->dst_node_port);
+            v->vc = 0;
+            return 0;
+        }
+        ti = slot_ll(pkt, ps->dst_local_router);
+        v->port = tw->first_local + ((ti < pos) ? ti : ti - 1);
+        v->vc = (glh >= 1) ? tw->n_local_vcs - 1 : 2;
+        if (glh == 0)
+            return c_olm(ks, rs, slot_ll(pkt, ps->size), ti, v);
+        return 0;
+    }
+
+    gh = slot_ll(pkt, ps->global_hops);
+    inter = slot_ll(pkt, ps->inter_group);
+
+    /* Committed diversion: minimal towards the intermediate group. */
+    if (inter >= 0) {
+        v->port = gateway_hop(tw, pos, pymod(inter - group, tw->groups),
+                              &gw_pos);
+        return stage_vc(tw, v->port, gh, glh, &v->vc);
+    }
+
+    /* Minimal phase towards the destination group. */
+    v->port = gateway_hop(tw, pos, pymod(dst_group - group, tw->groups),
+                          &gw_pos);
+    if (stage_vc(tw, v->port, gh, glh, &v->vc))
+        return 1;
+
+    src_group = slot_ll(pkt, ps->src_group);
+    if (group == src_group && gh == 0) {
+        /* PAR: global misrouting at injection or after one local hop. */
+        int64_t gmin = rs->pb + v->port;
+        Scan sc;
+        int code, n;
+        sc.size = size = slot_ll(pkt, ps->size);
+        if (glh == 0) {
+            /* Source router: proactive trigger on the output FIFO. */
+            sc.best_occ = ks->out_occ[gmin];
+            if (sc.best_occ < tw->thr_occ) {
+                v->guard = GUARD_OUT_OCC;
+                v->g_idx = gmin;
+                v->g_val = sc.best_occ;
+                return 0;
+            }
+            code = tw->code_source;
+        }
+        else {
+            /* Second decision point: only when credit-blocked outright. */
+            int64_t mk = rs->kb + v->port * rs->max_vcs + v->vc;
+            int64_t used = ks->credits_used[mk];
+            if (!(ks->credit_nvc[gmin]
+                  && used + size > ks->credit_cap[gmin])) {
+                if (ks->credit_nvc[gmin]) {
+                    v->guard = GUARD_CREDITS;
+                    v->g_idx = mk;
+                    v->g_val = used;
+                }
+                return 0;
+            }
+            sc.best_occ = ks->out_cap[gmin]; /* sentinel: frac < 1.0 */
+            code = tw->code_transit;
+        }
+        if (code == 1 && (tw->a < 2 || tw->h < 1))
+            return 1; /* randrange(0) raises in nrg_candidates */
+        sc.local_vc = (glh >= 1) ? tw->n_local_vcs - 1 : 0;
+        sc.skip_local = (glh >= 2); /* third local hop forbidden */
+        sc.best_port = -1;
+        sc.best_vc = sc.best_inter = 0;
+        if (code == 0) { /* CRG: this router's own global links */
+            const int64_t *port = tw->go_port + pos * tw->h;
+            const int64_t *off = tw->go_off + pos * tw->h;
+            for (n = 0; n < tw->h; n++) {
+                int64_t peer = pymod(group + off[n], tw->groups);
+                if (peer != dst_group && peer != src_group)
+                    scan_candidate(ks, rs, tw, &sc, port[n], peer);
+            }
+        }
+        else if (code == 1) { /* NRG: via other routers of this group */
+            for (n = 0; n < SAMPLE_K; n++) {
+                int64_t w = mt_randbelow(&tw->rng.mt, tw->a - 1,
+                                         tw->am1_bits);
+                int64_t j, peer;
+                if (w >= pos)
+                    w += 1;
+                j = mt_randbelow(&tw->rng.mt, tw->h, tw->h_bits);
+                peer = pymod(group + tw->go_off[w * tw->h + j], tw->groups);
+                if (peer == dst_group || peer == src_group)
+                    continue;
+                scan_candidate(ks, rs, tw, &sc,
+                               tw->first_local + ((w < pos) ? w : w - 1),
+                               peer);
+            }
+        }
+        else { /* RRG: any group */
+            for (n = 0; n < SAMPLE_K; n++) {
+                int64_t tg = mt_randbelow(&tw->rng.mt, tw->groups,
+                                          tw->groups_bits);
+                int64_t unused;
+                if (tg == group || tg == dst_group || tg == src_group)
+                    continue;
+                scan_candidate(ks, rs, tw, &sc,
+                               gateway_hop(tw, pos,
+                                           pymod(tg - group, tw->groups),
+                                           &unused),
+                               tg);
+            }
+        }
+        v->pure = (code == 0);
+        v->guard = GUARD_EPOCH; /* full candidate scan consulted */
+        if (sc.best_port >= 0) {
+            v->port = sc.best_port;
+            v->vc = sc.best_vc;
+            v->action = 1;
+            v->aux = sc.best_inter;
+        }
+        return 0;
+    }
+    /* Intermediate group: OLM on the hop towards the gateway.  (A
+     * minimal global hop reads no congestion state: stable.) */
+    if (v->port < tw->first_global && glh == 0)
+        return c_olm(ks, rs, slot_ll(pkt, ps->size), gw_pos, v);
+    return 0;
+}
+
+/* Small non-negative int as a new reference, from the prebuilt tables
+ * where it is a port / VC. */
+static inline PyObject *
+small_int(PyObject **table, Py_ssize_t n, int64_t value)
+{
+    if (value >= 0 && value < n)
+        return Py_NewRef(table[value]);
+    return PyLong_FromLongLong((long long)value);
+}
+
+/* The decision tuple (out_port, out_vc, action, aux) of a Verdict. */
+static PyObject *
+verdict_tuple(KState *ks, const Verdict *v)
+{
+    PyObject *dec = PyTuple_New(4);
+    int j;
     if (dec == NULL)
-        return NULL; /* error set: caller checks PyErr_Occurred */
-    v = PyLong_FromLongLong((long long)out_port);
-    if (v == NULL)
-        goto fail;
-    PyTuple_SET_ITEM(dec, 0, v);
-    v = PyLong_FromLongLong((long long)vc);
-    if (v == NULL)
-        goto fail;
-    PyTuple_SET_ITEM(dec, 1, v);
-    for (j = 2; j < 4; j++) {
-        v = PyLong_FromLong(0);
-        if (v == NULL)
-            goto fail;
-        PyTuple_SET_ITEM(dec, j, v);
+        return NULL;
+    PyTuple_SET_ITEM(dec, 0, small_int(ks->port_objs, ks->radix, v->port));
+    PyTuple_SET_ITEM(dec, 1, small_int(ks->vc_objs, ks->max_vcs, v->vc));
+    PyTuple_SET_ITEM(dec, 2, PyLong_FromLongLong((long long)v->action));
+    PyTuple_SET_ITEM(dec, 3, PyLong_FromLongLong((long long)v->aux));
+    for (j = 0; j < 4; j++) {
+        if (PyTuple_GET_ITEM(dec, j) == NULL) {
+            Py_DECREF(dec); /* the tuple releases the items it got */
+            return NULL;
+        }
     }
     return dec;
-fail:
-    Py_DECREF(dec);
-    return NULL;
+}
+
+/* The dc_cond memo condition for a pure twin verdict (new reference):
+ * None, the epoch, or the (kind, flat index, value) guard tuple — the
+ * same three forms the Python kernel stores. */
+static PyObject *
+verdict_cond(const Verdict *v, int64_t epoch)
+{
+    if (v->guard == GUARD_STABLE)
+        return Py_NewRef(Py_None);
+    if (v->guard == GUARD_EPOCH)
+        return PyLong_FromLongLong((long long)epoch);
+    /* the hot case (every below-threshold source-router decision):
+     * built by hand, Py_BuildValue would parse its format per call */
+    {
+        PyObject *cond = PyTuple_New(3);
+        if (cond == NULL)
+            return NULL;
+        PyTuple_SET_ITEM(cond, 0, PyLong_FromLong(v->guard));
+        PyTuple_SET_ITEM(cond, 1, PyLong_FromLongLong((long long)v->g_idx));
+        PyTuple_SET_ITEM(cond, 2, PyLong_FromLongLong((long long)v->g_val));
+        if (PyTuple_GET_ITEM(cond, 1) == NULL
+            || PyTuple_GET_ITEM(cond, 2) == NULL)
+            Py_CLEAR(cond);
+        return cond;
+    }
+}
+
+/* routing.decide(pkt, router) in Python.  When a twin stands in for it
+ * this is the raising-branch fallback: the reference must see (and may
+ * advance) the RNG streams the kernel holds, so they are handed back
+ * around the call. */
+static PyObject *
+py_decide(KState *ks, RState *rs, PyObject *pkt)
+{
+    PyObject *dec, *et, *ev, *tb;
+    if (rs->twin == TWIN_NONE)
+        return call2(rs->decide, pkt, rs->router);
+    if (kstate_rng_out(ks) < 0)
+        return NULL;
+    dec = call2(rs->decide, pkt, rs->router);
+    PyErr_Fetch(&et, &ev, &tb);
+    if (kstate_rng_in(ks) < 0 && et == NULL) {
+        Py_XDECREF(dec);
+        return NULL;
+    }
+    if (et != NULL) {
+        PyErr_Clear();
+        PyErr_Restore(et, ev, tb);
+    }
+    return dec;
+}
+
+/* The dc_cond condition under which the decision just returned by the
+ * Python decide() may be reused (cache policy 3, outside the committed
+ * diversion): read off last_decide_pure / last_decide_guard.  Returns 0
+ * with *cond NULL when the call consumed RNG, -1 on error. */
+static int
+py_decide_cond(KState *ks, RState *rs, int64_t epoch, PyObject **cond)
+{
+    PyObject *pure = PyObject_GetAttr(rs->routing, ks->s_last_decide_pure);
+    PyObject *g;
+    int is_pure;
+    *cond = NULL;
+    if (pure == NULL)
+        return -1;
+    is_pure = PyObject_IsTrue(pure);
+    Py_DECREF(pure);
+    if (is_pure <= 0)
+        return is_pure;
+    g = PyObject_GetAttr(rs->routing, ks->s_last_decide_guard);
+    if (g == NULL)
+        return -1;
+    if (g == Py_None) {
+        Py_DECREF(g);
+        *cond = PyLong_FromLongLong((long long)epoch);
+    }
+    else if (PyTuple_GET_SIZE(g) > 0)
+        *cond = g; /* single-counter guard (steal ref) */
+    else {
+        /* GUARD_STABLE: frozen-pure decision */
+        Py_DECREF(g);
+        *cond = Py_NewRef(Py_None);
+    }
+    return (*cond == NULL) ? -1 : 0;
 }
 
 /* The memoized decision for the head `pkt` at flat key `gk`, or a fresh
- * decide() call (with the cache-policy write-back).  Returns a new
- * reference, NULL on error.  `epoch` is the router's congestion epoch
- * read at scan start. */
+ * decide (twin or Python) with the cache-policy write-back.  Returns a
+ * new reference, NULL on error.  `epoch` is the router's congestion
+ * epoch read at scan start. */
 static PyObject *
 cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
                  int64_t epoch)
 {
-    PyObject *dec;
+    PyObject *dec = NULL;
+    Verdict v;
+    int from_twin = 0;
     if (PyList_GET_ITEM(ks->dc_pkt, gk) == pkt) {
         PyObject *cond = PyList_GET_ITEM(ks->dc_cond, gk);
         int valid;
@@ -1308,17 +1789,15 @@ cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
             return dec;
         }
     }
-    if (rs->min_low && ks->low != NULL) {
-        dec = c_min_decide(ks, rs, pkt);
-        if (dec == NULL) {
-            if (PyErr_Occurred())
-                return NULL;
-            /* VC overflow: run the reference for its exact exception */
-            dec = call2(rs->decide, pkt, rs->router);
-        }
+    if (rs->twin != TWIN_NONE
+        && (rs->twin == TWIN_MIN ? c_min_decide(ks, rs, pkt, &v)
+                                 : c_intransit_decide(ks, rs, pkt, &v))
+               == 0) {
+        dec = verdict_tuple(ks, &v);
+        from_twin = 1;
     }
     else
-        dec = call2(rs->decide, pkt, rs->router);
+        dec = py_decide(ks, rs, pkt);
     if (dec == NULL)
         return NULL;
     switch (rs->cache_policy) {
@@ -1335,44 +1814,19 @@ cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
             set_memo(ks, gk, pkt, dec, Py_NewRef(Py_None));
         }
         else {
-            PyObject *pure =
-                PyObject_GetAttr(rs->routing, ks->s_last_decide_pure);
-            int is_pure;
-            if (pure == NULL) {
-                Py_DECREF(dec);
-                return NULL;
-            }
-            is_pure = PyObject_IsTrue(pure);
-            Py_DECREF(pure);
-            if (is_pure < 0) {
-                Py_DECREF(dec);
-                return NULL;
-            }
-            if (is_pure) {
-                PyObject *g =
-                    PyObject_GetAttr(rs->routing, ks->s_last_decide_guard);
-                PyObject *cond;
-                if (g == NULL) {
+            PyObject *cond = NULL;
+            if (from_twin) {
+                if (v.pure && (cond = verdict_cond(&v, epoch)) == NULL) {
                     Py_DECREF(dec);
                     return NULL;
                 }
-                if (g == Py_None) {
-                    Py_DECREF(g);
-                    cond = PyLong_FromLongLong((long long)epoch);
-                    if (cond == NULL) {
-                        Py_DECREF(dec);
-                        return NULL;
-                    }
-                }
-                else if (PyTuple_GET_SIZE(g) > 0)
-                    cond = g; /* single-counter guard (steal ref) */
-                else {
-                    /* GUARD_STABLE: frozen-pure decision */
-                    Py_DECREF(g);
-                    cond = Py_NewRef(Py_None);
-                }
-                set_memo(ks, gk, pkt, dec, cond);
             }
+            else if (py_decide_cond(ks, rs, epoch, &cond) < 0) {
+                Py_DECREF(dec);
+                return NULL;
+            }
+            if (cond != NULL)
+                set_memo(ks, gk, pkt, dec, cond);
         }
         break;
     default:
@@ -2205,10 +2659,119 @@ attr_ints(PyObject *obj, const char *name, Py_ssize_t n)
     return out;
 }
 
+/* Resolve the decide twin of *routing* (repro.routing.factory
+ * .decide_twin is the one statement of the selection rule) and read the
+ * constants it runs on.  A mechanism without a twin leaves kind ==
+ * TWIN_NONE. */
+static int
+twin_build(Twin *tw, PyObject *routing)
+{
+    PyObject *mod, *name, *topo = NULL, *go = NULL;
+    Py_ssize_t i, j;
+    int err = 0, intransit;
+
+    tw->routing = Py_NewRef(routing);
+    tw->kind = TWIN_NONE;
+    mod = PyImport_ImportModule("repro.routing.factory");
+    if (mod == NULL)
+        return -1;
+    name = PyObject_CallMethod(mod, "decide_twin", "(O)", routing);
+    Py_DECREF(mod);
+    if (name == NULL)
+        return -1;
+    if (name == Py_None) {
+        Py_DECREF(name);
+        return 0;
+    }
+    intransit = PyUnicode_Check(name)
+                && PyUnicode_CompareWithASCIIString(name, "in-transit") == 0;
+    Py_DECREF(name);
+
+    topo = PyObject_GetAttrString(routing, "topo");
+    if (topo == NULL)
+        return -1;
+    tw->a = get_ll_attr(topo, "a", &err);
+    tw->h = get_ll_attr(topo, "h", &err);
+    tw->groups = get_ll_attr(topo, "groups", &err);
+    tw->first_local = get_ll_attr(topo, "first_local_port", &err);
+    tw->first_global = get_ll_attr(topo, "first_global_port", &err);
+    tw->n_local_vcs = get_ll_attr(routing, "n_local_vcs", &err);
+    tw->n_global_vcs = get_ll_attr(routing, "n_global_vcs", &err);
+    if (err)
+        goto fail;
+    if (tw->a < 1 || tw->h < 0 || tw->groups < 1
+        || tw->groups > (int64_t)UINT32_MAX || tw->a > (int64_t)UINT32_MAX
+        || tw->h > (int64_t)UINT32_MAX) {
+        PyErr_SetString(PyExc_ValueError,
+                        "topology shape outside the decide twin's range");
+        goto fail;
+    }
+    tw->gw_router =
+        attr_ints(topo, "gw_router_by_delta", (Py_ssize_t)tw->groups);
+    tw->gw_port = attr_ints(topo, "gw_port_by_delta", (Py_ssize_t)tw->groups);
+    if (tw->gw_router == NULL || tw->gw_port == NULL)
+        goto fail;
+    if (!intransit) {
+        Py_DECREF(topo);
+        tw->kind = TWIN_MIN;
+        return 0;
+    }
+
+    tw->thr_occ = get_ll_attr(routing, "_thr_occ", &err);
+    tw->code_source = (int)get_ll_attr(routing, "_code_source", &err);
+    tw->code_transit = (int)get_ll_attr(routing, "_code_transit", &err);
+    if (err)
+        goto fail;
+    tw->a_bits = bit_length(tw->a);
+    tw->am1_bits = bit_length(tw->a - 1);
+    tw->h_bits = bit_length(tw->h);
+    tw->groups_bits = bit_length(tw->groups);
+    /* topo.global_out[pos] = [(port, group offset)] * h, in port order */
+    go = PyObject_GetAttrString(topo, "global_out");
+    if (go == NULL)
+        goto fail;
+    tw->go_port = PyMem_Malloc((size_t)(tw->a * tw->h + 1) * sizeof(int64_t));
+    tw->go_off = PyMem_Malloc((size_t)(tw->a * tw->h + 1) * sizeof(int64_t));
+    if (tw->go_port == NULL || tw->go_off == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (!PyList_Check(go) || PyList_GET_SIZE(go) != tw->a)
+        goto bad_table;
+    for (i = 0; i < tw->a; i++) {
+        PyObject *row = PyList_GET_ITEM(go, i);
+        if (!PyList_Check(row) || PyList_GET_SIZE(row) != tw->h)
+            goto bad_table;
+        for (j = 0; j < tw->h; j++) {
+            PyObject *pair = PyList_GET_ITEM(row, j);
+            if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2)
+                goto bad_table;
+            tw->go_port[i * tw->h + j] = as_ll(PyTuple_GET_ITEM(pair, 0));
+            tw->go_off[i * tw->h + j] = as_ll(PyTuple_GET_ITEM(pair, 1));
+        }
+    }
+    if (PyErr_Occurred())
+        goto fail;
+    tw->rng.rng = PyObject_GetAttrString(routing, "rng");
+    if (tw->rng.rng == NULL)
+        goto fail;
+    Py_DECREF(go);
+    Py_DECREF(topo);
+    tw->kind = TWIN_INTRANSIT;
+    return 0;
+
+bad_table:
+    PyErr_SetString(PyExc_TypeError,
+                    "topo.global_out is not an a x h table of pairs");
+fail:
+    Py_XDECREF(go);
+    Py_XDECREF(topo);
+    return -1;
+}
+
 static int
 build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
 {
-    (void)ks;
     int err = 0;
     PyObject *hot2, *hot_in, *step_attr, *item;
     memset(rs, 0, sizeof(*rs));
@@ -2226,6 +2789,7 @@ build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
     rs->num_node_ports = get_ll_attr(r, "_num_node_ports", &err);
     rs->psize = get_ll_attr(r, "_psize", &err);
     rs->pipe_lat = get_ll_attr(r, "_pipe_lat", &err);
+    rs->pos = get_ll_attr(r, "pos", &err);
     if (err)
         return -1;
     item = PyObject_GetAttrString(r, "transit_priority");
@@ -2246,34 +2810,12 @@ build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
     rs->cache_policy = get_ll_attr(rs->routing, "cache_policy", &err);
     if (err)
         return -1;
-    /* MinimalRouting: decide() has a C twin (see c_min_decide), used on
-     * lowered runs.  Everything read here is a frozen constant of the
-     * mechanism / topology / router position. */
-    item = PyObject_GetAttrString(rs->routing, "name");
-    if (item == NULL)
+    /* The decide twin is resolved for the first router's mechanism and
+     * applies to every router sharing that object (all of them, in a
+     * Simulation). */
+    if (ks->twin.routing == NULL && twin_build(&ks->twin, rs->routing) < 0)
         return -1;
-    rs->min_low = (PyUnicode_Check(item)
-                   && PyUnicode_CompareWithASCIIString(item, "min") == 0);
-    Py_DECREF(item);
-    if (rs->min_low) {
-        rs->min_a = get_ll_attr(rs->routing, "_a", &err);
-        rs->min_groups = get_ll_attr(rs->routing, "_groups", &err);
-        rs->first_local = get_ll_attr(rs->routing, "_first_local", &err);
-        rs->first_global = get_ll_attr(rs->routing, "_first_global", &err);
-        rs->n_local_vcs = get_ll_attr(rs->routing, "n_local_vcs", &err);
-        rs->n_global_vcs = get_ll_attr(rs->routing, "n_global_vcs", &err);
-        rs->min_pos = get_ll_attr(r, "pos", &err);
-        if (err)
-            return -1;
-        rs->gw_router =
-            attr_ints(rs->routing, "_gw_router", (Py_ssize_t)rs->min_groups);
-        if (rs->gw_router == NULL)
-            return -1;
-        rs->gw_port =
-            attr_ints(rs->routing, "_gw_port", (Py_ssize_t)rs->min_groups);
-        if (rs->gw_port == NULL)
-            return -1;
-    }
+    rs->twin = (rs->routing == ks->twin.routing) ? ks->twin.kind : TWIN_NONE;
     /* Overridden hooks were detected by _bind_hot: _hot2[16] is the
      * commit override (or None), _hot_in[2] the arrival override. */
     hot2 = PyObject_GetAttrString(r, "_hot2");
@@ -2786,15 +3328,18 @@ ck_drain(PyObject *self, PyObject *args)
         return NULL;
     if (got == 1)
         return fallback_py_drain(eq, t_end_obj);
-    if (ks->low != NULL) {
-        int rc;
-        if (lstate_sync_in(ks->low) < 0)
-            return NULL;
-        rc = drain_core(ks, eq, t_end);
-        if (lstate_exit(ks->low, rc) < 0)
-            return NULL;
+    if (kstate_rng_in(ks) < 0)
+        return NULL;
+    if (drain_core(ks, eq, t_end) < 0) {
+        /* hand the streams back, keeping the drain's exception */
+        PyObject *et, *ev, *tb;
+        PyErr_Fetch(&et, &ev, &tb);
+        if (kstate_rng_out(ks) < 0)
+            PyErr_Clear();
+        PyErr_Restore(et, ev, tb);
+        return NULL;
     }
-    else if (drain_core(ks, eq, t_end) < 0)
+    if (kstate_rng_out(ks) < 0)
         return NULL;
     Py_INCREF(t_end_obj);
     slot_set(eq, ks->eq_now, t_end_obj);
@@ -2805,37 +3350,20 @@ ck_drain(PyObject *self, PyObject *args)
  * MT19937 and return the drawn values plus the resulting state, so the
  * RNG-stream equivalence suite can compare against random.Random
  * without running a simulation.  `ops` items: None -> random(), an int
- * k in [1, 32] -> getrandbits(k). */
+ * k in [1, 32] -> getrandbits(k), a 1-tuple (n,) -> randrange(n). */
 static PyObject *
 ck_mt_ops(PyObject *self, PyObject *args)
 {
-    PyObject *state, *ops, *seq = NULL, *results = NULL, *inner = NULL,
+    PyObject *state, *ops, *gauss, *seq = NULL, *results = NULL,
              *out_state = NULL, *ret = NULL;
     MtState mt;
     Py_ssize_t i, n;
 
     if (!PyArg_ParseTuple(args, "OO:mt_ops", &state, &ops))
         return NULL;
-    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != 3
-        || !PyTuple_Check(PyTuple_GET_ITEM(state, 1))
-        || PyTuple_GET_SIZE(PyTuple_GET_ITEM(state, 1)) != MT_N + 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "mt_ops expects a random.Random getstate() tuple");
+    gauss = mt_from_state(state, &mt);
+    if (gauss == NULL)
         return NULL;
-    }
-    inner = PyTuple_GET_ITEM(state, 1);
-    for (i = 0; i < MT_N; i++) {
-        unsigned long w =
-            PyLong_AsUnsignedLong(PyTuple_GET_ITEM(inner, i));
-        if (w == (unsigned long)-1 && PyErr_Occurred())
-            return NULL;
-        mt.mt[i] = (uint32_t)w;
-    }
-    mt.mti = (int)as_ll(PyTuple_GET_ITEM(inner, MT_N));
-    if (mt.mti == -1 && PyErr_Occurred())
-        return NULL;
-    inner = NULL;
-
     seq = PySequence_Fast(ops, "mt_ops expects a sequence of operations");
     if (seq == NULL)
         return NULL;
@@ -2848,6 +3376,19 @@ ck_mt_ops(PyObject *self, PyObject *args)
         PyObject *v;
         if (op == Py_None)
             v = PyFloat_FromDouble(mt_random(&mt));
+        else if (PyTuple_Check(op) && PyTuple_GET_SIZE(op) == 1) {
+            int64_t below = as_ll(PyTuple_GET_ITEM(op, 0));
+            if ((below == -1 && PyErr_Occurred()) || below < 1
+                || below > (int64_t)UINT32_MAX) {
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_ValueError,
+                                    "mt_ops: randrange bound must be in "
+                                    "[1, 2**32)");
+                goto done;
+            }
+            v = PyLong_FromLongLong(
+                (long long)mt_randbelow(&mt, below, bit_length(below)));
+        }
         else {
             int64_t k = as_ll(op);
             if ((k == -1 && PyErr_Occurred()) || k < 1 || k > 32) {
@@ -2855,43 +3396,21 @@ ck_mt_ops(PyObject *self, PyObject *args)
                     PyErr_SetString(PyExc_ValueError,
                                     "mt_ops: getrandbits width must be "
                                     "in [1, 32]");
-                Py_CLEAR(results);
                 goto done;
             }
             v = PyLong_FromUnsignedLong(
                 (unsigned long)mt_getrandbits(&mt, (int)k));
         }
-        if (v == NULL) {
-            Py_CLEAR(results);
+        if (v == NULL)
             goto done;
-        }
         PyList_SET_ITEM(results, i, v);
     }
-
-    inner = PyTuple_New(MT_N + 1);
-    if (inner == NULL)
-        goto done;
-    for (i = 0; i < MT_N; i++) {
-        PyObject *w = PyLong_FromUnsignedLong((unsigned long)mt.mt[i]);
-        if (w == NULL)
-            goto done;
-        PyTuple_SET_ITEM(inner, i, w);
-    }
-    {
-        PyObject *mti = PyLong_FromLong((long)mt.mti);
-        if (mti == NULL)
-            goto done;
-        PyTuple_SET_ITEM(inner, MT_N, mti);
-    }
-    out_state = Py_BuildValue("(iOO)", 3, inner,
-                              PyTuple_GET_ITEM(state, 2));
-    if (out_state == NULL)
-        goto done;
-    ret = PyTuple_Pack(2, results, out_state);
+    out_state = mt_to_state(&mt, gauss);
+    if (out_state != NULL)
+        ret = PyTuple_Pack(2, results, out_state);
 done:
     Py_XDECREF(seq);
     Py_XDECREF(results);
-    Py_XDECREF(inner);
     Py_XDECREF(out_state);
     return ret;
 }
@@ -2902,7 +3421,8 @@ static PyMethodDef ckernel_methods[] = {
      "compiled kernel (bit-identical to repro.engine.kernel.py_drain)."},
     {"mt_ops", ck_mt_ops, METH_VARARGS,
      "mt_ops(state, ops): replay RNG operations (None -> random(), "
-     "int k -> getrandbits(k)) on the in-kernel MT19937; returns "
+     "int k -> getrandbits(k), (n,) -> randrange(n)) on the in-kernel "
+     "MT19937; returns "
      "(values, new_state).  Test hook for the RNG-stream equivalence "
      "suite."},
     {NULL, NULL, 0, NULL},

@@ -28,6 +28,14 @@ starve (the paper's Figures 2c/4 and Table II).  From the bottleneck
 router itself the CRG/MM candidate set coincides with those same
 congested links, so its packets cannot even escape non-minimally
 (Section III).
+
+This module is the reference implementation and what the python backend
+runs.  The compiled kernel runs a C twin of :meth:`decide`
+(``c_intransit_decide`` in ``engine/_ckernel.c``; selected by
+:func:`repro.routing.factory.decide_twin`) that must take the same
+branches, read the same counters and draw the same words from
+``rng_routing`` — change the two together;
+``tests/test_routing_twin.py`` compares them where every branch is live.
 """
 
 from __future__ import annotations
@@ -69,7 +77,6 @@ class InTransitAdaptiveRouting(RoutingMechanism):
         self.name = f"in-trns-{policy.value}"
         self.rng: random.Random = sim.rng_routing
         self.threshold = sim.config.misroute_threshold
-        self.enable_local_misroute = True
         # Exact integer form of the source-router threshold test: output
         # FIFO capacities are uniform, and _thr_occ is the smallest
         # occupancy whose *float-divided* fraction reaches the threshold,
@@ -115,8 +122,6 @@ class InTransitAdaptiveRouting(RoutingMechanism):
         self, pkt: Packet, router, min_port: int, min_vc: int, avoid_pos: int
     ) -> tuple | None:
         """OLM: divert a backpressured minimal local hop via a third router."""
-        if not self.enable_local_misroute:
-            return None
         if pkt.group_local_hops != 0:
             return None  # at most one local misroute per group
         size = pkt.size
@@ -193,10 +198,10 @@ class InTransitAdaptiveRouting(RoutingMechanism):
             ti = pkt.dst_local_router
             port = self._first_local + (ti if ti < pos else ti - 1)
             vc = self.n_local_vcs - 1 if pkt.group_local_hops >= 1 else 2
-            # Inlined OLM precheck (enable + one-per-group + blocked);
-            # only a genuinely blocked minimal hop enters the sampler.
+            # Inlined OLM precheck (one-per-group + blocked); only a
+            # genuinely blocked minimal hop enters the sampler.
             # Guards carry *flat* store indices (see repro.engine.soa).
-            if self.enable_local_misroute and pkt.group_local_hops == 0:
+            if pkt.group_local_hops == 0:
                 ck = router.kb + port * router.max_vcs + vc
                 gp = router.pb + port
                 used = router.credits_used[ck]
@@ -357,7 +362,7 @@ class InTransitAdaptiveRouting(RoutingMechanism):
         elif min_port < first_global:
             # Intermediate group: OLM local misrouting of the hop towards
             # the gateway of the destination group (inlined precheck).
-            if self.enable_local_misroute and pkt.group_local_hops == 0:
+            if pkt.group_local_hops == 0:
                 ck = router.kb + min_port * router.max_vcs + min_vc
                 gp = router.pb + min_port
                 used = router.credits_used[ck]

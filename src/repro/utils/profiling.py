@@ -23,6 +23,12 @@ spent inside the traffic-generation and delivery-sink callbacks
 disappear from the profile and the share drops to ~0 — the number is
 the direct witness of what the lowering removed, and of what a
 non-lowerable configuration (oracle, scenario patterns) still pays.
+
+Since the routing decision was lowered as well, the same line reports
+the Python ``decide`` frames of the run (time and call count — on the
+compiled backend every one is a re-entry from ``_ckernel.drain``), and
+:func:`describe_callbacks` names which ``decide`` the run resolved to:
+the kernel's C twin or the mechanism's Python method.
 """
 
 from __future__ import annotations
@@ -36,7 +42,12 @@ from typing import Any
 from repro.config import SimulationConfig
 from repro.core.results import SimulationResult
 
-__all__ = ["PROFILE_SORTS", "profile_simulation", "render_profile"]
+__all__ = [
+    "PROFILE_SORTS",
+    "describe_callbacks",
+    "profile_simulation",
+    "render_profile",
+]
 
 #: pstats sort keys exposed on the CLI (a useful, validated subset).
 PROFILE_SORTS = ("tottime", "cumulative", "ncalls", "pcalls")
@@ -55,16 +66,43 @@ _CALLBACK_FUNCS = (
 )
 
 
-def _callback_seconds(profiler: cProfile.Profile) -> float:
-    """Cumulative profiled seconds spent in the gen/sink callbacks."""
-    total = 0.0
+def _callback_seconds(profiler: cProfile.Profile) -> tuple[float, float, int]:
+    """Cumulative profiled seconds in the gen/sink callbacks, and the
+    cumulative seconds and call count of the mechanisms' ``decide``."""
+    total = decide_s = 0.0
+    decide_calls = 0
     stats = pstats.Stats(profiler, stream=io.StringIO())
     for (filename, _lineno, funcname), row in stats.stats.items():
+        if funcname == "decide" and "routing" in filename:
+            decide_calls += row[1]
+            decide_s += row[3]
+            continue
         for suffix, name in _CALLBACK_FUNCS:
             if funcname == name and filename.endswith(suffix):
                 total += row[3]  # cumulative time
                 break
-    return total
+    return total, decide_s, decide_calls
+
+
+def _decide_path(sim) -> str:
+    """Which ``decide`` the run resolved to, e.g. ``C twin (in-trns-mm)``."""
+    from repro.routing.factory import decide_twin
+
+    twinned = sim.engine_backend == "compiled" and decide_twin(sim.routing)
+    return f"{'C twin' if twinned else 'Python'} ({sim.routing.name})"
+
+
+def describe_callbacks(metrics: dict[str, Any]) -> str:
+    """The two report lines on what the run still paid Python for."""
+    wall = metrics["wall_s"]
+    decide_share = metrics["decide_s"] / wall if wall else 0.0
+    return (
+        f"python-callback share: gen + sink {metrics['callback_s']:.3f}s "
+        f"({metrics['callback_share']:.1%} of wall), decide "
+        f"{metrics['decide_s']:.3f}s ({decide_share:.1%}) in "
+        f"{metrics['decide_calls']} calls\n"
+        f"decide: {metrics['decide_path']}"
+    )
 
 
 def profile_simulation(
@@ -83,7 +121,10 @@ def profile_simulation(
     the profiler*, so the rates are only comparable to other profiled
     runs) plus the python-callback share (``callback_s``,
     ``callback_share``: cumulative profiled time in the traffic-gen and
-    delivery-sink callbacks, as seconds and as a fraction of the wall).
+    delivery-sink callbacks, as seconds and as a fraction of the wall;
+    ``decide_s``, ``decide_calls``: the same for the mechanisms' Python
+    ``decide``; ``decide_path``: which ``decide`` the run resolved to —
+    :func:`describe_callbacks` renders all of these).
     With *dump_path* the raw profile is additionally written for offline
     viewers (snakeviz, pstats).
     """
@@ -103,7 +144,7 @@ def profile_simulation(
     if dump_path is not None:
         profiler.dump_stats(dump_path)
     engine = sim.engine
-    callback_s = _callback_seconds(profiler)
+    callback_s, decide_s, decide_calls = _callback_seconds(profiler)
     metrics = {
         "wall_s": wall,
         "events": engine.processed,
@@ -112,6 +153,9 @@ def profile_simulation(
         "activations_per_s": engine.activations / wall if wall else 0.0,
         "callback_s": callback_s,
         "callback_share": callback_s / wall if wall else 0.0,
+        "decide_s": decide_s,
+        "decide_calls": decide_calls,
+        "decide_path": _decide_path(sim),
     }
     return result, render_profile(profiler, sort=sort, limit=limit), metrics
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine.kernel import resolve_backend
 
 
 def _fast(extra):
@@ -639,6 +640,9 @@ class TestProfileCommand:
         assert rc == 0
         assert "engine:" in captured
         assert "activations" in captured
+        # which decide ran is named, never silent (min has a C twin)
+        twinned = resolve_backend(None).name == "compiled"
+        assert f"decide: {'C twin' if twinned else 'Python'} (min)" in captured
         assert out.exists()
 
 

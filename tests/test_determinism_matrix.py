@@ -8,10 +8,13 @@ change would steer packets differently.  This matrix runs every routing
 family crossed with the transit-priority flag twice and asserts every
 field of the :class:`~repro.core.results.SimulationResult` is identical.
 
-One mechanism per family suffices: the cache-relevant behaviours are
-"always stable" (min), "stable once the plan is frozen" (oblivious and
-PiggyBack source routing), and "stable only in the committed-diversion
-phase" (in-transit adaptive).
+One mechanism per family covers the cache-relevant behaviours: "always
+stable" (min), "stable once the plan is frozen" (oblivious and PiggyBack
+source routing), and "stable only in the committed-diversion phase"
+(in-transit adaptive).  The in-transit family is listed with all three
+global misrouting policies because each is a separate candidate generator
+in the compiled kernel's ``decide`` twin (the cross-backend suite reuses
+this list).
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ import pytest
 from repro.config import tiny_config
 from repro.core.simulation import run_simulation
 
-ROUTINGS = ["min", "obl-rrg", "src-rrg", "in-trns-mm"]
+ROUTINGS = [
+    "min",
+    "obl-rrg",
+    "src-rrg",
+    "in-trns-crg",
+    "in-trns-rrg",
+    "in-trns-mm",
+]
 
 
 def _result_fields(result) -> dict:

@@ -223,11 +223,25 @@ def test_make_packet_matches_gen_event(make_cfg, pattern, monkeypatch):
 # ----------------------------------------------------------------------
 # the in-kernel MT19937 is CPython's random.Random, word for word
 # ----------------------------------------------------------------------
+# None -> random(), k -> getrandbits(k), (n,) -> randrange(n)
 _ops = st.lists(
-    st.one_of(st.none(), st.integers(min_value=1, max_value=32)),
+    st.one_of(
+        st.none(),
+        st.integers(min_value=1, max_value=32),
+        st.tuples(st.integers(min_value=1, max_value=2**32 - 1)),
+        st.tuples(st.integers(min_value=1, max_value=80)),
+    ),
     min_size=1,
     max_size=200,
 )
+
+
+def _draw(rng: random.Random, op):
+    if op is None:
+        return rng.random()
+    if isinstance(op, tuple):
+        return rng.randrange(op[0])
+    return rng.getrandbits(op)
 
 
 @needs_compiled
@@ -247,10 +261,7 @@ def test_mt_stream_equivalence(seed, ops):
         ref.getrandbits(17)
     state = ref.getstate()
     values, out_state = _ckernel.mt_ops(state, ops)
-    expected = [
-        ref.random() if op is None else ref.getrandbits(op) for op in ops
-    ]
-    assert values == expected
+    assert values == [_draw(ref, op) for op in ops]
     assert out_state == ref.getstate()
 
 
@@ -263,3 +274,7 @@ def test_mt_ops_validates_width():
         _ckernel.mt_ops(state, [0])
     with pytest.raises(ValueError):
         _ckernel.mt_ops(state, [33])
+    with pytest.raises(ValueError):
+        _ckernel.mt_ops(state, [(0,)])
+    with pytest.raises(ValueError):
+        _ckernel.mt_ops(state, [(2**32,)])
