@@ -1,11 +1,13 @@
 """cProfile harness for the engine hot path (the "what's next" tool).
 
 Profiles the same representative configurations as the
-``engine_throughput`` benchmark and writes the top functions by own-time
-to ``benchmarks/results/engine_profile.txt`` — together with each run's
-events/s *and* activations/s (the phase-batched engine dispatches one
-activation record for up to two semantic events) — so every hot-path PR
-can see where the next bottleneck sits without re-deriving the workflow.
+``engine_throughput`` benchmark, plus one ADVc cell for each of the two
+source-routed families (oblivious Valiant, PiggyBack), and writes the
+top functions by own-time to ``benchmarks/results/engine_profile.txt``
+— together with each run's events/s *and* activations/s (the
+phase-batched engine dispatches one activation record for up to two
+semantic events) — so every hot-path PR can see where the next
+bottleneck sits without re-deriving the workflow.
 
 Run directly (it is intentionally not a pytest test — profiling is an
 investigation tool, not a gate)::
@@ -31,7 +33,10 @@ from repro.utils.profiling import (
     describe_callbacks,
     profile_simulation,
 )
-from test_engine_throughput import throughput_cases
+from test_engine_throughput import bench_config, throughput_cases
+
+#: profiled but not gated: the mechanisms whose ``decide`` was lowered last
+SOURCE_ROUTED = ("obl-crg", "src-crg")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,7 +59,14 @@ def main(argv: list[str] | None = None) -> int:
     sections = []
     # Same (label, config) cases as the perf gate, so the recorded profile
     # always explains the gated numbers.
-    for label, cfg in throughput_cases():
+    cases = throughput_cases() + [
+        (
+            f"small/ADVc@0.4 {routing}",
+            bench_config(routing=routing).with_traffic(pattern="advc", load=0.4),
+        )
+        for routing in SOURCE_ROUTED
+    ]
+    for label, cfg in cases:
         dump_path = None
         if dump_dir is not None:
             slug = "".join(c if c.isalnum() else "_" for c in label)

@@ -104,6 +104,8 @@ class Simulation:
             self.topo.num_routers,
             self.topo.radix,
             max(rc.local_vcs, rc.global_vcs, 1),
+            self.topo.groups,
+            self.topo.h,
             typed=backend.typed,
         )
 

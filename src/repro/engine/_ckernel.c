@@ -26,8 +26,9 @@
  *   remainder), mirrors py_drain's try/finally.
  *
  * Python is called back for exactly the work that is Python by contract:
- * routing decisions of mechanisms without a twin (the twins are
- * c_min_decide and c_intransit_decide; the modules of repro/routing
+ * routing decisions of mechanisms without a twin (every mechanism of
+ * repro.routing.factory has one: c_min_decide, c_oblivious_decide,
+ * c_piggyback_decide, c_intransit_decide; the modules of repro/routing
  * stay the reference), traffic generation (OP_GEN) and the delivery sink
  * (OP_DELIVER) of cells that are not lowered, generic OP_CALL callbacks,
  * overridden routing hooks and stats injection callbacks.
@@ -215,14 +216,15 @@ heap_pop(PyObject *heap)
 /* in-kernel MT19937 (bit-exact twin of CPython's _random.Random)      */
 /* ------------------------------------------------------------------ */
 
-/* The lowered traffic generator and the in-transit routing twin consume
+/* The lowered traffic generator and the drawing routing twins consume
  * the simulation's rng_traffic / rng_routing streams natively: the
  * 625-word state from random.Random.getstate() is copied in at drain
  * entry and written back via setstate() at drain exit (RngMirror), and
  * the consumers they need — random() (the 53-bit genrand_res53
- * construction), getrandbits(k<=32) and randrange(n) — are reproduced
- * word-for-word, so the stream position and every drawn value match the
- * interpreted path exactly. */
+ * construction), getrandbits(k<=32), randrange(n) / choice (one
+ * _randbelow each) and shuffle — are reproduced word-for-word, so the
+ * stream position and every drawn value match the interpreted path
+ * exactly. */
 
 #define MT_N 624
 #define MT_M 397
@@ -299,6 +301,20 @@ bit_length(int64_t n)
     return bits;
 }
 
+/* random.Random.shuffle(x): one _randbelow(i + 1) per position, from the
+ * last down to the second. */
+static void
+mt_shuffle(MtState *st, int64_t *x, int64_t n)
+{
+    int64_t i;
+    for (i = n - 1; i >= 1; i--) {
+        int64_t j = mt_randbelow(st, i + 1, bit_length(i + 1));
+        int64_t tmp = x[i];
+        x[i] = x[j];
+        x[j] = tmp;
+    }
+}
+
 /* random.Random.getstate() tuple -> MtState.  Returns the borrowed
  * gauss_next item (state[2]), NULL with an error set on a foreign
  * layout. */
@@ -352,7 +368,7 @@ mt_to_state(const MtState *st, PyObject *gauss_next)
  * drain: loaded from getstate() at entry, stored with setstate() at
  * exit (and around every call into Python code that draws from it).
  * Both streams the kernel consumes — rng_traffic on lowered cells,
- * rng_routing under the in-transit decide twin — go through these two
+ * rng_routing under a drawing decide twin — go through these two
  * routines. */
 typedef struct {
     PyObject *rng;        /* owned: the random.Random */
@@ -441,21 +457,26 @@ typedef struct {
 
 /* ---- routing-decision twins ---------------------------------------- */
 
-/* `routing.decide` has a C twin for two mechanisms (c_min_decide,
- * c_intransit_decide).  Which one a run gets is decided once, in Python,
- * by repro.routing.factory.decide_twin — exact type, `decide` neither
- * shadowed nor patched — independently of traffic lowering; everything
- * else calls the Python method.  The constants below are frozen facts of
- * the mechanism / topology, read once when the KState is built and
- * shared by all routers. */
+/* `routing.decide` has a C twin per mechanism family (c_min_decide,
+ * c_oblivious_decide, c_piggyback_decide, c_intransit_decide).  Which
+ * one a run gets is decided once, in Python, by
+ * repro.routing.factory.decide_twin — exact type, `decide` and its
+ * helpers neither shadowed nor patched — independently of traffic
+ * lowering; everything else calls the Python method.  The constants
+ * below are frozen facts of the mechanism / topology, read once when the
+ * KState is built and shared by all routers. */
 #define TWIN_NONE 0
 #define TWIN_MIN 1
-#define TWIN_INTRANSIT 2
+#define TWIN_OBLIVIOUS 2
+#define TWIN_PIGGYBACK 3
+#define TWIN_INTRANSIT 4
 
-/* candidates sampled per decision by NRG / RRG (misrouting.SAMPLE_K) and
- * routers probed by the OLM sampler (_try_local_misroute) */
+/* candidates sampled per decision by NRG / RRG (misrouting.SAMPLE_K),
+ * routers probed by the OLM sampler (_try_local_misroute) and groups
+ * probed by PiggyBack's RRG (_nonmin_candidate) */
 #define SAMPLE_K 4
 #define OLM_PROBES 3
+#define PB_PROBES 4
 
 typedef struct {
     PyObject *routing;   /* owned: the mechanism the twin stands in for */
@@ -463,12 +484,20 @@ typedef struct {
     int64_t a, h, groups, first_local, first_global, n_local_vcs,
         n_global_vcs;
     int64_t *gw_router, *gw_port; /* owned, `groups` entries each */
-    /* in-transit only */
-    int64_t thr_occ;     /* integer form of the source-router threshold */
-    int code_source, code_transit; /* 0 CRG, 1 NRG, 2 RRG */
+    /* every twin that draws (all but MIN) */
     int a_bits, am1_bits, h_bits, groups_bits; /* n.bit_length() */
     int64_t *go_port, *go_off; /* owned, a*h: topo.global_out[pos][j] */
+    int64_t *cand;       /* owned scratch, max(h, PB_PROBES) groups */
     RngMirror rng;       /* rng_routing, in-kernel during a drain */
+    /* oblivious and PiggyBack: the variant */
+    int crg;             /* 1 "crg", 0 "rrg" */
+    /* PiggyBack: its thresholds and each group state's own constants */
+    double t_local;
+    int64_t *pb_period;  /* owned, `groups` entries */
+    double *pb_t_global; /* owned, `groups` entries */
+    /* in-transit */
+    int64_t thr_occ;     /* integer form of the source-router threshold */
+    int code_source, code_transit; /* 0 CRG, 1 NRG, 2 RRG */
 } Twin;
 
 /* What a twin hands back besides the decision: the purity / guard pair
@@ -539,7 +568,7 @@ typedef struct {
 
 static void lstate_free(LState *ls);
 
-#define N_VIEWS 18
+#define N_VIEWS 21
 
 typedef struct {
     /* EventQueue slot offsets */
@@ -555,6 +584,8 @@ typedef struct {
         *global_out, *link_lat, *hop_cost;
     /* per-router */
     int64_t *cong_epoch;
+    /* PiggyBack snapshot rows: R*h, R, groups (see soa.py) */
+    int64_t *pb_snap, *pb_snap_sum, *pb_snap_time;
     /* object-valued store fields (owned lists) */
     PyObject *in_q, *dc_pkt, *dc_dec, *dc_cond, *credit_recs, *out_fifo;
     /* queue structures (owned; the same objects the slots hold) */
@@ -597,6 +628,7 @@ typedef struct {
     /* lowered OP_GEN / OP_DELIVER fast path (NULL when not lowered) */
     LState *low;
     Twin twin;
+    int64_t now;          /* eq.now of the bucket being drained */
 } KState;
 
 static void
@@ -626,6 +658,9 @@ twin_clear(Twin *tw)
     PyMem_Free(tw->gw_port);
     PyMem_Free(tw->go_port);
     PyMem_Free(tw->go_off);
+    PyMem_Free(tw->cand);
+    PyMem_Free(tw->pb_period);
+    PyMem_Free(tw->pb_t_global);
     rng_clear(&tw->rng);
 }
 
@@ -994,7 +1029,7 @@ kstate_rng_in(KState *ks)
 {
     if (ks->low != NULL && lstate_sync_in(ks->low) < 0)
         return -1;
-    if (ks->twin.kind == TWIN_INTRANSIT && rng_load(&ks->twin.rng) < 0)
+    if (ks->twin.rng.rng != NULL && rng_load(&ks->twin.rng) < 0)
         return -1;
     return 0;
 }
@@ -1006,7 +1041,7 @@ kstate_rng_out(KState *ks)
     int rc = 0;
     if (ks->low != NULL && lstate_sync_out(ks->low) < 0)
         rc = -1;
-    if (ks->twin.kind == TWIN_INTRANSIT && rng_store(&ks->twin.rng) < 0)
+    if (ks->twin.rng.rng != NULL && rng_store(&ks->twin.rng) < 0)
         rc = -1;
     return rc;
 }
@@ -1324,10 +1359,12 @@ set_memo(KState *ks, Py_ssize_t gk, PyObject *pkt, PyObject *dec,
 /* routing-decision twins                                              */
 /* ------------------------------------------------------------------ */
 
-/* Both twins fill a Verdict and return 0, or return 1 — before drawing
- * from the RNG — on a branch where the Python reference raises (VC
- * overflow, a degenerate randrange): the caller then runs the reference
- * for its exact exception. */
+/* Every twin fills a Verdict and returns 0, or returns 1 on a branch
+ * where the Python reference raises (VC overflow, a degenerate
+ * randrange) or cannot return — leaving packet, store and RNG as a
+ * re-run of the reference expects to find them: the caller then runs the
+ * reference for its exact exception.  -1 is an error of the twin's own
+ * (allocation), with an exception set. */
 
 /* Minimal next hop towards group offset `delta` from position `pos`. */
 static inline int64_t
@@ -1340,27 +1377,29 @@ gateway_hop(const Twin *tw, int64_t pos, int64_t delta, int64_t *gw_pos)
     return tw->first_local + ((g < pos) ? g : g - 1);
 }
 
-/* C twin of MinimalRouting.decide (repro/routing/minimal.py): a pure
- * function of the packet's frozen fields and router/topology constants,
- * so the decision is identical by construction. */
+/* One minimal hop towards router `target` (base.min_hop_port) on the
+ * position-based VC of the hop's port class (vc.position_*_vc), or the
+ * ejection once there: all of MinimalRouting.decide with `target` the
+ * destination router, and the tail of the oblivious and PiggyBack
+ * decide()s, whose target the frozen plan fixes.  A pure function of the
+ * packet's frozen fields and router/topology constants. */
 static int
-c_min_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+c_min_walk(KState *ks, RState *rs, PyObject *pkt, int64_t target, Verdict *v)
 {
     static const int64_t pos_base[3] = {0, 1, 3}; /* vc._POSITION_BASE */
     const Twin *tw = &ks->twin;
-    int64_t dst_router = slot_ll(pkt, ks->ps.dst_router);
     int64_t tg, ti, gh, gw_pos;
 
     v->action = v->aux = 0;
     v->pure = 1;
     v->guard = GUARD_STABLE;
-    if (rs->rid == dst_router) { /* eject_decision(pkt) */
+    if (rs->rid == target) { /* eject_decision(pkt) */
         v->port = slot_ll(pkt, ks->ps.dst_node_port);
         v->vc = 0;
         return 0;
     }
-    tg = dst_router / tw->a;
-    ti = dst_router % tw->a;
+    tg = target / tw->a;
+    ti = target % tw->a;
     if (rs->group == tg)
         v->port = tw->first_local + ((ti < rs->pos) ? ti : ti - 1);
     else
@@ -1380,6 +1419,268 @@ c_min_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
             return 1; /* position_local_vc raises */
     }
     return 0;
+}
+
+/* C twin of MinimalRouting.decide (repro/routing/minimal.py). */
+static int
+c_min_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+{
+    return c_min_walk(ks, rs, pkt, slot_ll(pkt, ks->ps.dst_router), v);
+}
+
+/* ---- source-routed mechanisms: oblivious Valiant and PiggyBack ------ */
+
+/* Both freeze a plan the first time a packet heads its injection queue
+ * (pkt.plan 0 -> 1 minimal, 2 via pkt.inter_router) and walk minimally
+ * to the plan's target from then on.  A raise in the walk needs no
+ * foresight: by then the plan is written and the draws are made exactly
+ * as the reference makes them before it raises, so the Python decide()
+ * the caller falls back to skips the freeze and raises from the same
+ * state.  Only what would raise (or never return) *inside* the freeze is
+ * checked before the first draw. */
+
+/* Record the frozen plan on the packet: via router `inter`, or minimal
+ * when `inter` < 0.  Returns the new pkt.plan, -1 on error. */
+static int64_t
+freeze_plan(KState *ks, PyObject *pkt, int64_t inter)
+{
+    if (inter >= 0 && slot_set_ll(pkt, ks->ps.inter_router, inter) < 0)
+        return -1;
+    if (slot_set_ll(pkt, ks->ps.plan, (inter >= 0) ? 2 : 1) < 0)
+        return -1;
+    return (inter >= 0) ? 2 : 1;
+}
+
+/* The shared tail: minimal towards the intermediate router while
+ * plan == 2, towards the destination (ejecting there) when plan == 1. */
+static int
+c_plan_walk(KState *ks, RState *rs, PyObject *pkt, int64_t plan, Verdict *v)
+{
+    if (plan == 2) {
+        int64_t inter = slot_ll(pkt, ks->ps.inter_router);
+        if (inter == rs->rid)
+            return 1; /* min_hop_port raises at its target */
+        return c_min_walk(ks, rs, pkt, inter, v);
+    }
+    if (plan != 1)
+        return 1;
+    return c_min_walk(ks, rs, pkt, slot_ll(pkt, ks->ps.dst_router), v);
+}
+
+/* The groups this router's own global links reach, in port order and
+ * without `dst_group` (the CRG list of _choose_intermediate and
+ * _nonmin_candidate), into tw->cand; returns how many. */
+static int64_t
+crg_groups(Twin *tw, const RState *rs, int64_t dst_group)
+{
+    const int64_t *off = tw->go_off + rs->pos * tw->h;
+    int64_t n, cnt = 0;
+    for (n = 0; n < tw->h; n++) {
+        int64_t g = pymod(rs->group + off[n], tw->groups);
+        if (g != dst_group)
+            tw->cand[cnt++] = g;
+    }
+    return cnt;
+}
+
+/* topo.router_id(g, rng.randrange(a)) */
+static inline int64_t
+random_router_of(Twin *tw, int64_t g)
+{
+    return g * tw->a + mt_randbelow(&tw->rng.mt, tw->a, tw->a_bits);
+}
+
+/* C twin of ObliviousValiantRouting.decide + _choose_intermediate
+ * (repro/routing/oblivious.py): `rng.choice` over the CRG list is one
+ * _randbelow(len), RRG the randrange(groups) rejection loop. */
+static int
+c_oblivious_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+{
+    Twin *tw = &ks->twin;
+    int64_t plan = slot_ll(pkt, ks->ps.plan);
+
+    if (plan == 0) {
+        int64_t dst_group = slot_ll(pkt, ks->ps.dst_group);
+        int64_t inter = -1, g;
+        if (tw->crg) {
+            int64_t cnt = crg_groups(tw, rs, dst_group);
+            if (cnt > 0) {
+                g = tw->cand[mt_randbelow(&tw->rng.mt, cnt, bit_length(cnt))];
+                inter = random_router_of(tw, g);
+            }
+        }
+        else {
+            int64_t src_group = slot_ll(pkt, ks->ps.src_group);
+            if (tw->groups < ((src_group == dst_group) ? 2 : 3))
+                return 1; /* no third group: the reference loops forever */
+            do
+                g = mt_randbelow(&tw->rng.mt, tw->groups, tw->groups_bits);
+            while (g == src_group || g == dst_group);
+            inter = random_router_of(tw, g);
+        }
+        if ((plan = freeze_plan(ks, pkt, inter)) < 0)
+            return -1;
+    }
+    return c_plan_walk(ks, rs, pkt, plan, v);
+}
+
+/* Router.port_total_occ: output FIFO + downstream credits of one port. */
+static inline int64_t
+port_total_occ(const KState *ks, const RState *rs, int64_t port)
+{
+    int64_t gp = rs->pb + port, k = rs->kb + port * rs->max_vcs;
+    int64_t occ = ks->out_occ[gp], nvc = ks->credit_nvc[gp], i;
+    for (i = 0; i < nvc; i++)
+        occ += ks->credits_used[k + i];
+    return occ;
+}
+
+/* PiggyBack's saturation test, `occ > sum / n + t` in the reference's
+ * own arithmetic: int / int true division, float addition, and an
+ * int-to-float comparison that is exact for occupancies. */
+static inline int
+over_mean(int64_t occ, int64_t sum, int64_t n, double t)
+{
+    return (double)occ > (double)sum / (double)n + t;
+}
+
+/* The same test on live occupancies (_is_sat / _local_link_saturated):
+ * is port `first + idx` of `rs` over the mean of ports
+ * [first, first + n) by more than `t`? */
+static int
+live_over_mean(const KState *ks, const RState *rs, int64_t first, int64_t n,
+               int64_t idx, double t)
+{
+    int64_t sum = 0, occ_idx = 0, i;
+    for (i = 0; i < n; i++) {
+        int64_t occ = port_total_occ(ks, rs, first + i);
+        sum += occ;
+        if (i == idx)
+            occ_idx = occ;
+    }
+    return over_mean(occ_idx, sum, n, t);
+}
+
+/* PiggybackGroupState._refresh: retake the group's snapshot rows when
+ * the last one is at least `period` cycles old. */
+static void
+pb_refresh(KState *ks, int64_t group)
+{
+    const Twin *tw = &ks->twin;
+    int64_t taken = ks->pb_snap_time[group], i, j;
+    if (taken >= 0 && ks->now - taken < tw->pb_period[group])
+        return;
+    ks->pb_snap_time[group] = ks->now;
+    for (i = 0; i < tw->a; i++) {
+        const RState *r = &ks->routers[group * tw->a + i];
+        int64_t sum = 0;
+        for (j = 0; j < tw->h; j++) {
+            int64_t occ = port_total_occ(ks, r, tw->first_global + j);
+            ks->pb_snap[r->rid * tw->h + j] = occ;
+            sum += occ;
+        }
+        ks->pb_snap_sum[r->rid] = sum;
+    }
+}
+
+/* PiggybackGroupState.saturated_global with `rs` the querier: its own
+ * link live, anyone else's from the snapshot. */
+static int
+pb_saturated_global(KState *ks, const RState *rs, int64_t owner_pos,
+                    int64_t j)
+{
+    const Twin *tw = &ks->twin;
+    double t = tw->pb_t_global[rs->group];
+    int64_t owner;
+    if (owner_pos == rs->pos)
+        return live_over_mean(ks, rs, tw->first_global, tw->h, j, t);
+    pb_refresh(ks, rs->group);
+    owner = ks->routers[rs->group * tw->a + owner_pos].rid;
+    return over_mean(ks->pb_snap[owner * tw->h + j], ks->pb_snap_sum[owner],
+                     tw->h, t);
+}
+
+/* PiggybackRouting._min_path_saturated for a packet leaving the group:
+ * the gateway's global link flagged, or the local hop towards it. */
+static int
+pb_min_path_saturated(KState *ks, const RState *rs, int64_t dst_group)
+{
+    const Twin *tw = &ks->twin;
+    int64_t delta = pymod(dst_group - rs->group, tw->groups);
+    int64_t gw_pos = tw->gw_router[delta];
+    if (pb_saturated_global(ks, rs, gw_pos,
+                            tw->gw_port[delta] - tw->first_global))
+        return 1;
+    if (gw_pos == rs->pos)
+        return 0;
+    /* _local_link_saturated(router, topo.local_port(pos, gw_pos)) */
+    return live_over_mean(ks, rs, tw->first_local, tw->a - 1,
+                          (gw_pos < rs->pos) ? gw_pos : gw_pos - 1,
+                          tw->t_local);
+}
+
+/* PiggybackRouting._nonmin_candidate: the Valiant intermediate router
+ * into *inter, -1 when every candidate's global link is flagged.
+ * Returns 1 — before drawing — where topo.gateway would raise on the
+ * router's own group. */
+static int
+pb_nonmin_candidate(KState *ks, const RState *rs, PyObject *pkt,
+                    int64_t dst_group, int64_t *inter)
+{
+    Twin *tw = &ks->twin;
+    int64_t cnt = 0, n;
+    if (tw->crg) {
+        cnt = crg_groups(tw, rs, dst_group);
+        for (n = 0; n < cnt; n++)
+            if (tw->cand[n] == rs->group)
+                return 1;
+    }
+    else {
+        int64_t src_group = slot_ll(pkt, ks->ps.src_group);
+        if (src_group != rs->group)
+            return 1;
+        for (n = 0; n < PB_PROBES; n++) {
+            int64_t g =
+                mt_randbelow(&tw->rng.mt, tw->groups, tw->groups_bits);
+            if (g != src_group && g != dst_group)
+                tw->cand[cnt++] = g;
+        }
+    }
+    mt_shuffle(&tw->rng.mt, tw->cand, cnt);
+    *inter = -1;
+    for (n = 0; n < cnt; n++) {
+        int64_t g = tw->cand[n];
+        int64_t delta = pymod(g - rs->group, tw->groups);
+        if (!pb_saturated_global(ks, rs, tw->gw_router[delta],
+                                 tw->gw_port[delta] - tw->first_global)) {
+            *inter = random_router_of(tw, g);
+            break;
+        }
+    }
+    return 0;
+}
+
+/* C twin of PiggybackRouting.decide (repro/routing/piggyback.py, the
+ * reference): the source decision on the saturation bits — this router's
+ * links live, the rest of the group from the snapshot rows of the SoA
+ * store, which PiggybackGroupState reads and writes too. */
+static int
+c_piggyback_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+{
+    int64_t plan = slot_ll(pkt, ks->ps.plan);
+
+    if (plan == 0) {
+        int64_t dst_group = slot_ll(pkt, ks->ps.dst_group);
+        int64_t inter = -1;
+        /* intra-group minimal: nothing to divert */
+        if (dst_group != rs->group
+            && pb_min_path_saturated(ks, rs, dst_group)
+            && pb_nonmin_candidate(ks, rs, pkt, dst_group, &inter))
+            return 1;
+        if ((plan = freeze_plan(ks, pkt, inter)) < 0)
+            return -1;
+    }
+    return c_plan_walk(ks, rs, pkt, plan, v);
 }
 
 /* OLM (the inlined precheck + _try_local_misroute of intransit.py):
@@ -1768,7 +2069,7 @@ cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
 {
     PyObject *dec = NULL;
     Verdict v;
-    int from_twin = 0;
+    int deferred;
     if (PyList_GET_ITEM(ks->dc_pkt, gk) == pkt) {
         PyObject *cond = PyList_GET_ITEM(ks->dc_cond, gk);
         int valid;
@@ -1789,15 +2090,26 @@ cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
             return dec;
         }
     }
-    if (rs->twin != TWIN_NONE
-        && (rs->twin == TWIN_MIN ? c_min_decide(ks, rs, pkt, &v)
-                                 : c_intransit_decide(ks, rs, pkt, &v))
-               == 0) {
-        dec = verdict_tuple(ks, &v);
-        from_twin = 1;
+    switch (rs->twin) {
+    case TWIN_MIN:
+        deferred = c_min_decide(ks, rs, pkt, &v);
+        break;
+    case TWIN_OBLIVIOUS:
+        deferred = c_oblivious_decide(ks, rs, pkt, &v);
+        break;
+    case TWIN_PIGGYBACK:
+        deferred = c_piggyback_decide(ks, rs, pkt, &v);
+        break;
+    case TWIN_INTRANSIT:
+        deferred = c_intransit_decide(ks, rs, pkt, &v);
+        break;
+    default: /* TWIN_NONE */
+        deferred = 1;
+        break;
     }
-    else
-        dec = py_decide(ks, rs, pkt);
+    if (deferred < 0)
+        return NULL;
+    dec = deferred ? py_decide(ks, rs, pkt) : verdict_tuple(ks, &v);
     if (dec == NULL)
         return NULL;
     switch (rs->cache_policy) {
@@ -1815,7 +2127,7 @@ cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
         }
         else {
             PyObject *cond = NULL;
-            if (from_twin) {
+            if (!deferred) {
                 if (v.pure && (cond = verdict_cond(&v, epoch)) == NULL) {
                     Py_DECREF(dec);
                     return NULL;
@@ -2659,16 +2971,138 @@ attr_ints(PyObject *obj, const char *name, Py_ssize_t n)
     return out;
 }
 
+/* decide_twin's answers and the twin each names. */
+static const struct {
+    const char *name;
+    int kind;
+} TWIN_KINDS[] = {
+    {"min", TWIN_MIN},
+    {"oblivious", TWIN_OBLIVIOUS},
+    {"piggyback", TWIN_PIGGYBACK},
+    {"in-transit", TWIN_INTRANSIT},
+};
+
+/* topo.global_out[pos] = [(port, group offset)] * h, in port order, as
+ * two flat a*h tables. */
+static int
+twin_read_global_out(Twin *tw, PyObject *topo)
+{
+    PyObject *go = PyObject_GetAttrString(topo, "global_out");
+    Py_ssize_t i, j;
+    if (go == NULL)
+        return -1;
+    tw->go_port = PyMem_Malloc((size_t)(tw->a * tw->h + 1) * sizeof(int64_t));
+    tw->go_off = PyMem_Malloc((size_t)(tw->a * tw->h + 1) * sizeof(int64_t));
+    if (tw->go_port == NULL || tw->go_off == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (!PyList_Check(go) || PyList_GET_SIZE(go) != tw->a)
+        goto bad_table;
+    for (i = 0; i < tw->a; i++) {
+        PyObject *row = PyList_GET_ITEM(go, i);
+        if (!PyList_Check(row) || PyList_GET_SIZE(row) != tw->h)
+            goto bad_table;
+        for (j = 0; j < tw->h; j++) {
+            PyObject *pair = PyList_GET_ITEM(row, j);
+            if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2)
+                goto bad_table;
+            tw->go_port[i * tw->h + j] = as_ll(PyTuple_GET_ITEM(pair, 0));
+            tw->go_off[i * tw->h + j] = as_ll(PyTuple_GET_ITEM(pair, 1));
+        }
+    }
+    if (PyErr_Occurred())
+        goto fail;
+    Py_DECREF(go);
+    return 0;
+
+bad_table:
+    PyErr_SetString(PyExc_TypeError,
+                    "topo.global_out is not an a x h table of pairs");
+fail:
+    Py_DECREF(go);
+    return -1;
+}
+
+/* float(obj.<name>) */
+static double
+get_double_attr(PyObject *obj, const char *name, int *err)
+{
+    PyObject *v = PyObject_GetAttrString(obj, name);
+    double d;
+    if (v == NULL) {
+        *err = 1;
+        return 0.0;
+    }
+    d = PyFloat_AsDouble(v);
+    if (d == -1.0 && PyErr_Occurred())
+        *err = 1;
+    Py_DECREF(v);
+    return d;
+}
+
+/* What the PiggyBack twin runs on besides the shared tables: the
+ * mechanism's local threshold, each PiggybackGroupState's period and
+ * global threshold, and the snapshot rows of the store. */
+static int
+twin_read_piggyback(KState *ks, PyObject *store, PyObject *routing)
+{
+    Twin *tw = &ks->twin;
+    PyObject *states = PyObject_GetAttrString(routing, "groups_state");
+    Py_ssize_t g;
+    int err = 0;
+    if (states == NULL)
+        return -1;
+    if (!PyList_Check(states) || PyList_GET_SIZE(states) != tw->groups) {
+        Py_DECREF(states);
+        PyErr_SetString(PyExc_TypeError,
+                        "routing.groups_state is not a list of one "
+                        "state per group");
+        return -1;
+    }
+    tw->pb_period = PyMem_Malloc((size_t)tw->groups * sizeof(int64_t));
+    tw->pb_t_global = PyMem_Malloc((size_t)tw->groups * sizeof(double));
+    if (tw->pb_period == NULL || tw->pb_t_global == NULL) {
+        Py_DECREF(states);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (g = 0; g < tw->groups; g++) {
+        PyObject *state = PyList_GET_ITEM(states, g);
+        tw->pb_period[g] = get_ll_attr(state, "period", &err);
+        tw->pb_t_global[g] = get_double_attr(state, "t_global", &err);
+    }
+    Py_DECREF(states);
+    tw->t_local = get_double_attr(routing, "t_local", &err);
+    if (err)
+        return -1;
+    ks->pb_snap = map_buffer(ks, store, "pb_snap",
+                             ks->num_routers * (Py_ssize_t)tw->h);
+    ks->pb_snap_sum = map_buffer(ks, store, "pb_snap_sum", ks->num_routers);
+    ks->pb_snap_time =
+        map_buffer(ks, store, "pb_snap_time", (Py_ssize_t)tw->groups);
+    if (ks->pb_snap == NULL || ks->pb_snap_sum == NULL
+        || ks->pb_snap_time == NULL)
+        return -1;
+    if (ks->num_routers != tw->groups * tw->a) {
+        PyErr_SetString(PyExc_ValueError,
+                        "store does not hold groups x a routers");
+        return -1;
+    }
+    return 0;
+}
+
 /* Resolve the decide twin of *routing* (repro.routing.factory
  * .decide_twin is the one statement of the selection rule) and read the
  * constants it runs on.  A mechanism without a twin leaves kind ==
  * TWIN_NONE. */
 static int
-twin_build(Twin *tw, PyObject *routing)
+twin_build(KState *ks, PyObject *store, PyObject *routing)
 {
-    PyObject *mod, *name, *topo = NULL, *go = NULL;
-    Py_ssize_t i, j;
-    int err = 0, intransit;
+    Twin *tw = &ks->twin;
+    PyObject *mod, *name, *topo = NULL, *variant;
+    size_t i;
+    int err = 0, kind = TWIN_NONE;
 
     tw->routing = Py_NewRef(routing);
     tw->kind = TWIN_NONE;
@@ -2683,8 +3117,18 @@ twin_build(Twin *tw, PyObject *routing)
         Py_DECREF(name);
         return 0;
     }
-    intransit = PyUnicode_Check(name)
-                && PyUnicode_CompareWithASCIIString(name, "in-transit") == 0;
+    for (i = 0; i < sizeof(TWIN_KINDS) / sizeof(TWIN_KINDS[0]); i++)
+        if (PyUnicode_Check(name)
+            && PyUnicode_CompareWithASCIIString(name, TWIN_KINDS[i].name)
+                   == 0)
+            kind = TWIN_KINDS[i].kind;
+    if (kind == TWIN_NONE) {
+        PyErr_Format(PyExc_ValueError,
+                     "decide_twin named %R, which the kernel has no twin "
+                     "for", name);
+        Py_DECREF(name);
+        return -1;
+    }
     Py_DECREF(name);
 
     topo = PyObject_GetAttrString(routing, "topo");
@@ -2711,60 +3155,50 @@ twin_build(Twin *tw, PyObject *routing)
     tw->gw_port = attr_ints(topo, "gw_port_by_delta", (Py_ssize_t)tw->groups);
     if (tw->gw_router == NULL || tw->gw_port == NULL)
         goto fail;
-    if (!intransit) {
-        Py_DECREF(topo);
-        tw->kind = TWIN_MIN;
-        return 0;
-    }
+    if (kind == TWIN_MIN)
+        goto done;
 
-    tw->thr_occ = get_ll_attr(routing, "_thr_occ", &err);
-    tw->code_source = (int)get_ll_attr(routing, "_code_source", &err);
-    tw->code_transit = (int)get_ll_attr(routing, "_code_transit", &err);
-    if (err)
-        goto fail;
+    /* Every other twin draws from rng_routing and reads this router's
+     * global links (CRG, in all three families). */
     tw->a_bits = bit_length(tw->a);
     tw->am1_bits = bit_length(tw->a - 1);
     tw->h_bits = bit_length(tw->h);
     tw->groups_bits = bit_length(tw->groups);
-    /* topo.global_out[pos] = [(port, group offset)] * h, in port order */
-    go = PyObject_GetAttrString(topo, "global_out");
-    if (go == NULL)
+    if (twin_read_global_out(tw, topo) < 0)
         goto fail;
-    tw->go_port = PyMem_Malloc((size_t)(tw->a * tw->h + 1) * sizeof(int64_t));
-    tw->go_off = PyMem_Malloc((size_t)(tw->a * tw->h + 1) * sizeof(int64_t));
-    if (tw->go_port == NULL || tw->go_off == NULL) {
+    tw->cand = PyMem_Malloc(
+        (size_t)(tw->h > PB_PROBES ? tw->h : PB_PROBES) * sizeof(int64_t));
+    if (tw->cand == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    if (!PyList_Check(go) || PyList_GET_SIZE(go) != tw->a)
-        goto bad_table;
-    for (i = 0; i < tw->a; i++) {
-        PyObject *row = PyList_GET_ITEM(go, i);
-        if (!PyList_Check(row) || PyList_GET_SIZE(row) != tw->h)
-            goto bad_table;
-        for (j = 0; j < tw->h; j++) {
-            PyObject *pair = PyList_GET_ITEM(row, j);
-            if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2)
-                goto bad_table;
-            tw->go_port[i * tw->h + j] = as_ll(PyTuple_GET_ITEM(pair, 0));
-            tw->go_off[i * tw->h + j] = as_ll(PyTuple_GET_ITEM(pair, 1));
-        }
-    }
-    if (PyErr_Occurred())
-        goto fail;
     tw->rng.rng = PyObject_GetAttrString(routing, "rng");
     if (tw->rng.rng == NULL)
         goto fail;
-    Py_DECREF(go);
+    if (kind == TWIN_INTRANSIT) {
+        tw->thr_occ = get_ll_attr(routing, "_thr_occ", &err);
+        tw->code_source = (int)get_ll_attr(routing, "_code_source", &err);
+        tw->code_transit = (int)get_ll_attr(routing, "_code_transit", &err);
+        if (err)
+            goto fail;
+    }
+    else { /* oblivious and PiggyBack come in two variants */
+        variant = PyObject_GetAttrString(routing, "variant");
+        if (variant == NULL)
+            goto fail;
+        tw->crg = PyUnicode_Check(variant)
+                  && PyUnicode_CompareWithASCIIString(variant, "crg") == 0;
+        Py_DECREF(variant);
+        if (kind == TWIN_PIGGYBACK
+            && twin_read_piggyback(ks, store, routing) < 0)
+            goto fail;
+    }
+done:
     Py_DECREF(topo);
-    tw->kind = TWIN_INTRANSIT;
+    tw->kind = kind;
     return 0;
 
-bad_table:
-    PyErr_SetString(PyExc_TypeError,
-                    "topo.global_out is not an a x h table of pairs");
 fail:
-    Py_XDECREF(go);
     Py_XDECREF(topo);
     return -1;
 }
@@ -2810,11 +3244,9 @@ build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
     rs->cache_policy = get_ll_attr(rs->routing, "cache_policy", &err);
     if (err)
         return -1;
-    /* The decide twin is resolved for the first router's mechanism and
+    /* The decide twin was resolved for the first router's mechanism and
      * applies to every router sharing that object (all of them, in a
      * Simulation). */
-    if (ks->twin.routing == NULL && twin_build(&ks->twin, rs->routing) < 0)
-        return -1;
     rs->twin = (rs->routing == ks->twin.routing) ? ks->twin.kind : TWIN_NONE;
     /* Overridden hooks were detected by _bind_hot: _hot2[16] is the
      * commit override (or None), _hot_in[2] the arrival override. */
@@ -3117,6 +3549,10 @@ kstate_build(PyObject *eq, PyObject *store)
             goto fail;
         }
     }
+    tmp = PyObject_GetAttrString(PyList_GET_ITEM(routers, 0), "routing");
+    if (tmp == NULL || twin_build(ks, store, tmp) < 0)
+        goto fail;
+    Py_CLEAR(tmp);
     for (i = 0; i < ks->num_routers; i++) {
         PyObject *r = PyList_GET_ITEM(routers, i);
         if (Py_TYPE(r) != r_tp) {
@@ -3242,6 +3678,7 @@ drain_core(KState *ks, PyObject *eq, int64_t t_end)
         Py_INCREF(bucket);
         Py_INCREF(t_obj);
         slot_set(eq, ks->eq_now, t_obj);
+        ks->now = t;
         n = PyList_GET_SIZE(bucket);
         for (;;) {
             while (i < n) {
@@ -3350,7 +3787,9 @@ ck_drain(PyObject *self, PyObject *args)
  * MT19937 and return the drawn values plus the resulting state, so the
  * RNG-stream equivalence suite can compare against random.Random
  * without running a simulation.  `ops` items: None -> random(), an int
- * k in [1, 32] -> getrandbits(k), a 1-tuple (n,) -> randrange(n). */
+ * k in [1, 32] -> getrandbits(k), a 1-tuple (n,) -> randrange(n) (the
+ * index choice() picks from n items), ("shuffle", n) -> list(range(n))
+ * after shuffle(). */
 static PyObject *
 ck_mt_ops(PyObject *self, PyObject *args)
 {
@@ -3376,6 +3815,37 @@ ck_mt_ops(PyObject *self, PyObject *args)
         PyObject *v;
         if (op == Py_None)
             v = PyFloat_FromDouble(mt_random(&mt));
+        else if (PyTuple_Check(op) && PyTuple_GET_SIZE(op) == 2) {
+            int64_t len = as_ll(PyTuple_GET_ITEM(op, 1)), k;
+            int64_t *x;
+            if ((len == -1 && PyErr_Occurred()) || len < 0 || len > 4096
+                || !PyUnicode_Check(PyTuple_GET_ITEM(op, 0))
+                || PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(op, 0),
+                                                    "shuffle") != 0) {
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_ValueError,
+                                    "mt_ops: expected (\"shuffle\", n) "
+                                    "with n in [0, 4096]");
+                goto done;
+            }
+            x = PyMem_Malloc((size_t)(len + 1) * sizeof(int64_t));
+            if (x == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            for (k = 0; k < len; k++)
+                x[k] = k;
+            mt_shuffle(&mt, x, len);
+            v = PyList_New((Py_ssize_t)len);
+            for (k = 0; v != NULL && k < len; k++) {
+                PyObject *item = PyLong_FromLongLong((long long)x[k]);
+                if (item == NULL)
+                    Py_CLEAR(v);
+                else
+                    PyList_SET_ITEM(v, (Py_ssize_t)k, item);
+            }
+            PyMem_Free(x);
+        }
         else if (PyTuple_Check(op) && PyTuple_GET_SIZE(op) == 1) {
             int64_t below = as_ll(PyTuple_GET_ITEM(op, 0));
             if ((below == -1 && PyErr_Occurred()) || below < 1
@@ -3421,8 +3891,8 @@ static PyMethodDef ckernel_methods[] = {
      "compiled kernel (bit-identical to repro.engine.kernel.py_drain)."},
     {"mt_ops", ck_mt_ops, METH_VARARGS,
      "mt_ops(state, ops): replay RNG operations (None -> random(), "
-     "int k -> getrandbits(k), (n,) -> randrange(n)) on the in-kernel "
-     "MT19937; returns "
+     "int k -> getrandbits(k), (n,) -> randrange(n), (\"shuffle\", n) -> "
+     "shuffled range(n)) on the in-kernel MT19937; returns "
      "(values, new_state).  Test hook for the RNG-stream equivalence "
      "suite."},
     {NULL, NULL, 0, NULL},

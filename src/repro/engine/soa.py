@@ -9,7 +9,11 @@ instead of per-:class:`~repro.hardware.router.Router` instance lists:
   ``router_id * nkeys + key`` where ``key = port * max_vcs + vc`` and
   ``nkeys = radix * max_vcs``;
 * **per-port fields** are indexed ``router_id * radix + port``;
-* **per-router fields** (the congestion epoch) are indexed ``router_id``.
+* **per-router fields** (the congestion epoch) are indexed ``router_id``;
+* the **PiggyBack snapshot rows** (the periodically broadcast copy of
+  every global port's occupancy) are indexed ``router_id * h + j`` for
+  global port ``j``, ``router_id`` for their per-router sum and ``group``
+  for the cycle the group's snapshot was last taken.
 
 A router keeps its two base offsets (``kb = router_id * nkeys``,
 ``pb = router_id * radix``) and references to the shared buffers, making
@@ -129,6 +133,10 @@ class SoAStore:
         "hop_cost",
         # per-router
         "cong_epoch",
+        # PiggyBack saturation snapshot (repro.routing.piggyback)
+        "pb_snap",
+        "pb_snap_sum",
+        "pb_snap_time",
         # lowered-sink stat accumulators (see module-level SI_*/SF_*)
         "stat_i64",
         "stat_f64",
@@ -141,6 +149,8 @@ class SoAStore:
         num_routers: int,
         radix: int,
         max_vcs: int,
+        groups: int,
+        global_ports: int,
         *,
         typed: bool = False,
     ) -> None:
@@ -204,6 +214,18 @@ class SoAStore:
         # (commit, output release, credit release) — the invalidation
         # signal for epoch-conditioned cached decisions.
         self.cong_epoch = _int_buffer(num_routers, typed)
+
+        # ---- PiggyBack snapshot ----------------------------------------
+        # What a group's routers last broadcast about their global links:
+        # pb_snap[router_id * h + j] is the occupancy of global port j,
+        # pb_snap_sum[router_id] the sum over that router's h ports, both
+        # as of cycle pb_snap_time[group] (-1: never taken).  Written by
+        # PiggybackGroupState._refresh and by the compiled kernel's
+        # PiggyBack decide twin; always allocated (tiny), idle under every
+        # other mechanism.
+        self.pb_snap = _int_buffer(num_routers * global_ports, typed)
+        self.pb_snap_sum = _int_buffer(num_routers, typed)
+        self.pb_snap_time = _int_buffer(groups, typed, fill=-1)
 
         # ---- lowered-sink accumulators --------------------------------
         # One NSTAT_I / NSTAT_F block, plus per-router injected/delivered

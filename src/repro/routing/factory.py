@@ -9,7 +9,7 @@ from repro.routing.intransit import InTransitAdaptiveRouting
 from repro.routing.minimal import MinimalRouting
 from repro.routing.misrouting import MisroutePolicy
 from repro.routing.oblivious import ObliviousValiantRouting
-from repro.routing.piggyback import PiggybackRouting
+from repro.routing.piggyback import PiggybackGroupState, PiggybackRouting
 
 __all__ = ["make_routing", "decide_twin", "ROUTING_NAMES"]
 
@@ -49,36 +49,65 @@ def make_routing(name: str, sim):
     )
 
 
-# The mechanisms whose ``decide`` the compiled kernel reimplements
-# (``c_min_decide`` / ``c_intransit_decide`` in engine/_ckernel.c), with
-# the exact function each twin was written against.
+def _own(cls, *names: str) -> dict:
+    return {name: vars(cls)[name] for name in names}
+
+
+# The mechanisms whose ``decide`` the compiled kernel reimplements (the
+# ``c_*_decide`` functions of engine/_ckernel.c), each with every function
+# of the class its twin was written against: ``decide`` and the helpers
+# ``decide`` calls, which the twin replaces along with it.
 _DECIDE_TWINS = {
-    MinimalRouting: ("min", MinimalRouting.decide),
-    InTransitAdaptiveRouting: ("in-transit", InTransitAdaptiveRouting.decide),
+    MinimalRouting: ("min", _own(MinimalRouting, "decide")),
+    ObliviousValiantRouting: (
+        "oblivious",
+        _own(ObliviousValiantRouting, "decide", "_choose_intermediate"),
+    ),
+    PiggybackRouting: (
+        "piggyback",
+        _own(
+            PiggybackRouting,
+            "decide",
+            "_min_path_saturated",
+            "_nonmin_candidate",
+            "_local_link_saturated",
+        ),
+    ),
+    InTransitAdaptiveRouting: (
+        "in-transit",
+        _own(InTransitAdaptiveRouting, "decide", "_try_local_misroute"),
+    ),
 }
 
 
 def decide_twin(routing) -> str | None:
-    """Name of the C twin the compiled kernel runs for ``routing.decide``.
+    """Kind of C twin the compiled kernel runs for ``routing.decide``.
 
     ``None`` means the kernel calls the Python method.  A twin is only a
     faithful stand-in for the code it was written against, so it is
     selected iff ``type(routing)`` is *exactly* one of the twinned
-    classes and ``decide`` is that class's own, unpatched function — a
-    subclass, an instance with ``decide`` shadowed, or a monkeypatched
-    class all get their Python ``decide`` called.  The in-transit twin
-    additionally draws from ``routing.rng`` natively, which requires a
-    plain :class:`random.Random`.  Nothing else enters the rule: in
-    particular not the mechanism's ``name`` and not whether the cell's
+    classes and every function the twin replaces — ``decide`` and the
+    helpers it calls — is that class's own, unpatched function: a
+    subclass, an instance with one of them shadowed, or a monkeypatched
+    class all get their Python ``decide`` called.  The twins that draw
+    random numbers do so natively from ``routing.rng``, which requires a
+    plain :class:`random.Random`, and the PiggyBack twin keeps the
+    saturation snapshot itself, which requires every group's state to be
+    a plain :class:`PiggybackGroupState`.  Nothing else enters the rule:
+    in particular not the mechanism's ``name`` and not whether the cell's
     traffic is lowered.
     """
-    name, reference = _DECIDE_TWINS.get(type(routing), (None, None))
-    if (
-        reference is None
-        or "decide" in vars(routing)
-        or type(routing).decide is not reference
+    cls = type(routing)
+    kind, written_against = _DECIDE_TWINS.get(cls, (None, {}))
+    if kind is None:
+        return None
+    for name, reference in written_against.items():
+        if name in vars(routing) or getattr(cls, name) is not reference:
+            return None
+    if kind != "min" and type(routing.rng) is not random.Random:
+        return None
+    if kind == "piggyback" and any(
+        type(state) is not PiggybackGroupState for state in routing.groups_state
     ):
         return None
-    if name == "in-transit" and type(routing.rng) is not random.Random:
-        return None
-    return name
+    return kind

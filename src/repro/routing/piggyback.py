@@ -47,6 +47,13 @@ class PiggybackGroupState:
     querier currently believe global port *j* of router *owner_pos* is
     saturated?" — live occupancy when the querier owns the link, the last
     periodic snapshot otherwise.
+
+    The snapshot lives in the ``pb_snap*`` rows of the simulation's
+    :class:`~repro.engine.soa.SoAStore` (occupancy per global port, their
+    per-router sum, the cycle it was taken), refreshed lazily by the first
+    remote query at least ``period`` cycles after the last refresh.  The
+    compiled kernel's PiggyBack ``decide`` twin reads and writes the same
+    rows, so this class stays the one definition of the state.
     """
 
     def __init__(self, sim, group: int) -> None:
@@ -57,18 +64,23 @@ class PiggybackGroupState:
         self.t_global = sim.config.pb_threshold_global * self.psize
         a = sim.topo.a
         self._routers = [sim.routers[sim.topo.router_id(group, i)] for i in range(a)]
-        self._snap_time = -1
-        self._snap: list[list[int]] = [[] for _ in range(a)]
-        self._snap_mean: list[float] = [0.0] * a
+        self._h = sim.topo.h
+        self._snap = sim.soa.pb_snap
+        self._snap_sum = sim.soa.pb_snap_sum
+        self._snap_time = sim.soa.pb_snap_time
 
     def _refresh(self, now: int) -> None:
-        if now - self._snap_time < self.period and self._snap_time >= 0:
+        taken = self._snap_time[self.group]
+        if now - taken < self.period and taken >= 0:
             return
-        self._snap_time = now
-        for i, router in enumerate(self._routers):
+        self._snap_time[self.group] = now
+        snap = self._snap
+        for router in self._routers:
             occs = router.global_port_occupancies()
-            self._snap[i] = occs
-            self._snap_mean[i] = sum(occs) / len(occs) if occs else 0.0
+            base = router.router_id * self._h
+            for j, occ in enumerate(occs):
+                snap[base + j] = occ
+            self._snap_sum[router.router_id] = sum(occs)
 
     def _is_sat(self, occs: list[int], j: int) -> bool:
         mean = sum(occs) / len(occs)
@@ -80,10 +92,12 @@ class PiggybackGroupState:
             occs = self._routers[owner_pos].global_port_occupancies()
             return self._is_sat(occs, port_j)
         self._refresh(self.sim.engine.now)
-        occs = self._snap[owner_pos]
-        if not occs:
+        h = self._h
+        if not h:
             return False
-        return occs[port_j] > self._snap_mean[owner_pos] + self.t_global
+        owner = self._routers[owner_pos].router_id
+        mean = self._snap_sum[owner] / h
+        return self._snap[owner * h + port_j] > mean + self.t_global
 
 
 class PiggybackRouting(RoutingMechanism):

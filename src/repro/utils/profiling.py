@@ -85,11 +85,14 @@ def _callback_seconds(profiler: cProfile.Profile) -> tuple[float, float, int]:
 
 
 def _decide_path(sim) -> str:
-    """Which ``decide`` the run resolved to, e.g. ``C twin (in-trns-mm)``."""
+    """Which ``decide`` the run resolved to: ``C twin (src-crg, piggyback)``
+    (mechanism, twin kind) or ``Python (src-crg)``."""
     from repro.routing.factory import decide_twin
 
-    twinned = sim.engine_backend == "compiled" and decide_twin(sim.routing)
-    return f"{'C twin' if twinned else 'Python'} ({sim.routing.name})"
+    kind = sim.engine_backend == "compiled" and decide_twin(sim.routing)
+    if kind:
+        return f"C twin ({sim.routing.name}, {kind})"
+    return f"Python ({sim.routing.name})"
 
 
 def describe_callbacks(metrics: dict[str, Any]) -> str:

@@ -642,7 +642,8 @@ class TestProfileCommand:
         assert "activations" in captured
         # which decide ran is named, never silent (min has a C twin)
         twinned = resolve_backend(None).name == "compiled"
-        assert f"decide: {'C twin' if twinned else 'Python'} (min)" in captured
+        path = "C twin (min, min)" if twinned else "Python (min)"
+        assert f"decide: {path}" in captured
         assert out.exists()
 
 

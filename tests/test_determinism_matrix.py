@@ -8,13 +8,12 @@ change would steer packets differently.  This matrix runs every routing
 family crossed with the transit-priority flag twice and asserts every
 field of the :class:`~repro.core.results.SimulationResult` is identical.
 
-One mechanism per family covers the cache-relevant behaviours: "always
-stable" (min), "stable once the plan is frozen" (oblivious and PiggyBack
-source routing), and "stable only in the committed-diversion phase"
-(in-transit adaptive).  The in-transit family is listed with all three
-global misrouting policies because each is a separate candidate generator
-in the compiled kernel's ``decide`` twin (the cross-backend suite reuses
-this list).
+The families cover the cache-relevant behaviours: "always stable" (min),
+"stable once the plan is frozen" (oblivious and PiggyBack source
+routing), and "stable only in the committed-diversion phase" (in-transit
+adaptive).  All eight mechanisms are listed because each variant is a
+separate candidate generator in the compiled kernel's ``decide`` twins
+(the cross-backend suite reuses this list).
 """
 
 from __future__ import annotations
@@ -29,7 +28,9 @@ from repro.core.simulation import run_simulation
 ROUTINGS = [
     "min",
     "obl-rrg",
+    "obl-crg",
     "src-rrg",
+    "src-crg",
     "in-trns-crg",
     "in-trns-rrg",
     "in-trns-mm",

@@ -77,6 +77,9 @@ _NUMERIC_FIELDS = (
     "link_lat",
     "hop_cost",
     "cong_epoch",
+    "pb_snap",
+    "pb_snap_sum",
+    "pb_snap_time",
 )
 
 

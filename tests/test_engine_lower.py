@@ -223,13 +223,16 @@ def test_make_packet_matches_gen_event(make_cfg, pattern, monkeypatch):
 # ----------------------------------------------------------------------
 # the in-kernel MT19937 is CPython's random.Random, word for word
 # ----------------------------------------------------------------------
-# None -> random(), k -> getrandbits(k), (n,) -> randrange(n)
+# None -> random(), k -> getrandbits(k), (n,) -> randrange(n),
+# ("choice", n) -> choice(range(n)), ("shuffle", n) -> shuffle(list(range(n)))
 _ops = st.lists(
     st.one_of(
         st.none(),
         st.integers(min_value=1, max_value=32),
         st.tuples(st.integers(min_value=1, max_value=2**32 - 1)),
         st.tuples(st.integers(min_value=1, max_value=80)),
+        st.tuples(st.just("choice"), st.integers(min_value=1, max_value=40)),
+        st.tuples(st.just("shuffle"), st.integers(min_value=0, max_value=40)),
     ),
     min_size=1,
     max_size=200,
@@ -239,9 +242,23 @@ _ops = st.lists(
 def _draw(rng: random.Random, op):
     if op is None:
         return rng.random()
-    if isinstance(op, tuple):
-        return rng.randrange(op[0])
-    return rng.getrandbits(op)
+    if not isinstance(op, tuple):
+        return rng.getrandbits(op)
+    if op[0] == "choice":
+        return rng.choice(range(op[1]))
+    if op[0] == "shuffle":
+        items = list(range(op[1]))
+        rng.shuffle(items)
+        return items
+    return rng.randrange(op[0])
+
+
+def _kernel_op(op):
+    """The hook has no ``choice``: the kernel picks item ``_randbelow(n)``
+    of its own list, which is the hook's ``(n,)``."""
+    if isinstance(op, tuple) and op[0] == "choice":
+        return (op[1],)
+    return op
 
 
 @needs_compiled
@@ -260,7 +277,7 @@ def test_mt_stream_equivalence(seed, ops):
     if seed % 2:
         ref.getrandbits(17)
     state = ref.getstate()
-    values, out_state = _ckernel.mt_ops(state, ops)
+    values, out_state = _ckernel.mt_ops(state, [_kernel_op(op) for op in ops])
     assert values == [_draw(ref, op) for op in ops]
     assert out_state == ref.getstate()
 
@@ -278,3 +295,7 @@ def test_mt_ops_validates_width():
         _ckernel.mt_ops(state, [(0,)])
     with pytest.raises(ValueError):
         _ckernel.mt_ops(state, [(2**32,)])
+    with pytest.raises(ValueError):
+        _ckernel.mt_ops(state, [("choice", 3)])
+    with pytest.raises(ValueError):
+        _ckernel.mt_ops(state, [("shuffle", -1)])

@@ -1,25 +1,31 @@
 """The compiled kernel's ``decide`` twins against the Python reference.
 
-``routing/minimal.py`` and ``routing/intransit.py`` are the reference
-implementations of ``decide``; ``engine/_ckernel.c`` holds a C twin of
-each (``c_min_decide``, ``c_intransit_decide``), the in-transit one
-drawing from an in-kernel mirror of ``rng_routing``.  This module pins
-the two things that make that safe:
+The modules of ``repro/routing`` are the reference implementations of
+``decide``; ``engine/_ckernel.c`` holds a C twin per mechanism family
+(``c_min_decide``, ``c_oblivious_decide``, ``c_piggyback_decide``,
+``c_intransit_decide``), all but the first drawing from an in-kernel
+mirror of ``rng_routing``, and the PiggyBack one keeping the saturation
+snapshot in the same SoA-store rows as ``PiggybackGroupState``.  This
+module pins the two things that make that safe:
 
 * **selection** — a twin runs iff :func:`repro.routing.factory.decide_twin`
-  says so: exact type, ``decide`` neither shadowed nor patched,
-  regardless of the mechanism's ``name`` and of traffic lowering;
+  says so: exact type, ``decide`` and the helpers it calls neither
+  shadowed nor patched, regardless of the mechanism's ``name`` and of
+  traffic lowering;
 * **equivalence where the branches are live** — python vs compiled on
   networks with ``a >= 3`` and ``h >= 2`` (the tiny a=2, h=1 network of
   the other parity suites returns from the OLM sampler before its first
-  draw and makes NRG's ``randrange`` calls constant), on every result
-  field, the event counters, the SoA store image and the final
-  ``rng_routing`` state (equal state means the same number of draws).
+  draw, makes NRG's ``randrange`` calls constant and leaves CRG a single
+  candidate), on every result field, the event counters, the SoA store
+  image (snapshot rows included), the routing state of every packet in
+  flight and the final ``rng_routing`` state (equal state means the same
+  number of draws).
 """
 
 from __future__ import annotations
 
 import cProfile
+import dataclasses
 import pstats
 import random
 
@@ -31,10 +37,11 @@ from repro.config import NetworkConfig, SimulationConfig, tiny_config
 from repro.core.simulation import Simulation
 from repro.engine.kernel import available_backends
 from repro.errors import RoutingError
-from repro.routing.factory import decide_twin
+from repro.routing.factory import ROUTING_NAMES, decide_twin
 from repro.routing.intransit import InTransitAdaptiveRouting
 from repro.routing.minimal import MinimalRouting
 from repro.routing.misrouting import MisroutePolicy
+from repro.routing.piggyback import PiggybackGroupState
 from repro.traffic.scenarios import SCENARIOS
 from test_determinism_matrix import _result_fields
 from test_engine_backends import BACKENDS, _store_snapshot, needs_compiled
@@ -42,12 +49,18 @@ from test_engine_backends import BACKENDS, _store_snapshot, needs_compiled
 #: (p, a, h): a >= 3 opens the OLM sampler, h >= 2 NRG's randrange(h)
 SHAPES = [(1, 3, 2), (2, 4, 2), (3, 6, 3)]
 IN_TRANSIT = ["in-trns-crg", "in-trns-rrg", "in-trns-mm"]
+SOURCE_ROUTED = ["obl-rrg", "obl-crg", "src-rrg", "src-crg"]
 PATTERNS = ["uniform", "adversarial", "advc"]
+#: pb_update_period: a snapshot retaken by every remote query, the
+#: default, and one that most queries find stale
+PB_PERIODS = [1, 8, 50]
 
 
-def _cell(shape, routing, pattern, load, seed=1, priority=True, measure=400):
+def _cell(
+    shape, routing, pattern, load, seed=1, priority=True, measure=400, pb_period=8
+):
     p, a, h = shape
-    return (
+    cfg = (
         SimulationConfig(
             network=NetworkConfig(p=p, a=a, h=h),
             routing=routing,
@@ -58,6 +71,22 @@ def _cell(shape, routing, pattern, load, seed=1, priority=True, measure=400):
         .with_traffic(pattern=pattern, load=load)
         .with_router(transit_priority=priority)
     )
+    return dataclasses.replace(cfg, pb_update_period=pb_period)
+
+
+def _in_flight(sim: Simulation) -> list:
+    """Routing state of every packet still in the network, by pid."""
+    soa = sim.soa
+    pkts = [p for q in soa.in_q if q for p in q]
+    pkts += [p for fifo in soa.out_fifo for (p, _vc, _t) in fifo]
+    return sorted(
+        (p.pid, p.plan, p.inter_router, p.inter_group, p.global_hops) for p in pkts
+    )
+
+
+def _valiant_in_flight(sim: Simulation) -> int:
+    """Packets on their way to a Valiant intermediate router (plan 2)."""
+    return sum(1 for (_pid, plan, *_rest) in _in_flight(sim) if plan == 2)
 
 
 def _install(sim: Simulation, routing) -> None:
@@ -81,6 +110,7 @@ def _assert_agree(cfg, prepare=None) -> Simulation:
     assert py.engine.processed == ck.engine.processed
     assert py.engine.activations == ck.engine.activations
     assert _store_snapshot(py) == _store_snapshot(ck)
+    assert _in_flight(py) == _in_flight(ck)
     assert py.rng_routing.getstate() == ck.rng_routing.getstate()
     assert py.rng_traffic.getstate() == ck.rng_traffic.getstate()
     return ck
@@ -158,45 +188,154 @@ def test_decide_shadowed_on_the_instance_is_called(backend, routing):
     assert _result_fields(result) == _result_fields(plain)
 
 
-def test_decide_twin_rule(monkeypatch):
+#: decide_twin's answer per mechanism, and every function of the class
+#: its twin replaces
+TWINS = {
+    "min": ("min", ["decide"]),
+    "obl-rrg": ("oblivious", ["decide", "_choose_intermediate"]),
+    "obl-crg": ("oblivious", ["decide", "_choose_intermediate"]),
+    "src-rrg": (
+        "piggyback",
+        [
+            "decide",
+            "_min_path_saturated",
+            "_nonmin_candidate",
+            "_local_link_saturated",
+        ],
+    ),
+    "in-trns-mm": ("in-transit", ["decide", "_try_local_misroute"]),
+}
+
+
+def test_every_mechanism_has_a_twin():
+    kinds = {}
+    for name in ROUTING_NAMES:
+        sim = Simulation(tiny_config(routing=name), engine_backend="python")
+        kinds[name] = decide_twin(sim.routing)
+    assert None not in kinds.values()
+    assert {name: kinds[name] for name in TWINS} == {
+        name: kind for name, (kind, _) in TWINS.items()
+    }
     sim = Simulation(tiny_config(routing="min"), engine_backend="python")
-    assert decide_twin(sim.routing) == "min"
     assert decide_twin(_CountingMin(sim)) is None
     for policy in MisroutePolicy:
         assert decide_twin(InTransitAdaptiveRouting(sim, policy)) == "in-transit"
-    for name in ("obl-rrg", "obl-crg", "src-rrg", "src-crg"):
-        other = Simulation(tiny_config(routing=name), engine_backend="python")
-        assert decide_twin(other.routing) is None
 
+
+@pytest.mark.parametrize(
+    "name, helper",
+    [(name, helper) for name, (_, helpers) in TWINS.items() for helper in helpers],
+)
+def test_a_replaced_function_disqualifies_the_twin(name, helper, monkeypatch):
+    """Shadowed on the instance or patched on the class, ``decide`` *or* a
+    helper it calls: the twin is no longer the code it was written
+    against."""
+    sim = Simulation(tiny_config(routing=name), engine_backend="python")
+    routing = sim.routing
+    reference = getattr(routing, helper)
+    setattr(routing, helper, lambda *args: reference(*args))
+    assert decide_twin(routing) is None
+    delattr(routing, helper)
+    assert decide_twin(routing) is not None
+    function = getattr(type(routing), helper)
+    monkeypatch.setattr(
+        type(routing), helper, lambda self, *args: function(self, *args)
+    )
+    assert decide_twin(routing) is None
+
+
+@pytest.mark.parametrize("name", [n for n in TWINS if n != "min"])
+def test_drawing_twins_need_a_plain_random(name):
     class Seeded(random.Random):
         pass
 
-    intransit = InTransitAdaptiveRouting(sim, MisroutePolicy.MM)
-    intransit.rng = Seeded(1)  # the twin only mirrors a plain Random
-    assert decide_twin(intransit) is None
-    # a patched class is no longer the code the twin was written against
-    monkeypatch.setattr(MinimalRouting, "decide", lambda self, pkt, router: None)
+    sim = Simulation(tiny_config(routing=name), engine_backend="python")
+    sim.routing.rng = Seeded(1)  # the twins only mirror a plain Random
     assert decide_twin(sim.routing) is None
 
 
-@needs_compiled
+def test_piggyback_twin_needs_plain_group_states():
+    class Instant(PiggybackGroupState):
+        pass
+
+    sim = Simulation(tiny_config(routing="src-crg"), engine_backend="python")
+    assert decide_twin(sim.routing) == "piggyback"
+    sim.routing.groups_state[1] = Instant(sim, 1)
+    assert decide_twin(sim.routing) is None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("how", ["class", "instance"])
+def test_patched_local_misroute_is_called(backend, how, monkeypatch):
+    """A twin replaces the helpers ``decide`` calls as well.
+
+    (The parent commit guarded only ``decide``, so a replaced
+    ``_try_local_misroute`` got 0 calls on ``compiled``.)
+    """
+    cfg = _cell((2, 4, 2), "in-trns-mm", "uniform", 1.0)
+    expected = Simulation(cfg, engine_backend=backend).run()
+    calls = []
+    reference = InTransitAdaptiveRouting._try_local_misroute
+
+    def counting(self, *args):
+        calls.append(args[0].pid)
+        return reference(self, *args)
+
+    sim = Simulation(cfg, engine_backend=backend)
+    if how == "class":
+        monkeypatch.setattr(InTransitAdaptiveRouting, "_try_local_misroute", counting)
+    else:
+        sim.routing._try_local_misroute = counting.__get__(sim.routing)
+    assert decide_twin(sim.routing) is None
+    assert _result_fields(sim.run()) == _result_fields(expected)
+    assert calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "routing, twinned",
-    [("min", True), ("in-trns-mm", True), ("src-crg", False)],
+    "routing, helper",
+    [("obl-crg", "_choose_intermediate"), ("src-crg", "_nonmin_candidate")],
 )
+def test_patched_source_routing_helper_is_called(backend, routing, helper):
+    cfg = _cell((2, 4, 2), routing, "adversarial", 0.7)
+    expected = Simulation(cfg, engine_backend=backend).run()
+    sim = Simulation(cfg, engine_backend=backend)
+    calls = []
+    reference = getattr(sim.routing, helper)
+
+    def counting(pkt, router):
+        calls.append(pkt.pid)
+        return reference(pkt, router)
+
+    setattr(sim.routing, helper, counting)
+    assert _result_fields(sim.run()) == _result_fields(expected)
+    assert calls
+
+
+@needs_compiled
+@pytest.mark.parametrize("routing", ROUTING_NAMES)
 @pytest.mark.parametrize("lowered", [True, False], ids=["lowered", "callback"])
-def test_twin_runs_whether_or_not_traffic_is_lowered(routing, twinned, lowered):
-    """Scenario cells (never lowered) no longer pay Python for ``decide``."""
+def test_twin_runs_whether_or_not_traffic_is_lowered(routing, lowered):
+    """No mechanism pays Python for ``decide`` on the compiled backend,
+    scenario cells (never lowered) included."""
     cfg = tiny_config(routing=routing).with_traffic(pattern="advc", load=0.4)
     if not lowered:
         cfg = SCENARIOS["bursty_adv"].apply(cfg)
     sim = Simulation(cfg, engine_backend="compiled")
     assert (sim._lower is not None) == lowered
     result, calls = _profiled_run(sim)
-    assert (calls == 0) == twinned
+    assert calls == 0
     ref = Simulation(cfg, engine_backend="python")
     assert _result_fields(ref.run()) == _result_fields(result)
     assert ref.rng_routing.getstate() == sim.rng_routing.getstate()
+
+
+def test_the_profiler_sees_a_python_decide():
+    """The zero above is a measurement: the same count is non-zero as
+    soon as the reference runs."""
+    cfg = tiny_config(routing="src-crg").with_traffic(pattern="advc", load=0.4)
+    _, calls = _profiled_run(Simulation(cfg, engine_backend="python"))
+    assert calls > 0
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +353,61 @@ def test_twin_runs_whether_or_not_traffic_is_lowered(routing, twinned, lowered):
 @settings(max_examples=30, deadline=None)
 def test_in_transit_backends_agree(shape, routing, pattern, load, seed, priority):
     _assert_agree(_cell(shape, routing, pattern, load, seed, priority))
+
+
+@needs_compiled
+@given(
+    shape=st.sampled_from(SHAPES),
+    routing=st.sampled_from(SOURCE_ROUTED),
+    pattern=st.sampled_from(PATTERNS),
+    load=st.sampled_from([0.15, 0.4, 0.7, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    priority=st.booleans(),
+    pb_period=st.sampled_from(PB_PERIODS),
+)
+@settings(max_examples=40, deadline=None)
+def test_source_routed_backends_agree(
+    shape, routing, pattern, load, seed, priority, pb_period
+):
+    """Oblivious Valiant and PiggyBack: ``choice`` / ``shuffle`` /
+    ``randrange`` draw for draw, and the snapshot rows refresh for
+    refresh."""
+    _assert_agree(_cell(shape, routing, pattern, load, seed, priority, 400, pb_period))
+
+
+@needs_compiled
+@pytest.mark.parametrize("pb_period", PB_PERIODS)
+@pytest.mark.parametrize(
+    "shape, routing, pattern, load",
+    [
+        # ADV+1 floods one gateway link per group: both variants divert
+        # hundreds of packets, RRG through its four randrange probes
+        ((3, 6, 3), "src-rrg", "adversarial", 0.7),
+        ((3, 6, 3), "src-crg", "adversarial", 0.7),
+        # ADVc (the paper's case): the local-link flag towards the
+        # gateway is what trips
+        ((2, 4, 2), "src-crg", "advc", 0.7),
+        ((2, 4, 2), "src-rrg", "uniform", 1.0),
+    ],
+)
+def test_piggyback_diverts_and_agrees(shape, routing, pattern, load, pb_period):
+    """Cells where PiggyBack's source decision actually goes Valiant,
+    with the snapshot hit fresh (period 1) and stale (8, 50)."""
+    cfg = _cell(shape, routing, pattern, load, measure=900, pb_period=pb_period)
+    ck = _assert_agree(cfg)
+    assert _valiant_in_flight(ck) > 0
+    assert max(ck.soa.pb_snap_time) >= 0  # a remote query took a snapshot
+    assert any(ck.soa.pb_snap)
+    fresh = Simulation(cfg, engine_backend="compiled")
+    assert ck.rng_routing.getstate() != fresh.rng_routing.getstate()
+
+
+@needs_compiled
+@pytest.mark.parametrize("routing", ["obl-rrg", "obl-crg"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_oblivious_freezes_valiant_plans_and_agrees(shape, routing):
+    ck = _assert_agree(_cell(shape, routing, "advc", 0.7, measure=900))
+    assert _valiant_in_flight(ck) > 0
 
 
 @needs_compiled
@@ -269,17 +463,35 @@ def test_drain_in_slices_keeps_the_streams_in_step():
     assert sim.rng_routing.getstate() == whole.rng_routing.getstate()
 
 
+@needs_compiled
+@pytest.mark.parametrize("routing", ["src-rrg", "src-crg"])
+def test_snapshot_survives_between_drain_calls(routing):
+    """The snapshot is store state, not drain state: a drain that stops
+    after a refresh leaves it for the next drain's queries to find."""
+    cfg = _cell((2, 4, 2), routing, "adversarial", 0.7, pb_period=50)
+    whole = Simulation(cfg, engine_backend="python")
+    expected = whole.run()
+    sim = Simulation(cfg, engine_backend="compiled")
+    sim.start()
+    carried = 0
+    for t in range(0, cfg.total_cycles, 7):
+        sim.engine.run_until(t)
+        carried += any(0 <= taken and t - taken < 50 for taken in sim.soa.pb_snap_time)
+    sim.engine.run_until(cfg.total_cycles)
+    assert carried > 20  # slices that ended on a still-fresh snapshot
+    assert _result_fields(sim._collect()) == _result_fields(expected)
+    assert _store_snapshot(sim) == _store_snapshot(whole)
+    assert sim.rng_routing.getstate() == whole.rng_routing.getstate()
+
+
 # ----------------------------------------------------------------------
 # the raising branch falls back to the reference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("routing", ["in-trns-mm", "in-trns-rrg"])
-def test_global_vc_overflow_raises_alike_on_both_backends(routing):
-    """``stage_global_vc`` overflow: same RoutingError, same state left."""
-    cfg = _cell((2, 4, 2), routing, "adversarial", 0.9)
+def _raising_outcomes(cfg, break_routing):
     outcomes = []
     for backend in available_backends():
         sim = Simulation(cfg, engine_backend=backend)
-        sim.routing.n_global_vcs = 1  # a misrouted packet needs VC 1
+        break_routing(sim.routing)
         with pytest.raises(RoutingError) as exc:
             sim.run()
         outcomes.append(
@@ -291,7 +503,40 @@ def test_global_vc_overflow_raises_alike_on_both_backends(routing):
                 sim.rng_routing.getstate(),
                 sim.rng_traffic.getstate(),
                 _store_snapshot(sim),
+                _in_flight(sim),
             )
         )
-    assert "global VC 1" in outcomes[0][0]
     assert all(outcome == outcomes[0] for outcome in outcomes)
+    return outcomes[0]
+
+
+@pytest.mark.parametrize(
+    "routing", ["in-trns-mm", "in-trns-rrg", "obl-crg", "src-rrg", "src-crg"]
+)
+def test_global_vc_overflow_raises_alike_on_both_backends(routing):
+    """A second global hop with one global VC: same RoutingError, same
+    state left.  For the source-routed mechanisms the raise comes from
+    the frozen-plan walk, hops after the draws."""
+
+    def one_global_vc(mechanism):
+        mechanism.n_global_vcs = 1  # a misrouted packet needs VC 1
+
+    message, *_ = _raising_outcomes(
+        _cell((2, 4, 2), routing, "adversarial", 0.9), one_global_vc
+    )
+    assert "global VC 1" in message
+
+
+@pytest.mark.parametrize("routing", ["obl-rrg", "src-rrg", "src-crg"])
+def test_raise_in_the_freezing_call_leaves_the_same_state(routing):
+    """No local VC at all: the first packet whose first hop is local
+    raises in the very ``decide`` call that froze its plan — after the
+    reference's draws, which the twin must have made too."""
+
+    def no_local_vc(mechanism):
+        mechanism.n_local_vcs = 0
+
+    cfg = _cell((2, 4, 2), routing, "adversarial", 0.9)
+    message, *_rest, in_flight = _raising_outcomes(cfg, no_local_vc)
+    assert "local VC 0" in message
+    assert any(plan != 0 for (_pid, plan, *_r) in in_flight)
