@@ -32,16 +32,34 @@
  * stay the reference), traffic generation (OP_GEN) and the delivery sink
  * (OP_DELIVER) of cells that are not lowered, generic OP_CALL callbacks,
  * overridden routing hooks and stats injection callbacks.
- * The input/output FIFOs are plain Python lists in both kernels, so
- * queue access compiles to list macros instead of method calls.
  *
- * State shared with Python (packet fields, Router._arb_time, the
- * EventQueue counters) lives in __slots__; the extension resolves the
+ * Native event path: mirror in, mirror out, absorb
+ * ------------------------------------------------
+ * For the length of a drain every per-event object is a fixed-width
+ * native record: the calendar (eq._buckets / eq._times) is a Calendar of
+ * 24-byte Recs, the output FIFOs (soa.out_fifo) are per-port Rings, the
+ * decision memo (soa.dc_pkt / dc_dec / dc_cond) is a Memo array, and
+ * Router._arb_time and the queue's now / processed / activations are
+ * plain int64s.  Packets, the input FIFOs (lists, so queue access
+ * compiles to list macros) and the active-key sets stay Python objects.
+ * Python stays coherent by the idiom RngMirror uses for the RNG streams:
+ *
+ * - mirror in at drain entry: the Python structures are converted and
+ *   left empty (no bucket, no FIFO entry, no memo, every _arb_time None);
+ * - mirror out on every exit — normal and error — and around whatever
+ *   may run arbitrary code (an OP_CALL callback, a record whose target
+ *   is not a registered router, an overridden Router.step), followed by
+ *   a fresh mirror in: such code sees and may edit the complete state;
+ * - after the narrow contract hooks (_gen, _sink, a Python decide,
+ *   commit / arrival overrides, on_injection) only absorb the inbox:
+ *   they read eq.now, which is written before the call, and what they
+ *   posted into the empty eq._buckets is appended to the calendar in
+ *   posting order.  An (OP_STEP, router) token found there is the arming
+ *   Router.inject does from a None mark, and is replayed through
+ *   arm_step.
+ *
+ * Packet fields live in __slots__; the extension resolves the
  * member-descriptor offsets once and reads/writes the slots directly.
- * Everything else round-trips through the same Python objects the
- * interpreted kernels use, so mixed execution (e.g. a Python
- * `Router.inject` posting records while the C drain runs) stays
- * coherent by construction.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -140,76 +158,6 @@ call2(PyObject *func, PyObject *a, PyObject *b)
 {
     PyObject *args[2] = {a, b};
     return PyObject_Vectorcall(func, args, 2, NULL);
-}
-
-/* ------------------------------------------------------------------ */
-/* int64 heap ops on a Python list of ints (the queue's _times helper   */
-/* heap).  Times in the heap are unique (one entry per live bucket), so */
-/* any valid binary heap yields the same pop sequence as heapq.         */
-/* ------------------------------------------------------------------ */
-
-static int
-heap_push(PyObject *heap, PyObject *item)
-{
-    Py_ssize_t pos, parent;
-    PyObject **ob;
-    int64_t v;
-    if (PyList_Append(heap, item) < 0)
-        return -1;
-    ob = ((PyListObject *)heap)->ob_item;
-    pos = PyList_GET_SIZE(heap) - 1;
-    v = as_ll(item);
-    while (pos > 0) {
-        parent = (pos - 1) >> 1;
-        if (v < as_ll(ob[parent])) {
-            PyObject *tmp = ob[pos];
-            ob[pos] = ob[parent];
-            ob[parent] = tmp;
-            pos = parent;
-        }
-        else
-            break;
-    }
-    return 0;
-}
-
-/* Pop the minimum; returns a new reference. */
-static PyObject *
-heap_pop(PyObject *heap)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    PyObject **ob = ((PyListObject *)heap)->ob_item;
-    PyObject *ret = ob[0];
-    Py_INCREF(ret);
-    /* Move the last element to the root, truncate, then sift down. */
-    ob[0] = ob[n - 1];
-    ob[n - 1] = ret; /* ownership juggling: SetSlice decrefs this one */
-    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-        /* restore best-effort; should not happen for a plain list */
-        return ret;
-    }
-    n -= 1;
-    if (n > 1) {
-        ob = ((PyListObject *)heap)->ob_item;
-        Py_ssize_t pos = 0;
-        int64_t v = as_ll(ob[0]);
-        for (;;) {
-            Py_ssize_t child = 2 * pos + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && as_ll(ob[child + 1]) < as_ll(ob[child]))
-                child += 1;
-            if (as_ll(ob[child]) < v) {
-                PyObject *tmp = ob[pos];
-                ob[pos] = ob[child];
-                ob[child] = tmp;
-                pos = child;
-            }
-            else
-                break;
-        }
-    }
-    return ret;
 }
 
 /* ------------------------------------------------------------------ */
@@ -429,6 +377,8 @@ pymod(int64_t x, int64_t m)
 /* kernel state                                                        */
 /* ------------------------------------------------------------------ */
 
+/* Packet __slots__ the kernel touches: member offsets, in the order of
+ * PACKET_SLOTS. */
 typedef struct {
     Py_ssize_t size, t_enq, inject_time, wait_local, wait_global,
         service_sum, local_hops, global_hops, group_local_hops,
@@ -436,6 +386,15 @@ typedef struct {
         gen_time, base_latency, dst_router, src_node, src_router,
         src_group, dst_node, dst_local_router, dst_node_port;
 } PacketSlots;
+
+static const char *const PACKET_SLOTS[] = {
+    "size", "t_enq", "inject_time", "wait_local", "wait_global",
+    "service_sum", "local_hops", "global_hops", "group_local_hops",
+    "current_group", "plan", "inter_router", "inter_group", "dst_group",
+    "pid", "gen_time", "base_latency", "dst_router", "src_node",
+    "src_router", "src_group", "dst_node", "dst_local_router",
+    "dst_node_port",
+};
 
 typedef struct {
     PyObject *router;           /* owned */
@@ -445,15 +404,16 @@ typedef struct {
     PyObject *arrival_override; /* owned or NULL (base arrival inlined) */
     PyObject *on_injection;     /* owned */
     PyObject *active_keys;      /* owned set */
-    PyObject *token;            /* owned (OP_STEP, router) */
-    PyObject *send_recs, *link_recs, *rel_recs, *out_peer; /* owned lists */
     PyObject *rid_obj;          /* owned */
     PyObject *py_step;          /* owned bound method, or NULL: C step */
     int64_t kb, pb, rid, group, boundary, max_vcs, nkeys, radix;
     int64_t cache_policy, transit_priority, internal, num_node_ports,
         psize, pipe_lat, pos;
+    int64_t arb;                /* Router._arb_time during a drain */
     int twin;                   /* TWIN_*: which decide() this router runs */
 } RState;
+
+#define ARB_NONE INT64_MIN      /* _arb_time is None */
 
 /* ---- routing-decision twins ---------------------------------------- */
 
@@ -512,6 +472,7 @@ typedef struct {
     int pure;            /* consumed no RNG */
     int guard;           /* GUARD_* */
     int64_t g_idx, g_val;
+    PyObject *dec;       /* owned: a Python decide()'s own tuple, else NULL */
 } Verdict;
 
 /* ---- lowered OP_GEN / OP_DELIVER fast path ------------------------- */
@@ -546,7 +507,6 @@ typedef struct {
     RngMirror rng;         /* rng_traffic, in-kernel during a drain */
     PyObject *owner;       /* owned: the Simulation (for _pid) */
     PyObject *packet_type; /* owned */
-    PyObject *gen_recs;    /* owned list of (OP_GEN, node) records */
     PyObject *psize_obj;   /* owned int */
     Py_buffer ms_view, si_view, sf_view, inj_view, del_view;
     int64_t *ms_table;     /* R*R contention-free service costs */
@@ -568,11 +528,106 @@ typedef struct {
 
 static void lstate_free(LState *ls);
 
-#define N_VIEWS 21
+/* ---- the native event path ------------------------------------------ */
+
+/* Activation opcodes and record layouts: see repro/engine/events.py. */
+enum { OP_CALL, OP_STEP, OP_ARRIVE, OP_OUT_ARRIVE, OP_SEND, OP_LINK,
+       OP_RELEASE, OP_CREDIT, OP_DELIVER, OP_GEN };
+
+/* One activation record.  `rid` indexes ks->routers (REC_NONE on OP_GEN /
+ * OP_DELIVER); REC_TUPLE marks a record kept whole as its Python tuple —
+ * every OP_CALL, and whatever the fields cannot hold (a target that is
+ * not a registered router, a non-int or out-of-range field). */
+#define REC_NONE (-1)
+#define REC_TUPLE (-2)
 
 typedef struct {
+    int32_t op, rid;
+    int32_t a, b;        /* port | node; vc | size */
+    union {
+        PyObject *obj;   /* owned: the packet, or the whole tuple */
+        int64_t c;       /* OP_CREDIT: size */
+    } u;
+} Rec;
+
+#define REC(op, rid, a, b, obj)                                         \
+    ((Rec){(op), (int32_t)(rid), (int32_t)(a), (int32_t)(b),           \
+           {(PyObject *)(obj)}})
+#define REC_HAS_OBJ(r)                                                  \
+    ((r)->rid == REC_TUPLE || (r)->op == OP_ARRIVE                      \
+     || (r)->op == OP_OUT_ARRIVE || (r)->op == OP_DELIVER)
+
+/* The calendar of events.py in native form: FIFO buckets per cycle, a
+ * min-heap of the distinct pending cycles, a cycle -> bucket table.  A
+ * drained bucket goes back to the pool with its storage, up to
+ * BUCKET_KEEP records of it: a cycle opens sparse and fills as it nears,
+ * so keeping every pooled bucket at the densest cycle's size would
+ * multiply the calendar's footprint by the number of pending cycles
+ * (+90 MB on an h=6 cell). */
+#define BUCKET_KEEP 1024
+typedef struct {
+    Rec *recs;
+    Py_ssize_t len, cap;
+    int64_t t;           /* its cycle; the next free pool index once recycled */
+} Bucket;
+
+#define T_EMPTY INT64_MIN
+
+typedef struct {
+    int64_t *heap;
+    Py_ssize_t hn, hcap;
+    int64_t *tk;         /* open addressing, linear probing: cycle ... */
+    int32_t *tv;         /* ... -> pool index */
+    Py_ssize_t tmask, tused;
+    Bucket *pool;
+    Py_ssize_t npool, pcap;
+    int32_t free;        /* head of the recycled chain, -1 when empty */
+    int32_t cur;         /* the bucket being drained */
+    int64_t npend;       /* records held */
+} Calendar;
+
+/* One output FIFO: a ring of (pkt, vc, t_arr), allocated on first use. */
+typedef struct {
+    PyObject *pkt;       /* owned */
+    int64_t vc, t_arr;
+} FifoEnt;
+
+typedef struct {
+    FifoEnt *e;
+    Py_ssize_t head, len, cap; /* cap is 0 or a power of two */
+} Ring;
+
+/* One decision-memo entry (dc_pkt / dc_dec / dc_cond of one key): the
+ * head it was decided for (owned, NULL = none) and the verdict, whose
+ * guard is the validity condition — GUARD_STABLE None, GUARD_EPOCH the
+ * epoch in g_val, otherwise the (kind, g_idx, g_val) counter guard. */
+typedef struct {
+    PyObject *pkt;
+    Verdict v;
+} Memo;
+
+/* Always-on kernel counters (int64 slots of eq._ckcounters, so they
+ * outlive the KState); ck_counters names them. */
+enum { C_DRAINS, C_CALL, C_GEN, C_SINK, C_DECIDE, C_OVERRIDE, C_INBOX,
+       C_MIRRORS, C_PEAK_PENDING, C_PEAK_BUCKET, N_CTR };
+
+static const char *const CTR_NAMES[N_CTR] = {
+    "drains", "reentries_call", "reentries_gen", "reentries_sink",
+    "reentries_decide", "reentries_override", "inbox_records",
+    "full_mirrors", "peak_pending_records", "peak_bucket_len",
+};
+
+#define N_VIEWS 22
+
+typedef struct {
+    PyObject *eq;        /* borrowed: the queue being drained */
     /* EventQueue slot offsets */
     Py_ssize_t eq_now, eq_processed, eq_activations, eq_sink, eq_gen;
+    /* eq.now / _processed / _activations, and the values last written to
+     * the slots (they are written when Python can run, not per bucket) */
+    int64_t now, processed, activations, w_now, w_processed, w_activations;
+    PyObject *t_obj;     /* owned: cycle t_obj_t boxed, see now_obj() */
+    int64_t t_obj_t;
     /* typed buffer views (held for the KState lifetime) */
     Py_buffer views[N_VIEWS];
     int nviews;
@@ -586,24 +641,25 @@ typedef struct {
     int64_t *cong_epoch;
     /* PiggyBack snapshot rows: R*h, R, groups (see soa.py) */
     int64_t *pb_snap, *pb_snap_sum, *pb_snap_time;
-    /* object-valued store fields (owned lists) */
-    PyObject *in_q, *dc_pkt, *dc_dec, *dc_cond, *credit_recs, *out_fifo;
-    /* queue structures (owned; the same objects the slots hold) */
+    int64_t *ctr;        /* N_CTR kernel counters */
+    /* object-valued store fields (owned lists); all but in_q are empty /
+     * None while their native form below is live */
+    PyObject *in_q, *dc_pkt, *dc_dec, *dc_cond, *out_fifo;
+    /* the queue's dict and list (owned): the inbox during a drain */
     PyObject *buckets, *times;
+    Calendar cal;
+    Ring *rings;         /* per port */
+    Memo *memo;          /* per key */
+    /* wiring, per port: Router.out_peer / Router.upstream as (router
+     * index, port), -1 where None (node ports) */
+    int32_t *peer_rid, *peer_port, *up_rid, *up_port;
     Py_ssize_t num_routers, radix, max_vcs, nkeys;
     PacketSlots ps;
     Py_ssize_t r_arb_time;
     RState *routers;
-    /* pointer -> RState open-addressing hash */
-    void **h_keys;
-    RState **h_vals;
-    Py_ssize_t h_mask;
-    /* cached immortal-ish objects */
-    PyObject **key_objs;  /* nkeys ints 0..nkeys-1 */
-    PyObject **port_objs; /* radix ints */
-    PyObject **vc_objs;   /* max_vcs ints */
-    PyObject *op_out_arrive, *op_credit, *op_link, *op_release,
-        *op_arrive, *op_deliver;
+    PyTypeObject *router_type; /* borrowed: the routers' common type */
+    Py_ssize_t r_router_id;
+    PyObject **key_objs;  /* nkeys ints 0..nkeys-1 (set members) */
     PyObject *s_last_decide_pure, *s_last_decide_guard;
     PyObject *flow_err, *routing_err;
     PyObject *router_mod; /* for the dynamic CHECK_INVARIANTS flag */
@@ -613,22 +669,15 @@ typedef struct {
     int64_t *scr_dead;    /* nkeys */
     int64_t *c_key;       /* nkeys candidate keys */
     PyObject **c_pkt;     /* nkeys owned */
-    PyObject **c_dec;     /* nkeys owned */
+    Verdict *c_v;         /* nkeys, each owning its dec */
     int64_t *c_next;      /* nkeys: per-output chain links */
     int64_t *port_first, *port_last; /* radix */
     int64_t *order_ports; /* radix: first-seen output order */
     uint8_t *td_mask;     /* radix: transit-demand membership */
     int64_t *f_idx;       /* nkeys: filtered candidate scratch */
-    /* one-entry post-target memo: the bucket list `buckets` currently
-     * maps to `post_cache_t` (owned ref; INT64_MIN = invalid).  Only
-     * valid within one drain_core call — reset at its entry, dropped
-     * when the bucket is drained and deleted. */
-    int64_t post_cache_t;
-    PyObject *post_cache_bucket;
     /* lowered OP_GEN / OP_DELIVER fast path (NULL when not lowered) */
     LState *low;
     Twin twin;
-    int64_t now;          /* eq.now of the bucket being drained */
 } KState;
 
 static void
@@ -641,11 +690,6 @@ rstate_clear(RState *rs)
     Py_XDECREF(rs->arrival_override);
     Py_XDECREF(rs->on_injection);
     Py_XDECREF(rs->active_keys);
-    Py_XDECREF(rs->token);
-    Py_XDECREF(rs->send_recs);
-    Py_XDECREF(rs->link_recs);
-    Py_XDECREF(rs->rel_recs);
-    Py_XDECREF(rs->out_peer);
     Py_XDECREF(rs->rid_obj);
     Py_XDECREF(rs->py_step);
 }
@@ -664,12 +708,57 @@ twin_clear(Twin *tw)
     rng_clear(&tw->rng);
 }
 
+static inline void
+memo_clear(Memo *m)
+{
+    Py_CLEAR(m->pkt);
+    Py_CLEAR(m->v.dec);
+}
+
+static void
+ring_clear(Ring *r)
+{
+    for (; r->len > 0; r->len--) {
+        Py_DECREF(r->e[r->head].pkt);
+        r->head = (r->head + 1) & (r->cap - 1);
+    }
+}
+
+/* Free the native structures, dropping what they still own (nothing,
+ * after a mirror out). */
+static void
+native_free(KState *ks)
+{
+    Calendar *c = &ks->cal;
+    Py_ssize_t i, k;
+    for (i = 0; i < c->npool; i++) {
+        Bucket *b = &c->pool[i];
+        for (k = 0; k < b->len; k++)
+            if (REC_HAS_OBJ(&b->recs[k]))
+                Py_DECREF(b->recs[k].u.obj);
+        PyMem_Free(b->recs);
+    }
+    PyMem_Free(c->pool);
+    PyMem_Free(c->heap);
+    PyMem_Free(c->tk);
+    PyMem_Free(c->tv);
+    for (i = 0; ks->rings != NULL && i < ks->num_routers * ks->radix; i++) {
+        ring_clear(&ks->rings[i]);
+        PyMem_Free(ks->rings[i].e);
+    }
+    PyMem_Free(ks->rings);
+    for (i = 0; ks->memo != NULL && i < ks->num_routers * ks->nkeys; i++)
+        memo_clear(&ks->memo[i]);
+    PyMem_Free(ks->memo);
+}
+
 static void
 kstate_free(KState *ks)
 {
     Py_ssize_t i;
     if (ks == NULL)
         return;
+    native_free(ks);
     if (ks->routers != NULL) {
         for (i = 0; i < ks->num_routers; i++)
             rstate_clear(&ks->routers[i]);
@@ -680,43 +769,28 @@ kstate_free(KState *ks)
             Py_XDECREF(ks->key_objs[i]);
         PyMem_Free(ks->key_objs);
     }
-    if (ks->port_objs != NULL) {
-        for (i = 0; i < ks->radix; i++)
-            Py_XDECREF(ks->port_objs[i]);
-        PyMem_Free(ks->port_objs);
-    }
-    if (ks->vc_objs != NULL) {
-        for (i = 0; i < ks->max_vcs; i++)
-            Py_XDECREF(ks->vc_objs[i]);
-        PyMem_Free(ks->vc_objs);
-    }
-    Py_XDECREF(ks->post_cache_bucket);
+    Py_XDECREF(ks->t_obj);
     Py_XDECREF(ks->in_q);
     Py_XDECREF(ks->dc_pkt);
     Py_XDECREF(ks->dc_dec);
     Py_XDECREF(ks->dc_cond);
-    Py_XDECREF(ks->credit_recs);
     Py_XDECREF(ks->out_fifo);
     Py_XDECREF(ks->buckets);
     Py_XDECREF(ks->times);
-    Py_XDECREF(ks->op_out_arrive);
-    Py_XDECREF(ks->op_credit);
-    Py_XDECREF(ks->op_link);
-    Py_XDECREF(ks->op_release);
-    Py_XDECREF(ks->op_arrive);
-    Py_XDECREF(ks->op_deliver);
     Py_XDECREF(ks->s_last_decide_pure);
     Py_XDECREF(ks->s_last_decide_guard);
     Py_XDECREF(ks->flow_err);
     Py_XDECREF(ks->routing_err);
     Py_XDECREF(ks->router_mod);
-    PyMem_Free(ks->h_keys);
-    PyMem_Free(ks->h_vals);
+    PyMem_Free(ks->peer_rid);
+    PyMem_Free(ks->peer_port);
+    PyMem_Free(ks->up_rid);
+    PyMem_Free(ks->up_port);
     PyMem_Free(ks->scr_keys);
     PyMem_Free(ks->scr_dead);
     PyMem_Free(ks->c_key);
     PyMem_Free(ks->c_pkt);
-    PyMem_Free(ks->c_dec);
+    PyMem_Free(ks->c_v);
     PyMem_Free(ks->c_next);
     PyMem_Free(ks->port_first);
     PyMem_Free(ks->port_last);
@@ -762,14 +836,15 @@ map_buffer(KState *ks, PyObject *store, const char *name, Py_ssize_t expect)
 }
 
 static PyObject *
-get_list(PyObject *store, const char *name)
+get_list(PyObject *store, const char *name, Py_ssize_t expect)
 {
     PyObject *obj = PyObject_GetAttrString(store, name);
     if (obj == NULL)
         return NULL;
-    if (!PyList_CheckExact(obj)) {
+    if (!PyList_CheckExact(obj) || PyList_GET_SIZE(obj) != expect) {
         Py_DECREF(obj);
-        PyErr_Format(PyExc_TypeError, "SoAStore.%s is not a list", name);
+        PyErr_Format(PyExc_TypeError, "SoAStore.%s is not a list of %zd",
+                     name, expect);
         return NULL;
     }
     return obj;
@@ -804,7 +879,6 @@ lstate_free(LState *ls)
     rng_clear(&ls->rng);
     Py_XDECREF(ls->owner);
     Py_XDECREF(ls->packet_type);
-    Py_XDECREF(ls->gen_recs);
     Py_XDECREF(ls->psize_obj);
     PyMem_Free(ls->offsets);
     PyMem_Free(ls->perm);
@@ -838,39 +912,42 @@ lstate_map(PyObject *lower, const char *name, Py_buffer *view)
     return view->buf;
 }
 
-/* Copy an int tuple attribute into a fresh int64 array (*n_out items;
- * an empty tuple yields a valid zero-length allocation). */
+/* Copy an int-sequence attribute into a fresh int64 array: of exactly
+ * *n entries, or (*n < 0) of however many it has, stored in *n. */
 static int64_t *
-lstate_ints(PyObject *lower, const char *name, Py_ssize_t *n_out)
+attr_ints(PyObject *obj, const char *name, Py_ssize_t *n)
 {
-    PyObject *tup = PyObject_GetAttrString(lower, name);
+    PyObject *seq = PyObject_GetAttrString(obj, name);
+    PyObject *fast;
     int64_t *out;
-    Py_ssize_t i, n;
-    if (tup == NULL)
+    Py_ssize_t i;
+    if (seq == NULL)
         return NULL;
-    if (!PyTuple_CheckExact(tup)) {
-        Py_DECREF(tup);
-        PyErr_Format(PyExc_TypeError, "LowerState.%s is not a tuple",
-                     name);
+    fast = PySequence_Fast(seq, "expected a sequence of ints");
+    Py_DECREF(seq);
+    if (fast == NULL)
+        return NULL;
+    if (*n >= 0 && PySequence_Fast_GET_SIZE(fast) != *n) {
+        Py_DECREF(fast);
+        PyErr_Format(PyExc_ValueError, "%s has unexpected length", name);
         return NULL;
     }
-    n = PyTuple_GET_SIZE(tup);
-    out = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    *n = PySequence_Fast_GET_SIZE(fast);
+    out = PyMem_Malloc((size_t)(*n > 0 ? *n : 1) * sizeof(int64_t));
     if (out == NULL) {
-        Py_DECREF(tup);
+        Py_DECREF(fast);
         PyErr_NoMemory();
         return NULL;
     }
-    for (i = 0; i < n; i++) {
-        out[i] = as_ll(PyTuple_GET_ITEM(tup, i));
+    for (i = 0; i < *n; i++) {
+        out[i] = as_ll(PySequence_Fast_GET_ITEM(fast, i));
         if (out[i] == -1 && PyErr_Occurred()) {
-            Py_DECREF(tup);
+            Py_DECREF(fast);
             PyMem_Free(out);
             return NULL;
         }
     }
-    Py_DECREF(tup);
-    *n_out = n;
+    Py_DECREF(fast);
     return out;
 }
 
@@ -889,14 +966,8 @@ lstate_build(PyObject *lower)
     ls->lower = lower;
     ls->rng.rng = PyObject_GetAttrString(lower, "rng");
     ls->owner = PyObject_GetAttrString(lower, "owner");
-    ls->gen_recs = PyObject_GetAttrString(lower, "gen_recs");
-    if (ls->rng.rng == NULL || ls->owner == NULL || ls->gen_recs == NULL)
+    if (ls->rng.rng == NULL || ls->owner == NULL)
         goto fail;
-    if (!PyList_CheckExact(ls->gen_recs)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "LowerState.gen_recs is not a list");
-        goto fail;
-    }
     ls->R = get_ll_attr(lower, "R", &err);
     ls->p = get_ll_attr(lower, "p", &err);
     ls->a = get_ll_attr(lower, "a", &err);
@@ -951,17 +1022,13 @@ lstate_build(PyObject *lower)
     ls->off_bits = (int)get_ll_attr(lower, "_off_bits", &err);
     if (err)
         goto fail;
-    if ((ls->offsets = lstate_ints(lower, "_offsets", &ls->n_off)) == NULL)
+    ls->n_off = -1;
+    if ((ls->offsets = attr_ints(lower, "_offsets", &ls->n_off)) == NULL)
         goto fail;
     {
-        Py_ssize_t n_perm;
-        if ((ls->perm = lstate_ints(lower, "_perm", &n_perm)) == NULL)
+        Py_ssize_t n_perm = (ls->kind == 3) ? (Py_ssize_t)ls->num_nodes : -1;
+        if ((ls->perm = attr_ints(lower, "_perm", &n_perm)) == NULL)
             goto fail;
-        if (ls->kind == 3 && n_perm != (Py_ssize_t)ls->num_nodes) {
-            PyErr_SetString(PyExc_TypeError,
-                            "LowerState._perm has the wrong length");
-            goto fail;
-        }
     }
     /* The draws below shift by (32 - bits): descriptors guarantee
      * 1 <= bits <= 32 (patterns refuse to lower wider draws). */
@@ -1046,110 +1113,779 @@ kstate_rng_out(KState *ks)
     return rc;
 }
 
-/* ------------------------------------------------------------------ */
-/* pointer hash: router PyObject* -> RState*                           */
-/* ------------------------------------------------------------------ */
-
-static inline Py_ssize_t
-ptr_slot(KState *ks, void *p)
-{
-    uintptr_t h = ((uintptr_t)p) >> 4;
-    h *= (uintptr_t)0x9E3779B97F4A7C15ULL;
-    return (Py_ssize_t)(h >> 17) & ks->h_mask;
-}
-
-static int
-ptr_insert(KState *ks, void *p, RState *rs)
-{
-    Py_ssize_t i = ptr_slot(ks, p);
-    while (ks->h_keys[i] != NULL) {
-        if (ks->h_keys[i] == p) {
-            PyErr_SetString(PyExc_RuntimeError,
-                            "duplicate router object in SoA store");
-            return -1;
-        }
-        i = (i + 1) & ks->h_mask;
-    }
-    ks->h_keys[i] = p;
-    ks->h_vals[i] = rs;
-    return 0;
-}
-
+/* The RState of router object `o`, NULL when it is not one of the
+ * store's routers: they all have the type whose router_id slot was
+ * resolved, and ks->routers is indexed by router_id. */
 static inline RState *
-ptr_lookup(KState *ks, void *p)
+router_state(const KState *ks, PyObject *o)
 {
-    Py_ssize_t i = ptr_slot(ks, p);
-    while (ks->h_keys[i] != NULL) {
-        if (ks->h_keys[i] == p)
-            return ks->h_vals[i];
-        i = (i + 1) & ks->h_mask;
+    PyObject *rid;
+    int64_t i;
+    if (Py_TYPE(o) != ks->router_type
+        || (rid = slot_get(o, ks->r_router_id)) == NULL
+        || !PyLong_CheckExact(rid))
+        return NULL;
+    i = as_ll(rid);
+    if (i < 0 || i >= ks->num_routers || ks->routers[i].router != o) {
+        PyErr_Clear(); /* an id beyond int64 */
+        return NULL;
     }
-    return NULL;
+    return &ks->routers[i];
 }
 
 /* ------------------------------------------------------------------ */
-/* posting                                                             */
+/* the calendar                                                        */
 /* ------------------------------------------------------------------ */
 
-/* Append `rec` (borrowed) to the cycle-`t` bucket.  Mirrors
- * EventQueue.post / the routers' inlined posting blocks. */
+/* Double (or first allocate) the array *bufp of `size`-byte items. */
 static int
-ck_post(KState *ks, int64_t t, PyObject *rec)
+grow(void *bufp, Py_ssize_t *cap, size_t size)
 {
-    PyObject *key, *bucket;
-    if (t == ks->post_cache_t)
-        return PyList_Append(ks->post_cache_bucket, rec);
-    key = PyLong_FromLongLong((long long)t);
-    if (key == NULL)
-        return -1;
-    bucket = PyDict_GetItemWithError(ks->buckets, key);
-    if (bucket != NULL) {
-        int r = PyList_Append(bucket, rec);
-        if (r == 0) {
-            Py_INCREF(bucket);
-            Py_XSETREF(ks->post_cache_bucket, bucket);
-            ks->post_cache_t = t;
-        }
-        Py_DECREF(key);
-        return r;
-    }
-    if (PyErr_Occurred()) {
-        Py_DECREF(key);
+    Py_ssize_t ncap = *cap ? 2 * *cap : 8;
+    void *p = PyMem_Realloc(*(void **)bufp, (size_t)ncap * size);
+    if (p == NULL) {
+        PyErr_NoMemory();
         return -1;
     }
-    bucket = PyList_New(1);
-    if (bucket == NULL) {
-        Py_DECREF(key);
-        return -1;
-    }
-    Py_INCREF(rec);
-    PyList_SET_ITEM(bucket, 0, rec);
-    if (PyDict_SetItem(ks->buckets, key, bucket) < 0) {
-        Py_DECREF(bucket);
-        Py_DECREF(key);
-        return -1;
-    }
-    Py_XSETREF(ks->post_cache_bucket, bucket); /* steal the fresh ref */
-    ks->post_cache_t = t;
-    if (heap_push(ks->times, key) < 0) {
-        Py_DECREF(key);
-        return -1;
-    }
-    Py_DECREF(key);
+    *(void **)bufp = p;
+    *cap = ncap;
     return 0;
+}
+
+/* Cycles on the heap are distinct (one per pending bucket), so any valid
+ * binary heap pops them in the order heapq does. */
+static int
+heap_push(Calendar *c, int64_t t)
+{
+    Py_ssize_t pos;
+    if (c->hn == c->hcap && grow(&c->heap, &c->hcap, sizeof(int64_t)) < 0)
+        return -1;
+    for (pos = c->hn++; pos > 0 && t < c->heap[(pos - 1) >> 1];
+         pos = (pos - 1) >> 1)
+        c->heap[pos] = c->heap[(pos - 1) >> 1];
+    c->heap[pos] = t;
+    return 0;
+}
+
+static int64_t
+heap_pop(Calendar *c)
+{
+    int64_t top = c->heap[0], v = c->heap[--c->hn];
+    Py_ssize_t pos = 0, child;
+    while ((child = 2 * pos + 1) < c->hn) {
+        if (child + 1 < c->hn && c->heap[child + 1] < c->heap[child])
+            child += 1;
+        if (c->heap[child] >= v)
+            break;
+        c->heap[pos] = c->heap[child];
+        pos = child;
+    }
+    c->heap[pos] = v;
+    return top;
+}
+
+/* Pool index of the cycle-`t` bucket, -1 when there is none.  Pending
+ * cycles are nearly consecutive, so the low bits hash them apart. */
+static inline int32_t
+cal_find(const Calendar *c, int64_t t)
+{
+    Py_ssize_t i = (Py_ssize_t)t & c->tmask;
+    while (c->tk[i] != T_EMPTY) {
+        if (c->tk[i] == t)
+            return c->tv[i];
+        i = (i + 1) & c->tmask;
+    }
+    return -1;
+}
+
+static void
+cal_map(Calendar *c, int64_t t, int32_t bi)
+{
+    Py_ssize_t i = (Py_ssize_t)t & c->tmask;
+    while (c->tk[i] != T_EMPTY)
+        i = (i + 1) & c->tmask;
+    c->tk[i] = t;
+    c->tv[i] = bi;
+    c->tused += 1;
+}
+
+/* Double the table (256 slots on the first call). */
+static int
+cal_rehash(Calendar *c)
+{
+    Py_ssize_t n = c->tk ? c->tmask + 1 : 0, nn = n ? 2 * n : 256, i;
+    int64_t *ok = c->tk, *nk = PyMem_Malloc((size_t)nn * sizeof(int64_t));
+    int32_t *ov = c->tv, *nv = PyMem_Malloc((size_t)nn * sizeof(int32_t));
+    if (nk == NULL || nv == NULL) {
+        PyMem_Free(nk);
+        PyMem_Free(nv);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < nn; i++)
+        nk[i] = T_EMPTY;
+    c->tk = nk;
+    c->tv = nv;
+    c->tmask = nn - 1;
+    c->tused = 0;
+    for (i = 0; i < n; i++)
+        if (ok[i] != T_EMPTY)
+            cal_map(c, ok[i], ov[i]);
+    PyMem_Free(ok);
+    PyMem_Free(ov);
+    return 0;
+}
+
+/* Put the emptied bucket `bi` back in the pool. */
+static void
+bucket_recycle(Calendar *c, int32_t bi)
+{
+    Bucket *b = &c->pool[bi];
+    if (b->cap > BUCKET_KEEP) {
+        PyMem_Free(b->recs);
+        b->recs = NULL;
+        b->cap = 0;
+    }
+    b->len = 0;
+    b->t = c->free;
+    c->free = bi;
+}
+
+/* Drop cycle `t` from the table (backward-shift deletion, so probing
+ * needs no tombstones) and recycle its bucket `bi`. */
+static void
+cal_close(Calendar *c, int64_t t, int32_t bi)
+{
+    Py_ssize_t mask = c->tmask, i = (Py_ssize_t)t & mask, j;
+    while (c->tk[i] != t)
+        i = (i + 1) & mask;
+    for (j = (i + 1) & mask; c->tk[j] != T_EMPTY; j = (j + 1) & mask) {
+        /* entry j may fill the hole unless its home lies in (i, j] */
+        Py_ssize_t home = (Py_ssize_t)c->tk[j] & mask;
+        if (((j - home) & mask) >= ((j - i) & mask)) {
+            c->tk[i] = c->tk[j];
+            c->tv[i] = c->tv[j];
+            i = j;
+        }
+    }
+    c->tk[i] = T_EMPTY;
+    c->tused -= 1;
+    bucket_recycle(c, bi);
+}
+
+/* An empty bucket for cycle `t`, mapped but not on the heap; -1 on
+ * error. */
+static int32_t
+cal_open(Calendar *c, int64_t t)
+{
+    int32_t bi = c->free;
+    if (2 * (c->tused + 1) > c->tmask + 1 && cal_rehash(c) < 0)
+        return -1;
+    if (bi >= 0)
+        c->free = (int32_t)c->pool[bi].t;
+    else {
+        if (c->npool == c->pcap
+            && grow(&c->pool, &c->pcap, sizeof(Bucket)) < 0)
+            return -1;
+        bi = (int32_t)c->npool++;
+        memset(&c->pool[bi], 0, sizeof(Bucket));
+    }
+    c->pool[bi].t = t;
+    cal_map(c, t, bi);
+    return bi;
+}
+
+/* Append `rec` to the cycle-`t` bucket (EventQueue.post and the routers'
+ * inlined posting blocks).  Takes over rec.u.obj, also on failure. */
+static int
+cal_post(KState *ks, int64_t t, Rec rec)
+{
+    Calendar *c = &ks->cal;
+    int32_t bi = cal_find(c, t);
+    Bucket *b;
+    if (bi < 0 && (heap_push(c, t) < 0 || (bi = cal_open(c, t)) < 0))
+        goto fail;
+    b = &c->pool[bi];
+    if (b->len == b->cap && grow(&b->recs, &b->cap, sizeof(Rec)) < 0)
+        goto fail;
+    b->recs[b->len++] = rec;
+    if (++c->npend > ks->ctr[C_PEAK_PENDING])
+        ks->ctr[C_PEAK_PENDING] = c->npend;
+    return 0;
+fail:
+    if (REC_HAS_OBJ(&rec))
+        Py_DECREF(rec.u.obj);
+    return -1;
 }
 
 /* Inlined schedule_arb(target): arm the router's activation token at
  * `target` unless an earlier-or-equal arming is pending. */
-static int
+static inline int
 arm_step(KState *ks, RState *rs, int64_t target)
 {
-    PyObject *arb = slot_get(rs->router, ks->r_arb_time);
-    if (arb != NULL && arb != Py_None && as_ll(arb) <= target)
+    if (rs->arb != ARB_NONE && rs->arb <= target)
         return 0;
-    if (slot_set_ll(rs->router, ks->r_arb_time, target) < 0)
+    rs->arb = target;
+    return cal_post(ks, target, REC(OP_STEP, rs->rid, 0, 0, NULL));
+}
+
+/* Append (pkt, vc, t_arr) to an output FIFO; takes over `pkt`. */
+static int
+ring_push(Ring *r, PyObject *pkt, int64_t vc, int64_t t_arr)
+{
+    if (r->len == r->cap) {
+        Py_ssize_t ncap = r->cap ? 2 * r->cap : 4, i;
+        FifoEnt *e = PyMem_Malloc((size_t)ncap * sizeof(FifoEnt));
+        if (e == NULL) {
+            Py_DECREF(pkt);
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (i = 0; i < r->len; i++)
+            e[i] = r->e[(r->head + i) & (r->cap - 1)];
+        PyMem_Free(r->e);
+        r->e = e;
+        r->head = 0;
+        r->cap = ncap;
+    }
+    r->e[(r->head + r->len++) & (r->cap - 1)] = (FifoEnt){pkt, vc, t_arr};
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* mirror in, mirror out, absorb                                       */
+/* ------------------------------------------------------------------ */
+
+/* Cycle `t` as a Python int (borrowed), boxed at most once per cycle:
+ * what packet fields (gen_time, t_enq, inject_time) and the hooks
+ * receive. */
+static PyObject *
+now_obj(KState *ks, int64_t t)
+{
+    if (ks->t_obj == NULL || ks->t_obj_t != t) {
+        PyObject *o = PyLong_FromLongLong((long long)t);
+        if (o == NULL)
+            return NULL;
+        Py_XSETREF(ks->t_obj, o);
+        ks->t_obj_t = t;
+    }
+    return ks->t_obj;
+}
+
+/* Write eq.now / _processed / _activations where they moved since the
+ * last write: called before Python can run and on every exit. */
+static int
+sync_eq(KState *ks)
+{
+    if (ks->now != ks->w_now) {
+        if (slot_set_ll(ks->eq, ks->eq_now, ks->now) < 0)
+            return -1;
+        ks->w_now = ks->now;
+    }
+    if (ks->processed != ks->w_processed) {
+        if (slot_set_ll(ks->eq, ks->eq_processed, ks->processed) < 0)
+            return -1;
+        ks->w_processed = ks->processed;
+    }
+    if (ks->activations != ks->w_activations) {
+        if (slot_set_ll(ks->eq, ks->eq_activations, ks->activations) < 0)
+            return -1;
+        ks->w_activations = ks->activations;
+    }
+    return 0;
+}
+
+/* as_ll for a field that must fit `int32` and lie in [0, limit). */
+static inline int
+small_field(PyObject *o, int64_t limit, int32_t *out)
+{
+    int64_t v;
+    if (!PyLong_CheckExact(o))
+        return 0;
+    v = as_ll(o);
+    if (v < 0 || v >= limit) {
+        PyErr_Clear(); /* a value beyond int64 */
+        return 0;
+    }
+    *out = (int32_t)v;
+    return 1;
+}
+
+/* The native form of activation tuple `tup`, owning a new reference to
+ * what it keeps; a tuple the fields cannot hold stays whole. */
+static Rec
+rec_from_tuple(KState *ks, PyObject *tup)
+{
+    /* tuple length and the positions of b and the packet, per opcode */
+    static const int8_t arity[10] = {0, 2, 5, 5, 3, 4, 4, 5, 2, 2};
+    static const int8_t b_at[10] = {0, 0, 3, 4, 0, 3, 3, 3, 0, 0};
+    static const int8_t obj_at[10] = {0, 0, 4, 3, 0, 0, 0, 0, 1, 0};
+    Rec r = REC(OP_CALL, REC_TUPLE, 0, 0, tup);
+    PyObject **it;
+    RState *rs;
+    int64_t op;
+    if (!PyTuple_CheckExact(tup) || PyTuple_GET_SIZE(tup) < 1
+        || !PyLong_CheckExact(PyTuple_GET_ITEM(tup, 0)))
+        goto whole;
+    it = ((PyTupleObject *)tup)->ob_item;
+    op = as_ll(it[0]);
+    if (op < OP_STEP || op > OP_GEN) {
+        PyErr_Clear();
+        goto whole; /* py_drain runs anything else as a callback */
+    }
+    r.op = (int32_t)op; /* a whole record keeps its weight and dispatch */
+    if (PyTuple_GET_SIZE(tup) != arity[op])
+        goto whole;
+    if (op == OP_GEN) {
+        if (!small_field(it[1], INT32_MAX, &r.a))
+            goto whole;
+        r.rid = REC_NONE;
+        return r;
+    }
+    if (op != OP_DELIVER) {
+        int64_t size = 0;
+        if ((rs = router_state(ks, it[1])) == NULL)
+            goto whole;
+        if (op != OP_STEP && !small_field(it[2], rs->radix, &r.a))
+            goto whole;
+        /* b is a VC (an index) except on OP_LINK / OP_RELEASE: a size */
+        if (b_at[op]
+            && !small_field(it[b_at[op]],
+                            (op == OP_LINK || op == OP_RELEASE)
+                                ? INT32_MAX : rs->max_vcs, &r.b))
+            goto whole;
+        if (op == OP_CREDIT) {
+            if (!PyLong_CheckExact(it[4]))
+                goto whole;
+            size = as_ll(it[4]);
+            if (size == -1 && PyErr_Occurred()) {
+                PyErr_Clear();
+                goto whole;
+            }
+        }
+        r.rid = (int32_t)rs->rid;
+        r.u.c = size;
+    }
+    else
+        r.rid = REC_NONE;
+    if (obj_at[op])
+        r.u.obj = Py_NewRef(it[obj_at[op]]);
+    return r;
+whole:
+    r.rid = REC_TUPLE;
+    r.a = r.b = 0;
+    r.u.obj = Py_NewRef(tup);
+    return r;
+}
+
+/* The activation tuple of `r` (new reference), taking over r->u.obj. */
+static PyObject *
+tuple_from_rec(KState *ks, const Rec *r)
+{
+    PyObject *router = r->rid >= 0 ? ks->routers[r->rid].router : NULL;
+    if (r->rid == REC_TUPLE)
+        return r->u.obj;
+    switch (r->op) {
+    case OP_STEP:
+        return Py_BuildValue("(iO)", r->op, router);
+    case OP_ARRIVE:
+        return Py_BuildValue("(iOiiN)", r->op, router, r->a, r->b, r->u.obj);
+    case OP_OUT_ARRIVE:
+        return Py_BuildValue("(iOiNi)", r->op, router, r->a, r->u.obj, r->b);
+    case OP_SEND:
+        return Py_BuildValue("(iOi)", r->op, router, r->a);
+    case OP_LINK:
+    case OP_RELEASE:
+        return Py_BuildValue("(iOii)", r->op, router, r->a, r->b);
+    case OP_CREDIT:
+        return Py_BuildValue("(iOiiL)", r->op, router, r->a, r->b,
+                             (long long)r->u.c);
+    case OP_DELIVER:
+        return Py_BuildValue("(iN)", r->op, r->u.obj);
+    default: /* OP_GEN */
+        return Py_BuildValue("(ii)", r->op, r->a);
+    }
+}
+
+/* eq._buckets -> calendar, leaving the dict and eq._times empty.  With
+ * `inbox` the dict holds only what a contract hook just posted: an
+ * (OP_STEP, router) token there was armed by Router.inject from the None
+ * mark every router shows during a drain, so it is replayed through
+ * arm_step and the mark reset.  Without, the dict is the whole calendar
+ * and eq._times its heap (a bucket being drained is in one, not the
+ * other). */
+static int
+load_buckets(KState *ks, int inbox)
+{
+    PyObject *key, *bucket;
+    Py_ssize_t pos = 0, i, n;
+    while (PyDict_Next(ks->buckets, &pos, &key, &bucket)) {
+        int64_t t = as_ll(key);
+        if ((t == -1 && PyErr_Occurred()) || !PyList_CheckExact(bucket)) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_TypeError,
+                                "eq._buckets does not map cycles to lists");
+            return -1;
+        }
+        for (i = 0; i < PyList_GET_SIZE(bucket); i++) {
+            Rec r = rec_from_tuple(ks, PyList_GET_ITEM(bucket, i));
+            if (inbox && r.op == OP_STEP && r.rid >= 0) {
+                RState *rs = &ks->routers[r.rid];
+                slot_set(rs->router, ks->r_arb_time, Py_NewRef(Py_None));
+                if (arm_step(ks, rs, t) < 0)
+                    return -1;
+            }
+            else if (cal_post(ks, t, r) < 0)
+                return -1;
+        }
+        if (inbox)
+            ks->ctr[C_INBOX] += PyList_GET_SIZE(bucket);
+    }
+    n = PyList_GET_SIZE(ks->times);
+    if (!inbox) {
+        ks->cal.hn = 0;
+        for (i = 0; i < n; i++) {
+            int64_t t = as_ll(PyList_GET_ITEM(ks->times, i));
+            if ((t == -1 && PyErr_Occurred()) || heap_push(&ks->cal, t) < 0)
+                return -1;
+        }
+    }
+    PyDict_Clear(ks->buckets);
+    return PyList_SetSlice(ks->times, 0, n, NULL);
+}
+
+/* Calendar -> eq._buckets / eq._times (both empty on entry), leaving
+ * the calendar empty. */
+static int
+store_buckets(KState *ks)
+{
+    Calendar *c = &ks->cal;
+    Py_ssize_t i, k;
+    for (i = 0; i <= c->tmask; i++) {
+        Bucket *b;
+        PyObject *list, *key;
+        int rc;
+        if (c->tk[i] == T_EMPTY)
+            continue;
+        b = &c->pool[c->tv[i]];
+        if ((list = PyList_New(b->len)) == NULL)
+            return -1;
+        for (k = 0; k < b->len; k++) {
+            PyObject *tup = tuple_from_rec(ks, &b->recs[k]);
+            if (tup == NULL) {
+                /* records 0..k are gone (with the list, or consumed by
+                 * the failed build): keep the rest native */
+                b->len -= k + 1;
+                c->npend -= k + 1;
+                memmove(b->recs, b->recs + k + 1,
+                        (size_t)b->len * sizeof(Rec));
+                Py_DECREF(list);
+                return -1;
+            }
+            PyList_SET_ITEM(list, k, tup);
+        }
+        c->npend -= b->len;
+        b->len = 0;
+        key = PyLong_FromLongLong((long long)b->t);
+        rc = key ? PyDict_SetItem(ks->buckets, key, list) : -1;
+        Py_XDECREF(key);
+        Py_DECREF(list);
+        if (rc < 0)
+            return -1;
+        c->tk[i] = T_EMPTY;
+        c->tused -= 1;
+        bucket_recycle(c, c->tv[i]);
+    }
+    while (c->hn > 0) {
+        /* popped in order: a sorted list is a valid heapq heap */
+        PyObject *t = PyLong_FromLongLong((long long)heap_pop(c));
+        int rc = t ? PyList_Append(ks->times, t) : -1;
+        Py_XDECREF(t);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* soa.out_fifo -> rings, leaving the lists empty. */
+static int
+load_fifos(KState *ks)
+{
+    Py_ssize_t gp, i, n;
+    for (gp = 0; gp < ks->num_routers * ks->radix; gp++) {
+        PyObject *fifo = PyList_GET_ITEM(ks->out_fifo, gp);
+        if (!PyList_CheckExact(fifo))
+            goto bad;
+        n = PyList_GET_SIZE(fifo);
+        for (i = 0; i < n; i++) {
+            PyObject *e = PyList_GET_ITEM(fifo, i);
+            int64_t vc, t_arr;
+            if (!PyTuple_CheckExact(e) || PyTuple_GET_SIZE(e) != 3)
+                goto bad;
+            vc = as_ll(PyTuple_GET_ITEM(e, 1));
+            t_arr = as_ll(PyTuple_GET_ITEM(e, 2));
+            if (PyErr_Occurred()
+                || ring_push(&ks->rings[gp], Py_NewRef(PyTuple_GET_ITEM(e, 0)),
+                             vc, t_arr) < 0)
+                goto bad;
+        }
+        if (n > 0 && PyList_SetSlice(fifo, 0, n, NULL) < 0)
+            return -1;
+    }
+    return 0;
+bad:
+    ring_clear(&ks->rings[gp]); /* the list still has its entries */
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_TypeError,
+                        "soa.out_fifo entries are not (pkt, vc, t) tuples");
+    return -1;
+}
+
+/* Rings -> soa.out_fifo (empty on entry), leaving the rings empty. */
+static int
+store_fifos(KState *ks)
+{
+    Py_ssize_t gp;
+    for (gp = 0; gp < ks->num_routers * ks->radix; gp++) {
+        Ring *r = &ks->rings[gp];
+        while (r->len > 0) {
+            FifoEnt *e = &r->e[r->head];
+            /* the entry takes the packet over, also when it fails */
+            PyObject *entry = Py_BuildValue("(NLL)", e->pkt, (long long)e->vc,
+                                            (long long)e->t_arr);
+            r->head = (r->head + 1) & (r->cap - 1);
+            r->len -= 1;
+            if (entry == NULL
+                || PyList_Append(PyList_GET_ITEM(ks->out_fifo, gp), entry) < 0) {
+                Py_XDECREF(entry);
+                return -1;
+            }
+            Py_DECREF(entry);
+        }
+    }
+    return 0;
+}
+
+/* The Verdict of a Python decision tuple (out_port, out_vc, action, aux);
+ * takes over `dec`.  Purity and guard are the caller's to fill. */
+static int
+verdict_from_py(KState *ks, PyObject *dec, Verdict *v)
+{
+    if (!PyTuple_Check(dec) || PyTuple_GET_SIZE(dec) < 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "decide() must return (out_port, out_vc, action, aux)");
+        goto fail;
+    }
+    v->port = as_ll(PyTuple_GET_ITEM(dec, 0));
+    v->vc = as_ll(PyTuple_GET_ITEM(dec, 1));
+    v->action = as_ll(PyTuple_GET_ITEM(dec, 2));
+    v->aux = (v->action == 1) ? as_ll(PyTuple_GET_ITEM(dec, 3)) : 0;
+    if (PyErr_Occurred())
+        goto fail;
+    if (v->port < 0 || v->port >= ks->radix || v->vc < 0
+        || v->vc >= ks->max_vcs) {
+        PyErr_Format(PyExc_IndexError,
+                     "decide() returned port %lld vc %lld, outside the router",
+                     (long long)v->port, (long long)v->vc);
+        goto fail;
+    }
+    v->dec = dec;
+    v->pure = 0;
+    v->guard = GUARD_STABLE;
+    return 0;
+fail:
+    Py_DECREF(dec);
+    return -1;
+}
+
+/* The decision tuple of `v` (new reference): the Python decide()'s own
+ * where there is one. */
+static PyObject *
+verdict_tuple(const Verdict *v)
+{
+    if (v->dec != NULL)
+        return Py_NewRef(v->dec);
+    return Py_BuildValue("(LLLL)", (long long)v->port, (long long)v->vc,
+                         (long long)v->action, (long long)v->aux);
+}
+
+/* A dc_cond value (None, an epoch, or a (kind, flat index, value) guard
+ * tuple) as the guard fields of `v`; 0 when it is none of these. */
+static int
+guard_from_py(KState *ks, PyObject *cond, Verdict *v)
+{
+    if (cond == Py_None)
+        v->guard = GUARD_STABLE;
+    else if (PyTuple_CheckExact(cond) && PyTuple_GET_SIZE(cond) == 3) {
+        v->guard = as_ll(PyTuple_GET_ITEM(cond, 0)) ? GUARD_CREDITS
+                                                    : GUARD_OUT_OCC;
+        v->g_idx = as_ll(PyTuple_GET_ITEM(cond, 1));
+        v->g_val = as_ll(PyTuple_GET_ITEM(cond, 2));
+        if (v->g_idx < 0
+            || v->g_idx >= ks->num_routers * (v->guard == GUARD_CREDITS
+                                                  ? ks->nkeys : ks->radix))
+            return 0;
+    }
+    else if (PyLong_CheckExact(cond)) {
+        v->guard = GUARD_EPOCH;
+        v->g_val = as_ll(cond);
+    }
+    else
+        return 0;
+    if (PyErr_Occurred()) {
+        PyErr_Clear();
+        return 0;
+    }
+    return 1;
+}
+
+/* soa.dc_pkt / dc_dec / dc_cond -> memo, leaving the lists all None.  An
+ * entry that does not parse is dropped: a memo is only ever a shortcut. */
+static int
+load_memo(KState *ks)
+{
+    PyObject *lists[3] = {ks->dc_pkt, ks->dc_dec, ks->dc_cond};
+    Py_ssize_t gk;
+    int j;
+    for (gk = 0; gk < ks->num_routers * ks->nkeys; gk++) {
+        PyObject *pkt = PyList_GET_ITEM(ks->dc_pkt, gk);
+        Memo *m = &ks->memo[gk];
+        if (pkt == Py_None)
+            continue;
+        if (verdict_from_py(ks, Py_NewRef(PyList_GET_ITEM(ks->dc_dec, gk)),
+                            &m->v) < 0)
+            PyErr_Clear();
+        else if (guard_from_py(ks, PyList_GET_ITEM(ks->dc_cond, gk), &m->v))
+            m->pkt = Py_NewRef(pkt);
+        else
+            Py_CLEAR(m->v.dec);
+        for (j = 0; j < 3; j++)
+            if (PyList_SetItem(lists[j], gk, Py_NewRef(Py_None)) < 0)
+                return -1;
+    }
+    return 0;
+}
+
+/* Memo -> soa.dc_pkt / dc_dec / dc_cond, leaving the memo empty. */
+static int
+store_memo(KState *ks)
+{
+    Py_ssize_t gk;
+    for (gk = 0; gk < ks->num_routers * ks->nkeys; gk++) {
+        Memo *m = &ks->memo[gk];
+        const Verdict *v = &m->v;
+        PyObject *dec, *cond;
+        if (m->pkt == NULL)
+            continue;
+        dec = verdict_tuple(v);
+        if (v->guard == GUARD_STABLE)
+            cond = Py_NewRef(Py_None);
+        else if (v->guard == GUARD_EPOCH)
+            cond = PyLong_FromLongLong((long long)v->g_val);
+        else
+            cond = Py_BuildValue("(iLL)", v->guard, (long long)v->g_idx,
+                                 (long long)v->g_val);
+        if (dec == NULL || cond == NULL) {
+            Py_XDECREF(dec);
+            Py_XDECREF(cond);
+            return -1;
+        }
+        /* PyList_SetItem takes its item over either way: no short-circuit */
+        if ((PyList_SetItem(ks->dc_pkt, gk, Py_NewRef(m->pkt)) < 0)
+            | (PyList_SetItem(ks->dc_dec, gk, dec) < 0)
+            | (PyList_SetItem(ks->dc_cond, gk, cond) < 0))
+            return -1;
+        memo_clear(m);
+    }
+    return 0;
+}
+
+/* Take the whole Python-side event state into the kernel: drain entry,
+ * and after code that may have changed any of it. */
+static int
+mirror_in(KState *ks)
+{
+    Py_ssize_t i;
+    ks->ctr[C_MIRRORS] += 1;
+    ks->now = ks->w_now = slot_ll(ks->eq, ks->eq_now);
+    ks->processed = ks->w_processed = slot_ll(ks->eq, ks->eq_processed);
+    ks->activations = ks->w_activations =
+        slot_ll(ks->eq, ks->eq_activations);
+    if (PyErr_Occurred())
         return -1;
-    return ck_post(ks, target, rs->token);
+    for (i = 0; i < ks->num_routers; i++) {
+        RState *rs = &ks->routers[i];
+        PyObject *arb = slot_get(rs->router, ks->r_arb_time);
+        if (arb == NULL || arb == Py_None)
+            continue;
+        rs->arb = as_ll(arb);
+        if (rs->arb == -1 && PyErr_Occurred())
+            return -1;
+        slot_set(rs->router, ks->r_arb_time, Py_NewRef(Py_None));
+    }
+    if (load_buckets(ks, 0) < 0 || load_fifos(ks) < 0 || load_memo(ks) < 0)
+        return -1;
+    return kstate_rng_in(ks);
+}
+
+/* Hand it all back: every exit of the drain, and before code that may
+ * read or change any of it.  The native structures end up empty. */
+static int
+mirror_out(KState *ks)
+{
+    Py_ssize_t i;
+    int rc = 0;
+    if (sync_eq(ks) < 0)
+        return -1;
+    for (i = 0; i < ks->num_routers; i++) {
+        RState *rs = &ks->routers[i];
+        if (rs->arb != ARB_NONE
+            && slot_set_ll(rs->router, ks->r_arb_time, rs->arb) < 0)
+            return -1;
+        rs->arb = ARB_NONE;
+    }
+    if (store_buckets(ks) < 0 || store_fifos(ks) < 0 || store_memo(ks) < 0)
+        rc = -1;
+    if (kstate_rng_out(ks) < 0)
+        rc = -1;
+    return rc;
+}
+
+/* After a contract hook returned (or raised: the exception is kept):
+ * take what it posted. */
+static int
+absorb_inbox(KState *ks)
+{
+    PyObject *et, *ev, *tb;
+    int rc;
+    if (PyDict_GET_SIZE(ks->buckets) == 0)
+        return 0;
+    PyErr_Fetch(&et, &ev, &tb);
+    rc = load_buckets(ks, 1);
+    if (et != NULL) {
+        PyErr_Clear();
+        PyErr_Restore(et, ev, tb);
+    }
+    return rc;
+}
+
+/* Call a contract hook that returns nothing of interest: count it, show
+ * Python the clock, call, absorb.  `nargs` of a, b, c are passed. */
+static int
+call_hook(KState *ks, int kind, PyObject *fn, Py_ssize_t nargs, PyObject *a,
+          PyObject *b, PyObject *c)
+{
+    PyObject *args[3] = {a, b, c}, *res;
+    ks->ctr[kind] += 1;
+    if (sync_eq(ks) < 0)
+        return -1;
+    res = PyObject_Vectorcall(fn, args, (size_t)nargs, NULL);
+    if (res == NULL) {
+        absorb_inbox(ks);
+        return -1;
+    }
+    Py_DECREF(res);
+    return absorb_inbox(ks);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1158,15 +1894,16 @@ arm_step(KState *ks, RState *rs, int64_t target)
 /* ------------------------------------------------------------------ */
 
 static int
-c_gen(KState *ks, LState *ls, PyObject *rec, int64_t t, PyObject *t_obj)
+c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
 {
-    int64_t node, dst, src_router, dst_router, key, gap;
-    PyObject *pkt, *q;
+    int64_t dst, src_router, dst_router, key, gap;
+    PyObject *pkt, *q, *t_obj;
     RState *rs;
 
     if (t >= ls->end_time)
         return 0;
-    node = as_ll(PyTuple_GET_ITEM(rec, 1));
+    if ((t_obj = now_obj(ks, t)) == NULL)
+        return -1;
 
     /* destination draw: same rejection sampling, same stream position */
     switch (ls->kind) {
@@ -1225,7 +1962,7 @@ c_gen(KState *ks, LState *ls, PyObject *rec, int64_t t, PyObject *t_obj)
         } while (0)
         PKT_SET(pid, PyLong_FromLongLong((long long)ls->pid));
         PKT_SET(size, Py_NewRef(ls->psize_obj));
-        PKT_SET(src_node, Py_NewRef(PyTuple_GET_ITEM(rec, 1)));
+        PKT_SET(src_node, PyLong_FromLongLong((long long)node));
         PKT_SET(src_router, PyLong_FromLongLong((long long)src_router));
         sg_obj = PyLong_FromLongLong((long long)(src_router / ls->a));
         PKT_SET(src_group, sg_obj);
@@ -1296,7 +2033,7 @@ c_gen(KState *ks, LState *ls, PyObject *rec, int64_t t, PyObject *t_obj)
                 gap = 1;
         }
     }
-    return ck_post(ks, t + gap, rec);
+    return cal_post(ks, t + gap, REC(OP_GEN, REC_NONE, node, 0, NULL));
 }
 
 static int
@@ -1335,23 +2072,6 @@ c_deliver(KState *ks, LState *ls, PyObject *pkt, int64_t t)
         ls->sf[SF_BD_MIS] +=
             (double)(slot_ll(pkt, ks->ps.service_sum) - base);
     }
-    return 0;
-}
-
-/* ------------------------------------------------------------------ */
-/* decision memo (mirrors the inlined cache blocks in kernel.step)     */
-/* ------------------------------------------------------------------ */
-
-/* dc_pkt/dc_dec/dc_cond[gk] = pkt/dec/cond; steals the ref to `cond`. */
-static int
-set_memo(KState *ks, Py_ssize_t gk, PyObject *pkt, PyObject *dec,
-         PyObject *cond)
-{
-    Py_INCREF(pkt);
-    PyList_SetItem(ks->dc_pkt, gk, pkt);
-    Py_INCREF(dec);
-    PyList_SetItem(ks->dc_dec, gk, dec);
-    PyList_SetItem(ks->dc_cond, gk, cond);
     return 0;
 }
 
@@ -1943,208 +2663,143 @@ c_intransit_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
     return 0;
 }
 
-/* Small non-negative int as a new reference, from the prebuilt tables
- * where it is a port / VC. */
-static inline PyObject *
-small_int(PyObject **table, Py_ssize_t n, int64_t value)
-{
-    if (value >= 0 && value < n)
-        return Py_NewRef(table[value]);
-    return PyLong_FromLongLong((long long)value);
-}
-
-/* The decision tuple (out_port, out_vc, action, aux) of a Verdict. */
-static PyObject *
-verdict_tuple(KState *ks, const Verdict *v)
-{
-    PyObject *dec = PyTuple_New(4);
-    int j;
-    if (dec == NULL)
-        return NULL;
-    PyTuple_SET_ITEM(dec, 0, small_int(ks->port_objs, ks->radix, v->port));
-    PyTuple_SET_ITEM(dec, 1, small_int(ks->vc_objs, ks->max_vcs, v->vc));
-    PyTuple_SET_ITEM(dec, 2, PyLong_FromLongLong((long long)v->action));
-    PyTuple_SET_ITEM(dec, 3, PyLong_FromLongLong((long long)v->aux));
-    for (j = 0; j < 4; j++) {
-        if (PyTuple_GET_ITEM(dec, j) == NULL) {
-            Py_DECREF(dec); /* the tuple releases the items it got */
-            return NULL;
-        }
-    }
-    return dec;
-}
-
-/* The dc_cond memo condition for a pure twin verdict (new reference):
- * None, the epoch, or the (kind, flat index, value) guard tuple — the
- * same three forms the Python kernel stores. */
-static PyObject *
-verdict_cond(const Verdict *v, int64_t epoch)
-{
-    if (v->guard == GUARD_STABLE)
-        return Py_NewRef(Py_None);
-    if (v->guard == GUARD_EPOCH)
-        return PyLong_FromLongLong((long long)epoch);
-    /* the hot case (every below-threshold source-router decision):
-     * built by hand, Py_BuildValue would parse its format per call */
-    {
-        PyObject *cond = PyTuple_New(3);
-        if (cond == NULL)
-            return NULL;
-        PyTuple_SET_ITEM(cond, 0, PyLong_FromLong(v->guard));
-        PyTuple_SET_ITEM(cond, 1, PyLong_FromLongLong((long long)v->g_idx));
-        PyTuple_SET_ITEM(cond, 2, PyLong_FromLongLong((long long)v->g_val));
-        if (PyTuple_GET_ITEM(cond, 1) == NULL
-            || PyTuple_GET_ITEM(cond, 2) == NULL)
-            Py_CLEAR(cond);
-        return cond;
-    }
-}
-
-/* routing.decide(pkt, router) in Python.  When a twin stands in for it
- * this is the raising-branch fallback: the reference must see (and may
- * advance) the RNG streams the kernel holds, so they are handed back
- * around the call. */
-static PyObject *
-py_decide(KState *ks, RState *rs, PyObject *pkt)
+/* routing.decide(pkt, router) in Python, as a Verdict owning the tuple:
+ * a contract hook.  When a twin stands in for it this is the
+ * raising-branch fallback: the reference must see (and may advance) the
+ * RNG streams the kernel holds, so they are handed back around the
+ * call. */
+static int
+py_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
 {
     PyObject *dec, *et, *ev, *tb;
-    if (rs->twin == TWIN_NONE)
-        return call2(rs->decide, pkt, rs->router);
-    if (kstate_rng_out(ks) < 0)
-        return NULL;
+    ks->ctr[C_DECIDE] += 1;
+    if (sync_eq(ks) < 0 || (rs->twin != TWIN_NONE && kstate_rng_out(ks) < 0))
+        return -1;
     dec = call2(rs->decide, pkt, rs->router);
     PyErr_Fetch(&et, &ev, &tb);
-    if (kstate_rng_in(ks) < 0 && et == NULL) {
+    if (((rs->twin != TWIN_NONE && kstate_rng_in(ks) < 0)
+         || absorb_inbox(ks) < 0) && et == NULL) {
         Py_XDECREF(dec);
-        return NULL;
+        return -1;
     }
     if (et != NULL) {
         PyErr_Clear();
         PyErr_Restore(et, ev, tb);
+        return -1;
     }
-    return dec;
+    return verdict_from_py(ks, dec, v);
 }
 
-/* The dc_cond condition under which the decision just returned by the
- * Python decide() may be reused (cache policy 3, outside the committed
- * diversion): read off last_decide_pure / last_decide_guard.  Returns 0
- * with *cond NULL when the call consumed RNG, -1 on error. */
+/* The purity / guard pair of the decision the Python decide() just
+ * returned (cache policy 3, outside the committed diversion), read off
+ * last_decide_pure / last_decide_guard into `v`. */
 static int
-py_decide_cond(KState *ks, RState *rs, int64_t epoch, PyObject **cond)
+py_decide_guard(KState *ks, RState *rs, Verdict *v)
 {
     PyObject *pure = PyObject_GetAttr(rs->routing, ks->s_last_decide_pure);
     PyObject *g;
-    int is_pure;
-    *cond = NULL;
     if (pure == NULL)
         return -1;
-    is_pure = PyObject_IsTrue(pure);
+    v->pure = PyObject_IsTrue(pure);
     Py_DECREF(pure);
-    if (is_pure <= 0)
-        return is_pure;
+    if (v->pure <= 0)
+        return v->pure;
     g = PyObject_GetAttr(rs->routing, ks->s_last_decide_guard);
     if (g == NULL)
         return -1;
-    if (g == Py_None) {
+    /* None: the epoch; (): GUARD_STABLE; else a single-counter guard */
+    if (g == Py_None)
+        v->guard = GUARD_EPOCH;
+    else if (PyTuple_Check(g) && PyTuple_GET_SIZE(g) == 0)
+        v->guard = GUARD_STABLE;
+    else if (!guard_from_py(ks, g, v) || v->guard == GUARD_EPOCH) {
         Py_DECREF(g);
-        *cond = PyLong_FromLongLong((long long)epoch);
+        PyErr_SetString(PyExc_TypeError,
+                        "last_decide_guard is not None, () or a "
+                        "(kind, flat index, value) tuple in range");
+        return -1;
     }
-    else if (PyTuple_GET_SIZE(g) > 0)
-        *cond = g; /* single-counter guard (steal ref) */
-    else {
-        /* GUARD_STABLE: frozen-pure decision */
-        Py_DECREF(g);
-        *cond = Py_NewRef(Py_None);
-    }
-    return (*cond == NULL) ? -1 : 0;
+    Py_DECREF(g);
+    return 0;
 }
 
 /* The memoized decision for the head `pkt` at flat key `gk`, or a fresh
- * decide (twin or Python) with the cache-policy write-back.  Returns a
- * new reference, NULL on error.  `epoch` is the router's congestion
- * epoch read at scan start. */
-static PyObject *
+ * decide (twin or Python) with the cache-policy write-back, into `v`
+ * (which then owns v->dec).  `epoch` is the router's congestion epoch
+ * read at scan start. */
+static int
 cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
-                 int64_t epoch)
+                 int64_t epoch, Verdict *v)
 {
-    PyObject *dec = NULL;
-    Verdict v;
-    int deferred;
-    if (PyList_GET_ITEM(ks->dc_pkt, gk) == pkt) {
-        PyObject *cond = PyList_GET_ITEM(ks->dc_cond, gk);
-        int valid;
-        if (cond == Py_None)
-            valid = 1;
-        else if (PyTuple_CheckExact(cond)) {
-            int64_t c1 = as_ll(PyTuple_GET_ITEM(cond, 1));
-            int64_t have = as_ll(PyTuple_GET_ITEM(cond, 0))
-                               ? ks->credits_used[c1]
-                               : ks->out_occ[c1];
-            valid = (have == as_ll(PyTuple_GET_ITEM(cond, 2)));
-        }
-        else
-            valid = (as_ll(cond) == epoch);
-        if (valid) {
-            dec = PyList_GET_ITEM(ks->dc_dec, gk);
-            Py_INCREF(dec);
-            return dec;
+    Memo *m = &ks->memo[gk];
+    int deferred, store = 0, stable = 1;
+    if (m->pkt == pkt) {
+        const Verdict *mv = &m->v;
+        if (mv->guard == GUARD_STABLE
+            || (mv->guard == GUARD_EPOCH
+                    ? mv->g_val == epoch
+                    : (mv->guard == GUARD_CREDITS ? ks->credits_used
+                                                  : ks->out_occ)[mv->g_idx]
+                          == mv->g_val)) {
+            *v = *mv;
+            Py_XINCREF(v->dec);
+            return 0;
         }
     }
+    v->dec = NULL;
     switch (rs->twin) {
     case TWIN_MIN:
-        deferred = c_min_decide(ks, rs, pkt, &v);
+        deferred = c_min_decide(ks, rs, pkt, v);
         break;
     case TWIN_OBLIVIOUS:
-        deferred = c_oblivious_decide(ks, rs, pkt, &v);
+        deferred = c_oblivious_decide(ks, rs, pkt, v);
         break;
     case TWIN_PIGGYBACK:
-        deferred = c_piggyback_decide(ks, rs, pkt, &v);
+        deferred = c_piggyback_decide(ks, rs, pkt, v);
         break;
     case TWIN_INTRANSIT:
-        deferred = c_intransit_decide(ks, rs, pkt, &v);
+        deferred = c_intransit_decide(ks, rs, pkt, v);
         break;
     default: /* TWIN_NONE */
         deferred = 1;
         break;
     }
-    if (deferred < 0)
-        return NULL;
-    dec = deferred ? py_decide(ks, rs, pkt) : verdict_tuple(ks, &v);
-    if (dec == NULL)
-        return NULL;
+    if (deferred < 0 || (deferred && py_decide(ks, rs, pkt, v) < 0))
+        return -1;
     switch (rs->cache_policy) {
     case 1:
-        set_memo(ks, gk, pkt, dec, Py_NewRef(Py_None));
+        store = 1;
         break;
     case 2:
-        if (slot_ll(pkt, ks->ps.plan))
-            set_memo(ks, gk, pkt, dec, Py_NewRef(Py_None));
+        store = slot_ll(pkt, ks->ps.plan) != 0;
         break;
     case 3:
         if (slot_ll(pkt, ks->ps.inter_group) >= 0
-            && rs->group != slot_ll(pkt, ks->ps.dst_group)) {
-            set_memo(ks, gk, pkt, dec, Py_NewRef(Py_None));
-        }
+            && rs->group != slot_ll(pkt, ks->ps.dst_group))
+            store = 1;
         else {
-            PyObject *cond = NULL;
-            if (!deferred) {
-                if (v.pure && (cond = verdict_cond(&v, epoch)) == NULL) {
-                    Py_DECREF(dec);
-                    return NULL;
-                }
+            if (deferred && py_decide_guard(ks, rs, v) < 0) {
+                Py_CLEAR(v->dec);
+                return -1;
             }
-            else if (py_decide_cond(ks, rs, epoch, &cond) < 0) {
-                Py_DECREF(dec);
-                return NULL;
-            }
-            if (cond != NULL)
-                set_memo(ks, gk, pkt, dec, cond);
+            store = v->pure;
+            stable = 0;
         }
         break;
     default:
         break;
     }
-    return dec;
+    if (store) {
+        memo_clear(m);
+        m->pkt = Py_NewRef(pkt);
+        m->v = *v;
+        Py_XINCREF(v->dec);
+        if (stable)
+            m->v.guard = GUARD_STABLE;
+        else if (v->guard == GUARD_EPOCH)
+            m->v.g_val = epoch;
+    }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2153,16 +2808,16 @@ cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
 
 static int
 c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
-         int64_t key, Py_ssize_t gk, PyObject *pkt, PyObject *dec,
-         int64_t now, PyObject *now_obj)
+         int64_t key, Py_ssize_t gk, PyObject *pkt, const Verdict *v,
+         int64_t now)
 {
     int64_t in_port = key / rs->max_vcs;
     int64_t gin = rs->pb + in_port;
-    int64_t out_vc = as_ll(PyTuple_GET_ITEM(dec, 1));
     int64_t size = slot_ll(pkt, ks->ps.size);
     PyObject *q = PyList_GET_ITEM(ks->in_q, gk);
+    PyObject *now_o = now_obj(ks, now);
     Py_ssize_t qlen;
-    if (PyList_SetSlice(q, 0, 1, NULL) < 0)
+    if (now_o == NULL || PyList_SetSlice(q, 0, 1, NULL) < 0)
         return -1;
     qlen = PyList_GET_SIZE(q);
     if (qlen < 0)
@@ -2170,15 +2825,14 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
     if (qlen == 0
         && PySet_Discard(rs->active_keys, ks->key_objs[key]) < 0)
         return -1;
-    PyList_SetItem(ks->dc_pkt, gk, Py_NewRef(Py_None));
+    memo_clear(&ks->memo[gk]); /* head changed: decision no longer valid */
     ks->cong_epoch[rs->rid] += 1;
     ks->in_port_free[gin] = now + rs->internal;
     ks->switch_free[gout] = now + rs->internal;
     ks->out_occ[gout] += size;
 
     if (in_port < rs->num_node_ports) {
-        Py_INCREF(now_obj);
-        slot_set(pkt, ks->ps.inject_time, now_obj);
+        slot_set(pkt, ks->ps.inject_time, Py_NewRef(now_o));
         if (ks->low != NULL) {
             /* inlined LowerState.on_injection (which is what
              * rs->on_injection is bound to on a lowered run) */
@@ -2187,17 +2841,12 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
             if (now >= ls->ws && now < ls->we)
                 ls->inj_router[rs->rid] += 1;
         }
-        else {
-            PyObject *res = PyObject_CallFunctionObjArgs(
-                rs->on_injection, rs->rid_obj, now_obj, NULL);
-            if (res == NULL)
-                return -1;
-            Py_DECREF(res);
-        }
+        else if (call_hook(ks, C_OVERRIDE, rs->on_injection, 2, rs->rid_obj,
+                           now_o, NULL) < 0)
+            return -1;
     }
     else {
         int64_t wait = now - slot_ll(pkt, ks->ps.t_enq);
-        PyObject *rec;
         if (wait) {
             Py_ssize_t woff =
                 ks->local_in[gin] ? ks->ps.wait_local : ks->ps.wait_global;
@@ -2213,41 +2862,25 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
                          (long long)(key - in_port * rs->max_vcs));
             return -1;
         }
-        rec = PyList_GET_ITEM(ks->credit_recs, gk);
-        if (rec != Py_None) {
-            int64_t t = now + rs->internal + ks->link_lat[gin];
-            int r;
-            if (size != rs->psize) {
-                PyObject *size_obj = PyLong_FromLongLong((long long)size);
-                PyObject *fresh;
-                if (size_obj == NULL)
-                    return -1;
-                fresh = PyTuple_Pack(5, ks->op_credit,
-                                     PyTuple_GET_ITEM(rec, 1),
-                                     PyTuple_GET_ITEM(rec, 2),
-                                     PyTuple_GET_ITEM(rec, 3), size_obj);
-                Py_DECREF(size_obj);
-                if (fresh == NULL)
-                    return -1;
-                r = ck_post(ks, t, fresh);
-                Py_DECREF(fresh);
-            }
-            else
-                r = ck_post(ks, t, rec);
-            if (r < 0)
+        if (ks->up_rid[gin] >= 0) {
+            /* credit return to the upstream router */
+            Rec cr = REC(OP_CREDIT, ks->up_rid[gin], ks->up_port[gin],
+                         key - in_port * rs->max_vcs, NULL);
+            cr.u.c = size;
+            if (cal_post(ks, now + rs->internal + ks->link_lat[gin], cr) < 0)
                 return -1;
         }
     }
 
     if (ks->credit_nvc[gout]) {
-        int64_t ck = rs->kb + out_port * rs->max_vcs + out_vc;
+        int64_t ck = rs->kb + out_port * rs->max_vcs + v->vc;
         ks->credits_used[ck] += size;
         if (ks->chk && ks->credits_used[ck] > ks->credit_cap[gout]) {
             PyErr_Format(ks->flow_err,
                          "router %lld: credit overcommit on port "
                          "%lld vc %lld",
                          (long long)rs->rid, (long long)out_port,
-                         (long long)out_vc);
+                         (long long)v->vc);
             return -1;
         }
     }
@@ -2275,37 +2908,27 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
                             slot_ll(pkt, ks->ps.global_hops) + 1) < 0)
                 return -1;
         }
-        if (as_ll(PyTuple_GET_ITEM(dec, 2)) == 1) {
-            PyObject *aux = PyTuple_GET_ITEM(dec, 3);
-            Py_INCREF(aux);
-            slot_set(pkt, ks->ps.inter_group, aux);
-        }
+        if (v->action == 1
+            && slot_set_ll(pkt, ks->ps.inter_group, v->aux) < 0)
+            return -1;
     }
     else {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            rs->commit_override, pkt, rs->router, dec, NULL);
-        if (res == NULL)
+        /* the mechanism's own commit gets the decision as a tuple */
+        PyObject *dec = verdict_tuple(v);
+        int rc = dec ? call_hook(ks, C_OVERRIDE, rs->commit_override, 3, pkt,
+                                 rs->router, dec) : -1;
+        Py_XDECREF(dec);
+        if (rc < 0)
             return -1;
-        Py_DECREF(res);
     }
     if (slot_set_ll(pkt, ks->ps.service_sum,
                     slot_ll(pkt, ks->ps.service_sum)
                         + ks->hop_cost[gout]) < 0)
         return -1;
-    {
-        /* switch traversal -> OP_OUT_ARRIVE after the pipeline latency */
-        PyObject *rec = PyTuple_Pack(5, ks->op_out_arrive, rs->router,
-                                     ks->port_objs[out_port], pkt,
-                                     ks->vc_objs[out_vc]);
-        int r;
-        if (rec == NULL)
-            return -1;
-        r = ck_post(ks, now + rs->pipe_lat, rec);
-        Py_DECREF(rec);
-        if (r < 0)
-            return -1;
-    }
-    return 0;
+    /* switch traversal -> OP_OUT_ARRIVE after the pipeline latency */
+    return cal_post(ks, now + rs->pipe_lat,
+                    REC(OP_OUT_ARRIVE, rs->rid, out_port, v->vc,
+                        Py_NewRef(pkt)));
 }
 
 /* The consolidated allocation pass (kernel.step).  The Python kernel's
@@ -2313,7 +2936,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
  * general scan restricted to one key, so only the general scan exists
  * here. */
 static int
-c_step(KState *ks, RState *rs, int64_t now, PyObject *now_obj)
+c_step(KState *ks, RState *rs, int64_t now)
 {
     PyObject *set = rs->active_keys;
     Py_ssize_t n_act, n_dead = 0, n_cand = 0, n_ports = 0;
@@ -2323,7 +2946,7 @@ c_step(KState *ks, RState *rs, int64_t now, PyObject *now_obj)
     Py_ssize_t i;
     int rc = -1;
 
-    slot_set(rs->router, ks->r_arb_time, Py_NewRef(Py_None));
+    rs->arb = ARB_NONE;
     n_act = PySet_GET_SIZE(set);
     if (n_act == 0)
         return 0;
@@ -2333,28 +2956,12 @@ c_step(KState *ks, RState *rs, int64_t now, PyObject *now_obj)
      * the scan, so the snapshot order is identical).  _PySet_NextEntry
      * walks the same table in the same order as the set iterator,
      * without the iterator object or per-item calls. */
-    if (PySet_CheckExact(set)) {
-        Py_ssize_t pos = 0, j = 0;
+    {
+        Py_ssize_t pos = 0;
         PyObject *k;
         Py_hash_t hash;
-        while (_PySet_NextEntry(set, &pos, &k, &hash))
-            ks->scr_keys[j++] = as_ll(k);
-        n_act = j;
-    }
-    else {
-        PyObject *it = PyObject_GetIter(set);
-        PyObject *k;
-        Py_ssize_t j = 0;
-        if (it == NULL)
-            return -1;
-        while ((k = PyIter_Next(it)) != NULL) {
-            ks->scr_keys[j++] = as_ll(k);
-            Py_DECREF(k);
-        }
-        Py_DECREF(it);
-        if (PyErr_Occurred())
-            return -1;
-        n_act = j;
+        for (n_act = 0; _PySet_NextEntry(set, &pos, &k, &hash); n_act++)
+            ks->scr_keys[n_act] = as_ll(k);
     }
     memset(ks->td_mask, 0, (size_t)rs->radix);
 
@@ -2365,7 +2972,8 @@ c_step(KState *ks, RState *rs, int64_t now, PyObject *now_obj)
         Py_ssize_t qlen = PyList_GET_SIZE(q);
         int is_transit;
         int64_t t_free, out_port, gout, t_sw, size;
-        PyObject *pkt, *dec;
+        PyObject *pkt;
+        Verdict v;
         if (qlen == 0) {
             ks->scr_dead[n_dead++] = key;
             continue;
@@ -2378,61 +2986,58 @@ c_step(KState *ks, RState *rs, int64_t now, PyObject *now_obj)
             if (is_transit && rs->transit_priority) {
                 /* still assert this head's demand for priority masking */
                 pkt = Py_NewRef(PyList_GET_ITEM(q, 0));
-                dec = cached_or_decide(ks, rs, gk, pkt, epoch);
+                rc = cached_or_decide(ks, rs, gk, pkt, epoch, &v);
                 Py_DECREF(pkt);
-                if (dec == NULL)
+                if (rc < 0)
                     goto done;
-                ks->td_mask[as_ll(PyTuple_GET_ITEM(dec, 0))] = 1;
+                rc = -1;
+                Py_XDECREF(v.dec);
+                ks->td_mask[v.port] = 1;
                 td_active = 1;
-                Py_DECREF(dec);
             }
             continue;
         }
         pkt = Py_NewRef(PyList_GET_ITEM(q, 0));
-        dec = cached_or_decide(ks, rs, gk, pkt, epoch);
-        if (dec == NULL) {
+        if (cached_or_decide(ks, rs, gk, pkt, epoch, &v) < 0) {
             Py_DECREF(pkt);
             goto done;
         }
-        out_port = as_ll(PyTuple_GET_ITEM(dec, 0));
+        out_port = v.port;
         if (is_transit && rs->transit_priority) {
             ks->td_mask[out_port] = 1;
             td_active = 1;
         }
         gout = rs->pb + out_port;
         t_sw = ks->switch_free[gout];
+        size = slot_ll(pkt, ks->ps.size);
         if (t_sw > now) {
             if (next_time < 0 || t_sw < next_time)
                 next_time = t_sw;
-            Py_DECREF(pkt);
-            Py_DECREF(dec);
+        }
+        else if (!(ks->out_occ[gout] + size > ks->out_cap[gout]
+                   || (ks->credit_nvc[gout]
+                       && ks->credits_used[rs->kb + out_port * rs->max_vcs
+                                           + v.vc] + size
+                              > ks->credit_cap[gout]))) {
+            /* candidate: chain it on its output port in first-seen order
+             * (the arrays hold the references until cleanup) */
+            ks->c_key[n_cand] = key;
+            ks->c_pkt[n_cand] = pkt;
+            ks->c_v[n_cand] = v;
+            ks->c_next[n_cand] = -1;
+            if (ks->port_first[out_port] < 0) {
+                ks->port_first[out_port] = n_cand;
+                ks->order_ports[n_ports++] = out_port;
+            }
+            else
+                ks->c_next[ks->port_last[out_port]] = n_cand;
+            ks->port_last[out_port] = n_cand;
+            n_cand++;
             continue;
         }
-        size = slot_ll(pkt, ks->ps.size);
-        if (ks->out_occ[gout] + size > ks->out_cap[gout]
-            || (ks->credit_nvc[gout]
-                && ks->credits_used[rs->kb + out_port * rs->max_vcs
-                                    + as_ll(PyTuple_GET_ITEM(dec, 1))]
-                           + size
-                       > ks->credit_cap[gout])) {
-            /* woken by release_output / release_credit */
-            Py_DECREF(pkt);
-            Py_DECREF(dec);
-            continue;
-        }
-        /* candidate: chain it on its output port in first-seen order */
-        ks->c_key[n_cand] = key;
-        ks->c_pkt[n_cand] = pkt; /* holds the refs until cleanup */
-        ks->c_dec[n_cand] = dec;
-        ks->c_next[n_cand] = -1;
-        if (ks->port_first[out_port] < 0) {
-            ks->port_first[out_port] = n_cand;
-            ks->order_ports[n_ports++] = out_port;
-        }
-        else
-            ks->c_next[ks->port_last[out_port]] = n_cand;
-        ks->port_last[out_port] = n_cand;
-        n_cand++;
+        /* else: woken by release_output / release_credit */
+        Py_DECREF(pkt);
+        Py_XDECREF(v.dec);
     }
 
     for (i = 0; i < n_dead; i++) {
@@ -2492,33 +3097,24 @@ c_step(KState *ks, RState *rs, int64_t now, PyObject *now_obj)
         ks->last_grant[gout] = ks->c_key[w];
         if (c_commit(ks, rs, out_port, gout, ks->c_key[w],
                      (Py_ssize_t)(rs->kb + ks->c_key[w]), ks->c_pkt[w],
-                     ks->c_dec[w], now, now_obj) < 0)
+                     &ks->c_v[w], now) < 0)
             goto done;
         granted = 1;
     }
 
-    {
-        int64_t t;
-        if (next_time >= 0)
-            t = next_time;
-        else if (granted && PySet_GET_SIZE(set) > 0)
-            t = now + 1;
-        else {
-            rc = 0;
-            goto done;
-        }
+    if (next_time < 0 && granted && PySet_GET_SIZE(set) > 0)
+        next_time = now + 1;
+    rc = 0;
+    if (next_time >= 0) {
         /* _arb_time is None throughout a pass: arm unconditionally */
-        if (slot_set_ll(rs->router, ks->r_arb_time, t) < 0)
-            goto done;
-        if (ck_post(ks, t, rs->token) < 0)
-            goto done;
-        rc = 0;
+        rs->arb = next_time;
+        rc = cal_post(ks, next_time, REC(OP_STEP, rs->rid, 0, 0, NULL));
     }
 
 done:
     for (i = 0; i < n_cand; i++) {
         Py_DECREF(ks->c_pkt[i]);
-        Py_DECREF(ks->c_dec[i]);
+        Py_XDECREF(ks->c_v[i].dec);
     }
     /* reset the per-port chains we touched */
     for (i = 0; i < n_ports; i++)
@@ -2528,13 +3124,15 @@ done:
 
 static int
 c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
-         int64_t now, PyObject *now_obj)
+         int64_t now)
 {
     int64_t key = port * rs->max_vcs + vc;
     Py_ssize_t gk = (Py_ssize_t)(rs->kb + key);
     PyObject *q = PyList_GET_ITEM(ks->in_q, gk);
-    PyObject *res;
+    PyObject *now_o = now_obj(ks, now);
     int64_t wake;
+    if (now_o == NULL)
+        return -1;
     if (q == Py_None) {
         PyErr_Format(ks->flow_err,
                      "router %lld: arrival on invalid VC (port %lld, "
@@ -2551,8 +3149,7 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
                      (long long)ks->in_occ[gk], (long long)ks->in_cap[gk]);
         return -1;
     }
-    Py_INCREF(now_obj);
-    slot_set(pkt, ks->ps.t_enq, now_obj);
+    slot_set(pkt, ks->ps.t_enq, Py_NewRef(now_o));
     if (rs->arrival_override == NULL) {
         /* Inlined RoutingMechanism.on_arrival. */
         if (rs->group != slot_ll(pkt, ks->ps.current_group)) {
@@ -2570,12 +3167,12 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
             return -1;
     }
     else {
-        res = PyObject_CallFunctionObjArgs(rs->arrival_override, pkt,
-                                           rs->router,
-                                           ks->port_objs[port], NULL);
-        if (res == NULL)
+        PyObject *port_o = PyLong_FromLongLong((long long)port);
+        int rc = port_o ? call_hook(ks, C_OVERRIDE, rs->arrival_override, 3,
+                                    pkt, rs->router, port_o) : -1;
+        Py_XDECREF(port_o);
+        if (rc < 0)
             return -1;
-        Py_DECREF(res);
     }
     if (PyList_Append(q, pkt) < 0)
         return -1;
@@ -2588,119 +3185,62 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
 }
 
 static int
-c_send(KState *ks, RState *rs, int64_t port, int64_t now, PyObject *now_obj)
+c_send(KState *ks, RState *rs, int64_t port, int64_t now)
 {
     int64_t gp = rs->pb + port;
-    PyObject *fifo = PyList_GET_ITEM(ks->out_fifo, gp);
-    PyObject *entry;
-    PyObject *pkt, *vc, *rec, *peer;
-    int64_t t_arr, wait, size, free_t;
-    Py_ssize_t flen;
-    int r;
-    if (PyList_GET_SIZE(fifo) == 0) {
+    Ring *fifo = &ks->rings[gp];
+    FifoEnt e;
+    int64_t wait, size, free_t;
+    if (fifo->len == 0) {
         PyErr_SetString(PyExc_IndexError, "pop from empty output fifo");
         return -1;
     }
-    entry = PyList_GET_ITEM(fifo, 0);
-    Py_INCREF(entry);
-    if (PyList_SetSlice(fifo, 0, 1, NULL) < 0) {
-        Py_DECREF(entry);
-        return -1;
-    }
-    pkt = PyTuple_GET_ITEM(entry, 0);
-    vc = PyTuple_GET_ITEM(entry, 1);
-    t_arr = as_ll(PyTuple_GET_ITEM(entry, 2));
-    wait = now - t_arr;
+    e = fifo->e[fifo->head]; /* its packet reference moves on below */
+    fifo->head = (fifo->head + 1) & (fifo->cap - 1);
+    fifo->len -= 1;
+    wait = now - e.t_arr;
     if (wait) {
         Py_ssize_t woff =
             ks->global_out[gp] ? ks->ps.wait_global : ks->ps.wait_local;
-        if (slot_set_ll(pkt, woff, slot_ll(pkt, woff) + wait) < 0)
-            goto fail;
+        if (slot_set_ll(e.pkt, woff, slot_ll(e.pkt, woff) + wait) < 0) {
+            Py_DECREF(e.pkt);
+            return -1;
+        }
     }
-    size = slot_ll(pkt, ks->ps.size);
+    size = slot_ll(e.pkt, ks->ps.size);
     free_t = now + size;
     ks->link_free[gp] = free_t;
-    flen = PyList_GET_SIZE(fifo);
-    if (flen > 0) {
-        /* busy link: merged tail release + next transmission */
-        if (size == rs->psize) {
-            rec = PyList_GET_ITEM(rs->link_recs, port);
-            Py_INCREF(rec);
-        }
-        else {
-            PyObject *size_obj = PyLong_FromLongLong((long long)size);
-            if (size_obj == NULL)
-                goto fail;
-            rec = PyTuple_Pack(4, ks->op_link, rs->router,
-                               ks->port_objs[port], size_obj);
-            Py_DECREF(size_obj);
-            if (rec == NULL)
-                goto fail;
-        }
-    }
-    else {
+    if (fifo->len == 0)
         ks->out_pumping[gp] = 0;
-        if (size == rs->psize) {
-            rec = PyList_GET_ITEM(rs->rel_recs, port);
-            Py_INCREF(rec);
-        }
-        else {
-            PyObject *size_obj = PyLong_FromLongLong((long long)size);
-            if (size_obj == NULL)
-                goto fail;
-            rec = PyTuple_Pack(4, ks->op_release, rs->router,
-                               ks->port_objs[port], size_obj);
-            Py_DECREF(size_obj);
-            if (rec == NULL)
-                goto fail;
-        }
+    /* a busy link merges the tail release with the next transmission */
+    if (cal_post(ks, free_t,
+                 REC(fifo->len ? OP_LINK : OP_RELEASE, rs->rid, port, size,
+                     NULL)) < 0) {
+        Py_DECREF(e.pkt);
+        return -1;
     }
-    r = ck_post(ks, free_t, rec);
-    Py_DECREF(rec);
-    if (r < 0)
-        goto fail;
-    peer = PyList_GET_ITEM(rs->out_peer, port);
-    if (peer == Py_None)
-        rec = PyTuple_Pack(2, ks->op_deliver, pkt);
-    else
-        rec = PyTuple_Pack(5, ks->op_arrive, PyTuple_GET_ITEM(peer, 0),
-                           PyTuple_GET_ITEM(peer, 1), vc, pkt);
-    if (rec == NULL)
-        goto fail;
-    r = ck_post(ks, free_t + ks->link_lat[gp], rec);
-    Py_DECREF(rec);
-    if (r < 0)
-        goto fail;
-    Py_DECREF(entry);
-    return 0;
-fail:
-    Py_DECREF(entry);
-    return -1;
+    return cal_post(ks, free_t + ks->link_lat[gp],
+                    ks->peer_rid[gp] < 0
+                        ? REC(OP_DELIVER, REC_NONE, 0, 0, e.pkt)
+                        : REC(OP_ARRIVE, ks->peer_rid[gp], ks->peer_port[gp],
+                              e.vc, e.pkt));
 }
 
 static int
 c_output_enqueue(KState *ks, RState *rs, int64_t port, PyObject *pkt,
-                 PyObject *vc, int64_t now, PyObject *now_obj)
+                 int64_t vc, int64_t now)
 {
     int64_t gp = rs->pb + port;
-    PyObject *fifo = PyList_GET_ITEM(ks->out_fifo, gp);
-    PyObject *entry = PyTuple_Pack(3, pkt, vc, now_obj);
     int64_t dep;
-    if (entry == NULL)
+    if (ring_push(&ks->rings[gp], Py_NewRef(pkt), vc, now) < 0)
         return -1;
-    {
-        int ar = PyList_Append(fifo, entry);
-        Py_DECREF(entry);
-        if (ar < 0)
-            return -1;
-    }
     if (ks->out_pumping[gp])
         return 0;
     dep = ks->link_free[gp];
     if (dep < now)
         dep = now;
     ks->out_pumping[gp] = 1;
-    return ck_post(ks, dep, PyList_GET_ITEM(rs->send_recs, port));
+    return cal_post(ks, dep, REC(OP_SEND, rs->rid, port, 0, NULL));
 }
 
 static int
@@ -2735,194 +3275,147 @@ c_release_credit(KState *ks, RState *rs, int64_t port, int64_t vc,
     return arm_step(ks, rs, now);
 }
 
-static int
-c_link_step(KState *ks, RState *rs, int64_t port, int64_t size, int64_t now,
-            PyObject *now_obj)
-{
-    int64_t gp = rs->pb + port;
-    ks->cong_epoch[rs->rid] += 1;
-    ks->out_occ[gp] -= size;
-    if (ks->chk && ks->out_occ[gp] < 0) {
-        PyErr_Format(ks->flow_err,
-                     "router %lld: negative output occupancy port %lld",
-                     (long long)rs->rid, (long long)port);
-        return -1;
-    }
-    if (arm_step(ks, rs, now) < 0)
-        return -1;
-    return c_send(ks, rs, port, now, now_obj);
-}
-
 /* ------------------------------------------------------------------ */
 /* dispatch                                                            */
 /* ------------------------------------------------------------------ */
 
-/* Generic Python-level dispatch for records whose target object is not
- * a registered router (defensive; a bound simulation never produces
- * these, but OP_CALL callbacks could post anything). */
+/* Python-level dispatch of a record kept as its tuple — an OP_CALL
+ * callback, or (defensive: a bound simulation posts none) a record
+ * whose target is not a registered router — exactly as py_drain runs
+ * it.  Arbitrary code: the whole state is mirrored out around it. */
 static int
-dispatch_fallback(KState *ks, PyObject *rec, int64_t op, PyObject *t_obj)
+dispatch_tuple(KState *ks, int kind, PyObject *rec, int64_t op, int64_t t)
 {
-    PyObject *r = PyTuple_GET_ITEM(rec, 1);
-    PyObject *res = NULL;
-    switch (op) {
-    case 1: { /* OP_STEP with the _arb_time dirty-mark protocol */
-        PyObject *arb = PyObject_GetAttrString(r, "_arb_time");
-        int eq;
-        if (arb == NULL)
-            return -1;
-        eq = PyObject_RichCompareBool(arb, t_obj, Py_EQ);
-        Py_DECREF(arb);
-        if (eq < 0)
-            return -1;
-        if (eq) {
-            PyObject *ak;
-            int truthy;
-            if (PyObject_SetAttrString(r, "_arb_time", Py_None) < 0)
-                return -1;
-            ak = PyObject_GetAttrString(r, "active_keys");
-            if (ak == NULL)
-                return -1;
+    static const char *const handler[] = {
+        NULL, NULL, "arrive", "output_enqueue", "send", "link_step",
+        "release_output", "release_credit"};
+    PyObject *r, *t_obj, *res = NULL, *et, *ev, *tb;
+    ks->ctr[kind] += 1;
+    ks->cal.cur = -1; /* until the state is back in: nothing to finish */
+    if (mirror_out(ks) < 0)
+        return -1;
+    /* owned, as py_drain's loop variables are: the callback may drop the
+     * record from its bucket, and a nested drain box another cycle */
+    Py_INCREF(rec);
+    t_obj = Py_XNewRef(now_obj(ks, t));
+    if ((r = PyTuple_GetItem(rec, 1)) == NULL || t_obj == NULL)
+        goto called;
+    if (op == OP_CALL) {
+        PyObject *args = PyTuple_GetItem(rec, 2);
+        res = args ? PyObject_Call(r, args, NULL) : NULL;
+    }
+    else if (op == OP_GEN)
+        res = call1(slot_get(ks->eq, ks->eq_gen), r);
+    else if (op == OP_DELIVER)
+        res = call2(slot_get(ks->eq, ks->eq_sink), r, t_obj);
+    else if (op == OP_STEP) {
+        /* the _arb_time dirty-mark protocol */
+        PyObject *arb = PyObject_GetAttrString(r, "_arb_time"), *ak = NULL;
+        int eq = arb ? PyObject_RichCompareBool(arb, t_obj, Py_EQ) : -1;
+        int truthy = 0;
+        Py_XDECREF(arb);
+        if (eq > 0 && PyObject_SetAttrString(r, "_arb_time", Py_None) == 0
+            && (ak = PyObject_GetAttrString(r, "active_keys")) != NULL)
             truthy = PyObject_IsTrue(ak);
-            Py_DECREF(ak);
-            if (truthy < 0)
-                return -1;
-            if (truthy)
-                res = PyObject_CallMethod(r, "step", "O", t_obj);
-            else
-                return 0;
-        }
-        else
-            return 0;
-        break;
+        Py_XDECREF(ak);
+        if (truthy > 0)
+            res = PyObject_CallMethod(r, "step", "O", t_obj);
+        else if (!PyErr_Occurred())
+            res = Py_NewRef(Py_None);
     }
-    case 3:
-        res = PyObject_CallMethod(r, "output_enqueue", "OOOO",
-                                  PyTuple_GET_ITEM(rec, 2),
-                                  PyTuple_GET_ITEM(rec, 3),
-                                  PyTuple_GET_ITEM(rec, 4), t_obj);
-        break;
-    case 2:
-        res = PyObject_CallMethod(r, "arrive", "OOOO",
-                                  PyTuple_GET_ITEM(rec, 2),
-                                  PyTuple_GET_ITEM(rec, 3),
-                                  PyTuple_GET_ITEM(rec, 4), t_obj);
-        break;
-    case 7:
-        res = PyObject_CallMethod(r, "release_credit", "OOOO",
-                                  PyTuple_GET_ITEM(rec, 2),
-                                  PyTuple_GET_ITEM(rec, 3),
-                                  PyTuple_GET_ITEM(rec, 4), t_obj);
-        break;
-    case 6:
-        res = PyObject_CallMethod(r, "release_output", "OOO",
-                                  PyTuple_GET_ITEM(rec, 2),
-                                  PyTuple_GET_ITEM(rec, 3), t_obj);
-        break;
-    case 4:
-        res = PyObject_CallMethod(r, "send", "OO",
-                                  PyTuple_GET_ITEM(rec, 2), t_obj);
-        break;
-    case 5:
-        res = PyObject_CallMethod(r, "link_step", "OOO",
-                                  PyTuple_GET_ITEM(rec, 2),
-                                  PyTuple_GET_ITEM(rec, 3), t_obj);
-        break;
-    default:
-        PyErr_SetString(PyExc_RuntimeError, "unknown activation opcode");
-        return -1;
+    else {
+        /* rec[1].<handler>(*rec[2:], t) */
+        PyObject *meth = PyObject_GetAttrString(r, handler[op]);
+        PyObject *head = PyTuple_GetSlice(rec, 2, PyTuple_GET_SIZE(rec));
+        PyObject *args = (meth && head)
+                             ? PyObject_CallMethod(head, "__add__", "((O))",
+                                                   t_obj) : NULL;
+        res = args ? PyObject_Call(meth, args, NULL) : NULL;
+        Py_XDECREF(meth);
+        Py_XDECREF(head);
+        Py_XDECREF(args);
     }
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
+called:
+    Py_XDECREF(t_obj);
+    Py_DECREF(rec);
+    /* back in, keeping the callback's exception over a mirror's own */
+    PyErr_Fetch(&et, &ev, &tb);
+    if (mirror_in(ks) == 0)
+        /* the bucket being drained was rebuilt with the rest */
+        ks->cal.cur = cal_find(&ks->cal, t);
+    if (et != NULL) {
+        PyErr_Clear();
+        PyErr_Restore(et, ev, tb);
+    }
+    else if (ks->cal.cur < 0 && !PyErr_Occurred())
+        PyErr_SetString(PyExc_RuntimeError,
+                        "a callback removed the bucket being drained");
+    Py_XDECREF(res);
+    return (res == NULL || ks->cal.cur < 0) ? -1 : 0;
 }
 
 static int
-dispatch(KState *ks, PyObject *eq, PyObject *rec, int64_t t,
-         PyObject *t_obj, Py_ssize_t *extra)
+dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t *extra)
 {
-    int64_t op = as_ll(PyTuple_GET_ITEM(rec, 0));
     RState *rs;
-    if (op == 0) { /* OP_CALL: generic callback */
-        PyObject *res = PyObject_Call(PyTuple_GET_ITEM(rec, 1),
-                                      PyTuple_GET_ITEM(rec, 2), NULL);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
-    }
-    if (op == 9) { /* OP_GEN */
-        PyObject *gen, *res;
+    PyObject *o;
+    if (rec->op == OP_LINK)
+        *extra += 1; /* weight 2 */
+    if (rec->rid == REC_TUPLE)
+        return dispatch_tuple(ks, C_CALL, rec->u.obj, rec->op, t);
+    if (rec->op == OP_GEN) {
+        int rc;
         if (ks->low != NULL)
-            return c_gen(ks, ks->low, rec, t, t_obj);
-        gen = slot_get(eq, ks->eq_gen);
-        res = PyObject_CallFunctionObjArgs(
-            gen, PyTuple_GET_ITEM(rec, 1), NULL);
-        if (res == NULL)
+            return c_gen(ks, ks->low, rec->a, t);
+        if ((o = PyLong_FromLong(rec->a)) == NULL)
             return -1;
-        Py_DECREF(res);
-        return 0;
+        rc = call_hook(ks, C_GEN, slot_get(ks->eq, ks->eq_gen), 1, o, NULL,
+                       NULL);
+        Py_DECREF(o);
+        return rc;
     }
-    if (op == 8) { /* OP_DELIVER */
-        PyObject *sink, *res;
+    if (rec->op == OP_DELIVER) {
         if (ks->low != NULL)
-            return c_deliver(ks, ks->low, PyTuple_GET_ITEM(rec, 1), t);
-        sink = slot_get(eq, ks->eq_sink);
-        res = PyObject_CallFunctionObjArgs(
-            sink, PyTuple_GET_ITEM(rec, 1), t_obj, NULL);
-        if (res == NULL)
+            return c_deliver(ks, ks->low, rec->u.obj, t);
+        if ((o = now_obj(ks, t)) == NULL)
             return -1;
-        Py_DECREF(res);
-        return 0;
+        return call_hook(ks, C_SINK, slot_get(ks->eq, ks->eq_sink), 2,
+                         rec->u.obj, o, NULL);
     }
-    rs = ptr_lookup(ks, PyTuple_GET_ITEM(rec, 1));
-    if (rs == NULL) {
-        if (op == 5)
-            *extra += 1;
-        return dispatch_fallback(ks, rec, op, t_obj);
-    }
-    switch (op) {
-    case 1: { /* OP_STEP */
-        PyObject *arb = slot_get(rs->router, ks->r_arb_time);
-        if (arb != NULL && arb != Py_None && as_ll(arb) == t) {
-            slot_set(rs->router, ks->r_arb_time, Py_NewRef(Py_None));
-            if (PySet_GET_SIZE(rs->active_keys) > 0) {
-                if (rs->py_step != NULL) {
-                    PyObject *res = PyObject_CallFunctionObjArgs(
-                        rs->py_step, t_obj, NULL);
-                    if (res == NULL)
-                        return -1;
-                    Py_DECREF(res);
-                    return 0;
-                }
-                return c_step(ks, rs, t, t_obj);
-            }
+    rs = &ks->routers[rec->rid];
+    switch (rec->op) {
+    case OP_STEP:
+        if (rs->arb != t)
+            return 0; /* stale token (superseded arming) */
+        rs->arb = ARB_NONE;
+        if (PySet_GET_SIZE(rs->active_keys) == 0)
+            return 0; /* a release woke an idle router */
+        if (rs->py_step == NULL)
+            return c_step(ks, rs, t);
+        /* an overridden Router.step works on the Python-side state: run
+         * it as the callback record (OP_CALL, py_step, (t,)) */
+        if ((o = Py_BuildValue("(iO(L))", OP_CALL, rs->py_step,
+                               (long long)t)) == NULL)
+            return -1;
+        {
+            int rc = dispatch_tuple(ks, C_OVERRIDE, o, OP_CALL, t);
+            Py_DECREF(o);
+            return rc;
         }
-        return 0;
-    }
-    case 3:
-        return c_output_enqueue(ks, rs,
-                                as_ll(PyTuple_GET_ITEM(rec, 2)),
-                                PyTuple_GET_ITEM(rec, 3),
-                                PyTuple_GET_ITEM(rec, 4), t, t_obj);
-    case 2:
-        return c_arrive(ks, rs, as_ll(PyTuple_GET_ITEM(rec, 2)),
-                        as_ll(PyTuple_GET_ITEM(rec, 3)),
-                        PyTuple_GET_ITEM(rec, 4), t, t_obj);
-    case 7:
-        return c_release_credit(ks, rs, as_ll(PyTuple_GET_ITEM(rec, 2)),
-                                as_ll(PyTuple_GET_ITEM(rec, 3)),
-                                as_ll(PyTuple_GET_ITEM(rec, 4)), t);
-    case 6:
-        return c_release_output(ks, rs, as_ll(PyTuple_GET_ITEM(rec, 2)),
-                                as_ll(PyTuple_GET_ITEM(rec, 3)), t);
-    case 4:
-        return c_send(ks, rs, as_ll(PyTuple_GET_ITEM(rec, 2)), t, t_obj);
-    case 5: /* OP_LINK: weight 2 */
-        *extra += 1;
-        return c_link_step(ks, rs, as_ll(PyTuple_GET_ITEM(rec, 2)),
-                           as_ll(PyTuple_GET_ITEM(rec, 3)), t, t_obj);
+    case OP_OUT_ARRIVE:
+        return c_output_enqueue(ks, rs, rec->a, rec->u.obj, rec->b, t);
+    case OP_ARRIVE:
+        return c_arrive(ks, rs, rec->a, rec->b, rec->u.obj, t);
+    case OP_CREDIT:
+        return c_release_credit(ks, rs, rec->a, rec->b, rec->u.c, t);
+    case OP_RELEASE:
+        return c_release_output(ks, rs, rec->a, rec->b, t);
+    case OP_SEND:
+        return c_send(ks, rs, rec->a, t);
+    case OP_LINK: /* tail release + next transmission */
+        if (c_release_output(ks, rs, rec->a, rec->b, t) < 0)
+            return -1;
+        return c_send(ks, rs, rec->a, t);
     default:
         PyErr_SetString(PyExc_RuntimeError, "unknown activation opcode");
         return -1;
@@ -2932,44 +3425,6 @@ dispatch(KState *ks, PyObject *eq, PyObject *rec, int64_t t,
 /* ------------------------------------------------------------------ */
 /* KState construction                                                 */
 /* ------------------------------------------------------------------ */
-
-static int64_t *
-attr_ints(PyObject *obj, const char *name, Py_ssize_t n)
-{
-    /* Copy an int-sequence attribute into a fresh int64 array of
-     * exactly `n` entries. */
-    PyObject *seq = PyObject_GetAttrString(obj, name);
-    PyObject *fast;
-    int64_t *out;
-    Py_ssize_t i;
-    if (seq == NULL)
-        return NULL;
-    fast = PySequence_Fast(seq, "gateway table is not a sequence");
-    Py_DECREF(seq);
-    if (fast == NULL)
-        return NULL;
-    if (PySequence_Fast_GET_SIZE(fast) != n) {
-        Py_DECREF(fast);
-        PyErr_Format(PyExc_ValueError, "%s has unexpected length", name);
-        return NULL;
-    }
-    out = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
-    if (out == NULL) {
-        Py_DECREF(fast);
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (i = 0; i < n; i++) {
-        out[i] = as_ll(PySequence_Fast_GET_ITEM(fast, i));
-        if (out[i] == -1 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            PyMem_Free(out);
-            return NULL;
-        }
-    }
-    Py_DECREF(fast);
-    return out;
-}
 
 /* decide_twin's answers and the twin each names. */
 static const struct {
@@ -3102,6 +3557,7 @@ twin_build(KState *ks, PyObject *store, PyObject *routing)
     Twin *tw = &ks->twin;
     PyObject *mod, *name, *topo = NULL, *variant;
     size_t i;
+    Py_ssize_t n_groups;
     int err = 0, kind = TWIN_NONE;
 
     tw->routing = Py_NewRef(routing);
@@ -3150,9 +3606,9 @@ twin_build(KState *ks, PyObject *store, PyObject *routing)
                         "topology shape outside the decide twin's range");
         goto fail;
     }
-    tw->gw_router =
-        attr_ints(topo, "gw_router_by_delta", (Py_ssize_t)tw->groups);
-    tw->gw_port = attr_ints(topo, "gw_port_by_delta", (Py_ssize_t)tw->groups);
+    n_groups = (Py_ssize_t)tw->groups;
+    tw->gw_router = attr_ints(topo, "gw_router_by_delta", &n_groups);
+    tw->gw_port = attr_ints(topo, "gw_port_by_delta", &n_groups);
     if (tw->gw_router == NULL || tw->gw_port == NULL)
         goto fail;
     if (kind == TWIN_MIN)
@@ -3211,6 +3667,7 @@ build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
     memset(rs, 0, sizeof(*rs));
     Py_INCREF(r);
     rs->router = r;
+    rs->arb = ARB_NONE;
     rs->kb = get_ll_attr(r, "kb", &err);
     rs->pb = get_ll_attr(r, "pb", &err);
     rs->rid = get_ll_attr(r, "router_id", &err);
@@ -3270,17 +3727,9 @@ build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
     Py_DECREF(hot_in);
     rs->on_injection = PyObject_GetAttrString(r, "_on_injection");
     rs->active_keys = PyObject_GetAttrString(r, "active_keys");
-    rs->token = PyObject_GetAttrString(r, "_token");
-    rs->send_recs = PyObject_GetAttrString(r, "_send_recs");
-    rs->link_recs = PyObject_GetAttrString(r, "_link_recs");
-    rs->rel_recs = PyObject_GetAttrString(r, "_rel_recs");
-    rs->out_peer = PyObject_GetAttrString(r, "out_peer");
-    if (rs->on_injection == NULL || rs->active_keys == NULL
-        || rs->token == NULL || rs->send_recs == NULL
-        || rs->link_recs == NULL || rs->rel_recs == NULL
-        || rs->out_peer == NULL)
+    if (rs->on_injection == NULL || rs->active_keys == NULL)
         return -1;
-    if (!PySet_Check(rs->active_keys)) {
+    if (!PySet_CheckExact(rs->active_keys)) {
         PyErr_SetString(PyExc_TypeError, "active_keys is not a set");
         return -1;
     }
@@ -3302,6 +3751,63 @@ build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
     }
     Py_DECREF(step_attr);
     return 0;
+}
+
+/* Router.<name> (out_peer / upstream: per port, (router, port) or None)
+ * of `rs` into the flat per-port index tables, -1 where None. */
+static int
+read_links(KState *ks, const RState *rs, const char *name, int32_t *rid,
+           int32_t *port)
+{
+    PyObject *links = PyObject_GetAttrString(rs->router, name);
+    Py_ssize_t i;
+    if (links == NULL)
+        return -1;
+    if (!PyList_Check(links) || PyList_GET_SIZE(links) != rs->radix)
+        goto bad;
+    for (i = 0; i < rs->radix; i++) {
+        PyObject *link = PyList_GET_ITEM(links, i);
+        const RState *peer;
+        rid[rs->pb + i] = port[rs->pb + i] = -1;
+        if (link == Py_None)
+            continue;
+        if (!PyTuple_Check(link) || PyTuple_GET_SIZE(link) != 2
+            || (peer = router_state(ks, PyTuple_GET_ITEM(link, 0))) == NULL
+            || !small_field(PyTuple_GET_ITEM(link, 1), peer->radix,
+                            &port[rs->pb + i]))
+            goto bad;
+        rid[rs->pb + i] = (int32_t)peer->rid;
+    }
+    Py_DECREF(links);
+    return 0;
+bad:
+    Py_DECREF(links);
+    PyErr_Format(PyExc_TypeError,
+                 "Router.%s is not a per-port list of (router, port) pairs "
+                 "over the store's routers", name);
+    return -1;
+}
+
+/* The int64 block of kernel counters on eq._ckcounters, created on the
+ * queue's first compiled drain. */
+static int64_t *
+map_counters(KState *ks, PyObject *eq)
+{
+    PyObject *arr = PyObject_GetAttrString(eq, "_ckcounters");
+    if (arr == Py_None) {
+        static const char zeros[N_CTR * 8];
+        PyObject *mod = PyImport_ImportModule("array");
+        Py_DECREF(arr);
+        arr = mod ? PyObject_CallMethod(mod, "array", "sy#", "q", zeros,
+                                        (Py_ssize_t)sizeof(zeros)) : NULL;
+        Py_XDECREF(mod);
+        if (arr != NULL && PyObject_SetAttrString(eq, "_ckcounters", arr) < 0)
+            Py_CLEAR(arr);
+    }
+    if (arr == NULL)
+        return NULL;
+    Py_DECREF(arr);
+    return map_buffer(ks, eq, "_ckcounters", N_CTR);
 }
 
 static KState *
@@ -3372,12 +3878,29 @@ kstate_build(PyObject *eq, PyObject *store)
         goto fail;
 
     /* object-valued store fields */
-    if ((ks->in_q = get_list(store, "in_q")) == NULL
-        || (ks->dc_pkt = get_list(store, "dc_pkt")) == NULL
-        || (ks->dc_dec = get_list(store, "dc_dec")) == NULL
-        || (ks->dc_cond = get_list(store, "dc_cond")) == NULL
-        || (ks->credit_recs = get_list(store, "credit_recs")) == NULL
-        || (ks->out_fifo = get_list(store, "out_fifo")) == NULL)
+    if ((ks->in_q = get_list(store, "in_q", K)) == NULL
+        || (ks->dc_pkt = get_list(store, "dc_pkt", K)) == NULL
+        || (ks->dc_dec = get_list(store, "dc_dec", K)) == NULL
+        || (ks->dc_cond = get_list(store, "dc_cond", K)) == NULL
+        || (ks->out_fifo = get_list(store, "out_fifo", P)) == NULL)
+        goto fail;
+
+    /* their native forms, the calendar and the wiring tables */
+    ks->cal.free = ks->cal.cur = -1;
+    ks->rings = PyMem_Calloc((size_t)(P ? P : 1), sizeof(Ring));
+    ks->memo = PyMem_Calloc((size_t)(K ? K : 1), sizeof(Memo));
+    ks->peer_rid = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
+    ks->peer_port = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
+    ks->up_rid = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
+    ks->up_port = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
+    if (ks->rings == NULL || ks->memo == NULL || ks->peer_rid == NULL
+        || ks->peer_port == NULL || ks->up_rid == NULL
+        || ks->up_port == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (cal_rehash(&ks->cal) < 0
+        || (ks->ctr = map_counters(ks, eq)) == NULL)
         goto fail;
 
     /* queue structures + slot offsets */
@@ -3407,41 +3930,10 @@ kstate_build(PyObject *eq, PyObject *store)
     if (tmp == NULL)
         goto fail;
     pkt_tp = (PyTypeObject *)tmp;
-    {
-        PacketSlots *ps = &ks->ps;
-        if ((ps->size = slot_offset(pkt_tp, "size")) < 0
-            || (ps->t_enq = slot_offset(pkt_tp, "t_enq")) < 0
-            || (ps->inject_time = slot_offset(pkt_tp, "inject_time")) < 0
-            || (ps->wait_local = slot_offset(pkt_tp, "wait_local")) < 0
-            || (ps->wait_global = slot_offset(pkt_tp, "wait_global")) < 0
-            || (ps->service_sum = slot_offset(pkt_tp, "service_sum")) < 0
-            || (ps->local_hops = slot_offset(pkt_tp, "local_hops")) < 0
-            || (ps->global_hops = slot_offset(pkt_tp, "global_hops")) < 0
-            || (ps->group_local_hops =
-                    slot_offset(pkt_tp, "group_local_hops")) < 0
-            || (ps->current_group =
-                    slot_offset(pkt_tp, "current_group")) < 0
-            || (ps->plan = slot_offset(pkt_tp, "plan")) < 0
-            || (ps->inter_router = slot_offset(pkt_tp, "inter_router")) < 0
-            || (ps->inter_group = slot_offset(pkt_tp, "inter_group")) < 0
-            || (ps->dst_group = slot_offset(pkt_tp, "dst_group")) < 0
-            || (ps->pid = slot_offset(pkt_tp, "pid")) < 0
-            || (ps->gen_time = slot_offset(pkt_tp, "gen_time")) < 0
-            || (ps->base_latency =
-                    slot_offset(pkt_tp, "base_latency")) < 0
-            || (ps->dst_router = slot_offset(pkt_tp, "dst_router")) < 0
-            || (ps->src_node = slot_offset(pkt_tp, "src_node")) < 0
-            || (ps->src_router = slot_offset(pkt_tp, "src_router")) < 0
-            || (ps->src_group = slot_offset(pkt_tp, "src_group")) < 0
-            || (ps->dst_node = slot_offset(pkt_tp, "dst_node")) < 0
-            || (ps->dst_local_router =
-                    slot_offset(pkt_tp, "dst_local_router")) < 0
-            || (ps->dst_node_port =
-                    slot_offset(pkt_tp, "dst_node_port")) < 0) {
-            Py_CLEAR(tmp);
+    for (i = 0; i < (Py_ssize_t)(sizeof(PacketSlots) / sizeof(Py_ssize_t)); i++)
+        if ((((Py_ssize_t *)&ks->ps)[i] =
+                 slot_offset(pkt_tp, PACKET_SLOTS[i])) < 0)
             goto fail;
-        }
-    }
     Py_CLEAR(tmp);
 
     /* cached objects */
@@ -3466,33 +3958,15 @@ kstate_build(PyObject *eq, PyObject *store)
     ks->s_last_decide_pure = PyUnicode_InternFromString("last_decide_pure");
     ks->s_last_decide_guard =
         PyUnicode_InternFromString("last_decide_guard");
-    ks->op_out_arrive = PyLong_FromLong(3);
-    ks->op_credit = PyLong_FromLong(7);
-    ks->op_link = PyLong_FromLong(5);
-    ks->op_release = PyLong_FromLong(6);
-    ks->op_arrive = PyLong_FromLong(2);
-    ks->op_deliver = PyLong_FromLong(8);
-    if (ks->s_last_decide_pure == NULL || ks->s_last_decide_guard == NULL
-        || ks->op_out_arrive == NULL || ks->op_credit == NULL
-        || ks->op_link == NULL || ks->op_release == NULL
-        || ks->op_arrive == NULL || ks->op_deliver == NULL)
+    if (ks->s_last_decide_pure == NULL || ks->s_last_decide_guard == NULL)
         goto fail;
     ks->key_objs = PyMem_Calloc((size_t)ks->nkeys, sizeof(PyObject *));
-    ks->port_objs = PyMem_Calloc((size_t)ks->radix, sizeof(PyObject *));
-    ks->vc_objs = PyMem_Calloc((size_t)ks->max_vcs, sizeof(PyObject *));
-    if (ks->key_objs == NULL || ks->port_objs == NULL
-        || ks->vc_objs == NULL) {
+    if (ks->key_objs == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
     for (i = 0; i < ks->nkeys; i++)
         if ((ks->key_objs[i] = PyLong_FromSsize_t(i)) == NULL)
-            goto fail;
-    for (i = 0; i < ks->radix; i++)
-        if ((ks->port_objs[i] = PyLong_FromSsize_t(i)) == NULL)
-            goto fail;
-    for (i = 0; i < ks->max_vcs; i++)
-        if ((ks->vc_objs[i] = PyLong_FromSsize_t(i)) == NULL)
             goto fail;
 
     /* scratch */
@@ -3500,7 +3974,7 @@ kstate_build(PyObject *eq, PyObject *store)
     ks->scr_dead = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
     ks->c_key = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
     ks->c_pkt = PyMem_Malloc((size_t)ks->nkeys * sizeof(PyObject *));
-    ks->c_dec = PyMem_Malloc((size_t)ks->nkeys * sizeof(PyObject *));
+    ks->c_v = PyMem_Malloc((size_t)ks->nkeys * sizeof(Verdict));
     ks->c_next = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
     ks->f_idx = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
     ks->port_first = PyMem_Malloc((size_t)ks->radix * sizeof(int64_t));
@@ -3508,7 +3982,7 @@ kstate_build(PyObject *eq, PyObject *store)
     ks->order_ports = PyMem_Malloc((size_t)ks->radix * sizeof(int64_t));
     ks->td_mask = PyMem_Malloc((size_t)ks->radix);
     if (ks->scr_keys == NULL || ks->scr_dead == NULL || ks->c_key == NULL
-        || ks->c_pkt == NULL || ks->c_dec == NULL || ks->c_next == NULL
+        || ks->c_pkt == NULL || ks->c_v == NULL || ks->c_next == NULL
         || ks->f_idx == NULL || ks->port_first == NULL
         || ks->port_last == NULL || ks->order_ports == NULL
         || ks->td_mask == NULL) {
@@ -3529,25 +4003,14 @@ kstate_build(PyObject *eq, PyObject *store)
                         "construction incomplete)");
         goto fail;
     }
-    r_tp = Py_TYPE(PyList_GET_ITEM(routers, 0));
-    if ((ks->r_arb_time = slot_offset(r_tp, "_arb_time")) < 0)
+    ks->router_type = r_tp = Py_TYPE(PyList_GET_ITEM(routers, 0));
+    if ((ks->r_arb_time = slot_offset(r_tp, "_arb_time")) < 0
+        || (ks->r_router_id = slot_offset(r_tp, "router_id")) < 0)
         goto fail;
     ks->routers = PyMem_Calloc((size_t)ks->num_routers, sizeof(RState));
     if (ks->routers == NULL) {
         PyErr_NoMemory();
         goto fail;
-    }
-    {
-        Py_ssize_t cap = 1;
-        while (cap < 2 * ks->num_routers)
-            cap <<= 1;
-        ks->h_mask = cap - 1;
-        ks->h_keys = PyMem_Calloc((size_t)cap, sizeof(void *));
-        ks->h_vals = PyMem_Calloc((size_t)cap, sizeof(RState *));
-        if (ks->h_keys == NULL || ks->h_vals == NULL) {
-            PyErr_NoMemory();
-            goto fail;
-        }
     }
     tmp = PyObject_GetAttrString(PyList_GET_ITEM(routers, 0), "routing");
     if (tmp == NULL || twin_build(ks, store, tmp) < 0)
@@ -3562,9 +4025,22 @@ kstate_build(PyObject *eq, PyObject *store)
         }
         if (build_rstate(ks, &ks->routers[i], r, kernel_step) < 0)
             goto fail;
-        if (ptr_insert(ks, r, &ks->routers[i]) < 0)
+        /* records and the flat tables address routers by index */
+        if (ks->routers[i].rid != i || ks->routers[i].kb != i * ks->nkeys
+            || ks->routers[i].pb != i * ks->radix
+            || ks->routers[i].radix != ks->radix
+            || ks->routers[i].max_vcs != ks->max_vcs) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "router geometry disagrees with the SoA store");
             goto fail;
+        }
     }
+    for (i = 0; i < ks->num_routers; i++)
+        if (read_links(ks, &ks->routers[i], "out_peer", ks->peer_rid,
+                       ks->peer_port) < 0
+            || read_links(ks, &ks->routers[i], "upstream", ks->up_rid,
+                          ks->up_port) < 0)
+            goto fail;
     Py_CLEAR(routers);
     Py_CLEAR(kernel_step);
 
@@ -3594,12 +4070,12 @@ fail:
 /* ------------------------------------------------------------------ */
 
 /* Resolve (building + caching if needed) the KState of *eq*.  Returns
- * 0 with *out set, 1 when the queue has no bound store (caller must
- * fall back to the Python kernel), -1 on error. */
+ * 0 with *out set and a new reference to the capsule that owns it in
+ * *cap_out, 1 when the queue has no bound store, -1 on error. */
 static int
-get_kstate(PyObject *eq, KState **out)
+get_kstate(PyObject *eq, KState **out, PyObject **cap_out)
 {
-    PyObject *capsule, *soa;
+    PyObject *capsule, *soa, *flag;
     KState *ks;
 
     capsule = PyObject_GetAttrString(eq, "_ckstate");
@@ -3630,157 +4106,148 @@ get_kstate(PyObject *eq, KState **out)
     }
     else
         ks = (KState *)PyCapsule_GetPointer(capsule, "repro._ckernel");
-    Py_DECREF(capsule);
-    if (ks == NULL)
-        return -1;
     /* refresh the dynamic invariant-check flag once per drain call */
-    {
-        PyObject *flag =
-            PyObject_GetAttrString(ks->router_mod, "CHECK_INVARIANTS");
-        if (flag == NULL)
-            return -1;
-        ks->chk = PyObject_IsTrue(flag);
-        Py_DECREF(flag);
-        if (ks->chk < 0)
-            return -1;
+    flag = ks ? PyObject_GetAttrString(ks->router_mod, "CHECK_INVARIANTS")
+              : NULL;
+    if (flag == NULL || (ks->chk = PyObject_IsTrue(flag)) < 0) {
+        Py_XDECREF(flag);
+        Py_DECREF(capsule);
+        return -1;
     }
+    Py_DECREF(flag);
+    ks->eq = eq;
     *out = ks;
+    *cap_out = capsule;
     return 0;
 }
 
 /* The bucket loop: process every activation with time <= t_end.  Leaves
- * eq.now at the last drained cycle — ck_drain advances it to the
+ * ks->now at the last drained cycle — ck_drain advances it to the
  * horizon. */
 static int
-drain_core(KState *ks, PyObject *eq, int64_t t_end)
+drain_core(KState *ks, int64_t t_end)
 {
-    /* Python code may have rebuilt buckets since the last drain. */
-    ks->post_cache_t = INT64_MIN;
-    Py_CLEAR(ks->post_cache_bucket);
-    while (PyList_GET_SIZE(ks->times) > 0
-           && as_ll(PyList_GET_ITEM(ks->times, 0)) <= t_end) {
-        PyObject *t_obj = heap_pop(ks->times);
-        PyObject *bucket;
-        int64_t t;
-        Py_ssize_t i = 0, extra = 0, n;
+    Calendar *c = &ks->cal;
+    while (c->hn > 0 && c->heap[0] <= t_end) {
+        int64_t t = heap_pop(c);
+        Py_ssize_t i = 0, extra = 0, k;
+        Bucket *b;
         int failed = 0;
-        if (t_obj == NULL)
-            return -1;
-        t = as_ll(t_obj);
-        bucket = PyDict_GetItemWithError(ks->buckets, t_obj);
-        if (bucket == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_RuntimeError,
-                                "heap time with no bucket");
-            Py_DECREF(t_obj);
-            return -1;
-        }
-        Py_INCREF(bucket);
-        Py_INCREF(t_obj);
-        slot_set(eq, ks->eq_now, t_obj);
         ks->now = t;
-        n = PyList_GET_SIZE(bucket);
-        for (;;) {
-            while (i < n) {
-                /* The bucket may grow during dispatch (same-cycle
-                 * posting); GET_ITEM is re-read through the list object
-                 * so reallocation is safe, and the record is pinned
-                 * across the dispatch call. */
-                PyObject *rec = PyList_GET_ITEM(bucket, i);
-                Py_INCREF(rec);
-                i += 1;
-                if (dispatch(ks, eq, rec, t, t_obj, &extra) < 0) {
-                    Py_DECREF(rec);
-                    failed = 1;
-                    goto finish_bucket;
-                }
-                Py_DECREF(rec);
-            }
-            n = PyList_GET_SIZE(bucket);
-            if (i == n)
-                break;
+        if ((c->cur = cal_find(c, t)) < 0) {
+            PyErr_SetString(PyExc_RuntimeError, "heap time with no bucket");
+            return -1;
         }
-    finish_bucket:
+        /* The bucket may grow during dispatch (same-cycle posting), move
+         * (its storage, the pool) and, around a callback, be rebuilt:
+         * it is looked up afresh per record, and the record copied. */
+        while (c->cur >= 0 && i < c->pool[c->cur].len) {
+            Rec rec = c->pool[c->cur].recs[i++];
+            if (dispatch(ks, &rec, t, &extra) < 0) {
+                failed = 1;
+                break;
+            }
+        }
         /* semantic-event accounting (mirrors py_drain's finally): a
          * raised record is consumed, the bucket remainder survives */
-        slot_set_ll(eq, ks->eq_processed,
-                    slot_ll(eq, ks->eq_processed) + i + extra);
-        slot_set_ll(eq, ks->eq_activations,
-                    slot_ll(eq, ks->eq_activations) + i);
-        if (i == PyList_GET_SIZE(bucket)) {
-            if (t == ks->post_cache_t) {
-                ks->post_cache_t = INT64_MIN;
-                Py_CLEAR(ks->post_cache_bucket);
-            }
-            if (PyDict_DelItem(ks->buckets, t_obj) < 0)
-                failed = 1;
-        }
+        ks->processed += i + extra;
+        ks->activations += i;
+        if (c->cur < 0)
+            return -1; /* dispatch_tuple could not bring the bucket back */
+        b = &c->pool[c->cur];
+        if (b->len > ks->ctr[C_PEAK_BUCKET])
+            ks->ctr[C_PEAK_BUCKET] = b->len;
+        if (i > b->len)
+            i = b->len; /* a callback shortened it */
+        /* the bucket owned the consumed records' references until now,
+         * as the list does in py_drain */
+        for (k = 0; k < i; k++)
+            if (REC_HAS_OBJ(&b->recs[k]))
+                Py_DECREF(b->recs[k].u.obj);
+        c->npend -= i;
+        if (i == b->len)
+            cal_close(c, t, c->cur);
         else {
-            if (PyList_SetSlice(bucket, 0, i, NULL) < 0)
-                failed = 1;
-            else if (heap_push(ks->times, t_obj) < 0)
-                failed = 1;
+            b->len -= i;
+            memmove(b->recs, b->recs + i, (size_t)b->len * sizeof(Rec));
+            heap_push(c, t); /* cannot fail: the pop left room */
         }
-        Py_DECREF(bucket);
-        Py_DECREF(t_obj);
+        c->cur = -1;
         if (failed)
             return -1;
     }
     return 0;
 }
 
-/* Call py_drain(eq, t_end_obj) — the defensive fallback for a queue
- * with no bound store. */
-static PyObject *
-fallback_py_drain(PyObject *eq, PyObject *t_end_obj)
-{
-    PyObject *mod, *py_drain, *res;
-    mod = PyImport_ImportModule("repro.engine.kernel");
-    if (mod == NULL)
-        return NULL;
-    py_drain = PyObject_GetAttrString(mod, "py_drain");
-    Py_DECREF(mod);
-    if (py_drain == NULL)
-        return NULL;
-    res = PyObject_CallFunctionObjArgs(py_drain, eq, t_end_obj, NULL);
-    Py_DECREF(py_drain);
-    return res;
-}
-
 static PyObject *
 ck_drain(PyObject *self, PyObject *args)
 {
-    PyObject *eq, *t_end_obj;
+    PyObject *eq, *t_end_obj, *capsule;
     KState *ks;
     int64_t t_end;
-    int got;
+    int rc;
 
     if (!PyArg_ParseTuple(args, "OO:drain", &eq, &t_end_obj))
         return NULL;
     t_end = as_ll(t_end_obj);
     if (t_end == -1 && PyErr_Occurred())
         return NULL;
-    got = get_kstate(eq, &ks);
-    if (got < 0)
+    rc = get_kstate(eq, &ks, &capsule);
+    if (rc < 0)
         return NULL;
-    if (got == 1)
-        return fallback_py_drain(eq, t_end_obj);
-    if (kstate_rng_in(ks) < 0)
-        return NULL;
-    if (drain_core(ks, eq, t_end) < 0) {
-        /* hand the streams back, keeping the drain's exception */
-        PyObject *et, *ev, *tb;
-        PyErr_Fetch(&et, &ev, &tb);
-        if (kstate_rng_out(ks) < 0)
-            PyErr_Clear();
-        PyErr_Restore(et, ev, tb);
+    if (rc == 1) {
+        PyErr_SetString(PyExc_TypeError,
+                        "drain() needs a queue bound to an SoA store "
+                        "(EventQueue.bind_backend)");
         return NULL;
     }
-    if (kstate_rng_out(ks) < 0)
+    /* `capsule` keeps ks alive to the end of this call whatever happens
+     * to eq._ckstate meanwhile (a nested drain's error exit clears it) */
+    ks->ctr[C_DRAINS] += 1;
+    rc = mirror_in(ks);
+    if (rc == 0)
+        rc = drain_core(ks, t_end);
+    if (rc == 0) {
+        ks->now = t_end;
+        rc = mirror_out(ks);
+    }
+    else {
+        /* hand everything back, keeping the drain's exception; nothing
+         * the capsule holds is needed after that, and dropping it here
+         * is what lets a Simulation whose run raised be collected
+         * (eq -> capsule -> routers -> sim -> eq is invisible to the
+         * cycle collector) */
+        PyObject *et, *ev, *tb;
+        PyErr_Fetch(&et, &ev, &tb);
+        if (mirror_out(ks) < 0
+            || PyObject_SetAttrString(eq, "_ckstate", Py_None) < 0)
+            PyErr_Clear();
+        PyErr_Restore(et, ev, tb);
+    }
+    Py_DECREF(capsule);
+    if (rc < 0)
         return NULL;
-    Py_INCREF(t_end_obj);
-    slot_set(eq, ks->eq_now, t_end_obj);
     Py_RETURN_NONE;
+}
+
+/* counters(eq): the always-on kernel counters of a queue as a dict, None
+ * before its first compiled drain. */
+static PyObject *
+ck_counters(PyObject *self, PyObject *eq)
+{
+    PyObject *arr = PyObject_GetAttrString(eq, "_ckcounters"), *vals, *out;
+    Py_ssize_t i;
+    if (arr == NULL || arr == Py_None)
+        return arr;
+    vals = PySequence_List(arr);
+    Py_DECREF(arr);
+    out = vals ? PyDict_New() : NULL;
+    for (i = 0; out != NULL && i < N_CTR && i < PyList_GET_SIZE(vals); i++)
+        if (PyDict_SetItemString(out, CTR_NAMES[i],
+                                 PyList_GET_ITEM(vals, i)) < 0)
+            Py_CLEAR(out);
+    Py_XDECREF(vals);
+    return out;
 }
 
 /* Test hook: replay a sequence of RNG operations on the in-kernel
@@ -3889,6 +4356,11 @@ static PyMethodDef ckernel_methods[] = {
     {"drain", ck_drain, METH_VARARGS,
      "drain(eq, t_end): process activations with time <= t_end on the "
      "compiled kernel (bit-identical to repro.engine.kernel.py_drain)."},
+    {"counters", ck_counters, METH_O,
+     "counters(eq): the kernel's always-on counters for this queue — "
+     "drains, Python re-entries by kind, inbox records absorbed, full "
+     "mirrors, peak pending records, peak bucket length — or None before "
+     "its first compiled drain."},
     {"mt_ops", ck_mt_ops, METH_VARARGS,
      "mt_ops(state, ops): replay RNG operations (None -> random(), "
      "int k -> getrandbits(k), (n,) -> randrange(n), (\"shuffle\", n) -> "

@@ -55,6 +55,15 @@ bottleneck cheap" workflow):
 
 * no cancellation — components use generation counters / dirty marks
   instead, which is cheaper than queue surgery.
+
+* **Under the compiled backend the calendar is native during a drain.**
+  ``_ckernel.drain`` converts ``_buckets`` / ``_times`` into fixed-width
+  records at entry and back on every exit and around every ``OP_CALL``
+  callback, so :attr:`pending`, :meth:`peek_time` and the structures
+  themselves read the same from a callback or between drains on either
+  backend.  The per-event hooks (``_gen``, ``_sink``, a Python
+  ``decide``) instead find ``_buckets`` empty — it is their inbox: what
+  they :meth:`post` is appended to the native calendar when they return.
 """
 
 from __future__ import annotations
@@ -119,6 +128,7 @@ class EventQueue:
         "_drain",
         "_soa",
         "_ckstate",
+        "_ckcounters",
         "_lower",
     )
 
@@ -135,10 +145,14 @@ class EventQueue:
         # drain kernel (None = resolve the pure-Python kernel lazily on
         # first run_until); _soa/_ckstate are the SoA store and the
         # compiled kernel's cached state, bound by bind_backend for the
-        # compiled backend only.
+        # compiled backend only.  _ckcounters is that kernel's block of
+        # always-on counters (an array('q') it creates on its first
+        # drain and keeps when _ckstate is dropped; read it through
+        # _ckernel.counters(eq)).
         self._drain = None
         self._soa = None
         self._ckstate = None
+        self._ckcounters = None
         self._lower = None
         # The dict is never reassigned, so its bound .get is safe to cache
         # (one attribute load fewer per post).

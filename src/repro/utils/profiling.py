@@ -29,6 +29,13 @@ the Python ``decide`` frames of the run (time and call count — on the
 compiled backend every one is a re-entry from ``_ckernel.drain``), and
 :func:`describe_callbacks` names which ``decide`` the run resolved to:
 the kernel's C twin or the mechanism's Python method.
+
+Since the compiled drain keeps its event state native, a third line
+prints the kernel's always-on counters (``_ckernel.counters``): how often
+and for what the drain re-entered Python, how many records came in
+through the inbox, how often the whole state was mirrored, and the
+calendar's peak occupancy.  ``cProfile`` counts re-entries it can see as
+Python frames; these are counted where they happen.
 """
 
 from __future__ import annotations
@@ -95,17 +102,50 @@ def _decide_path(sim) -> str:
     return f"Python ({sim.routing.name})"
 
 
+#: re-entry kinds of ``_ckernel.counters`` (keys ``reentries_<kind>``).
+_REENTRY_KINDS = ("call", "gen", "sink", "decide", "override")
+
+
+def _kernel_counters(sim) -> dict[str, int] | None:
+    """The compiled kernel's counters for *sim*'s queue; None on the
+    python backend."""
+    if sim.engine_backend != "compiled":
+        return None
+    from repro.engine import _ckernel
+
+    return _ckernel.counters(sim.engine)
+
+
 def describe_callbacks(metrics: dict[str, Any]) -> str:
-    """The two report lines on what the run still paid Python for."""
+    """The report lines on what the run still paid Python for."""
     wall = metrics["wall_s"]
     decide_share = metrics["decide_s"] / wall if wall else 0.0
-    return (
+    lines = (
         f"python-callback share: gen + sink {metrics['callback_s']:.3f}s "
         f"({metrics['callback_share']:.1%} of wall), decide "
         f"{metrics['decide_s']:.3f}s ({decide_share:.1%}) in "
         f"{metrics['decide_calls']} calls\n"
         f"decide: {metrics['decide_path']}"
     )
+    counters = metrics.get("kernel_counters")
+    if counters:
+        reentries = " ".join(
+            f"{kind}={counters[f'reentries_{kind}']}" for kind in _REENTRY_KINDS
+        )
+        rest = " ".join(
+            f"{name}={counters[name]}"
+            for name in (
+                "inbox_records",
+                "full_mirrors",
+                "peak_pending_records",
+                "peak_bucket_len",
+            )
+        )
+        lines += (
+            f"\nkernel: drains={counters['drains']} "
+            f"reentries({reentries}) {rest}"
+        )
+    return lines
 
 
 def profile_simulation(
@@ -126,8 +166,9 @@ def profile_simulation(
     ``callback_share``: cumulative profiled time in the traffic-gen and
     delivery-sink callbacks, as seconds and as a fraction of the wall;
     ``decide_s``, ``decide_calls``: the same for the mechanisms' Python
-    ``decide``; ``decide_path``: which ``decide`` the run resolved to —
-    :func:`describe_callbacks` renders all of these).
+    ``decide``; ``decide_path``: which ``decide`` the run resolved to;
+    ``kernel_counters``: the compiled kernel's own counters, None on the
+    python backend — :func:`describe_callbacks` renders all of these).
     With *dump_path* the raw profile is additionally written for offline
     viewers (snakeviz, pstats).
     """
@@ -159,6 +200,7 @@ def profile_simulation(
         "decide_s": decide_s,
         "decide_calls": decide_calls,
         "decide_path": _decide_path(sim),
+        "kernel_counters": _kernel_counters(sim),
     }
     return result, render_profile(profiler, sort=sort, limit=limit), metrics
 
