@@ -14,13 +14,20 @@ from math import log
 from repro.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.engine import OP_GEN, EventQueue
-from repro.engine.kernel import LowerState, resolve_backend
+from repro.engine.kernel import (
+    LowerState,
+    make_packet,
+    next_gap,
+    prebuild_records,
+    resolve_backend,
+)
 from repro.engine.soa import SoAStore
 from repro.errors import OracleError, SimulationError
 from repro.hardware.packet import Packet
 from repro.hardware.router import Router
 from repro.metrics.collector import StatsCollector
 from repro.metrics.oracle import SimOracle
+from repro.routing.base import RoutingMechanism
 from repro.routing.factory import make_routing
 from repro.topology.dragonfly import DragonflyTopology
 from repro.traffic.patterns import make_traffic
@@ -126,9 +133,9 @@ class Simulation:
         self.traffic.bind_clock(self.engine)
         self.oracle = SimOracle(self.traffic) if config.oracle else None
         self._gen_prob = config.traffic.load / config.traffic.packet_size
-        # Precomputed log(1 - p) for the inlined geometric-gap draw in
-        # _gen_event (same division as utils.rng.geometric_gap, so the
-        # sampled gaps are bit-identical; None when p == 1).
+        # Precomputed log(1 - p) for the generators' gap draw
+        # (kernel.next_gap: same division as utils.rng.geometric_gap, so
+        # the sampled gaps are bit-identical; None when p == 1).
         self._log_q = log(1.0 - self._gen_prob) if self._gen_prob < 1.0 else None
         self._pid = 0
         self._num_nodes = self.topo.num_nodes
@@ -162,9 +169,9 @@ class Simulation:
         # Lowered OP_GEN / OP_DELIVER fast path (see
         # repro.engine.kernel.LowerState), selected by the cell itself:
         # a static pattern with a lowering descriptor, no oracle and no
-        # decomposition check.  Decided before _bind_hot so the lowered
-        # on_injection hook is the one frozen into each router's hot
-        # tuples; every other cell keeps the callback path untouched.
+        # decomposition check.  Decided before bind_routing so the
+        # lowered on_injection hook is the one bound to the routers;
+        # every other cell keeps the callback path untouched.
         descriptor = None
         if self.oracle is None and not check_decomposition:
             descriptor = self.traffic.lower()
@@ -175,13 +182,7 @@ class Simulation:
         # ``sim.traffic`` after construction (tests, custom patterns)
         # invalidates the lowering, which start() detects and undoes.
         self._lower_src = self.traffic if self._lower is not None else None
-        if self._lower is not None:
-            low_inj = self._lower.on_injection
-            for r in self.routers:
-                r._on_injection = low_inj
-        for r in self.routers:
-            r.routing = self.routing
-            r._bind_hot()
+        self.bind_routing(self.routing)
 
         # Phase-boundary hooks: the queue dispatches ejections (OP_DELIVER)
         # into the collector (directly when no oracle audits deliveries)
@@ -215,41 +216,40 @@ class Simulation:
                 peer = self.routers[topo.router_id(pg, pi)]
                 router.out_peer[port] = (peer, pport)
                 router.upstream[port] = (peer, pport)
+        for router in self.routers:
+            prebuild_records(router)
+
+    def bind_routing(self, routing) -> None:
+        """Make *routing* the mechanism of this simulation's routers.
+
+        The one place that binds a mechanism — and the stats injection
+        callback, lowered or not — to the routers, which is where both
+        kernels read them.  ``commit`` / ``on_arrival`` are bound only
+        when the mechanism overrides the base bookkeeping the kernels
+        inline (none in-tree does).
+        """
+        self.routing = routing
+        kind = type(routing)
+        commit = None if kind.commit is RoutingMechanism.commit else routing.commit
+        arrival = (
+            None
+            if kind.on_arrival is RoutingMechanism.on_arrival
+            else routing.on_arrival
+        )
+        lower = self._lower
+        on_injection = (
+            self.stats.on_injection if lower is None else lower.on_injection
+        )
+        for r in self.routers:
+            r.routing = routing
+            r._commit_hook = commit
+            r._arrival_hook = arrival
+            r._on_injection = on_injection
 
     # ------------------------------------------------------------------
     # traffic generation
     # ------------------------------------------------------------------
-    def _min_service(self, src_router: int, dst_router: int) -> int:
-        """Contention-free latency of the minimal path (the Fig. 3 base).
-
-        A read of the topology-owned dense table (see
-        :meth:`~repro.topology.dragonfly.DragonflyTopology.min_service_table`
-        for the path-cost derivation).
-        """
-        return self._ms_table[src_router * self.topo.num_routers + dst_router]
-
-    def _make_packet(self, src_node: int, dst_node: int, now: int) -> Packet:
-        topo = self.topo
-        p = topo.p
-        a = topo.a
-        src_router = src_node // p
-        dst_router = dst_node // p
-        base = self._ms_table[src_router * topo.num_routers + dst_router]
-        self._pid = pid = self._pid + 1
-        return Packet(
-            pid,
-            self._psize,
-            src_node,
-            src_router,
-            src_router // a,
-            dst_node,
-            dst_router,
-            dst_router // a,
-            dst_router % a,
-            dst_node % p,
-            now,
-            base,
-        )
+    _make_packet = make_packet  # kernel's one constructor, as a method
 
     def _gen_event(self, node: int) -> None:
         """Generator activation (OP_GEN): one Bernoulli-process firing."""
@@ -268,48 +268,13 @@ class Simulation:
                     f"destination {dst} for source node {node} "
                     f"(valid: [0, {self._num_nodes}) excluding the source)"
                 )
-            # Inlined _make_packet (the helper remains the documented
-            # reference and the path for direct callers).
-            topo = self.topo
-            p = topo.p
-            a = topo.a
-            src_router = node // p
-            dst_router = dst // p
-            base = self._ms_table[src_router * topo.num_routers + dst_router]
-            self._pid = pid = self._pid + 1
-            pkt = Packet(
-                pid,
-                self._psize,
-                node,
-                src_router,
-                src_router // a,
-                dst,
-                dst_router,
-                dst_router // a,
-                dst_router % a,
-                dst % p,
-                now,
-                base,
-            )
+            pkt = make_packet(self, node, dst, now)
             self.stats.on_generate(now, pkt.size)
             if self.oracle is not None:
                 self.oracle.on_generate(pkt)
             router, node_port = self._inject_map[node]
             router.inject(node_port, pkt, now)
-        # Inlined geometric_gap(rng, self._gen_prob) over the precomputed
-        # log(1 - p) — identical draws, one RNG call, no math.log(1 - p).
-        log_q = self._log_q
-        if log_q is None:
-            gap = 1
-        else:
-            u = rng.random()
-            if u == 0.0:
-                gap = 1
-            else:
-                gap = int(log(u) / log_q) + 1
-                if gap < 1:
-                    gap = 1
-        self.engine.post(now + gap, self._gen_recs[node])
+        self.engine.post(now + next_gap(rng, self._log_q), self._gen_recs[node])
 
     # ------------------------------------------------------------------
     def deliver(self, pkt: Packet, now: int | None = None) -> None:
@@ -364,10 +329,7 @@ class Simulation:
         """
         self._lower = None
         self._lower_src = None
-        on_inj = self.stats.on_injection
-        for r in self.routers:
-            r._on_injection = on_inj
-            r._bind_hot()
+        self.bind_routing(self.routing)
         self.engine.unbind_lower(
             self._gen_event,
             self.stats.on_delivery if self.oracle is None else self.deliver,

@@ -1,12 +1,30 @@
 /* Compiled engine kernel: the calendar-queue drain loop and the router
  * allocation pipeline as a CPython extension.
  *
- * This is a line-for-line translation of the pure-Python kernels in
- * repro/engine/kernel.py (py_drain / step / _commit) and of the router
- * phase handlers in repro/hardware/router.py (arrive, output_enqueue,
- * send, link_step, release_output, release_credit), operating on the
- * typed (array('q'), int64) buffers of repro.engine.soa.SoAStore mapped
- * once through the buffer protocol.
+ * It has the function inventory of the pure-Python kernels in
+ * repro/engine/kernel.py, name for name, operating on the typed
+ * (array('q'), int64) buffers of repro.engine.soa.SoAStore mapped once
+ * through the buffer protocol:
+ *
+ *   kernel.py                      _ckernel.c
+ *   py_drain                       ck_drain -> drain_core -> dispatch
+ *   EventQueue.post                cal_post
+ *   arm                            arm_step
+ *   step                           c_step
+ *   cached_or_decide               cached_or_decide
+ *   _commit                        c_commit
+ *   arrive                         c_arrive
+ *   output_enqueue                 c_output_enqueue
+ *   send                           c_send
+ *   release_output                 c_release_output
+ *   release_credit                 c_release_credit
+ *   link_step                      dispatch, OP_LINK: release, then send
+ *   LowerState.gen / .deliver      c_gen / c_deliver (with inject,
+ *                                  make_packet and next_gap inlined)
+ *
+ * Three deliberate asymmetries: step's single-head fast path and the
+ * prebuilt constant records (prebuild_records) are Python only, the
+ * native calendar (below) is C only.
  *
  * Bit-identity contract
  * ---------------------
@@ -662,8 +680,6 @@ typedef struct {
     PyObject **key_objs;  /* nkeys ints 0..nkeys-1 (set members) */
     PyObject *s_last_decide_pure, *s_last_decide_guard;
     PyObject *flow_err, *routing_err;
-    PyObject *router_mod; /* for the dynamic CHECK_INVARIANTS flag */
-    int chk;              /* CHECK_INVARIANTS, refreshed per drain call */
     /* step scratch (step never nests: decide cannot re-enter the drain) */
     int64_t *scr_keys;    /* nkeys: active-key snapshot */
     int64_t *scr_dead;    /* nkeys */
@@ -781,7 +797,6 @@ kstate_free(KState *ks)
     Py_XDECREF(ks->s_last_decide_guard);
     Py_XDECREF(ks->flow_err);
     Py_XDECREF(ks->routing_err);
-    Py_XDECREF(ks->router_mod);
     PyMem_Free(ks->peer_rid);
     PyMem_Free(ks->peer_port);
     PyMem_Free(ks->up_rid);
@@ -1318,8 +1333,8 @@ fail:
     return -1;
 }
 
-/* Inlined schedule_arb(target): arm the router's activation token at
- * `target` unless an earlier-or-equal arming is pending. */
+/* kernel.arm(r, target): arm the router's activation token at `target`
+ * unless an earlier-or-equal arming is pending. */
 static inline int
 arm_step(KState *ks, RState *rs, int64_t target)
 {
@@ -2854,7 +2869,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
                 return -1;
         }
         ks->in_occ[gk] -= size;
-        if (ks->chk && ks->in_occ[gk] < 0) {
+        if (ks->in_occ[gk] < 0) {
             PyErr_Format(ks->flow_err,
                          "router %lld: negative input occupancy "
                          "port %lld vc %lld",
@@ -2875,7 +2890,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
     if (ks->credit_nvc[gout]) {
         int64_t ck = rs->kb + out_port * rs->max_vcs + v->vc;
         ks->credits_used[ck] += size;
-        if (ks->chk && ks->credits_used[ck] > ks->credit_cap[gout]) {
+        if (ks->credits_used[ck] > ks->credit_cap[gout]) {
             PyErr_Format(ks->flow_err,
                          "router %lld: credit overcommit on port "
                          "%lld vc %lld",
@@ -3141,7 +3156,7 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
         return -1;
     }
     ks->in_occ[gk] += slot_ll(pkt, ks->ps.size);
-    if (ks->chk && ks->in_occ[gk] > ks->in_cap[gk]) {
+    if (ks->in_occ[gk] > ks->in_cap[gk]) {
         PyErr_Format(ks->flow_err,
                      "router %lld: input buffer overflow on port %lld "
                      "vc %lld: %lld > %lld",
@@ -3250,7 +3265,7 @@ c_release_output(KState *ks, RState *rs, int64_t port, int64_t size,
     int64_t gp = rs->pb + port;
     ks->cong_epoch[rs->rid] += 1;
     ks->out_occ[gp] -= size;
-    if (ks->chk && ks->out_occ[gp] < 0) {
+    if (ks->out_occ[gp] < 0) {
         PyErr_Format(ks->flow_err,
                      "router %lld: negative output occupancy port %lld",
                      (long long)rs->rid, (long long)port);
@@ -3266,7 +3281,7 @@ c_release_credit(KState *ks, RState *rs, int64_t port, int64_t vc,
     int64_t ck = rs->kb + port * rs->max_vcs + vc;
     ks->cong_epoch[rs->rid] += 1;
     ks->credits_used[ck] -= size;
-    if (ks->chk && ks->credits_used[ck] < 0) {
+    if (ks->credits_used[ck] < 0) {
         PyErr_Format(ks->flow_err,
                      "router %lld: negative credits port %lld vc %lld",
                      (long long)rs->rid, (long long)port, (long long)vc);
@@ -3663,7 +3678,7 @@ static int
 build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
 {
     int err = 0;
-    PyObject *hot2, *hot_in, *step_attr, *item;
+    PyObject *step_attr, *item;
     memset(rs, 0, sizeof(*rs));
     Py_INCREF(r);
     rs->router = r;
@@ -3705,26 +3720,17 @@ build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
      * applies to every router sharing that object (all of them, in a
      * Simulation). */
     rs->twin = (rs->routing == ks->twin.routing) ? ks->twin.kind : TWIN_NONE;
-    /* Overridden hooks were detected by _bind_hot: _hot2[16] is the
-     * commit override (or None), _hot_in[2] the arrival override. */
-    hot2 = PyObject_GetAttrString(r, "_hot2");
-    if (hot2 == NULL)
+    /* Overridden hooks, as Simulation.bind_routing bound them (None: the
+     * base bookkeeping, inlined in c_commit / c_arrive). */
+    if ((rs->commit_override = PyObject_GetAttrString(r, "_commit_hook"))
+            == NULL
+        || (rs->arrival_override =
+                PyObject_GetAttrString(r, "_arrival_hook")) == NULL)
         return -1;
-    if (!PyTuple_CheckExact(hot2)) {
-        Py_DECREF(hot2);
-        PyErr_SetString(PyExc_RuntimeError,
-                        "router._bind_hot() has not run");
-        return -1;
-    }
-    item = PyTuple_GET_ITEM(hot2, 16);
-    rs->commit_override = (item == Py_None) ? NULL : Py_NewRef(item);
-    Py_DECREF(hot2);
-    hot_in = PyObject_GetAttrString(r, "_hot_in");
-    if (hot_in == NULL)
-        return -1;
-    item = PyTuple_GET_ITEM(hot_in, 2);
-    rs->arrival_override = (item == Py_None) ? NULL : Py_NewRef(item);
-    Py_DECREF(hot_in);
+    if (rs->commit_override == Py_None)
+        Py_CLEAR(rs->commit_override);
+    if (rs->arrival_override == Py_None)
+        Py_CLEAR(rs->arrival_override);
     rs->on_injection = PyObject_GetAttrString(r, "_on_injection");
     rs->active_keys = PyObject_GetAttrString(r, "active_keys");
     if (rs->on_injection == NULL || rs->active_keys == NULL)
@@ -3945,9 +3951,6 @@ kstate_build(PyObject *eq, PyObject *store)
     Py_CLEAR(mod);
     if (ks->flow_err == NULL || ks->routing_err == NULL)
         goto fail;
-    ks->router_mod = PyImport_ImportModule("repro.hardware.router");
-    if (ks->router_mod == NULL)
-        goto fail;
     mod = PyImport_ImportModule("repro.engine.kernel");
     if (mod == NULL)
         goto fail;
@@ -4075,7 +4078,7 @@ fail:
 static int
 get_kstate(PyObject *eq, KState **out, PyObject **cap_out)
 {
-    PyObject *capsule, *soa, *flag;
+    PyObject *capsule, *soa;
     KState *ks;
 
     capsule = PyObject_GetAttrString(eq, "_ckstate");
@@ -4106,15 +4109,10 @@ get_kstate(PyObject *eq, KState **out, PyObject **cap_out)
     }
     else
         ks = (KState *)PyCapsule_GetPointer(capsule, "repro._ckernel");
-    /* refresh the dynamic invariant-check flag once per drain call */
-    flag = ks ? PyObject_GetAttrString(ks->router_mod, "CHECK_INVARIANTS")
-              : NULL;
-    if (flag == NULL || (ks->chk = PyObject_IsTrue(flag)) < 0) {
-        Py_XDECREF(flag);
+    if (ks == NULL) {
         Py_DECREF(capsule);
         return -1;
     }
-    Py_DECREF(flag);
     ks->eq = eq;
     *out = ks;
     *cap_out = capsule;

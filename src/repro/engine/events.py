@@ -122,7 +122,6 @@ class EventQueue:
         "_times",
         "_processed",
         "_activations",
-        "_get_bucket",
         "_sink",
         "_gen",
         "_drain",
@@ -154,9 +153,6 @@ class EventQueue:
         self._ckstate = None
         self._ckcounters = None
         self._lower = None
-        # The dict is never reassigned, so its bound .get is safe to cache
-        # (one attribute load fewer per post).
-        self._get_bucket = self._buckets.get
         self._sink: Callable = _unbound_sink
         self._gen: Callable = _unbound_gen
 
@@ -204,32 +200,26 @@ class EventQueue:
         self._soa = store
         self._drain = backend.drain
 
-    def hot_interface(self) -> tuple[dict, Callable, list]:
-        """``(buckets, buckets.get, times)`` for trusted inline posting.
-
-        Handed to routers in ``_bind_hot`` so the per-hop phase handlers
-        can append activation records without a function call.  The three
-        objects are mutated in place and never reassigned, so the refs
-        stay live for the queue's lifetime.
-        """
-        return self._buckets, self._get_bucket, self._times
-
     # ------------------------------------------------------------------
     # posting
     # ------------------------------------------------------------------
     def post(self, time: int, record: tuple) -> None:
         """Append activation *record* to the cycle-*time* bucket (trusted).
 
-        No validation: callers are internal components that construct
+        The one place a record enters the calendar: the phase handlers
+        of :mod:`repro.engine.kernel`, the generators and
+        :meth:`schedule`/:meth:`schedule_at` all post through here.  No
+        validation: callers are internal components that construct
         well-formed records with integer times ``>= now``.  External code
         and tests should use :meth:`schedule`/:meth:`schedule_at`.
         """
-        bucket = self._get_bucket(time)
-        if bucket is None:
+        try:
+            # The common case: the cycle already has a bucket (a loaded
+            # network posts dozens of records per cycle).
+            self._buckets[time].append(record)
+        except KeyError:
             self._buckets[time] = [record]
             heappush(self._times, time)
-        else:
-            bucket.append(record)
 
     def schedule(self, delay: int, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` *delay* cycles from now (integer delay >= 0)."""

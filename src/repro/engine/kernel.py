@@ -1,16 +1,44 @@
-"""Engine kernels: the drain loop and the allocation pass, plus backends.
+"""Engine kernels: the drain loop and the router pipeline, plus backends.
 
-This module is the single home of the engine's two hottest code paths,
-operating on the flat structure-of-arrays state of
-:class:`~repro.engine.soa.SoAStore`:
+This module is the one Python definition of everything the engine runs
+per event, operating on the flat structure-of-arrays state of
+:class:`~repro.engine.soa.SoAStore`.  It has the function inventory of
+the compiled kernel (``_ckernel.c``), name for name:
 
-* :func:`py_drain` — the calendar-queue drain loop (one bucket pop per
-  distinct cycle, opcode-dispatched scan over the bucket), moved here
-  verbatim from ``EventQueue.run_until``;
-* :func:`step` / :func:`_commit` — the consolidated router pipeline
-  activation (arbitrate over active input heads, commit every grant).
-  ``Router.step`` *is* this function (assigned as the class attribute),
-  so direct method dispatch and the drain loop run the same code.
+* :func:`py_drain` — the calendar-queue drain loop: one bucket pop per
+  distinct cycle, then an opcode-dispatched scan that calls the target
+  router's *phase handler* with positional arguments;
+* the phase handlers :func:`arrive` (input arrival), :func:`step` (the
+  consolidated arbitration → commit pipeline, with :func:`cached_or_decide`
+  and :func:`_commit`), :func:`output_enqueue` (switch traversal into an
+  output FIFO), :func:`send` (link transmission), :func:`release_output`
+  / :func:`release_credit` (resource releases that re-arm the pipeline),
+  :func:`link_step` (= ``release_output`` then ``send``, the merged
+  ``OP_LINK`` record of a busy link) and :func:`inject`;
+* :func:`arm` — the one place a pipeline activation is requested: it
+  posts the router's constant ``(OP_STEP, router)`` token under the
+  ``_arb_time`` dirty mark, so each (router × cycle) pair is armed at
+  most once and the drain loop skips stale tokens with one compare;
+* :func:`make_packet` / :func:`next_gap` — the packet constructor and the
+  geometric inter-generation gap shared by the callback generator
+  (``Simulation._gen_event``) and the lowered one (:class:`LowerState`).
+
+Every record is posted through :meth:`EventQueue.post
+<repro.engine.events.EventQueue.post>`; the intra-cycle order of phases
+is exactly the FIFO order in which their records were posted.
+:class:`~repro.hardware.router.Router` binds the handlers as class
+attributes, so ``rec[1].arrive(...)`` in the drain loop and a direct
+``router.step(now)`` run the same code.  The handlers read the store
+through the views the router aliases (``r.in_q``, ``r.out_occ``, ...)
+and the routing mechanism through ``r.routing`` at the moment of use —
+nothing is frozen per router, so what is bound to a router is what runs,
+on this backend as on the compiled one.
+
+Three things differ from the C side on purpose: :func:`step` has a
+single-head fast path (selected from ``len(active_keys)``; C runs the
+general scan only), the hottest records are prebuilt constants
+(:func:`prebuild_records`; C records are values), and the calendar is
+native only in C.
 
 Backend selection
 -----------------
@@ -50,8 +78,18 @@ from __future__ import annotations
 import os
 from heapq import heappop, heappush
 from math import log
+from operator import length_hint
 
-from repro.engine.events import OP_CREDIT, OP_OUT_ARRIVE
+from repro.engine.events import (
+    OP_ARRIVE,
+    OP_CREDIT,
+    OP_DELIVER,
+    OP_LINK,
+    OP_OUT_ARRIVE,
+    OP_RELEASE,
+    OP_SEND,
+    OP_STEP,
+)
 from repro.engine.soa import (
     SF_BD_BASE,
     SF_BD_GLOBAL,
@@ -91,12 +129,6 @@ BACKEND_ENV = "REPRO_ENGINE_BACKEND"
 #: Valid values for --engine-backend / REPRO_ENGINE_BACKEND.
 ENGINE_BACKEND_CHOICES = ("auto", "python", "compiled")
 
-# The router module injects itself here at import time (it imports this
-# module for `step`, so importing it back at module level would cycle);
-# the kernels read its CHECK_INVARIANTS flag dynamically, matching the
-# behaviour the checks had as router-module globals.
-_router_mod = None
-
 
 # ----------------------------------------------------------------------
 # drain loop (pure-Python backend)
@@ -123,10 +155,11 @@ def py_drain(eq, t_end: int) -> None:
         try:
             # The bucket may grow while we drain it (same-cycle
             # posting); re-checking len() after each batch picks the
-            # appended records up in order without a len() per record.
+            # appended records up in order without a len() — or a
+            # counter update — per record.
             while True:
-                for rec in bucket[i:n]:
-                    i += 1
+                batch = iter(bucket[i:n])
+                for rec in batch:
                     op = rec[0]
                     # Comparison chain ordered by measured record
                     # frequency across the gate configs.
@@ -158,13 +191,16 @@ def py_drain(eq, t_end: int) -> None:
                         sink(rec[1], t)
                     else:  # OP_CALL: generic callback
                         rec[1](*rec[2])
+                i = n
                 n = len(bucket)
                 if i == n:
                     break
         finally:
             # Semantic-event accounting: a raised record is consumed
-            # (i was already advanced past it) and the remainder of
-            # the bucket survives for a later drain.
+            # (the batch iterator is already past it; what it has left
+            # is what was not run) and the remainder of the bucket
+            # survives for a later drain.
+            i = n - length_hint(batch)
             eq._processed += i + extra
             eq._activations += i
             if i == len(bucket):
@@ -173,6 +209,577 @@ def py_drain(eq, t_end: int) -> None:
                 del bucket[:i]
                 heappush(times, t)
     eq.now = t_end
+
+
+# ----------------------------------------------------------------------
+# router phase handlers (pure-Python backend); bound as Router methods
+# ----------------------------------------------------------------------
+def prebuild_records(r) -> None:
+    """Prebuild the constant activation records router *r* posts.
+
+    The hottest records — the activation token, the per-port send / link
+    / release records and the per-input-key credit returns to the
+    upstream router — are immutable, so steady-state forwarding
+    allocates one tuple per link traversal.  Called by the Simulation
+    once ``upstream`` is wired.  (Python only: the compiled calendar's
+    records are fixed-width values.)
+    """
+    psize = r._psize
+    ports = range(r.radix)
+    r._token = (OP_STEP, r)
+    r._send_recs = [(OP_SEND, r, port) for port in ports]
+    r._link_recs = [(OP_LINK, r, port, psize) for port in ports]
+    r._rel_recs = [(OP_RELEASE, r, port, psize) for port in ports]
+    max_vcs = r.max_vcs
+    for port in range(r._num_node_ports, r.radix):
+        up = r.upstream[port]
+        if up is not None:
+            for vc in range(max_vcs):
+                r._credit_recs[r.kb + port * max_vcs + vc] = (
+                    OP_CREDIT,
+                    up[0],
+                    up[1],
+                    vc,
+                    psize,
+                )
+
+
+def arm(r, time: int) -> None:
+    """Arm a pipeline activation at cycle *time* (dirty-deduplicated).
+
+    Posts the router's constant ``(OP_STEP, r)`` token unless an
+    activation at or before *time* is already armed; the drain loop
+    re-checks ``_arb_time`` so superseded tokens are skipped with one
+    integer compare.
+    """
+    t = r._arb_time
+    if t is None or t > time:
+        r._arb_time = time
+        r.engine.post(time, r._token)
+
+
+def inject(r, node_port: int, pkt: Packet, now: int | None = None) -> None:
+    """Enqueue a freshly generated packet on a node (injection) port."""
+    if now is None:
+        now = r.engine.now
+    key = node_port * r.max_vcs
+    pkt.t_enq = now
+    r.in_q[r.kb + key].append(pkt)
+    r.active_keys.add(key)
+    arm(r, now)
+
+
+def arrive(r, port: int, vc: int, pkt: Packet, now: int) -> None:
+    """Phase handler: a packet's tail reached input buffer (port, vc)."""
+    key = port * r.max_vcs + vc
+    gk = r.kb + key
+    q = r.in_q[gk]
+    if q is None:
+        raise FlowControlError(
+            f"router {r.router_id}: arrival on invalid VC "
+            f"(port {port}, vc {vc})"
+        )
+    in_occ = r.in_occ
+    in_occ[gk] = occ = in_occ[gk] + pkt.size
+    if occ > r.in_cap[gk]:
+        raise FlowControlError(
+            f"router {r.router_id}: input buffer overflow on port "
+            f"{port} vc {vc}: {occ} > {r.in_cap[gk]}"
+        )
+    pkt.t_enq = now
+    on_arrival = r._arrival_hook
+    if on_arrival is None:
+        # Inlined RoutingMechanism.on_arrival (group transitions and
+        # source-routed plan updates).
+        group = r.group
+        if group != pkt.current_group:
+            pkt.current_group = group
+            pkt.group_local_hops = 0
+            if pkt.inter_group == group:
+                pkt.inter_group = -1  # intermediate group reached
+        if pkt.plan == 2 and r.router_id == pkt.inter_router:
+            pkt.plan = 1  # intermediate router reached; minimal onwards
+    else:
+        on_arrival(pkt, r, port)
+    q.append(pkt)
+    r.active_keys.add(key)
+    time = r.in_port_free[r.pb + port]
+    arm(r, time if time > now else now)
+
+
+def cached_or_decide(r, gk: int, pkt: Packet, epoch: int) -> tuple:
+    """The decision for head *pkt* at flat key *gk*: memoized, or fresh.
+
+    ``routing.decide`` results are memoized per input key while the same
+    packet stays at the head of that FIFO, in the store's parallel
+    ``dc_*`` arrays: ``dc_pkt[gk]`` is the head the cached ``dc_dec[gk]``
+    belongs to (None = no valid entry) and ``dc_cond[gk]`` its validity
+    condition — None for an unconditionally stable decision, the
+    congestion epoch it was computed at for an RNG-free adaptive one
+    (*epoch* is the router's ``cong_epoch`` read at scan start; it is
+    bumped at every commit / release), or a single-counter guard tuple
+    ``(kind, flat index, value)`` over ``credits_used`` (kind 1) or
+    ``out_occ`` (kind 0), revalidated with one flat load.
+
+    A fresh decision is stored only when the mechanism's ``cache_policy``
+    (the data form of :meth:`~repro.routing.base.RoutingMechanism.
+    decision_stable`) says re-deciding would provably return the same
+    tuple without consuming RNG, so results stay bit-identical with
+    uncached evaluation.  Entries are invalidated on commit (the head
+    changes); a packet's routing state only mutates in
+    ``commit``/``on_arrival``, never while it waits at a head, so the
+    packet-identity check covers arrivals behind the head.
+    """
+    dc_pkt = r._dc_pkt
+    if dc_pkt[gk] is pkt and (
+        (cond := r._dc_cond[gk]) is None
+        or cond == epoch
+        or (
+            cond.__class__ is tuple
+            and (r.credits_used[cond[1]] if cond[0] else r.out_occ[cond[1]])
+            == cond[2]
+        )
+    ):
+        return r._dc_dec[gk]
+    routing = r.routing
+    dec = routing.decide(pkt, r)
+    # The cache-policy switch (decision_stable as data).
+    policy = routing.cache_policy
+    if policy == 1:
+        cond = None
+    elif policy == 2:
+        if not pkt.plan:
+            return dec
+        cond = None
+    elif policy == 3:
+        if pkt.inter_group >= 0 and r.group != pkt.dst_group:
+            cond = None  # committed diversion: pure until the bound group
+        elif routing.last_decide_pure:
+            cond = routing.last_decide_guard
+            if cond is None:
+                cond = epoch
+            elif not cond:  # GUARD_STABLE: frozen-pure decision
+                cond = None
+            # else: a single-counter guard
+        else:
+            return dec
+    else:
+        return dec
+    dc_pkt[gk] = pkt
+    r._dc_dec[gk] = dec
+    r._dc_cond[gk] = cond
+    return dec
+
+
+def step(r, now: int) -> None:
+    """Consolidated pipeline activation: arbitrate and commit at *now*.
+
+    One activation runs the whole allocation pass over all active input
+    heads and commits every grant (switch traversal, credit consumption,
+    downstream scheduling) in a single call.  A head is granted at most
+    once per input port and per output port, subject to (a) crossbar
+    availability (2x speedup: a packet occupies an input/output of the
+    switch for ``size/speedup`` cycles), (b) output FIFO space and (c)
+    downstream credit for the selected VC.  Activations are
+    self-scheduling: a pass that leaves time-blocked work re-arms itself
+    at the earliest release time; resource-blocked work is re-woken by
+    the release handlers.
+
+    With ``transit_priority`` the priority is *strict* (Blue Gene
+    style): an injection candidate is suppressed whenever any transit
+    head currently demands the same output port, even if that transit
+    head is not grantable this very cycle (input port busy, credits in
+    flight).  This models an allocator in which the injection request
+    line is masked by any pending transit request — the behaviour the
+    paper attributes to its transit-over-injection configuration and
+    the origin of the bottleneck-router starvation (Section V-B).
+    """
+    r._arb_time = None
+    active_keys = r.active_keys
+    if not active_keys:
+        return  # a release activation woke an idle router: nothing to do
+    kb = r.kb
+    epoch = r._epochs[r.router_id]  # stable through the scan (no commits yet)
+
+    if len(active_keys) == 1:
+        # Uncontended fast path (the most common activation shape):
+        # one head, no output competition, no intermediate lists.
+        # Byte-for-byte the same decisions, cache writes and RNG
+        # consumption as the general scan below restricted to one key.
+        for key in active_keys:
+            break
+        gk = kb + key
+        q = r.in_q[gk]
+        if not q:
+            active_keys.discard(key)
+            return
+        pkt = q[0]
+        t_free = r.in_port_free[r._key_port[gk]]
+        if t_free > now:
+            if key >= r.injection_boundary and r.transit_priority:
+                # Assert the head's demand (cache write + possible RNG
+                # draw happen exactly as in the general scan; with no
+                # competing injection head the mask itself is moot).
+                cached_or_decide(r, gk, pkt, epoch)
+            arm(r, t_free)
+            return
+        dec = cached_or_decide(r, gk, pkt, epoch)
+        out_port = dec[0]
+        gout = r.pb + out_port
+        t_sw = r.switch_free[gout]
+        if t_sw > now:
+            arm(r, t_sw)
+            return
+        size = pkt.size
+        if r.out_occ[gout] + size > r.out_cap[gout]:
+            return  # woken by release_output
+        if r.credit_nvc[gout] and (
+            r.credits_used[kb + out_port * r.max_vcs + dec[1]] + size
+            > r.credit_cap[gout]
+        ):
+            return  # woken by release_credit
+        r.last_grant[gout] = key
+        _commit(r, out_port, gout, key, gk, pkt, dec, now)
+        if active_keys:
+            # Progress this cycle; the remaining backlog (a multi-VC
+            # queue behind the granted head) retries next cycle.
+            arm(r, now + 1)
+        return
+
+    # The general scan reads each store view once per head: hoist them.
+    use_priority = r.transit_priority
+    max_vcs = r.max_vcs
+    boundary = r.injection_boundary
+    in_q = r.in_q
+    in_port_free = r.in_port_free
+    key_port = r._key_port
+    switch_free = r.switch_free
+    out_occ = r.out_occ
+    out_cap = r.out_cap
+    credits_used = r.credits_used
+    credit_cap = r.credit_cap
+    credit_nvc = r.credit_nvc
+    last_grant = r.last_grant
+    pb = r.pb
+    next_time: int | None = None
+    granted = False
+    cand_by_out: dict[int, list] | None = None  # lazily created
+    transit_demand = 0  # bitmask of the output ports transit heads demand
+    dead: list[int] | None = None
+
+    for key in active_keys:
+        gk = kb + key
+        q = in_q[gk]
+        if not q:
+            # Defer the discard: mutating the set mid-iteration is
+            # illegal, and the deferred order matches the scan order.
+            if dead is None:
+                dead = [key]
+            else:
+                dead.append(key)
+            continue
+        is_transit = key >= boundary
+        t_free = in_port_free[key_port[gk]]
+        if t_free > now:
+            if next_time is None or t_free < next_time:
+                next_time = t_free
+            if is_transit and use_priority:
+                # Still assert this head's demand for priority masking.
+                transit_demand |= 1 << cached_or_decide(r, gk, q[0], epoch)[0]
+            continue
+        pkt = q[0]
+        dec = cached_or_decide(r, gk, pkt, epoch)
+        out_port = dec[0]
+        if is_transit and use_priority:
+            transit_demand |= 1 << out_port
+        gout = pb + out_port
+        t_sw = switch_free[gout]
+        if t_sw > now:
+            if next_time is None or t_sw < next_time:
+                next_time = t_sw
+            continue
+        size = pkt.size
+        if out_occ[gout] + size > out_cap[gout]:
+            continue  # woken by release_output
+        if credit_nvc[gout] and (
+            credits_used[kb + out_port * max_vcs + dec[1]] + size
+            > credit_cap[gout]
+        ):
+            continue  # woken by release_credit
+        if cand_by_out is None:
+            cand_by_out = {out_port: [(key, pkt, dec)]}
+        else:
+            lst = cand_by_out.get(out_port)
+            if lst is None:
+                cand_by_out[out_port] = [(key, pkt, dec)]
+            else:
+                lst.append((key, pkt, dec))
+
+    if dead is not None:
+        for key in dead:
+            active_keys.discard(key)
+
+    for out_port, cands in (() if cand_by_out is None else cand_by_out.items()):
+        if len(cands) == 1:
+            # Uncontended fast path: apply the same filters without
+            # building intermediate lists.
+            winner = cands[0]
+            if in_port_free[key_port[kb + winner[0]]] > now:
+                continue  # an earlier grant consumed the input port
+            if transit_demand >> out_port & 1 and winner[0] < boundary:
+                continue  # strict priority masks the injection request
+        else:
+            # A grant earlier in this pass may have consumed the port.
+            cands = [
+                c for c in cands if in_port_free[key_port[kb + c[0]]] <= now
+            ]
+            if transit_demand >> out_port & 1:
+                # Strict priority: pending transit masks injections.
+                cands = [c for c in cands if c[0] >= boundary]
+            if not cands:
+                continue
+            if len(cands) == 1:
+                winner = cands[0]
+            else:
+                winner = select_winner(
+                    cands,
+                    last_grant[pb + out_port],
+                    r.nkeys,
+                    transit_priority=use_priority,
+                    injection_boundary=boundary,
+                )
+        gout = pb + out_port
+        last_grant[gout] = winner[0]
+        _commit(r, out_port, gout, winner[0], kb + winner[0], winner[1], winner[2], now)
+        granted = True
+
+    if next_time is not None:
+        arm(r, next_time)
+    elif granted and active_keys:
+        # Progress happened this cycle; backlogged heads (arbitration
+        # losers or multi-VC queues) retry next cycle.  Heads blocked on
+        # buffers/credits are re-woken by the release activations.
+        arm(r, now + 1)
+
+
+def _commit(r, out_port, gout, key, gk, pkt, dec, now) -> None:
+    """Grant *pkt* from input *key* (flat *gk*) to *out_port* (flat *gout*).
+
+    Credits are consumed here for the whole packet (VCT) and returned to
+    the upstream router one input-transfer time plus one link latency
+    after the packet's tail leaves this input buffer.
+    """
+    max_vcs = r.max_vcs
+    in_port = key // max_vcs
+    gin = r.pb + in_port
+    out_vc = dec[1]
+    size = pkt.size
+    rid = r.router_id
+    q = r.in_q[gk]
+    del q[0]
+    if not q:
+        r.active_keys.discard(key)
+    r._dc_pkt[gk] = None  # head changed: decision no longer valid
+    r._epochs[rid] += 1  # out_occ / credits are about to change
+    busy = now + r.internal_cycles  # the crossbar transfer time
+    r.in_port_free[gin] = busy
+    r.switch_free[gout] = busy
+    r.out_occ[gout] += size
+    local_in = r._local_in
+
+    if in_port < r._num_node_ports:
+        # Injection: record the moment the packet entered the network.
+        pkt.inject_time = now
+        r._on_injection(rid, now)
+    else:
+        wait = now - pkt.t_enq
+        if wait:
+            if local_in[gin]:
+                pkt.wait_local += wait
+            else:
+                pkt.wait_global += wait
+        in_occ = r.in_occ
+        in_occ[gk] = occ = in_occ[gk] - size
+        if occ < 0:
+            raise FlowControlError(
+                f"router {rid}: negative input occupancy "
+                f"port {in_port} vc {key - in_port * max_vcs}"
+            )
+        rec = r._credit_recs[gk]
+        if rec is not None:
+            if size != r._psize:  # non-default packet size: fresh record
+                rec = (OP_CREDIT, rec[1], rec[2], rec[3], size)
+            r.engine.post(busy + r._link_lat[gin], rec)
+
+    if r.credit_nvc[gout]:
+        ck = r.kb + out_port * max_vcs + out_vc
+        credits_used = r.credits_used
+        credits_used[ck] = used = credits_used[ck] + size
+        if used > r.credit_cap[gout]:
+            raise FlowControlError(
+                f"router {rid}: credit overcommit on port "
+                f"{out_port} vc {out_vc}"
+            )
+
+    routing_commit = r._commit_hook
+    if routing_commit is None:
+        # Inlined RoutingMechanism.commit (hop ledger + diversion bind).
+        if local_in[gout]:
+            pkt.local_hops += 1
+            glh = pkt.group_local_hops + 1
+            pkt.group_local_hops = glh
+            if glh > 2:
+                raise RoutingError(
+                    f"packet {pkt.pid} took a third local hop in group "
+                    f"{r.group}; VC safety would be violated"
+                )
+        elif r._global_out[gout]:
+            pkt.global_hops += 1
+        if dec[2] == 1:
+            pkt.inter_group = dec[3]
+    else:
+        routing_commit(pkt, r, dec)
+    pkt.service_sum += r._hop_cost[gout]
+    # Switch traversal: the packet reaches the output FIFO after the
+    # pipeline latency (OP_OUT_ARRIVE).
+    r.engine.post(now + r._pipe_lat, (OP_OUT_ARRIVE, r, out_port, pkt, out_vc))
+
+
+def output_enqueue(r, port: int, pkt: Packet, vc: int, now: int) -> None:
+    """Phase handler: *pkt* crossed the switch into output FIFO *port*.
+
+    The FIFO drains onto the link at 1 phit/cycle; an idle link starts
+    pumping at its next free cycle.
+    """
+    gp = r.pb + port
+    r.out_fifo[gp].append((pkt, vc, now))
+    out_pumping = r.out_pumping
+    if out_pumping[gp]:
+        return
+    out_pumping[gp] = 1
+    dep = r.link_free[gp]
+    r.engine.post(dep if dep > now else now, r._send_recs[port])
+
+
+def send(r, port: int, now: int) -> None:
+    """Phase handler: start transmitting the head of output FIFO *port*."""
+    gp = r.pb + port
+    fifo = r.out_fifo[gp]
+    pkt, vc, t_arr = fifo.pop(0)
+    wait = now - t_arr
+    if wait:
+        if r._global_out[gp]:
+            pkt.wait_global += wait
+        else:  # local and node (ejection) FIFO waits
+            pkt.wait_local += wait
+    size = pkt.size
+    free_t = now + size
+    r.link_free[gp] = free_t
+    eq = r.engine
+    if fifo:
+        # Busy link: merge the tail release with the next transmission
+        # into one OP_LINK record (the two legacy events were adjacent
+        # in the free_t bucket, so the merged record is order-exact).
+        eq.post(
+            free_t,
+            r._link_recs[port] if size == r._psize else (OP_LINK, r, port, size),
+        )
+    else:
+        r.out_pumping[gp] = 0
+        eq.post(
+            free_t,
+            r._rel_recs[port] if size == r._psize else (OP_RELEASE, r, port, size),
+        )
+    peer = r.out_peer[port]
+    if peer is None:
+        rec = (OP_DELIVER, pkt)  # ejection into the simulation sink
+    else:
+        rec = (OP_ARRIVE, peer[0], peer[1], vc, pkt)
+    eq.post(free_t + r._link_lat[gp], rec)
+
+
+def release_output(r, port: int, size: int, now: int) -> None:
+    """Phase handler: a packet's tail left the link; FIFO space frees."""
+    r._epochs[r.router_id] += 1
+    gp = r.pb + port
+    out_occ = r.out_occ
+    out_occ[gp] = occ = out_occ[gp] - size
+    if occ < 0:
+        raise FlowControlError(
+            f"router {r.router_id}: negative output occupancy port {port}"
+        )
+    arm(r, now)  # wake the allocator this cycle
+
+
+def link_step(r, port: int, size: int, now: int) -> None:
+    """Phase handler (``OP_LINK``): tail release + next transmission.
+
+    The merged record of a busy link: the output FIFO was non-empty when
+    the current transmission started, so the link pumps back to back.
+    """
+    release_output(r, port, size, now)
+    send(r, port, now)
+
+
+def release_credit(r, port: int, vc: int, size: int, now: int) -> None:
+    """Phase handler: credits for (port, vc) returned from downstream."""
+    r._epochs[r.router_id] += 1
+    ck = r.kb + port * r.max_vcs + vc
+    credits_used = r.credits_used
+    credits_used[ck] = used = credits_used[ck] - size
+    if used < 0:
+        raise FlowControlError(
+            f"router {r.router_id}: negative credits port {port} vc {vc}"
+        )
+    arm(r, now)  # wake the allocator this cycle
+
+
+# ----------------------------------------------------------------------
+# traffic generation: the packet constructor and the gap draw
+# ----------------------------------------------------------------------
+def make_packet(sim, src_node: int, dst_node: int, now: int) -> Packet:
+    """The packet *sim* generates at *now* from *src_node* to *dst_node*.
+
+    Draws the next packet id; the base latency is a read of the
+    topology-owned minimal-path table (the Fig. 3 base).  Bound as
+    ``Simulation._make_packet``.
+    """
+    topo = sim.topo
+    p = topo.p
+    a = topo.a
+    src_router = src_node // p
+    dst_router = dst_node // p
+    sim._pid = pid = sim._pid + 1
+    return Packet(
+        pid,
+        sim._psize,
+        src_node,
+        src_router,
+        src_router // a,
+        dst_node,
+        dst_router,
+        dst_router // a,
+        dst_router % a,
+        dst_node % p,
+        now,
+        sim._ms_table[src_router * topo.num_routers + dst_router],
+    )
+
+
+def next_gap(rng, log_q: float | None) -> int:
+    """Cycles until a node's Bernoulli process fires again.
+
+    ``geometric_gap(rng, p)`` over the precomputed ``log_q = log(1 - p)``
+    (None when ``p == 1``) — identical draws, one RNG call, no
+    ``math.log(1 - p)`` per event.
+    """
+    if log_q is None:
+        return 1
+    u = rng.random()
+    if u == 0.0:
+        return 1
+    gap = int(log(u) / log_q) + 1
+    return gap if gap > 1 else 1
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +857,8 @@ class LowerState:
         self.we = sim.stats.window_end
         self.psize = sim._psize
         self.log_q = sim._log_q
+        # Geometry and the base-latency table of make_packet, flat: the
+        # C twin's inlined constructor reads them off this object.
         self.p = sim.topo.p
         self.a = sim.topo.a
         self.R = sim.topo.num_routers
@@ -300,10 +909,11 @@ class LowerState:
     def gen(self, node: int) -> None:
         """Lowered OP_GEN handler: mirrors ``Simulation._gen_event``.
 
-        Identical control flow, RNG draws and packet construction as the
-        callback path — minus the destination-contract validation, which
-        lowered descriptors make true by construction (patterns are
-        total, foreign-destination, always active).
+        Identical control flow and RNG draws as the callback path, and
+        the same :func:`make_packet` / :func:`next_gap` — minus the
+        destination-contract validation, which lowered descriptors make
+        true by construction (patterns are total, foreign-destination,
+        always active).
         """
         eq = self.eq
         now = eq.now
@@ -340,26 +950,7 @@ class LowerState:
             dst = tg * per_group + d
         else:  # permutation: zero draws
             dst = self._perm[node]
-        p = self.p
-        a = self.a
-        src_router = node // p
-        dst_router = dst // p
-        owner = self.owner
-        owner._pid = pid = owner._pid + 1
-        pkt = Packet(
-            pid,
-            self.psize,
-            node,
-            src_router,
-            src_router // a,
-            dst,
-            dst_router,
-            dst_router // a,
-            dst_router % a,
-            dst % p,
-            now,
-            self.ms_table[src_router * self.R + dst_router],
-        )
+        pkt = make_packet(self.owner, node, dst, now)
         si = self.si
         si[SI_TOTAL_GENERATED] += 1
         if self.ws <= now < self.we:
@@ -367,20 +958,7 @@ class LowerState:
             si[SI_GEN_PACKETS] += 1
         router, node_port = self.inject_map[node]
         router.inject(node_port, pkt, now)
-        # Inlined geometric_gap over the precomputed log(1 - p), exactly
-        # as in the callback path.
-        log_q = self.log_q
-        if log_q is None:
-            gap = 1
-        else:
-            u = rng.random()
-            if u == 0.0:
-                gap = 1
-            else:
-                gap = int(log(u) / log_q) + 1
-                if gap < 1:
-                    gap = 1
-        eq.post(now + gap, self.gen_recs[node])
+        eq.post(now + next_gap(rng, self.log_q), self.gen_recs[node])
 
     # ------------------------------------------------------------------
     def deliver(self, pkt, now: int) -> None:
@@ -420,9 +998,10 @@ class LowerState:
     def on_injection(self, rid: int, now: int) -> None:
         """Lowered commit-phase hook: mirrors ``StatsCollector.on_injection``.
 
-        Installed as every router's ``_on_injection`` *before*
-        ``_bind_hot`` freezes it, so both kernels' commit phases call it
-        (the C kernel additionally inlines the equivalent accumulation).
+        Bound as every router's ``_on_injection`` by
+        ``Simulation.bind_routing``, so both kernels' commit phases call
+        it (the C kernel additionally inlines the equivalent
+        accumulation).
         """
         self.si[SI_TOTAL_INJECTED] += 1
         if self.ws <= now < self.we:
@@ -445,516 +1024,6 @@ class LowerState:
             return
         self._committed = True
         stats.absorb_window(self.si, self.sf, self.inj_router, self.del_router)
-
-
-# ----------------------------------------------------------------------
-# allocation pass (pure-Python backend); bound as Router.step
-# ----------------------------------------------------------------------
-def step(r, now: int) -> None:
-    """Consolidated pipeline activation: arbitrate and commit at *now*.
-
-    One activation runs the whole allocation pass over all active input
-    heads and commits every grant (switch traversal, credit consumption,
-    downstream scheduling) in a single call, reading and writing the
-    simulation's SoA store through the router's frozen ``_hot`` tuple.
-
-    With ``transit_priority`` the priority is *strict* (Blue Gene
-    style): an injection candidate is suppressed whenever any transit
-    head currently demands the same output port, even if that transit
-    head is not grantable this very cycle (input port busy, credits in
-    flight).  This models an allocator in which the injection request
-    line is masked by any pending transit request — the behaviour the
-    paper attributes to its transit-over-injection configuration and
-    the origin of the bottleneck-router starvation (Section V-B).
-    """
-    r._arb_time = None
-    active_keys = r.active_keys
-    if not active_keys:
-        return  # a release activation woke an idle router: nothing to do
-    use_priority = r.transit_priority
-    max_vcs = r.max_vcs
-    boundary = r.injection_boundary
-    (
-        in_q,
-        in_port_free,
-        switch_free,
-        out_occ,
-        out_cap,
-        credits_used,
-        credit_cap,
-        credit_nvc,
-        dc_pkt,
-        dc_dec,
-        dc_cond,
-        key_port,
-        decide,
-        cache_policy,
-        routing,
-        kb,
-        pb,
-        epochs,
-        rid,
-        last_grant,
-    ) = r._hot
-    my_group = r.group
-    epoch = epochs[rid]  # stable through the scan (no commits yet)
-
-    if len(active_keys) == 1:
-        # Uncontended fast path (the most common activation shape):
-        # one head, no output competition, no intermediate lists.
-        # Byte-for-byte the same decisions, cache writes and RNG
-        # consumption as the general scan below restricted to one key.
-        for key in active_keys:
-            break
-        gk = kb + key
-        q = in_q[gk]
-        if not q:
-            active_keys.discard(key)
-            return
-        pkt = q[0]
-        t_free = in_port_free[key_port[gk]]
-        if t_free > now:
-            if key >= boundary and use_priority:
-                # Assert the head's demand (cache write + possible RNG
-                # draw happen exactly as in the general scan; with no
-                # competing injection head the mask itself is moot).
-                if not (
-                    dc_pkt[gk] is pkt
-                    and (
-                        (cond := dc_cond[gk]) is None
-                        or cond == epoch
-                        or (
-                            cond.__class__ is tuple
-                            and (
-                                credits_used[cond[1]]
-                                if cond[0]
-                                else out_occ[cond[1]]
-                            )
-                            == cond[2]
-                        )
-                    )
-                ):
-                    dec = decide(pkt, r)
-                    if cache_policy == 1:
-                        dc_pkt[gk] = pkt
-                        dc_dec[gk] = dec
-                        dc_cond[gk] = None
-                    elif cache_policy == 2:
-                        if pkt.plan:
-                            dc_pkt[gk] = pkt
-                            dc_dec[gk] = dec
-                            dc_cond[gk] = None
-                    elif cache_policy == 3:
-                        if pkt.inter_group >= 0 and my_group != pkt.dst_group:
-                            dc_pkt[gk] = pkt
-                            dc_dec[gk] = dec
-                            dc_cond[gk] = None
-                        elif routing.last_decide_pure:
-                            dc_pkt[gk] = pkt
-                            dc_dec[gk] = dec
-                            g = routing.last_decide_guard
-                            if g is None:
-                                dc_cond[gk] = epoch
-                            elif g:
-                                dc_cond[gk] = g  # single-counter guard
-                            else:  # GUARD_STABLE: frozen-pure decision
-                                dc_cond[gk] = None
-            # Inlined schedule_arb(t_free): _arb_time is None here.
-            r._arb_time = t_free
-            bucket = r._eq_get(t_free)
-            if bucket is None:
-                r._eq_buckets[t_free] = [r._token]
-                heappush(r._eq_times, t_free)
-            else:
-                bucket.append(r._token)
-            return
-        if dc_pkt[gk] is pkt and (
-            (cond := dc_cond[gk]) is None
-            or cond == epoch
-            or (
-                cond.__class__ is tuple
-                and (credits_used[cond[1]] if cond[0] else out_occ[cond[1]])
-                == cond[2]
-            )
-        ):
-            dec = dc_dec[gk]
-        else:
-            dec = decide(pkt, r)
-            # Inlined cache-policy switch (decision_stable).
-            if cache_policy == 1:
-                dc_pkt[gk] = pkt
-                dc_dec[gk] = dec
-                dc_cond[gk] = None
-            elif cache_policy == 2:
-                if pkt.plan:
-                    dc_pkt[gk] = pkt
-                    dc_dec[gk] = dec
-                    dc_cond[gk] = None
-            elif cache_policy == 3:
-                if pkt.inter_group >= 0 and my_group != pkt.dst_group:
-                    dc_pkt[gk] = pkt
-                    dc_dec[gk] = dec
-                    dc_cond[gk] = None
-                elif routing.last_decide_pure:
-                    dc_pkt[gk] = pkt
-                    dc_dec[gk] = dec
-                    g = routing.last_decide_guard
-                    if g is None:
-                        dc_cond[gk] = epoch
-                    elif g:
-                        dc_cond[gk] = g  # single-counter guard
-                    else:  # GUARD_STABLE: frozen-pure decision
-                        dc_cond[gk] = None
-        out_port = dec[0]
-        gout = pb + out_port
-        t_sw = switch_free[gout]
-        if t_sw > now:
-            # Inlined schedule_arb(t_sw): _arb_time is None here.
-            r._arb_time = t_sw
-            bucket = r._eq_get(t_sw)
-            if bucket is None:
-                r._eq_buckets[t_sw] = [r._token]
-                heappush(r._eq_times, t_sw)
-            else:
-                bucket.append(r._token)
-            return
-        size = pkt.size
-        if out_occ[gout] + size > out_cap[gout]:
-            return  # woken by release_output
-        if credit_nvc[gout] and (
-            credits_used[kb + out_port * max_vcs + dec[1]] + size
-            > credit_cap[gout]
-        ):
-            return  # woken by release_credit
-        last_grant[gout] = key
-        _commit(r, out_port, gout, key, gk, pkt, dec, now)
-        if active_keys:
-            # Progress this cycle; the remaining backlog (a multi-VC
-            # queue behind the granted head) retries next cycle.
-            # Inlined schedule_arb(now + 1): _arb_time is None here.
-            t = now + 1
-            r._arb_time = t
-            bucket = r._eq_get(t)
-            if bucket is None:
-                r._eq_buckets[t] = [r._token]
-                heappush(r._eq_times, t)
-            else:
-                bucket.append(r._token)
-        return
-
-    next_time: int | None = None
-    granted = False
-    cand_by_out: dict[int, list] | None = None  # lazily created
-    transit_demand: set[int] | None = None  # lazily created set
-    dead: list[int] | None = None
-
-    for key in active_keys:
-        gk = kb + key
-        q = in_q[gk]
-        if not q:
-            # Defer the discard: mutating the set mid-iteration is
-            # illegal, and the deferred order matches the scan order.
-            if dead is None:
-                dead = [key]
-            else:
-                dead.append(key)
-            continue
-        is_transit = key >= boundary
-        t_free = in_port_free[key_port[gk]]
-        if t_free > now:
-            if next_time is None or t_free < next_time:
-                next_time = t_free
-            if is_transit and use_priority:
-                # Still assert this head's demand for priority masking.
-                pkt = q[0]
-                if dc_pkt[gk] is pkt and (
-                    (cond := dc_cond[gk]) is None
-                    or cond == epoch
-                    or (
-                        cond.__class__ is tuple
-                        and (
-                            credits_used[cond[1]]
-                            if cond[0]
-                            else out_occ[cond[1]]
-                        )
-                        == cond[2]
-                    )
-                ):
-                    demand_port = dc_dec[gk][0]
-                else:
-                    dec = decide(pkt, r)
-                    # Inlined cache-policy switch (decision_stable).
-                    if cache_policy == 1:
-                        dc_pkt[gk] = pkt
-                        dc_dec[gk] = dec
-                        dc_cond[gk] = None
-                    elif cache_policy == 2:
-                        if pkt.plan:
-                            dc_pkt[gk] = pkt
-                            dc_dec[gk] = dec
-                            dc_cond[gk] = None
-                    elif cache_policy == 3:
-                        if pkt.inter_group >= 0 and my_group != pkt.dst_group:
-                            dc_pkt[gk] = pkt
-                            dc_dec[gk] = dec
-                            dc_cond[gk] = None
-                        elif routing.last_decide_pure:
-                            dc_pkt[gk] = pkt
-                            dc_dec[gk] = dec
-                            g = routing.last_decide_guard
-                            if g is None:
-                                dc_cond[gk] = epoch
-                            elif g:
-                                dc_cond[gk] = g  # single-counter guard
-                            else:  # GUARD_STABLE: frozen-pure decision
-                                dc_cond[gk] = None
-                    demand_port = dec[0]
-                if transit_demand is None:
-                    transit_demand = {demand_port}
-                else:
-                    transit_demand.add(demand_port)
-            continue
-        pkt = q[0]
-        if dc_pkt[gk] is pkt and (
-            (cond := dc_cond[gk]) is None
-            or cond == epoch
-            or (
-                cond.__class__ is tuple
-                and (credits_used[cond[1]] if cond[0] else out_occ[cond[1]])
-                == cond[2]
-            )
-        ):
-            dec = dc_dec[gk]
-        else:
-            dec = decide(pkt, r)
-            # Inlined cache-policy switch (decision_stable).
-            if cache_policy == 1:
-                dc_pkt[gk] = pkt
-                dc_dec[gk] = dec
-                dc_cond[gk] = None
-            elif cache_policy == 2:
-                if pkt.plan:
-                    dc_pkt[gk] = pkt
-                    dc_dec[gk] = dec
-                    dc_cond[gk] = None
-            elif cache_policy == 3:
-                if pkt.inter_group >= 0 and my_group != pkt.dst_group:
-                    dc_pkt[gk] = pkt
-                    dc_dec[gk] = dec
-                    dc_cond[gk] = None
-                elif routing.last_decide_pure:
-                    dc_pkt[gk] = pkt
-                    dc_dec[gk] = dec
-                    g = routing.last_decide_guard
-                    if g is None:
-                        dc_cond[gk] = epoch
-                    elif g:
-                        dc_cond[gk] = g  # single-counter guard
-                    else:  # GUARD_STABLE: frozen-pure decision
-                        dc_cond[gk] = None
-        out_port = dec[0]
-        if is_transit and use_priority:
-            if transit_demand is None:
-                transit_demand = {out_port}
-            else:
-                transit_demand.add(out_port)
-        gout = pb + out_port
-        t_sw = switch_free[gout]
-        if t_sw > now:
-            if next_time is None or t_sw < next_time:
-                next_time = t_sw
-            continue
-        size = pkt.size
-        if out_occ[gout] + size > out_cap[gout]:
-            continue  # woken by release_output
-        if credit_nvc[gout] and (
-            credits_used[kb + out_port * max_vcs + dec[1]] + size
-            > credit_cap[gout]
-        ):
-            continue  # woken by release_credit
-        if cand_by_out is None:
-            cand_by_out = {out_port: [(key, pkt, dec)]}
-        else:
-            lst = cand_by_out.get(out_port)
-            if lst is None:
-                cand_by_out[out_port] = [(key, pkt, dec)]
-            else:
-                lst.append((key, pkt, dec))
-
-    if dead is not None:
-        for key in dead:
-            active_keys.discard(key)
-
-    for out_port, cands in (() if cand_by_out is None else cand_by_out.items()):
-        if len(cands) == 1:
-            # Uncontended fast path: apply the same filters without
-            # building intermediate lists.
-            winner = cands[0]
-            if in_port_free[key_port[kb + winner[0]]] > now:
-                continue  # an earlier grant consumed the input port
-            if (
-                transit_demand is not None
-                and out_port in transit_demand
-                and winner[0] < boundary
-            ):
-                continue  # strict priority masks the injection request
-        else:
-            # A grant earlier in this pass may have consumed the port.
-            cands = [
-                c for c in cands if in_port_free[key_port[kb + c[0]]] <= now
-            ]
-            if transit_demand is not None and out_port in transit_demand:
-                # Strict priority: pending transit masks injections.
-                cands = [c for c in cands if c[0] >= boundary]
-            if not cands:
-                continue
-            if len(cands) == 1:
-                winner = cands[0]
-            else:
-                winner = select_winner(
-                    cands,
-                    last_grant[pb + out_port],
-                    r.nkeys,
-                    transit_priority=use_priority,
-                    injection_boundary=boundary,
-                )
-        gout = pb + out_port
-        last_grant[gout] = winner[0]
-        _commit(r, out_port, gout, winner[0], kb + winner[0], winner[1], winner[2], now)
-        granted = True
-
-    if next_time is not None:
-        t = next_time
-    elif granted and active_keys:
-        # Progress happened this cycle; backlogged heads (arbitration
-        # losers or multi-VC queues) retry next cycle.  Heads blocked on
-        # buffers/credits are re-woken by the release activations.
-        t = now + 1
-    else:
-        return
-    # Inlined schedule_arb(t): _arb_time is None throughout a pass.
-    r._arb_time = t
-    bucket = r._eq_get(t)
-    if bucket is None:
-        r._eq_buckets[t] = [r._token]
-        heappush(r._eq_times, t)
-    else:
-        bucket.append(r._token)
-
-
-def _commit(r, out_port, gout, key, gk, pkt, dec, now) -> None:
-    """Grant *pkt* from input *key* (flat *gk*) to *out_port* (flat *gout*)."""
-    (
-        active_keys,
-        dc_pkt,
-        in_port_free,
-        switch_free,
-        out_occ,
-        in_occ,
-        credits_used,
-        credit_nvc,
-        credit_cap,
-        credit_recs,
-        eq_buckets,
-        eq_get,
-        eq_times,
-        local_in,
-        link_lat,
-        hop_cost,
-        routing_commit,
-        on_injection,
-        max_vcs,
-        internal,
-        num_node_ports,
-        psize,
-        pipe_lat,
-        kb,
-        pb,
-        epochs,
-        rid,
-        global_out,
-        in_q,
-    ) = r._hot2
-    in_port = key // max_vcs
-    gin = pb + in_port
-    out_vc = dec[1]
-    size = pkt.size
-    q = in_q[gk]
-    del q[0]
-    if not q:
-        active_keys.discard(key)
-    dc_pkt[gk] = None  # head changed: decision no longer valid
-    epochs[rid] += 1  # out_occ / credits are about to change
-    in_port_free[gin] = now + internal
-    switch_free[gout] = now + internal
-    out_occ[gout] += size
-
-    if in_port < num_node_ports:
-        # Injection: record the moment the packet entered the network.
-        pkt.inject_time = now
-        on_injection(rid, now)
-    else:
-        wait = now - pkt.t_enq
-        if wait:
-            if local_in[gin]:
-                pkt.wait_local += wait
-            else:
-                pkt.wait_global += wait
-        in_occ[gk] -= size
-        if _router_mod.CHECK_INVARIANTS and in_occ[gk] < 0:
-            raise FlowControlError(
-                f"router {rid}: negative input occupancy "
-                f"port {in_port} vc {key - in_port * max_vcs}"
-            )
-        rec = credit_recs[gk]
-        if rec is not None:
-            if size != psize:  # non-default packet size: fresh record
-                rec = (OP_CREDIT, rec[1], rec[2], rec[3], size)
-            t = now + internal + link_lat[gin]
-            bucket = eq_get(t)
-            if bucket is None:
-                eq_buckets[t] = [rec]
-                heappush(eq_times, t)
-            else:
-                bucket.append(rec)
-
-    if credit_nvc[gout]:
-        ck = kb + out_port * max_vcs + out_vc
-        credits_used[ck] += size
-        if _router_mod.CHECK_INVARIANTS and (credits_used[ck] > credit_cap[gout]):
-            raise FlowControlError(
-                f"router {rid}: credit overcommit on port "
-                f"{out_port} vc {out_vc}"
-            )
-
-    if routing_commit is None:
-        # Inlined RoutingMechanism.commit (hop ledger + diversion bind).
-        if local_in[gout]:
-            pkt.local_hops += 1
-            glh = pkt.group_local_hops + 1
-            pkt.group_local_hops = glh
-            if glh > 2:
-                raise RoutingError(
-                    f"packet {pkt.pid} took a third local hop in group "
-                    f"{r.group}; VC safety would be violated"
-                )
-        elif global_out[gout]:
-            pkt.global_hops += 1
-        if dec[2] == 1:
-            pkt.inter_group = dec[3]
-    else:
-        routing_commit(pkt, r, dec)
-    pkt.service_sum += hop_cost[gout]
-    # Switch traversal: the packet reaches the output FIFO after the
-    # pipeline latency (OP_OUT_ARRIVE).
-    t = now + pipe_lat
-    rec = (OP_OUT_ARRIVE, r, out_port, pkt, out_vc)
-    bucket = eq_get(t)
-    if bucket is None:
-        eq_buckets[t] = [rec]
-        heappush(eq_times, t)
-    else:
-        bucket.append(rec)
 
 
 # ----------------------------------------------------------------------

@@ -180,10 +180,11 @@ class SoAStore:
         # buffer reached through the key's port/VC (flat layout; only the
         # first credit_nvc[gp] VC slots of a port are meaningful).
         self.credits_used = _int_buffer(K, typed)
-        # Memoized head decisions (see the decision-cache contract in
-        # repro.hardware.router): dc_pkt[gk] is the head packet the cached
-        # dc_dec[gk] belongs to, dc_cond[gk] the validity condition (None,
-        # a congestion epoch, or a flat single-counter guard tuple).
+        # Memoized head decisions (see the decision-memo contract of
+        # repro.engine.kernel.cached_or_decide): dc_pkt[gk] is the head
+        # packet the cached dc_dec[gk] belongs to, dc_cond[gk] the
+        # validity condition (None, a congestion epoch, or a flat
+        # single-counter guard tuple).
         self.dc_pkt: list = [None] * K
         self.dc_dec: list = [None] * K
         self.dc_cond: list = [None] * K

@@ -260,8 +260,8 @@ class DragonflyTopology:
         ``table[src_router * R + dst_router]`` is the zero-load latency
         lower bound of a packet between the two routers under minimal
         routing with the given per-hop costs (local hop, global hop,
-        ejection) — the same quantity :meth:`Simulation._min_service`
-        historically memoised pairwise in a dict.  Built once per
+        ejection) — the Fig. 3 base latency the packet constructor
+        reads per generated packet.  Built once per
         (cost-triple, topology) and memoised on the instance, so every
         cell warm-started from the shared ``_TOPO_CACHE`` entry reuses
         one table; the engine's lowered generator indexes it directly.

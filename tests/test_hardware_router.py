@@ -2,8 +2,8 @@
 
 These use a tiny end-to-end simulation rather than a mocked router: the
 router's contract is precisely its behaviour inside the wired network, and
-the invariant checks (enabled session-wide in conftest) assert buffer and
-credit conservation on every event.
+the flow-control invariant checks assert buffer and credit conservation
+on every event.
 """
 
 from __future__ import annotations
@@ -12,6 +12,14 @@ import pytest
 
 from repro.config import tiny_config, small_config
 from repro.core.simulation import Simulation
+from repro.engine import kernel
+from repro.engine.events import OP_LINK
+from repro.exec.serialize import result_to_dict
+from repro.hardware.packet import Packet
+from repro.hardware.router import Router
+from repro.routing.base import GUARD_STABLE
+from repro.routing.factory import make_routing
+from test_engine_backends import BACKENDS, _store_snapshot
 
 
 class TestBasicDelivery:
@@ -183,7 +191,8 @@ class TestMechanismOverrideFallback:
     """The router inlines the *base* commit/on_arrival bookkeeping; a
     mechanism that overrides either hook must still be called."""
 
-    def test_overridden_hooks_are_called(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_overridden_hooks_are_called(self, backend):
         from repro.routing.minimal import MinimalRouting
 
         calls = []
@@ -198,11 +207,8 @@ class TestMechanismOverrideFallback:
                 super().on_arrival(pkt, router, port)
 
         cfg = tiny_config(routing="min").with_traffic(pattern="uniform", load=0.3)
-        sim = Simulation(cfg)
-        sim.routing = TracingMinimal(sim)
-        for r in sim.routers:
-            r.routing = sim.routing
-            r._bind_hot()
+        sim = Simulation(cfg, engine_backend=backend)
+        sim.bind_routing(TracingMinimal(sim))
         result = sim.run()
         assert result.delivered_packets > 0
         assert "commit" in calls and "arrival" in calls
@@ -211,15 +217,182 @@ class TestMechanismOverrideFallback:
         cfg = tiny_config(routing="min")
         sim = Simulation(cfg)
         r = sim.routers[0]
-        # _hot2[16] is the commit fallback slot, _hot_in[2] the arrival
-        # fallback slot: None means the inlined base bookkeeping runs.
-        assert r._hot2[16] is None
-        assert r._hot_in[2] is None
+        # None means the inlined base bookkeeping runs.
+        assert r._commit_hook is None
+        assert r._arrival_hook is None
+
+
+class TestMechanismSwap:
+    """What is bound to the routers is what routes, on either backend:
+    a mechanism installed after construction needs no rebind call."""
+
+    CFG = tiny_config(routing="min", warmup_cycles=200, measure_cycles=600)
+    CFG = CFG.with_traffic(pattern="advc", load=0.3)
+
+    def _run(self, backend: str, swap: str | None) -> dict:
+        sim = Simulation(self.CFG, engine_backend=backend)
+        if swap is not None:
+            mech = make_routing("in-trns-mm", sim)
+            if swap == "bind":
+                sim.bind_routing(mech)
+            else:  # plain assignment, as a caller who knows no better
+                sim.routing = mech
+                for r in sim.routers:
+                    r.routing = mech
+        return result_to_dict(sim.run())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_swap_without_rebind(self, backend):
+        swapped = self._run(backend, "assign")
+        assert swapped == self._run("python", "bind")
+        assert swapped != self._run(backend, None)  # MIN no longer routes
+
+
+class TestLinkStep:
+    """``OP_LINK`` is a tail release then the next transmission."""
+
+    @staticmethod
+    def _calendar(sim: Simulation) -> dict:
+        def plain(x):
+            if isinstance(x, Router):
+                return ("router", x.router_id)
+            if isinstance(x, Packet):
+                return ("packet", x.pid)
+            return x if isinstance(x, int) else repr(type(x))
+
+        return {
+            t: [tuple(plain(x) for x in rec) for rec in bucket]
+            for t, bucket in sim.engine._buckets.items()
+        }
+
+    def _live(self):
+        cfg = tiny_config(routing="min").with_traffic(pattern="advc", load=0.6)
+        sim = Simulation(cfg, engine_backend="python")
+        sim.start()
+        sim.engine.run_until(400)
+        t, rec = min(
+            (t, rec)
+            for t, bucket in sim.engine._buckets.items()
+            for rec in bucket
+            if rec[0] == OP_LINK
+        )
+        return sim, t, rec
+
+    def test_link_step_is_release_output_then_send(self):
+        merged, t, (_, r, port, size) = self._live()
+        r.link_step(port, size, t)
+        split, t2, (_, r2, port2, size2) = self._live()
+        assert (t2, r2.router_id, port2, size2) == (t, r.router_id, port, size)
+        r2.release_output(port2, size2, t2)
+        r2.send(port2, t2)
+        assert _store_snapshot(merged) == _store_snapshot(split)
+        assert self._calendar(merged) == self._calendar(split)
+        assert [x._arb_time for x in merged.routers] == [
+            x._arb_time for x in split.routers
+        ]
+
+
+class _CountingMechanism:
+    """Stub mechanism: a fixed decision, a call counter, settable purity."""
+
+    DECISION = (1, 0, 0, -1)
+
+    def __init__(self, cache_policy: int) -> None:
+        self.cache_policy = cache_policy
+        self.calls = 0
+        self.last_decide_pure = False
+        self.last_decide_guard = None
+
+    def decide(self, pkt, router):
+        self.calls += 1
+        return self.DECISION
+
+
+class TestCachedOrDecide:
+    """The decision-memo contract of the one ``kernel.cached_or_decide``."""
+
+    EPOCH = 7
+    STALE = (9, 9, 9, 9)  # a memoized decision no decide() returns
+
+    def _head(self, cache_policy: int = 0):
+        sim = Simulation(tiny_config(routing="min"), engine_backend="python")
+        r = sim.routers[0]
+        mech = r.routing = _CountingMechanism(cache_policy)  # no rebind
+        gk = r.kb + 2 * r.max_vcs  # a transit key (global input port 2)
+        far = sim.topo.router_id(1, 0) * sim.topo.p  # a node of group 1
+        return sim, r, mech, gk, sim._make_packet(2, far, 0)
+
+    @pytest.mark.parametrize(
+        "cond, calls",
+        [
+            ("none", 0),
+            ("epoch", 0),
+            ("credits", 0),
+            ("out_occ", 0),
+            ("old-epoch", 1),
+            ("credits-moved", 1),
+            ("out_occ-moved", 1),
+            ("new-head", 1),
+        ],
+    )
+    def test_revalidation(self, cond, calls):
+        sim, r, mech, gk, pkt = self._head()
+        ck, gp = r.kb + 5, r.pb + 1  # any flat counter indices
+        r.credits_used[ck], r.out_occ[gp] = 24, 16
+        r._dc_pkt[gk], r._dc_dec[gk] = pkt, self.STALE
+        r._dc_cond[gk] = {
+            "none": None,
+            "epoch": self.EPOCH,
+            "credits": (1, ck, 24),
+            "out_occ": (0, gp, 16),
+            "old-epoch": self.EPOCH - 1,
+            "credits-moved": (1, ck, 16),
+            "out_occ-moved": (0, gp, 8),
+            "new-head": None,
+        }[cond]
+        head = sim._make_packet(2, 1, 0) if cond == "new-head" else pkt
+        dec = kernel.cached_or_decide(r, gk, head, self.EPOCH)
+        assert mech.calls == calls
+        assert dec == (mech.DECISION if calls else self.STALE)
+
+    @pytest.mark.parametrize(
+        "policy, plan, diverted, pure, guard, written",
+        [
+            (0, 0, False, True, None, "nothing"),
+            (1, 0, False, False, None, None),
+            (2, 1, False, False, None, None),
+            (2, 0, False, False, None, "nothing"),
+            (3, 0, True, False, None, None),
+            (3, 0, False, True, None, EPOCH),
+            (3, 0, False, True, (1, 5, 24), (1, 5, 24)),
+            (3, 0, False, True, GUARD_STABLE, None),
+            (3, 0, False, False, None, "nothing"),
+        ],
+    )
+    def test_cache_policy_write(self, policy, plan, diverted, pure, guard, written):
+        sim, r, mech, gk, pkt = self._head(policy)
+        pkt.plan = plan
+        if diverted:  # bound to an intermediate group, outside the target's
+            pkt.inter_group = 2
+            assert r.group != pkt.dst_group
+        mech.last_decide_pure, mech.last_decide_guard = pure, guard
+        r.credits_used[5] = 24  # what the counter guard of the table reads
+        assert kernel.cached_or_decide(r, gk, pkt, self.EPOCH) == mech.DECISION
+        assert mech.calls == 1
+        if written == "nothing":
+            assert r._dc_pkt[gk] is None
+        else:
+            assert r._dc_pkt[gk] is pkt
+            assert r._dc_dec[gk] == mech.DECISION
+            assert r._dc_cond[gk] == written
+            # and the entry it wrote is the one it now serves
+            kernel.cached_or_decide(r, gk, pkt, self.EPOCH)
+            assert mech.calls == 1
 
 
 class TestScheduleArb:
-    """The dirty-marked arming protocol (reference method; the hot paths
-    inline the same logic)."""
+    """The dirty-marked arming protocol (``kernel.arm``, bound as
+    ``Router.schedule_arb``)."""
 
     def test_earlier_arming_wins_and_dedups(self):
         sim = Simulation(tiny_config(routing="min"))

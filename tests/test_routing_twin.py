@@ -91,10 +91,7 @@ def _valiant_in_flight(sim: Simulation) -> int:
 
 def _install(sim: Simulation, routing) -> None:
     """Make *routing* the mechanism of an already-built simulation."""
-    sim.routing = routing
-    for r in sim.routers:
-        r.routing = routing
-        r._bind_hot()
+    sim.bind_routing(routing)
 
 
 def _assert_agree(cfg, prepare=None) -> Simulation:
