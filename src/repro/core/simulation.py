@@ -101,6 +101,7 @@ class Simulation:
             self.topo.num_routers,
             self.topo.num_nodes,
             check_decomposition=check_decomposition,
+            typed=backend.typed,
         )
 
         # Structure-of-arrays store for the hot router state (flat typed
@@ -169,9 +170,7 @@ class Simulation:
         # Lowered OP_GEN / OP_DELIVER fast path (see
         # repro.engine.kernel.LowerState), selected by the cell itself:
         # a static pattern with a lowering descriptor, no oracle and no
-        # decomposition check.  Decided before bind_routing so the
-        # lowered on_injection hook is the one bound to the routers;
-        # every other cell keeps the callback path untouched.
+        # decomposition check; every other cell keeps the callback path.
         descriptor = None
         if self.oracle is None and not check_decomposition:
             descriptor = self.traffic.lower()
@@ -188,7 +187,7 @@ class Simulation:
         # into the collector (directly when no oracle audits deliveries)
         # and generator activations (OP_GEN) into `_gen_event` — no
         # per-event callback tuples on either path.  A lowered run then
-        # re-points both at the LowerState mirrors.
+        # re-points the generator at LowerState.gen.
         self.engine.bind_sink(
             self.stats.on_delivery if self.oracle is None else self.deliver
         )
@@ -223,10 +222,10 @@ class Simulation:
         """Make *routing* the mechanism of this simulation's routers.
 
         The one place that binds a mechanism — and the stats injection
-        callback, lowered or not — to the routers, which is where both
-        kernels read them.  ``commit`` / ``on_arrival`` are bound only
-        when the mechanism overrides the base bookkeeping the kernels
-        inline (none in-tree does).
+        callback — to the routers, which is where both kernels read
+        them.  ``commit`` / ``on_arrival`` are bound only when the
+        mechanism overrides the base bookkeeping the kernels inline
+        (none in-tree does).
         """
         self.routing = routing
         kind = type(routing)
@@ -236,10 +235,7 @@ class Simulation:
             if kind.on_arrival is RoutingMechanism.on_arrival
             else routing.on_arrival
         )
-        lower = self._lower
-        on_injection = (
-            self.stats.on_injection if lower is None else lower.on_injection
-        )
+        on_injection = self.stats.on_injection
         for r in self.routers:
             r.routing = routing
             r._commit_hook = commit
@@ -277,31 +273,16 @@ class Simulation:
         self.engine.post(now + next_gap(rng, self._log_q), self._gen_recs[node])
 
     # ------------------------------------------------------------------
-    def deliver(self, pkt: Packet, now: int | None = None) -> None:
-        """Sink callback: a packet's tail reached its destination node.
-
-        The engine passes the current cycle; direct callers may omit it.
-        """
-        if now is None:
-            now = self.engine.now
+    def deliver(self, pkt: Packet, now: int) -> None:
+        """Sink callback: a packet's tail reached its destination node."""
         self.stats.on_delivery(pkt, now)
         if self.oracle is not None:
             self.oracle.on_delivery(pkt, now)
 
     # ------------------------------------------------------------------
     def _watchdog(self) -> None:
-        # A lowered run accumulates the all-time counters in the flat
-        # stat buffers; the collector only learns them at _collect(),
-        # where commit() *adds* them to whatever the collector already
-        # holds.  The watchdog therefore observes the same union — a
-        # direct contribution to the collector (e.g. a packet injected
-        # outside the generator path) counts as in flight either way.
-        lower = self._lower
         delivered = self.stats.total_delivered
         in_flight = self.stats.in_flight()
-        if lower is not None:
-            delivered += lower.total_delivered()
-            in_flight += lower.in_flight()
         if delivered == self._watch_delivered and in_flight > 0:
             raise SimulationError(
                 f"deadlock suspected at cycle {self.engine.now}: "
@@ -329,11 +310,7 @@ class Simulation:
         """
         self._lower = None
         self._lower_src = None
-        self.bind_routing(self.routing)
-        self.engine.unbind_lower(
-            self._gen_event,
-            self.stats.on_delivery if self.oracle is None else self.deliver,
-        )
+        self.engine.unbind_lower(self._gen_event)
 
     def start(self) -> None:
         """Post the initial generator/watchdog records (no stepping yet)."""
@@ -357,8 +334,6 @@ class Simulation:
 
     def _collect(self) -> SimulationResult:
         """Post-horizon oracle audit + result assembly (end of run())."""
-        if self._lower is not None:
-            self._lower.commit(self.stats)
         oracle_verdict = None
         if self.oracle is not None:
             self._drain()
@@ -371,15 +346,16 @@ class Simulation:
         self.engine._ckstate = None
 
         stats = self.stats
+        latency = stats.latency
         return SimulationResult(
             config=self.config,
             routing=self.config.routing,
             pattern=self.traffic.name,
             offered_load=stats.offered_load(),
             accepted_load=stats.accepted_load(),
-            avg_latency=stats.latency.mean,
-            latency_std=stats.latency.std,
-            max_latency=stats.latency.max if stats.latency.n else 0.0,
+            avg_latency=latency.mean,
+            latency_std=latency.std,
+            max_latency=latency.max if latency.n else 0.0,
             latency_breakdown=stats.breakdown.means(),
             delivered_packets=stats.delivered_packets,
             generated_packets=stats.generated_packets,

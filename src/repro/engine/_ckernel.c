@@ -19,8 +19,10 @@
  *   release_output                 c_release_output
  *   release_credit                 c_release_credit
  *   link_step                      dispatch, OP_LINK: release, then send
- *   LowerState.gen / .deliver      c_gen / c_deliver (with inject,
- *                                  make_packet and next_gap inlined)
+ *   LowerState.gen                 c_gen (with inject, make_packet,
+ *                                  next_gap and on_generate inlined)
+ *   StatsCollector.on_delivery     c_deliver
+ *   StatsCollector.on_injection    inline in c_commit
  *
  * Three deliberate asymmetries: step's single-head fast path and the
  * prebuilt constant records (prebuild_records) are Python only, the
@@ -495,8 +497,8 @@ typedef struct {
 
 /* ---- lowered OP_GEN / OP_DELIVER fast path ------------------------- */
 
-/* Stat slot layout of the flat accumulators on the SoA store; must
- * match the SI_* / SF_* constants in repro/engine/soa.py. */
+/* Slot layout of StatsCollector's si / sf blocks; must match the
+ * SI_* / SF_* constants in repro/metrics/collector.py. */
 #define SI_TOTAL_GENERATED 0
 #define SI_TOTAL_INJECTED 1
 #define SI_TOTAL_DELIVERED 2
@@ -517,9 +519,9 @@ typedef struct {
 
 /* The C twin of repro.engine.kernel.LowerState: built from eq._lower
  * when the KState is constructed.  Scalars and the pattern descriptor
- * are unpacked into struct fields; the stat accumulators and the
- * min-service table are buffer views; the traffic RNG runs in-kernel
- * (RngMirror) between lstate_sync_in / lstate_sync_out. */
+ * are unpacked into struct fields; the collector's four stat buffers
+ * (which it aliases) and the min-service table are buffer views; the
+ * traffic RNG runs in-kernel between lstate_sync_in / lstate_sync_out. */
 typedef struct {
     PyObject *lower;       /* owned: the Python LowerState */
     RngMirror rng;         /* rng_traffic, in-kernel during a drain */
@@ -1904,8 +1906,7 @@ call_hook(KState *ks, int kind, PyObject *fn, Py_ssize_t nargs, PyObject *a,
 }
 
 /* ------------------------------------------------------------------ */
-/* lowered OP_GEN / OP_DELIVER handlers (twins of LowerState.gen /     */
-/* LowerState.deliver in repro/engine/kernel.py)                       */
+/* lowered OP_GEN / OP_DELIVER handlers (twins: see the header map)    */
 /* ------------------------------------------------------------------ */
 
 static int
@@ -2849,8 +2850,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
     if (in_port < rs->num_node_ports) {
         slot_set(pkt, ks->ps.inject_time, Py_NewRef(now_o));
         if (ks->low != NULL) {
-            /* inlined LowerState.on_injection (which is what
-             * rs->on_injection is bound to on a lowered run) */
+            /* inlined StatsCollector.on_injection (rs->on_injection) */
             LState *ls = ks->low;
             ls->si[SI_TOTAL_INJECTED] += 1;
             if (now >= ls->ws && now < ls->we)

@@ -171,24 +171,22 @@ class EventQueue:
     def bind_lower(self, lower) -> None:
         """Attach a :class:`repro.engine.kernel.LowerState` to this queue.
 
-        Re-points the OP_GEN / OP_DELIVER handlers at the lowered
-        mirrors, so the pure-Python kernel runs them with zero dispatch
-        changes; the compiled kernel additionally reads ``_lower`` when
-        building its cached state and runs the C twins instead.
+        Re-points the OP_GEN handler at the descriptor interpreter, so
+        the pure-Python kernel runs it with zero dispatch changes; the
+        compiled kernel additionally reads ``_lower`` when building its
+        cached state and runs C twins of it and of the sink instead.
         """
         self._lower = lower
         self._gen = lower.gen
-        self._sink = lower.deliver
 
-    def unbind_lower(self, gen: Callable, sink: Callable) -> None:
-        """Detach the lowered mirrors and restore callback handlers.
+    def unbind_lower(self, gen: Callable) -> None:
+        """Detach the lowered generator and restore the callback one.
 
         Must happen before the first drain: the compiled kernel freezes
         ``_lower`` into its cached state when that is built.
         """
         self._lower = None
         self._gen = gen
-        self._sink = sink
 
     def bind_backend(self, backend, store) -> None:
         """Attach an engine backend and its SoA *store* to this queue.

@@ -90,24 +90,6 @@ from repro.engine.events import (
     OP_SEND,
     OP_STEP,
 )
-from repro.engine.soa import (
-    SF_BD_BASE,
-    SF_BD_GLOBAL,
-    SF_BD_INJ,
-    SF_BD_LOCAL,
-    SF_BD_MIS,
-    SF_LAT_M2,
-    SF_LAT_MAX,
-    SF_LAT_MEAN,
-    SF_LAT_MIN,
-    SI_DEL_PACKETS,
-    SI_DEL_PHITS,
-    SI_GEN_PACKETS,
-    SI_GEN_PHITS,
-    SI_TOTAL_DELIVERED,
-    SI_TOTAL_GENERATED,
-    SI_TOTAL_INJECTED,
-)
 from repro.errors import ConfigurationError, FlowControlError, RoutingError
 from repro.hardware.allocator import select_winner
 from repro.hardware.packet import Packet
@@ -783,32 +765,29 @@ def next_gap(rng, log_q: float | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# lowered OP_GEN / OP_DELIVER fast path (reference mirror)
+# lowered OP_GEN fast path (reference mirror)
 # ----------------------------------------------------------------------
 class LowerState:
-    """Lowered traffic generator + delivery sink for one simulation.
+    """Pattern-descriptor interpreter of one lowered simulation.
 
-    This class is the *reference implementation* of the lowering the C
-    kernel performs natively: when a cell is lowerable (static pattern
-    with a :meth:`~repro.traffic.base.TrafficPattern.lower` descriptor,
-    no oracle, no decomposition checking), the simulation builds one
-    ``LowerState`` and binds it via :meth:`EventQueue.bind_lower
-    <repro.engine.events.EventQueue.bind_lower>`:
+    A cell is lowerable when its pattern has a
+    :meth:`~repro.traffic.base.TrafficPattern.lower` descriptor and the
+    run binds no oracle and no decomposition checking; the simulation
+    then builds one ``LowerState`` and binds it via
+    :meth:`EventQueue.bind_lower <repro.engine.events.EventQueue.bind_lower>`:
 
-    * the pure-Python kernel then dispatches OP_GEN / OP_DELIVER into
-      :meth:`gen` / :meth:`deliver` below — interpreting the pattern
-      descriptor instead of calling ``pattern.dest`` and accumulating
-      window statistics into the flat ``stat_*`` buffers of the SoA
-      store instead of per-event ``StatsCollector`` calls;
+    * the pure-Python kernel dispatches OP_GEN into :meth:`gen`, which
+      interprets the descriptor instead of calling ``pattern.dest``;
     * the compiled kernel detects ``eq._lower`` when building its cached
-      state and runs C twins of the same two methods, with an in-kernel
-      MT19937 seeded from ``rng_traffic.getstate()`` at drain entry and
-      written back at drain exit — so RNG consumption, packet fields and
-      accumulated statistics are bit-identical to the callback path on
-      both backends (pinned by the equivalence suite).
+      state, reads the fields below once and runs ``c_gen`` — the twin
+      of :meth:`gen`, with an in-kernel MT19937 seeded from
+      ``rng_traffic.getstate()`` at drain entry and written back at
+      drain exit — plus C twins of the collector's three hooks over the
+      collector's own buffers, aliased here as ``si`` / ``sf`` /
+      ``inj_router`` / ``del_router``.
 
-    ``Simulation._collect`` commits the accumulated buffers back into
-    the :class:`~repro.metrics.collector.StatsCollector` exactly once.
+    RNG consumption, packet fields and statistics are bit-identical to
+    the callback path on both backends (pinned by the equivalence suite).
     """
 
     __slots__ = (
@@ -843,18 +822,17 @@ class LowerState:
         "_n_off",
         "_off_bits",
         "_perm",
-        "_committed",
     )
 
     def __init__(self, sim, descriptor: tuple) -> None:
-        store = sim.soa
+        stats = sim.stats
         self.owner = sim
         self.eq = sim.engine
         self.rng = sim.rng_traffic
         self.descriptor = descriptor
         self.end_time = sim._end_time
-        self.ws = sim.stats.window_start
-        self.we = sim.stats.window_end
+        self.ws = stats.window_start
+        self.we = stats.window_end
         self.psize = sim._psize
         self.log_q = sim._log_q
         # Geometry and the base-latency table of make_packet, flat: the
@@ -866,11 +844,10 @@ class LowerState:
         self.ms_table = sim._ms_table
         self.gen_recs = sim._gen_recs
         self.inject_map = sim._inject_map
-        self.si = store.stat_i64
-        self.sf = store.stat_f64
-        self.inj_router = store.stat_inj_router
-        self.del_router = store.stat_del_router
-        self._committed = False
+        self.si = stats.si
+        self.sf = stats.sf
+        self.inj_router = stats.injected_per_router
+        self.del_router = stats.delivered_per_router
         # Unpack the descriptor into flat slots (one tuple load per draw
         # saved; the C twin does the same into struct fields).
         kind = descriptor[0]
@@ -950,80 +927,12 @@ class LowerState:
             dst = tg * per_group + d
         else:  # permutation: zero draws
             dst = self._perm[node]
-        pkt = make_packet(self.owner, node, dst, now)
-        si = self.si
-        si[SI_TOTAL_GENERATED] += 1
-        if self.ws <= now < self.we:
-            si[SI_GEN_PHITS] += self.psize
-            si[SI_GEN_PACKETS] += 1
+        owner = self.owner
+        pkt = make_packet(owner, node, dst, now)
+        owner.stats.on_generate(now, self.psize)
         router, node_port = self.inject_map[node]
         router.inject(node_port, pkt, now)
         eq.post(now + next_gap(rng, self.log_q), self.gen_recs[node])
-
-    # ------------------------------------------------------------------
-    def deliver(self, pkt, now: int) -> None:
-        """Lowered OP_DELIVER sink: mirrors ``StatsCollector.on_delivery``.
-
-        Accumulates into the flat stat buffers; the Welford update is
-        written with the same operation order as ``OnlineStats.add`` so
-        the committed mean/M2 are bit-identical floats.
-        """
-        si = self.si
-        si[SI_TOTAL_DELIVERED] += 1
-        if not (self.ws <= now < self.we):
-            return
-        si[SI_DEL_PHITS] += pkt.size
-        n = si[SI_DEL_PACKETS] + 1
-        si[SI_DEL_PACKETS] = n
-        self.del_router[pkt.dst_router] += 1
-        sf = self.sf
-        x = now - pkt.gen_time
-        mean = sf[SF_LAT_MEAN]
-        delta = x - mean
-        mean += delta / n
-        sf[SF_LAT_MEAN] = mean
-        sf[SF_LAT_M2] += delta * (x - mean)
-        if x < sf[SF_LAT_MIN]:
-            sf[SF_LAT_MIN] = x
-        if x > sf[SF_LAT_MAX]:
-            sf[SF_LAT_MAX] = x
-        base = pkt.base_latency
-        sf[SF_BD_INJ] += pkt.inject_time - pkt.gen_time
-        sf[SF_BD_LOCAL] += pkt.wait_local
-        sf[SF_BD_GLOBAL] += pkt.wait_global
-        sf[SF_BD_BASE] += base
-        sf[SF_BD_MIS] += pkt.service_sum - base
-
-    # ------------------------------------------------------------------
-    def on_injection(self, rid: int, now: int) -> None:
-        """Lowered commit-phase hook: mirrors ``StatsCollector.on_injection``.
-
-        Bound as every router's ``_on_injection`` by
-        ``Simulation.bind_routing``, so both kernels' commit phases call
-        it (the C kernel additionally inlines the equivalent
-        accumulation).
-        """
-        self.si[SI_TOTAL_INJECTED] += 1
-        if self.ws <= now < self.we:
-            self.inj_router[rid] += 1
-
-    # ------------------------------------------------------------------
-    # mid-run reads (deadlock watchdog) and the end-of-run commit
-    # ------------------------------------------------------------------
-    def total_delivered(self) -> int:
-        """All-time delivered count (watchdog progress signal)."""
-        return self.si[SI_TOTAL_DELIVERED]
-
-    def in_flight(self) -> int:
-        """Packets injected but not yet delivered."""
-        return self.si[SI_TOTAL_INJECTED] - self.si[SI_TOTAL_DELIVERED]
-
-    def commit(self, stats) -> None:
-        """Fold the accumulated window into *stats* (idempotent)."""
-        if self._committed:
-            return
-        self._committed = True
-        stats.absorb_window(self.si, self.sf, self.inj_router, self.del_router)
 
 
 # ----------------------------------------------------------------------

@@ -44,33 +44,6 @@ from array import array
 
 __all__ = ["SoAStore"]
 
-# ---- lowered-sink stat layout -------------------------------------------
-# When traffic generation and the delivery sink are lowered into the
-# kernel (see repro.engine.kernel.LowerState), the window accounting
-# that StatsCollector would do per event accumulates instead into two
-# flat blocks on the store — stat_i64 (integer counters) and stat_f64
-# (latency Welford state + breakdown sums) — and is committed back into
-# the collector once, at Simulation._collect().  Slot indices:
-SI_TOTAL_GENERATED = 0
-SI_TOTAL_INJECTED = 1
-SI_TOTAL_DELIVERED = 2
-SI_GEN_PHITS = 3
-SI_GEN_PACKETS = 4
-SI_DEL_PHITS = 5
-SI_DEL_PACKETS = 6
-NSTAT_I = 7
-
-SF_LAT_MEAN = 0
-SF_LAT_M2 = 1
-SF_LAT_MIN = 2
-SF_LAT_MAX = 3
-SF_BD_INJ = 4
-SF_BD_LOCAL = 5
-SF_BD_GLOBAL = 6
-SF_BD_BASE = 7
-SF_BD_MIS = 8
-NSTAT_F = 9
-
 
 def _int_buffer(n: int, typed: bool, fill: int = 0) -> "array | list[int]":
     if typed:
@@ -137,11 +110,6 @@ class SoAStore:
         "pb_snap",
         "pb_snap_sum",
         "pb_snap_time",
-        # lowered-sink stat accumulators (see module-level SI_*/SF_*)
-        "stat_i64",
-        "stat_f64",
-        "stat_inj_router",
-        "stat_del_router",
     )
 
     def __init__(
@@ -227,14 +195,3 @@ class SoAStore:
         self.pb_snap = _int_buffer(num_routers * global_ports, typed)
         self.pb_snap_sum = _int_buffer(num_routers, typed)
         self.pb_snap_time = _int_buffer(groups, typed, fill=-1)
-
-        # ---- lowered-sink accumulators --------------------------------
-        # One NSTAT_I / NSTAT_F block, plus per-router injected/delivered
-        # packet counts.  Always allocated (tiny) so lowering can be
-        # decided after store construction.
-        self.stat_i64 = _int_buffer(NSTAT_I, typed)
-        self.stat_f64 = _float_buffer(NSTAT_F, typed)
-        self.stat_inj_router = _int_buffer(num_routers, typed)
-        self.stat_del_router = _int_buffer(num_routers, typed)
-        self.stat_f64[SF_LAT_MIN] = float("inf")
-        self.stat_f64[SF_LAT_MAX] = float("-inf")

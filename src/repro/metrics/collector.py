@@ -21,33 +21,56 @@ Mirrors FOGSim's methodology (Section IV-A): the network warms up for
 
 All-time counters (independent of the window) feed the deadlock watchdog
 and conservation checks.
+
+Everything is accumulated in four flat buffers the collector owns, and
+the read API is a view over them: ``si`` (``NSTAT_I`` integer counters,
+``SI_*`` slots), ``sf`` (``NSTAT_F`` floats: the latency Welford state
+and the breakdown sums, ``SF_*`` slots) and the router-indexed
+``injected_per_router`` / ``delivered_per_router``.  They are lists for
+the pure-Python kernel and ``array('q')`` / ``array('d')`` for the
+compiled one (the buffer modes of :mod:`repro.engine.soa`), which maps
+them on a lowered cell and accumulates there with C twins of the three
+hooks — so the slot layout below is shared with ``_ckernel.c`` and with
+nothing else, and a lowered and a callback run leave the same memory
+behind.
 """
 
 from __future__ import annotations
 
-from repro.engine.soa import (
-    SF_BD_BASE,
-    SF_BD_GLOBAL,
-    SF_BD_INJ,
-    SF_BD_LOCAL,
-    SF_BD_MIS,
-    SF_LAT_M2,
-    SF_LAT_MAX,
-    SF_LAT_MEAN,
-    SF_LAT_MIN,
-    SI_DEL_PACKETS,
-    SI_DEL_PHITS,
-    SI_GEN_PACKETS,
-    SI_GEN_PHITS,
-    SI_TOTAL_DELIVERED,
-    SI_TOTAL_GENERATED,
-    SI_TOTAL_INJECTED,
-)
+from math import inf
+
+from repro.engine.soa import _float_buffer, _int_buffer
 from repro.hardware.packet import Packet
 from repro.metrics.latency import LatencyBreakdown
 from repro.utils.stats import OnlineStats
 
 __all__ = ["StatsCollector"]
+
+# ---- stat block layout (the same numbers are #defined in _ckernel.c) ----
+SI_TOTAL_GENERATED = 0
+SI_TOTAL_INJECTED = 1
+SI_TOTAL_DELIVERED = 2
+SI_GEN_PHITS = 3
+SI_GEN_PACKETS = 4
+SI_DEL_PHITS = 5
+SI_DEL_PACKETS = 6
+NSTAT_I = 7
+
+SF_LAT_MEAN = 0
+SF_LAT_M2 = 1
+SF_LAT_MIN = 2
+SF_LAT_MAX = 3
+SF_BD_INJ = 4
+SF_BD_LOCAL = 5
+SF_BD_GLOBAL = 6
+SF_BD_BASE = 7
+SF_BD_MIS = 8
+NSTAT_F = 9
+
+
+def _counter(slot: int, doc: str) -> property:
+    """Read-only view of one ``si`` slot."""
+    return property(lambda self: self.si[slot], doc=doc)
 
 
 class StatsCollector:
@@ -58,17 +81,10 @@ class StatsCollector:
         "window_end",
         "num_routers",
         "num_nodes",
-        "generated_phits",
-        "generated_packets",
-        "delivered_phits",
-        "delivered_packets",
-        "latency",
-        "breakdown",
+        "si",
+        "sf",
         "injected_per_router",
         "delivered_per_router",
-        "total_generated",
-        "total_injected",
-        "total_delivered",
         "check_decomposition",
     )
 
@@ -80,39 +96,34 @@ class StatsCollector:
         num_nodes: int,
         *,
         check_decomposition: bool = False,
+        typed: bool = False,
     ) -> None:
         self.window_start = window_start
         self.window_end = window_end
         self.num_routers = num_routers
         self.num_nodes = num_nodes
-        self.generated_phits = 0
-        self.generated_packets = 0
-        self.delivered_phits = 0
-        self.delivered_packets = 0
-        self.latency = OnlineStats()
-        self.breakdown = LatencyBreakdown()
-        self.injected_per_router = [0] * num_routers
-        self.delivered_per_router = [0] * num_routers
-        self.total_generated = 0
-        self.total_injected = 0
-        self.total_delivered = 0
+        # Mutated in place and never reassigned: the compiled kernel
+        # holds buffer views of all four for the lifetime of its state.
+        self.si = _int_buffer(NSTAT_I, typed)
+        self.sf = _float_buffer(NSTAT_F, typed)
+        self.injected_per_router = _int_buffer(num_routers, typed)
+        self.delivered_per_router = _int_buffer(num_routers, typed)
+        self.sf[SF_LAT_MIN] = inf
+        self.sf[SF_LAT_MAX] = -inf
         self.check_decomposition = check_decomposition
 
     # ------------------------------------------------------------------
-    def in_window(self, now: int) -> bool:
-        """True when *now* falls inside the measurement window."""
-        return self.window_start <= now < self.window_end
-
     def on_generate(self, now: int, size: int) -> None:
         """A node created a packet of *size* phits."""
-        self.total_generated += 1
+        si = self.si
+        si[SI_TOTAL_GENERATED] += 1
         if self.window_start <= now < self.window_end:
-            self.generated_phits += size
-            self.generated_packets += 1
+            si[SI_GEN_PHITS] += size
+            si[SI_GEN_PACKETS] += 1
 
     def on_injection(self, router_id: int, now: int) -> None:
         """A packet won switch allocation from an injection port."""
-        self.total_injected += 1
+        self.si[SI_TOTAL_INJECTED] += 1
         if self.window_start <= now < self.window_end:
             self.injected_per_router[router_id] += 1
 
@@ -121,20 +132,37 @@ class StatsCollector:
 
         Signature-compatible with the engine's ejection sink
         (``sink(pkt, now)``), so oracle-less runs dispatch ``OP_DELIVER``
-        records straight into the collector.
+        records straight into the collector.  The Welford update has the
+        operation order of ``OnlineStats.add`` (and of ``c_deliver``),
+        so mean and M2 are the same floats on every path.
         """
-        self.total_delivered += 1
+        si = self.si
+        si[SI_TOTAL_DELIVERED] += 1
         if not (self.window_start <= now < self.window_end):
             return
-        self.delivered_phits += pkt.size
-        self.delivered_packets += 1
+        si[SI_DEL_PHITS] += pkt.size
+        n = si[SI_DEL_PACKETS] + 1
+        si[SI_DEL_PACKETS] = n
         self.delivered_per_router[pkt.dst_router] += 1
+        sf = self.sf
         total = now - pkt.gen_time
-        self.latency.add(total)
+        mean = sf[SF_LAT_MEAN]
+        delta = total - mean
+        mean += delta / n
+        sf[SF_LAT_MEAN] = mean
+        sf[SF_LAT_M2] += delta * (total - mean)
+        if total < sf[SF_LAT_MIN]:
+            sf[SF_LAT_MIN] = total
+        if total > sf[SF_LAT_MAX]:
+            sf[SF_LAT_MAX] = total
         inj = pkt.inject_time - pkt.gen_time
         base = pkt.base_latency
         mis = pkt.service_sum - base
-        self.breakdown.add(inj, pkt.wait_local, pkt.wait_global, base, mis)
+        sf[SF_BD_INJ] += inj
+        sf[SF_BD_LOCAL] += pkt.wait_local
+        sf[SF_BD_GLOBAL] += pkt.wait_global
+        sf[SF_BD_BASE] += base
+        sf[SF_BD_MIS] += mis
         if self.check_decomposition:
             parts = inj + pkt.wait_local + pkt.wait_global + base + mis
             if parts != total:
@@ -145,73 +173,47 @@ class StatsCollector:
                 )
 
     # ------------------------------------------------------------------
-    def absorb_window(self, stat_i, stat_f, injected, delivered) -> None:
-        """Fold a lowered run's flat accumulators into this collector.
+    # all-time, then measurement-window, counters
+    total_generated = _counter(SI_TOTAL_GENERATED, "Packets generated.")
+    total_injected = _counter(SI_TOTAL_INJECTED, "Packets injected.")
+    total_delivered = _counter(SI_TOTAL_DELIVERED, "Packets delivered.")
+    generated_phits = _counter(SI_GEN_PHITS, "Phits generated in the window.")
+    generated_packets = _counter(SI_GEN_PACKETS, "Packets generated in the window.")
+    delivered_phits = _counter(SI_DEL_PHITS, "Phits delivered in the window.")
+    delivered_packets = _counter(SI_DEL_PACKETS, "Packets delivered in the window.")
 
-        The engine's lowered OP_GEN / OP_DELIVER fast path (see
-        :class:`repro.engine.kernel.LowerState`) accumulates the window
-        statistics this collector would normally build per event into
-        flat int64/float64 blocks on the SoA store; ``Simulation.
-        _collect`` hands them here exactly once.  The fold
-        is bit-exact: counters add, the latency Welford state transfers
-        by direct field assignment (this collector saw no per-event adds
-        in a lowered run, and ``merge`` of an empty accumulator is *not*
-        an IEEE identity), and integer-valued min/max re-integerise so
-        serialized results stay byte-identical to unlowered runs.
-        """
-        self.total_generated += stat_i[SI_TOTAL_GENERATED]
-        self.total_injected += stat_i[SI_TOTAL_INJECTED]
-        self.total_delivered += stat_i[SI_TOTAL_DELIVERED]
-        self.generated_phits += stat_i[SI_GEN_PHITS]
-        self.generated_packets += stat_i[SI_GEN_PACKETS]
-        self.delivered_phits += stat_i[SI_DEL_PHITS]
-        n = stat_i[SI_DEL_PACKETS]
-        self.delivered_packets += n
-        ipr = self.injected_per_router
-        for rid, c in enumerate(injected):
-            if c:
-                ipr[rid] += c
-        dpr = self.delivered_per_router
-        for rid, c in enumerate(delivered):
-            if c:
-                dpr[rid] += c
-        if not n:
-            return
-        mn = stat_f[SF_LAT_MIN]
-        mx = stat_f[SF_LAT_MAX]
-        imn = int(mn)
-        imx = int(mx)
-        lat = self.latency
-        if lat.n == 0:
-            lat.n = n
-            lat._mean = stat_f[SF_LAT_MEAN]
-            lat._m2 = stat_f[SF_LAT_M2]
-            lat._min = imn if imn == mn else mn
-            lat._max = imx if imx == mx else mx
-        else:
-            # Mixed per-event + lowered accounting (not produced by the
-            # engine, but keep the fold total rather than silently wrong).
-            other = OnlineStats()
-            other.n = n
-            other._mean = stat_f[SF_LAT_MEAN]
-            other._m2 = stat_f[SF_LAT_M2]
-            other._min = imn if imn == mn else mn
-            other._max = imx if imx == mx else mx
-            merged = lat.merge(other)
-            lat.n = merged.n
-            lat._mean = merged._mean
-            lat._m2 = merged._m2
-            lat._min = merged._min
-            lat._max = merged._max
-        bd = self.breakdown
-        bd.packets += n
-        bd.injection += stat_f[SF_BD_INJ]
-        bd.local += stat_f[SF_BD_LOCAL]
-        bd.global_ += stat_f[SF_BD_GLOBAL]
-        bd.base += stat_f[SF_BD_BASE]
-        bd.misroute += stat_f[SF_BD_MIS]
+    @property
+    def latency(self) -> OnlineStats:
+        """Latency statistics of the packets delivered in the window."""
+        out = OnlineStats()
+        n = self.si[SI_DEL_PACKETS]
+        if n:
+            sf = self.sf
+            out.n = n
+            out._mean = sf[SF_LAT_MEAN]
+            out._m2 = sf[SF_LAT_M2]
+            # A typed block holds the extremes as doubles; integer-valued
+            # ones read back as ints so serialized results are the same
+            # bytes in both buffer modes.
+            mn = sf[SF_LAT_MIN]
+            mx = sf[SF_LAT_MAX]
+            out._min = int(mn) if mn == int(mn) else mn
+            out._max = int(mx) if mx == int(mx) else mx
+        return out
 
-    # ------------------------------------------------------------------
+    @property
+    def breakdown(self) -> LatencyBreakdown:
+        """Latency component sums of the packets delivered in the window."""
+        sf = self.sf
+        return LatencyBreakdown(
+            self.si[SI_DEL_PACKETS],
+            sf[SF_BD_INJ],
+            sf[SF_BD_LOCAL],
+            sf[SF_BD_GLOBAL],
+            sf[SF_BD_BASE],
+            sf[SF_BD_MIS],
+        )
+
     @property
     def measure_cycles(self) -> int:
         """Length of the measurement window."""

@@ -72,11 +72,14 @@ def jain_index(values: Sequence[float]) -> float:
     """
     if not values:
         raise ValueError("jain_index() of empty sequence")
-    total = sum(values)
-    sq = sum(v * v for v in values)
-    if sq == 0.0:
+    # Scale-invariant, so normalise by the largest value first: squaring
+    # raw values underflows below ~1e-154 and breaks the bounds.
+    top = max(values)
+    if top == 0:
         return 1.0
-    return (total * total) / (len(values) * sq)
+    scaled = [v / top for v in values]
+    total = sum(scaled)
+    return (total * total) / (len(values) * sum(s * s for s in scaled))
 
 
 class OnlineStats:

@@ -132,7 +132,7 @@ class TestRobustness:
         original = Router.step
         Router.step = frozen
         try:
-            sim.stats.total_injected = 1  # pretend a packet is in flight
+            sim.stats.on_injection(0, 0)  # pretend a packet is in flight
             with pytest.raises(SimulationError):
                 sim.run()
         finally:

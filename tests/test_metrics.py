@@ -67,9 +67,18 @@ class TestLatencyBreakdown:
         assert all(v == 0.0 for v in LatencyBreakdown().means().values())
 
 
+@pytest.mark.parametrize("typed", [False, True], ids=["list", "array"])
 class TestStatsCollector:
-    def make(self, start=100, end=200):
-        return StatsCollector(start, end, num_routers=8, num_nodes=16)
+    """Both buffer modes: lists (python backend), arrays (compiled)."""
+
+    @pytest.fixture(autouse=True)
+    def _buffer_mode(self, typed):
+        self.typed = typed
+
+    def make(self, start=100, end=200, **kw):
+        return StatsCollector(
+            start, end, num_routers=8, num_nodes=16, typed=self.typed, **kw
+        )
 
     def test_window_gating_generation(self):
         s = self.make()
@@ -124,12 +133,36 @@ class TestStatsCollector:
         assert s.accepted_load() == pytest.approx(8 / (16 * 100))
 
     def test_decomposition_check_raises_on_mismatch(self):
-        s = StatsCollector(0, 1000, 8, 16, check_decomposition=True)
+        s = self.make(0, 1000, check_decomposition=True)
         pkt = make_packet(gen_time=0, base_latency=100)
         pkt.inject_time = 10
         pkt.service_sum = 100
         with pytest.raises(AssertionError):
             s.on_delivery(pkt, 500)  # waits don't add up
+
+    def test_integer_latency_extremes_read_back_as_int(self):
+        """An array('d') block stores 50.0; the view hands back 50, so
+        results serialise to the same bytes in both buffer modes."""
+        s = self.make()
+        for gen_time, now in ((100, 150), (100, 190)):
+            pkt = make_packet(gen_time=gen_time, base_latency=40)
+            pkt.inject_time = gen_time
+            pkt.service_sum = now - gen_time
+            s.on_delivery(pkt, now)
+        lat = s.latency
+        assert (lat.n, lat.min, lat.max) == (2, 50, 90)
+        assert type(lat.min) is int and type(lat.max) is int
+        assert lat.mean == 70.0 and lat.std == 20.0
+
+    def test_empty_window_reads(self):
+        s = self.make()
+        lat = s.latency
+        assert (lat.n, lat.mean, lat.std) == (0, 0.0, 0.0)
+        assert lat.min == float("inf") and lat.max == float("-inf")
+        assert s.breakdown.packets == 0
+        assert all(v == 0.0 for v in s.breakdown.means().values())
+        assert list(s.injected_per_router) == [0] * 8
+        assert s.offered_load() == s.accepted_load() == 0.0
 
     def test_in_flight(self):
         s = self.make()

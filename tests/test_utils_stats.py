@@ -6,7 +6,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.utils.stats import (
@@ -95,7 +95,14 @@ class TestJainIndex:
     def test_all_zero_is_one(self):
         assert jain_index([0, 0]) == 1.0
 
+    def test_scale_invariant_below_the_squaring_range(self):
+        assert jain_index([1e-170, 3e-170]) == pytest.approx(jain_index([1, 3]))
+        assert jain_index([1e-170, 3e-170]) == pytest.approx(0.8)
+        assert jain_index([1e-200, 0.0]) == pytest.approx(0.5)
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1))
+    @example([2.856451989609127e-158, 2.856451989609127e-158])
+    @example([1e-200, 0.0])
     def test_bounds(self, values):
         j = jain_index(values)
         assert 0.0 < j <= 1.0 + 1e-9
