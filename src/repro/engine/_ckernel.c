@@ -35,7 +35,8 @@
  * - the drain order (heap of distinct cycles + FIFO buckets with a
  *   growing-list cursor) and the opcode dispatch semantics are the same;
  * - the allocation scan iterates `active_keys` in Python's own set
- *   iteration order (a snapshot taken with the set's iterator), decides
+ *   iteration order (read off its native twin, "the active-key index"),
+ *   decides
  *   at exactly the same points — through `routing.decide` or its C twin,
  *   which draws the same words from the same stream — and applies the
  *   same decision-memo contract;
@@ -61,7 +62,8 @@
  * decision memo (soa.dc_pkt / dc_dec / dc_cond) is a Memo array, and
  * Router._arb_time and the queue's now / processed / activations are
  * plain int64s.  Packets, the input FIFOs (lists, so queue access
- * compiles to list macros) and the active-key sets stay Python objects.
+ * compiles to list macros) and the active-key sets stay Python objects;
+ * the kernel reads each set through a write-through native index.
  * Python stays coherent by the idiom RngMirror uses for the RNG streams:
  *
  * - mirror in at drain entry: the Python structures are converted and
@@ -416,6 +418,14 @@ static const char *const PACKET_SLOTS[] = {
     "dst_node_port",
 };
 
+/* A router's active_keys twin: see "the active-key index" below. */
+typedef struct {
+    int32_t *slot;       /* mask + 1 slots: a key, IX_EMPTY or IX_DUMMY */
+    uint64_t *live;      /* bit i set: slot i holds a key (same block) */
+    Py_ssize_t mask, fill, used;
+    const setentry *table; /* the set's table when the two last agreed */
+} KeyIndex;
+
 typedef struct {
     PyObject *router;           /* owned */
     PyObject *routing;          /* owned */
@@ -424,6 +434,7 @@ typedef struct {
     PyObject *arrival_override; /* owned or NULL (base arrival inlined) */
     PyObject *on_injection;     /* owned */
     PyObject *active_keys;      /* owned set */
+    KeyIndex ix;                /* its native index */
     PyObject *rid_obj;          /* owned */
     PyObject *py_step;          /* owned bound method, or NULL: C step */
     int64_t kb, pb, rid, group, boundary, max_vcs, nkeys, radix;
@@ -629,12 +640,14 @@ typedef struct {
 /* Always-on kernel counters (int64 slots of eq._ckcounters, so they
  * outlive the KState); ck_counters names them. */
 enum { C_DRAINS, C_CALL, C_GEN, C_SINK, C_DECIDE, C_OVERRIDE, C_INBOX,
-       C_MIRRORS, C_PEAK_PENDING, C_PEAK_BUCKET, N_CTR };
+       C_MIRRORS, C_PEAK_PENDING, C_PEAK_BUCKET, C_STEPS, C_SCAN_KEYS,
+       C_INDEX_RELOADS, N_CTR };
 
 static const char *const CTR_NAMES[N_CTR] = {
     "drains", "reentries_call", "reentries_gen", "reentries_sink",
     "reentries_decide", "reentries_override", "inbox_records",
-    "full_mirrors", "peak_pending_records", "peak_bucket_len",
+    "full_mirrors", "peak_pending_records", "peak_bucket_len", "steps",
+    "scan_keys", "index_reloads",
 };
 
 #define N_VIEWS 22
@@ -683,7 +696,7 @@ typedef struct {
     PyObject *s_last_decide_pure, *s_last_decide_guard;
     PyObject *flow_err, *routing_err;
     /* step scratch (step never nests: decide cannot re-enter the drain) */
-    int64_t *scr_keys;    /* nkeys: active-key snapshot */
+    int32_t *scr_keys;    /* nkeys: active-key snapshot */
     int64_t *scr_dead;    /* nkeys */
     int64_t *c_key;       /* nkeys candidate keys */
     PyObject **c_pkt;     /* nkeys owned */
@@ -708,6 +721,7 @@ rstate_clear(RState *rs)
     Py_XDECREF(rs->arrival_override);
     Py_XDECREF(rs->on_injection);
     Py_XDECREF(rs->active_keys);
+    PyMem_Free(rs->ix.slot);
     Py_XDECREF(rs->rid_obj);
     Py_XDECREF(rs->py_step);
 }
@@ -1370,6 +1384,196 @@ ring_push(Ring *r, PyObject *pkt, int64_t vc, int64_t t_arr)
 }
 
 /* ------------------------------------------------------------------ */
+/* the active-key index                                                */
+/* ------------------------------------------------------------------ */
+
+/* The allocation scan follows the iteration order of Router.active_keys,
+ * a set of small ints.  The set stays the source of truth (every kernel
+ * add / discard goes through to it); each router keeps a twin of its
+ * hash table, and c_step reads the keys off the twin's live-slot bitmap
+ * instead of walking 16-64 CPython slots for ~3 keys.  The twin follows
+ * Objects/setobject.c (set_add_entry, set_discard_entry, set_table_resize,
+ * set_insert_clean) for keys that hash to themselves:
+ * - a probe visits the home slot key & mask (and the SET_LINEAR_PROBES
+ *   after it, if they fit), then jumps to (i * 5 + 1 + perturb) & mask,
+ *   perturb (first the key) shifted right by SET_PERTURB_SHIFT each time;
+ * - a discard leaves a dummy; an add stops at the first empty slot of its
+ *   path and takes the *last* dummy it passed, if any;
+ * - an add into an empty slot that leaves fill * 5 >= mask * 3 rebuilds
+ *   the table at the smallest power of two (>= 8) above 4 * used, the
+ *   keys re-inserted in slot order, the dummies dropped (an 8-slot table
+ *   without dummies is left alone).
+ * Only the running interpreter states them, so the import checks them
+ * against it (check_set_model) and builds without NDEBUG compare every
+ * scan with the set's iterator.  The index is copied from the set, its
+ * members validated, at mirror_in; after a narrow hook, each router whose
+ * activation the hook armed — Router.inject's token in the inbox — gets
+ * its table pointer, mask, fill and used compared, and a reload if they
+ * moved (the one way a hook adds keys: load_buckets). */
+enum { IX_DUMMY = -2, IX_EMPTY = -1, SET_LINEAR_PROBES = 9,
+       SET_PERTURB_SHIFT = 5 }; /* a table's block: slots, live bitmap */
+#define IX_BYTES(size) ((size_t)(size) * 4 + (((size_t)(size) + 63) >> 6) * 8)
+
+/* An empty table of `size` slots (a power of two); frees nothing. */
+static int
+ix_alloc(KeyIndex *ix, Py_ssize_t size)
+{
+    if ((ix->slot = PyMem_Malloc(IX_BYTES(size))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(ix->slot, 0xff, (size_t)size * 4); /* IX_EMPTY */
+    ix->live = memset(ix->slot + size, 0, IX_BYTES(size) - (size_t)size * 4);
+    ix->mask = size - 1;
+    ix->fill = ix->used = 0;
+    return 0;
+}
+
+static inline void
+ix_put(KeyIndex *ix, size_t i, int32_t key)
+{
+    ix->slot[i] = key;
+    ix->live[i >> 6] |= (uint64_t)1 << (i & 63);
+}
+
+/* set_add_entry's probe: the slot holding `key`, else the first empty one
+ * on its path (a table always has one; spent perturb, the jumps reach
+ * every slot), with *dummy the last dummy passed (-1: none). */
+static size_t
+ix_probe(const KeyIndex *ix, int32_t key, Py_ssize_t *dummy)
+{
+    size_t mask = (size_t)ix->mask, i = (size_t)key & mask, j, end;
+    size_t perturb = (size_t)key;
+    *dummy = -1;
+    for (;;) {
+        end = (i + SET_LINEAR_PROBES <= mask) ? i + SET_LINEAR_PROBES : i;
+        for (j = i; j <= end; j++) {
+            if (ix->slot[j] == key || ix->slot[j] == IX_EMPTY)
+                return j;
+            if (ix->slot[j] == IX_DUMMY)
+                *dummy = (Py_ssize_t)j;
+        }
+        perturb >>= SET_PERTURB_SHIFT;
+        i = (i * 5 + 1 + perturb) & mask;
+    }
+}
+
+/* set_add_entry: 1 when `key` went in, 0 when it was there, -1 on error;
+ * a rebuild re-inserts in slot order into a fresh table. */
+static int
+ix_add(KeyIndex *ix, int32_t key)
+{
+    KeyIndex nx;
+    Py_ssize_t dummy, size = PySet_MINSIZE;
+    size_t i = ix_probe(ix, key, &dummy);
+    if (ix->slot[i] == key)
+        return 0;
+    ix->used += 1;
+    if (dummy >= 0) {
+        ix_put(ix, (size_t)dummy, key);
+        return 1;
+    }
+    ix_put(ix, i, key);
+    ix->fill += 1;
+    if ((size_t)ix->fill * 5 < (size_t)ix->mask * 3)
+        return 1;
+    while (size <= (ix->used > 50000 ? 2 : 4) * ix->used)
+        size <<= 1;
+    if (size == PySet_MINSIZE && ix->mask == size - 1 && ix->fill == ix->used)
+        return 1;
+    nx = *ix;
+    if (ix_alloc(&nx, size) < 0)
+        return -1;
+    for (i = 0; i <= (size_t)ix->mask; i++)
+        if (ix->slot[i] >= 0)
+            ix_put(&nx, ix_probe(&nx, ix->slot[i], &dummy), ix->slot[i]);
+    nx.fill = nx.used = ix->used;
+    PyMem_Free(ix->slot);
+    *ix = nx;
+    return 1;
+}
+
+/* set_discard_entry. */
+static void
+ix_discard(KeyIndex *ix, int32_t key)
+{
+    Py_ssize_t dummy;
+    size_t i = ix_probe(ix, key, &dummy);
+    if (ix->slot[i] != key)
+        return;
+    ix->slot[i] = IX_DUMMY;
+    ix->live[i >> 6] &= ~((uint64_t)1 << (i & 63));
+    ix->used -= 1;
+}
+
+/* Replace `ix` with a copy of the table of `set`.  With `rs`, every
+ * member must be one of its input keys — an exact int in [0, nkeys) whose
+ * in_q slot is a FIFO: the kernel indexes its flat arrays with it. */
+static int
+ix_copy(KeyIndex *ix, PyObject *set, KState *ks, const RState *rs)
+{
+    const PySetObject *so = (const PySetObject *)set;
+    Py_ssize_t i;
+    PyMem_Free(ix->slot);
+    ix->table = NULL; /* stale until it is whole */
+    if (ix_alloc(ix, so->mask + 1) < 0)
+        return -1;
+    for (i = 0; i <= so->mask; i++) {
+        const setentry *e = &so->table[i];
+        int64_t key;
+        if (e->key == NULL || e->hash == -1) {
+            ix->slot[i] = e->key ? IX_DUMMY : IX_EMPTY;
+            continue;
+        }
+        key = PyLong_CheckExact(e->key) ? as_ll(e->key) : -1;
+        if (rs != NULL
+            && (key < 0 || key >= rs->nkeys || !PyList_CheckExact(
+                    PyList_GET_ITEM(ks->in_q, rs->kb + key)))) {
+            PyErr_Clear(); /* an int beyond int64 */
+            PyErr_Format(ks->flow_err,
+                         "router %lld: active_keys member %R is not one of "
+                         "its input keys", (long long)rs->rid, e->key);
+            return -1;
+        }
+        ix_put(ix, (size_t)i, (int32_t)key);
+    }
+    ix->fill = so->fill;
+    ix->used = so->used;
+    ix->table = so->table;
+    return 0;
+}
+
+/* Reload the index of `rs` if Python changed the set since they agreed. */
+static int
+ix_sync(KState *ks, RState *rs)
+{
+    const PySetObject *so = (const PySetObject *)rs->active_keys;
+    if (so->table == rs->ix.table && so->mask == rs->ix.mask
+        && so->fill == rs->ix.fill && so->used == rs->ix.used)
+        return 0;
+    ks->ctr[C_INDEX_RELOADS] += 1;
+    return ix_copy(&rs->ix, rs->active_keys, ks, rs);
+}
+
+/* active_keys.add(key) / .discard(key): the index, then the set.  A key
+ * the index holds is in the set, so adding it again is skipped. */
+static int
+ak_add(KState *ks, RState *rs, int64_t key)
+{
+    int rc = ix_add(&rs->ix, (int32_t)key);
+    if (rc > 0 && (rc = PySet_Add(rs->active_keys, ks->key_objs[key])) == 0)
+        rs->ix.table = ((PySetObject *)rs->active_keys)->table; /* a resize */
+    return rc;
+}
+
+static int
+ak_discard(KState *ks, RState *rs, int64_t key)
+{
+    ix_discard(&rs->ix, (int32_t)key);
+    return PySet_Discard(rs->active_keys, ks->key_objs[key]);
+}
+
+/* ------------------------------------------------------------------ */
 /* mirror in, mirror out, absorb                                       */
 /* ------------------------------------------------------------------ */
 
@@ -1528,14 +1732,16 @@ tuple_from_rec(KState *ks, const Rec *r)
  * `inbox` the dict holds only what a contract hook just posted: an
  * (OP_STEP, router) token there was armed by Router.inject from the None
  * mark every router shows during a drain, so it is replayed through
- * arm_step and the mark reset.  Without, the dict is the whole calendar
- * and eq._times its heap (a bucket being drained is in one, not the
- * other). */
+ * arm_step, the mark reset and the router's active-key index re-checked
+ * (a failed check is raised again once the inbox is all in).  Without,
+ * the dict is the whole calendar and eq._times its heap (a bucket being
+ * drained is in one, not the other). */
 static int
 load_buckets(KState *ks, int inbox)
 {
     PyObject *key, *bucket;
     Py_ssize_t pos = 0, i, n;
+    RState *bad = NULL;
     while (PyDict_Next(ks->buckets, &pos, &key, &bucket)) {
         int64_t t = as_ll(key);
         if ((t == -1 && PyErr_Occurred()) || !PyList_CheckExact(bucket)) {
@@ -1551,6 +1757,10 @@ load_buckets(KState *ks, int inbox)
                 slot_set(rs->router, ks->r_arb_time, Py_NewRef(Py_None));
                 if (arm_step(ks, rs, t) < 0)
                     return -1;
+                if (ix_sync(ks, rs) < 0) {
+                    PyErr_Clear();
+                    bad = rs;
+                }
             }
             else if (cal_post(ks, t, r) < 0)
                 return -1;
@@ -1568,7 +1778,9 @@ load_buckets(KState *ks, int inbox)
         }
     }
     PyDict_Clear(ks->buckets);
-    return PyList_SetSlice(ks->times, 0, n, NULL);
+    if (PyList_SetSlice(ks->times, 0, n, NULL) < 0)
+        return -1;
+    return bad != NULL ? ix_sync(ks, bad) : 0;
 }
 
 /* Calendar -> eq._buckets / eq._times (both empty on entry), leaving
@@ -1833,6 +2045,8 @@ mirror_in(KState *ks)
     for (i = 0; i < ks->num_routers; i++) {
         RState *rs = &ks->routers[i];
         PyObject *arb = slot_get(rs->router, ks->r_arb_time);
+        if (ix_copy(&rs->ix, rs->active_keys, ks, rs) < 0)
+            return -1;
         if (arb == NULL || arb == Py_None)
             continue;
         rs->arb = as_ll(arb);
@@ -2031,9 +2245,7 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
         if (ar < 0)
             return -1;
     }
-    if (PySet_Add(rs->active_keys, ks->key_objs[key]) < 0)
-        return -1;
-    if (arm_step(ks, rs, t) < 0)
+    if (ak_add(ks, rs, key) < 0 || arm_step(ks, rs, t) < 0)
         return -1;
 
     /* inlined geometric_gap over the precomputed log(1 - p) */
@@ -2838,8 +3050,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
     qlen = PyList_GET_SIZE(q);
     if (qlen < 0)
         return -1;
-    if (qlen == 0
-        && PySet_Discard(rs->active_keys, ks->key_objs[key]) < 0)
+    if (qlen == 0 && ak_discard(ks, rs, key) < 0)
         return -1;
     memo_clear(&ks->memo[gk]); /* head changed: decision no longer valid */
     ks->cong_epoch[rs->rid] += 1;
@@ -2953,31 +3164,43 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
 static int
 c_step(KState *ks, RState *rs, int64_t now)
 {
-    PyObject *set = rs->active_keys;
     Py_ssize_t n_act, n_dead = 0, n_cand = 0, n_ports = 0;
     int64_t next_time = -1; /* -1 = None */
     int granted = 0, td_active = 0;
     int64_t epoch = ks->cong_epoch[rs->rid];
-    Py_ssize_t i;
+    const KeyIndex *ix = &rs->ix;
+    Py_ssize_t i, w;
+    uint64_t bits;
     int rc = -1;
 
     rs->arb = ARB_NONE;
-    n_act = PySet_GET_SIZE(set);
-    if (n_act == 0)
+    if (ix->used == 0)
         return 0;
 
     /* Snapshot the active keys in the set's own iteration order (the
      * Python kernel iterates the live set; nothing mutates it during
-     * the scan, so the snapshot order is identical).  _PySet_NextEntry
-     * walks the same table in the same order as the set iterator,
-     * without the iterator object or per-item calls. */
-    {
+     * the scan, so the snapshot order is identical): the index's live
+     * slots, in slot order. */
+    for (n_act = 0, w = 0; w <= ix->mask >> 6; w++)
+        for (bits = ix->live[w]; bits; bits &= bits - 1)
+            ks->scr_keys[n_act++] = ix->slot[(w << 6) + __builtin_ctzll(bits)];
+    ks->ctr[C_STEPS] += 1;
+    ks->ctr[C_SCAN_KEYS] += n_act;
+#ifndef NDEBUG
+    { /* debug builds: the snapshot against the set's own iterator */
         Py_ssize_t pos = 0;
         PyObject *k;
         Py_hash_t hash;
-        for (n_act = 0; _PySet_NextEntry(set, &pos, &k, &hash); n_act++)
-            ks->scr_keys[n_act] = as_ll(k);
+        for (i = 0; i >= 0 && _PySet_NextEntry(rs->active_keys, &pos, &k,
+                                                &hash);)
+            i = (i < n_act && as_ll(k) == ks->scr_keys[i]) ? i + 1 : -1;
+        if (i != n_act) {
+            PyErr_Format(PyExc_SystemError, "router %lld: the active-key "
+                         "index diverged from its set", (long long)rs->rid);
+            return -1;
+        }
     }
+#endif
     memset(ks->td_mask, 0, (size_t)rs->radix);
 
     for (i = 0; i < n_act; i++) {
@@ -3056,7 +3279,7 @@ c_step(KState *ks, RState *rs, int64_t now)
     }
 
     for (i = 0; i < n_dead; i++) {
-        if (PySet_Discard(set, ks->key_objs[ks->scr_dead[i]]) < 0)
+        if (ak_discard(ks, rs, ks->scr_dead[i]) < 0)
             goto done;
     }
 
@@ -3117,7 +3340,7 @@ c_step(KState *ks, RState *rs, int64_t now)
         granted = 1;
     }
 
-    if (next_time < 0 && granted && PySet_GET_SIZE(set) > 0)
+    if (next_time < 0 && granted && ix->used > 0)
         next_time = now + 1;
     rc = 0;
     if (next_time >= 0) {
@@ -3189,9 +3412,7 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
         if (rc < 0)
             return -1;
     }
-    if (PyList_Append(q, pkt) < 0)
-        return -1;
-    if (PySet_Add(rs->active_keys, ks->key_objs[key]) < 0)
+    if (PyList_Append(q, pkt) < 0 || ak_add(ks, rs, key) < 0)
         return -1;
     wake = ks->in_port_free[rs->pb + port];
     if (wake < now)
@@ -3403,7 +3624,7 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t *extra)
         if (rs->arb != t)
             return 0; /* stale token (superseded arming) */
         rs->arb = ARB_NONE;
-        if (PySet_GET_SIZE(rs->active_keys) == 0)
+        if (rs->ix.used == 0)
             return 0; /* a release woke an idle router */
         if (rs->py_step == NULL)
             return c_step(ks, rs, t);
@@ -3973,7 +4194,7 @@ kstate_build(PyObject *eq, PyObject *store)
             goto fail;
 
     /* scratch */
-    ks->scr_keys = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
+    ks->scr_keys = PyMem_Malloc((size_t)ks->nkeys * sizeof(int32_t));
     ks->scr_dead = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
     ks->c_key = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
     ks->c_pkt = PyMem_Malloc((size_t)ks->nkeys * sizeof(PyObject *));
@@ -4350,6 +4571,72 @@ done:
     return ret;
 }
 
+/* The import's sequence: keys 0..63 added (128 slots) and discarded (64
+ * dummies), then a window of 8 keys sliding over 600 fresh ones: dummies
+ * reused, rebuilds after churn (first smaller, then at the same size). */
+static PyObject *
+ck_check_set_model(PyObject *self, PyObject *args)
+{
+    PyObject *ops = Py_None, *seq = NULL, *set = NULL, *ret = NULL;
+    KeyIndex ix = {0}, copy = {0};
+    Py_ssize_t n, i;
+    long long grows = 0, shrinks = 0, purges = 0, reuses = 0;
+    if (!PyArg_ParseTuple(args, "|O:check_set_model", &ops)
+        || (ops != Py_None
+            && (seq = PySequence_Fast(ops, "expected (add, key)s")) == NULL)
+        || (set = PySet_New(NULL)) == NULL || ix_alloc(&ix, PySet_MINSIZE) < 0)
+        goto done;
+    n = seq ? PySequence_Fast_GET_SIZE(seq) : 128 + 2 * 600;
+    for (i = 0; i < n; i++) {
+        Py_ssize_t mask = ix.mask, fill = ix.fill, used = ix.used, j;
+        PyObject *k;
+        int add = 0, rc;
+        long long key = -1;
+        if (seq == NULL) {
+            j = (i - 128) / 2 - ((i - 128) % 2 ? 8 : 0);
+            add = i < 128 ? i < 64 : (i - 128) % 2 == 0;
+            key = i < 128 ? i % 64 : j < 0 ? 4095 : 64 + j * 37 % 4000;
+        }
+        else if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq, i), "pL",
+                                   &add, &key))
+            key = -1;
+        if (key < 0 || key > INT32_MAX) {
+            PyErr_Clear();
+            PyErr_SetString(PyExc_ValueError, "check_set_model: expected "
+                            "(add, key) pairs, key in [0, 2**31)");
+            goto done;
+        }
+        if ((k = PyLong_FromLongLong(key)) == NULL)
+            goto done;
+        rc = add ? PySet_Add(set, k) : PySet_Discard(set, k);
+        Py_DECREF(k);
+        if (rc < 0 || (add ? ix_add(&ix, (int32_t)key)
+                           : (ix_discard(&ix, (int32_t)key), 0)) < 0
+            || ix_copy(&copy, set, NULL, NULL) < 0)
+            goto done;
+        if (copy.mask != ix.mask || copy.fill != ix.fill
+            || copy.used != ix.used || memcmp(copy.slot, ix.slot, IX_BYTES(ix.mask + 1)) != 0) {
+            PyErr_Format(PyExc_RuntimeError, "the active-key index is not the "
+                         "set table of CPython %s after operation %zd "
+                         "(%s %lld)", Py_GetVersion(), i,
+                         add ? "add" : "discard", key);
+            goto done;
+        }
+        grows += ix.mask > mask;
+        shrinks += ix.mask < mask;
+        purges += add && ix.fill < fill;
+        reuses += add && ix.used > used && ix.fill == fill && ix.mask == mask;
+    }
+    ret = Py_BuildValue("{snsLsLsLsL}", "ops", n, "grows", grows, "shrinks",
+                        shrinks, "purges", purges, "dummy_reuses", reuses);
+done:
+    PyMem_Free(ix.slot);
+    PyMem_Free(copy.slot);
+    Py_XDECREF(set);
+    Py_XDECREF(seq);
+    return ret;
+}
+
 static PyMethodDef ckernel_methods[] = {
     {"drain", ck_drain, METH_VARARGS,
      "drain(eq, t_end): process activations with time <= t_end on the "
@@ -4357,8 +4644,12 @@ static PyMethodDef ckernel_methods[] = {
     {"counters", ck_counters, METH_O,
      "counters(eq): the kernel's always-on counters for this queue — "
      "drains, Python re-entries by kind, inbox records absorbed, full "
-     "mirrors, peak pending records, peak bucket length — or None before "
-     "its first compiled drain."},
+     "mirrors, peak pending records, peak bucket length, scans, keys scanned, "
+     "active-key index reloads — or None before its first compiled drain."},
+    {"check_set_model", ck_check_set_model, METH_VARARGS,
+     "check_set_model(ops=None): (add, key) pairs (None: the import's) on a "
+     "fresh set and active-key index, compared after each; RuntimeError, or "
+     "the table grows / shrinks / purges / dummy reuses."},
     {"mt_ops", ck_mt_ops, METH_VARARGS,
      "mt_ops(state, ops): replay RNG operations (None -> random(), "
      "int k -> getrandbits(k), (n,) -> randrange(n), (\"shuffle\", n) -> "
@@ -4380,5 +4671,12 @@ static struct PyModuleDef ckernel_module = {
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
+    /* a RuntimeError, not an ImportError: resolve_backend says why */
+    PyObject *args = PyTuple_New(0);
+    PyObject *seen = args ? ck_check_set_model(NULL, args) : NULL;
+    Py_XDECREF(args);
+    if (seen == NULL)
+        return NULL;
+    Py_DECREF(seen);
     return PyModule_Create(&ckernel_module);
 }

@@ -33,9 +33,11 @@ the kernel's C twin or the mechanism's Python method.
 Since the compiled drain keeps its event state native, a third line
 prints the kernel's always-on counters (``_ckernel.counters``): how often
 and for what the drain re-entered Python, how many records came in
-through the inbox, how often the whole state was mirrored, and the
-calendar's peak occupancy.  ``cProfile`` counts re-entries it can see as
-Python frames; these are counted where they happen.
+through the inbox, how often the whole state was mirrored, the
+calendar's peak occupancy, how many allocation scans ran over how many
+active keys (mean keys per scan), and how often a hook made the kernel
+reload a router's active-key index.  ``cProfile`` counts re-entries it
+can see as Python frames; these are counted where they happen.
 """
 
 from __future__ import annotations
@@ -140,9 +142,13 @@ def describe_callbacks(metrics: dict[str, Any]) -> str:
                 "peak_bucket_len",
             )
         )
+        steps = counters["steps"]
         lines += (
             f"\nkernel: drains={counters['drains']} "
-            f"reentries({reentries}) {rest}"
+            f"reentries({reentries}) {rest} steps={steps} "
+            f"scan_keys={counters['scan_keys']} "
+            f"({counters['scan_keys'] / steps if steps else 0.0:.2f} per scan) "
+            f"index_reloads={counters['index_reloads']}"
         )
     return lines
 
