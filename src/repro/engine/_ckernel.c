@@ -59,15 +59,20 @@
  * For the length of a drain every per-event object is a fixed-width
  * native record: the calendar (eq._buckets / eq._times) is a Calendar of
  * 24-byte Recs, the output FIFOs (soa.out_fifo) are per-port Rings, the
- * decision memo (soa.dc_pkt / dc_dec / dc_cond) is a Memo array, and
- * Router._arb_time and the queue's now / processed / activations are
- * plain int64s.  Packets, the input FIFOs (lists, so queue access
- * compiles to list macros) and the active-key sets stay Python objects;
- * the kernel reads each set through a write-through native index.
- * Python stays coherent by the idiom RngMirror uses for the RNG streams:
+ * input FIFOs (soa.in_q) and the decision memo (soa.dc_pkt / dc_dec /
+ * dc_cond) are one InQ record per key — ring, cached head and its size,
+ * memo — and Router._arb_time and the queue's now / processed /
+ * activations are plain int64s.  Packets and the active-key sets stay
+ * Python objects; the kernel reads each set through a write-through
+ * native index.  Two contracts make the InQ cache sound: only
+ * Packet.__init__ writes Packet.size, so a packet's size is read once,
+ * when it is enqueued; and the narrow hooks below neither read nor edit
+ * soa.in_q, except that Router.inject may append.  Python stays coherent
+ * by the idiom RngMirror uses for the RNG streams:
  *
  * - mirror in at drain entry: the Python structures are converted and
- *   left empty (no bucket, no FIFO entry, no memo, every _arb_time None);
+ *   left empty (no bucket, no FIFO entry, no memo, every _arb_time None;
+ *   each in_q slot of a VC a port class lacks stays None);
  * - mirror out on every exit — normal and error — and around whatever
  *   may run arbitrary code (an OP_CALL callback, a record whose target
  *   is not a registered router, an overridden Router.step), followed by
@@ -78,7 +83,8 @@
  *   posted into the empty eq._buckets is appended to the calendar in
  *   posting order.  An (OP_STEP, router) token found there is the arming
  *   Router.inject does from a None mark, and is replayed through
- *   arm_step.
+ *   arm_step; the router's injection-key lists, [kb, kb + boundary), are
+ *   then moved into their rings (load_inq checks every entry it takes).
  *
  * Packet fields live in __slots__; the extension resolves the
  * member-descriptor offsets once and reads/writes the slots directly.
@@ -537,7 +543,6 @@ typedef struct {
     PyObject *lower;       /* owned: the Python LowerState */
     RngMirror rng;         /* rng_traffic, in-kernel during a drain */
     PyObject *owner;       /* owned: the Simulation (for _pid) */
-    PyObject *packet_type; /* owned */
     PyObject *psize_obj;   /* owned int */
     Py_buffer ms_view, si_view, sf_view, inj_view, del_view;
     int64_t *ms_table;     /* R*R contention-free service costs */
@@ -637,17 +642,26 @@ typedef struct {
     Verdict v;
 } Memo;
 
+/* One input FIFO (soa.in_q[gk]) with its key's memo, the fields the
+ * allocation scan reads first: a memo hit touches this record only. */
+typedef struct {
+    PyObject *head;      /* borrowed from the ring; NULL: the FIFO is empty */
+    int64_t size;        /* the head's size */
+    Memo memo;
+    Ring ring;           /* (pkt, size, 0) entries */
+} InQ;
+
 /* Always-on kernel counters (int64 slots of eq._ckcounters, so they
  * outlive the KState); ck_counters names them. */
 enum { C_DRAINS, C_CALL, C_GEN, C_SINK, C_DECIDE, C_OVERRIDE, C_INBOX,
        C_MIRRORS, C_PEAK_PENDING, C_PEAK_BUCKET, C_STEPS, C_SCAN_KEYS,
-       C_INDEX_RELOADS, N_CTR };
+       C_INDEX_RELOADS, C_INQ_ABSORBED, N_CTR };
 
 static const char *const CTR_NAMES[N_CTR] = {
     "drains", "reentries_call", "reentries_gen", "reentries_sink",
     "reentries_decide", "reentries_override", "inbox_records",
     "full_mirrors", "peak_pending_records", "peak_bucket_len", "steps",
-    "scan_keys", "index_reloads",
+    "scan_keys", "index_reloads", "inq_absorbed",
 };
 
 #define N_VIEWS 22
@@ -675,19 +689,20 @@ typedef struct {
     /* PiggyBack snapshot rows: R*h, R, groups (see soa.py) */
     int64_t *pb_snap, *pb_snap_sum, *pb_snap_time;
     int64_t *ctr;        /* N_CTR kernel counters */
-    /* object-valued store fields (owned lists); all but in_q are empty /
-     * None while their native form below is live */
+    /* object-valued store fields (owned lists); empty / None while their
+     * native form below is live */
     PyObject *in_q, *dc_pkt, *dc_dec, *dc_cond, *out_fifo;
     /* the queue's dict and list (owned): the inbox during a drain */
     PyObject *buckets, *times;
     Calendar cal;
     Ring *rings;         /* per port */
-    Memo *memo;          /* per key */
+    InQ *inq;            /* per key */
     /* wiring, per port: Router.out_peer / Router.upstream as (router
      * index, port), -1 where None (node ports) */
     int32_t *peer_rid, *peer_port, *up_rid, *up_port;
     Py_ssize_t num_routers, radix, max_vcs, nkeys;
     PacketSlots ps;
+    PyTypeObject *packet_type; /* owned */
     Py_ssize_t r_arb_time;
     RState *routers;
     PyTypeObject *router_type; /* borrowed: the routers' common type */
@@ -699,7 +714,6 @@ typedef struct {
     int32_t *scr_keys;    /* nkeys: active-key snapshot */
     int64_t *scr_dead;    /* nkeys */
     int64_t *c_key;       /* nkeys candidate keys */
-    PyObject **c_pkt;     /* nkeys owned */
     Verdict *c_v;         /* nkeys, each owning its dec */
     int64_t *c_next;      /* nkeys: per-output chain links */
     int64_t *port_first, *port_last; /* radix */
@@ -779,9 +793,12 @@ native_free(KState *ks)
         PyMem_Free(ks->rings[i].e);
     }
     PyMem_Free(ks->rings);
-    for (i = 0; ks->memo != NULL && i < ks->num_routers * ks->nkeys; i++)
-        memo_clear(&ks->memo[i]);
-    PyMem_Free(ks->memo);
+    for (i = 0; ks->inq != NULL && i < ks->num_routers * ks->nkeys; i++) {
+        memo_clear(&ks->inq[i].memo);
+        ring_clear(&ks->inq[i].ring);
+        PyMem_Free(ks->inq[i].ring.e);
+    }
+    PyMem_Free(ks->inq);
 }
 
 static void
@@ -802,6 +819,7 @@ kstate_free(KState *ks)
         PyMem_Free(ks->key_objs);
     }
     Py_XDECREF(ks->t_obj);
+    Py_XDECREF(ks->packet_type);
     Py_XDECREF(ks->in_q);
     Py_XDECREF(ks->dc_pkt);
     Py_XDECREF(ks->dc_dec);
@@ -820,7 +838,6 @@ kstate_free(KState *ks)
     PyMem_Free(ks->scr_keys);
     PyMem_Free(ks->scr_dead);
     PyMem_Free(ks->c_key);
-    PyMem_Free(ks->c_pkt);
     PyMem_Free(ks->c_v);
     PyMem_Free(ks->c_next);
     PyMem_Free(ks->port_first);
@@ -909,7 +926,6 @@ lstate_free(LState *ls)
     Py_XDECREF(ls->lower);
     rng_clear(&ls->rng);
     Py_XDECREF(ls->owner);
-    Py_XDECREF(ls->packet_type);
     Py_XDECREF(ls->psize_obj);
     PyMem_Free(ls->offsets);
     PyMem_Free(ls->perm);
@@ -986,7 +1002,7 @@ static LState *
 lstate_build(PyObject *lower)
 {
     LState *ls = PyMem_Calloc(1, sizeof(LState));
-    PyObject *mod = NULL, *item = NULL;
+    PyObject *item = NULL;
     int err = 0;
 
     if (ls == NULL) {
@@ -1076,17 +1092,9 @@ lstate_build(PyObject *lower)
     ls->psize_obj = PyLong_FromLongLong((long long)ls->psize);
     if (ls->psize_obj == NULL)
         goto fail;
-    mod = PyImport_ImportModule("repro.hardware.packet");
-    if (mod == NULL)
-        goto fail;
-    ls->packet_type = PyObject_GetAttrString(mod, "Packet");
-    Py_CLEAR(mod);
-    if (ls->packet_type == NULL)
-        goto fail;
     return ls;
 
 fail:
-    Py_XDECREF(mod);
     Py_XDECREF(item);
     lstate_free(ls);
     return NULL;
@@ -1381,6 +1389,35 @@ ring_push(Ring *r, PyObject *pkt, int64_t vc, int64_t t_arr)
     }
     r->e[(r->head + r->len++) & (r->cap - 1)] = (FifoEnt){pkt, vc, t_arr};
     return 0;
+}
+
+/* Append `pkt` of `size` to an input FIFO; takes over `pkt`. */
+static inline int
+inq_push(InQ *q, PyObject *pkt, int64_t size)
+{
+    if (ring_push(&q->ring, pkt, size, 0) < 0)
+        return -1;
+    if (q->head == NULL) {
+        q->head = pkt;
+        q->size = size;
+    }
+    return 0;
+}
+
+/* Pop an input FIFO's head (non-empty); the reference is the caller's. */
+static inline PyObject *
+inq_pop(InQ *q)
+{
+    Ring *r = &q->ring;
+    PyObject *pkt = q->head;
+    r->head = (r->head + 1) & (r->cap - 1);
+    if (--r->len > 0) {
+        q->head = r->e[r->head].pkt;
+        q->size = r->e[r->head].vc;
+    }
+    else
+        q->head = NULL;
+    return pkt;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1728,19 +1765,105 @@ tuple_from_rec(KState *ks, const Rec *r)
     }
 }
 
+/* soa.in_q[gk] -> its ring, behind what the ring holds, leaving the list
+ * empty (None stays None).  Each entry must be a Packet whose size is an
+ * int: the kernel reads its slots and caches the size.  Returns how many
+ * entries moved; on error none did. */
+static Py_ssize_t
+load_inq(KState *ks, Py_ssize_t gk)
+{
+    PyObject *q = PyList_GET_ITEM(ks->in_q, gk);
+    InQ *iq = &ks->inq[gk];
+    Py_ssize_t i, n, len0 = iq->ring.len;
+    if (q == Py_None)
+        return 0;
+    if (!PyList_CheckExact(q)) {
+        PyErr_Format(PyExc_TypeError, "soa.in_q[%zd] is not a list or None",
+                     gk);
+        return -1;
+    }
+    n = PyList_GET_SIZE(q);
+    for (i = 0; i < n; i++) {
+        PyObject *pkt = PyList_GET_ITEM(q, i), *size;
+        if (!PyObject_TypeCheck(pkt, ks->packet_type)
+            || (size = slot_get(pkt, ks->ps.size)) == NULL
+            || !PyLong_CheckExact(size)
+            || (as_ll(size) == -1 && PyErr_Occurred())) {
+            PyErr_Clear(); /* a size beyond int64 */
+            PyErr_Format(ks->flow_err, "router %zd: input key %zd holds %R, "
+                         "not a Packet with an int size", gk / ks->nkeys,
+                         gk % ks->nkeys, pkt);
+            goto undo;
+        }
+        if (inq_push(iq, Py_NewRef(pkt), as_ll(size)) < 0)
+            goto undo;
+    }
+    if (n > 0 && PyList_SetSlice(q, 0, n, NULL) < 0)
+        goto undo;
+    return n;
+undo: /* the list still holds them all */
+    while (iq->ring.len > len0) {
+        Ring *r = &iq->ring;
+        Py_DECREF(r->e[(r->head + --r->len) & (r->cap - 1)].pkt);
+    }
+    if (len0 == 0)
+        iq->head = NULL;
+    return -1;
+}
+
+/* Rings -> soa.in_q, each in front of what its list holds, leaving the
+ * rings empty.  A list holds nothing here unless a narrow hook edited it
+ * against the contract (or load_inq refused it): builds without NDEBUG
+ * raise SystemError for that, once everything is back. */
+static int
+store_inq(KState *ks)
+{
+    Py_ssize_t gk, k, stray = -1;
+    for (gk = 0; gk < ks->num_routers * ks->nkeys; gk++) {
+        InQ *iq = &ks->inq[gk];
+        Ring *r = &iq->ring;
+        PyObject *q = PyList_GET_ITEM(ks->in_q, gk), *front;
+        int rc;
+        if (PyList_CheckExact(q) && PyList_GET_SIZE(q) > 0)
+            stray = gk;
+        if (r->len == 0)
+            continue;
+        if ((front = PyList_New(r->len)) == NULL)
+            return -1;
+        for (k = 0; r->len > 0; k++, r->len--) {
+            PyList_SET_ITEM(front, k, r->e[r->head].pkt);
+            r->head = (r->head + 1) & (r->cap - 1);
+        }
+        iq->head = NULL;
+        rc = PyList_SetSlice(q, 0, 0, front);
+        Py_DECREF(front);
+        if (rc < 0)
+            return -1;
+    }
+#ifndef NDEBUG
+    if (stray >= 0) {
+        PyErr_Format(PyExc_SystemError, "soa.in_q[%zd] was not empty at "
+                     "mirror out: a hook edited it during the drain", stray);
+        return -1;
+    }
+#endif
+    (void)stray;
+    return 0;
+}
+
 /* eq._buckets -> calendar, leaving the dict and eq._times empty.  With
  * `inbox` the dict holds only what a contract hook just posted: an
  * (OP_STEP, router) token there was armed by Router.inject from the None
  * mark every router shows during a drain, so it is replayed through
- * arm_step, the mark reset and the router's active-key index re-checked
- * (a failed check is raised again once the inbox is all in).  Without,
- * the dict is the whole calendar and eq._times its heap (a bucket being
- * drained is in one, not the other). */
+ * arm_step, the mark reset, the router's injection FIFOs absorbed and its
+ * active-key index re-checked (a failure is raised again once the inbox
+ * is all in).  Without, the dict is the whole calendar and eq._times its
+ * heap (a bucket being drained is in one, not the other). */
 static int
 load_buckets(KState *ks, int inbox)
 {
     PyObject *key, *bucket;
-    Py_ssize_t pos = 0, i, n;
+    Py_ssize_t pos = 0, i, n, bad_q = -1;
     RState *bad = NULL;
     while (PyDict_Next(ks->buckets, &pos, &key, &bucket)) {
         int64_t t = as_ll(key);
@@ -1754,9 +1877,18 @@ load_buckets(KState *ks, int inbox)
             Rec r = rec_from_tuple(ks, PyList_GET_ITEM(bucket, i));
             if (inbox && r.op == OP_STEP && r.rid >= 0) {
                 RState *rs = &ks->routers[r.rid];
+                Py_ssize_t gk, moved;
                 slot_set(rs->router, ks->r_arb_time, Py_NewRef(Py_None));
                 if (arm_step(ks, rs, t) < 0)
                     return -1;
+                for (gk = rs->kb; gk < rs->kb + rs->boundary; gk++) {
+                    if ((moved = load_inq(ks, gk)) < 0) {
+                        PyErr_Clear();
+                        bad_q = gk;
+                    }
+                    else
+                        ks->ctr[C_INQ_ABSORBED] += moved;
+                }
                 if (ix_sync(ks, rs) < 0) {
                     PyErr_Clear();
                     bad = rs;
@@ -1778,7 +1910,8 @@ load_buckets(KState *ks, int inbox)
         }
     }
     PyDict_Clear(ks->buckets);
-    if (PyList_SetSlice(ks->times, 0, n, NULL) < 0)
+    if (PyList_SetSlice(ks->times, 0, n, NULL) < 0
+        || (bad_q >= 0 && load_inq(ks, bad_q) < 0))
         return -1;
     return bad != NULL ? ix_sync(ks, bad) : 0;
 }
@@ -1978,7 +2111,7 @@ load_memo(KState *ks)
     int j;
     for (gk = 0; gk < ks->num_routers * ks->nkeys; gk++) {
         PyObject *pkt = PyList_GET_ITEM(ks->dc_pkt, gk);
-        Memo *m = &ks->memo[gk];
+        Memo *m = &ks->inq[gk].memo;
         if (pkt == Py_None)
             continue;
         if (verdict_from_py(ks, Py_NewRef(PyList_GET_ITEM(ks->dc_dec, gk)),
@@ -2001,7 +2134,7 @@ store_memo(KState *ks)
 {
     Py_ssize_t gk;
     for (gk = 0; gk < ks->num_routers * ks->nkeys; gk++) {
-        Memo *m = &ks->memo[gk];
+        Memo *m = &ks->inq[gk].memo;
         const Verdict *v = &m->v;
         PyObject *dec, *cond;
         if (m->pkt == NULL)
@@ -2056,6 +2189,9 @@ mirror_in(KState *ks)
     }
     if (load_buckets(ks, 0) < 0 || load_fifos(ks) < 0 || load_memo(ks) < 0)
         return -1;
+    for (i = 0; i < ks->num_routers * ks->nkeys; i++)
+        if (load_inq(ks, i) < 0)
+            return -1;
     return kstate_rng_in(ks);
 }
 
@@ -2075,7 +2211,8 @@ mirror_out(KState *ks)
             return -1;
         rs->arb = ARB_NONE;
     }
-    if (store_buckets(ks) < 0 || store_fifos(ks) < 0 || store_memo(ks) < 0)
+    if (store_buckets(ks) < 0 || store_fifos(ks) < 0 || store_memo(ks) < 0
+        || store_inq(ks) < 0)
         rc = -1;
     if (kstate_rng_out(ks) < 0)
         rc = -1;
@@ -2127,7 +2264,7 @@ static int
 c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
 {
     int64_t dst, src_router, dst_router, key, gap;
-    PyObject *pkt, *q, *t_obj;
+    PyObject *pkt, *t_obj;
     RState *rs;
 
     if (t >= ls->end_time)
@@ -2176,7 +2313,7 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
          * the object is indistinguishable from a constructor call
          * without bouncing through the interpreted __init__ per
          * packet. */
-        PyTypeObject *tp = (PyTypeObject *)ls->packet_type;
+        PyTypeObject *tp = ks->packet_type;
         PyObject *sg_obj, *v;
         pkt = tp->tp_alloc(tp, 0);
         if (pkt == NULL)
@@ -2238,14 +2375,8 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
      * set t_enq = gen_time = t */
     rs = &ks->routers[src_router];
     key = (node % ls->p) * rs->max_vcs;
-    q = PyList_GET_ITEM(ks->in_q, rs->kb + key);
-    {
-        int ar = PyList_Append(q, pkt);
-        Py_DECREF(pkt);
-        if (ar < 0)
-            return -1;
-    }
-    if (ak_add(ks, rs, key) < 0 || arm_step(ks, rs, t) < 0)
+    if (inq_push(&ks->inq[rs->kb + key], pkt, ls->psize) < 0
+        || ak_add(ks, rs, key) < 0 || arm_step(ks, rs, t) < 0)
         return -1;
 
     /* inlined geometric_gap over the precomputed log(1 - p) */
@@ -2951,15 +3082,15 @@ py_decide_guard(KState *ks, RState *rs, Verdict *v)
     return 0;
 }
 
-/* The memoized decision for the head `pkt` at flat key `gk`, or a fresh
- * decide (twin or Python) with the cache-policy write-back, into `v`
- * (which then owns v->dec).  `epoch` is the router's congestion epoch
+/* The memoized decision for the head of input FIFO `iq` (non-empty), or
+ * a fresh decide (twin or Python) with the cache-policy write-back, into
+ * `v` (which then owns v->dec).  `epoch` is the router's congestion epoch
  * read at scan start. */
 static int
-cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
-                 int64_t epoch, Verdict *v)
+cached_or_decide(KState *ks, RState *rs, InQ *iq, int64_t epoch, Verdict *v)
 {
-    Memo *m = &ks->memo[gk];
+    Memo *m = &iq->memo;
+    PyObject *pkt = iq->head; /* the ring's: a hook can only append */
     int deferred, store = 0, stable = 1;
     if (m->pkt == pkt) {
         const Verdict *mv = &m->v;
@@ -3034,25 +3165,22 @@ cached_or_decide(KState *ks, RState *rs, Py_ssize_t gk, PyObject *pkt,
 /* phase handlers                                                      */
 /* ------------------------------------------------------------------ */
 
+/* Grant the head of input `key` (flat `gk`) to `out_port` (flat `gout`). */
 static int
 c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
-         int64_t key, Py_ssize_t gk, PyObject *pkt, const Verdict *v,
-         int64_t now)
+         int64_t key, Py_ssize_t gk, const Verdict *v, int64_t now)
 {
     int64_t in_port = key / rs->max_vcs;
     int64_t gin = rs->pb + in_port;
-    int64_t size = slot_ll(pkt, ks->ps.size);
-    PyObject *q = PyList_GET_ITEM(ks->in_q, gk);
-    PyObject *now_o = now_obj(ks, now);
-    Py_ssize_t qlen;
-    if (now_o == NULL || PyList_SetSlice(q, 0, 1, NULL) < 0)
+    InQ *iq = &ks->inq[gk];
+    int64_t size = iq->size;
+    PyObject *now_o = now_obj(ks, now), *pkt;
+    if (now_o == NULL)
         return -1;
-    qlen = PyList_GET_SIZE(q);
-    if (qlen < 0)
-        return -1;
-    if (qlen == 0 && ak_discard(ks, rs, key) < 0)
-        return -1;
-    memo_clear(&ks->memo[gk]); /* head changed: decision no longer valid */
+    pkt = inq_pop(iq); /* owned: the OP_OUT_ARRIVE record's, below */
+    if (iq->head == NULL && ak_discard(ks, rs, key) < 0)
+        goto fail;
+    memo_clear(&iq->memo); /* head changed: decision no longer valid */
     ks->cong_epoch[rs->rid] += 1;
     ks->in_port_free[gin] = now + rs->internal;
     ks->switch_free[gout] = now + rs->internal;
@@ -3069,7 +3197,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
         }
         else if (call_hook(ks, C_OVERRIDE, rs->on_injection, 2, rs->rid_obj,
                            now_o, NULL) < 0)
-            return -1;
+            goto fail;
     }
     else {
         int64_t wait = now - slot_ll(pkt, ks->ps.t_enq);
@@ -3077,7 +3205,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
             Py_ssize_t woff =
                 ks->local_in[gin] ? ks->ps.wait_local : ks->ps.wait_global;
             if (slot_set_ll(pkt, woff, slot_ll(pkt, woff) + wait) < 0)
-                return -1;
+                goto fail;
         }
         ks->in_occ[gk] -= size;
         if (ks->in_occ[gk] < 0) {
@@ -3086,7 +3214,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
                          "port %lld vc %lld",
                          (long long)rs->rid, (long long)in_port,
                          (long long)(key - in_port * rs->max_vcs));
-            return -1;
+            goto fail;
         }
         if (ks->up_rid[gin] >= 0) {
             /* credit return to the upstream router */
@@ -3094,7 +3222,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
                          key - in_port * rs->max_vcs, NULL);
             cr.u.c = size;
             if (cal_post(ks, now + rs->internal + ks->link_lat[gin], cr) < 0)
-                return -1;
+                goto fail;
         }
     }
 
@@ -3107,7 +3235,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
                          "%lld vc %lld",
                          (long long)rs->rid, (long long)out_port,
                          (long long)v->vc);
-            return -1;
+            goto fail;
         }
     }
 
@@ -3117,26 +3245,26 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
             int64_t glh = slot_ll(pkt, ks->ps.group_local_hops) + 1;
             if (slot_set_ll(pkt, ks->ps.local_hops,
                             slot_ll(pkt, ks->ps.local_hops) + 1) < 0)
-                return -1;
+                goto fail;
             if (slot_set_ll(pkt, ks->ps.group_local_hops, glh) < 0)
-                return -1;
+                goto fail;
             if (glh > 2) {
                 PyErr_Format(ks->routing_err,
                              "packet %lld took a third local hop in group "
                              "%lld; VC safety would be violated",
                              (long long)slot_ll(pkt, ks->ps.pid),
                              (long long)rs->group);
-                return -1;
+                goto fail;
             }
         }
         else if (ks->global_out[gout]) {
             if (slot_set_ll(pkt, ks->ps.global_hops,
                             slot_ll(pkt, ks->ps.global_hops) + 1) < 0)
-                return -1;
+                goto fail;
         }
         if (v->action == 1
             && slot_set_ll(pkt, ks->ps.inter_group, v->aux) < 0)
-            return -1;
+            goto fail;
     }
     else {
         /* the mechanism's own commit gets the decision as a tuple */
@@ -3145,16 +3273,18 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
                                  rs->router, dec) : -1;
         Py_XDECREF(dec);
         if (rc < 0)
-            return -1;
+            goto fail;
     }
     if (slot_set_ll(pkt, ks->ps.service_sum,
                     slot_ll(pkt, ks->ps.service_sum)
                         + ks->hop_cost[gout]) < 0)
-        return -1;
+        goto fail;
     /* switch traversal -> OP_OUT_ARRIVE after the pipeline latency */
     return cal_post(ks, now + rs->pipe_lat,
-                    REC(OP_OUT_ARRIVE, rs->rid, out_port, v->vc,
-                        Py_NewRef(pkt)));
+                    REC(OP_OUT_ARRIVE, rs->rid, out_port, v->vc, pkt));
+fail:
+    Py_DECREF(pkt);
+    return -1;
 }
 
 /* The consolidated allocation pass (kernel.step).  The Python kernel's
@@ -3206,16 +3336,24 @@ c_step(KState *ks, RState *rs, int64_t now)
     for (i = 0; i < n_act; i++) {
         int64_t key = ks->scr_keys[i];
         Py_ssize_t gk = (Py_ssize_t)(rs->kb + key);
-        PyObject *q = PyList_GET_ITEM(ks->in_q, gk);
-        Py_ssize_t qlen = PyList_GET_SIZE(q);
+        InQ *iq = &ks->inq[gk];
         int is_transit;
         int64_t t_free, out_port, gout, t_sw, size;
-        PyObject *pkt;
         Verdict v;
-        if (qlen == 0) {
+        if (iq->head == NULL) {
             ks->scr_dead[n_dead++] = key;
             continue;
         }
+#ifndef NDEBUG
+        if (iq->head != iq->ring.e[iq->ring.head].pkt
+            || iq->size != iq->ring.e[iq->ring.head].vc
+            || iq->size != slot_ll(iq->head, ks->ps.size)) {
+            PyErr_Format(PyExc_SystemError, "router %lld key %lld: the "
+                         "cached head or size diverged from its FIFO",
+                         (long long)rs->rid, (long long)key);
+            goto done;
+        }
+#endif
         is_transit = (key >= rs->boundary);
         t_free = ks->in_port_free[ks->key_port[gk]];
         if (t_free > now) {
@@ -3223,23 +3361,16 @@ c_step(KState *ks, RState *rs, int64_t now)
                 next_time = t_free;
             if (is_transit && rs->transit_priority) {
                 /* still assert this head's demand for priority masking */
-                pkt = Py_NewRef(PyList_GET_ITEM(q, 0));
-                rc = cached_or_decide(ks, rs, gk, pkt, epoch, &v);
-                Py_DECREF(pkt);
-                if (rc < 0)
+                if (cached_or_decide(ks, rs, iq, epoch, &v) < 0)
                     goto done;
-                rc = -1;
                 Py_XDECREF(v.dec);
                 ks->td_mask[v.port] = 1;
                 td_active = 1;
             }
             continue;
         }
-        pkt = Py_NewRef(PyList_GET_ITEM(q, 0));
-        if (cached_or_decide(ks, rs, gk, pkt, epoch, &v) < 0) {
-            Py_DECREF(pkt);
+        if (cached_or_decide(ks, rs, iq, epoch, &v) < 0)
             goto done;
-        }
         out_port = v.port;
         if (is_transit && rs->transit_priority) {
             ks->td_mask[out_port] = 1;
@@ -3247,7 +3378,7 @@ c_step(KState *ks, RState *rs, int64_t now)
         }
         gout = rs->pb + out_port;
         t_sw = ks->switch_free[gout];
-        size = slot_ll(pkt, ks->ps.size);
+        size = iq->size;
         if (t_sw > now) {
             if (next_time < 0 || t_sw < next_time)
                 next_time = t_sw;
@@ -3258,9 +3389,9 @@ c_step(KState *ks, RState *rs, int64_t now)
                                            + v.vc] + size
                               > ks->credit_cap[gout]))) {
             /* candidate: chain it on its output port in first-seen order
-             * (the arrays hold the references until cleanup) */
+             * (the array holds the decision's reference until cleanup;
+             * the head stays its FIFO's until c_commit pops it) */
             ks->c_key[n_cand] = key;
-            ks->c_pkt[n_cand] = pkt;
             ks->c_v[n_cand] = v;
             ks->c_next[n_cand] = -1;
             if (ks->port_first[out_port] < 0) {
@@ -3274,7 +3405,6 @@ c_step(KState *ks, RState *rs, int64_t now)
             continue;
         }
         /* else: woken by release_output / release_credit */
-        Py_DECREF(pkt);
         Py_XDECREF(v.dec);
     }
 
@@ -3334,26 +3464,19 @@ c_step(KState *ks, RState *rs, int64_t now)
         }
         ks->last_grant[gout] = ks->c_key[w];
         if (c_commit(ks, rs, out_port, gout, ks->c_key[w],
-                     (Py_ssize_t)(rs->kb + ks->c_key[w]), ks->c_pkt[w],
-                     &ks->c_v[w], now) < 0)
+                     (Py_ssize_t)(rs->kb + ks->c_key[w]), &ks->c_v[w],
+                     now) < 0)
             goto done;
         granted = 1;
     }
 
     if (next_time < 0 && granted && ix->used > 0)
         next_time = now + 1;
-    rc = 0;
-    if (next_time >= 0) {
-        /* _arb_time is None throughout a pass: arm unconditionally */
-        rs->arb = next_time;
-        rc = cal_post(ks, next_time, REC(OP_STEP, rs->rid, 0, 0, NULL));
-    }
+    rc = (next_time >= 0) ? arm_step(ks, rs, next_time) : 0;
 
 done:
-    for (i = 0; i < n_cand; i++) {
-        Py_DECREF(ks->c_pkt[i]);
+    for (i = 0; i < n_cand; i++)
         Py_XDECREF(ks->c_v[i].dec);
-    }
     /* reset the per-port chains we touched */
     for (i = 0; i < n_ports; i++)
         ks->port_first[ks->order_ports[i]] = -1;
@@ -3366,19 +3489,19 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
 {
     int64_t key = port * rs->max_vcs + vc;
     Py_ssize_t gk = (Py_ssize_t)(rs->kb + key);
-    PyObject *q = PyList_GET_ITEM(ks->in_q, gk);
     PyObject *now_o = now_obj(ks, now);
-    int64_t wake;
+    int64_t wake, size;
     if (now_o == NULL)
         return -1;
-    if (q == Py_None) {
+    if (PyList_GET_ITEM(ks->in_q, gk) == Py_None) {
         PyErr_Format(ks->flow_err,
                      "router %lld: arrival on invalid VC (port %lld, "
                      "vc %lld)",
                      (long long)rs->rid, (long long)port, (long long)vc);
         return -1;
     }
-    ks->in_occ[gk] += slot_ll(pkt, ks->ps.size);
+    size = slot_ll(pkt, ks->ps.size);
+    ks->in_occ[gk] += size;
     if (ks->in_occ[gk] > ks->in_cap[gk]) {
         PyErr_Format(ks->flow_err,
                      "router %lld: input buffer overflow on port %lld "
@@ -3412,7 +3535,8 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
         if (rc < 0)
             return -1;
     }
-    if (PyList_Append(q, pkt) < 0 || ak_add(ks, rs, key) < 0)
+    if (inq_push(&ks->inq[gk], Py_NewRef(pkt), size) < 0
+        || ak_add(ks, rs, key) < 0)
         return -1;
     wake = ks->in_port_free[rs->pb + port];
     if (wake < now)
@@ -4042,7 +4166,7 @@ kstate_build(PyObject *eq, PyObject *store)
 {
     KState *ks = PyMem_Calloc(1, sizeof(KState));
     PyObject *mod = NULL, *routers = NULL, *tmp = NULL;
-    PyTypeObject *eq_tp, *pkt_tp, *r_tp;
+    PyTypeObject *eq_tp, *r_tp;
     PyObject *kernel_step = NULL;
     Py_ssize_t i, K, P;
     int err = 0;
@@ -4115,12 +4239,12 @@ kstate_build(PyObject *eq, PyObject *store)
     /* their native forms, the calendar and the wiring tables */
     ks->cal.free = ks->cal.cur = -1;
     ks->rings = PyMem_Calloc((size_t)(P ? P : 1), sizeof(Ring));
-    ks->memo = PyMem_Calloc((size_t)(K ? K : 1), sizeof(Memo));
+    ks->inq = PyMem_Calloc((size_t)(K ? K : 1), sizeof(InQ));
     ks->peer_rid = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
     ks->peer_port = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
     ks->up_rid = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
     ks->up_port = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
-    if (ks->rings == NULL || ks->memo == NULL || ks->peer_rid == NULL
+    if (ks->rings == NULL || ks->inq == NULL || ks->peer_rid == NULL
         || ks->peer_port == NULL || ks->up_rid == NULL
         || ks->up_port == NULL) {
         PyErr_NoMemory();
@@ -4148,7 +4272,7 @@ kstate_build(PyObject *eq, PyObject *store)
         goto fail;
     }
 
-    /* Packet slot offsets */
+    /* the Packet type and its slot offsets */
     mod = PyImport_ImportModule("repro.hardware.packet");
     if (mod == NULL)
         goto fail;
@@ -4156,12 +4280,12 @@ kstate_build(PyObject *eq, PyObject *store)
     Py_CLEAR(mod);
     if (tmp == NULL)
         goto fail;
-    pkt_tp = (PyTypeObject *)tmp;
+    ks->packet_type = (PyTypeObject *)tmp;
+    tmp = NULL;
     for (i = 0; i < (Py_ssize_t)(sizeof(PacketSlots) / sizeof(Py_ssize_t)); i++)
         if ((((Py_ssize_t *)&ks->ps)[i] =
-                 slot_offset(pkt_tp, PACKET_SLOTS[i])) < 0)
+                 slot_offset(ks->packet_type, PACKET_SLOTS[i])) < 0)
             goto fail;
-    Py_CLEAR(tmp);
 
     /* cached objects */
     mod = PyImport_ImportModule("repro.errors");
@@ -4197,7 +4321,6 @@ kstate_build(PyObject *eq, PyObject *store)
     ks->scr_keys = PyMem_Malloc((size_t)ks->nkeys * sizeof(int32_t));
     ks->scr_dead = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
     ks->c_key = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
-    ks->c_pkt = PyMem_Malloc((size_t)ks->nkeys * sizeof(PyObject *));
     ks->c_v = PyMem_Malloc((size_t)ks->nkeys * sizeof(Verdict));
     ks->c_next = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
     ks->f_idx = PyMem_Malloc((size_t)ks->nkeys * sizeof(int64_t));
@@ -4206,7 +4329,7 @@ kstate_build(PyObject *eq, PyObject *store)
     ks->order_ports = PyMem_Malloc((size_t)ks->radix * sizeof(int64_t));
     ks->td_mask = PyMem_Malloc((size_t)ks->radix);
     if (ks->scr_keys == NULL || ks->scr_dead == NULL || ks->c_key == NULL
-        || ks->c_pkt == NULL || ks->c_v == NULL || ks->c_next == NULL
+        || ks->c_v == NULL || ks->c_next == NULL
         || ks->f_idx == NULL || ks->port_first == NULL
         || ks->port_last == NULL || ks->order_ports == NULL
         || ks->td_mask == NULL) {
@@ -4645,7 +4768,8 @@ static PyMethodDef ckernel_methods[] = {
      "counters(eq): the kernel's always-on counters for this queue — "
      "drains, Python re-entries by kind, inbox records absorbed, full "
      "mirrors, peak pending records, peak bucket length, scans, keys scanned, "
-     "active-key index reloads — or None before its first compiled drain."},
+     "active-key index reloads, input-FIFO packets absorbed after a hook — "
+     "or None before its first compiled drain."},
     {"check_set_model", ck_check_set_model, METH_VARARGS,
      "check_set_model(ops=None): (add, key) pairs (None: the import's) on a "
      "fresh set and active-key index, compared after each; RuntimeError, or "

@@ -35,8 +35,9 @@ prints the kernel's always-on counters (``_ckernel.counters``): how often
 and for what the drain re-entered Python, how many records came in
 through the inbox, how often the whole state was mirrored, the
 calendar's peak occupancy, how many allocation scans ran over how many
-active keys (mean keys per scan), and how often a hook made the kernel
-reload a router's active-key index.  ``cProfile`` counts re-entries it
+active keys (mean keys per scan), how often a hook made the kernel
+reload a router's active-key index, and how many packets it took from
+the injection FIFO lists after a hook.  ``cProfile`` counts re-entries it
 can see as Python frames; these are counted where they happen.
 """
 
@@ -148,7 +149,8 @@ def describe_callbacks(metrics: dict[str, Any]) -> str:
             f"reentries({reentries}) {rest} steps={steps} "
             f"scan_keys={counters['scan_keys']} "
             f"({counters['scan_keys'] / steps if steps else 0.0:.2f} per scan) "
-            f"index_reloads={counters['index_reloads']}"
+            f"index_reloads={counters['index_reloads']} "
+            f"inq_absorbed={counters['inq_absorbed']}"
         )
     return lines
 
