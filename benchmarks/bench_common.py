@@ -6,8 +6,7 @@ Profiles (select with ``REPRO_BENCH_PROFILE``):
   warmup/measurement windows, 1 seed, coarse load grids.  Regenerates
   every figure/table in ~15-25 minutes on a laptop.
 * ``full`` — longer windows, 2 seeds, denser load grids, and the fairness
-  tables additionally at h=4 where the in-transit starvation is stronger
-  (see DESIGN.md "Starvation magnitude is scale-dependent").
+  tables additionally at h=4 where the in-transit starvation is stronger.
 
 Each benchmark writes its rendered output under ``benchmarks/results/`` so
 the artifacts survive pytest's output capture, and prints it as well.
@@ -17,28 +16,15 @@ from __future__ import annotations
 
 import os
 import pathlib
-import platform
-import subprocess
-import time
 
 from repro.config import SimulationConfig, small_config
-from repro.exec.runner import default_jobs
-
-# Re-exported: the affinity-aware count moved to repro.utils so
-# default_jobs() and the perf artifacts agree on one implementation.
-from repro.utils.cpu import usable_cpu_count  # noqa: F401
 
 __all__ = [
     "PROFILE",
     "bench_config",
     "fairness_config",
-    "git_sha",
-    "jobs",
     "loads_for",
-    "machine_metadata",
-    "metadata_lines",
     "seeds",
-    "usable_cpu_count",
     "write_result",
 ]
 
@@ -69,14 +55,6 @@ def seeds() -> int:
     return 2 if PROFILE == "full" else 1
 
 
-def jobs() -> int:
-    """Parallel simulation processes per plan (``REPRO_BENCH_JOBS`` wins)."""
-    env = os.environ.get("REPRO_BENCH_JOBS")
-    if env:
-        return max(1, int(env))
-    return default_jobs()
-
-
 def loads_for(pattern: str, *, dense: bool = False) -> list[float]:
     """Offered-load grid per traffic pattern."""
     if PROFILE == "full" or dense:
@@ -92,43 +70,6 @@ def loads_for(pattern: str, *, dense: bool = False) -> list[float]:
             "advc": [0.1, 0.2, 0.3, 0.4, 0.5],
         }
     return grids[pattern]
-
-
-def git_sha() -> str:
-    """Current commit SHA, or "unknown" outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
-
-
-def machine_metadata() -> dict:
-    """Host facts that make cross-PR perf artifacts interpretable."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "cpu_count": usable_cpu_count(),
-        "machine": platform.machine(),
-        "system": platform.system(),
-    }
-
-
-def metadata_lines() -> str:
-    """Render machine metadata + provenance as artifact footer lines."""
-    meta = machine_metadata()
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    return (
-        f"machine: {meta['implementation']} {meta['python']} | "
-        f"{meta['cpu_count']} CPUs | {meta['system']}/{meta['machine']}\n"
-        f"provenance: git {git_sha()[:12]} at {stamp}"
-    )
 
 
 def write_result(name: str, text: str) -> pathlib.Path:

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the model's design choices.
 
 Not figures from the paper — these probe the knobs the paper holds fixed:
 
@@ -14,9 +14,9 @@ Not figures from the paper — these probe the knobs the paper holds fixed:
 
 from __future__ import annotations
 
-from bench_common import bench_config, jobs, seeds, write_result
+from bench_common import bench_config, seeds, write_result
 from repro.core.simulation import run_simulation
-from repro.exec import ExperimentPlan, Runner
+from repro.exec import ExperimentPlan, Runner, default_jobs
 from repro.utils.tables import format_table
 
 
@@ -25,7 +25,7 @@ def run_points(configs):
     plan = ExperimentPlan.merge(
         ExperimentPlan.point(cfg, seeds=seeds()) for cfg in configs
     )
-    res = Runner(jobs=jobs()).run(plan)
+    res = Runner(jobs=default_jobs()).run(plan)
     res.raise_for_failures()
     return [res.point(cfg) for cfg in configs]
 

@@ -14,14 +14,15 @@ shape the paper reports:
 
 from __future__ import annotations
 
-from bench_common import bench_config, jobs, loads_for, seeds, write_result
+from bench_common import bench_config, loads_for, seeds, write_result
 from repro.analysis.figures import figure2_sweeps, format_figure2
 from repro.analysis.paper_reference import min_throughput_bound
+from repro.exec import default_jobs
 
 
 def _run_panel(pattern: str, **traffic_kw):
     base = bench_config().with_traffic(pattern=pattern, **traffic_kw)
-    return figure2_sweeps(base, loads_for(pattern), seeds=seeds(), jobs=jobs())
+    return figure2_sweeps(base, loads_for(pattern), seeds=seeds(), jobs=default_jobs())
 
 
 def test_fig2a_uniform(benchmark):

@@ -12,8 +12,9 @@ injection-queue waiting.  Shape assertions:
 
 from __future__ import annotations
 
-from bench_common import bench_config, jobs, seeds, write_result
+from bench_common import bench_config, seeds, write_result
 from repro.analysis.figures import figure3_breakdown, format_figure3
+from repro.exec import default_jobs
 
 
 def _loads():
@@ -25,7 +26,7 @@ def test_fig3_breakdown(benchmark):
     breakdown = benchmark.pedantic(
         figure3_breakdown,
         args=(base, _loads()),
-        kwargs={"seeds": seeds(), "jobs": jobs()},
+        kwargs={"seeds": seeds(), "jobs": default_jobs()},
         rounds=1,
         iterations=1,
     )

@@ -12,8 +12,9 @@ Shape assertions from the paper:
 
 from __future__ import annotations
 
-from bench_common import fairness_config, jobs, seeds, write_result
+from bench_common import fairness_config, seeds, write_result
 from repro.analysis.figures import figure4_injections, format_figure4
+from repro.exec import default_jobs
 
 MECHS = (
     "obl-rrg",
@@ -31,7 +32,12 @@ def test_fig4_injections(benchmark):
     inj = benchmark.pedantic(
         figure4_injections,
         args=(base,),
-        kwargs={"mechanisms": MECHS, "load": 0.4, "seeds": seeds(), "jobs": jobs()},
+        kwargs={
+            "mechanisms": MECHS,
+            "load": 0.4,
+            "seeds": seeds(),
+            "jobs": default_jobs(),
+        },
         rounds=1,
         iterations=1,
     )

@@ -11,8 +11,9 @@ Paper observations asserted:
 
 from __future__ import annotations
 
-from bench_common import bench_config, jobs, loads_for, seeds, write_result
+from bench_common import bench_config, loads_for, seeds, write_result
 from repro.analysis.figures import figure2_sweeps, format_figure2
+from repro.exec import default_jobs
 
 # A reduced load grid keeps the no-priority rerun affordable; the curves
 # retain their knees.
@@ -30,7 +31,7 @@ def _run_panel(pattern: str):
         .with_router(transit_priority=False)
     )
     loads = _LOADS[pattern] if len(loads_for(pattern)) <= 5 else loads_for(pattern)
-    return figure2_sweeps(base, loads, seeds=seeds(), jobs=jobs())
+    return figure2_sweeps(base, loads, seeds=seeds(), jobs=default_jobs())
 
 
 def test_fig5a_uniform(benchmark):

@@ -16,10 +16,10 @@ verdicts are asserted green and recorded in the rendered artifacts):
 
 from __future__ import annotations
 
-from bench_common import bench_config, jobs, seeds, write_result
+from bench_common import bench_config, seeds, write_result
 from repro.analysis.interference import interference_report, per_job_counts
 from repro.exec.plan import ExperimentPlan
-from repro.exec.runner import Runner
+from repro.exec.runner import Runner, default_jobs
 from repro.traffic import get_scenario
 
 #: load grids of the two profiles (coarse; these are scenario smokes,
@@ -38,7 +38,7 @@ def _run_multi_job(store):
         ExperimentPlan.sweep(base.with_(routing=mech), MULTI_JOB_LOADS, seeds=seeds())
         for mech in ("min", "in-trns-mm")
     )
-    res = Runner(jobs=jobs(), store=store).run(plan)
+    res = Runner(jobs=default_jobs(), store=store).run(plan)
     return base, res
 
 
@@ -92,7 +92,7 @@ def _run_bursty():
         ExperimentPlan.sweep(base.with_(routing=mech), BURSTY_LOADS, seeds=seeds())
         for mech in ("min", "in-trns-mm")
     )
-    res = Runner(jobs=jobs()).run(plan)
+    res = Runner(jobs=default_jobs()).run(plan)
     return base, res
 
 

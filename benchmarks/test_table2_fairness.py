@@ -2,7 +2,7 @@
 transit priority ON.
 
 Shape assertions (the paper's ordering, not its absolute values —
-absolute ratios grow with network scale, see DESIGN.md):
+those are h=6 numbers, see :mod:`repro.analysis.paper_reference`):
 
 * oblivious mechanisms are nearly perfectly fair (Max/Min close to 1,
   tiny CoV);
@@ -13,8 +13,9 @@ absolute ratios grow with network scale, see DESIGN.md):
 
 from __future__ import annotations
 
-from bench_common import fairness_config, jobs, seeds, write_result
+from bench_common import fairness_config, seeds, write_result
 from repro.analysis.tables import fairness_table, format_fairness_table
+from repro.exec import default_jobs
 
 
 def test_table2(benchmark):
@@ -22,7 +23,7 @@ def test_table2(benchmark):
     table = benchmark.pedantic(
         fairness_table,
         args=(base,),
-        kwargs={"load": 0.4, "seeds": seeds(), "jobs": jobs()},
+        kwargs={"load": 0.4, "seeds": seeds(), "jobs": default_jobs()},
         rounds=1,
         iterations=1,
     )

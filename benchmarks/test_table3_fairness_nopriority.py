@@ -11,8 +11,9 @@ Shape assertions (paper Section V-C):
 
 from __future__ import annotations
 
-from bench_common import fairness_config, jobs, seeds, write_result
+from bench_common import fairness_config, seeds, write_result
 from repro.analysis.tables import fairness_table, format_fairness_table
+from repro.exec import default_jobs
 
 
 def test_table3(benchmark):
@@ -20,8 +21,12 @@ def test_table3(benchmark):
     base_noprio = base_prio.with_router(transit_priority=False)
 
     def run_both():
-        with_prio = fairness_table(base_prio, load=0.4, seeds=seeds(), jobs=jobs())
-        without = fairness_table(base_noprio, load=0.4, seeds=seeds(), jobs=jobs())
+        with_prio = fairness_table(
+            base_prio, load=0.4, seeds=seeds(), jobs=default_jobs()
+        )
+        without = fairness_table(
+            base_noprio, load=0.4, seeds=seeds(), jobs=default_jobs()
+        )
         return with_prio, without
 
     with_prio, without = benchmark.pedantic(run_both, rounds=1, iterations=1)

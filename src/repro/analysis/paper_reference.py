@@ -1,8 +1,8 @@
 """The paper's reported numbers, for side-by-side comparison.
 
 Absolute values are not expected to match (different scale, packet-level
-model — see DESIGN.md Section 4); they anchor the *shape* comparisons in
-EXPERIMENTS.md and the benchmark output.
+model — see :func:`repro.config.small_config`); they anchor the *shape*
+comparisons in the benchmark output (``benchmarks/results/``).
 """
 
 from __future__ import annotations

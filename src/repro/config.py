@@ -11,8 +11,8 @@ Presets
 -------
 :func:`paper_config` builds the paper's h=6 / 5,256-node system;
 :func:`small_config` builds the h=2 / 72-node system of the paper's Fig. 1
-(the default for tests and benchmarks — see DESIGN.md for the scaling
-substitution rationale); :func:`tiny_config` is an h=1 / 6-node system for
+(the default for tests and benchmarks — :func:`small_config` says why it
+stands in for h=6); :func:`tiny_config` is an h=1 / 6-node system for
 fast unit tests.
 """
 
@@ -257,8 +257,9 @@ class RouterConfig:
         Output FIFO capacity per port, in phits (32).
     local_vcs / global_vcs:
         Virtual channels per local and global port.  4 local VCs cover the
-        longest Valiant-to-node path and our escape-VC scheme (DESIGN.md
-        Section 4 documents the deviation from Table I's 3-VC OLM reuse).
+        longest Valiant-to-node path and our escape-VC scheme, which
+        deviates from Table I's 3-VC OLM reuse (:mod:`repro.routing.vc`
+        documents both schemes).
     transit_priority:
         When True the allocator strictly prefers in-transit candidates over
         new injections (the Blue Gene-style priority the paper evaluates in
@@ -592,9 +593,9 @@ def medium_config(**overrides) -> SimulationConfig:
 def small_config(**overrides) -> SimulationConfig:
     """The paper's Fig. 1 scale: h=2, a=4, p=2, 9 groups, 72 nodes.
 
-    This is the default experiment scale (see DESIGN.md Section 4 for the
-    substitution rationale: every mechanism and the bottleneck-router
-    phenomenon exist identically at h=2).
+    This is the default experiment scale, substituted for the paper's h=6
+    because every mechanism and the bottleneck-router phenomenon exist
+    identically at h=2.
     """
     cfg = SimulationConfig(
         network=NetworkConfig(p=2, a=4, h=2),

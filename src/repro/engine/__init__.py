@@ -5,10 +5,10 @@ every cycle, components post typed activation records at integer cycle
 times and idle components cost nothing.  Router pipelines are activated
 at most once per (router × cycle) via dirty-marked ``OP_STEP`` tokens and
 run arbitration → commit as one consolidated :meth:`Router.step
-<repro.hardware.router.Router.step>` call.  See DESIGN.md Section 4 for
-why packet-granular activations preserve the phenomena under study, and
-README "Engine architecture" for the intra-cycle phase order and the
-bit-identical replay contract.
+<repro.hardware.router.Router.step>` call.  Events are packet-granular
+because virtual cut-through forwards whole packets (see
+:mod:`repro.hardware.packet`); README "Engine architecture" has the
+intra-cycle phase order and the bit-identical replay contract.
 """
 
 from repro.engine.events import (

@@ -5,7 +5,7 @@ link serialisation are all accounted in phits, but allocation decisions and
 events happen per packet (virtual cut-through forwards whole packets).
 
 A packet carries its own latency ledger so the Figure 3 decomposition is
-exact by construction (see DESIGN.md Section 5):
+exact by construction:
 
 ``total = injection_wait + wait_local + wait_global + base + misroute``
 

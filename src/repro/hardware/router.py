@@ -1,6 +1,6 @@
 """The :class:`Router`: input-output-buffered switch with VCT flow control.
 
-Model summary (DESIGN.md Sections 4-5):
+Model summary:
 
 * **Input side** — one FIFO per (port, VC).  Node (injection) ports have a
   single unbounded FIFO; local/global ports have per-VC buffers whose

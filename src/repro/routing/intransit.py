@@ -276,7 +276,7 @@ class InTransitAdaptiveRouting(RoutingMechanism):
         if group == pkt.src_group and pkt.global_hops == 0:
             # PAR: global misrouting at injection or after one local hop.
             # Inlined _try_global_misroute (the hottest decide branch —
-            # semantics documented in the module docstring / DESIGN.md).
+            # semantics documented in the module docstring).
             out_occ = router.out_occ
             credits_used = router.credits_used
             credit_cap = router.credit_cap

@@ -2,7 +2,7 @@
 
 Two schemes are used, both deadlock-free because the VC index strictly
 increases along every legal path, which makes the channel dependency
-graph acyclic (Dally's criterion; see DESIGN.md Section 4):
+graph acyclic (Dally's criterion):
 
 * **position-based** (oblivious / source-adaptive mechanisms): the local
   VC is keyed to the path *position* — source group uses VC 0,

@@ -2,16 +2,15 @@
 
 The optimisation workflow this repo follows (and that the hot-path PRs
 used) is: measure with :func:`profile_simulation`, read the top
-``tottime`` entries, make the bottleneck cheap, re-run the
-``engine_throughput`` benchmark to confirm, and let the golden traces
-plus the determinism matrix guard that results stayed bit-identical.
-This module is shared by the ``repro profile`` CLI subcommand and
-``benchmarks/bench_profile.py``.
+``tottime`` entries, make the bottleneck cheap, confirm with an A/B of
+``bench/run.py``, and let the golden traces plus the determinism matrix
+guard that results stayed bit-identical.  This module backs the
+``repro profile`` CLI subcommand.
 
 Since the phase-batched engine rewrite, the harness reports two rates:
 
-* **events/s** — semantic events per second (the historical metric the
-  perf gate tracks; merged activations count each constituent event);
+* **events/s** — semantic events per second (merged activations count
+  each constituent event);
 * **activations/s** — dispatched activation records per second.  The
   events/activations ratio measures how much per-event dispatch the
   batched engine avoided.

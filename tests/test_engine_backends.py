@@ -246,7 +246,7 @@ def test_finished_simulations_are_collectable(backend):
     for seed in range(10):
         sim, result = _run(cfg.with_(seed=seed), backend)
         assert sim.engine.processed == result.events_processed
-        assert sim.engine.activations > 0
+        assert 0 < sim.engine.activations <= sim.engine.processed
         assert sim._lower is not None
         del sim, result
         gc.collect()

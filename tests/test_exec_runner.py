@@ -147,15 +147,16 @@ class TestRunnerDeterminism:
 
 
 class TestResultCache:
-    def test_hit_miss_and_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_hit_miss_and_round_trip(self, tmp_path, jobs):
         cfg = quick_cfg(routing="min")
         plan = ExperimentPlan.sweep(cfg, [0.2, 0.4], seeds=2)
 
-        first = Runner(jobs=1, store=tmp_path).run(plan)
+        first = Runner(jobs=jobs, store=tmp_path).run(plan)
         assert first.computed == 4
         assert first.cached == 0
 
-        second = Runner(jobs=1, store=tmp_path).run(plan)
+        second = Runner(jobs=jobs, store=tmp_path).run(plan)
         assert second.computed == 0
         assert second.cached == 4
         assert second.sweep(cfg, [0.2, 0.4]) == first.sweep(cfg, [0.2, 0.4])

@@ -108,7 +108,7 @@ class TestSectionV_Unfairness:
 class TestRobustness:
     def test_no_deadlock_at_saturation_all_mechanisms(self):
         """Past-saturation runs complete without the watchdog firing
-        (regression for the VC-reuse deadlock described in DESIGN.md)."""
+        (regression for the VC-reuse deadlock described in repro.routing.vc)."""
         for mech in ("min", "obl-rrg", "src-crg", "in-trns-mm"):
             for priority in (True, False):
                 c = cfg(mech, "advc", 0.9, priority=priority)

@@ -64,7 +64,7 @@ class TestPositionVc:
         assert position_local_vc(pkt, 4) == 3
 
     def test_gateway_injected_packet_does_not_reuse_vc0(self):
-        """Regression for the group-ring deadlock (DESIGN.md): a packet
+        """Regression for the group-ring deadlock (repro.routing.vc): a packet
         injected at its gateway (no source local hop) must still use
         local VC >= 1 in its destination group."""
         pkt = make_packet()
