@@ -1,8 +1,10 @@
 """Smoke benchmark at the paper's full scale (h=6, 5,256 nodes).
 
-Skipped under the quick profile (a single point takes minutes in pure
-Python); ``REPRO_BENCH_PROFILE=full`` enables it.  It checks that the
-full-size system builds, runs, and shows the ADVc bottleneck signature.
+Skipped under the quick profile; ``REPRO_BENCH_PROFILE=full`` enables
+it.  On the compiled backend this point (500 + 800 cycles) takes ~3 s
+and an h=6 cell of the paper's tables (1,000 + 4,000 cycles) 10–15 s;
+the pure-Python backend needs minutes.  It checks that the full-size
+system builds, runs, and shows the ADVc bottleneck signature.
 """
 
 from __future__ import annotations

@@ -197,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             metavar="SECONDS",
-            help="wall-clock limit per cell attempt (parallel runs only; "
-            "default: none)",
+            help="wall-clock limit per cell attempt, counted from when a "
+            "worker starts it (parallel runs only; default: none)",
         )
 
     run_p = sub.add_parser("run", help="run one simulation")
@@ -420,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock limit per cell attempt (default: none)",
+        help="wall-clock limit per cell attempt, counted from when a "
+        "worker starts it (default: none)",
     )
 
     submit_p = sub.add_parser(

@@ -14,13 +14,18 @@ cell can never produce conflicting bytes.
 
 Fault tolerance (``submit`` + wait loop, not ``pool.map``):
 
+* the pool holds one queued cell behind each running one, so a worker
+  that finishes a cell starts its next at once while this process
+  persists the last result;
 * each cell is retried under a :class:`RetryPolicy` — seeded
   exponential backoff with jitter, an optional per-cell wall-clock
-  timeout (the pool is replaced when a cell overruns), and a bounded
-  attempt count;
-* a dead worker process (``BrokenProcessPool``) costs one attempt for
-  the cells that were in flight; the pool is rebuilt and the sweep
-  continues;
+  timeout measured from the moment a worker starts the cell, not from
+  its submission (the pool is replaced when a cell overruns), and a
+  bounded attempt count;
+* a dead worker process (``BrokenProcessPool``) or a timeout costs one
+  attempt for the cells that had started; queued cells never ran and
+  go back on the queue without losing one.  The pool is rebuilt and
+  the sweep continues;
 * every completed cell is persisted to the store *as it lands*, so one
   poison cell can no longer discard its siblings' results;
 * cells that exhaust their attempts are quarantined into structured
@@ -52,7 +57,7 @@ import os
 import random
 import time
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -61,7 +66,8 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import islice
+from typing import Any, TypeVar
 
 from repro.config import SimulationConfig
 from repro.core.results import SimulationResult
@@ -92,8 +98,25 @@ __all__ = [
     "run_cell",
 ]
 
+_T = TypeVar("_T")
+
 #: wait-loop slice: future polling, foreign-lease store polling, idle sleep.
 _POLL = 0.1
+
+#: cells a pooled run keeps submitted per worker: one running, one queued.
+_PER_WORKER = 2
+
+
+def _running(calls: Iterable[_T], workers: int) -> list[_T]:
+    """The calls a pool of *workers* is running, out of its unfinished
+    *calls* in submission order.
+
+    An executor starts its calls in FIFO order, so the oldest *workers*
+    unfinished ones are running and the rest wait in its queue.  Both
+    executors of cells (:class:`Runner` and the service's scheduler)
+    start a cell's timeout clock when it enters this window.
+    """
+    return list(islice(calls, workers))
 
 
 def default_jobs() -> int:
@@ -137,9 +160,11 @@ class RetryPolicy:
     ``1 + jitter`` — the jitter RNG is seeded from the plan and cell
     digests, so two replays of the same sweep back off identically.
 
-    ``cell_timeout`` is wall-clock seconds per attempt, enforced only in
-    pooled runs (``jobs >= 2``): an overrunning cell's worker pool is
-    terminated and rebuilt, the attempt counts as a ``timeout`` failure.
+    ``cell_timeout`` is wall-clock seconds per attempt, counted from the
+    moment a worker starts the cell (time spent queued behind other
+    cells does not count) and enforced only in pooled runs
+    (``jobs >= 2``): an overrunning cell's worker pool is terminated and
+    rebuilt, the attempt counts as a ``timeout`` failure.
 
     Deterministic simulator errors (any :class:`repro.errors.ReproError`
     except injected faults) are not retried — a cell that fails
@@ -337,7 +362,7 @@ class _CellState:
     rng: random.Random
     attempts: int = 0
     eligible_at: float = 0.0  # monotonic time the next attempt may start
-    deadline: float | None = None  # monotonic timeout of the running attempt
+    deadline: float | None = None  # monotonic timeout, set once a worker runs it
     lease: LeaseRecord | None = None
 
 
@@ -616,6 +641,8 @@ class _PlanExecution:
     def _run_pooled(self) -> None:
         workers = min(self.runner.jobs, len(self.order))
         pool = ProcessPoolExecutor(max_workers=workers)
+        # Submission order, which is the order the executor starts them
+        # in: the first `workers` entries are running (see `_running`).
         inflight: dict[Future, str] = {}
         launch: deque[str] = deque(self.order)
         foreign: set[str] = set()  # leased by another live worker
@@ -624,13 +651,17 @@ class _PlanExecution:
             while self.pending:
                 now = time.monotonic()
                 broken = False
+                overdue: list[tuple[Future, str]] = []
 
-                # Launch every eligible cell while worker slots are free.
-                # A dying worker can break the pool mid-submit; the cell
-                # goes back on the queue (no attempt burned — it never
+                # Launch eligible cells until each worker has one running
+                # and one queued: a worker that finishes takes its next
+                # cell from the executor's queue at once, while this
+                # process persists the result it just sent.  A dying
+                # worker can break the pool mid-submit; the cell goes
+                # back on the queue (no attempt burned — it never
                 # started) and the pool is rebuilt below.
                 deferred: list[str] = []
-                while launch and len(inflight) < workers:
+                while launch and len(inflight) < _PER_WORKER * workers:
                     digest = launch.popleft()
                     if digest not in self.pending:
                         continue
@@ -647,8 +678,6 @@ class _PlanExecution:
                         broken = True
                         launch.appendleft(digest)
                         break
-                    if self.policy.cell_timeout is not None:
-                        st.deadline = now + self.policy.cell_timeout
                     inflight[future] = digest
                 launch.extend(deferred)
 
@@ -671,19 +700,21 @@ class _PlanExecution:
                             launch.append(stolen)
 
                 if inflight:
+                    self._start_clocks(inflight, workers)
                     done, _ = wait(
                         list(inflight), timeout=_POLL, return_when=FIRST_COMPLETED
                     )
                     for future in done:
-                        digest = inflight.pop(future)
+                        digest = inflight[future]
                         st = self.states[digest]
                         try:
                             result = future.result()
                         except BrokenProcessPool:
+                            # Every unfinished future of a broken pool
+                            # raises this, queued ones too: the teardown
+                            # below charges only the cells that had started.
                             broken = True
-                            self._attempt_failed(
-                                st, "worker-lost", "worker process died"
-                            )
+                            continue
                         except Exception as exc:
                             self._attempt_failed(
                                 st,
@@ -693,12 +724,15 @@ class _PlanExecution:
                             )
                         else:
                             self._complete(st, result)
+                        del inflight[future]
                         if digest in self.pending:
                             launch.append(digest)
 
                     # Per-cell wall-clock timeouts: an overrunning
                     # simulation cannot be cancelled, so its worker (and
                     # with it the whole pool) is terminated and rebuilt.
+                    # Only running cells have a clock, so every overdue
+                    # cell is among the first `workers` entries.
                     now = time.monotonic()
                     overdue = [
                         (future, digest)
@@ -722,12 +756,19 @@ class _PlanExecution:
                         _terminate_workers(pool)
 
                 if broken:
-                    # The executor is unusable; in-flight siblings retry
-                    # in a fresh pool (one attempt each — they were
-                    # innocent, but their partial work is lost).
+                    # The executor is unusable.  Cells that had started
+                    # retry in a fresh pool at the cost of one attempt:
+                    # their work is lost, whether it was their worker that
+                    # died or a sibling's.  Queued cells never ran and go
+                    # back on the queue for free.
+                    started = _running(inflight, workers - len(overdue))
                     for future, digest in inflight.items():
-                        st = self.states[digest]
-                        self._attempt_failed(st, "worker-lost", "worker pool torn down")
+                        if future in started:
+                            self._attempt_failed(
+                                self.states[digest],
+                                "worker-lost",
+                                "worker pool torn down",
+                            )
                         if digest in self.pending:
                             launch.append(digest)
                     inflight.clear()
@@ -741,6 +782,16 @@ class _PlanExecution:
                 self._heartbeat()
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
+
+    def _start_clocks(self, inflight: dict[Future, str], workers: int) -> None:
+        """Start the timeout clock of every cell a worker has taken."""
+        if self.policy.cell_timeout is None:
+            return
+        now = time.monotonic()
+        for future in _running(inflight, workers):
+            st = self.states[inflight[future]]
+            if st.deadline is None:
+                st.deadline = now + self.policy.cell_timeout
 
     def _steal_slowest(self, foreign: set[str]) -> str | None:
         """Steal the oldest lease that has been held suspiciously long.

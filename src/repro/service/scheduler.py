@@ -37,6 +37,7 @@ from repro.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.exec.runner import (
     RetryPolicy,
+    _running,
     _terminate_workers,
     default_jobs,
     describe_error,
@@ -118,6 +119,12 @@ class CellScheduler:
     pools, deterministic stand-ins); production uses a lazily built
     :class:`~concurrent.futures.ProcessPoolExecutor` over
     :func:`repro.exec.runner.run_cell`.
+
+    Every cell is submitted to the pool as soon as it is scheduled.  A
+    ``retry.cell_timeout`` counts from the moment a worker takes the
+    cell — the oldest ``max_workers`` unfinished timed calls are the
+    running ones — so a cell queued behind busy workers cannot time out
+    before it starts.
     """
 
     def __init__(
@@ -136,6 +143,9 @@ class CellScheduler:
         self._owns_pool = executor is None
         self._compute = compute_fn or run_cell
         self._inflight: dict[str, asyncio.Future[CellOutcome]] = {}
+        # Unfinished pool calls of timed attempts, in submission order ->
+        # the signal that a worker has taken the call (its clock starts).
+        self._timed: dict[asyncio.Future, asyncio.Future[None]] = {}
         self.counters: dict[str, int] = {
             "computed": 0,
             "cache_hits": 0,
@@ -207,10 +217,32 @@ class CellScheduler:
         call = loop.run_in_executor(self._executor(), self._compute, digest, config)
         if self.retry.cell_timeout is None:
             return await call
+        # Every cell is submitted at once, so most wait in the pool's
+        # queue; the clock starts when a worker takes this one.
+        started = loop.create_future()
+        self._timed[call] = started
+        call.add_done_callback(self._timed_call_done)
+        self._start_timed_calls()
+        try:
+            await started
+        except asyncio.CancelledError:
+            call.cancel()
+            raise
         # The worker itself cannot be interrupted; on timeout the attempt
         # is charged and the stray result, if it ever lands, is discarded
         # (a later duplicate save would be bit-identical anyway).
         return await asyncio.wait_for(call, timeout=self.retry.cell_timeout)
+
+    def _start_timed_calls(self) -> None:
+        for call in _running(self._timed, self.max_workers):
+            if not self._timed[call].done():
+                self._timed[call].set_result(None)
+
+    def _timed_call_done(self, call: asyncio.Future) -> None:
+        started = self._timed.pop(call)
+        if not started.done():  # finished (or failed) before its turn
+            started.set_result(None)
+        self._start_timed_calls()
 
     async def _drive(self, digest: str, config: SimulationConfig) -> CellOutcome:
         """Retry loop of one cell: the Runner contract, await-shaped."""

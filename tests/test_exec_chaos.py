@@ -137,6 +137,64 @@ class TestWorkerDeath:
         assert res.results == Runner(jobs=1).run(plan).results
 
 
+class TestQueuedCellsKeepTheirAttempts:
+    """With one cell queued behind each running one, a torn-down pool
+    charges an attempt to the (at most ``jobs``) cells that had started,
+    never to a queued cell.
+
+    Every cell stalls on its first start, and the stall's claim file in
+    the ledger is the proof that a worker started it.  The runner
+    submits in plan order, so the first two cells run while the other
+    two wait in the queue:
+
+    * ``kill`` — the first cell's worker dies after finishing it, while
+      the second, stalled twice as long, is still running;
+    * ``timeout`` — the first cell, stalled twice as long, overruns the
+      timeout while the second (or, once that is done, the third) runs
+      beside it.
+    """
+
+    JOBS = 2
+
+    def faulted_run(self, monkeypatch, ledger, plan, scenario, max_attempts):
+        first, second = [cell.digest for cell in plan][:2]
+        stalls = [cell.digest[:16] for cell in plan]
+        if scenario == "kill":
+            kw = dict(kill_after=1, stall_seconds=0.4)
+            stalls.append(second[:12])
+            retry = RetryPolicy(max_attempts=max_attempts, base_delay=0.01)
+        else:
+            kw = dict(stall_seconds=0.5)
+            stalls.append(first[:12])
+            retry = RetryPolicy(
+                max_attempts=max_attempts, base_delay=0.01, cell_timeout=0.8
+            )
+        spec = FaultSpec(ledger=str(ledger), stall_cells=tuple(stalls), **kw)
+        monkeypatch.setenv(ENV_VAR, spec.to_env())
+        return Runner(jobs=self.JOBS, retry=retry).run(plan)
+
+    @pytest.mark.parametrize("scenario", ["kill", "timeout"])
+    def test_teardown_charges_only_started_cells(self, monkeypatch, tmp_path, scenario):
+        plan = sweep_plan(loads=(0.1, 0.2), routings=("min", "obl-crg"))
+        clean = Runner(jobs=1).run(plan)
+
+        # One attempt each: a charged cell is quarantined on the spot, so
+        # the failures are exactly the cells the teardown charged.
+        ledger = tmp_path / "once"
+        once = self.faulted_run(monkeypatch, ledger, plan, scenario, 1)
+        assert 1 <= len(once.failures) <= self.JOBS
+        for digest in once.failures:  # never quarantined before it ran
+            assert (ledger / f"stall-{digest[:16]}.0").exists(), digest
+        for digest, result in once.results.items():
+            assert result == clean.results[digest]
+
+        # Default attempts: the charged cells recover, bit-identical.
+        res = self.faulted_run(monkeypatch, tmp_path / "retried", plan, scenario, 3)
+        assert res.ok
+        assert 1 <= len(res.retried) <= self.JOBS
+        assert res.results == clean.results
+
+
 class TestTruncatedStore:
     def test_truncated_entry_is_quarantined_and_recomputed(
         self, monkeypatch, tmp_path

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.exec import (
     average_results,
     config_digest,
 )
+from repro.exec.faults import ENV_VAR, FaultSpec
 from repro.exec.serialize import (
     config_from_dict,
     config_to_dict,
@@ -144,6 +148,66 @@ class TestRunnerDeterminism:
         res = Runner(jobs=1).run(ExperimentPlan.point(cfg))
         with pytest.raises(AnalysisError):
             res.point(cfg.with_traffic(load=0.9))
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    """Thread-pool stand-in for the Runner's process pool that records
+    the most submissions it ever had unfinished at once."""
+
+    peak = 0
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self._lock = threading.Lock()
+        self._unfinished = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        with self._lock:
+            self._unfinished += 1
+            _RecordingPool.peak = max(_RecordingPool.peak, self._unfinished)
+        future = super().submit(fn, *args, **kwargs)
+        future.add_done_callback(self._finished)
+        return future
+
+    def _finished(self, future):
+        with self._lock:
+            self._unfinished -= 1
+
+
+class TestPoolBacklog:
+    def test_one_cell_queued_per_worker(self, monkeypatch):
+        """A worker that finishes a cell must find its next one already
+        queued: the pool gets exactly two cells per worker, never more."""
+        import repro.exec.runner as runner_mod
+
+        def slow_cell(digest, config):
+            time.sleep(0.1)  # outlasts every submit of the launch loop
+            return runner_mod.run_cell(digest, config)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(runner_mod, "_run_cell", slow_cell)
+        monkeypatch.setattr(_RecordingPool, "peak", 0)
+        plan = ExperimentPlan.sweep(quick_cfg(), [0.1, 0.2, 0.3, 0.4], seeds=2)
+        res = Runner(jobs=2).run(plan)
+        assert res.ok and res.computed == 8
+        assert _RecordingPool.peak == 4
+
+    def test_cell_timeout_counts_from_the_cells_start(self, monkeypatch, tmp_path):
+        """Every cell takes 0.6 of the timeout, so a cell queued behind a
+        running one would overrun a clock started at submission."""
+        timeout = 1.0
+        plan = ExperimentPlan.sweep(quick_cfg(), [0.1, 0.2, 0.3, 0.4])
+        spec = FaultSpec(
+            ledger=str(tmp_path / "ledger"),
+            stall_cells=tuple(d[:16] for d in plan.cell_digests()),
+            stall_seconds=0.6 * timeout,
+        )
+        monkeypatch.setenv(ENV_VAR, spec.to_env())
+        res = Runner(jobs=2, retry=RetryPolicy(cell_timeout=timeout)).run(plan)
+        assert res.ok
+        assert res.retried == {}
+        # Every cell really stalled (once) on a worker.
+        assert len(list((tmp_path / "ledger").glob("stall-*"))) == 4
 
 
 class TestResultCache:

@@ -487,6 +487,36 @@ def _sleepy_cell(digest, config):  # module level: picklable for a real pool
     time.sleep(30)
 
 
+def _napping_cell(digest, config):  # module level: picklable for a real pool
+    time.sleep(0.3)
+    return run_cell(digest, config)
+
+
+class TestSchedulerTimeoutClock:
+    def test_queued_cells_do_not_time_out_before_they_start(self, tmp_path):
+        """One worker, three 0.3 s cells, a 0.5 s timeout: the third cell
+        waits 0.6 s in the pool's queue, which must not count."""
+
+        async def run():
+            store = ResultStore(tmp_path / "store")
+            sched = CellScheduler(
+                store,
+                max_workers=1,
+                retry=RetryPolicy(max_attempts=1, cell_timeout=0.5),
+                compute_fn=_napping_cell,
+            )
+            try:
+                cells = list(_grid([0.1, 0.2, 0.3]))
+                return await asyncio.gather(
+                    *(sched.outcome(c.digest, c.config) for c in cells)
+                )
+            finally:
+                sched.close()
+
+        outcomes = asyncio.run(run())
+        assert [(o.ok, o.kind) for o in outcomes] == [(True, None)] * 3
+
+
 class TestSchedulerPoolHygiene:
     def test_timeout_tears_down_owned_pool(self, tmp_path):
         """A timed-out cell's worker keeps grinding and would hold its
