@@ -15,7 +15,6 @@ from repro.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.engine import OP_GEN, EventQueue
 from repro.engine.kernel import (
-    LowerState,
     make_packet,
     next_gap,
     prebuild_records,
@@ -167,16 +166,16 @@ class Simulation:
             self._c_local, self._c_global, self._c_eject
         )
 
-        # Lowered OP_GEN / OP_DELIVER fast path (see
-        # repro.engine.kernel.LowerState), selected by the cell itself:
-        # a static pattern with a lowering descriptor, no oracle and no
-        # decomposition check; every other cell keeps the callback path.
-        descriptor = None
-        if self.oracle is None and not check_decomposition:
-            descriptor = self.traffic.lower()
-        self._lower = (
-            LowerState(self, descriptor) if descriptor is not None else None
-        )
+        # Lowered OP_GEN / OP_DELIVER: the compiled kernel generates and
+        # sinks natively (c_gen / c_deliver in _ckernel.c, twins of
+        # _gen_event and the collector's hooks) from the pattern's lowering
+        # descriptor, kept here.  Selected by the cell itself: the compiled
+        # backend, a static pattern with a descriptor, no oracle and no
+        # decomposition check.  None — every cell of the python backend,
+        # every other compiled cell — runs the callback path below.
+        self._lower = None
+        if backend.name != "python" and self.oracle is None and not check_decomposition:
+            self._lower = self.traffic.lower()
         # The pattern instance the descriptor was taken from: replacing
         # ``sim.traffic`` after construction (tests, custom patterns)
         # invalidates the lowering, which start() detects and undoes.
@@ -186,14 +185,15 @@ class Simulation:
         # Phase-boundary hooks: the queue dispatches ejections (OP_DELIVER)
         # into the collector (directly when no oracle audits deliveries)
         # and generator activations (OP_GEN) into `_gen_event` — no
-        # per-event callback tuples on either path.  A lowered run then
-        # re-points the generator at LowerState.gen.
+        # per-event callback tuples on either path.  A lowered cell hands
+        # the queue itself, which the compiled kernel reads when it builds
+        # its state.
         self.engine.bind_sink(
             self.stats.on_delivery if self.oracle is None else self.deliver
         )
         self.engine.bind_gen(self._gen_event)
         if self._lower is not None:
-            self.engine.bind_lower(self._lower)
+            self.engine._lower = self
 
         # Deadlock watchdog state.
         self._watch_delivered = -1
@@ -298,7 +298,7 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def _unlower(self) -> None:
-        """Drop the lowered fast path and restore the callback hooks.
+        """Drop the lowered fast path: OP_GEN / OP_DELIVER go to the hooks.
 
         Called by :meth:`start` when ``self.traffic`` is no longer the
         pattern instance the lowering descriptor was taken from — the
@@ -310,7 +310,7 @@ class Simulation:
         """
         self._lower = None
         self._lower_src = None
-        self.engine.unbind_lower(self._gen_event)
+        self.engine._lower = None
 
     def start(self) -> None:
         """Post the initial generator/watchdog records (no stepping yet)."""

@@ -19,14 +19,30 @@
  *   release_output                 c_release_output
  *   release_credit                 c_release_credit
  *   link_step                      dispatch, OP_LINK: release, then send
- *   LowerState.gen                 c_gen (with inject, make_packet,
- *                                  next_gap and on_generate inlined)
+ *   Simulation._gen_event          c_gen (the pattern's dest as its
+ *     / pattern.dest                 lowering descriptor; inject,
+ *                                  make_packet, next_gap and on_generate
+ *                                  inlined)
  *   StatsCollector.on_delivery     c_deliver
  *   StatsCollector.on_injection    inline in c_commit
  *
  * Three deliberate asymmetries: step's single-head fast path and the
  * prebuilt constant records (prebuild_records) are Python only, the
  * native calendar (below) is C only.
+ *
+ * A cell is lowered when the Simulation sets eq._lower to itself (the
+ * compiled backend, a pattern whose lower() returns a descriptor, no
+ * oracle, no decomposition check): c_gen and c_deliver then replace the
+ * _gen / _sink hooks, reading the Simulation, its collector's window and
+ * four stat buffers and the descriptor once, when the KState is built.
+ *
+ * What the kernel reads from Python objects is stated once per object
+ * kind — event queue, SoA store, router, mechanism / topology, PiggyBack
+ * group state, simulation / collector — as a table of checked attribute
+ * reads (read_attrs: a failure names the kind and the attribute).  The
+ * constants it shares with Python (the OP_* opcodes of engine/events.py,
+ * the SI_* / SF_* stat-block slots of metrics/collector.py) are compared
+ * by name at import (check_layout).
  *
  * Bit-identity contract
  * ---------------------
@@ -51,8 +67,12 @@
  * repro.routing.factory has one: c_min_decide, c_oblivious_decide,
  * c_piggyback_decide, c_intransit_decide; the modules of repro/routing
  * stay the reference), traffic generation (OP_GEN) and the delivery sink
- * (OP_DELIVER) of cells that are not lowered, generic OP_CALL callbacks,
- * overridden routing hooks and stats injection callbacks.
+ * (OP_DELIVER) of cells that are not lowered, generic OP_CALL callbacks
+ * (and records whose opcode is outside 1..9, which py_drain runs as
+ * callbacks too), overridden routing hooks and stats injection
+ * callbacks.  A typed record (opcode 1..9) whose target is not one of the
+ * store's routers, or whose fields are not in-range ints, raises
+ * FlowControlError when it is dispatched: no simulation posts one.
  *
  * Native event path: mirror in, mirror out, absorb
  * ------------------------------------------------
@@ -74,9 +94,9 @@
  *   left empty (no bucket, no FIFO entry, no memo, every _arb_time None;
  *   each in_q slot of a VC a port class lacks stays None);
  * - mirror out on every exit — normal and error — and around whatever
- *   may run arbitrary code (an OP_CALL callback, a record whose target
- *   is not a registered router, an overridden Router.step), followed by
- *   a fresh mirror in: such code sees and may edit the complete state;
+ *   may run arbitrary code (an OP_CALL callback, an overridden
+ *   Router.step), followed by a fresh mirror in: such code sees and may
+ *   edit the complete state;
  * - after the narrow contract hooks (_gen, _sink, a Python decide,
  *   commit / arrival overrides, on_injection) only absorb the inbox:
  *   they read eq.now, which is written before the call, and what they
@@ -171,16 +191,9 @@ slot_set_ll(PyObject *obj, Py_ssize_t off, int64_t v)
     return 0;
 }
 
-/* Fixed-arity vectorcalls: the hot-path replacement for the va_list
+/* A fixed-arity vectorcall: the hot-path replacement for the va_list
  * based PyObject_CallFunctionObjArgs (which boxes through object_vacall
  * on every call). */
-static inline PyObject *
-call1(PyObject *func, PyObject *a)
-{
-    PyObject *args[1] = {a};
-    return PyObject_Vectorcall(func, args, 1, NULL);
-}
-
 static inline PyObject *
 call2(PyObject *func, PyObject *a, PyObject *b)
 {
@@ -440,12 +453,13 @@ typedef struct {
     PyObject *arrival_override; /* owned or NULL (base arrival inlined) */
     PyObject *on_injection;     /* owned */
     PyObject *active_keys;      /* owned set */
+    PyObject *out_peer, *upstream; /* owned lists, per port */
     KeyIndex ix;                /* its native index */
     PyObject *rid_obj;          /* owned */
     PyObject *py_step;          /* owned bound method, or NULL: C step */
     int64_t kb, pb, rid, group, boundary, max_vcs, nkeys, radix;
     int64_t cache_policy, transit_priority, internal, num_node_ports,
-        psize, pipe_lat, pos;
+        pipe_lat, pos;
     int64_t arb;                /* Router._arb_time during a drain */
     int twin;                   /* TWIN_*: which decide() this router runs */
 } RState;
@@ -475,6 +489,12 @@ typedef struct {
 #define OLM_PROBES 3
 #define PB_PROBES 4
 
+/* A PiggybackGroupState's own constants. */
+typedef struct {
+    int64_t period;
+    double t_global;
+} PbGroup;
+
 typedef struct {
     PyObject *routing;   /* owned: the mechanism the twin stands in for */
     int kind;            /* TWIN_* */
@@ -483,18 +503,20 @@ typedef struct {
     int64_t *gw_router, *gw_port; /* owned, `groups` entries each */
     /* every twin that draws (all but MIN) */
     int a_bits, am1_bits, h_bits, groups_bits; /* n.bit_length() */
+    PyObject *global_out; /* owned: topo.global_out */
     int64_t *go_port, *go_off; /* owned, a*h: topo.global_out[pos][j] */
     int64_t *cand;       /* owned scratch, max(h, PB_PROBES) groups */
     RngMirror rng;       /* rng_routing, in-kernel during a drain */
     /* oblivious and PiggyBack: the variant */
+    PyObject *variant;   /* owned */
     int crg;             /* 1 "crg", 0 "rrg" */
     /* PiggyBack: its thresholds and each group state's own constants */
     double t_local;
-    int64_t *pb_period;  /* owned, `groups` entries */
-    double *pb_t_global; /* owned, `groups` entries */
+    PyObject *groups_state; /* owned list */
+    PbGroup *pb;         /* owned, `groups` entries */
     /* in-transit */
     int64_t thr_occ;     /* integer form of the source-router threshold */
-    int code_source, code_transit; /* 0 CRG, 1 NRG, 2 RRG */
+    int64_t code_source, code_transit; /* 0 CRG, 1 NRG, 2 RRG */
 } Twin;
 
 /* What a twin hands back besides the decision: the purity / guard pair
@@ -514,8 +536,8 @@ typedef struct {
 
 /* ---- lowered OP_GEN / OP_DELIVER fast path ------------------------- */
 
-/* Slot layout of StatsCollector's si / sf blocks; must match the
- * SI_* / SF_* constants in repro/metrics/collector.py. */
+/* Slot layout of StatsCollector's si / sf blocks: the SI_* / SF_* /
+ * NSTAT_* constants of repro/metrics/collector.py (check_layout). */
 #define SI_TOTAL_GENERATED 0
 #define SI_TOTAL_INJECTED 1
 #define SI_TOTAL_DELIVERED 2
@@ -523,6 +545,7 @@ typedef struct {
 #define SI_GEN_PACKETS 4
 #define SI_DEL_PHITS 5
 #define SI_DEL_PACKETS 6
+#define NSTAT_I 7
 
 #define SF_LAT_MEAN 0
 #define SF_LAT_M2 1
@@ -533,36 +556,33 @@ typedef struct {
 #define SF_BD_GLOBAL 6
 #define SF_BD_BASE 7
 #define SF_BD_MIS 8
+#define NSTAT_F 9
 
-/* The C twin of repro.engine.kernel.LowerState: built from eq._lower
- * when the KState is constructed.  Scalars and the pattern descriptor
- * are unpacked into struct fields; the collector's four stat buffers
- * (which it aliases) and the min-service table are buffer views; the
- * traffic RNG runs in-kernel between lstate_sync_in / lstate_sync_out. */
+/* A lowered cell's generator and sink: the Simulation (eq._lower), what
+ * Simulation._gen_event and its collector read, as struct fields and
+ * buffer views, and the pattern's descriptor (Simulation._lower, the
+ * tuple TrafficPattern.lower returned) unpacked.  The traffic RNG and the
+ * packet-id counter run in-kernel between kstate_rng_in / _out. */
 typedef struct {
-    PyObject *lower;       /* owned: the Python LowerState */
+    PyObject *sim;         /* owned; NULL: the cell is not lowered */
     RngMirror rng;         /* rng_traffic, in-kernel during a drain */
-    PyObject *owner;       /* owned: the Simulation (for _pid) */
+    PyObject *desc;        /* owned: the descriptor */
     PyObject *psize_obj;   /* owned int */
-    Py_buffer ms_view, si_view, sf_view, inj_view, del_view;
     int64_t *ms_table;     /* R*R contention-free service costs */
     int64_t *si;           /* the NSTAT_I block */
     double *sf;            /* the NSTAT_F block */
     int64_t *inj_router, *del_router; /* router_id-indexed */
-    int64_t R, p, a, psize, end_time, ws, we, num_nodes;
-    double log_q;
-    int has_log_q;
-    int64_t pid;           /* mirrored from owner._pid per drain */
+    int64_t pid;           /* mirrored from sim._pid per drain */
+    int64_t p, a, psize, end_time, ws, we, num_nodes;
+    double log_q;          /* NAN: p == 1, every gap is 1 */
     /* descriptor (see TrafficPattern.lower) */
     int kind;              /* 0 uniform, 1 adversarial, 2 advc, 3 perm */
-    int64_t n1, offset, per_group, groups;
+    long long n1, offset, per_group, groups;
     int n1_bits, pg_bits, off_bits;
-    int64_t *offsets;      /* owned, advc */
     Py_ssize_t n_off;
+    int64_t *offsets;      /* owned, advc (n_off entries) */
     int64_t *perm;         /* owned, permutation (num_nodes entries) */
 } LState;
-
-static void lstate_free(LState *ls);
 
 /* ---- the native event path ------------------------------------------ */
 
@@ -572,8 +592,9 @@ enum { OP_CALL, OP_STEP, OP_ARRIVE, OP_OUT_ARRIVE, OP_SEND, OP_LINK,
 
 /* One activation record.  `rid` indexes ks->routers (REC_NONE on OP_GEN /
  * OP_DELIVER); REC_TUPLE marks a record kept whole as its Python tuple —
- * every OP_CALL, and whatever the fields cannot hold (a target that is
- * not a registered router, a non-int or out-of-range field). */
+ * every callback (op OP_CALL), and a typed record the fields cannot hold
+ * (a target that is not a registered router, a non-int or out-of-range
+ * field), which keeps its op and raises when dispatched. */
 #define REC_NONE (-1)
 #define REC_TUPLE (-2)
 
@@ -664,7 +685,8 @@ static const char *const CTR_NAMES[N_CTR] = {
     "scan_keys", "index_reloads", "inq_absorbed",
 };
 
-#define N_VIEWS 22
+/* buffer rows of the tables below: 21 store, 1 queue, 5 simulation */
+#define N_VIEWS 27
 
 typedef struct {
     PyObject *eq;        /* borrowed: the queue being drained */
@@ -675,9 +697,11 @@ typedef struct {
     int64_t now, processed, activations, w_now, w_processed, w_activations;
     PyObject *t_obj;     /* owned: cycle t_obj_t boxed, see now_obj() */
     int64_t t_obj_t;
-    /* typed buffer views (held for the KState lifetime) */
+    /* every buffer view read_attrs took (held for the KState lifetime) */
     Py_buffer views[N_VIEWS];
     int nviews;
+    /* store geometry */
+    int64_t num_routers, radix, max_vcs, nkeys, groups, global_ports;
     /* per-key */
     int64_t *in_occ, *in_cap, *key_port, *credits_used;
     /* per-port */
@@ -692,6 +716,7 @@ typedef struct {
     /* object-valued store fields (owned lists); empty / None while their
      * native form below is live */
     PyObject *in_q, *dc_pkt, *dc_dec, *dc_cond, *out_fifo;
+    PyObject *router_list; /* owned: soa.routers */
     /* the queue's dict and list (owned): the inbox during a drain */
     PyObject *buckets, *times;
     Calendar cal;
@@ -700,7 +725,6 @@ typedef struct {
     /* wiring, per port: Router.out_peer / Router.upstream as (router
      * index, port), -1 where None (node ports) */
     int32_t *peer_rid, *peer_port, *up_rid, *up_port;
-    Py_ssize_t num_routers, radix, max_vcs, nkeys;
     PacketSlots ps;
     PyTypeObject *packet_type; /* owned */
     Py_ssize_t r_arb_time;
@@ -720,8 +744,7 @@ typedef struct {
     int64_t *order_ports; /* radix: first-seen output order */
     uint8_t *td_mask;     /* radix: transit-demand membership */
     int64_t *f_idx;       /* nkeys: filtered candidate scratch */
-    /* lowered OP_GEN / OP_DELIVER fast path (NULL when not lowered) */
-    LState *low;
+    LState low;          /* lowered OP_GEN / OP_DELIVER (low.sim != NULL) */
     Twin twin;
 } KState;
 
@@ -735,6 +758,8 @@ rstate_clear(RState *rs)
     Py_XDECREF(rs->arrival_override);
     Py_XDECREF(rs->on_injection);
     Py_XDECREF(rs->active_keys);
+    Py_XDECREF(rs->out_peer);
+    Py_XDECREF(rs->upstream);
     PyMem_Free(rs->ix.slot);
     Py_XDECREF(rs->rid_obj);
     Py_XDECREF(rs->py_step);
@@ -746,12 +771,25 @@ twin_clear(Twin *tw)
     Py_CLEAR(tw->routing);
     PyMem_Free(tw->gw_router);
     PyMem_Free(tw->gw_port);
+    Py_CLEAR(tw->global_out);
     PyMem_Free(tw->go_port);
     PyMem_Free(tw->go_off);
     PyMem_Free(tw->cand);
-    PyMem_Free(tw->pb_period);
-    PyMem_Free(tw->pb_t_global);
+    Py_CLEAR(tw->variant);
+    Py_CLEAR(tw->groups_state);
+    PyMem_Free(tw->pb);
     rng_clear(&tw->rng);
+}
+
+static void
+lstate_clear(LState *ls)
+{
+    Py_CLEAR(ls->sim);
+    rng_clear(&ls->rng);
+    Py_CLEAR(ls->desc);
+    Py_CLEAR(ls->psize_obj);
+    PyMem_Free(ls->offsets);
+    PyMem_Free(ls->perm);
 }
 
 static inline void
@@ -825,6 +863,7 @@ kstate_free(KState *ks)
     Py_XDECREF(ks->dc_dec);
     Py_XDECREF(ks->dc_cond);
     Py_XDECREF(ks->out_fifo);
+    Py_XDECREF(ks->router_list);
     Py_XDECREF(ks->buckets);
     Py_XDECREF(ks->times);
     Py_XDECREF(ks->s_last_decide_pure);
@@ -845,7 +884,7 @@ kstate_free(KState *ks)
     PyMem_Free(ks->order_ports);
     PyMem_Free(ks->td_mask);
     PyMem_Free(ks->f_idx);
-    lstate_free(ks->low);
+    lstate_clear(&ks->low);
     twin_clear(&ks->twin);
     for (i = 0; i < ks->nviews; i++)
         PyBuffer_Release(&ks->views[i]);
@@ -858,282 +897,293 @@ kstate_capsule_free(PyObject *capsule)
     kstate_free((KState *)PyCapsule_GetPointer(capsule, "repro._ckernel"));
 }
 
-/* map an array('q') store field to an int64_t* */
-static int64_t *
-map_buffer(KState *ks, PyObject *store, const char *name, Py_ssize_t expect)
-{
-    PyObject *obj = PyObject_GetAttrString(store, name);
-    Py_buffer *view;
-    if (obj == NULL)
-        return NULL;
-    view = &ks->views[ks->nviews];
-    if (PyObject_GetBuffer(obj, view, PyBUF_CONTIG) < 0) {
-        Py_DECREF(obj);
-        return NULL;
-    }
-    Py_DECREF(obj);
-    if (view->itemsize != 8 || view->len != expect * 8) {
-        PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError,
-                     "SoAStore.%s is not an int64 buffer of %zd items "
-                     "(is the store typed?)", name, expect);
-        return NULL;
-    }
-    ks->nviews += 1;
-    return (int64_t *)view->buf;
-}
-
-static PyObject *
-get_list(PyObject *store, const char *name, Py_ssize_t expect)
-{
-    PyObject *obj = PyObject_GetAttrString(store, name);
-    if (obj == NULL)
-        return NULL;
-    if (!PyList_CheckExact(obj) || PyList_GET_SIZE(obj) != expect) {
-        Py_DECREF(obj);
-        PyErr_Format(PyExc_TypeError, "SoAStore.%s is not a list of %zd",
-                     name, expect);
-        return NULL;
-    }
-    return obj;
-}
-
-static int64_t
-get_ll_attr(PyObject *obj, const char *name, int *err)
-{
-    PyObject *v = PyObject_GetAttrString(obj, name);
-    int64_t r;
-    if (v == NULL) {
-        *err = 1;
-        return 0;
-    }
-    r = (int64_t)PyLong_AsLongLong(v);
-    if (r == -1 && PyErr_Occurred())
-        *err = 1;
-    Py_DECREF(v);
-    return r;
-}
-
 /* ------------------------------------------------------------------ */
-/* LState: the lowered generator/sink twin                             */
+/* reading Python objects: one checked table per object kind           */
 /* ------------------------------------------------------------------ */
 
-static void
-lstate_free(LState *ls)
+/* Everything the kernel takes from a Python object is a row of that
+ * object kind's table — {attribute (or dotted path), destination field,
+ * kind, expected length} — read by read_attrs, whose errors name the
+ * object kind and the attribute.  Buffers are mapped for the KState's
+ * lifetime (their views in ks->views), objects are owned references and
+ * int tables owned copies, all released by the destination's clear. */
+enum {
+    A_I64,     /* an int -> int64_t */
+    A_BOOL,    /* its truth value -> int64_t */
+    A_F64,     /* a float -> double */
+    A_F64_OPT, /* a float or None (NAN) -> double */
+    A_OBJ,     /* any object -> PyObject * */
+    A_OBJ_OPT, /* any object, None -> NULL */
+    A_LIST,    /* a list (of `len` items) -> PyObject * */
+    A_DICT,    /* a dict -> PyObject * */
+    A_SET,     /* a set -> PyObject * */
+    A_BUF_Q,   /* an array('q') of `len` items -> int64_t * */
+    A_BUF_D,   /* an array('d') of `len` items -> double * */
+    A_INTS,    /* a sequence of `len` ints -> an int64_t * copy */
+};
+
+static const char *const A_TEXT[] = {
+    "an int", "a truth value", "a float", "a float or None", "an object",
+    "an object or None", "a list", "a dict", "a set",
+    "an int64 ('q') buffer", "a float64 ('d') buffer", "a sequence of ints",
+};
+
+/* Expected lengths in the store's geometry; L_ANY is unchecked. */
+enum { L_ANY, L_KEYS, L_PORTS, L_ROUTERS, L_RR, L_RH, L_GROUPS, L_RADIX,
+       L_NSTAT_I, L_NSTAT_F, L_CTR };
+
+typedef struct {
+    const char *name;
+    size_t off;          /* of the destination field */
+    int8_t kind, len;    /* A_*, L_* */
+    int8_t only;         /* 0, or the twins (1 << TWIN_*) that read it */
+} Attr;
+
+static Py_ssize_t
+attr_len(const KState *ks, int len)
 {
-    if (ls == NULL)
-        return;
-    Py_XDECREF(ls->lower);
-    rng_clear(&ls->rng);
-    Py_XDECREF(ls->owner);
-    Py_XDECREF(ls->psize_obj);
-    PyMem_Free(ls->offsets);
-    PyMem_Free(ls->perm);
-    PyBuffer_Release(&ls->ms_view);
-    PyBuffer_Release(&ls->si_view);
-    PyBuffer_Release(&ls->sf_view);
-    PyBuffer_Release(&ls->inj_view);
-    PyBuffer_Release(&ls->del_view);
-    PyMem_Free(ls);
+    const int64_t R = ks->num_routers, n[] = {
+        -1, R * ks->nkeys, R * ks->radix, R, R * R, R * ks->global_ports,
+        ks->groups, ks->radix, NSTAT_I, NSTAT_F, N_CTR};
+    return (Py_ssize_t)n[len];
 }
 
-/* Map an array('q')/array('d') attribute of `lower` into `view`. */
-static void *
-lstate_map(PyObject *lower, const char *name, Py_buffer *view)
-{
-    PyObject *obj = PyObject_GetAttrString(lower, name);
-    if (obj == NULL)
-        return NULL;
-    if (PyObject_GetBuffer(obj, view, PyBUF_CONTIG) < 0) {
-        Py_DECREF(obj);
-        return NULL;
-    }
-    Py_DECREF(obj);
-    if (view->itemsize != 8) {
-        PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError,
-                     "LowerState.%s is not an 8-byte-item buffer "
-                     "(is the store typed?)", name);
-        return NULL;
-    }
-    return view->buf;
-}
-
-/* Copy an int-sequence attribute into a fresh int64 array: of exactly
- * *n entries, or (*n < 0) of however many it has, stored in *n. */
+/* A fresh int64 copy of the ints of sequence `seq`: of exactly *n of
+ * them, or (*n < 0) of however many it has, stored in *n. */
 static int64_t *
-attr_ints(PyObject *obj, const char *name, Py_ssize_t *n)
+ints_of(PyObject *seq, Py_ssize_t *n)
 {
-    PyObject *seq = PyObject_GetAttrString(obj, name);
-    PyObject *fast;
-    int64_t *out;
+    PyObject *fast = PySequence_Fast(seq, "expected a sequence of ints");
+    int64_t *out = NULL;
     Py_ssize_t i;
-    if (seq == NULL)
-        return NULL;
-    fast = PySequence_Fast(seq, "expected a sequence of ints");
-    Py_DECREF(seq);
     if (fast == NULL)
         return NULL;
-    if (*n >= 0 && PySequence_Fast_GET_SIZE(fast) != *n) {
-        Py_DECREF(fast);
-        PyErr_Format(PyExc_ValueError, "%s has unexpected length", name);
-        return NULL;
-    }
-    *n = PySequence_Fast_GET_SIZE(fast);
-    out = PyMem_Malloc((size_t)(*n > 0 ? *n : 1) * sizeof(int64_t));
-    if (out == NULL) {
-        Py_DECREF(fast);
+    if (*n >= 0 && PySequence_Fast_GET_SIZE(fast) != *n)
+        PyErr_Format(PyExc_ValueError, "got %zd items",
+                     PySequence_Fast_GET_SIZE(fast));
+    else if ((out = PyMem_Malloc(
+                  (size_t)(PySequence_Fast_GET_SIZE(fast) + 1)
+                  * sizeof(int64_t))) == NULL)
         PyErr_NoMemory();
-        return NULL;
-    }
-    for (i = 0; i < *n; i++) {
-        out[i] = as_ll(PySequence_Fast_GET_ITEM(fast, i));
-        if (out[i] == -1 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            PyMem_Free(out);
-            return NULL;
-        }
+    else {
+        *n = PySequence_Fast_GET_SIZE(fast);
+        for (i = 0; i < *n; i++)
+            if ((out[i] = as_ll(PySequence_Fast_GET_ITEM(fast, i))) == -1
+                && PyErr_Occurred()) {
+                PyMem_Free(out);
+                out = NULL;
+                break;
+            }
     }
     Py_DECREF(fast);
     return out;
 }
 
-static LState *
-lstate_build(PyObject *lower)
+/* Read the rows of `tab` from `obj`, an object of kind `what`, into
+ * `dst`; a row marked `only` is read when `twin` (a TWIN_*, -1 for none)
+ * is one it names. */
+static int
+read_attrs(KState *ks, const char *what, PyObject *obj, void *dst,
+           const Attr *tab, size_t rows, int twin)
 {
-    LState *ls = PyMem_Calloc(1, sizeof(LState));
-    PyObject *item = NULL;
-    int err = 0;
+    size_t i;
+    for (i = 0; i < rows; i++) {
+        const Attr *a = &tab[i];
+        char *field = (char *)dst + a->off;
+        Py_ssize_t n = attr_len(ks, a->len);
+        PyObject *v, *et, *ev, *tb;
+        const char *p, *dot;
+        int ok = 0;
+        if (a->only && (twin < 0 || !(a->only & (1 << twin))))
+            continue;
+        /* follow the dotted path */
+        for (p = a->name, v = Py_NewRef(obj); v != NULL && p != NULL;
+             p = dot ? dot + 1 : NULL) {
+            PyObject *key;
+            dot = strchr(p, '.');
+            key = PyUnicode_FromStringAndSize(
+                p, dot ? dot - p : (Py_ssize_t)strlen(p));
+            Py_SETREF(v, key ? PyObject_GetAttr(v, key) : NULL);
+            Py_XDECREF(key);
+        }
+        if (v == NULL)
+            ;
+        else if (a->kind == A_I64)
+            ok = (*(int64_t *)field = PyLong_AsLongLong(v)) != -1
+                 || !PyErr_Occurred();
+        else if (a->kind == A_BOOL)
+            ok = (*(int64_t *)field = PyObject_IsTrue(v)) >= 0;
+        else if (a->kind == A_F64_OPT && v == Py_None)
+            ok = (*(double *)field = NAN, 1);
+        else if (a->kind == A_F64 || a->kind == A_F64_OPT)
+            ok = (*(double *)field = PyFloat_AsDouble(v)) != -1.0
+                 || !PyErr_Occurred();
+        else if (a->kind == A_INTS)
+            ok = (*(int64_t **)field = ints_of(v, &n)) != NULL;
+        else if (a->kind == A_BUF_Q || a->kind == A_BUF_D) {
+            Py_buffer *view = &ks->views[ks->nviews];
+            if (ks->nviews == N_VIEWS)
+                PyErr_SetString(PyExc_SystemError, "N_VIEWS is too small");
+            else if (PyObject_GetBuffer(v, view, PyBUF_CONTIG | PyBUF_FORMAT)
+                     == 0) {
+                if (strcmp(view->format, a->kind == A_BUF_Q ? "q" : "d") != 0
+                    || view->len != n * 8) {
+                    PyErr_Format(PyExc_TypeError, "got a '%s' buffer of %zd "
+                                 "bytes", view->format, view->len);
+                    PyBuffer_Release(view);
+                }
+                else {
+                    *(void **)field = view->buf;
+                    ks->nviews += 1;
+                    ok = 1;
+                }
+            }
+        }
+        else if ((a->kind == A_LIST && !PyList_CheckExact(v))
+                 || (a->kind == A_DICT && !PyDict_CheckExact(v))
+                 || (a->kind == A_SET && !PySet_CheckExact(v)))
+            PyErr_Format(PyExc_TypeError, "got %.80s", Py_TYPE(v)->tp_name);
+        else if (a->kind == A_LIST && n >= 0 && PyList_GET_SIZE(v) != n)
+            PyErr_Format(PyExc_TypeError, "got %zd items",
+                         PyList_GET_SIZE(v));
+        else {
+            ok = 1;
+            if (a->kind != A_OBJ_OPT || v != Py_None)
+                *(PyObject **)field = Py_NewRef(v);
+        }
+        Py_XDECREF(v);
+        if (ok)
+            continue;
+        /* restate what went wrong as what the row expected */
+        PyErr_Fetch(&et, &ev, &tb);
+        PyErr_NormalizeException(&et, &ev, &tb);
+        if (n >= 0)
+            PyErr_Format(PyExc_TypeError, "%s.%s: expected %s of %zd items "
+                         "(%S)", what, a->name, A_TEXT[a->kind], n,
+                         ev ? ev : Py_None);
+        else
+            PyErr_Format(PyExc_TypeError, "%s.%s: expected %s (%S)", what,
+                         a->name, A_TEXT[a->kind], ev ? ev : Py_None);
+        Py_XDECREF(et);
+        Py_XDECREF(ev);
+        Py_XDECREF(tb);
+        return -1;
+    }
+    return 0;
+}
 
-    if (ls == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    Py_INCREF(lower);
-    ls->lower = lower;
-    ls->rng.rng = PyObject_GetAttrString(lower, "rng");
-    ls->owner = PyObject_GetAttrString(lower, "owner");
-    if (ls->rng.rng == NULL || ls->owner == NULL)
-        goto fail;
-    ls->R = get_ll_attr(lower, "R", &err);
-    ls->p = get_ll_attr(lower, "p", &err);
-    ls->a = get_ll_attr(lower, "a", &err);
-    ls->psize = get_ll_attr(lower, "psize", &err);
-    ls->end_time = get_ll_attr(lower, "end_time", &err);
-    ls->ws = get_ll_attr(lower, "ws", &err);
-    ls->we = get_ll_attr(lower, "we", &err);
-    ls->num_nodes = get_ll_attr(lower, "num_nodes", &err);
-    if (err)
-        goto fail;
-    item = PyObject_GetAttrString(lower, "log_q");
-    if (item == NULL)
-        goto fail;
-    if (item == Py_None)
-        ls->has_log_q = 0;
-    else {
-        ls->log_q = PyFloat_AsDouble(item);
-        if (ls->log_q == -1.0 && PyErr_Occurred())
-            goto fail;
-        ls->has_log_q = 1;
-    }
-    Py_CLEAR(item);
+#define READ_ATTRS(ks, what, obj, dst, tab, twin)                       \
+    read_attrs((ks), (what), (obj), (dst), (tab),                       \
+               sizeof(tab) / sizeof((tab)[0]), (twin))
 
-    if ((ls->ms_table =
-             (int64_t *)lstate_map(lower, "ms_table", &ls->ms_view))
-            == NULL
-        || (ls->si = (int64_t *)lstate_map(lower, "si", &ls->si_view))
-               == NULL
-        || (ls->sf = (double *)lstate_map(lower, "sf", &ls->sf_view))
-               == NULL
-        || (ls->inj_router =
-                (int64_t *)lstate_map(lower, "inj_router", &ls->inj_view))
-               == NULL
-        || (ls->del_router =
-                (int64_t *)lstate_map(lower, "del_router", &ls->del_view))
-               == NULL)
-        goto fail;
-    if (ls->ms_view.len != ls->R * ls->R * 8) {
-        PyErr_SetString(PyExc_TypeError,
-                        "LowerState.ms_table has the wrong shape");
-        goto fail;
-    }
+/* ------------------------------------------------------------------ */
+/* LState: the lowered generator / sink                                */
+/* ------------------------------------------------------------------ */
 
-    /* descriptor */
-    ls->kind = (int)get_ll_attr(lower, "_kind", &err);
-    ls->n1 = get_ll_attr(lower, "_n1", &err);
-    ls->n1_bits = (int)get_ll_attr(lower, "_n1_bits", &err);
-    ls->offset = get_ll_attr(lower, "_offset", &err);
-    ls->per_group = get_ll_attr(lower, "_per_group", &err);
-    ls->pg_bits = (int)get_ll_attr(lower, "_pg_bits", &err);
-    ls->groups = get_ll_attr(lower, "_groups", &err);
-    ls->off_bits = (int)get_ll_attr(lower, "_off_bits", &err);
-    if (err)
-        goto fail;
-    ls->n_off = -1;
-    if ((ls->offsets = attr_ints(lower, "_offsets", &ls->n_off)) == NULL)
-        goto fail;
-    {
-        Py_ssize_t n_perm = (ls->kind == 3) ? (Py_ssize_t)ls->num_nodes : -1;
-        if ((ls->perm = attr_ints(lower, "_perm", &n_perm)) == NULL)
-            goto fail;
+/* Simulation.<...>: what _gen_event, make_packet, next_gap and the
+ * collector's hooks read.  Row 0 is read again at every drain entry
+ * (kstate_rng_in). */
+static const Attr SIM_ATTRS[] = {
+    {"_pid", offsetof(LState, pid), A_I64},
+    {"rng_traffic", offsetof(LState, rng.rng), A_OBJ},
+    {"_lower", offsetof(LState, desc), A_OBJ},
+    {"_psize", offsetof(LState, psize), A_I64},
+    {"_psize", offsetof(LState, psize_obj), A_OBJ},
+    {"_end_time", offsetof(LState, end_time), A_I64},
+    {"_log_q", offsetof(LState, log_q), A_F64_OPT},
+    {"_ms_table", offsetof(LState, ms_table), A_BUF_Q, L_RR},
+    {"topo.p", offsetof(LState, p), A_I64},
+    {"topo.a", offsetof(LState, a), A_I64},
+    {"topo.num_nodes", offsetof(LState, num_nodes), A_I64},
+    {"stats.window_start", offsetof(LState, ws), A_I64},
+    {"stats.window_end", offsetof(LState, we), A_I64},
+    {"stats.si", offsetof(LState, si), A_BUF_Q, L_NSTAT_I},
+    {"stats.sf", offsetof(LState, sf), A_BUF_D, L_NSTAT_F},
+    {"stats.injected_per_router", offsetof(LState, inj_router), A_BUF_Q,
+     L_ROUTERS},
+    {"stats.delivered_per_router", offsetof(LState, del_router), A_BUF_Q,
+     L_ROUTERS},
+};
+
+/* The descriptor (see TrafficPattern.lower): the recipe's name, then its
+ * fields, which must keep every draw in range and every destination a
+ * node. */
+static int
+lstate_descriptor(LState *ls)
+{
+    static const char *const RECIPES[] = {"uniform", "adversarial", "advc",
+                                          "permutation"};
+    PyObject *desc = ls->desc, *name = NULL, *table = NULL;
+    Py_ssize_t n_perm = (Py_ssize_t)ls->num_nodes, i;
+    int ok = 0;
+    if (PyTuple_Check(desc) && PyTuple_GET_SIZE(desc) > 0)
+        name = PyTuple_GET_ITEM(desc, 0);
+    for (ls->kind = 0; ls->kind < 4 && name != NULL; ls->kind++)
+        if (PyUnicode_Check(name)
+            && PyUnicode_CompareWithASCIIString(name, RECIPES[ls->kind]) == 0)
+            break;
+    switch (name != NULL ? ls->kind : 4) {
+    case 0:
+        ok = PyArg_ParseTuple(desc, "OLi", &name, &ls->n1, &ls->n1_bits)
+             && ls->n1 >= 1 && ls->n1 < ls->num_nodes && ls->n1_bits >= 1
+             && ls->n1_bits <= 32;
+        break;
+    case 1:
+        ok = PyArg_ParseTuple(desc, "OLLiL", &name, &ls->offset,
+                              &ls->per_group, &ls->pg_bits, &ls->groups);
+        break;
+    case 2:
+        ok = PyArg_ParseTuple(desc, "OOniLiL", &name, &table, &ls->n_off,
+                              &ls->off_bits, &ls->per_group, &ls->pg_bits,
+                              &ls->groups)
+             && ls->n_off >= 1 && ls->off_bits >= 1 && ls->off_bits <= 32
+             && (ls->offsets = ints_of(table, &ls->n_off)) != NULL;
+        break;
+    case 3:
+        ok = PyArg_ParseTuple(desc, "OO", &name, &table)
+             && (ls->perm = ints_of(table, &n_perm)) != NULL;
+        for (i = 0; ok && i < n_perm; i++)
+            ok = ls->perm[i] >= 0 && ls->perm[i] < ls->num_nodes;
+        break;
     }
-    /* The draws below shift by (32 - bits): descriptors guarantee
-     * 1 <= bits <= 32 (patterns refuse to lower wider draws). */
-    if (ls->kind < 0 || ls->kind > 3
-        || (ls->kind == 0 && (ls->n1_bits < 1 || ls->n1_bits > 32))
-        || ((ls->kind == 1 || ls->kind == 2)
-            && (ls->pg_bits < 1 || ls->pg_bits > 32))
-        || (ls->kind == 2 && (ls->off_bits < 1 || ls->off_bits > 32))) {
+    /* the draws shift by (32 - bits) and divide by per_group / groups */
+    if (ok && (ls->kind == 1 || ls->kind == 2)
+        && (ls->per_group < 1 || ls->groups < 1 || ls->pg_bits < 1
+            || ls->pg_bits > 32 || ls->per_group > ls->num_nodes / ls->groups))
+        ok = 0;
+    if (ok)
+        return 0;
+    PyErr_Clear();
+    PyErr_Format(PyExc_ValueError, "Simulation._lower: malformed pattern "
+                 "lowering descriptor %R", desc);
+    return -1;
+}
+
+static int
+lstate_build(KState *ks)
+{
+    LState *ls = &ks->low;
+    if (READ_ATTRS(ks, "Simulation", ls->sim, ls, SIM_ATTRS, -1) < 0)
+        return -1;
+    if (ls->p < 1 || ls->a < 1 || ls->num_nodes != ks->num_routers * ls->p) {
         PyErr_SetString(PyExc_ValueError,
-                        "malformed pattern lowering descriptor");
-        goto fail;
+                        "Simulation.topo disagrees with the SoA store");
+        return -1;
     }
-
-    ls->psize_obj = PyLong_FromLongLong((long long)ls->psize);
-    if (ls->psize_obj == NULL)
-        goto fail;
-    return ls;
-
-fail:
-    Py_XDECREF(item);
-    lstate_free(ls);
-    return NULL;
+    return lstate_descriptor(ls);
 }
 
-/* Take rng_traffic and the owner's packet-id counter into the kernel at
- * drain entry. */
-static int
-lstate_sync_in(LState *ls)
-{
-    int err = 0;
-    if (rng_load(&ls->rng) < 0)
-        return -1;
-    ls->pid = get_ll_attr(ls->owner, "_pid", &err);
-    return err ? -1 : 0;
-}
-
-/* Hand both back to the Python side at drain exit. */
-static int
-lstate_sync_out(LState *ls)
-{
-    PyObject *pid_obj;
-    int rc;
-    if (rng_store(&ls->rng) < 0)
-        return -1;
-    pid_obj = PyLong_FromLongLong((long long)ls->pid);
-    if (pid_obj == NULL)
-        return -1;
-    rc = PyObject_SetAttrString(ls->owner, "_pid", pid_obj);
-    Py_DECREF(pid_obj);
-    return rc;
-}
-
-/* Take every RNG stream this run consumes in C into the kernel (drain
- * entry, and after a fallback into Python code that may draw) ... */
+/* Take every RNG stream this run consumes in C — and, on a lowered cell,
+ * the packet-id counter — into the kernel (drain entry, and after a
+ * fallback into Python code that may draw) ... */
 static int
 kstate_rng_in(KState *ks)
 {
-    if (ks->low != NULL && lstate_sync_in(ks->low) < 0)
+    LState *ls = &ks->low;
+    if (ls->sim != NULL
+        && (rng_load(&ls->rng) < 0
+            || read_attrs(ks, "Simulation", ls->sim, ls, SIM_ATTRS, 1, -1)
+                   < 0))
         return -1;
     if (ks->twin.rng.rng != NULL && rng_load(&ks->twin.rng) < 0)
         return -1;
@@ -1144,9 +1194,15 @@ kstate_rng_in(KState *ks)
 static int
 kstate_rng_out(KState *ks)
 {
+    LState *ls = &ks->low;
     int rc = 0;
-    if (ks->low != NULL && lstate_sync_out(ks->low) < 0)
-        rc = -1;
+    if (ls->sim != NULL) {
+        PyObject *pid = PyLong_FromLongLong((long long)ls->pid);
+        if (rng_store(&ls->rng) < 0 || pid == NULL
+            || PyObject_SetAttrString(ls->sim, "_pid", pid) < 0)
+            rc = -1;
+        Py_XDECREF(pid);
+    }
     if (ks->twin.rng.rng != NULL && rng_store(&ks->twin.rng) < 0)
         rc = -1;
     return rc;
@@ -1670,7 +1726,9 @@ small_field(PyObject *o, int64_t limit, int32_t *out)
 }
 
 /* The native form of activation tuple `tup`, owning a new reference to
- * what it keeps; a tuple the fields cannot hold stays whole. */
+ * what it keeps; a tuple the fields cannot hold stays whole.  (Refusing a
+ * typed one is left to dispatch, so that mirroring never fails half-way
+ * and the record runs into its error where py_drain's would.) */
 static Rec
 rec_from_tuple(KState *ks, PyObject *tup)
 {
@@ -1695,7 +1753,9 @@ rec_from_tuple(KState *ks, PyObject *tup)
     if (PyTuple_GET_SIZE(tup) != arity[op])
         goto whole;
     if (op == OP_GEN) {
-        if (!small_field(it[1], INT32_MAX, &r.a))
+        /* a lowered generator indexes its node tables with it */
+        if (!small_field(it[1], ks->low.sim ? ks->low.num_nodes : INT32_MAX,
+                         &r.a))
             goto whole;
         r.rid = REC_NONE;
         return r;
@@ -2346,7 +2406,7 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
         PKT_SET(t_enq, Py_NewRef(t_obj));
         PKT_SET(base_latency,
                 PyLong_FromLongLong(
-                    (long long)ls->ms_table[src_router * ls->R
+                    (long long)ls->ms_table[src_router * ks->num_routers
                                             + dst_router]));
         PKT_SET(inject_time, PyLong_FromLong(-1));
         PKT_SET(inter_router, PyLong_FromLong(-1));
@@ -2380,7 +2440,7 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
         return -1;
 
     /* inlined geometric_gap over the precomputed log(1 - p) */
-    if (!ls->has_log_q)
+    if (isnan(ls->log_q))
         gap = 1;
     else {
         double u = mt_random(&ls->rng.mt);
@@ -2647,7 +2707,7 @@ pb_refresh(KState *ks, int64_t group)
 {
     const Twin *tw = &ks->twin;
     int64_t taken = ks->pb_snap_time[group], i, j;
-    if (taken >= 0 && ks->now - taken < tw->pb_period[group])
+    if (taken >= 0 && ks->now - taken < tw->pb[group].period)
         return;
     ks->pb_snap_time[group] = ks->now;
     for (i = 0; i < tw->a; i++) {
@@ -2669,7 +2729,7 @@ pb_saturated_global(KState *ks, const RState *rs, int64_t owner_pos,
                     int64_t j)
 {
     const Twin *tw = &ks->twin;
-    double t = tw->pb_t_global[rs->group];
+    double t = tw->pb[rs->group].t_global;
     int64_t owner;
     if (owner_pos == rs->pos)
         return live_over_mean(ks, rs, tw->first_global, tw->h, j, t);
@@ -3188,9 +3248,9 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
 
     if (in_port < rs->num_node_ports) {
         slot_set(pkt, ks->ps.inject_time, Py_NewRef(now_o));
-        if (ks->low != NULL) {
+        if (ks->low.sim != NULL) {
             /* inlined StatsCollector.on_injection (rs->on_injection) */
-            LState *ls = ks->low;
+            LState *ls = &ks->low;
             ls->si[SI_TOTAL_INJECTED] += 1;
             if (now >= ls->ws && now < ls->we)
                 ls->inj_router[rs->rid] += 1;
@@ -3639,64 +3699,23 @@ c_release_credit(KState *ks, RState *rs, int64_t port, int64_t vc,
 /* dispatch                                                            */
 /* ------------------------------------------------------------------ */
 
-/* Python-level dispatch of a record kept as its tuple — an OP_CALL
- * callback, or (defensive: a bound simulation posts none) a record
- * whose target is not a registered router — exactly as py_drain runs
- * it.  Arbitrary code: the whole state is mirrored out around it. */
+/* A callback record (OP_CALL, fn, args) kept as its tuple, run exactly as
+ * py_drain runs it: fn(*args).  Arbitrary code: the whole state is
+ * mirrored out around it. */
 static int
-dispatch_tuple(KState *ks, int kind, PyObject *rec, int64_t op, int64_t t)
+dispatch_tuple(KState *ks, int kind, PyObject *rec, int64_t t)
 {
-    static const char *const handler[] = {
-        NULL, NULL, "arrive", "output_enqueue", "send", "link_step",
-        "release_output", "release_credit"};
-    PyObject *r, *t_obj, *res = NULL, *et, *ev, *tb;
+    PyObject *fn, *args, *res = NULL, *et, *ev, *tb;
     ks->ctr[kind] += 1;
     ks->cal.cur = -1; /* until the state is back in: nothing to finish */
     if (mirror_out(ks) < 0)
         return -1;
-    /* owned, as py_drain's loop variables are: the callback may drop the
-     * record from its bucket, and a nested drain box another cycle */
+    /* owned, as py_drain's loop variable is: the callback may drop the
+     * record from its bucket */
     Py_INCREF(rec);
-    t_obj = Py_XNewRef(now_obj(ks, t));
-    if ((r = PyTuple_GetItem(rec, 1)) == NULL || t_obj == NULL)
-        goto called;
-    if (op == OP_CALL) {
-        PyObject *args = PyTuple_GetItem(rec, 2);
-        res = args ? PyObject_Call(r, args, NULL) : NULL;
-    }
-    else if (op == OP_GEN)
-        res = call1(slot_get(ks->eq, ks->eq_gen), r);
-    else if (op == OP_DELIVER)
-        res = call2(slot_get(ks->eq, ks->eq_sink), r, t_obj);
-    else if (op == OP_STEP) {
-        /* the _arb_time dirty-mark protocol */
-        PyObject *arb = PyObject_GetAttrString(r, "_arb_time"), *ak = NULL;
-        int eq = arb ? PyObject_RichCompareBool(arb, t_obj, Py_EQ) : -1;
-        int truthy = 0;
-        Py_XDECREF(arb);
-        if (eq > 0 && PyObject_SetAttrString(r, "_arb_time", Py_None) == 0
-            && (ak = PyObject_GetAttrString(r, "active_keys")) != NULL)
-            truthy = PyObject_IsTrue(ak);
-        Py_XDECREF(ak);
-        if (truthy > 0)
-            res = PyObject_CallMethod(r, "step", "O", t_obj);
-        else if (!PyErr_Occurred())
-            res = Py_NewRef(Py_None);
-    }
-    else {
-        /* rec[1].<handler>(*rec[2:], t) */
-        PyObject *meth = PyObject_GetAttrString(r, handler[op]);
-        PyObject *head = PyTuple_GetSlice(rec, 2, PyTuple_GET_SIZE(rec));
-        PyObject *args = (meth && head)
-                             ? PyObject_CallMethod(head, "__add__", "((O))",
-                                                   t_obj) : NULL;
-        res = args ? PyObject_Call(meth, args, NULL) : NULL;
-        Py_XDECREF(meth);
-        Py_XDECREF(head);
-        Py_XDECREF(args);
-    }
-called:
-    Py_XDECREF(t_obj);
+    if ((fn = PyTuple_GetItem(rec, 1)) != NULL
+        && (args = PyTuple_GetItem(rec, 2)) != NULL)
+        res = PyObject_Call(fn, args, NULL);
     Py_DECREF(rec);
     /* back in, keeping the callback's exception over a mirror's own */
     PyErr_Fetch(&et, &ev, &tb);
@@ -3721,12 +3740,21 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t *extra)
     PyObject *o;
     if (rec->op == OP_LINK)
         *extra += 1; /* weight 2 */
-    if (rec->rid == REC_TUPLE)
-        return dispatch_tuple(ks, C_CALL, rec->u.obj, rec->op, t);
+    if (rec->rid == REC_TUPLE) {
+        PyObject *tup = rec->u.obj;
+        if (rec->op == OP_CALL)
+            return dispatch_tuple(ks, C_CALL, tup, t);
+        PyErr_Format(ks->flow_err, "activation record %R (opcode %d, "
+                     "target %R): not a router of the store, or a field "
+                     "that is not an in-range int", tup, (int)rec->op,
+                     PyTuple_GET_SIZE(tup) > 1 ? PyTuple_GET_ITEM(tup, 1)
+                                               : Py_None);
+        return -1;
+    }
     if (rec->op == OP_GEN) {
         int rc;
-        if (ks->low != NULL)
-            return c_gen(ks, ks->low, rec->a, t);
+        if (ks->low.sim != NULL)
+            return c_gen(ks, &ks->low, rec->a, t);
         if ((o = PyLong_FromLong(rec->a)) == NULL)
             return -1;
         rc = call_hook(ks, C_GEN, slot_get(ks->eq, ks->eq_gen), 1, o, NULL,
@@ -3735,8 +3763,8 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t *extra)
         return rc;
     }
     if (rec->op == OP_DELIVER) {
-        if (ks->low != NULL)
-            return c_deliver(ks, ks->low, rec->u.obj, t);
+        if (ks->low.sim != NULL)
+            return c_deliver(ks, &ks->low, rec->u.obj, t);
         if ((o = now_obj(ks, t)) == NULL)
             return -1;
         return call_hook(ks, C_SINK, slot_get(ks->eq, ks->eq_sink), 2,
@@ -3758,7 +3786,7 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t *extra)
                                (long long)t)) == NULL)
             return -1;
         {
-            int rc = dispatch_tuple(ks, C_OVERRIDE, o, OP_CALL, t);
+            int rc = dispatch_tuple(ks, C_OVERRIDE, o, t);
             Py_DECREF(o);
             return rc;
         }
@@ -3798,21 +3826,19 @@ static const struct {
 };
 
 /* topo.global_out[pos] = [(port, group offset)] * h, in port order, as
- * two flat a*h tables. */
+ * two flat a*h tables (the list is read with the twin's other rows). */
 static int
-twin_read_global_out(Twin *tw, PyObject *topo)
+twin_read_global_out(Twin *tw)
 {
-    PyObject *go = PyObject_GetAttrString(topo, "global_out");
+    PyObject *go = tw->global_out;
     Py_ssize_t i, j;
-    if (go == NULL)
-        return -1;
     tw->go_port = PyMem_Malloc((size_t)(tw->a * tw->h + 1) * sizeof(int64_t));
     tw->go_off = PyMem_Malloc((size_t)(tw->a * tw->h + 1) * sizeof(int64_t));
     if (tw->go_port == NULL || tw->go_off == NULL) {
         PyErr_NoMemory();
-        goto fail;
+        return -1;
     }
-    if (!PyList_Check(go) || PyList_GET_SIZE(go) != tw->a)
+    if (PyList_GET_SIZE(go) != tw->a)
         goto bad_table;
     for (i = 0; i < tw->a; i++) {
         PyObject *row = PyList_GET_ITEM(go, i);
@@ -3826,99 +3852,60 @@ twin_read_global_out(Twin *tw, PyObject *topo)
             tw->go_off[i * tw->h + j] = as_ll(PyTuple_GET_ITEM(pair, 1));
         }
     }
-    if (PyErr_Occurred())
-        goto fail;
-    Py_DECREF(go);
-    return 0;
+    return PyErr_Occurred() ? -1 : 0;
 
 bad_table:
     PyErr_SetString(PyExc_TypeError,
                     "topo.global_out is not an a x h table of pairs");
-fail:
-    Py_DECREF(go);
     return -1;
 }
 
-/* float(obj.<name>) */
-static double
-get_double_attr(PyObject *obj, const char *name, int *err)
-{
-    PyObject *v = PyObject_GetAttrString(obj, name);
-    double d;
-    if (v == NULL) {
-        *err = 1;
-        return 0.0;
-    }
-    d = PyFloat_AsDouble(v);
-    if (d == -1.0 && PyErr_Occurred())
-        *err = 1;
-    Py_DECREF(v);
-    return d;
-}
+/* routing.<...>: the constants the decide twins run on; a row naming
+ * twins is read for those only (all but MIN draw and read global links). */
+#define DRAWING                                                         \
+    ((1 << TWIN_OBLIVIOUS) | (1 << TWIN_PIGGYBACK) | (1 << TWIN_INTRANSIT))
+static const Attr TWIN_ATTRS[] = {
+    {"topo.a", offsetof(Twin, a), A_I64},
+    {"topo.h", offsetof(Twin, h), A_I64},
+    {"topo.groups", offsetof(Twin, groups), A_I64},
+    {"topo.first_local_port", offsetof(Twin, first_local), A_I64},
+    {"topo.first_global_port", offsetof(Twin, first_global), A_I64},
+    {"n_local_vcs", offsetof(Twin, n_local_vcs), A_I64},
+    {"n_global_vcs", offsetof(Twin, n_global_vcs), A_I64},
+    {"topo.gw_router_by_delta", offsetof(Twin, gw_router), A_INTS, L_GROUPS},
+    {"topo.gw_port_by_delta", offsetof(Twin, gw_port), A_INTS, L_GROUPS},
+    {"topo.global_out", offsetof(Twin, global_out), A_LIST, L_ANY, DRAWING},
+    {"rng", offsetof(Twin, rng.rng), A_OBJ, L_ANY, DRAWING},
+    {"variant", offsetof(Twin, variant), A_OBJ, L_ANY,
+     (1 << TWIN_OBLIVIOUS) | (1 << TWIN_PIGGYBACK)},
+    {"t_local", offsetof(Twin, t_local), A_F64, L_ANY, 1 << TWIN_PIGGYBACK},
+    {"groups_state", offsetof(Twin, groups_state), A_LIST, L_GROUPS,
+     1 << TWIN_PIGGYBACK},
+    {"_thr_occ", offsetof(Twin, thr_occ), A_I64, L_ANY, 1 << TWIN_INTRANSIT},
+    {"_code_source", offsetof(Twin, code_source), A_I64, L_ANY,
+     1 << TWIN_INTRANSIT},
+    {"_code_transit", offsetof(Twin, code_transit), A_I64, L_ANY,
+     1 << TWIN_INTRANSIT},
+};
 
-/* What the PiggyBack twin runs on besides the shared tables: the
- * mechanism's local threshold, each PiggybackGroupState's period and
- * global threshold, and the snapshot rows of the store. */
-static int
-twin_read_piggyback(KState *ks, PyObject *store, PyObject *routing)
-{
-    Twin *tw = &ks->twin;
-    PyObject *states = PyObject_GetAttrString(routing, "groups_state");
-    Py_ssize_t g;
-    int err = 0;
-    if (states == NULL)
-        return -1;
-    if (!PyList_Check(states) || PyList_GET_SIZE(states) != tw->groups) {
-        Py_DECREF(states);
-        PyErr_SetString(PyExc_TypeError,
-                        "routing.groups_state is not a list of one "
-                        "state per group");
-        return -1;
-    }
-    tw->pb_period = PyMem_Malloc((size_t)tw->groups * sizeof(int64_t));
-    tw->pb_t_global = PyMem_Malloc((size_t)tw->groups * sizeof(double));
-    if (tw->pb_period == NULL || tw->pb_t_global == NULL) {
-        Py_DECREF(states);
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (g = 0; g < tw->groups; g++) {
-        PyObject *state = PyList_GET_ITEM(states, g);
-        tw->pb_period[g] = get_ll_attr(state, "period", &err);
-        tw->pb_t_global[g] = get_double_attr(state, "t_global", &err);
-    }
-    Py_DECREF(states);
-    tw->t_local = get_double_attr(routing, "t_local", &err);
-    if (err)
-        return -1;
-    ks->pb_snap = map_buffer(ks, store, "pb_snap",
-                             ks->num_routers * (Py_ssize_t)tw->h);
-    ks->pb_snap_sum = map_buffer(ks, store, "pb_snap_sum", ks->num_routers);
-    ks->pb_snap_time =
-        map_buffer(ks, store, "pb_snap_time", (Py_ssize_t)tw->groups);
-    if (ks->pb_snap == NULL || ks->pb_snap_sum == NULL
-        || ks->pb_snap_time == NULL)
-        return -1;
-    if (ks->num_routers != tw->groups * tw->a) {
-        PyErr_SetString(PyExc_ValueError,
-                        "store does not hold groups x a routers");
-        return -1;
-    }
-    return 0;
-}
+/* routing.groups_state[g].<...>, the PiggyBack twin's per-group constants */
+static const Attr PB_GROUP_ATTRS[] = {
+    {"period", offsetof(PbGroup, period), A_I64},
+    {"t_global", offsetof(PbGroup, t_global), A_F64},
+};
 
 /* Resolve the decide twin of *routing* (repro.routing.factory
  * .decide_twin is the one statement of the selection rule) and read the
  * constants it runs on.  A mechanism without a twin leaves kind ==
  * TWIN_NONE. */
 static int
-twin_build(KState *ks, PyObject *store, PyObject *routing)
+twin_build(KState *ks, PyObject *routing)
 {
     Twin *tw = &ks->twin;
-    PyObject *mod, *name, *topo = NULL, *variant;
+    PyObject *mod, *name;
     size_t i;
-    Py_ssize_t n_groups;
-    int err = 0, kind = TWIN_NONE;
+    Py_ssize_t g;
+    int kind = TWIN_NONE;
 
     tw->routing = Py_NewRef(routing);
     tw->kind = TWIN_NONE;
@@ -3947,175 +3934,112 @@ twin_build(KState *ks, PyObject *store, PyObject *routing)
     }
     Py_DECREF(name);
 
-    topo = PyObject_GetAttrString(routing, "topo");
-    if (topo == NULL)
+    if (READ_ATTRS(ks, "routing", routing, tw, TWIN_ATTRS, kind) < 0)
         return -1;
-    tw->a = get_ll_attr(topo, "a", &err);
-    tw->h = get_ll_attr(topo, "h", &err);
-    tw->groups = get_ll_attr(topo, "groups", &err);
-    tw->first_local = get_ll_attr(topo, "first_local_port", &err);
-    tw->first_global = get_ll_attr(topo, "first_global_port", &err);
-    tw->n_local_vcs = get_ll_attr(routing, "n_local_vcs", &err);
-    tw->n_global_vcs = get_ll_attr(routing, "n_global_vcs", &err);
-    if (err)
-        goto fail;
-    if (tw->a < 1 || tw->h < 0 || tw->groups < 1
-        || tw->groups > (int64_t)UINT32_MAX || tw->a > (int64_t)UINT32_MAX
-        || tw->h > (int64_t)UINT32_MAX) {
+    if (tw->a < 1 || tw->h < 0 || tw->groups != ks->groups
+        || tw->h != ks->global_ports || tw->groups > (int64_t)UINT32_MAX
+        || tw->a > (int64_t)UINT32_MAX || tw->h > (int64_t)UINT32_MAX) {
         PyErr_SetString(PyExc_ValueError,
-                        "topology shape outside the decide twin's range");
-        goto fail;
+                        "topology shape disagrees with the store or lies "
+                        "outside the decide twin's range");
+        return -1;
     }
-    n_groups = (Py_ssize_t)tw->groups;
-    tw->gw_router = attr_ints(topo, "gw_router_by_delta", &n_groups);
-    tw->gw_port = attr_ints(topo, "gw_port_by_delta", &n_groups);
-    if (tw->gw_router == NULL || tw->gw_port == NULL)
-        goto fail;
-    if (kind == TWIN_MIN)
-        goto done;
-
-    /* Every other twin draws from rng_routing and reads this router's
-     * global links (CRG, in all three families). */
-    tw->a_bits = bit_length(tw->a);
-    tw->am1_bits = bit_length(tw->a - 1);
-    tw->h_bits = bit_length(tw->h);
-    tw->groups_bits = bit_length(tw->groups);
-    if (twin_read_global_out(tw, topo) < 0)
-        goto fail;
-    tw->cand = PyMem_Malloc(
-        (size_t)(tw->h > PB_PROBES ? tw->h : PB_PROBES) * sizeof(int64_t));
-    if (tw->cand == NULL) {
-        PyErr_NoMemory();
-        goto fail;
+    if (kind != TWIN_MIN) {
+        tw->a_bits = bit_length(tw->a);
+        tw->am1_bits = bit_length(tw->a - 1);
+        tw->h_bits = bit_length(tw->h);
+        tw->groups_bits = bit_length(tw->groups);
+        tw->cand = PyMem_Malloc(
+            (size_t)(tw->h > PB_PROBES ? tw->h : PB_PROBES) * sizeof(int64_t));
+        if (tw->cand == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        if (twin_read_global_out(tw) < 0)
+            return -1;
     }
-    tw->rng.rng = PyObject_GetAttrString(routing, "rng");
-    if (tw->rng.rng == NULL)
-        goto fail;
-    if (kind == TWIN_INTRANSIT) {
-        tw->thr_occ = get_ll_attr(routing, "_thr_occ", &err);
-        tw->code_source = (int)get_ll_attr(routing, "_code_source", &err);
-        tw->code_transit = (int)get_ll_attr(routing, "_code_transit", &err);
-        if (err)
-            goto fail;
+    if (tw->variant != NULL) /* oblivious and PiggyBack: two variants */
+        tw->crg = PyUnicode_Check(tw->variant)
+                  && PyUnicode_CompareWithASCIIString(tw->variant, "crg") == 0;
+    if (kind == TWIN_PIGGYBACK) {
+        if (ks->num_routers != tw->groups * tw->a) {
+            PyErr_SetString(PyExc_ValueError,
+                            "store does not hold groups x a routers");
+            return -1;
+        }
+        if ((tw->pb = PyMem_Calloc((size_t)tw->groups, sizeof(PbGroup)))
+            == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (g = 0; g < tw->groups; g++)
+            if (READ_ATTRS(ks, "PiggybackGroupState",
+                           PyList_GET_ITEM(tw->groups_state, g), &tw->pb[g],
+                           PB_GROUP_ATTRS, -1) < 0)
+                return -1;
     }
-    else { /* oblivious and PiggyBack come in two variants */
-        variant = PyObject_GetAttrString(routing, "variant");
-        if (variant == NULL)
-            goto fail;
-        tw->crg = PyUnicode_Check(variant)
-                  && PyUnicode_CompareWithASCIIString(variant, "crg") == 0;
-        Py_DECREF(variant);
-        if (kind == TWIN_PIGGYBACK
-            && twin_read_piggyback(ks, store, routing) < 0)
-            goto fail;
-    }
-done:
-    Py_DECREF(topo);
     tw->kind = kind;
     return 0;
-
-fail:
-    Py_XDECREF(topo);
-    return -1;
 }
+
+/* Router.<...> (see hardware/router.py): its offsets into the store, its
+ * shape, and the mechanism and hooks Simulation.bind_routing bound (None:
+ * the base bookkeeping, inlined in c_commit / c_arrive). */
+static const Attr ROUTER_ATTRS[] = {
+    {"kb", offsetof(RState, kb), A_I64},
+    {"pb", offsetof(RState, pb), A_I64},
+    {"router_id", offsetof(RState, rid), A_I64},
+    {"group", offsetof(RState, group), A_I64},
+    {"pos", offsetof(RState, pos), A_I64},
+    {"injection_boundary", offsetof(RState, boundary), A_I64},
+    {"max_vcs", offsetof(RState, max_vcs), A_I64},
+    {"nkeys", offsetof(RState, nkeys), A_I64},
+    {"radix", offsetof(RState, radix), A_I64},
+    {"internal_cycles", offsetof(RState, internal), A_I64},
+    {"_num_node_ports", offsetof(RState, num_node_ports), A_I64},
+    {"_pipe_lat", offsetof(RState, pipe_lat), A_I64},
+    {"transit_priority", offsetof(RState, transit_priority), A_BOOL},
+    {"routing", offsetof(RState, routing), A_OBJ},
+    {"routing.decide", offsetof(RState, decide), A_OBJ},
+    {"routing.cache_policy", offsetof(RState, cache_policy), A_I64},
+    {"_commit_hook", offsetof(RState, commit_override), A_OBJ_OPT},
+    {"_arrival_hook", offsetof(RState, arrival_override), A_OBJ_OPT},
+    {"_on_injection", offsetof(RState, on_injection), A_OBJ},
+    {"active_keys", offsetof(RState, active_keys), A_SET},
+    {"out_peer", offsetof(RState, out_peer), A_LIST, L_RADIX},
+    {"upstream", offsetof(RState, upstream), A_LIST, L_RADIX},
+};
 
 static int
 build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
 {
-    int err = 0;
-    PyObject *step_attr, *item;
-    memset(rs, 0, sizeof(*rs));
-    Py_INCREF(r);
-    rs->router = r;
+    PyObject *step_attr;
+    rs->router = Py_NewRef(r);
     rs->arb = ARB_NONE;
-    rs->kb = get_ll_attr(r, "kb", &err);
-    rs->pb = get_ll_attr(r, "pb", &err);
-    rs->rid = get_ll_attr(r, "router_id", &err);
-    rs->group = get_ll_attr(r, "group", &err);
-    rs->boundary = get_ll_attr(r, "injection_boundary", &err);
-    rs->max_vcs = get_ll_attr(r, "max_vcs", &err);
-    rs->nkeys = get_ll_attr(r, "nkeys", &err);
-    rs->radix = get_ll_attr(r, "radix", &err);
-    rs->internal = get_ll_attr(r, "internal_cycles", &err);
-    rs->num_node_ports = get_ll_attr(r, "_num_node_ports", &err);
-    rs->psize = get_ll_attr(r, "_psize", &err);
-    rs->pipe_lat = get_ll_attr(r, "_pipe_lat", &err);
-    rs->pos = get_ll_attr(r, "pos", &err);
-    if (err)
-        return -1;
-    item = PyObject_GetAttrString(r, "transit_priority");
-    if (item == NULL)
-        return -1;
-    rs->transit_priority = PyObject_IsTrue(item);
-    Py_DECREF(item);
-    rs->routing = PyObject_GetAttrString(r, "routing");
-    if (rs->routing == NULL || rs->routing == Py_None) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "router has no routing mechanism bound "
-                        "(Simulation wiring incomplete)");
-        return -1;
-    }
-    rs->decide = PyObject_GetAttrString(rs->routing, "decide");
-    if (rs->decide == NULL)
-        return -1;
-    rs->cache_policy = get_ll_attr(rs->routing, "cache_policy", &err);
-    if (err)
-        return -1;
-    /* The decide twin was resolved for the first router's mechanism and
-     * applies to every router sharing that object (all of them, in a
-     * Simulation). */
-    rs->twin = (rs->routing == ks->twin.routing) ? ks->twin.kind : TWIN_NONE;
-    /* Overridden hooks, as Simulation.bind_routing bound them (None: the
-     * base bookkeeping, inlined in c_commit / c_arrive). */
-    if ((rs->commit_override = PyObject_GetAttrString(r, "_commit_hook"))
-            == NULL
-        || (rs->arrival_override =
-                PyObject_GetAttrString(r, "_arrival_hook")) == NULL)
-        return -1;
-    if (rs->commit_override == Py_None)
-        Py_CLEAR(rs->commit_override);
-    if (rs->arrival_override == Py_None)
-        Py_CLEAR(rs->arrival_override);
-    rs->on_injection = PyObject_GetAttrString(r, "_on_injection");
-    rs->active_keys = PyObject_GetAttrString(r, "active_keys");
-    if (rs->on_injection == NULL || rs->active_keys == NULL)
-        return -1;
-    if (!PySet_CheckExact(rs->active_keys)) {
-        PyErr_SetString(PyExc_TypeError, "active_keys is not a set");
-        return -1;
-    }
-    rs->rid_obj = PyLong_FromLongLong((long long)rs->rid);
-    if (rs->rid_obj == NULL)
+    if (READ_ATTRS(ks, "Router", r, rs, ROUTER_ATTRS, -1) < 0
+        || (rs->rid_obj = PyLong_FromLongLong((long long)rs->rid)) == NULL)
         return -1;
     /* A router whose class overrides step gets the Python method. */
     step_attr = PyObject_GetAttrString((PyObject *)Py_TYPE(r), "step");
     if (step_attr == NULL)
         return -1;
-    if (step_attr == kernel_step)
-        rs->py_step = NULL;
-    else {
-        rs->py_step = PyObject_GetAttrString(r, "step");
-        if (rs->py_step == NULL) {
-            Py_DECREF(step_attr);
-            return -1;
-        }
+    if (step_attr != kernel_step
+        && (rs->py_step = PyObject_GetAttrString(r, "step")) == NULL) {
+        Py_DECREF(step_attr);
+        return -1;
     }
     Py_DECREF(step_attr);
     return 0;
 }
 
 /* Router.<name> (out_peer / upstream: per port, (router, port) or None)
- * of `rs` into the flat per-port index tables, -1 where None. */
+ * of `rs`, read with its other attributes, into the flat per-port index
+ * tables, -1 where None. */
 static int
-read_links(KState *ks, const RState *rs, const char *name, int32_t *rid,
-           int32_t *port)
+read_links(KState *ks, const RState *rs, const char *name, PyObject *links,
+           int32_t *rid, int32_t *port)
 {
-    PyObject *links = PyObject_GetAttrString(rs->router, name);
     Py_ssize_t i;
-    if (links == NULL)
-        return -1;
-    if (!PyList_Check(links) || PyList_GET_SIZE(links) != rs->radix)
-        goto bad;
     for (i = 0; i < rs->radix; i++) {
         PyObject *link = PyList_GET_ITEM(links, i);
         const RState *peer;
@@ -4125,118 +4049,107 @@ read_links(KState *ks, const RState *rs, const char *name, int32_t *rid,
         if (!PyTuple_Check(link) || PyTuple_GET_SIZE(link) != 2
             || (peer = router_state(ks, PyTuple_GET_ITEM(link, 0))) == NULL
             || !small_field(PyTuple_GET_ITEM(link, 1), peer->radix,
-                            &port[rs->pb + i]))
-            goto bad;
+                            &port[rs->pb + i])) {
+            PyErr_Format(PyExc_TypeError, "Router.%s is not a per-port list "
+                         "of (router, port) pairs over the store's routers",
+                         name);
+            return -1;
+        }
         rid[rs->pb + i] = (int32_t)peer->rid;
     }
-    Py_DECREF(links);
     return 0;
-bad:
-    Py_DECREF(links);
-    PyErr_Format(PyExc_TypeError,
-                 "Router.%s is not a per-port list of (router, port) pairs "
-                 "over the store's routers", name);
-    return -1;
 }
 
-/* The int64 block of kernel counters on eq._ckcounters, created on the
- * queue's first compiled drain. */
-static int64_t *
-map_counters(KState *ks, PyObject *eq)
+/* eq._ckcounters, the int64 block of kernel counters EQ_ATTRS maps, is
+ * created on the queue's first compiled drain. */
+static int
+ensure_counters(PyObject *eq)
 {
-    PyObject *arr = PyObject_GetAttrString(eq, "_ckcounters");
-    if (arr == Py_None) {
-        static const char zeros[N_CTR * 8];
-        PyObject *mod = PyImport_ImportModule("array");
-        Py_DECREF(arr);
-        arr = mod ? PyObject_CallMethod(mod, "array", "sy#", "q", zeros,
-                                        (Py_ssize_t)sizeof(zeros)) : NULL;
-        Py_XDECREF(mod);
-        if (arr != NULL && PyObject_SetAttrString(eq, "_ckcounters", arr) < 0)
-            Py_CLEAR(arr);
-    }
+    static const char zeros[N_CTR * 8];
+    PyObject *arr = PyObject_GetAttrString(eq, "_ckcounters"), *mod;
+    int rc;
     if (arr == NULL)
-        return NULL;
+        return -1;
+    if (arr != Py_None) {
+        Py_DECREF(arr);
+        return 0;
+    }
     Py_DECREF(arr);
-    return map_buffer(ks, eq, "_ckcounters", N_CTR);
+    mod = PyImport_ImportModule("array");
+    arr = mod ? PyObject_CallMethod(mod, "array", "sy#", "q", zeros,
+                                    (Py_ssize_t)sizeof(zeros)) : NULL;
+    Py_XDECREF(mod);
+    rc = arr ? PyObject_SetAttrString(eq, "_ckcounters", arr) : -1;
+    Py_XDECREF(arr);
+    return rc;
 }
+
+/* EventQueue.<...>: the calendar (the inbox during a drain), the kernel
+ * counters and the lowered Simulation, if any.  (The slots the drain
+ * writes are resolved to offsets.) */
+static const Attr EQ_ATTRS[] = {
+    {"_buckets", offsetof(KState, buckets), A_DICT},
+    {"_times", offsetof(KState, times), A_LIST},
+    {"_ckcounters", offsetof(KState, ctr), A_BUF_Q, L_CTR},
+    {"_lower", offsetof(KState, low.sim), A_OBJ_OPT},
+};
+
+/* SoAStore.<...> (see soa.py): its geometry, every flat field the kernel
+ * reads or mirrors, and the routers.  The geometry rows come first: the
+ * lengths of the others are stated in it. */
+#define KEYS(f) {#f, offsetof(KState, f), A_BUF_Q, L_KEYS}
+#define PORTS(f) {#f, offsetof(KState, f), A_BUF_Q, L_PORTS}
+static const Attr STORE_ATTRS[] = {
+    {"num_routers", offsetof(KState, num_routers), A_I64},
+    {"radix", offsetof(KState, radix), A_I64},
+    {"max_vcs", offsetof(KState, max_vcs), A_I64},
+    {"nkeys", offsetof(KState, nkeys), A_I64},
+    {"groups", offsetof(KState, groups), A_I64},
+    {"global_ports", offsetof(KState, global_ports), A_I64},
+    KEYS(in_occ), KEYS(in_cap), KEYS(key_port), KEYS(credits_used),
+    PORTS(in_port_free), PORTS(out_occ), PORTS(out_cap), PORTS(switch_free),
+    PORTS(link_free), PORTS(out_pumping), PORTS(credit_nvc),
+    PORTS(credit_cap), PORTS(last_grant), PORTS(local_in), PORTS(global_out),
+    PORTS(link_lat), PORTS(hop_cost),
+    {"cong_epoch", offsetof(KState, cong_epoch), A_BUF_Q, L_ROUTERS},
+    {"pb_snap", offsetof(KState, pb_snap), A_BUF_Q, L_RH},
+    {"pb_snap_sum", offsetof(KState, pb_snap_sum), A_BUF_Q, L_ROUTERS},
+    {"pb_snap_time", offsetof(KState, pb_snap_time), A_BUF_Q, L_GROUPS},
+    {"in_q", offsetof(KState, in_q), A_LIST, L_KEYS},
+    {"dc_pkt", offsetof(KState, dc_pkt), A_LIST, L_KEYS},
+    {"dc_dec", offsetof(KState, dc_dec), A_LIST, L_KEYS},
+    {"dc_cond", offsetof(KState, dc_cond), A_LIST, L_KEYS},
+    {"out_fifo", offsetof(KState, out_fifo), A_LIST, L_PORTS},
+    {"routers", offsetof(KState, router_list), A_LIST, L_ROUTERS},
+};
+#undef KEYS
+#undef PORTS
 
 static KState *
 kstate_build(PyObject *eq, PyObject *store)
 {
     KState *ks = PyMem_Calloc(1, sizeof(KState));
-    PyObject *mod = NULL, *routers = NULL, *tmp = NULL;
+    PyObject *mod = NULL, *tmp = NULL, *kernel_step = NULL;
     PyTypeObject *eq_tp, *r_tp;
-    PyObject *kernel_step = NULL;
     Py_ssize_t i, K, P;
-    int err = 0;
 
     if (ks == NULL) {
         PyErr_NoMemory();
         return NULL;
     }
-
-    /* store geometry */
-    ks->num_routers = (Py_ssize_t)get_ll_attr(store, "num_routers", &err);
-    ks->radix = (Py_ssize_t)get_ll_attr(store, "radix", &err);
-    ks->max_vcs = (Py_ssize_t)get_ll_attr(store, "max_vcs", &err);
-    ks->nkeys = (Py_ssize_t)get_ll_attr(store, "nkeys", &err);
-    if (err)
+    if (READ_ATTRS(ks, "SoAStore", store, ks, STORE_ATTRS, -1) < 0
+        || ensure_counters(eq) < 0
+        || READ_ATTRS(ks, "EventQueue", eq, ks, EQ_ATTRS, -1) < 0)
         goto fail;
-    tmp = PyObject_GetAttrString(store, "typed");
-    if (tmp == NULL)
-        goto fail;
-    if (!PyObject_IsTrue(tmp)) {
-        Py_CLEAR(tmp);
-        PyErr_SetString(PyExc_RuntimeError,
-                        "compiled drain requires a typed SoA store "
-                        "(SoAStore(..., typed=True))");
+    if (ks->num_routers < 1) {
+        PyErr_SetString(PyExc_ValueError, "SoAStore holds no routers");
         goto fail;
     }
-    Py_CLEAR(tmp);
     K = ks->num_routers * ks->nkeys;
     P = ks->num_routers * ks->radix;
 
-    /* typed buffers */
-    if ((ks->in_occ = map_buffer(ks, store, "in_occ", K)) == NULL
-        || (ks->in_cap = map_buffer(ks, store, "in_cap", K)) == NULL
-        || (ks->key_port = map_buffer(ks, store, "key_port", K)) == NULL
-        || (ks->credits_used =
-                map_buffer(ks, store, "credits_used", K)) == NULL
-        || (ks->in_port_free =
-                map_buffer(ks, store, "in_port_free", P)) == NULL
-        || (ks->out_occ = map_buffer(ks, store, "out_occ", P)) == NULL
-        || (ks->out_cap = map_buffer(ks, store, "out_cap", P)) == NULL
-        || (ks->switch_free =
-                map_buffer(ks, store, "switch_free", P)) == NULL
-        || (ks->link_free = map_buffer(ks, store, "link_free", P)) == NULL
-        || (ks->out_pumping =
-                map_buffer(ks, store, "out_pumping", P)) == NULL
-        || (ks->credit_nvc =
-                map_buffer(ks, store, "credit_nvc", P)) == NULL
-        || (ks->credit_cap =
-                map_buffer(ks, store, "credit_cap", P)) == NULL
-        || (ks->last_grant =
-                map_buffer(ks, store, "last_grant", P)) == NULL
-        || (ks->local_in = map_buffer(ks, store, "local_in", P)) == NULL
-        || (ks->global_out =
-                map_buffer(ks, store, "global_out", P)) == NULL
-        || (ks->link_lat = map_buffer(ks, store, "link_lat", P)) == NULL
-        || (ks->hop_cost = map_buffer(ks, store, "hop_cost", P)) == NULL
-        || (ks->cong_epoch =
-                map_buffer(ks, store, "cong_epoch", ks->num_routers))
-               == NULL)
-        goto fail;
-
-    /* object-valued store fields */
-    if ((ks->in_q = get_list(store, "in_q", K)) == NULL
-        || (ks->dc_pkt = get_list(store, "dc_pkt", K)) == NULL
-        || (ks->dc_dec = get_list(store, "dc_dec", K)) == NULL
-        || (ks->dc_cond = get_list(store, "dc_cond", K)) == NULL
-        || (ks->out_fifo = get_list(store, "out_fifo", P)) == NULL)
-        goto fail;
-
-    /* their native forms, the calendar and the wiring tables */
+    /* the native forms of the store's lists, the calendar and the wiring
+     * tables */
     ks->cal.free = ks->cal.cur = -1;
     ks->rings = PyMem_Calloc((size_t)(P ? P : 1), sizeof(Ring));
     ks->inq = PyMem_Calloc((size_t)(K ? K : 1), sizeof(InQ));
@@ -4250,11 +4163,10 @@ kstate_build(PyObject *eq, PyObject *store)
         PyErr_NoMemory();
         goto fail;
     }
-    if (cal_rehash(&ks->cal) < 0
-        || (ks->ctr = map_counters(ks, eq)) == NULL)
+    if (cal_rehash(&ks->cal) < 0)
         goto fail;
 
-    /* queue structures + slot offsets */
+    /* queue slot offsets */
     eq_tp = Py_TYPE(eq);
     if ((ks->eq_now = slot_offset(eq_tp, "now")) < 0
         || (ks->eq_processed = slot_offset(eq_tp, "_processed")) < 0
@@ -4262,15 +4174,6 @@ kstate_build(PyObject *eq, PyObject *store)
         || (ks->eq_sink = slot_offset(eq_tp, "_sink")) < 0
         || (ks->eq_gen = slot_offset(eq_tp, "_gen")) < 0)
         goto fail;
-    ks->buckets = PyObject_GetAttrString(eq, "_buckets");
-    ks->times = PyObject_GetAttrString(eq, "_times");
-    if (ks->buckets == NULL || ks->times == NULL)
-        goto fail;
-    if (!PyDict_CheckExact(ks->buckets) || !PyList_CheckExact(ks->times)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "EventQueue internals have unexpected types");
-        goto fail;
-    }
 
     /* the Packet type and its slot offsets */
     mod = PyImport_ImportModule("repro.hardware.packet");
@@ -4340,17 +4243,7 @@ kstate_build(PyObject *eq, PyObject *store)
         ks->port_first[i] = -1;
 
     /* routers */
-    routers = PyObject_GetAttrString(store, "routers");
-    if (routers == NULL)
-        goto fail;
-    if (!PyList_CheckExact(routers)
-        || PyList_GET_SIZE(routers) != ks->num_routers) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "SoAStore.routers is not wired (Simulation "
-                        "construction incomplete)");
-        goto fail;
-    }
-    ks->router_type = r_tp = Py_TYPE(PyList_GET_ITEM(routers, 0));
+    ks->router_type = r_tp = Py_TYPE(PyList_GET_ITEM(ks->router_list, 0));
     if ((ks->r_arb_time = slot_offset(r_tp, "_arb_time")) < 0
         || (ks->r_router_id = slot_offset(r_tp, "router_id")) < 0)
         goto fail;
@@ -4359,12 +4252,8 @@ kstate_build(PyObject *eq, PyObject *store)
         PyErr_NoMemory();
         goto fail;
     }
-    tmp = PyObject_GetAttrString(PyList_GET_ITEM(routers, 0), "routing");
-    if (tmp == NULL || twin_build(ks, store, tmp) < 0)
-        goto fail;
-    Py_CLEAR(tmp);
     for (i = 0; i < ks->num_routers; i++) {
-        PyObject *r = PyList_GET_ITEM(routers, i);
+        PyObject *r = PyList_GET_ITEM(ks->router_list, i);
         if (Py_TYPE(r) != r_tp) {
             PyErr_SetString(PyExc_RuntimeError,
                             "heterogeneous router types in SoA store");
@@ -4382,31 +4271,29 @@ kstate_build(PyObject *eq, PyObject *store)
             goto fail;
         }
     }
-    for (i = 0; i < ks->num_routers; i++)
-        if (read_links(ks, &ks->routers[i], "out_peer", ks->peer_rid,
+    Py_CLEAR(kernel_step);
+    /* The decide twin is resolved for the first router's mechanism and
+     * applies to every router sharing that object (all of them, in a
+     * Simulation). */
+    if (twin_build(ks, ks->routers[0].routing) < 0)
+        goto fail;
+    for (i = 0; i < ks->num_routers; i++) {
+        RState *rs = &ks->routers[i];
+        rs->twin = (rs->routing == ks->twin.routing) ? ks->twin.kind
+                                                     : TWIN_NONE;
+        if (read_links(ks, rs, "out_peer", rs->out_peer, ks->peer_rid,
                        ks->peer_port) < 0
-            || read_links(ks, &ks->routers[i], "upstream", ks->up_rid,
+            || read_links(ks, rs, "upstream", rs->upstream, ks->up_rid,
                           ks->up_port) < 0)
             goto fail;
-    Py_CLEAR(routers);
-    Py_CLEAR(kernel_step);
-
-    /* lowered OP_GEN / OP_DELIVER fast path: bound per event queue */
-    tmp = PyObject_GetAttrString(eq, "_lower");
-    if (tmp == NULL)
-        goto fail;
-    if (tmp != Py_None) {
-        ks->low = lstate_build(tmp);
-        if (ks->low == NULL)
-            goto fail;
     }
-    Py_CLEAR(tmp);
+    if (ks->low.sim != NULL && lstate_build(ks) < 0)
+        goto fail;
     return ks;
 
 fail:
     Py_XDECREF(mod);
     Py_XDECREF(tmp);
-    Py_XDECREF(routers);
     Py_XDECREF(kernel_step);
     kstate_free(ks);
     return NULL;
@@ -4760,6 +4647,53 @@ done:
     return ret;
 }
 
+/* The constants the kernel shares with Python, by name. */
+#define EV(c) {"repro.engine.events", #c, c}
+#define ST(c) {"repro.metrics.collector", #c, c}
+static const struct {
+    const char *module, *name;
+    long value;
+} LAYOUT[] = {
+    EV(OP_CALL), EV(OP_STEP), EV(OP_ARRIVE), EV(OP_OUT_ARRIVE), EV(OP_SEND),
+    EV(OP_LINK), EV(OP_RELEASE), EV(OP_CREDIT), EV(OP_DELIVER), EV(OP_GEN),
+    ST(SI_TOTAL_GENERATED), ST(SI_TOTAL_INJECTED), ST(SI_TOTAL_DELIVERED),
+    ST(SI_GEN_PHITS), ST(SI_GEN_PACKETS), ST(SI_DEL_PHITS),
+    ST(SI_DEL_PACKETS), ST(NSTAT_I), ST(SF_LAT_MEAN), ST(SF_LAT_M2),
+    ST(SF_LAT_MIN), ST(SF_LAT_MAX), ST(SF_BD_INJ), ST(SF_BD_LOCAL),
+    ST(SF_BD_GLOBAL), ST(SF_BD_BASE), ST(SF_BD_MIS), ST(NSTAT_F),
+};
+#undef EV
+#undef ST
+
+/* Compare LAYOUT with the Python constants of the same names: the number
+ * compared, or a RuntimeError naming the first that differs. */
+static PyObject *
+ck_check_layout(PyObject *self, PyObject *noargs)
+{
+    size_t i;
+    for (i = 0; i < sizeof(LAYOUT) / sizeof(LAYOUT[0]); i++) {
+        PyObject *mod = PyImport_ImportModule(LAYOUT[i].module), *v;
+        long py;
+        if (mod == NULL)
+            return NULL;
+        v = PyObject_GetAttrString(mod, LAYOUT[i].name);
+        Py_DECREF(mod);
+        if (v == NULL)
+            return NULL;
+        py = PyLong_AsLong(v);
+        Py_DECREF(v);
+        if (py == -1 && PyErr_Occurred())
+            return NULL;
+        if (py != LAYOUT[i].value)
+            return PyErr_Format(PyExc_RuntimeError,
+                                "%s.%s is %ld, but _ckernel.c has %ld: "
+                                "rebuild the extension",
+                                LAYOUT[i].module, LAYOUT[i].name, py,
+                                LAYOUT[i].value);
+    }
+    return PyLong_FromSize_t(i);
+}
+
 static PyMethodDef ckernel_methods[] = {
     {"drain", ck_drain, METH_VARARGS,
      "drain(eq, t_end): process activations with time <= t_end on the "
@@ -4774,6 +4708,10 @@ static PyMethodDef ckernel_methods[] = {
      "check_set_model(ops=None): (add, key) pairs (None: the import's) on a "
      "fresh set and active-key index, compared after each; RuntimeError, or "
      "the table grows / shrinks / purges / dummy reuses."},
+    {"check_layout", ck_check_layout, METH_NOARGS,
+     "check_layout(): compare the kernel's OP_* / SI_* / SF_* / NSTAT_* "
+     "constants with the Python ones of the same names; the number "
+     "compared, or RuntimeError naming the first mismatch."},
     {"mt_ops", ck_mt_ops, METH_VARARGS,
      "mt_ops(state, ops): replay RNG operations (None -> random(), "
      "int k -> getrandbits(k), (n,) -> randrange(n), (\"shuffle\", n) -> "
@@ -4795,11 +4733,14 @@ static struct PyModuleDef ckernel_module = {
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
-    /* a RuntimeError, not an ImportError: resolve_backend says why */
+    /* RuntimeErrors, not ImportErrors: resolve_backend says why */
     PyObject *args = PyTuple_New(0);
     PyObject *seen = args ? ck_check_set_model(NULL, args) : NULL;
     Py_XDECREF(args);
     if (seen == NULL)
+        return NULL;
+    Py_DECREF(seen);
+    if ((seen = ck_check_layout(NULL, NULL)) == NULL)
         return NULL;
     Py_DECREF(seen);
     return PyModule_Create(&ckernel_module);

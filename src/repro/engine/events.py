@@ -147,7 +147,9 @@ class EventQueue:
         # compiled backend only.  _ckcounters is that kernel's block of
         # always-on counters (an array('q') it creates on its first
         # drain and keeps when _ckstate is dropped; read it through
-        # _ckernel.counters(eq)).
+        # _ckernel.counters(eq)).  _lower is the Simulation whose
+        # OP_GEN / OP_DELIVER the compiled kernel runs natively (set by a
+        # lowered Simulation; None: they go to _gen / _sink).
         self._drain = None
         self._soa = None
         self._ckstate = None
@@ -167,26 +169,6 @@ class EventQueue:
     def bind_gen(self, fn: Callable) -> None:
         """Set the generator handler called for ``OP_GEN`` records."""
         self._gen = fn
-
-    def bind_lower(self, lower) -> None:
-        """Attach a :class:`repro.engine.kernel.LowerState` to this queue.
-
-        Re-points the OP_GEN handler at the descriptor interpreter, so
-        the pure-Python kernel runs it with zero dispatch changes; the
-        compiled kernel additionally reads ``_lower`` when building its
-        cached state and runs C twins of it and of the sink instead.
-        """
-        self._lower = lower
-        self._gen = lower.gen
-
-    def unbind_lower(self, gen: Callable) -> None:
-        """Detach the lowered generator and restore the callback one.
-
-        Must happen before the first drain: the compiled kernel freezes
-        ``_lower`` into its cached state when that is built.
-        """
-        self._lower = None
-        self._gen = gen
 
     def bind_backend(self, backend, store) -> None:
         """Attach an engine backend and its SoA *store* to this queue.

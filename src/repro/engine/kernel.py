@@ -20,8 +20,9 @@ the compiled kernel (``_ckernel.c``), name for name:
   ``_arb_time`` dirty mark, so each (router × cycle) pair is armed at
   most once and the drain loop skips stale tokens with one compare;
 * :func:`make_packet` / :func:`next_gap` — the packet constructor and the
-  geometric inter-generation gap shared by the callback generator
-  (``Simulation._gen_event``) and the lowered one (:class:`LowerState`).
+  geometric inter-generation gap of the traffic generator
+  (``Simulation._gen_event``, which the compiled kernel's ``c_gen`` twins
+  on a lowered cell, with both inlined).
 
 Every record is posted through :meth:`EventQueue.post
 <repro.engine.events.EventQueue.post>`; the intra-cycle order of phases
@@ -59,6 +60,14 @@ Backend selection
 Both backends are bit-identical by contract: golden-trace digests, the
 determinism matrix and the ``events_processed``/``activations`` counters
 are pinned across backends by the cross-backend equivalence suite.
+
+The backend is the only choice.  Whether a compiled cell's traffic
+generation and delivery sink are *lowered* into the kernel (``c_gen`` /
+``c_deliver``, twins of ``Simulation._gen_event`` and the collector's
+hooks) follows from the cell: a pattern with a
+:meth:`~repro.traffic.base.TrafficPattern.lower` descriptor, no oracle,
+no decomposition check (``Simulation._lower``).  The python backend
+never lowers; its callback path is the reference.
 
 Flat indexing glossary (see :mod:`repro.engine.soa`):
 
@@ -98,7 +107,6 @@ __all__ = [
     "BACKEND_ENV",
     "ENGINE_BACKEND_CHOICES",
     "EngineBackend",
-    "LowerState",
     "available_backends",
     "py_drain",
     "resolve_backend",
@@ -762,177 +770,6 @@ def next_gap(rng, log_q: float | None) -> int:
         return 1
     gap = int(log(u) / log_q) + 1
     return gap if gap > 1 else 1
-
-
-# ----------------------------------------------------------------------
-# lowered OP_GEN fast path (reference mirror)
-# ----------------------------------------------------------------------
-class LowerState:
-    """Pattern-descriptor interpreter of one lowered simulation.
-
-    A cell is lowerable when its pattern has a
-    :meth:`~repro.traffic.base.TrafficPattern.lower` descriptor and the
-    run binds no oracle and no decomposition checking; the simulation
-    then builds one ``LowerState`` and binds it via
-    :meth:`EventQueue.bind_lower <repro.engine.events.EventQueue.bind_lower>`:
-
-    * the pure-Python kernel dispatches OP_GEN into :meth:`gen`, which
-      interprets the descriptor instead of calling ``pattern.dest``;
-    * the compiled kernel detects ``eq._lower`` when building its cached
-      state, reads the fields below once and runs ``c_gen`` — the twin
-      of :meth:`gen`, with an in-kernel MT19937 seeded from
-      ``rng_traffic.getstate()`` at drain entry and written back at
-      drain exit — plus C twins of the collector's three hooks over the
-      collector's own buffers, aliased here as ``si`` / ``sf`` /
-      ``inj_router`` / ``del_router``.
-
-    RNG consumption, packet fields and statistics are bit-identical to
-    the callback path on both backends (pinned by the equivalence suite).
-    """
-
-    __slots__ = (
-        "owner",
-        "eq",
-        "rng",
-        "descriptor",
-        "end_time",
-        "ws",
-        "we",
-        "psize",
-        "log_q",
-        "p",
-        "a",
-        "R",
-        "num_nodes",
-        "ms_table",
-        "gen_recs",
-        "inject_map",
-        "si",
-        "sf",
-        "inj_router",
-        "del_router",
-        "_kind",
-        "_n1",
-        "_n1_bits",
-        "_offset",
-        "_per_group",
-        "_pg_bits",
-        "_groups",
-        "_offsets",
-        "_n_off",
-        "_off_bits",
-        "_perm",
-    )
-
-    def __init__(self, sim, descriptor: tuple) -> None:
-        stats = sim.stats
-        self.owner = sim
-        self.eq = sim.engine
-        self.rng = sim.rng_traffic
-        self.descriptor = descriptor
-        self.end_time = sim._end_time
-        self.ws = stats.window_start
-        self.we = stats.window_end
-        self.psize = sim._psize
-        self.log_q = sim._log_q
-        # Geometry and the base-latency table of make_packet, flat: the
-        # C twin's inlined constructor reads them off this object.
-        self.p = sim.topo.p
-        self.a = sim.topo.a
-        self.R = sim.topo.num_routers
-        self.num_nodes = sim.topo.num_nodes
-        self.ms_table = sim._ms_table
-        self.gen_recs = sim._gen_recs
-        self.inject_map = sim._inject_map
-        self.si = stats.si
-        self.sf = stats.sf
-        self.inj_router = stats.injected_per_router
-        self.del_router = stats.delivered_per_router
-        # Unpack the descriptor into flat slots (one tuple load per draw
-        # saved; the C twin does the same into struct fields).
-        kind = descriptor[0]
-        self._n1 = self._n1_bits = 0
-        self._offset = self._per_group = self._pg_bits = self._groups = 0
-        self._offsets = self._perm = ()
-        self._n_off = self._off_bits = 0
-        if kind == "uniform":
-            self._kind = 0
-            _, self._n1, self._n1_bits = descriptor
-        elif kind == "adversarial":
-            self._kind = 1
-            (_, self._offset, self._per_group, self._pg_bits, self._groups) = (
-                descriptor
-            )
-        elif kind == "advc":
-            self._kind = 2
-            (
-                _,
-                self._offsets,
-                self._n_off,
-                self._off_bits,
-                self._per_group,
-                self._pg_bits,
-                self._groups,
-            ) = descriptor
-        elif kind == "permutation":
-            self._kind = 3
-            _, self._perm = descriptor
-        else:
-            raise ConfigurationError(
-                f"unknown pattern lowering descriptor kind {kind!r}"
-            )
-
-    # ------------------------------------------------------------------
-    def gen(self, node: int) -> None:
-        """Lowered OP_GEN handler: mirrors ``Simulation._gen_event``.
-
-        Identical control flow and RNG draws as the callback path, and
-        the same :func:`make_packet` / :func:`next_gap` — minus the
-        destination-contract validation, which lowered descriptors make
-        true by construction (patterns are total, foreign-destination,
-        always active).
-        """
-        eq = self.eq
-        now = eq.now
-        if now >= self.end_time:
-            return
-        rng = self.rng
-        kind = self._kind
-        if kind == 0:  # uniform
-            gb = rng.getrandbits
-            n1 = self._n1
-            d = gb(self._n1_bits)
-            while d >= n1:
-                d = gb(self._n1_bits)
-            dst = d if d < node else d + 1
-        elif kind == 1:  # adversarial
-            per_group = self._per_group
-            tg = (node // per_group + self._offset) % self._groups
-            gb = rng.getrandbits
-            d = gb(self._pg_bits)
-            while d >= per_group:
-                d = gb(self._pg_bits)
-            dst = tg * per_group + d
-        elif kind == 2:  # advc
-            per_group = self._per_group
-            gb = rng.getrandbits
-            n_off = self._n_off
-            i = gb(self._off_bits)
-            while i >= n_off:
-                i = gb(self._off_bits)
-            tg = (node // per_group + self._offsets[i]) % self._groups
-            d = gb(self._pg_bits)
-            while d >= per_group:
-                d = gb(self._pg_bits)
-            dst = tg * per_group + d
-        else:  # permutation: zero draws
-            dst = self._perm[node]
-        owner = self.owner
-        pkt = make_packet(owner, node, dst, now)
-        owner.stats.on_generate(now, self.psize)
-        router, node_port = self.inject_map[node]
-        router.inject(node_port, pkt, now)
-        eq.post(now + next_gap(rng, self.log_q), self.gen_recs[node])
 
 
 # ----------------------------------------------------------------------

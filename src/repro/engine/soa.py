@@ -77,6 +77,8 @@ class SoAStore:
         "radix",
         "max_vcs",
         "nkeys",
+        "groups",
+        "global_ports",
         "typed",
         "routers",
         # per-key: router_id * nkeys + (port * max_vcs + vc)
@@ -126,6 +128,8 @@ class SoAStore:
         self.radix = radix
         self.max_vcs = max_vcs
         self.nkeys = nkeys = radix * max_vcs
+        self.groups = groups
+        self.global_ports = global_ports
         self.typed = typed
         self.routers: list = []  # set by the Simulation after wiring
 

@@ -120,11 +120,14 @@ class CellScheduler:
     :class:`~concurrent.futures.ProcessPoolExecutor` over
     :func:`repro.exec.runner.run_cell`.
 
-    Every cell is submitted to the pool as soon as it is scheduled.  A
+    Every cell is submitted to the pool as soon as it is scheduled; the
+    oldest ``max_workers`` unfinished calls of the live pool are the
+    running ones (:func:`repro.exec.runner._running`).  A
     ``retry.cell_timeout`` counts from the moment a worker takes the
-    cell — the oldest ``max_workers`` unfinished timed calls are the
-    running ones — so a cell queued behind busy workers cannot time out
-    before it starts.
+    cell, so a cell queued behind busy workers cannot time out before it
+    starts; and a torn-down pool charges an attempt (``worker-lost``)
+    only to the cells a worker had taken — a queued one never ran, and
+    is resubmitted at no cost.  Both are the Runner's rules.
     """
 
     def __init__(
@@ -143,9 +146,10 @@ class CellScheduler:
         self._owns_pool = executor is None
         self._compute = compute_fn or run_cell
         self._inflight: dict[str, asyncio.Future[CellOutcome]] = {}
-        # Unfinished pool calls of timed attempts, in submission order ->
-        # the signal that a worker has taken the call (its clock starts).
-        self._timed: dict[asyncio.Future, asyncio.Future[None]] = {}
+        # Unfinished pool calls in submission order -> (their pool, the
+        # signal that a worker took the call: True as it enters the
+        # running window, False when it finished before its turn).
+        self._calls: dict[asyncio.Future, tuple[Executor, asyncio.Future]] = {}
         self.counters: dict[str, int] = {
             "computed": 0,
             "cache_hits": 0,
@@ -213,36 +217,74 @@ class CellScheduler:
         return self._pool
 
     async def _attempt(self, digest: str, config: SimulationConfig):
+        """One charged attempt of *digest* on the pool.
+
+        Every cell is submitted at once, so most wait in the pool's queue;
+        the timeout clock starts when a worker takes this one.  A call that
+        a broken pool fails before any worker took it never ran: it is
+        resubmitted here, at no attempt's cost.
+        """
         loop = asyncio.get_running_loop()
-        call = loop.run_in_executor(self._executor(), self._compute, digest, config)
-        if self.retry.cell_timeout is None:
-            return await call
-        # Every cell is submitted at once, so most wait in the pool's
-        # queue; the clock starts when a worker takes this one.
-        started = loop.create_future()
-        self._timed[call] = started
-        call.add_done_callback(self._timed_call_done)
-        self._start_timed_calls()
-        try:
-            await started
-        except asyncio.CancelledError:
-            call.cancel()
-            raise
-        # The worker itself cannot be interrupted; on timeout the attempt
-        # is charged and the stray result, if it ever lands, is discarded
-        # (a later duplicate save would be bit-identical anyway).
-        return await asyncio.wait_for(call, timeout=self.retry.cell_timeout)
+        timeout = self.retry.cell_timeout
+        while True:
+            pool = self._executor()
+            call = loop.run_in_executor(pool, self._compute, digest, config)
+            started = loop.create_future()
+            self._calls[call] = (pool, started)
+            call.add_done_callback(self._call_done)
+            self._start_calls()
+            try:
+                if timeout is None:
+                    return await call
+                try:
+                    await started
+                except asyncio.CancelledError:
+                    call.cancel()
+                    raise
+                # The worker itself cannot be interrupted; on timeout the
+                # attempt is charged and the stray result, if it ever
+                # lands, is discarded (a later duplicate save would be
+                # bit-identical anyway).
+                return await asyncio.wait_for(call, timeout=timeout)
+            except asyncio.TimeoutError:
+                # wait_for abandoned the future, but the worker is still
+                # grinding the overrunning cell and holds its pool slot —
+                # enough timeouts and the pool has no free workers left
+                # (slot starvation).  Kill the workers and rebuild lazily.
+                self._drop_pool(pool, terminate=True)
+                raise
+            except BrokenProcessPool:
+                if started.result():
+                    raise  # it ran: its work is lost
+                # _call_done resolved `started` (it runs first) and dropped
+                # the pool: resubmit to a fresh one
 
-    def _start_timed_calls(self) -> None:
-        for call in _running(self._timed, self.max_workers):
-            if not self._timed[call].done():
-                self._timed[call].set_result(None)
+    def _start_calls(self) -> None:
+        """Mark the calls a worker has taken: the oldest of the live pool."""
+        live = (c for c, (pool, _) in self._calls.items() if pool is self._pool)
+        for call in _running(live, self.max_workers):
+            started = self._calls[call][1]
+            if not started.done():
+                started.set_result(True)
 
-    def _timed_call_done(self, call: asyncio.Future) -> None:
-        started = self._timed.pop(call)
+    def _call_done(self, call: asyncio.Future) -> None:
+        pool, started = self._calls.pop(call)
         if not started.done():  # finished (or failed) before its turn
-            started.set_result(None)
-        self._start_timed_calls()
+            started.set_result(False)
+        if not call.cancelled() and isinstance(call.exception(), BrokenProcessPool):
+            # the rest of the pool's calls never start: the window closes
+            # on what had, before anything else finishes
+            self._drop_pool(pool)
+        self._start_calls()
+
+    def _drop_pool(self, pool: Executor, *, terminate: bool = False) -> None:
+        """Tear *pool* down if it is still the owned, live one; the next
+        submission builds a fresh one."""
+        if self._owns_pool and pool is self._pool:
+            if terminate:
+                _terminate_workers(pool)
+            pool.shutdown(wait=False)
+            self._pool = None
 
     async def _drive(self, digest: str, config: SimulationConfig) -> CellOutcome:
         """Retry loop of one cell: the Runner contract, await-shaped."""
@@ -258,23 +300,8 @@ class CellScheduler:
                     kind = "error"
                     if isinstance(exc, asyncio.TimeoutError):
                         kind = "timeout"
-                        if self._owns_pool and self._pool is not None:
-                            # wait_for abandoned the future, but the
-                            # worker is still grinding the overrunning
-                            # cell and holds its pool slot — enough
-                            # timeouts and the pool has no free workers
-                            # left (slot starvation).  Kill the workers
-                            # and rebuild lazily, exactly like the
-                            # broken-pool path below.
-                            _terminate_workers(self._pool)
-                            self._pool.shutdown(wait=False, cancel_futures=True)
-                            self._pool = None
                     elif isinstance(exc, BrokenProcessPool):
                         kind = "worker-lost"
-                        if self._owns_pool and self._pool is not None:
-                            # The pool is unusable; rebuild it lazily.
-                            self._pool.shutdown(wait=False, cancel_futures=True)
-                            self._pool = None
                     retryable = kind != "error" or is_retryable(exc)
                     if retryable and attempts < policy.max_attempts:
                         await asyncio.sleep(policy.delay(attempts, rng))

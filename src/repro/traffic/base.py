@@ -74,10 +74,12 @@ class TrafficPattern(ABC):
         total (never returns ``None`` from :meth:`dest`), every node
         ``active()``, and whose RNG consumption is a fixed recipe over
         ``random()`` / ``getrandbits`` — may return a flat tuple whose
-        first element names the recipe; the engine's lowered generator
-        (Python mirror in :class:`repro.engine.kernel.LowerState`, C
-        twin in ``engine/_ckernel.c``) interprets it and must reproduce
-        :meth:`dest` bit-exactly, draw for draw.  Recognised shapes:
+        first element names the recipe; on the compiled backend the
+        kernel's lowered generator (``c_gen`` in ``engine/_ckernel.c``)
+        interprets it instead of calling :meth:`dest`, and must reproduce
+        it bit-exactly, draw for draw (the python backend always calls
+        :meth:`dest`, the reference ``c_gen`` is tested against).
+        Recognised shapes:
 
         * ``("uniform", n1, n1_bits)`` — rejection-sample ``d`` from
           ``getrandbits(n1_bits)`` until ``d < n1``; destination is

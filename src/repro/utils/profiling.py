@@ -62,15 +62,13 @@ __all__ = [
 PROFILE_SORTS = ("tottime", "cumulative", "ncalls", "pcalls")
 
 #: (filename suffix, function name) pairs counted as the per-event
-#: traffic/delivery callbacks: the generator activation, the two sink
-#: bindings, and the interpreted LowerState generator (so a python-backend
-#: lowered run still reports what its gen/sink frames cost; the compiled
-#: lowered path has no Python frames at all and the share reads ~0).
+#: traffic/delivery callbacks: the generator activation and the two sink
+#: bindings (the compiled lowered path has no Python frames at all and
+#: the share reads ~0).
 _CALLBACK_FUNCS = (
     ("simulation.py", "_gen_event"),
     ("simulation.py", "deliver"),
     ("collector.py", "on_delivery"),
-    ("kernel.py", "gen"),
 )
 
 

@@ -1,23 +1,26 @@
 """The lowered OP_GEN / OP_DELIVER fast path is bit-identical.
 
-Lowering moves traffic generation and the delivery sink out of
-per-event Python callbacks and into the kernel (interpreted
-``LowerState`` on the python backend, native C twins — including an
-in-kernel MT19937 — on the compiled backend).  The contract is the same
-as for the backends themselves: *bit-identical is the contract*.  The
-callback path is the reference; a lowerable cell reaches it through
-``Simulation._unlower()`` before ``start()``.  This module pins the
-contract four ways:
+On the compiled backend a cell whose pattern has a lowering descriptor
+generates and sinks natively: ``c_gen`` / ``c_deliver`` in
+``_ckernel.c``, twins of ``Simulation._gen_event`` (``pattern.dest``) and
+the collector's hooks, with an in-kernel MT19937.  The python backend
+never lowers: it always runs the callback path, the reference the twins
+are tested against.  The contract is the same as for the backends
+themselves: *bit-identical is the contract*.  The callback reference of a
+lowerable cell is reached through an input that forbids lowering — the
+decomposition audit, whose per-packet check needs the Python sink.  This
+module pins the contract four ways:
 
-* the lowering **selection** — it follows from the cell alone (static
-  pattern with a descriptor, no oracle, no decomposition check, traffic
-  not swapped after construction), on both backends;
-* the **equivalence matrix** — lowered vs unlowered runs compared
-  field-by-field (result, event/activation counts, and the traffic RNG
-  state after the run) across backends and patterns, down to the
-  byte-identical store entry;
-* the golden-trace digests replayed on both backends, lowered and
-  unlowered;
+* the lowering **selection** — it follows from the backend and the cell
+  alone (static pattern with a descriptor, no oracle, no decomposition
+  check, traffic not swapped after construction);
+* the **equivalence matrix** — each backend's own selection vs the
+  audited callback run, compared field-by-field (result, event /
+  activation counts, the traffic RNG state after the run, the stat
+  buffers) across patterns, down to the byte-identical store entry: on
+  the compiled backend that is lowered vs callback, on the python backend
+  the audit shown to be a pure observer;
+* the golden-trace digests replayed on both backends, audited and not;
 * the **RNG stream** — a hypothesis property test driving the compiled
   kernel's MT19937 from arbitrary ``random.Random`` states and checking
   every draw and the resulting state word-for-word; and the
@@ -78,22 +81,22 @@ def _payload(result) -> str:
 
 
 def _run(cfg, backend, lowered):
-    """Run *cfg*; ``lowered=False`` takes the callback reference path."""
-    sim = Simulation(cfg, engine_backend=backend)
-    if not lowered:
-        sim._unlower()
+    """Run *cfg*; ``lowered=False`` takes the callback reference path (the
+    decomposition audit forbids lowering), ``True`` the backend's own
+    selection."""
+    sim = Simulation(cfg, engine_backend=backend, check_decomposition=not lowered)
     result = sim.run()
     return sim, result
 
 
 # ----------------------------------------------------------------------
-# lowering is selected by the cell, not by a switch
+# lowering is selected by the backend and the cell, not by a switch
 # ----------------------------------------------------------------------
 def _cell(pattern="uniform", **kw):
     return tiny_config(**kw).with_traffic(pattern=pattern, load=0.3)
 
 
-#: id -> (config, check_decomposition, swap sim.traffic?, lowered?)
+#: id -> (config, check_decomposition, swap sim.traffic?, lowered on compiled?)
 SELECTION = {
     **{pattern: (_cell(pattern), False, False, True) for pattern in LOWERABLE},
     # hotspot draws a bernoulli before the destination: no descriptor
@@ -120,6 +123,8 @@ SELECTION = {
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", SELECTION)
 def test_lowering_is_selected_by_input(backend, case):
+    """The python backend never lowers; the compiled one lowers exactly
+    the cells marked so above."""
     cfg, check_decomposition, swap, lowered = SELECTION[case]
     sim = Simulation(
         cfg, engine_backend=backend, check_decomposition=check_decomposition
@@ -128,11 +133,12 @@ def test_lowering_is_selected_by_input(backend, case):
         sim.traffic = make_traffic(cfg.traffic, sim.topo, seed=1)
         sim.start()
     assert sim.engine_backend == backend
-    assert (sim._lower is not None) == lowered
+    assert (sim._lower is not None) == (lowered and backend == "compiled")
+    assert (sim.engine._lower is sim) == (sim._lower is not None)
 
 
 # ----------------------------------------------------------------------
-# equivalence matrix: lowered vs unlowered, per backend and pattern
+# equivalence matrix: each backend's selection vs the callback reference
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("pattern", LOWERABLE + ["hotspot"])
@@ -142,8 +148,9 @@ def test_lowering_is_bit_identical(backend, pattern):
     )
     off_sim, off = _run(cfg, backend, lowered=False)
     on_sim, on = _run(cfg, backend, lowered=True)
+    lowers = backend == "compiled" and pattern != "hotspot"
     assert off_sim._lower is None
-    assert (on_sim._lower is not None) == (pattern != "hotspot")
+    assert (on_sim._lower is not None) == lowers
     assert _result_fields(off) == _result_fields(on)
     assert _payload(off) == _payload(on)
     assert off_sim.engine.processed == on_sim.engine.processed
@@ -160,13 +167,14 @@ def test_lowering_is_bit_identical(backend, pattern):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_collector_reads_live_inside_a_lowered_drain(backend):
-    """The collector is the sink of a lowered drain too: what the deadlock
-    watchdog reads moves while the run is still going."""
+    """The collector is the sink of a drain on either path, a lowered
+    one included: what the deadlock watchdog reads moves while the run is
+    still going."""
     cfg = tiny_config(warmup_cycles=100, measure_cycles=400).with_traffic(
         pattern="uniform", load=0.3
     )
     sim = Simulation(cfg, engine_backend=backend)
-    assert sim._lower is not None
+    assert (sim._lower is not None) == (backend == "compiled")
     seen = []
 
     def probe():
@@ -186,16 +194,18 @@ def test_collector_reads_live_inside_a_lowered_drain(backend):
 
 @needs_compiled
 def test_lowering_matrix_agrees_across_backends():
-    """Backend x {lowered, unlowered}: one byte-identical store payload."""
+    """python callback, compiled callback, compiled lowered: one
+    byte-identical store payload."""
     cfg = tiny_config(seed=4, routing="obl-rrg").with_traffic(
         pattern="advc", load=0.4
     )
-    payloads = {
-        (backend, lowered): _payload(_run(cfg, backend, lowered)[1])
-        for backend in ("python", "compiled")
-        for lowered in (False, True)
+    runs = {
+        ("python", False): _run(cfg, "python", False),
+        ("compiled", False): _run(cfg, "compiled", False),
+        ("compiled", True): _run(cfg, "compiled", True),
     }
-    assert len(set(payloads.values())) == 1
+    assert runs["compiled", True][0]._lower is not None
+    assert len({_payload(result) for _sim, result in runs.values()}) == 1
 
 
 @pytest.mark.parametrize("lowered", [False, True])
@@ -219,12 +229,11 @@ def test_golden_traces_per_backend_and_lowering(backend, lowered):
 @pytest.mark.parametrize("pattern", LOWERABLE)
 def test_make_packet_matches_gen_event(make_cfg, pattern, monkeypatch):
     """``Simulation._make_packet`` (the documented reference constructor)
-    and the construction inlined into ``_gen_event`` / ``LowerState.gen``
-    produce identical packets for the same (source, destination, cycle)
-    over random node pairs of real topologies."""
+    and the construction ``_gen_event`` runs produce identical packets for
+    the same (source, destination, cycle) over random node pairs of real
+    topologies."""
     cfg = make_cfg(seed=23).with_traffic(pattern=pattern, load=0.5)
     sim = Simulation(cfg)
-    sim._unlower()
     captured = []
     original = Router.inject
 

@@ -16,6 +16,7 @@ import pytest
 from repro.config import tiny_config
 from repro.errors import ConfigurationError, ServiceError
 from repro.exec import ExperimentPlan, ResultStore, RetryPolicy, Runner, run_cell
+from repro.exec.faults import ENV_VAR, FaultSpec
 from repro.service import (
     CellScheduler,
     PlanService,
@@ -544,6 +545,36 @@ class TestSchedulerPoolHygiene:
         assert not outcome.ok and outcome.kind == "timeout"
         assert torn_down  # the starved slot was reclaimed with the pool
         assert rebuilt  # and the next computation gets a fresh pool
+
+    def test_broken_pool_charges_only_started_cells(self, monkeypatch, tmp_path):
+        """One worker, one attempt per cell, three cells: the worker dies
+        after the first cell it runs, which fails all three pool calls.
+        Only that cell had started, so only it is charged ``worker-lost``;
+        the two queued behind it never ran and complete in a fresh pool."""
+        spec = FaultSpec(ledger=str(tmp_path / "ledger"), kill_after=1)
+        monkeypatch.setenv(ENV_VAR, spec.to_env())
+
+        async def run():
+            sched = CellScheduler(
+                ResultStore(tmp_path / "store"),
+                max_workers=1,
+                retry=RetryPolicy(max_attempts=1),
+            )
+            try:
+                cells = list(_grid([0.1, 0.2, 0.3]))
+                return await asyncio.gather(
+                    *(sched.outcome(c.digest, c.config) for c in cells)
+                )
+            finally:
+                sched.close()
+
+        outcomes = asyncio.run(run())
+        assert sorted((o.ok, o.kind or "") for o in outcomes) == [
+            (False, "worker-lost"),
+            (True, ""),
+            (True, ""),
+        ]
+        assert [o.attempts for o in outcomes] == [1, 1, 1]
 
     def test_timeout_leaves_injected_executor_alone(self, tmp_path):
         """Teardown applies only to the pool the scheduler owns."""
