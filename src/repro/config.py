@@ -593,9 +593,11 @@ def medium_config(**overrides) -> SimulationConfig:
 def small_config(**overrides) -> SimulationConfig:
     """The paper's Fig. 1 scale: h=2, a=4, p=2, 9 groups, 72 nodes.
 
-    This is the default experiment scale, substituted for the paper's h=6
-    because every mechanism and the bottleneck-router phenomenon exist
-    identically at h=2.
+    This is the default experiment scale because it is fast: every
+    mechanism runs at h=2, and a cell takes seconds.  It is not the
+    paper's scale: Tables II/III were measured at h=6
+    (:mod:`repro.analysis.paper_reference`), and the fairness numbers do
+    not carry over unchanged — compare against the tables at h=6.
     """
     cfg = SimulationConfig(
         network=NetworkConfig(p=2, a=4, h=2),

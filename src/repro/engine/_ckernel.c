@@ -62,6 +62,10 @@
  *   exception path (consume the raising record, keep the bucket
  *   remainder), mirrors py_drain's try/finally.
  *
+ * A Python object exists for a packet only where Python is called with
+ * one or sees one (above); a lowered cell whose decisions all run in C
+ * twins builds none until the drain exits.
+ *
  * Python is called back for exactly the work that is Python by contract:
  * routing decisions of mechanisms without a twin (every mechanism of
  * repro.routing.factory has one: c_min_decide, c_oblivious_decide,
@@ -71,8 +75,9 @@
  * (and records whose opcode is outside 1..9, which py_drain runs as
  * callbacks too), overridden routing hooks and stats injection
  * callbacks.  A typed record (opcode 1..9) whose target is not one of the
- * store's routers, or whose fields are not in-range ints, raises
- * FlowControlError when it is dispatched: no simulation posts one.
+ * store's routers, whose fields are not in-range ints, or whose packet is
+ * not a Packet with int64 fields, raises FlowControlError when it is
+ * dispatched: no simulation posts one.
  *
  * Native event path: mirror in, mirror out, absorb
  * ------------------------------------------------
@@ -82,21 +87,26 @@
  * input FIFOs (soa.in_q) and the decision memo (soa.dc_pkt / dc_dec /
  * dc_cond) are one InQ record per key — ring, cached head and its size,
  * memo — and Router._arb_time and the queue's now / processed /
- * activations are plain int64s.  Packets and the active-key sets stay
- * Python objects; the kernel reads each set through a write-through
- * native index.  Two contracts make the InQ cache sound: only
- * Packet.__init__ writes Packet.size, so a packet's size is read once,
- * when it is enqueued; and the narrow hooks below neither read nor edit
- * soa.in_q, except that Router.inject may append.  Python stays coherent
- * by the idiom RngMirror uses for the RNG streams:
+ * activations are plain int64s.  A packet is a row of the KState's packet
+ * pool (one int64 column per Packet.__slots__ field, "packet rows"
+ * below), and records, rings and memos name rows by index.  Only the
+ * active-key sets stay Python objects; the kernel reads each set through
+ * a write-through native index.  Two contracts make the InQ cache sound:
+ * only Packet.__init__ (and c_gen, which fills a row) writes a packet's
+ * size, so its size is read once, when it is enqueued; and the narrow
+ * hooks below neither read nor edit soa.in_q, except that Router.inject
+ * may append.  Python stays coherent by the idiom RngMirror uses for the
+ * RNG streams:
  *
  * - mirror in at drain entry: the Python structures are converted and
  *   left empty (no bucket, no FIFO entry, no memo, every _arb_time None;
- *   each in_q slot of a VC a port class lacks stays None);
+ *   each in_q slot of a VC a port class lacks stays None), every Packet
+ *   taken into a row it stays attached to;
  * - mirror out on every exit — normal and error — and around whatever
  *   may run arbitrary code (an OP_CALL callback, an overridden
  *   Router.step), followed by a fresh mirror in: such code sees and may
- *   edit the complete state;
+ *   edit the complete state, every packet as the Packet object of its
+ *   row;
  * - after the narrow contract hooks (_gen, _sink, a Python decide,
  *   commit / arrival overrides, on_injection) only absorb the inbox:
  *   they read eq.now, which is written before the call, and what they
@@ -105,9 +115,9 @@
  *   Router.inject does from a None mark, and is replayed through
  *   arm_step; the router's injection-key lists, [kb, kb + boundary), are
  *   then moved into their rings (load_inq checks every entry it takes).
- *
- * Packet fields live in __slots__; the extension resolves the
- * member-descriptor offsets once and reads/writes the slots directly.
+ *   A hook that takes a packet gets the Packet object of its row, with
+ *   the row's fields written into it before the call and read back
+ *   after it.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -418,24 +428,37 @@ pymod(int64_t x, int64_t m)
 /* kernel state                                                        */
 /* ------------------------------------------------------------------ */
 
-/* Packet __slots__ the kernel touches: member offsets, in the order of
- * PACKET_SLOTS. */
-typedef struct {
-    Py_ssize_t size, t_enq, inject_time, wait_local, wait_global,
-        service_sum, local_hops, global_hops, group_local_hops,
-        current_group, plan, inter_router, inter_group, dst_group, pid,
-        gen_time, base_latency, dst_router, src_node, src_router,
-        src_group, dst_node, dst_local_router, dst_node_port;
-} PacketSlots;
-
-static const char *const PACKET_SLOTS[] = {
-    "size", "t_enq", "inject_time", "wait_local", "wait_global",
-    "service_sum", "local_hops", "global_hops", "group_local_hops",
-    "current_group", "plan", "inter_router", "inter_group", "dst_group",
-    "pid", "gen_time", "base_latency", "dst_router", "src_node",
-    "src_router", "src_group", "dst_node", "dst_local_router",
-    "dst_node_port",
+/* The columns of a packet row: one per Packet.__slots__ field
+ * (check_layout compares the two by name and count). */
+enum {
+    PK_PID, PK_SIZE, PK_SRC_NODE, PK_SRC_ROUTER, PK_SRC_GROUP, PK_DST_NODE,
+    PK_DST_ROUTER, PK_DST_GROUP, PK_DST_LOCAL_ROUTER, PK_DST_NODE_PORT,
+    PK_GEN_TIME, PK_INJECT_TIME, PK_T_ENQ, PK_WAIT_LOCAL, PK_WAIT_GLOBAL,
+    PK_SERVICE_SUM, PK_BASE_LATENCY, PK_LOCAL_HOPS, PK_GLOBAL_HOPS,
+    PK_GROUP_LOCAL_HOPS, PK_CURRENT_GROUP, PK_PLAN, PK_INTER_ROUTER,
+    PK_INTER_GROUP, N_PK
 };
+
+static const char *const PK_NAMES[N_PK] = {
+    "pid", "size", "src_node", "src_router", "src_group", "dst_node",
+    "dst_router", "dst_group", "dst_local_router", "dst_node_port",
+    "gen_time", "inject_time", "t_enq", "wait_local", "wait_global",
+    "service_sum", "base_latency", "local_hops", "global_hops",
+    "group_local_hops", "current_group", "plan", "inter_router",
+    "inter_group",
+};
+
+/* The packet pool: row r is pk[r * N_PK .. r * N_PK + N_PK), obj[r] the
+ * Packet attached to it (owned; NULL until Python needs one).  Rows
+ * [0, hi) have been handed out; the released ones are chained through
+ * their PK_PID column from `free`.  gen[r] counts the row's releases, so
+ * a (row, gen) pair names one packet. */
+typedef struct {
+    int64_t *pk;
+    PyObject **obj;
+    uint32_t *gen;
+    int32_t free, hi, cap, live;
+} Pool;
 
 /* A router's active_keys twin: see "the active-key index" below. */
 typedef struct {
@@ -567,7 +590,6 @@ typedef struct {
     PyObject *sim;         /* owned; NULL: the cell is not lowered */
     RngMirror rng;         /* rng_traffic, in-kernel during a drain */
     PyObject *desc;        /* owned: the descriptor */
-    PyObject *psize_obj;   /* owned int */
     int64_t *ms_table;     /* R*R contention-free service costs */
     int64_t *si;           /* the NSTAT_I block */
     double *sf;            /* the NSTAT_F block */
@@ -602,17 +624,14 @@ typedef struct {
     int32_t op, rid;
     int32_t a, b;        /* port | node; vc | size */
     union {
-        PyObject *obj;   /* owned: the packet, or the whole tuple */
-        int64_t c;       /* OP_CREDIT: size */
+        PyObject *obj;   /* owned: the whole tuple (REC_TUPLE) */
+        int64_t c;       /* OP_CREDIT: size; a packet's record: its row */
     } u;
 } Rec;
 
-#define REC(op, rid, a, b, obj)                                         \
+#define REC(op, rid, a, b, val)                                         \
     ((Rec){(op), (int32_t)(rid), (int32_t)(a), (int32_t)(b),           \
-           {(PyObject *)(obj)}})
-#define REC_HAS_OBJ(r)                                                  \
-    ((r)->rid == REC_TUPLE || (r)->op == OP_ARRIVE                      \
-     || (r)->op == OP_OUT_ARRIVE || (r)->op == OP_DELIVER)
+           {.c = (int64_t)(val)}})
 
 /* The calendar of events.py in native form: FIFO buckets per cycle, a
  * min-heap of the distinct pending cycles, a cycle -> bucket table.  A
@@ -640,13 +659,15 @@ typedef struct {
     Py_ssize_t npool, pcap;
     int32_t free;        /* head of the recycled chain, -1 when empty */
     int32_t cur;         /* the bucket being drained */
+    int64_t keep_t;      /* a mirror in keeps the first `keep` records of */
+    Py_ssize_t keep;     /* the cycle-keep_t bucket whole (the run ones) */
     int64_t npend;       /* records held */
 } Calendar;
 
-/* One output FIFO: a ring of (pkt, vc, t_arr), allocated on first use. */
+/* One output FIFO: a ring of (row, vc, t_arr), allocated on first use. */
 typedef struct {
-    PyObject *pkt;       /* owned */
-    int64_t vc, t_arr;
+    int32_t row, vc;
+    int64_t t_arr;
 } FifoEnt;
 
 typedef struct {
@@ -655,34 +676,38 @@ typedef struct {
 } Ring;
 
 /* One decision-memo entry (dc_pkt / dc_dec / dc_cond of one key): the
- * head it was decided for (owned, NULL = none) and the verdict, whose
- * guard is the validity condition — GUARD_STABLE None, GUARD_EPOCH the
- * epoch in g_val, otherwise the (kind, g_idx, g_val) counter guard. */
+ * head row it was decided for (-1 = none) and that row's generation, and
+ * the verdict, whose guard is the validity condition — GUARD_STABLE
+ * None, GUARD_EPOCH the epoch in g_val, otherwise the (kind, g_idx,
+ * g_val) counter guard.  The memo of a key is always its head's: c_commit
+ * clears it as it pops the head, so a row is never released under it. */
 typedef struct {
-    PyObject *pkt;
+    int32_t row;
+    uint32_t gen;
     Verdict v;
 } Memo;
 
 /* One input FIFO (soa.in_q[gk]) with its key's memo, the fields the
  * allocation scan reads first: a memo hit touches this record only. */
 typedef struct {
-    PyObject *head;      /* borrowed from the ring; NULL: the FIFO is empty */
+    int32_t head;        /* the ring's first row; -1: the FIFO is empty */
     int64_t size;        /* the head's size */
     Memo memo;
-    Ring ring;           /* (pkt, size, 0) entries */
+    Ring ring;           /* (row, 0, size) entries */
 } InQ;
 
 /* Always-on kernel counters (int64 slots of eq._ckcounters, so they
  * outlive the KState); ck_counters names them. */
 enum { C_DRAINS, C_CALL, C_GEN, C_SINK, C_DECIDE, C_OVERRIDE, C_INBOX,
        C_MIRRORS, C_PEAK_PENDING, C_PEAK_BUCKET, C_STEPS, C_SCAN_KEYS,
-       C_INDEX_RELOADS, C_INQ_ABSORBED, N_CTR };
+       C_INDEX_RELOADS, C_INQ_ABSORBED, C_MATERIALIZED, C_PEAK_ROWS, N_CTR };
 
 static const char *const CTR_NAMES[N_CTR] = {
     "drains", "reentries_call", "reentries_gen", "reentries_sink",
     "reentries_decide", "reentries_override", "inbox_records",
     "full_mirrors", "peak_pending_records", "peak_bucket_len", "steps",
-    "scan_keys", "index_reloads", "inq_absorbed",
+    "scan_keys", "index_reloads", "inq_absorbed", "packets_materialized",
+    "peak_packet_rows",
 };
 
 /* buffer rows of the tables below: 21 store, 1 queue, 5 simulation */
@@ -725,8 +750,9 @@ typedef struct {
     /* wiring, per port: Router.out_peer / Router.upstream as (router
      * index, port), -1 where None (node ports) */
     int32_t *peer_rid, *peer_port, *up_rid, *up_port;
-    PacketSlots ps;
+    Pool pool;           /* the packets */
     PyTypeObject *packet_type; /* owned */
+    Py_ssize_t pk_off[N_PK]; /* its __slots__ member offsets, per column */
     Py_ssize_t r_arb_time;
     RState *routers;
     PyTypeObject *router_type; /* borrowed: the routers' common type */
@@ -787,7 +813,6 @@ lstate_clear(LState *ls)
     Py_CLEAR(ls->sim);
     rng_clear(&ls->rng);
     Py_CLEAR(ls->desc);
-    Py_CLEAR(ls->psize_obj);
     PyMem_Free(ls->offsets);
     PyMem_Free(ls->perm);
 }
@@ -795,17 +820,8 @@ lstate_clear(LState *ls)
 static inline void
 memo_clear(Memo *m)
 {
-    Py_CLEAR(m->pkt);
+    m->row = -1;
     Py_CLEAR(m->v.dec);
-}
-
-static void
-ring_clear(Ring *r)
-{
-    for (; r->len > 0; r->len--) {
-        Py_DECREF(r->e[r->head].pkt);
-        r->head = (r->head + 1) & (r->cap - 1);
-    }
 }
 
 /* Free the native structures, dropping what they still own (nothing,
@@ -814,11 +830,12 @@ static void
 native_free(KState *ks)
 {
     Calendar *c = &ks->cal;
+    Pool *p = &ks->pool;
     Py_ssize_t i, k;
     for (i = 0; i < c->npool; i++) {
         Bucket *b = &c->pool[i];
         for (k = 0; k < b->len; k++)
-            if (REC_HAS_OBJ(&b->recs[k]))
+            if (b->recs[k].rid == REC_TUPLE)
                 Py_DECREF(b->recs[k].u.obj);
         PyMem_Free(b->recs);
     }
@@ -826,17 +843,19 @@ native_free(KState *ks)
     PyMem_Free(c->heap);
     PyMem_Free(c->tk);
     PyMem_Free(c->tv);
-    for (i = 0; ks->rings != NULL && i < ks->num_routers * ks->radix; i++) {
-        ring_clear(&ks->rings[i]);
+    for (i = 0; ks->rings != NULL && i < ks->num_routers * ks->radix; i++)
         PyMem_Free(ks->rings[i].e);
-    }
     PyMem_Free(ks->rings);
     for (i = 0; ks->inq != NULL && i < ks->num_routers * ks->nkeys; i++) {
         memo_clear(&ks->inq[i].memo);
-        ring_clear(&ks->inq[i].ring);
         PyMem_Free(ks->inq[i].ring.e);
     }
     PyMem_Free(ks->inq);
+    for (i = 0; i < p->hi; i++)
+        Py_XDECREF(p->obj[i]);
+    PyMem_Free(p->pk);
+    PyMem_Free(p->obj);
+    PyMem_Free(p->gen);
 }
 
 static void
@@ -1088,7 +1107,6 @@ static const Attr SIM_ATTRS[] = {
     {"rng_traffic", offsetof(LState, rng.rng), A_OBJ},
     {"_lower", offsetof(LState, desc), A_OBJ},
     {"_psize", offsetof(LState, psize), A_I64},
-    {"_psize", offsetof(LState, psize_obj), A_OBJ},
     {"_end_time", offsetof(LState, end_time), A_I64},
     {"_log_q", offsetof(LState, log_q), A_F64_OPT},
     {"_ms_table", offsetof(LState, ms_table), A_BUF_Q, L_RR},
@@ -1226,6 +1244,186 @@ router_state(const KState *ks, PyObject *o)
         return NULL;
     }
     return &ks->routers[i];
+}
+
+/* ------------------------------------------------------------------ */
+/* packet rows                                                         */
+/* ------------------------------------------------------------------ */
+
+/* Inside a drain a packet is a row of ks->pool: c_gen fills one, the
+ * handlers read and write its columns, and delivery releases it.  The
+ * Packet object of a row is built the first time Python must see the
+ * packet (row_obj) and stays attached to the row, so that every later
+ * crossing hands Python the same object; a Packet Python made is taken
+ * into a fresh row with the object attached (row_absorb).  The row is
+ * the truth while the drain runs: row_obj writes it into the object,
+ * row_load reads the object back after Python had it.  Every mirror out
+ * hands the objects to Python and empties the pool (pool_reset), and
+ * mirror in takes them back, so a row never outlives the drain. */
+
+#define PK(ks, row) ((ks)->pool.pk + (size_t)(row) * N_PK)
+
+/* Double the pool (or first allocate it, `rows` rows). */
+static int
+pool_grow(Pool *p, int32_t rows)
+{
+    int64_t cap = p->cap ? 2 * (int64_t)p->cap : (rows > 8 ? rows : 8), i;
+    /* a block that grew is kept even if a later one fails; rows are
+     * int32 indices */
+    int64_t *pk = cap > INT32_MAX ? NULL : PyMem_Realloc(
+        p->pk, (size_t)cap * N_PK * sizeof(int64_t));
+    PyObject **obj = pk ? PyMem_Realloc(p->obj, (size_t)cap
+                                        * sizeof(PyObject *)) : NULL;
+    uint32_t *gen = obj ? PyMem_Realloc(p->gen, (size_t)cap
+                                        * sizeof(uint32_t)) : NULL;
+    p->pk = pk ? pk : p->pk;
+    p->obj = obj ? obj : p->obj;
+    if (gen == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    p->gen = gen;
+    for (i = p->cap; i < cap; i++) {
+        p->obj[i] = NULL;
+        p->gen[i] = 0;
+    }
+    p->cap = (int32_t)cap;
+    return 0;
+}
+
+/* A free row (its columns unset), -1 on error. */
+static inline int32_t
+row_alloc(KState *ks)
+{
+    Pool *p = &ks->pool;
+    int32_t row = p->free;
+    if (row >= 0)
+        p->free = (int32_t)PK(ks, row)[PK_PID];
+    else {
+        if (p->hi == p->cap && pool_grow(p, p->hi) < 0)
+            return -1;
+        row = p->hi++;
+    }
+    if (++p->live > ks->ctr[C_PEAK_ROWS])
+        ks->ctr[C_PEAK_ROWS] = p->live;
+    return row;
+}
+
+/* Row -> the fields of Packet `o`: each slot that does not hold the
+ * column's value as a one-digit int (as_ll's fast case) is rewritten. */
+static int
+row_store(KState *ks, int32_t row, PyObject *o)
+{
+    const int64_t *pk = PK(ks, row);
+    int f;
+    for (f = 0; f < N_PK; f++) {
+        PyObject **slot = (PyObject **)((char *)o + ks->pk_off[f]), *v = *slot;
+        if (v != NULL && PyLong_CheckExact(v) && Py_SIZE(v) >= -1
+            && Py_SIZE(v) <= 1 && as_ll(v) == pk[f])
+            continue;
+        if ((v = PyLong_FromLongLong((long long)pk[f])) == NULL)
+            return -1;
+        Py_XSETREF(*slot, v);
+    }
+    return 0;
+}
+
+/* The fields of Packet `o` -> row: each must be an int in int64 range. */
+static int
+row_load(KState *ks, int32_t row, PyObject *o)
+{
+    int64_t *pk = PK(ks, row);
+    int f;
+    for (f = 0; f < N_PK; f++) {
+        PyObject *v = *(PyObject **)((char *)o + ks->pk_off[f]);
+        if (v == NULL || !PyLong_Check(v)
+            || ((pk[f] = as_ll(v)) == -1 && PyErr_Occurred()))
+            break;
+    }
+    if (f == N_PK)
+        return 0;
+    PyErr_Clear();
+    PyErr_Format(PyExc_TypeError, "Packet.%s must be an int64 inside the "
+                 "compiled drain", PK_NAMES[f]);
+    return -1;
+}
+
+/* Release `row`, writing it into its Packet first (which Python may
+ * hold). */
+static int
+row_release(KState *ks, int32_t row)
+{
+    Pool *p = &ks->pool;
+    PyObject *o = p->obj[row];
+    int rc = 0;
+    if (o != NULL) {
+        rc = row_store(ks, row, o);
+        p->obj[row] = NULL;
+        Py_DECREF(o);
+    }
+    p->gen[row] += 1;
+    PK(ks, row)[PK_PID] = p->free;
+    p->free = row;
+    p->live -= 1;
+    return rc;
+}
+
+/* The Packet of `row` (borrowed: the row owns it), built and attached the
+ * first time, with the row's fields written into it. */
+static PyObject *
+row_obj(KState *ks, int32_t row)
+{
+    PyTypeObject *tp = ks->packet_type;
+    PyObject *o = ks->pool.obj[row];
+    if (o != NULL)
+        return row_store(ks, row, o) < 0 ? NULL : o;
+    if ((o = tp->tp_alloc(tp, 0)) == NULL)
+        return NULL;
+    if (row_store(ks, row, o) < 0) {
+        Py_DECREF(o);
+        return NULL;
+    }
+    /* Every slot holds an int, so it can close no reference cycle:
+     * untracked, it costs the young generation no traversal. */
+    PyObject_GC_UnTrack(o);
+    ks->pool.obj[row] = o;
+    ks->ctr[C_MATERIALIZED] += 1;
+    return o;
+}
+
+/* A fresh row holding Packet `o`, attached; -1 with an error set when
+ * `o` is not a Packet with int64 fields. */
+static int32_t
+row_absorb(KState *ks, PyObject *o)
+{
+    int32_t row;
+    if (!PyObject_TypeCheck(o, ks->packet_type)) {
+        PyErr_SetString(PyExc_TypeError, "not a Packet");
+        return -1;
+    }
+    if ((row = row_alloc(ks)) < 0)
+        return -1;
+    if (row_load(ks, row, o) < 0) {
+        row_release(ks, row);
+        return -1;
+    }
+    ks->pool.obj[row] = Py_NewRef(o);
+    return row;
+}
+
+/* Empty the pool (the end of a mirror out: Python holds every packet).
+ * A row an error path dropped is reclaimed here too. */
+static void
+pool_reset(KState *ks)
+{
+    Pool *p = &ks->pool;
+    int32_t row;
+    for (row = 0; row < p->hi; row++) {
+        Py_CLEAR(p->obj[row]);
+        p->gen[row] += 1;
+    }
+    p->hi = p->live = 0;
+    p->free = -1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1391,7 +1589,8 @@ cal_open(Calendar *c, int64_t t)
 }
 
 /* Append `rec` to the cycle-`t` bucket (EventQueue.post and the routers'
- * inlined posting blocks).  Takes over rec.u.obj, also on failure. */
+ * inlined posting blocks).  Takes over a whole record's tuple, also on
+ * failure (an error drops a packet's row: pool_reset reclaims it). */
 static int
 cal_post(KState *ks, int64_t t, Rec rec)
 {
@@ -1408,7 +1607,7 @@ cal_post(KState *ks, int64_t t, Rec rec)
         ks->ctr[C_PEAK_PENDING] = c->npend;
     return 0;
 fail:
-    if (REC_HAS_OBJ(&rec))
+    if (rec.rid == REC_TUPLE)
         Py_DECREF(rec.u.obj);
     return -1;
 }
@@ -1421,18 +1620,17 @@ arm_step(KState *ks, RState *rs, int64_t target)
     if (rs->arb != ARB_NONE && rs->arb <= target)
         return 0;
     rs->arb = target;
-    return cal_post(ks, target, REC(OP_STEP, rs->rid, 0, 0, NULL));
+    return cal_post(ks, target, REC(OP_STEP, rs->rid, 0, 0, 0));
 }
 
-/* Append (pkt, vc, t_arr) to an output FIFO; takes over `pkt`. */
+/* Append (row, vc, t_arr) to an output FIFO. */
 static int
-ring_push(Ring *r, PyObject *pkt, int64_t vc, int64_t t_arr)
+ring_push(Ring *r, int32_t row, int64_t vc, int64_t t_arr)
 {
     if (r->len == r->cap) {
         Py_ssize_t ncap = r->cap ? 2 * r->cap : 4, i;
         FifoEnt *e = PyMem_Malloc((size_t)ncap * sizeof(FifoEnt));
         if (e == NULL) {
-            Py_DECREF(pkt);
             PyErr_NoMemory();
             return -1;
         }
@@ -1443,37 +1641,38 @@ ring_push(Ring *r, PyObject *pkt, int64_t vc, int64_t t_arr)
         r->head = 0;
         r->cap = ncap;
     }
-    r->e[(r->head + r->len++) & (r->cap - 1)] = (FifoEnt){pkt, vc, t_arr};
+    r->e[(r->head + r->len++) & (r->cap - 1)] =
+        (FifoEnt){row, (int32_t)vc, t_arr};
     return 0;
 }
 
-/* Append `pkt` of `size` to an input FIFO; takes over `pkt`. */
+/* Append `row` of `size` to an input FIFO. */
 static inline int
-inq_push(InQ *q, PyObject *pkt, int64_t size)
+inq_push(InQ *q, int32_t row, int64_t size)
 {
-    if (ring_push(&q->ring, pkt, size, 0) < 0)
+    if (ring_push(&q->ring, row, 0, size) < 0)
         return -1;
-    if (q->head == NULL) {
-        q->head = pkt;
+    if (q->head < 0) {
+        q->head = row;
         q->size = size;
     }
     return 0;
 }
 
-/* Pop an input FIFO's head (non-empty); the reference is the caller's. */
-static inline PyObject *
+/* Pop an input FIFO's head row (non-empty). */
+static inline int32_t
 inq_pop(InQ *q)
 {
     Ring *r = &q->ring;
-    PyObject *pkt = q->head;
+    int32_t row = q->head;
     r->head = (r->head + 1) & (r->cap - 1);
     if (--r->len > 0) {
-        q->head = r->e[r->head].pkt;
-        q->size = r->e[r->head].vc;
+        q->head = r->e[r->head].row;
+        q->size = r->e[r->head].t_arr;
     }
     else
-        q->head = NULL;
-    return pkt;
+        q->head = -1;
+    return row;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1725,22 +1924,25 @@ small_field(PyObject *o, int64_t limit, int32_t *out)
     return 1;
 }
 
-/* The native form of activation tuple `tup`, owning a new reference to
- * what it keeps; a tuple the fields cannot hold stays whole.  (Refusing a
- * typed one is left to dispatch, so that mirroring never fails half-way
- * and the record runs into its error where py_drain's would.) */
-static Rec
-rec_from_tuple(KState *ks, PyObject *tup)
+/* The native form of activation tuple `tup` into *r, owning a new
+ * reference to the tuple if it keeps it whole: when `whole` says so (a
+ * record the bucket being drained has already run: it only round-trips)
+ * or when the fields cannot hold it — a packet among them that is not a
+ * Packet with int64 fields included.  (Refusing a typed one is left to
+ * dispatch, so that the record runs into its error where py_drain's
+ * would.)  -1 only when memory (or the pool's row range) runs out. */
+static int
+rec_from_tuple(KState *ks, PyObject *tup, int whole, Rec *r)
 {
     /* tuple length and the positions of b and the packet, per opcode */
     static const int8_t arity[10] = {0, 2, 5, 5, 3, 4, 4, 5, 2, 2};
     static const int8_t b_at[10] = {0, 0, 3, 4, 0, 3, 3, 3, 0, 0};
-    static const int8_t obj_at[10] = {0, 0, 4, 3, 0, 0, 0, 0, 1, 0};
-    Rec r = REC(OP_CALL, REC_TUPLE, 0, 0, tup);
+    static const int8_t pkt_at[10] = {0, 0, 4, 3, 0, 0, 0, 0, 1, 0};
     PyObject **it;
     RState *rs;
     int64_t op;
-    if (!PyTuple_CheckExact(tup) || PyTuple_GET_SIZE(tup) < 1
+    *r = REC(OP_CALL, REC_TUPLE, 0, 0, 0);
+    if (whole || !PyTuple_CheckExact(tup) || PyTuple_GET_SIZE(tup) < 1
         || !PyLong_CheckExact(PyTuple_GET_ITEM(tup, 0)))
         goto whole;
     it = ((PyTupleObject *)tup)->ob_item;
@@ -1749,67 +1951,74 @@ rec_from_tuple(KState *ks, PyObject *tup)
         PyErr_Clear();
         goto whole; /* py_drain runs anything else as a callback */
     }
-    r.op = (int32_t)op; /* a whole record keeps its weight and dispatch */
+    r->op = (int32_t)op; /* a whole record keeps its weight and dispatch */
     if (PyTuple_GET_SIZE(tup) != arity[op])
         goto whole;
     if (op == OP_GEN) {
         /* a lowered generator indexes its node tables with it */
         if (!small_field(it[1], ks->low.sim ? ks->low.num_nodes : INT32_MAX,
-                         &r.a))
+                         &r->a))
             goto whole;
-        r.rid = REC_NONE;
-        return r;
+        r->rid = REC_NONE;
+        return 0;
     }
     if (op != OP_DELIVER) {
-        int64_t size = 0;
         if ((rs = router_state(ks, it[1])) == NULL)
             goto whole;
-        if (op != OP_STEP && !small_field(it[2], rs->radix, &r.a))
+        if (op != OP_STEP && !small_field(it[2], rs->radix, &r->a))
             goto whole;
         /* b is a VC (an index) except on OP_LINK / OP_RELEASE: a size */
         if (b_at[op]
             && !small_field(it[b_at[op]],
                             (op == OP_LINK || op == OP_RELEASE)
-                                ? INT32_MAX : rs->max_vcs, &r.b))
+                                ? INT32_MAX : rs->max_vcs, &r->b))
             goto whole;
         if (op == OP_CREDIT) {
             if (!PyLong_CheckExact(it[4]))
                 goto whole;
-            size = as_ll(it[4]);
-            if (size == -1 && PyErr_Occurred()) {
+            r->u.c = as_ll(it[4]);
+            if (r->u.c == -1 && PyErr_Occurred()) {
                 PyErr_Clear();
                 goto whole;
             }
         }
-        r.rid = (int32_t)rs->rid;
-        r.u.c = size;
+        r->rid = (int32_t)rs->rid;
     }
     else
-        r.rid = REC_NONE;
-    if (obj_at[op])
-        r.u.obj = Py_NewRef(it[obj_at[op]]);
-    return r;
+        r->rid = REC_NONE;
+    if (pkt_at[op] && (r->u.c = row_absorb(ks, it[pkt_at[op]])) < 0) {
+        if (!PyErr_ExceptionMatches(PyExc_TypeError))
+            return -1; /* out of memory, or of rows */
+        PyErr_Clear();
+        goto whole;
+    }
+    return 0;
 whole:
-    r.rid = REC_TUPLE;
-    r.a = r.b = 0;
-    r.u.obj = Py_NewRef(tup);
-    return r;
+    r->rid = REC_TUPLE;
+    r->a = r->b = 0;
+    r->u.obj = Py_NewRef(tup);
+    return 0;
 }
 
-/* The activation tuple of `r` (new reference), taking over r->u.obj. */
+/* The activation tuple of `r` (new reference); a packet's is its row's
+ * Packet. */
 static PyObject *
 tuple_from_rec(KState *ks, const Rec *r)
 {
     PyObject *router = r->rid >= 0 ? ks->routers[r->rid].router : NULL;
+    PyObject *pkt = NULL;
     if (r->rid == REC_TUPLE)
-        return r->u.obj;
+        return Py_NewRef(r->u.obj);
+    if ((r->op == OP_ARRIVE || r->op == OP_OUT_ARRIVE || r->op == OP_DELIVER)
+        && (pkt = row_obj(ks, (int32_t)r->u.c)) == NULL)
+        return NULL;
     switch (r->op) {
     case OP_STEP:
         return Py_BuildValue("(iO)", r->op, router);
     case OP_ARRIVE:
-        return Py_BuildValue("(iOiiN)", r->op, router, r->a, r->b, r->u.obj);
+        return Py_BuildValue("(iOiiO)", r->op, router, r->a, r->b, pkt);
     case OP_OUT_ARRIVE:
-        return Py_BuildValue("(iOiNi)", r->op, router, r->a, r->u.obj, r->b);
+        return Py_BuildValue("(iOiOi)", r->op, router, r->a, pkt, r->b);
     case OP_SEND:
         return Py_BuildValue("(iOi)", r->op, router, r->a);
     case OP_LINK:
@@ -1819,16 +2028,16 @@ tuple_from_rec(KState *ks, const Rec *r)
         return Py_BuildValue("(iOiiL)", r->op, router, r->a, r->b,
                              (long long)r->u.c);
     case OP_DELIVER:
-        return Py_BuildValue("(iN)", r->op, r->u.obj);
+        return Py_BuildValue("(iO)", r->op, pkt);
     default: /* OP_GEN */
         return Py_BuildValue("(ii)", r->op, r->a);
     }
 }
 
 /* soa.in_q[gk] -> its ring, behind what the ring holds, leaving the list
- * empty (None stays None).  Each entry must be a Packet whose size is an
- * int: the kernel reads its slots and caches the size.  Returns how many
- * entries moved; on error none did. */
+ * empty (None stays None).  Each entry must be a Packet with int64
+ * fields: it becomes a row.  Returns how many entries moved; on error
+ * none did. */
 static Py_ssize_t
 load_inq(KState *ks, Py_ssize_t gk)
 {
@@ -1844,18 +2053,16 @@ load_inq(KState *ks, Py_ssize_t gk)
     }
     n = PyList_GET_SIZE(q);
     for (i = 0; i < n; i++) {
-        PyObject *pkt = PyList_GET_ITEM(q, i), *size;
-        if (!PyObject_TypeCheck(pkt, ks->packet_type)
-            || (size = slot_get(pkt, ks->ps.size)) == NULL
-            || !PyLong_CheckExact(size)
-            || (as_ll(size) == -1 && PyErr_Occurred())) {
-            PyErr_Clear(); /* a size beyond int64 */
+        PyObject *pkt = PyList_GET_ITEM(q, i);
+        int32_t row = row_absorb(ks, pkt);
+        if (row < 0) {
+            PyErr_Clear();
             PyErr_Format(ks->flow_err, "router %zd: input key %zd holds %R, "
-                         "not a Packet with an int size", gk / ks->nkeys,
+                         "not a Packet with int64 fields", gk / ks->nkeys,
                          gk % ks->nkeys, pkt);
             goto undo;
         }
-        if (inq_push(iq, Py_NewRef(pkt), as_ll(size)) < 0)
+        if (inq_push(iq, row, PK(ks, row)[PK_SIZE]) < 0)
             goto undo;
     }
     if (n > 0 && PyList_SetSlice(q, 0, n, NULL) < 0)
@@ -1864,10 +2071,10 @@ load_inq(KState *ks, Py_ssize_t gk)
 undo: /* the list still holds them all */
     while (iq->ring.len > len0) {
         Ring *r = &iq->ring;
-        Py_DECREF(r->e[(r->head + --r->len) & (r->cap - 1)].pkt);
+        row_release(ks, r->e[(r->head + --r->len) & (r->cap - 1)].row);
     }
     if (len0 == 0)
-        iq->head = NULL;
+        iq->head = -1;
     return -1;
 }
 
@@ -1890,11 +2097,17 @@ store_inq(KState *ks)
             continue;
         if ((front = PyList_New(r->len)) == NULL)
             return -1;
-        for (k = 0; r->len > 0; k++, r->len--) {
-            PyList_SET_ITEM(front, k, r->e[r->head].pkt);
-            r->head = (r->head + 1) & (r->cap - 1);
+        for (k = 0; k < r->len; k++) {
+            PyObject *pkt =
+                row_obj(ks, r->e[(r->head + k) & (r->cap - 1)].row);
+            if (pkt == NULL) {
+                Py_DECREF(front);
+                return -1;
+            }
+            PyList_SET_ITEM(front, k, Py_NewRef(pkt));
         }
-        iq->head = NULL;
+        r->len = 0;
+        iq->head = -1;
         rc = PyList_SetSlice(q, 0, 0, front);
         Py_DECREF(front);
         if (rc < 0)
@@ -1918,7 +2131,8 @@ store_inq(KState *ks)
  * arm_step, the mark reset, the router's injection FIFOs absorbed and its
  * active-key index re-checked (a failure is raised again once the inbox
  * is all in).  Without, the dict is the whole calendar and eq._times its
- * heap (a bucket being drained is in one, not the other). */
+ * heap (a bucket being drained is in one, not the other, and the records
+ * it has run stay whole). */
 static int
 load_buckets(KState *ks, int inbox)
 {
@@ -1927,6 +2141,7 @@ load_buckets(KState *ks, int inbox)
     RState *bad = NULL;
     while (PyDict_Next(ks->buckets, &pos, &key, &bucket)) {
         int64_t t = as_ll(key);
+        Py_ssize_t keep = (!inbox && t == ks->cal.keep_t) ? ks->cal.keep : 0;
         if ((t == -1 && PyErr_Occurred()) || !PyList_CheckExact(bucket)) {
             if (!PyErr_Occurred())
                 PyErr_SetString(PyExc_TypeError,
@@ -1934,7 +2149,10 @@ load_buckets(KState *ks, int inbox)
             return -1;
         }
         for (i = 0; i < PyList_GET_SIZE(bucket); i++) {
-            Rec r = rec_from_tuple(ks, PyList_GET_ITEM(bucket, i));
+            Rec r;
+            if (rec_from_tuple(ks, PyList_GET_ITEM(bucket, i), i < keep, &r)
+                < 0)
+                return -1;
             if (inbox && r.op == OP_STEP && r.rid >= 0) {
                 RState *rs = &ks->routers[r.rid];
                 Py_ssize_t gk, moved;
@@ -1995,17 +2213,14 @@ store_buckets(KState *ks)
         for (k = 0; k < b->len; k++) {
             PyObject *tup = tuple_from_rec(ks, &b->recs[k]);
             if (tup == NULL) {
-                /* records 0..k are gone (with the list, or consumed by
-                 * the failed build): keep the rest native */
-                b->len -= k + 1;
-                c->npend -= k + 1;
-                memmove(b->recs, b->recs + k + 1,
-                        (size_t)b->len * sizeof(Rec));
-                Py_DECREF(list);
+                Py_DECREF(list); /* the bucket stays native, whole */
                 return -1;
             }
             PyList_SET_ITEM(list, k, tup);
         }
+        for (k = 0; k < b->len; k++)
+            if (b->recs[k].rid == REC_TUPLE)
+                Py_DECREF(b->recs[k].u.obj); /* the list holds it now */
         c->npend -= b->len;
         b->len = 0;
         key = PyLong_FromLongLong((long long)b->t);
@@ -2042,13 +2257,15 @@ load_fifos(KState *ks)
         for (i = 0; i < n; i++) {
             PyObject *e = PyList_GET_ITEM(fifo, i);
             int64_t vc, t_arr;
+            int32_t row;
             if (!PyTuple_CheckExact(e) || PyTuple_GET_SIZE(e) != 3)
                 goto bad;
             vc = as_ll(PyTuple_GET_ITEM(e, 1));
             t_arr = as_ll(PyTuple_GET_ITEM(e, 2));
-            if (PyErr_Occurred()
-                || ring_push(&ks->rings[gp], Py_NewRef(PyTuple_GET_ITEM(e, 0)),
-                             vc, t_arr) < 0)
+            if (PyErr_Occurred() || vc < 0 || vc >= ks->max_vcs)
+                goto bad;
+            if ((row = row_absorb(ks, PyTuple_GET_ITEM(e, 0))) < 0
+                || ring_push(&ks->rings[gp], row, vc, t_arr) < 0)
                 goto bad;
         }
         if (n > 0 && PyList_SetSlice(fifo, 0, n, NULL) < 0)
@@ -2056,10 +2273,10 @@ load_fifos(KState *ks)
     }
     return 0;
 bad:
-    ring_clear(&ks->rings[gp]); /* the list still has its entries */
+    ks->rings[gp].len = 0; /* the list still has its entries */
     if (!PyErr_Occurred())
-        PyErr_SetString(PyExc_TypeError,
-                        "soa.out_fifo entries are not (pkt, vc, t) tuples");
+        PyErr_SetString(PyExc_TypeError, "soa.out_fifo entries are not "
+                        "(Packet, vc, t) tuples");
     return -1;
 }
 
@@ -2072,17 +2289,18 @@ store_fifos(KState *ks)
         Ring *r = &ks->rings[gp];
         while (r->len > 0) {
             FifoEnt *e = &r->e[r->head];
-            /* the entry takes the packet over, also when it fails */
-            PyObject *entry = Py_BuildValue("(NLL)", e->pkt, (long long)e->vc,
-                                            (long long)e->t_arr);
+            PyObject *pkt = row_obj(ks, e->row), *entry;
+            int rc;
+            if (pkt == NULL
+                || (entry = Py_BuildValue("(OLL)", pkt, (long long)e->vc,
+                                          (long long)e->t_arr)) == NULL)
+                return -1;
+            rc = PyList_Append(PyList_GET_ITEM(ks->out_fifo, gp), entry);
+            Py_DECREF(entry);
+            if (rc < 0)
+                return -1;
             r->head = (r->head + 1) & (r->cap - 1);
             r->len -= 1;
-            if (entry == NULL
-                || PyList_Append(PyList_GET_ITEM(ks->out_fifo, gp), entry) < 0) {
-                Py_XDECREF(entry);
-                return -1;
-            }
-            Py_DECREF(entry);
         }
     }
     return 0;
@@ -2161,8 +2379,10 @@ guard_from_py(KState *ks, PyObject *cond, Verdict *v)
     return 1;
 }
 
-/* soa.dc_pkt / dc_dec / dc_cond -> memo, leaving the lists all None.  An
- * entry that does not parse is dropped: a memo is only ever a shortcut. */
+/* soa.dc_pkt / dc_dec / dc_cond -> memo, leaving the lists all None (the
+ * input FIFOs are in).  An entry that does not parse, or is not for its
+ * FIFO's head — the only packet it can match — is dropped: a memo is only
+ * ever a shortcut. */
 static int
 load_memo(KState *ks)
 {
@@ -2171,14 +2391,20 @@ load_memo(KState *ks)
     int j;
     for (gk = 0; gk < ks->num_routers * ks->nkeys; gk++) {
         PyObject *pkt = PyList_GET_ITEM(ks->dc_pkt, gk);
-        Memo *m = &ks->inq[gk].memo;
+        InQ *iq = &ks->inq[gk];
+        Memo *m = &iq->memo;
         if (pkt == Py_None)
             continue;
-        if (verdict_from_py(ks, Py_NewRef(PyList_GET_ITEM(ks->dc_dec, gk)),
-                            &m->v) < 0)
+        if (iq->head < 0 || ks->pool.obj[iq->head] != pkt)
+            ;
+        else if (verdict_from_py(
+                     ks, Py_NewRef(PyList_GET_ITEM(ks->dc_dec, gk)), &m->v)
+                 < 0)
             PyErr_Clear();
-        else if (guard_from_py(ks, PyList_GET_ITEM(ks->dc_cond, gk), &m->v))
-            m->pkt = Py_NewRef(pkt);
+        else if (guard_from_py(ks, PyList_GET_ITEM(ks->dc_cond, gk), &m->v)) {
+            m->row = iq->head;
+            m->gen = ks->pool.gen[iq->head];
+        }
         else
             Py_CLEAR(m->v.dec);
         for (j = 0; j < 3; j++)
@@ -2196,9 +2422,11 @@ store_memo(KState *ks)
     for (gk = 0; gk < ks->num_routers * ks->nkeys; gk++) {
         Memo *m = &ks->inq[gk].memo;
         const Verdict *v = &m->v;
-        PyObject *dec, *cond;
-        if (m->pkt == NULL)
+        PyObject *pkt, *dec, *cond;
+        if (m->row < 0)
             continue;
+        if ((pkt = row_obj(ks, m->row)) == NULL)
+            return -1;
         dec = verdict_tuple(v);
         if (v->guard == GUARD_STABLE)
             cond = Py_NewRef(Py_None);
@@ -2213,7 +2441,7 @@ store_memo(KState *ks)
             return -1;
         }
         /* PyList_SetItem takes its item over either way: no short-circuit */
-        if ((PyList_SetItem(ks->dc_pkt, gk, Py_NewRef(m->pkt)) < 0)
+        if ((PyList_SetItem(ks->dc_pkt, gk, Py_NewRef(pkt)) < 0)
             | (PyList_SetItem(ks->dc_dec, gk, dec) < 0)
             | (PyList_SetItem(ks->dc_cond, gk, cond) < 0))
             return -1;
@@ -2247,16 +2475,19 @@ mirror_in(KState *ks)
             return -1;
         slot_set(rs->router, ks->r_arb_time, Py_NewRef(Py_None));
     }
-    if (load_buckets(ks, 0) < 0 || load_fifos(ks) < 0 || load_memo(ks) < 0)
+    if (load_buckets(ks, 0) < 0 || load_fifos(ks) < 0)
         return -1;
     for (i = 0; i < ks->num_routers * ks->nkeys; i++)
         if (load_inq(ks, i) < 0)
             return -1;
+    if (load_memo(ks) < 0)
+        return -1;
     return kstate_rng_in(ks);
 }
 
 /* Hand it all back: every exit of the drain, and before code that may
- * read or change any of it.  The native structures end up empty. */
+ * read or change any of it.  The native structures and the packet pool
+ * end up empty. */
 static int
 mirror_out(KState *ks)
 {
@@ -2274,6 +2505,8 @@ mirror_out(KState *ks)
     if (store_buckets(ks) < 0 || store_fifos(ks) < 0 || store_memo(ks) < 0
         || store_inq(ks) < 0)
         rc = -1;
+    else
+        pool_reset(ks); /* every row's packet is Python's now */
     if (kstate_rng_out(ks) < 0)
         rc = -1;
     return rc;
@@ -2316,6 +2549,28 @@ call_hook(KState *ks, int kind, PyObject *fn, Py_ssize_t nargs, PyObject *a,
     return absorb_inbox(ks);
 }
 
+/* call_hook with the Packet of `row` as the first argument, then `nargs`
+ * - 1 of b, c: the row's fields go into the object before the call and
+ * come back after it, also when it raised (keeping its exception). */
+static int
+call_pkt_hook(KState *ks, int kind, PyObject *fn, int32_t row,
+              Py_ssize_t nargs, PyObject *b, PyObject *c)
+{
+    PyObject *pkt = row_obj(ks, row), *et, *ev, *tb;
+    int rc;
+    if (pkt == NULL)
+        return -1;
+    rc = call_hook(ks, kind, fn, nargs, pkt, b, c);
+    PyErr_Fetch(&et, &ev, &tb);
+    if (row_load(ks, row, pkt) < 0) {
+        if (et == NULL)
+            return -1;
+        PyErr_Clear();
+    }
+    PyErr_Restore(et, ev, tb);
+    return rc;
+}
+
 /* ------------------------------------------------------------------ */
 /* lowered OP_GEN / OP_DELIVER handlers (twins: see the header map)    */
 /* ------------------------------------------------------------------ */
@@ -2323,14 +2578,12 @@ call_hook(KState *ks, int kind, PyObject *fn, Py_ssize_t nargs, PyObject *a,
 static int
 c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
 {
-    int64_t dst, src_router, dst_router, key, gap;
-    PyObject *pkt, *t_obj;
+    int64_t dst, src_router, dst_router, key, gap, *pk;
+    int32_t row;
     RState *rs;
 
     if (t >= ls->end_time)
         return 0;
-    if ((t_obj = now_obj(ks, t)) == NULL)
-        return -1;
 
     /* destination draw: same rejection sampling, same stream position */
     switch (ls->kind) {
@@ -2364,66 +2617,30 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
     dst_router = dst / ls->p;
     ls->pid += 1;
 
-    {
-        /* Direct-slot twin of Packet.__init__(pid, size, src_node,
-         * src_router, src_group, dst_node, dst_router, dst_group,
-         * dst_local_router, dst_node_port, gen_time, base_latency):
-         * tp_alloc leaves every slot NULL, then each store below
-         * mirrors one assignment (including the derived defaults), so
-         * the object is indistinguishable from a constructor call
-         * without bouncing through the interpreted __init__ per
-         * packet. */
-        PyTypeObject *tp = ks->packet_type;
-        PyObject *sg_obj, *v;
-        pkt = tp->tp_alloc(tp, 0);
-        if (pkt == NULL)
-            return -1;
-#define PKT_SET(slot, expr)                                             \
-        do {                                                            \
-            v = (expr);                                                 \
-            if (v == NULL) {                                            \
-                Py_DECREF(pkt);                                         \
-                return -1;                                              \
-            }                                                           \
-            slot_set(pkt, ks->ps.slot, v);                              \
-        } while (0)
-        PKT_SET(pid, PyLong_FromLongLong((long long)ls->pid));
-        PKT_SET(size, Py_NewRef(ls->psize_obj));
-        PKT_SET(src_node, PyLong_FromLongLong((long long)node));
-        PKT_SET(src_router, PyLong_FromLongLong((long long)src_router));
-        sg_obj = PyLong_FromLongLong((long long)(src_router / ls->a));
-        PKT_SET(src_group, sg_obj);
-        PKT_SET(current_group, Py_NewRef(sg_obj));
-        PKT_SET(dst_node, PyLong_FromLongLong((long long)dst));
-        PKT_SET(dst_router, PyLong_FromLongLong((long long)dst_router));
-        PKT_SET(dst_group,
-                PyLong_FromLongLong((long long)(dst_router / ls->a)));
-        PKT_SET(dst_local_router,
-                PyLong_FromLongLong((long long)(dst_router % ls->a)));
-        PKT_SET(dst_node_port,
-                PyLong_FromLongLong((long long)(dst % ls->p)));
-        PKT_SET(gen_time, Py_NewRef(t_obj));
-        PKT_SET(t_enq, Py_NewRef(t_obj));
-        PKT_SET(base_latency,
-                PyLong_FromLongLong(
-                    (long long)ls->ms_table[src_router * ks->num_routers
-                                            + dst_router]));
-        PKT_SET(inject_time, PyLong_FromLong(-1));
-        PKT_SET(inter_router, PyLong_FromLong(-1));
-        PKT_SET(inter_group, PyLong_FromLong(-1));
-        PKT_SET(wait_local, PyLong_FromLong(0));
-        PKT_SET(wait_global, PyLong_FromLong(0));
-        PKT_SET(service_sum, PyLong_FromLong(0));
-        PKT_SET(local_hops, PyLong_FromLong(0));
-        PKT_SET(global_hops, PyLong_FromLong(0));
-        PKT_SET(group_local_hops, PyLong_FromLong(0));
-        PKT_SET(plan, PyLong_FromLong(0));
-#undef PKT_SET
-        /* Every slot holds an int for the packet's whole life, so it
-         * can never close a reference cycle: untrack it and the young
-         * generation stops paying a traversal per live packet. */
-        PyObject_GC_UnTrack(pkt);
-    }
+    /* Row twin of Packet.__init__(pid, size, src_node, src_router,
+     * src_group, dst_node, dst_router, dst_group, dst_local_router,
+     * dst_node_port, gen_time, base_latency), the derived defaults
+     * included. */
+    if ((row = row_alloc(ks)) < 0)
+        return -1;
+    pk = PK(ks, row);
+    pk[PK_PID] = ls->pid;
+    pk[PK_SIZE] = ls->psize;
+    pk[PK_SRC_NODE] = node;
+    pk[PK_SRC_ROUTER] = src_router;
+    pk[PK_SRC_GROUP] = pk[PK_CURRENT_GROUP] = src_router / ls->a;
+    pk[PK_DST_NODE] = dst;
+    pk[PK_DST_ROUTER] = dst_router;
+    pk[PK_DST_GROUP] = dst_router / ls->a;
+    pk[PK_DST_LOCAL_ROUTER] = dst_router % ls->a;
+    pk[PK_DST_NODE_PORT] = dst % ls->p;
+    pk[PK_GEN_TIME] = pk[PK_T_ENQ] = t;
+    pk[PK_BASE_LATENCY] =
+        ls->ms_table[src_router * ks->num_routers + dst_router];
+    pk[PK_INJECT_TIME] = pk[PK_INTER_ROUTER] = pk[PK_INTER_GROUP] = -1;
+    pk[PK_WAIT_LOCAL] = pk[PK_WAIT_GLOBAL] = pk[PK_SERVICE_SUM] = 0;
+    pk[PK_LOCAL_HOPS] = pk[PK_GLOBAL_HOPS] = pk[PK_GROUP_LOCAL_HOPS] = 0;
+    pk[PK_PLAN] = 0;
 
     ls->si[SI_TOTAL_GENERATED] += 1;
     if (t >= ls->ws && t < ls->we) {
@@ -2431,11 +2648,11 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
         ls->si[SI_GEN_PACKETS] += 1;
     }
 
-    /* inlined Router.inject(node % p, pkt, t); Packet.__init__ already
-     * set t_enq = gen_time = t */
+    /* inlined Router.inject(node % p, pkt, t); the row already has
+     * t_enq = gen_time = t */
     rs = &ks->routers[src_router];
     key = (node % ls->p) * rs->max_vcs;
-    if (inq_push(&ks->inq[rs->kb + key], pkt, ls->psize) < 0
+    if (inq_push(&ks->inq[rs->kb + key], row, ls->psize) < 0
         || ak_add(ks, rs, key) < 0 || arm_step(ks, rs, t) < 0)
         return -1;
 
@@ -2452,24 +2669,27 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
                 gap = 1;
         }
     }
-    return cal_post(ks, t + gap, REC(OP_GEN, REC_NONE, node, 0, NULL));
+    return cal_post(ks, t + gap, REC(OP_GEN, REC_NONE, node, 0, 0));
 }
 
+/* (The row is released with the OP_DELIVER record, when drain_core drops
+ * the records it has run.) */
 static int
-c_deliver(KState *ks, LState *ls, PyObject *pkt, int64_t t)
+c_deliver(KState *ks, LState *ls, int32_t row, int64_t t)
 {
+    const int64_t *pk = PK(ks, row);
     int64_t n, xi;
     double x, mean, delta;
 
     ls->si[SI_TOTAL_DELIVERED] += 1;
     if (!(t >= ls->ws && t < ls->we))
         return 0;
-    ls->si[SI_DEL_PHITS] += slot_ll(pkt, ks->ps.size);
+    ls->si[SI_DEL_PHITS] += pk[PK_SIZE];
     n = ls->si[SI_DEL_PACKETS] + 1;
     ls->si[SI_DEL_PACKETS] = n;
-    ls->del_router[slot_ll(pkt, ks->ps.dst_router)] += 1;
+    ls->del_router[pk[PK_DST_ROUTER]] += 1;
 
-    xi = t - slot_ll(pkt, ks->ps.gen_time);
+    xi = t - pk[PK_GEN_TIME];
     x = (double)xi;
     /* Welford update in OnlineStats.add's exact operation order */
     mean = ls->sf[SF_LAT_MEAN];
@@ -2481,16 +2701,11 @@ c_deliver(KState *ks, LState *ls, PyObject *pkt, int64_t t)
         ls->sf[SF_LAT_MIN] = x;
     if (x > ls->sf[SF_LAT_MAX])
         ls->sf[SF_LAT_MAX] = x;
-    {
-        int64_t base = slot_ll(pkt, ks->ps.base_latency);
-        ls->sf[SF_BD_INJ] += (double)(slot_ll(pkt, ks->ps.inject_time)
-                                      - slot_ll(pkt, ks->ps.gen_time));
-        ls->sf[SF_BD_LOCAL] += (double)slot_ll(pkt, ks->ps.wait_local);
-        ls->sf[SF_BD_GLOBAL] += (double)slot_ll(pkt, ks->ps.wait_global);
-        ls->sf[SF_BD_BASE] += (double)base;
-        ls->sf[SF_BD_MIS] +=
-            (double)(slot_ll(pkt, ks->ps.service_sum) - base);
-    }
+    ls->sf[SF_BD_INJ] += (double)(pk[PK_INJECT_TIME] - pk[PK_GEN_TIME]);
+    ls->sf[SF_BD_LOCAL] += (double)pk[PK_WAIT_LOCAL];
+    ls->sf[SF_BD_GLOBAL] += (double)pk[PK_WAIT_GLOBAL];
+    ls->sf[SF_BD_BASE] += (double)pk[PK_BASE_LATENCY];
+    ls->sf[SF_BD_MIS] += (double)(pk[PK_SERVICE_SUM] - pk[PK_BASE_LATENCY]);
     return 0;
 }
 
@@ -2523,7 +2738,8 @@ gateway_hop(const Twin *tw, int64_t pos, int64_t delta, int64_t *gw_pos)
  * decide()s, whose target the frozen plan fixes.  A pure function of the
  * packet's frozen fields and router/topology constants. */
 static int
-c_min_walk(KState *ks, RState *rs, PyObject *pkt, int64_t target, Verdict *v)
+c_min_walk(KState *ks, RState *rs, const int64_t *pk, int64_t target,
+           Verdict *v)
 {
     static const int64_t pos_base[3] = {0, 1, 3}; /* vc._POSITION_BASE */
     const Twin *tw = &ks->twin;
@@ -2533,7 +2749,7 @@ c_min_walk(KState *ks, RState *rs, PyObject *pkt, int64_t target, Verdict *v)
     v->pure = 1;
     v->guard = GUARD_STABLE;
     if (rs->rid == target) { /* eject_decision(pkt) */
-        v->port = slot_ll(pkt, ks->ps.dst_node_port);
+        v->port = pk[PK_DST_NODE_PORT];
         v->vc = 0;
         return 0;
     }
@@ -2544,7 +2760,7 @@ c_min_walk(KState *ks, RState *rs, PyObject *pkt, int64_t target, Verdict *v)
     else
         v->port = gateway_hop(tw, rs->pos,
                               pymod(tg - rs->group, tw->groups), &gw_pos);
-    gh = slot_ll(pkt, ks->ps.global_hops);
+    gh = pk[PK_GLOBAL_HOPS];
     if (v->port >= tw->first_global) {
         v->vc = gh;
         if (v->vc >= tw->n_global_vcs)
@@ -2553,7 +2769,7 @@ c_min_walk(KState *ks, RState *rs, PyObject *pkt, int64_t target, Verdict *v)
     else {
         if (gh < 0 || gh > 2)
             return 1; /* _POSITION_BASE[gh] raises IndexError */
-        v->vc = pos_base[gh] + slot_ll(pkt, ks->ps.group_local_hops);
+        v->vc = pos_base[gh] + pk[PK_GROUP_LOCAL_HOPS];
         if (v->vc >= tw->n_local_vcs)
             return 1; /* position_local_vc raises */
     }
@@ -2562,9 +2778,9 @@ c_min_walk(KState *ks, RState *rs, PyObject *pkt, int64_t target, Verdict *v)
 
 /* C twin of MinimalRouting.decide (repro/routing/minimal.py). */
 static int
-c_min_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+c_min_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
 {
-    return c_min_walk(ks, rs, pkt, slot_ll(pkt, ks->ps.dst_router), v);
+    return c_min_walk(ks, rs, pk, pk[PK_DST_ROUTER], v);
 }
 
 /* ---- source-routed mechanisms: oblivious Valiant and PiggyBack ------ */
@@ -2579,31 +2795,30 @@ c_min_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
  * checked before the first draw. */
 
 /* Record the frozen plan on the packet: via router `inter`, or minimal
- * when `inter` < 0.  Returns the new pkt.plan, -1 on error. */
+ * when `inter` < 0.  Returns the new pkt.plan. */
 static int64_t
-freeze_plan(KState *ks, PyObject *pkt, int64_t inter)
+freeze_plan(int64_t *pk, int64_t inter)
 {
-    if (inter >= 0 && slot_set_ll(pkt, ks->ps.inter_router, inter) < 0)
-        return -1;
-    if (slot_set_ll(pkt, ks->ps.plan, (inter >= 0) ? 2 : 1) < 0)
-        return -1;
-    return (inter >= 0) ? 2 : 1;
+    if (inter >= 0)
+        pk[PK_INTER_ROUTER] = inter;
+    return pk[PK_PLAN] = (inter >= 0) ? 2 : 1;
 }
 
 /* The shared tail: minimal towards the intermediate router while
  * plan == 2, towards the destination (ejecting there) when plan == 1. */
 static int
-c_plan_walk(KState *ks, RState *rs, PyObject *pkt, int64_t plan, Verdict *v)
+c_plan_walk(KState *ks, RState *rs, const int64_t *pk, int64_t plan,
+            Verdict *v)
 {
     if (plan == 2) {
-        int64_t inter = slot_ll(pkt, ks->ps.inter_router);
+        int64_t inter = pk[PK_INTER_ROUTER];
         if (inter == rs->rid)
             return 1; /* min_hop_port raises at its target */
-        return c_min_walk(ks, rs, pkt, inter, v);
+        return c_min_walk(ks, rs, pk, inter, v);
     }
     if (plan != 1)
         return 1;
-    return c_min_walk(ks, rs, pkt, slot_ll(pkt, ks->ps.dst_router), v);
+    return c_min_walk(ks, rs, pk, pk[PK_DST_ROUTER], v);
 }
 
 /* The groups this router's own global links reach, in port order and
@@ -2633,13 +2848,13 @@ random_router_of(Twin *tw, int64_t g)
  * (repro/routing/oblivious.py): `rng.choice` over the CRG list is one
  * _randbelow(len), RRG the randrange(groups) rejection loop. */
 static int
-c_oblivious_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+c_oblivious_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
 {
     Twin *tw = &ks->twin;
-    int64_t plan = slot_ll(pkt, ks->ps.plan);
+    int64_t plan = pk[PK_PLAN];
 
     if (plan == 0) {
-        int64_t dst_group = slot_ll(pkt, ks->ps.dst_group);
+        int64_t dst_group = pk[PK_DST_GROUP];
         int64_t inter = -1, g;
         if (tw->crg) {
             int64_t cnt = crg_groups(tw, rs, dst_group);
@@ -2649,7 +2864,7 @@ c_oblivious_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
             }
         }
         else {
-            int64_t src_group = slot_ll(pkt, ks->ps.src_group);
+            int64_t src_group = pk[PK_SRC_GROUP];
             if (tw->groups < ((src_group == dst_group) ? 2 : 3))
                 return 1; /* no third group: the reference loops forever */
             do
@@ -2657,10 +2872,9 @@ c_oblivious_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
             while (g == src_group || g == dst_group);
             inter = random_router_of(tw, g);
         }
-        if ((plan = freeze_plan(ks, pkt, inter)) < 0)
-            return -1;
+        plan = freeze_plan(pk, inter);
     }
-    return c_plan_walk(ks, rs, pkt, plan, v);
+    return c_plan_walk(ks, rs, pk, plan, v);
 }
 
 /* Router.port_total_occ: output FIFO + downstream credits of one port. */
@@ -2763,7 +2977,7 @@ pb_min_path_saturated(KState *ks, const RState *rs, int64_t dst_group)
  * Returns 1 — before drawing — where topo.gateway would raise on the
  * router's own group. */
 static int
-pb_nonmin_candidate(KState *ks, const RState *rs, PyObject *pkt,
+pb_nonmin_candidate(KState *ks, const RState *rs, const int64_t *pk,
                     int64_t dst_group, int64_t *inter)
 {
     Twin *tw = &ks->twin;
@@ -2775,7 +2989,7 @@ pb_nonmin_candidate(KState *ks, const RState *rs, PyObject *pkt,
                 return 1;
     }
     else {
-        int64_t src_group = slot_ll(pkt, ks->ps.src_group);
+        int64_t src_group = pk[PK_SRC_GROUP];
         if (src_group != rs->group)
             return 1;
         for (n = 0; n < PB_PROBES; n++) {
@@ -2804,22 +3018,21 @@ pb_nonmin_candidate(KState *ks, const RState *rs, PyObject *pkt,
  * links live, the rest of the group from the snapshot rows of the SoA
  * store, which PiggybackGroupState reads and writes too. */
 static int
-c_piggyback_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+c_piggyback_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
 {
-    int64_t plan = slot_ll(pkt, ks->ps.plan);
+    int64_t plan = pk[PK_PLAN];
 
     if (plan == 0) {
-        int64_t dst_group = slot_ll(pkt, ks->ps.dst_group);
+        int64_t dst_group = pk[PK_DST_GROUP];
         int64_t inter = -1;
         /* intra-group minimal: nothing to divert */
         if (dst_group != rs->group
             && pb_min_path_saturated(ks, rs, dst_group)
-            && pb_nonmin_candidate(ks, rs, pkt, dst_group, &inter))
+            && pb_nonmin_candidate(ks, rs, pk, dst_group, &inter))
             return 1;
-        if ((plan = freeze_plan(ks, pkt, inter)) < 0)
-            return -1;
+        plan = freeze_plan(pk, inter);
     }
-    return c_plan_walk(ks, rs, pkt, plan, v);
+    return c_plan_walk(ks, rs, pk, plan, v);
 }
 
 /* OLM (the inlined precheck + _try_local_misroute of intransit.py):
@@ -2941,13 +3154,12 @@ scan_candidate(KState *ks, RState *rs, const Twin *tw, Scan *sc,
  * and judging a candidate in one step leaves the stream as the
  * generate-all-then-scan reference does. */
 static int
-c_intransit_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+c_intransit_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
 {
     Twin *tw = &ks->twin;
-    const PacketSlots *ps = &ks->ps;
     int64_t group = rs->group, pos = rs->pos;
-    int64_t dst_group = slot_ll(pkt, ps->dst_group);
-    int64_t glh = slot_ll(pkt, ps->group_local_hops);
+    int64_t dst_group = pk[PK_DST_GROUP];
+    int64_t glh = pk[PK_GROUP_LOCAL_HOPS];
     int64_t gh, inter, src_group, size, gw_pos;
 
     v->action = v->aux = 0;
@@ -2957,21 +3169,21 @@ c_intransit_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
     /* Destination group: minimal local hop (or ejection), with OLM. */
     if (group == dst_group) {
         int64_t ti;
-        if (rs->rid == slot_ll(pkt, ps->dst_router)) {
-            v->port = slot_ll(pkt, ps->dst_node_port);
+        if (rs->rid == pk[PK_DST_ROUTER]) {
+            v->port = pk[PK_DST_NODE_PORT];
             v->vc = 0;
             return 0;
         }
-        ti = slot_ll(pkt, ps->dst_local_router);
+        ti = pk[PK_DST_LOCAL_ROUTER];
         v->port = tw->first_local + ((ti < pos) ? ti : ti - 1);
         v->vc = (glh >= 1) ? tw->n_local_vcs - 1 : 2;
         if (glh == 0)
-            return c_olm(ks, rs, slot_ll(pkt, ps->size), ti, v);
+            return c_olm(ks, rs, pk[PK_SIZE], ti, v);
         return 0;
     }
 
-    gh = slot_ll(pkt, ps->global_hops);
-    inter = slot_ll(pkt, ps->inter_group);
+    gh = pk[PK_GLOBAL_HOPS];
+    inter = pk[PK_INTER_GROUP];
 
     /* Committed diversion: minimal towards the intermediate group. */
     if (inter >= 0) {
@@ -2986,13 +3198,13 @@ c_intransit_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
     if (stage_vc(tw, v->port, gh, glh, &v->vc))
         return 1;
 
-    src_group = slot_ll(pkt, ps->src_group);
+    src_group = pk[PK_SRC_GROUP];
     if (group == src_group && gh == 0) {
         /* PAR: global misrouting at injection or after one local hop. */
         int64_t gmin = rs->pb + v->port;
         Scan sc;
         int code, n;
-        sc.size = size = slot_ll(pkt, ps->size);
+        sc.size = size = pk[PK_SIZE];
         if (glh == 0) {
             /* Source router: proactive trigger on the output FIFO. */
             sc.best_occ = ks->out_occ[gmin];
@@ -3078,32 +3290,36 @@ c_intransit_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
     /* Intermediate group: OLM on the hop towards the gateway.  (A
      * minimal global hop reads no congestion state: stable.) */
     if (v->port < tw->first_global && glh == 0)
-        return c_olm(ks, rs, slot_ll(pkt, ps->size), gw_pos, v);
+        return c_olm(ks, rs, pk[PK_SIZE], gw_pos, v);
     return 0;
 }
 
 /* routing.decide(pkt, router) in Python, as a Verdict owning the tuple:
- * a contract hook.  When a twin stands in for it this is the
- * raising-branch fallback: the reference must see (and may advance) the
- * RNG streams the kernel holds, so they are handed back around the
- * call. */
+ * a contract hook, given the Packet of head `row`.  When a twin stands in
+ * for it this is the raising-branch fallback: the reference must see (and
+ * may advance) the RNG streams the kernel holds, so they are handed back
+ * around the call, and it finds the row as the twin left it. */
 static int
-py_decide(KState *ks, RState *rs, PyObject *pkt, Verdict *v)
+py_decide(KState *ks, RState *rs, int32_t row, Verdict *v)
 {
-    PyObject *dec, *et, *ev, *tb;
+    PyObject *pkt = row_obj(ks, row), *dec, *et, *ev, *tb;
+    int rc = 0;
     ks->ctr[C_DECIDE] += 1;
-    if (sync_eq(ks) < 0 || (rs->twin != TWIN_NONE && kstate_rng_out(ks) < 0))
+    if (pkt == NULL || sync_eq(ks) < 0
+        || (rs->twin != TWIN_NONE && kstate_rng_out(ks) < 0))
         return -1;
     dec = call2(rs->decide, pkt, rs->router);
     PyErr_Fetch(&et, &ev, &tb);
-    if (((rs->twin != TWIN_NONE && kstate_rng_in(ks) < 0)
-         || absorb_inbox(ks) < 0) && et == NULL) {
-        Py_XDECREF(dec);
-        return -1;
-    }
+    if ((rs->twin != TWIN_NONE && kstate_rng_in(ks) < 0)
+        || absorb_inbox(ks) < 0 || row_load(ks, row, pkt) < 0)
+        rc = -1;
     if (et != NULL) {
         PyErr_Clear();
         PyErr_Restore(et, ev, tb);
+        rc = -1;
+    }
+    if (rc < 0) {
+        Py_XDECREF(dec);
         return -1;
     }
     return verdict_from_py(ks, dec, v);
@@ -3150,9 +3366,21 @@ static int
 cached_or_decide(KState *ks, RState *rs, InQ *iq, int64_t epoch, Verdict *v)
 {
     Memo *m = &iq->memo;
-    PyObject *pkt = iq->head; /* the ring's: a hook can only append */
+    int32_t row = iq->head; /* the ring's: a hook can only append */
+    int64_t *pk;
     int deferred, store = 0, stable = 1;
-    if (m->pkt == pkt) {
+#ifndef NDEBUG
+    /* a memo is its head's, and the head's row was not recycled under it */
+    if (m->row >= 0 && (m->row != row || m->gen != ks->pool.gen[row])) {
+        PyErr_Format(PyExc_SystemError, "router %lld: the memo of input key "
+                     "%lld names row %d generation %u, its head is row %d "
+                     "generation %u", (long long)rs->rid,
+                     (long long)(iq - ks->inq - rs->kb), (int)m->row,
+                     (unsigned)m->gen, (int)row, (unsigned)ks->pool.gen[row]);
+        return -1;
+    }
+#endif
+    if (m->row == row) {
         const Verdict *mv = &m->v;
         if (mv->guard == GUARD_STABLE
             || (mv->guard == GUARD_EPOCH
@@ -3166,35 +3394,36 @@ cached_or_decide(KState *ks, RState *rs, InQ *iq, int64_t epoch, Verdict *v)
         }
     }
     v->dec = NULL;
+    pk = PK(ks, row);
     switch (rs->twin) {
     case TWIN_MIN:
-        deferred = c_min_decide(ks, rs, pkt, v);
+        deferred = c_min_decide(ks, rs, pk, v);
         break;
     case TWIN_OBLIVIOUS:
-        deferred = c_oblivious_decide(ks, rs, pkt, v);
+        deferred = c_oblivious_decide(ks, rs, pk, v);
         break;
     case TWIN_PIGGYBACK:
-        deferred = c_piggyback_decide(ks, rs, pkt, v);
+        deferred = c_piggyback_decide(ks, rs, pk, v);
         break;
     case TWIN_INTRANSIT:
-        deferred = c_intransit_decide(ks, rs, pkt, v);
+        deferred = c_intransit_decide(ks, rs, pk, v);
         break;
     default: /* TWIN_NONE */
         deferred = 1;
         break;
     }
-    if (deferred < 0 || (deferred && py_decide(ks, rs, pkt, v) < 0))
+    if (deferred < 0 || (deferred && py_decide(ks, rs, row, v) < 0))
         return -1;
+    pk = PK(ks, row); /* the decide may have grown the pool */
     switch (rs->cache_policy) {
     case 1:
         store = 1;
         break;
     case 2:
-        store = slot_ll(pkt, ks->ps.plan) != 0;
+        store = pk[PK_PLAN] != 0;
         break;
     case 3:
-        if (slot_ll(pkt, ks->ps.inter_group) >= 0
-            && rs->group != slot_ll(pkt, ks->ps.dst_group))
+        if (pk[PK_INTER_GROUP] >= 0 && rs->group != pk[PK_DST_GROUP])
             store = 1;
         else {
             if (deferred && py_decide_guard(ks, rs, v) < 0) {
@@ -3210,7 +3439,8 @@ cached_or_decide(KState *ks, RState *rs, InQ *iq, int64_t epoch, Verdict *v)
     }
     if (store) {
         memo_clear(m);
-        m->pkt = Py_NewRef(pkt);
+        m->row = row;
+        m->gen = ks->pool.gen[row];
         m->v = *v;
         Py_XINCREF(v->dec);
         if (stable)
@@ -3225,7 +3455,8 @@ cached_or_decide(KState *ks, RState *rs, InQ *iq, int64_t epoch, Verdict *v)
 /* phase handlers                                                      */
 /* ------------------------------------------------------------------ */
 
-/* Grant the head of input `key` (flat `gk`) to `out_port` (flat `gout`). */
+/* Grant the head of input `key` (flat `gk`) to `out_port` (flat `gout`).
+ * (An error drops the packet, as a raise in the Python _commit does.) */
 static int
 c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
          int64_t key, Py_ssize_t gk, const Verdict *v, int64_t now)
@@ -3233,21 +3464,18 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
     int64_t in_port = key / rs->max_vcs;
     int64_t gin = rs->pb + in_port;
     InQ *iq = &ks->inq[gk];
-    int64_t size = iq->size;
-    PyObject *now_o = now_obj(ks, now), *pkt;
-    if (now_o == NULL)
-        return -1;
-    pkt = inq_pop(iq); /* owned: the OP_OUT_ARRIVE record's, below */
-    if (iq->head == NULL && ak_discard(ks, rs, key) < 0)
-        goto fail;
+    int64_t size = iq->size, *pk;
+    int32_t row = inq_pop(iq); /* the OP_OUT_ARRIVE record's, below */
     memo_clear(&iq->memo); /* head changed: decision no longer valid */
+    if (iq->head < 0 && ak_discard(ks, rs, key) < 0)
+        return -1;
     ks->cong_epoch[rs->rid] += 1;
     ks->in_port_free[gin] = now + rs->internal;
     ks->switch_free[gout] = now + rs->internal;
     ks->out_occ[gout] += size;
 
     if (in_port < rs->num_node_ports) {
-        slot_set(pkt, ks->ps.inject_time, Py_NewRef(now_o));
+        PK(ks, row)[PK_INJECT_TIME] = now;
         if (ks->low.sim != NULL) {
             /* inlined StatsCollector.on_injection (rs->on_injection) */
             LState *ls = &ks->low;
@@ -3255,18 +3483,18 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
             if (now >= ls->ws && now < ls->we)
                 ls->inj_router[rs->rid] += 1;
         }
-        else if (call_hook(ks, C_OVERRIDE, rs->on_injection, 2, rs->rid_obj,
-                           now_o, NULL) < 0)
-            goto fail;
+        else {
+            PyObject *now_o = now_obj(ks, now);
+            if (now_o == NULL
+                || call_hook(ks, C_OVERRIDE, rs->on_injection, 2, rs->rid_obj,
+                             now_o, NULL) < 0)
+                return -1;
+        }
     }
     else {
-        int64_t wait = now - slot_ll(pkt, ks->ps.t_enq);
-        if (wait) {
-            Py_ssize_t woff =
-                ks->local_in[gin] ? ks->ps.wait_local : ks->ps.wait_global;
-            if (slot_set_ll(pkt, woff, slot_ll(pkt, woff) + wait) < 0)
-                goto fail;
-        }
+        pk = PK(ks, row);
+        pk[ks->local_in[gin] ? PK_WAIT_LOCAL : PK_WAIT_GLOBAL] +=
+            now - pk[PK_T_ENQ];
         ks->in_occ[gk] -= size;
         if (ks->in_occ[gk] < 0) {
             PyErr_Format(ks->flow_err,
@@ -3274,16 +3502,14 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
                          "port %lld vc %lld",
                          (long long)rs->rid, (long long)in_port,
                          (long long)(key - in_port * rs->max_vcs));
-            goto fail;
+            return -1;
         }
-        if (ks->up_rid[gin] >= 0) {
-            /* credit return to the upstream router */
-            Rec cr = REC(OP_CREDIT, ks->up_rid[gin], ks->up_port[gin],
-                         key - in_port * rs->max_vcs, NULL);
-            cr.u.c = size;
-            if (cal_post(ks, now + rs->internal + ks->link_lat[gin], cr) < 0)
-                goto fail;
-        }
+        /* credit return to the upstream router */
+        if (ks->up_rid[gin] >= 0
+            && cal_post(ks, now + rs->internal + ks->link_lat[gin],
+                        REC(OP_CREDIT, ks->up_rid[gin], ks->up_port[gin],
+                            key - in_port * rs->max_vcs, size)) < 0)
+            return -1;
     }
 
     if (ks->credit_nvc[gout]) {
@@ -3295,56 +3521,41 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
                          "%lld vc %lld",
                          (long long)rs->rid, (long long)out_port,
                          (long long)v->vc);
-            goto fail;
+            return -1;
         }
     }
 
     if (rs->commit_override == NULL) {
         /* Inlined RoutingMechanism.commit (hop ledger + diversion). */
+        pk = PK(ks, row);
         if (ks->local_in[gout]) {
-            int64_t glh = slot_ll(pkt, ks->ps.group_local_hops) + 1;
-            if (slot_set_ll(pkt, ks->ps.local_hops,
-                            slot_ll(pkt, ks->ps.local_hops) + 1) < 0)
-                goto fail;
-            if (slot_set_ll(pkt, ks->ps.group_local_hops, glh) < 0)
-                goto fail;
-            if (glh > 2) {
+            pk[PK_LOCAL_HOPS] += 1;
+            if (++pk[PK_GROUP_LOCAL_HOPS] > 2) {
                 PyErr_Format(ks->routing_err,
                              "packet %lld took a third local hop in group "
                              "%lld; VC safety would be violated",
-                             (long long)slot_ll(pkt, ks->ps.pid),
-                             (long long)rs->group);
-                goto fail;
+                             (long long)pk[PK_PID], (long long)rs->group);
+                return -1;
             }
         }
-        else if (ks->global_out[gout]) {
-            if (slot_set_ll(pkt, ks->ps.global_hops,
-                            slot_ll(pkt, ks->ps.global_hops) + 1) < 0)
-                goto fail;
-        }
-        if (v->action == 1
-            && slot_set_ll(pkt, ks->ps.inter_group, v->aux) < 0)
-            goto fail;
+        else if (ks->global_out[gout])
+            pk[PK_GLOBAL_HOPS] += 1;
+        if (v->action == 1)
+            pk[PK_INTER_GROUP] = v->aux;
     }
     else {
         /* the mechanism's own commit gets the decision as a tuple */
         PyObject *dec = verdict_tuple(v);
-        int rc = dec ? call_hook(ks, C_OVERRIDE, rs->commit_override, 3, pkt,
-                                 rs->router, dec) : -1;
+        int rc = dec ? call_pkt_hook(ks, C_OVERRIDE, rs->commit_override, row,
+                                     3, rs->router, dec) : -1;
         Py_XDECREF(dec);
         if (rc < 0)
-            goto fail;
+            return -1;
     }
-    if (slot_set_ll(pkt, ks->ps.service_sum,
-                    slot_ll(pkt, ks->ps.service_sum)
-                        + ks->hop_cost[gout]) < 0)
-        goto fail;
+    PK(ks, row)[PK_SERVICE_SUM] += ks->hop_cost[gout];
     /* switch traversal -> OP_OUT_ARRIVE after the pipeline latency */
     return cal_post(ks, now + rs->pipe_lat,
-                    REC(OP_OUT_ARRIVE, rs->rid, out_port, v->vc, pkt));
-fail:
-    Py_DECREF(pkt);
-    return -1;
+                    REC(OP_OUT_ARRIVE, rs->rid, out_port, v->vc, row));
 }
 
 /* The consolidated allocation pass (kernel.step).  The Python kernel's
@@ -3400,14 +3611,14 @@ c_step(KState *ks, RState *rs, int64_t now)
         int is_transit;
         int64_t t_free, out_port, gout, t_sw, size;
         Verdict v;
-        if (iq->head == NULL) {
+        if (iq->head < 0) {
             ks->scr_dead[n_dead++] = key;
             continue;
         }
 #ifndef NDEBUG
-        if (iq->head != iq->ring.e[iq->ring.head].pkt
-            || iq->size != iq->ring.e[iq->ring.head].vc
-            || iq->size != slot_ll(iq->head, ks->ps.size)) {
+        if (iq->head != iq->ring.e[iq->ring.head].row
+            || iq->size != iq->ring.e[iq->ring.head].t_arr
+            || iq->size != PK(ks, iq->head)[PK_SIZE]) {
             PyErr_Format(PyExc_SystemError, "router %lld key %lld: the "
                          "cached head or size diverged from its FIFO",
                          (long long)rs->rid, (long long)key);
@@ -3544,15 +3755,12 @@ done:
 }
 
 static int
-c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
+c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, int32_t row,
          int64_t now)
 {
     int64_t key = port * rs->max_vcs + vc;
     Py_ssize_t gk = (Py_ssize_t)(rs->kb + key);
-    PyObject *now_o = now_obj(ks, now);
-    int64_t wake, size;
-    if (now_o == NULL)
-        return -1;
+    int64_t *pk = PK(ks, row), wake, size = pk[PK_SIZE];
     if (PyList_GET_ITEM(ks->in_q, gk) == Py_None) {
         PyErr_Format(ks->flow_err,
                      "router %lld: arrival on invalid VC (port %lld, "
@@ -3560,7 +3768,6 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
                      (long long)rs->rid, (long long)port, (long long)vc);
         return -1;
     }
-    size = slot_ll(pkt, ks->ps.size);
     ks->in_occ[gk] += size;
     if (ks->in_occ[gk] > ks->in_cap[gk]) {
         PyErr_Format(ks->flow_err,
@@ -3570,33 +3777,27 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, PyObject *pkt,
                      (long long)ks->in_occ[gk], (long long)ks->in_cap[gk]);
         return -1;
     }
-    slot_set(pkt, ks->ps.t_enq, Py_NewRef(now_o));
+    pk[PK_T_ENQ] = now;
     if (rs->arrival_override == NULL) {
         /* Inlined RoutingMechanism.on_arrival. */
-        if (rs->group != slot_ll(pkt, ks->ps.current_group)) {
-            if (slot_set_ll(pkt, ks->ps.current_group, rs->group) < 0)
-                return -1;
-            if (slot_set_ll(pkt, ks->ps.group_local_hops, 0) < 0)
-                return -1;
-            if (slot_ll(pkt, ks->ps.inter_group) == rs->group
-                && slot_set_ll(pkt, ks->ps.inter_group, -1) < 0)
-                return -1;
+        if (rs->group != pk[PK_CURRENT_GROUP]) {
+            pk[PK_CURRENT_GROUP] = rs->group;
+            pk[PK_GROUP_LOCAL_HOPS] = 0;
+            if (pk[PK_INTER_GROUP] == rs->group)
+                pk[PK_INTER_GROUP] = -1; /* intermediate group reached */
         }
-        if (slot_ll(pkt, ks->ps.plan) == 2
-            && rs->rid == slot_ll(pkt, ks->ps.inter_router)
-            && slot_set_ll(pkt, ks->ps.plan, 1) < 0)
-            return -1;
+        if (pk[PK_PLAN] == 2 && rs->rid == pk[PK_INTER_ROUTER])
+            pk[PK_PLAN] = 1; /* intermediate router reached */
     }
     else {
         PyObject *port_o = PyLong_FromLongLong((long long)port);
-        int rc = port_o ? call_hook(ks, C_OVERRIDE, rs->arrival_override, 3,
-                                    pkt, rs->router, port_o) : -1;
+        int rc = port_o ? call_pkt_hook(ks, C_OVERRIDE, rs->arrival_override,
+                                        row, 3, rs->router, port_o) : -1;
         Py_XDECREF(port_o);
         if (rc < 0)
             return -1;
     }
-    if (inq_push(&ks->inq[gk], Py_NewRef(pkt), size) < 0
-        || ak_add(ks, rs, key) < 0)
+    if (inq_push(&ks->inq[gk], row, size) < 0 || ak_add(ks, rs, key) < 0)
         return -1;
     wake = ks->in_port_free[rs->pb + port];
     if (wake < now)
@@ -3610,24 +3811,17 @@ c_send(KState *ks, RState *rs, int64_t port, int64_t now)
     int64_t gp = rs->pb + port;
     Ring *fifo = &ks->rings[gp];
     FifoEnt e;
-    int64_t wait, size, free_t;
+    int64_t *pk, size, free_t;
     if (fifo->len == 0) {
         PyErr_SetString(PyExc_IndexError, "pop from empty output fifo");
         return -1;
     }
-    e = fifo->e[fifo->head]; /* its packet reference moves on below */
+    e = fifo->e[fifo->head]; /* its row moves on to a record below */
     fifo->head = (fifo->head + 1) & (fifo->cap - 1);
     fifo->len -= 1;
-    wait = now - e.t_arr;
-    if (wait) {
-        Py_ssize_t woff =
-            ks->global_out[gp] ? ks->ps.wait_global : ks->ps.wait_local;
-        if (slot_set_ll(e.pkt, woff, slot_ll(e.pkt, woff) + wait) < 0) {
-            Py_DECREF(e.pkt);
-            return -1;
-        }
-    }
-    size = slot_ll(e.pkt, ks->ps.size);
+    pk = PK(ks, e.row);
+    pk[ks->global_out[gp] ? PK_WAIT_GLOBAL : PK_WAIT_LOCAL] += now - e.t_arr;
+    size = pk[PK_SIZE];
     free_t = now + size;
     ks->link_free[gp] = free_t;
     if (fifo->len == 0)
@@ -3635,24 +3829,22 @@ c_send(KState *ks, RState *rs, int64_t port, int64_t now)
     /* a busy link merges the tail release with the next transmission */
     if (cal_post(ks, free_t,
                  REC(fifo->len ? OP_LINK : OP_RELEASE, rs->rid, port, size,
-                     NULL)) < 0) {
-        Py_DECREF(e.pkt);
+                     0)) < 0)
         return -1;
-    }
     return cal_post(ks, free_t + ks->link_lat[gp],
                     ks->peer_rid[gp] < 0
-                        ? REC(OP_DELIVER, REC_NONE, 0, 0, e.pkt)
+                        ? REC(OP_DELIVER, REC_NONE, 0, 0, e.row)
                         : REC(OP_ARRIVE, ks->peer_rid[gp], ks->peer_port[gp],
-                              e.vc, e.pkt));
+                              e.vc, e.row));
 }
 
 static int
-c_output_enqueue(KState *ks, RState *rs, int64_t port, PyObject *pkt,
+c_output_enqueue(KState *ks, RState *rs, int64_t port, int32_t row,
                  int64_t vc, int64_t now)
 {
     int64_t gp = rs->pb + port;
     int64_t dep;
-    if (ring_push(&ks->rings[gp], Py_NewRef(pkt), vc, now) < 0)
+    if (ring_push(&ks->rings[gp], row, vc, now) < 0)
         return -1;
     if (ks->out_pumping[gp])
         return 0;
@@ -3660,7 +3852,7 @@ c_output_enqueue(KState *ks, RState *rs, int64_t port, PyObject *pkt,
     if (dep < now)
         dep = now;
     ks->out_pumping[gp] = 1;
-    return cal_post(ks, dep, REC(OP_SEND, rs->rid, port, 0, NULL));
+    return cal_post(ks, dep, REC(OP_SEND, rs->rid, port, 0, 0));
 }
 
 static int
@@ -3701,9 +3893,11 @@ c_release_credit(KState *ks, RState *rs, int64_t port, int64_t vc,
 
 /* A callback record (OP_CALL, fn, args) kept as its tuple, run exactly as
  * py_drain runs it: fn(*args).  Arbitrary code: the whole state is
- * mirrored out around it. */
+ * mirrored out around it.  It is record `taken` - 1 of the cycle-`t`
+ * bucket: the ones before it, run already, come back in whole. */
 static int
-dispatch_tuple(KState *ks, int kind, PyObject *rec, int64_t t)
+dispatch_tuple(KState *ks, int kind, PyObject *rec, int64_t t,
+               Py_ssize_t taken)
 {
     PyObject *fn, *args, *res = NULL, *et, *ev, *tb;
     ks->ctr[kind] += 1;
@@ -3719,9 +3913,12 @@ dispatch_tuple(KState *ks, int kind, PyObject *rec, int64_t t)
     Py_DECREF(rec);
     /* back in, keeping the callback's exception over a mirror's own */
     PyErr_Fetch(&et, &ev, &tb);
+    ks->cal.keep_t = t;
+    ks->cal.keep = taken;
     if (mirror_in(ks) == 0)
         /* the bucket being drained was rebuilt with the rest */
         ks->cal.cur = cal_find(&ks->cal, t);
+    ks->cal.keep = 0;
     if (et != NULL) {
         PyErr_Clear();
         PyErr_Restore(et, ev, tb);
@@ -3734,7 +3931,8 @@ dispatch_tuple(KState *ks, int kind, PyObject *rec, int64_t t)
 }
 
 static int
-dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t *extra)
+dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t taken,
+         Py_ssize_t *extra)
 {
     RState *rs;
     PyObject *o;
@@ -3743,10 +3941,11 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t *extra)
     if (rec->rid == REC_TUPLE) {
         PyObject *tup = rec->u.obj;
         if (rec->op == OP_CALL)
-            return dispatch_tuple(ks, C_CALL, tup, t);
+            return dispatch_tuple(ks, C_CALL, tup, t, taken);
         PyErr_Format(ks->flow_err, "activation record %R (opcode %d, "
-                     "target %R): not a router of the store, or a field "
-                     "that is not an in-range int", tup, (int)rec->op,
+                     "target %R): not a router of the store, a field "
+                     "that is not an in-range int, or a packet that is not "
+                     "a Packet with int64 fields", tup, (int)rec->op,
                      PyTuple_GET_SIZE(tup) > 1 ? PyTuple_GET_ITEM(tup, 1)
                                                : Py_None);
         return -1;
@@ -3764,11 +3963,11 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t *extra)
     }
     if (rec->op == OP_DELIVER) {
         if (ks->low.sim != NULL)
-            return c_deliver(ks, &ks->low, rec->u.obj, t);
+            return c_deliver(ks, &ks->low, (int32_t)rec->u.c, t);
         if ((o = now_obj(ks, t)) == NULL)
             return -1;
-        return call_hook(ks, C_SINK, slot_get(ks->eq, ks->eq_sink), 2,
-                         rec->u.obj, o, NULL);
+        return call_pkt_hook(ks, C_SINK, slot_get(ks->eq, ks->eq_sink),
+                             (int32_t)rec->u.c, 2, o, NULL);
     }
     rs = &ks->routers[rec->rid];
     switch (rec->op) {
@@ -3786,14 +3985,14 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t *extra)
                                (long long)t)) == NULL)
             return -1;
         {
-            int rc = dispatch_tuple(ks, C_OVERRIDE, o, t);
+            int rc = dispatch_tuple(ks, C_OVERRIDE, o, t, taken);
             Py_DECREF(o);
             return rc;
         }
     case OP_OUT_ARRIVE:
-        return c_output_enqueue(ks, rs, rec->a, rec->u.obj, rec->b, t);
+        return c_output_enqueue(ks, rs, rec->a, (int32_t)rec->u.c, rec->b, t);
     case OP_ARRIVE:
-        return c_arrive(ks, rs, rec->a, rec->b, rec->u.obj, t);
+        return c_arrive(ks, rs, rec->a, rec->b, (int32_t)rec->u.c, t);
     case OP_CREDIT:
         return c_release_credit(ks, rs, rec->a, rec->b, rec->u.c, t);
     case OP_RELEASE:
@@ -4163,7 +4362,11 @@ kstate_build(PyObject *eq, PyObject *store)
         PyErr_NoMemory();
         goto fail;
     }
-    if (cal_rehash(&ks->cal) < 0)
+    for (i = 0; i < K; i++)
+        ks->inq[i].head = ks->inq[i].memo.row = -1;
+    /* the packet pool starts at a row per port: it doubles as it fills */
+    ks->pool.free = -1;
+    if (cal_rehash(&ks->cal) < 0 || pool_grow(&ks->pool, (int32_t)P) < 0)
         goto fail;
 
     /* queue slot offsets */
@@ -4175,7 +4378,7 @@ kstate_build(PyObject *eq, PyObject *store)
         || (ks->eq_gen = slot_offset(eq_tp, "_gen")) < 0)
         goto fail;
 
-    /* the Packet type and its slot offsets */
+    /* the Packet type and the slot of each row column */
     mod = PyImport_ImportModule("repro.hardware.packet");
     if (mod == NULL)
         goto fail;
@@ -4185,9 +4388,8 @@ kstate_build(PyObject *eq, PyObject *store)
         goto fail;
     ks->packet_type = (PyTypeObject *)tmp;
     tmp = NULL;
-    for (i = 0; i < (Py_ssize_t)(sizeof(PacketSlots) / sizeof(Py_ssize_t)); i++)
-        if ((((Py_ssize_t *)&ks->ps)[i] =
-                 slot_offset(ks->packet_type, PACKET_SLOTS[i])) < 0)
+    for (i = 0; i < N_PK; i++)
+        if ((ks->pk_off[i] = slot_offset(ks->packet_type, PK_NAMES[i])) < 0)
             goto fail;
 
     /* cached objects */
@@ -4372,7 +4574,7 @@ drain_core(KState *ks, int64_t t_end)
          * it is looked up afresh per record, and the record copied. */
         while (c->cur >= 0 && i < c->pool[c->cur].len) {
             Rec rec = c->pool[c->cur].recs[i++];
-            if (dispatch(ks, &rec, t, &extra) < 0) {
+            if (dispatch(ks, &rec, t, i, &extra) < 0) {
                 failed = 1;
                 break;
             }
@@ -4388,11 +4590,17 @@ drain_core(KState *ks, int64_t t_end)
             ks->ctr[C_PEAK_BUCKET] = b->len;
         if (i > b->len)
             i = b->len; /* a callback shortened it */
-        /* the bucket owned the consumed records' references until now,
-         * as the list does in py_drain */
-        for (k = 0; k < i; k++)
-            if (REC_HAS_OBJ(&b->recs[k]))
-                Py_DECREF(b->recs[k].u.obj);
+        /* the bucket owned the consumed records' tuples, and the rows of
+         * the packets they delivered, until now, as the list does in
+         * py_drain (a run record's other packet has moved on) */
+        for (k = 0; k < i; k++) {
+            const Rec *r = &b->recs[k];
+            if (r->rid == REC_TUPLE)
+                Py_DECREF(r->u.obj);
+            else if (r->op == OP_DELIVER
+                     && row_release(ks, (int32_t)r->u.c) < 0)
+                failed = 1;
+        }
         c->npend -= i;
         if (i == b->len)
             cal_close(c, t, c->cur);
@@ -4665,8 +4873,52 @@ static const struct {
 #undef EV
 #undef ST
 
-/* Compare LAYOUT with the Python constants of the same names: the number
- * compared, or a RuntimeError naming the first that differs. */
+/* PK_NAMES against repro.hardware.packet.Packet.__slots__, by name and
+ * count: a field without a column would be dropped each time a row
+ * became a Packet.  0, or -1 with a RuntimeError naming the mismatch. */
+static int
+check_packet_columns(void)
+{
+    PyObject *mod = PyImport_ImportModule("repro.hardware.packet");
+    PyObject *tp = mod ? PyObject_GetAttrString(mod, "Packet") : NULL;
+    PyObject *slots = tp ? PyObject_GetAttrString(tp, "__slots__") : NULL;
+    PyObject *fast = slots ? PySequence_Fast(slots, "Packet.__slots__ is "
+                                             "not a sequence") : NULL;
+    Py_ssize_t n, i;
+    int f, rc = -1;
+    if (fast == NULL)
+        goto done;
+    n = PySequence_Fast_GET_SIZE(fast);
+    for (i = 0; i < n; i++) {
+        PyObject *name = PySequence_Fast_GET_ITEM(fast, i);
+        for (f = 0; f < N_PK; f++)
+            if (PyUnicode_Check(name)
+                && PyUnicode_CompareWithASCIIString(name, PK_NAMES[f]) == 0)
+                break;
+        if (f == N_PK) {
+            PyErr_Format(PyExc_RuntimeError, "repro.hardware.packet.Packet."
+                         "%S has no packet-row column in _ckernel.c: rebuild "
+                         "the extension", name);
+            goto done;
+        }
+    }
+    if (n != N_PK)
+        PyErr_Format(PyExc_RuntimeError, "repro.hardware.packet.Packet has "
+                     "%zd fields, but _ckernel.c has %d packet-row columns: "
+                     "rebuild the extension", n, N_PK);
+    else
+        rc = 0;
+done:
+    Py_XDECREF(mod);
+    Py_XDECREF(tp);
+    Py_XDECREF(slots);
+    Py_XDECREF(fast);
+    return rc;
+}
+
+/* Compare LAYOUT with the Python constants of the same names and the
+ * packet-row columns with Packet's fields: the number of names compared,
+ * or a RuntimeError naming the first that differs. */
 static PyObject *
 ck_check_layout(PyObject *self, PyObject *noargs)
 {
@@ -4691,7 +4943,9 @@ ck_check_layout(PyObject *self, PyObject *noargs)
                                 LAYOUT[i].module, LAYOUT[i].name, py,
                                 LAYOUT[i].value);
     }
-    return PyLong_FromSize_t(i);
+    if (check_packet_columns() < 0)
+        return NULL;
+    return PyLong_FromSize_t(i + N_PK);
 }
 
 static PyMethodDef ckernel_methods[] = {
@@ -4702,7 +4956,8 @@ static PyMethodDef ckernel_methods[] = {
      "counters(eq): the kernel's always-on counters for this queue — "
      "drains, Python re-entries by kind, inbox records absorbed, full "
      "mirrors, peak pending records, peak bucket length, scans, keys scanned, "
-     "active-key index reloads, input-FIFO packets absorbed after a hook — "
+     "active-key index reloads, input-FIFO packets absorbed after a hook, "
+     "Packet objects built from packet rows, peak packet rows in use — "
      "or None before its first compiled drain."},
     {"check_set_model", ck_check_set_model, METH_VARARGS,
      "check_set_model(ops=None): (add, key) pairs (None: the import's) on a "
@@ -4710,8 +4965,9 @@ static PyMethodDef ckernel_methods[] = {
      "the table grows / shrinks / purges / dummy reuses."},
     {"check_layout", ck_check_layout, METH_NOARGS,
      "check_layout(): compare the kernel's OP_* / SI_* / SF_* / NSTAT_* "
-     "constants with the Python ones of the same names; the number "
-     "compared, or RuntimeError naming the first mismatch."},
+     "constants with the Python ones of the same names, and its packet-row "
+     "columns with Packet.__slots__; the number of names compared, or "
+     "RuntimeError naming the first mismatch."},
     {"mt_ops", ck_mt_ops, METH_VARARGS,
      "mt_ops(state, ops): replay RNG operations (None -> random(), "
      "int k -> getrandbits(k), (n,) -> randrange(n), (\"shuffle\", n) -> "

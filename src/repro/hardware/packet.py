@@ -25,8 +25,13 @@ class Packet:
 
     Routing-mechanism state is intentionally flattened into this class
     (``plan``, ``inter_router``, ``inter_group``) instead of a per-mechanism
-    side table: the allocator touches packets millions of times per run and
-    attribute access on one ``__slots__`` object is the cheapest layout.
+    side table: the python backend's allocator touches packets millions of
+    times per run, and there attribute access on one ``__slots__`` object
+    is the cheapest layout.  The compiled backend keeps a packet as a row
+    with one int64 column per field for the length of a drain, and builds
+    the object only where Python sees the packet; every field must
+    therefore stay an int, and a field added here needs its column in
+    ``engine/_ckernel.c`` (the extension's import checks the two lists).
 
     Plan codes (``plan``): 0 = undecided, 1 = committed minimal,
     2 = committed Valiant (through ``inter_router``).  Only source-routed

@@ -147,7 +147,9 @@ def describe_callbacks(metrics: dict[str, Any]) -> str:
             f"scan_keys={counters['scan_keys']} "
             f"({counters['scan_keys'] / steps if steps else 0.0:.2f} per scan) "
             f"index_reloads={counters['index_reloads']} "
-            f"inq_absorbed={counters['inq_absorbed']}"
+            f"inq_absorbed={counters['inq_absorbed']} "
+            f"packets_materialized={counters['packets_materialized']} "
+            f"peak_packet_rows={counters['peak_packet_rows']}"
         )
     return lines
 

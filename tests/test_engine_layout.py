@@ -1,12 +1,14 @@
 """What the compiled kernel takes from Python is checked, by name.
 
-* **Shared constants.**  ``_ckernel.check_layout()`` compares the
-  kernel's activation opcodes (``OP_*``, ``engine/events.py``) and
-  stat-block slots (``SI_*`` / ``SF_*`` / ``NSTAT_*``,
-  ``metrics/collector.py``) with the Python constants of the same names;
-  the import runs it, so a renumbering on either side fails the import
-  with a ``RuntimeError`` naming the constant (which ``resolve_backend``
-  propagates instead of reporting "not built").
+* **Shared constants and packet columns.**  ``_ckernel.check_layout()``
+  compares the kernel's activation opcodes (``OP_*``,
+  ``engine/events.py``) and stat-block slots (``SI_*`` / ``SF_*`` /
+  ``NSTAT_*``, ``metrics/collector.py``) with the Python constants of the
+  same names, and the columns of its packet rows with
+  ``Packet.__slots__``; the import runs it, so a renumbering on either
+  side, or a ``Packet`` field the rows lack, fails the import with a
+  ``RuntimeError`` naming it (which ``resolve_backend`` propagates instead
+  of reporting "not built").
 * **Attribute tables.**  Every object the kernel reads — event queue, SoA
   store, router, mechanism / topology, PiggyBack group state, simulation
   / collector — is read through one checked table: a wrong type or length
@@ -34,6 +36,7 @@ from repro.config import tiny_config
 from repro.core.simulation import Simulation
 from repro.engine.events import OP_GEN, OP_SEND
 from repro.errors import FlowControlError
+from repro.hardware.packet import Packet
 from test_engine_backends import needs_compiled
 
 pytestmark = needs_compiled
@@ -51,7 +54,8 @@ def _shared_names() -> list[str]:
 def test_check_layout_compares_every_shared_constant():
     from repro.engine import _ckernel
 
-    assert _ckernel.check_layout() == len(_shared_names()) == 28
+    assert len(_shared_names()) == 28 and len(Packet.__slots__) == 24
+    assert _ckernel.check_layout() == 28 + 24
 
 
 @pytest.mark.parametrize(
@@ -66,15 +70,26 @@ def test_a_renumbered_constant_is_named(monkeypatch, module, name):
         _ckernel.check_layout()
 
 
-def test_a_renumbered_constant_fails_the_import():
-    """The import's own check, in a fresh interpreter: the backend
-    resolution reports the mismatch rather than a missing extension."""
-    code = (
-        "import repro.engine.events as events\n"
-        "events.OP_GEN = 11\n"
-        "from repro.engine.kernel import resolve_backend\n"
-        "resolve_backend('auto')\n"
-    )
+@pytest.mark.parametrize(
+    "slots, message",
+    [
+        (Packet.__slots__ + ("trigger",), "Packet.trigger has no packet-row column"),
+        (Packet.__slots__[1:], "Packet has 23 fields, but _ckernel.c has 24"),
+    ],
+    ids=["field-added", "field-removed"],
+)
+def test_a_packet_field_without_a_column_is_named(monkeypatch, slots, message):
+    """A row turned back into a ``Packet`` would silently drop a field
+    the kernel has no column for."""
+    from repro.engine import _ckernel
+
+    monkeypatch.setattr(Packet, "__slots__", slots)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        _ckernel.check_layout()
+
+
+def _import_failure(code: str) -> str:
+    """stderr of a fresh interpreter running *code*, which must fail."""
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -83,7 +98,34 @@ def test_a_renumbered_constant_fails_the_import():
         timeout=60,
     )
     assert proc.returncode != 0
-    assert "RuntimeError: repro.engine.events.OP_GEN is 11" in proc.stderr
+    return proc.stderr
+
+
+def test_a_renumbered_constant_fails_the_import():
+    """The import's own check, in a fresh interpreter: the backend
+    resolution reports the mismatch rather than a missing extension."""
+    stderr = _import_failure(
+        "import repro.engine.events as events\n"
+        "events.OP_GEN = 11\n"
+        "from repro.engine.kernel import resolve_backend\n"
+        "resolve_backend('auto')\n"
+    )
+    assert "RuntimeError: repro.engine.events.OP_GEN is 11" in stderr
+
+
+def test_a_packet_field_without_a_column_fails_the_import():
+    """A ``Packet`` that gained a field (as a model change might add one)
+    fails the import until the extension is rebuilt with its column."""
+    stderr = _import_failure(
+        "from repro.hardware.packet import Packet\n"
+        "Packet.__slots__ += ('trigger',)\n"
+        "from repro.engine.kernel import resolve_backend\n"
+        "resolve_backend('auto')\n"
+    )
+    assert (
+        "RuntimeError: repro.hardware.packet.Packet.trigger has no packet-row "
+        "column in _ckernel.c: rebuild the extension"
+    ) in stderr
 
 
 def _lowered_cell() -> Simulation:
