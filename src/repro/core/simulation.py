@@ -386,6 +386,34 @@ class Simulation:
                 f"load={self.config.traffic.load})"
             )
 
+    def close(self) -> None:
+        """Break this run's reference cycles, so dropping it frees it at once.
+
+        A wired simulation is one large reference cycle: every router
+        names its peers (``out_peer`` / ``upstream``) and sits inside its
+        own prebuilt records and in ``soa.routers``, the queue calls back
+        into the simulation (``_gen``, ``_lower``, the watchdog's
+        ``OP_CALL`` record) and the mechanism holds it (``routing.sim``).
+        Left alone, only the cycle collector's older generations can free
+        it, in passes that also traverse everything still alive.  This
+        drops the compiled kernel's cached state, clears every router
+        (:meth:`Router.close <repro.hardware.router.Router.close>`) and
+        then every attribute of the simulation, after which reference
+        counting frees the run as soon as the caller lets go of it.
+
+        The object is unusable afterwards; closing twice is harmless.
+        :func:`run_simulation` closes its simulation.  :meth:`run` and
+        :meth:`_collect` do not, because callers of a simulation they
+        built inspect its routers, queues and calendar after the run; the
+        :class:`SimulationResult` holds copies only, so it survives this.
+        """
+        if not self.__dict__:
+            return
+        self.engine._ckstate = None
+        for router in self.routers:
+            router.close()
+        self.__dict__.clear()
+
 
 def run_simulation(
     config: SimulationConfig,
@@ -393,9 +421,21 @@ def run_simulation(
     check_decomposition: bool = False,
     engine_backend: str | None = None,
 ) -> SimulationResult:
-    """Build and run one simulation (convenience wrapper)."""
-    return Simulation(
+    """Build, run and close one simulation; return its result.
+
+    The simulation is closed (:meth:`Simulation.close`) whether the run
+    returns or raises, so a process running cell after cell — a
+    :class:`~repro.exec.runner.Runner` worker, the daemon, the CLI —
+    frees each one by reference counting instead of leaving it to the
+    cycle collector.  Build a :class:`Simulation` directly to inspect
+    its state after the run.
+    """
+    sim = Simulation(
         config,
         check_decomposition=check_decomposition,
         engine_backend=engine_backend,
-    ).run()
+    )
+    try:
+        return sim.run()
+    finally:
+        sim.close()

@@ -47,7 +47,6 @@ class Router:
     """
 
     __slots__ = (
-        "sim",
         "engine",
         "topo",
         "rconf",
@@ -106,7 +105,6 @@ class Router:
     )
 
     def __init__(self, sim, router_id: int) -> None:
-        self.sim = sim
         self.engine = sim.engine
         self.topo = sim.topo
         self.rconf = sim.config.router
@@ -343,6 +341,14 @@ class Router:
             len(self.in_q[self.kb + port * self.max_vcs])
             for port in range(self._num_node_ports)
         )
+
+    def close(self) -> None:
+        """Drop every reference this router holds (:meth:`Simulation.close
+        <repro.core.simulation.Simulation.close>`): its peers, its prebuilt
+        records, the store, the queue and the mechanism all lead back to
+        it.  The router is unusable afterwards."""
+        for name in Router.__slots__:
+            setattr(self, name, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Router({self.router_id}, g{self.group}r{self.pos})"

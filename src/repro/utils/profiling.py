@@ -38,11 +38,18 @@ active keys (mean keys per scan), how often a hook made the kernel
 reload a router's active-key index, and how many packets it took from
 the injection FIFO lists after a hook.  ``cProfile`` counts re-entries it
 can see as Python frames; these are counted where they happen.
+
+A last line reports the cycle collector's work while the cell was built
+and run, read through a :data:`gc.callbacks` hook: collections per
+generation, the objects they freed and the seconds they took.  A
+collection in an older generation traverses everything still alive, so
+this is where garbage that reference counting could not free shows up.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import pstats
 import time
@@ -151,7 +158,30 @@ def describe_callbacks(metrics: dict[str, Any]) -> str:
             f"packets_materialized={counters['packets_materialized']} "
             f"peak_packet_rows={counters['peak_packet_rows']}"
         )
+    gens = " ".join(f"gen{gen}={n}" for gen, n in enumerate(metrics["gc_collections"]))
+    lines += (
+        f"\ncollector: {gens} collected={metrics['gc_collected']} "
+        f"in {metrics['gc_s']:.3f}s"
+    )
     return lines
+
+
+class _CollectorWatch:
+    """A :data:`gc.callbacks` hook tallying the collector's work."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.collected = 0
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict[str, int]) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+            return
+        self.seconds += time.perf_counter() - self._start
+        self.collections[info["generation"]] += 1
+        self.collected += info["collected"]
 
 
 def profile_simulation(
@@ -174,7 +204,9 @@ def profile_simulation(
     ``decide_s``, ``decide_calls``: the same for the mechanisms' Python
     ``decide``; ``decide_path``: which ``decide`` the run resolved to;
     ``kernel_counters``: the compiled kernel's own counters, None on the
-    python backend — :func:`describe_callbacks` renders all of these).
+    python backend; ``gc_collections`` (per generation), ``gc_collected``
+    and ``gc_s``: the cycle collector's work while the cell was built and
+    run — :func:`describe_callbacks` renders all of these).
     With *dump_path* the raw profile is additionally written for offline
     viewers (snakeviz, pstats).
     """
@@ -184,13 +216,18 @@ def profile_simulation(
         raise ValueError(
             f"unknown profile sort {sort!r}; expected one of {PROFILE_SORTS}"
         )
-    sim = Simulation(config)
+    watch = _CollectorWatch()
+    gc.callbacks.append(watch)
     profiler = cProfile.Profile()
-    profiler.enable()
-    start = time.perf_counter()
-    result = sim.run()
-    wall = time.perf_counter() - start
-    profiler.disable()
+    try:
+        sim = Simulation(config)
+        profiler.enable()
+        start = time.perf_counter()
+        result = sim.run()
+        wall = time.perf_counter() - start
+    finally:
+        profiler.disable()
+        gc.callbacks.remove(watch)
     if dump_path is not None:
         profiler.dump_stats(dump_path)
     engine = sim.engine
@@ -207,6 +244,9 @@ def profile_simulation(
         "decide_calls": decide_calls,
         "decide_path": _decide_path(sim),
         "kernel_counters": _kernel_counters(sim),
+        "gc_collections": tuple(watch.collections),
+        "gc_collected": watch.collected,
+        "gc_s": watch.seconds,
     }
     return result, render_profile(profiler, sort=sort, limit=limit), metrics
 

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import tiny_config
-from repro.core.simulation import Simulation
+from repro.config import NetworkConfig, SimulationConfig, tiny_config
+from repro.core.simulation import Simulation, run_simulation
 from repro.engine.kernel import available_backends
 from test_determinism_matrix import ROUTINGS, _result_fields
 from test_golden_trace import (
@@ -254,6 +255,108 @@ def test_finished_simulations_are_collectable(backend):
     # flat after the second run (the first two warm caches / interned
     # objects); a leaked tiny Simulation is thousands of objects
     assert max(counts[2:]) - counts[1] < 200, counts
+
+
+# ----------------------------------------------------------------------
+# cell lifecycle: run_simulation frees its Simulation by reference counting
+# ----------------------------------------------------------------------
+_LIFECYCLE_CELL = SimulationConfig(
+    network=NetworkConfig(p=2, a=4, h=2),
+    routing="in-trns-mm",
+    warmup_cycles=50,
+    measure_cycles=300,
+    seed=5,
+).with_traffic(pattern="advc", load=0.6)
+
+
+class Boom(Exception):
+    """Raised inside the drain by a scheduled callback."""
+
+
+def _cyclic_garbage(call) -> int:
+    """Objects the cycle collector frees after *call*, run with it off.
+
+    *call* runs once beforehand to warm the process's caches; whatever
+    the second call leaves that reference counting did not free is
+    cyclic garbage.
+    """
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "kwargs, oracle",
+    [({}, False), ({}, True), ({"check_decomposition": True}, False)],
+    ids=["lowered", "oracle", "check_decomposition"],
+)
+def test_run_simulation_leaves_no_cyclic_garbage(backend, kwargs, oracle):
+    cfg = _LIFECYCLE_CELL.with_(oracle=oracle)
+    sim = Simulation(cfg, engine_backend=backend, **kwargs)
+    assert (sim._lower is not None) == (
+        backend == "compiled" and not oracle and not kwargs
+    )
+    del sim
+    results = []
+
+    def cell():
+        results.append(run_simulation(cfg, engine_backend=backend, **kwargs))
+
+    assert _cyclic_garbage(cell) == 0
+    assert results[0] == results[1] and results[1].delivered_packets > 0
+    if oracle:
+        assert results[1].oracle["passed"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_raising_run_simulation_leaves_no_cyclic_garbage(backend, monkeypatch):
+    """A callback that raises mid-drain, reached through run_simulation."""
+    start = Simulation.start
+
+    def boom():
+        raise Boom("cycle 50")
+
+    def start_then_boom(sim):
+        start(sim)
+        sim.engine.schedule_at(50, boom)
+
+    monkeypatch.setattr(Simulation, "start", start_then_boom)
+
+    def cell():
+        with pytest.raises(Boom):
+            run_simulation(_LIFECYCLE_CELL, engine_backend=backend)
+
+    assert _cyclic_garbage(cell) == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_simulation_built_directly_stays_inspectable(backend):
+    """run() does not close: routers, queues and calendar outlive it, and
+    only close() frees the run by reference counting."""
+    sim = Simulation(_LIFECYCLE_CELL, engine_backend=backend)
+    result = sim.run()
+    assert sim.engine.pending > 0 and sim.engine.peek_time() > sim.engine.now
+    assert sim.stats.delivered_packets == result.delivered_packets
+    assert sum(r.backlog() for r in sim.routers) > 0
+    for r in sim.routers:
+        peers = [p for p in r.out_peer if p is not None]
+        assert peers and all(peer in sim.routers for peer, _port in peers)
+    sim.close()
+    sim.close()  # harmless twice
+    assert not vars(sim)
+    ref = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_dataclass_result_fields_cover_everything():
