@@ -11,7 +11,8 @@
  *   EventQueue.post                cal_post
  *   arm                            arm_step
  *   step                           c_step
- *   cached_or_decide               cached_or_decide
+ *   r.routing.decide(pkt, r)       cached_or_decide (twin or Python;
+ *                                    the memo is C only)
  *   _commit                        c_commit
  *   arrive                         c_arrive
  *   output_enqueue                 c_output_enqueue
@@ -26,9 +27,16 @@
  *   StatsCollector.on_delivery     c_deliver
  *   StatsCollector.on_injection    inline in c_commit
  *
- * Three deliberate asymmetries: step's single-head fast path and the
+ * Four deliberate asymmetries: step's single-head fast path and the
  * prebuilt constant records (prebuild_records) are Python only, the
- * native calendar (below) is C only.
+ * native calendar (below) and the decision memo are C only.  The memo is
+ * the kernel's private state: an entry per input key, holding a twin's
+ * decision for that key's head under the condition the twin proved it
+ * repeats (MIN always, oblivious / PiggyBack once the plan is frozen,
+ * in-transit from the purity and guard its twin hands back); a Python
+ * decide() is never memoized, and every mirror out clears the memo, so
+ * code that edits a waiting packet or a counter is seen at the next
+ * pass.
  *
  * A cell is lowered when the Simulation sets eq._lower to itself (the
  * compiled backend, a pattern whose lower() returns a descriptor, no
@@ -54,8 +62,10 @@
  *   iteration order (read off its native twin, "the active-key index"),
  *   decides
  *   at exactly the same points — through `routing.decide` or its C twin,
- *   which draws the same words from the same stream — and applies the
- *   same decision-memo contract;
+ *   which draws the same words from the same stream — and reuses a
+ *   memoized twin decision only where deciding again would return it
+ *   without a draw (the python-vs-compiled goldens check that against
+ *   the memo-free Python kernel);
  * - arithmetic is int64 throughout, matching the value range of the
  *   Python ints the interpreted kernels produce;
  * - `events_processed` / `activations` accounting, including the
@@ -84,10 +94,9 @@
  * For the length of a drain every per-event object is a fixed-width
  * native record: the calendar (eq._buckets / eq._times) is a Calendar of
  * 24-byte Recs, the output FIFOs (soa.out_fifo) are per-port Rings, the
- * input FIFOs (soa.in_q) and the decision memo (soa.dc_pkt / dc_dec /
- * dc_cond) are one InQ record per key — ring, cached head and its size,
- * memo — and Router._arb_time and the queue's now / processed /
- * activations are plain int64s.  A packet is a row of the KState's packet
+ * input FIFOs (soa.in_q) are one InQ record per key — ring, cached head
+ * and its size, and the key's memo — and Router._arb_time and the queue's
+ * now / processed / activations are plain int64s.  A packet is a row of the KState's packet
  * pool (one int64 column per Packet.__slots__ field, "packet rows"
  * below), and records, rings and memos name rows by index.  Only the
  * active-key sets stay Python objects; the kernel reads each set through
@@ -99,14 +108,14 @@
  * RNG streams:
  *
  * - mirror in at drain entry: the Python structures are converted and
- *   left empty (no bucket, no FIFO entry, no memo, every _arb_time None;
+ *   left empty (no bucket, no FIFO entry, every _arb_time None;
  *   each in_q slot of a VC a port class lacks stays None), every Packet
  *   taken into a row it stays attached to;
  * - mirror out on every exit — normal and error — and around whatever
  *   may run arbitrary code (an OP_CALL callback, an overridden
  *   Router.step), followed by a fresh mirror in: such code sees and may
  *   edit the complete state, every packet as the Packet object of its
- *   row;
+ *   row (the memo, which Python never sees, is dropped);
  * - after the narrow contract hooks (_gen, _sink, a Python decide,
  *   commit / arrival overrides, on_injection) only absorb the inbox:
  *   they read eq.now, which is written before the call, and what they
@@ -481,8 +490,7 @@ typedef struct {
     PyObject *rid_obj;          /* owned */
     PyObject *py_step;          /* owned bound method, or NULL: C step */
     int64_t kb, pb, rid, group, boundary, max_vcs, nkeys, radix;
-    int64_t cache_policy, transit_priority, internal, num_node_ports,
-        pipe_lat, pos;
+    int64_t transit_priority, internal, num_node_ports, pipe_lat, pos;
     int64_t arb;                /* Router._arb_time during a drain */
     int twin;                   /* TWIN_*: which decide() this router runs */
 } RState;
@@ -538,16 +546,18 @@ typedef struct {
     PyObject *groups_state; /* owned list */
     PbGroup *pb;         /* owned, `groups` entries */
     /* in-transit */
-    int64_t thr_occ;     /* integer form of the source-router threshold */
+    double threshold;    /* misroute_threshold */
+    int64_t thr_occ;     /* the least occ with occ / cap >= threshold */
     int64_t code_source, code_transit; /* 0 CRG, 1 NRG, 2 RRG */
 } Twin;
 
-/* What a twin hands back besides the decision: the purity / guard pair
- * the Python reference leaves in last_decide_pure / last_decide_guard. */
-#define GUARD_OUT_OCC 0  /* (0, idx, val): valid while out_occ[idx] == val */
-#define GUARD_CREDITS 1  /* (1, idx, val): while credits_used[idx] == val */
-#define GUARD_EPOCH 2    /* None: valid for the router's congestion epoch */
-#define GUARD_STABLE 3   /* (): read no congestion state */
+/* What a twin hands back besides the decision: whether it drew, and what
+ * congestion state it read — the condition under which deciding again
+ * would return the same without a draw, which the memo keeps. */
+#define GUARD_OUT_OCC 0  /* valid while out_occ[g_idx] == g_val */
+#define GUARD_CREDITS 1  /* valid while credits_used[g_idx] == g_val */
+#define GUARD_EPOCH 2    /* valid for the router's congestion epoch */
+#define GUARD_STABLE 3   /* read no congestion state */
 
 typedef struct {
     int64_t port, vc, action, aux;
@@ -675,12 +685,13 @@ typedef struct {
     Py_ssize_t head, len, cap; /* cap is 0 or a power of two */
 } Ring;
 
-/* One decision-memo entry (dc_pkt / dc_dec / dc_cond of one key): the
+/* One decision-memo entry, the kernel's own (Python never sees it): the
  * head row it was decided for (-1 = none) and that row's generation, and
- * the verdict, whose guard is the validity condition — GUARD_STABLE
- * None, GUARD_EPOCH the epoch in g_val, otherwise the (kind, g_idx,
- * g_val) counter guard.  The memo of a key is always its head's: c_commit
- * clears it as it pops the head, so a row is never released under it. */
+ * a twin's verdict (never a Python tuple: v.dec is NULL), whose guard is
+ * the validity condition — GUARD_EPOCH with the epoch in g_val.  The memo
+ * of a key is always its head's: c_commit clears it as it pops the head,
+ * so a row is never released under it, and store_inq as it empties the
+ * ring at mirror out. */
 typedef struct {
     int32_t row;
     uint32_t gen;
@@ -700,18 +711,19 @@ typedef struct {
  * outlive the KState); ck_counters names them. */
 enum { C_DRAINS, C_CALL, C_GEN, C_SINK, C_DECIDE, C_OVERRIDE, C_INBOX,
        C_MIRRORS, C_PEAK_PENDING, C_PEAK_BUCKET, C_STEPS, C_SCAN_KEYS,
-       C_INDEX_RELOADS, C_INQ_ABSORBED, C_MATERIALIZED, C_PEAK_ROWS, N_CTR };
+       C_INDEX_RELOADS, C_INQ_ABSORBED, C_MATERIALIZED, C_PEAK_ROWS,
+       C_MEMO_HITS, N_CTR };
 
 static const char *const CTR_NAMES[N_CTR] = {
     "drains", "reentries_call", "reentries_gen", "reentries_sink",
     "reentries_decide", "reentries_override", "inbox_records",
     "full_mirrors", "peak_pending_records", "peak_bucket_len", "steps",
     "scan_keys", "index_reloads", "inq_absorbed", "packets_materialized",
-    "peak_packet_rows",
+    "peak_packet_rows", "memo_hits",
 };
 
-/* buffer rows of the tables below: 21 store, 1 queue, 5 simulation */
-#define N_VIEWS 27
+/* buffer rows of the tables below: 20 store, 1 queue, 5 simulation */
+#define N_VIEWS 26
 
 typedef struct {
     PyObject *eq;        /* borrowed: the queue being drained */
@@ -733,14 +745,15 @@ typedef struct {
     int64_t *in_port_free, *out_occ, *out_cap, *switch_free, *link_free,
         *out_pumping, *credit_nvc, *credit_cap, *last_grant, *local_in,
         *global_out, *link_lat, *hop_cost;
-    /* per-router */
-    int64_t *cong_epoch;
+    /* per router (owned): bumped whenever its out_occ / credits_used
+     * change, the validity of GUARD_EPOCH memos */
+    int64_t *epoch;
     /* PiggyBack snapshot rows: R*h, R, groups (see soa.py) */
     int64_t *pb_snap, *pb_snap_sum, *pb_snap_time;
     int64_t *ctr;        /* N_CTR kernel counters */
     /* object-valued store fields (owned lists); empty / None while their
      * native form below is live */
-    PyObject *in_q, *dc_pkt, *dc_dec, *dc_cond, *out_fifo;
+    PyObject *in_q, *out_fifo;
     PyObject *router_list; /* owned: soa.routers */
     /* the queue's dict and list (owned): the inbox during a drain */
     PyObject *buckets, *times;
@@ -758,7 +771,6 @@ typedef struct {
     PyTypeObject *router_type; /* borrowed: the routers' common type */
     Py_ssize_t r_router_id;
     PyObject **key_objs;  /* nkeys ints 0..nkeys-1 (set members) */
-    PyObject *s_last_decide_pure, *s_last_decide_guard;
     PyObject *flow_err, *routing_err;
     /* step scratch (step never nests: decide cannot re-enter the drain) */
     int32_t *scr_keys;    /* nkeys: active-key snapshot */
@@ -817,13 +829,6 @@ lstate_clear(LState *ls)
     PyMem_Free(ls->perm);
 }
 
-static inline void
-memo_clear(Memo *m)
-{
-    m->row = -1;
-    Py_CLEAR(m->v.dec);
-}
-
 /* Free the native structures, dropping what they still own (nothing,
  * after a mirror out). */
 static void
@@ -846,10 +851,8 @@ native_free(KState *ks)
     for (i = 0; ks->rings != NULL && i < ks->num_routers * ks->radix; i++)
         PyMem_Free(ks->rings[i].e);
     PyMem_Free(ks->rings);
-    for (i = 0; ks->inq != NULL && i < ks->num_routers * ks->nkeys; i++) {
-        memo_clear(&ks->inq[i].memo);
+    for (i = 0; ks->inq != NULL && i < ks->num_routers * ks->nkeys; i++)
         PyMem_Free(ks->inq[i].ring.e);
-    }
     PyMem_Free(ks->inq);
     for (i = 0; i < p->hi; i++)
         Py_XDECREF(p->obj[i]);
@@ -878,21 +881,17 @@ kstate_free(KState *ks)
     Py_XDECREF(ks->t_obj);
     Py_XDECREF(ks->packet_type);
     Py_XDECREF(ks->in_q);
-    Py_XDECREF(ks->dc_pkt);
-    Py_XDECREF(ks->dc_dec);
-    Py_XDECREF(ks->dc_cond);
     Py_XDECREF(ks->out_fifo);
     Py_XDECREF(ks->router_list);
     Py_XDECREF(ks->buckets);
     Py_XDECREF(ks->times);
-    Py_XDECREF(ks->s_last_decide_pure);
-    Py_XDECREF(ks->s_last_decide_guard);
     Py_XDECREF(ks->flow_err);
     Py_XDECREF(ks->routing_err);
     PyMem_Free(ks->peer_rid);
     PyMem_Free(ks->peer_port);
     PyMem_Free(ks->up_rid);
     PyMem_Free(ks->up_port);
+    PyMem_Free(ks->epoch);
     PyMem_Free(ks->scr_keys);
     PyMem_Free(ks->scr_dead);
     PyMem_Free(ks->c_key);
@@ -2079,7 +2078,9 @@ undo: /* the list still holds them all */
 }
 
 /* Rings -> soa.in_q, each in front of what its list holds, leaving the
- * rings empty.  A list holds nothing here unless a narrow hook edited it
+ * rings empty and their memos cleared: whatever runs before the next
+ * mirror in may edit a packet or a counter a memo was decided on.  A
+ * list holds nothing here unless a narrow hook edited it
  * against the contract (or load_inq refused it): builds without NDEBUG
  * raise SystemError for that, once everything is back. */
 static int
@@ -2107,7 +2108,7 @@ store_inq(KState *ks)
             PyList_SET_ITEM(front, k, Py_NewRef(pkt));
         }
         r->len = 0;
-        iq->head = -1;
+        iq->head = iq->memo.row = -1;
         rc = PyList_SetSlice(q, 0, 0, front);
         Py_DECREF(front);
         if (rc < 0)
@@ -2307,7 +2308,7 @@ store_fifos(KState *ks)
 }
 
 /* The Verdict of a Python decision tuple (out_port, out_vc, action, aux);
- * takes over `dec`.  Purity and guard are the caller's to fill. */
+ * takes over `dec`.  (Never memoized: it has no guard.) */
 static int
 verdict_from_py(KState *ks, PyObject *dec, Verdict *v)
 {
@@ -2330,8 +2331,6 @@ verdict_from_py(KState *ks, PyObject *dec, Verdict *v)
         goto fail;
     }
     v->dec = dec;
-    v->pure = 0;
-    v->guard = GUARD_STABLE;
     return 0;
 fail:
     Py_DECREF(dec);
@@ -2347,107 +2346,6 @@ verdict_tuple(const Verdict *v)
         return Py_NewRef(v->dec);
     return Py_BuildValue("(LLLL)", (long long)v->port, (long long)v->vc,
                          (long long)v->action, (long long)v->aux);
-}
-
-/* A dc_cond value (None, an epoch, or a (kind, flat index, value) guard
- * tuple) as the guard fields of `v`; 0 when it is none of these. */
-static int
-guard_from_py(KState *ks, PyObject *cond, Verdict *v)
-{
-    if (cond == Py_None)
-        v->guard = GUARD_STABLE;
-    else if (PyTuple_CheckExact(cond) && PyTuple_GET_SIZE(cond) == 3) {
-        v->guard = as_ll(PyTuple_GET_ITEM(cond, 0)) ? GUARD_CREDITS
-                                                    : GUARD_OUT_OCC;
-        v->g_idx = as_ll(PyTuple_GET_ITEM(cond, 1));
-        v->g_val = as_ll(PyTuple_GET_ITEM(cond, 2));
-        if (v->g_idx < 0
-            || v->g_idx >= ks->num_routers * (v->guard == GUARD_CREDITS
-                                                  ? ks->nkeys : ks->radix))
-            return 0;
-    }
-    else if (PyLong_CheckExact(cond)) {
-        v->guard = GUARD_EPOCH;
-        v->g_val = as_ll(cond);
-    }
-    else
-        return 0;
-    if (PyErr_Occurred()) {
-        PyErr_Clear();
-        return 0;
-    }
-    return 1;
-}
-
-/* soa.dc_pkt / dc_dec / dc_cond -> memo, leaving the lists all None (the
- * input FIFOs are in).  An entry that does not parse, or is not for its
- * FIFO's head — the only packet it can match — is dropped: a memo is only
- * ever a shortcut. */
-static int
-load_memo(KState *ks)
-{
-    PyObject *lists[3] = {ks->dc_pkt, ks->dc_dec, ks->dc_cond};
-    Py_ssize_t gk;
-    int j;
-    for (gk = 0; gk < ks->num_routers * ks->nkeys; gk++) {
-        PyObject *pkt = PyList_GET_ITEM(ks->dc_pkt, gk);
-        InQ *iq = &ks->inq[gk];
-        Memo *m = &iq->memo;
-        if (pkt == Py_None)
-            continue;
-        if (iq->head < 0 || ks->pool.obj[iq->head] != pkt)
-            ;
-        else if (verdict_from_py(
-                     ks, Py_NewRef(PyList_GET_ITEM(ks->dc_dec, gk)), &m->v)
-                 < 0)
-            PyErr_Clear();
-        else if (guard_from_py(ks, PyList_GET_ITEM(ks->dc_cond, gk), &m->v)) {
-            m->row = iq->head;
-            m->gen = ks->pool.gen[iq->head];
-        }
-        else
-            Py_CLEAR(m->v.dec);
-        for (j = 0; j < 3; j++)
-            if (PyList_SetItem(lists[j], gk, Py_NewRef(Py_None)) < 0)
-                return -1;
-    }
-    return 0;
-}
-
-/* Memo -> soa.dc_pkt / dc_dec / dc_cond, leaving the memo empty. */
-static int
-store_memo(KState *ks)
-{
-    Py_ssize_t gk;
-    for (gk = 0; gk < ks->num_routers * ks->nkeys; gk++) {
-        Memo *m = &ks->inq[gk].memo;
-        const Verdict *v = &m->v;
-        PyObject *pkt, *dec, *cond;
-        if (m->row < 0)
-            continue;
-        if ((pkt = row_obj(ks, m->row)) == NULL)
-            return -1;
-        dec = verdict_tuple(v);
-        if (v->guard == GUARD_STABLE)
-            cond = Py_NewRef(Py_None);
-        else if (v->guard == GUARD_EPOCH)
-            cond = PyLong_FromLongLong((long long)v->g_val);
-        else
-            cond = Py_BuildValue("(iLL)", v->guard, (long long)v->g_idx,
-                                 (long long)v->g_val);
-        if (dec == NULL || cond == NULL) {
-            Py_XDECREF(dec);
-            Py_XDECREF(cond);
-            return -1;
-        }
-        /* PyList_SetItem takes its item over either way: no short-circuit */
-        if ((PyList_SetItem(ks->dc_pkt, gk, Py_NewRef(pkt)) < 0)
-            | (PyList_SetItem(ks->dc_dec, gk, dec) < 0)
-            | (PyList_SetItem(ks->dc_cond, gk, cond) < 0))
-            return -1;
-        memo_clear(m);
-    }
-    return 0;
 }
 
 /* Take the whole Python-side event state into the kernel: drain entry,
@@ -2480,8 +2378,6 @@ mirror_in(KState *ks)
     for (i = 0; i < ks->num_routers * ks->nkeys; i++)
         if (load_inq(ks, i) < 0)
             return -1;
-    if (load_memo(ks) < 0)
-        return -1;
     return kstate_rng_in(ks);
 }
 
@@ -2502,8 +2398,7 @@ mirror_out(KState *ks)
             return -1;
         rs->arb = ARB_NONE;
     }
-    if (store_buckets(ks) < 0 || store_fifos(ks) < 0 || store_memo(ks) < 0
-        || store_inq(ks) < 0)
+    if (store_buckets(ks) < 0 || store_fifos(ks) < 0 || store_inq(ks) < 0)
         rc = -1;
     else
         pool_reset(ks); /* every row's packet is Python's now */
@@ -3035,10 +2930,11 @@ c_piggyback_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
     return c_plan_walk(ks, rs, pk, plan, v);
 }
 
-/* OLM (the inlined precheck + _try_local_misroute of intransit.py):
- * `v` holds the minimal local hop of a packet that has taken no local
- * hop in this group yet; divert it through a third router when that hop
- * is credit-blocked.  Fills the purity / guard pair either way. */
+/* OLM (decide's credit-blocked trigger + _try_local_misroute of
+ * intransit.py): `v` holds the minimal local hop of a packet that has
+ * taken no local hop in this group yet; divert it through a third router
+ * when that hop is credit-blocked.  Fills the purity / guard pair either
+ * way. */
 static int
 c_olm(KState *ks, RState *rs, int64_t size, int64_t avoid_pos, Verdict *v)
 {
@@ -3095,8 +2991,8 @@ c_olm(KState *ks, RState *rs, int64_t size, int64_t avoid_pos, Verdict *v)
     return 0;
 }
 
-/* Stage + escape VC for a hop outside the destination group (the
- * inlined repro.routing.vc staging of intransit.py).  Returns 1 where
+/* Stage + escape VC for a hop outside the destination group
+ * (repro.routing.vc.stage_local_vc / stage_global_vc).  Returns 1 where
  * stage_global_vc raises. */
 static inline int
 stage_vc(const Twin *tw, int64_t port, int64_t gh, int64_t glh, int64_t *vc)
@@ -3112,9 +3008,10 @@ stage_vc(const Twin *tw, int64_t port, int64_t gh, int64_t glh, int64_t *vc)
     return 0;
 }
 
-/* The global-misroute candidate scan of the PAR branch: keep the
- * least-occupied first hop that is strictly better than `best_occ` and
- * not credit-blocked. */
+/* The candidate scan of _try_global_misroute: keep the least-occupied
+ * first hop that is strictly better than `best_occ` and not
+ * credit-blocked.  Raw occupancies order as the reference's out_frac
+ * fractions do: every output FIFO has the same capacity. */
 typedef struct {
     int64_t best_occ, best_port, best_vc, best_inter;
     int64_t local_vc, size;
@@ -3145,8 +3042,10 @@ scan_candidate(KState *ks, RState *rs, const Twin *tw, Scan *sc,
     sc->best_inter = inter_group;
 }
 
-/* C twin of InTransitAdaptiveRouting.decide (repro/routing/intransit.py,
- * the reference): same branches in the same order, the same congestion
+/* C twin of InTransitAdaptiveRouting.decide and the helpers it calls,
+ * _try_global_misroute and _try_local_misroute
+ * (repro/routing/intransit.py, the reference): same branches in the same
+ * order, the same congestion
  * counters read, and — through the in-kernel rng_routing mirror — the
  * same words drawn from the same stream.  The randomised candidate
  * generators (misrouting.nrg_candidates / rrg_candidates) and the CRG
@@ -3325,42 +3224,13 @@ py_decide(KState *ks, RState *rs, int32_t row, Verdict *v)
     return verdict_from_py(ks, dec, v);
 }
 
-/* The purity / guard pair of the decision the Python decide() just
- * returned (cache policy 3, outside the committed diversion), read off
- * last_decide_pure / last_decide_guard into `v`. */
-static int
-py_decide_guard(KState *ks, RState *rs, Verdict *v)
-{
-    PyObject *pure = PyObject_GetAttr(rs->routing, ks->s_last_decide_pure);
-    PyObject *g;
-    if (pure == NULL)
-        return -1;
-    v->pure = PyObject_IsTrue(pure);
-    Py_DECREF(pure);
-    if (v->pure <= 0)
-        return v->pure;
-    g = PyObject_GetAttr(rs->routing, ks->s_last_decide_guard);
-    if (g == NULL)
-        return -1;
-    /* None: the epoch; (): GUARD_STABLE; else a single-counter guard */
-    if (g == Py_None)
-        v->guard = GUARD_EPOCH;
-    else if (PyTuple_Check(g) && PyTuple_GET_SIZE(g) == 0)
-        v->guard = GUARD_STABLE;
-    else if (!guard_from_py(ks, g, v) || v->guard == GUARD_EPOCH) {
-        Py_DECREF(g);
-        PyErr_SetString(PyExc_TypeError,
-                        "last_decide_guard is not None, () or a "
-                        "(kind, flat index, value) tuple in range");
-        return -1;
-    }
-    Py_DECREF(g);
-    return 0;
-}
-
-/* The memoized decision for the head of input FIFO `iq` (non-empty), or
- * a fresh decide (twin or Python) with the cache-policy write-back, into
- * `v` (which then owns v->dec).  `epoch` is the router's congestion epoch
+/* The decision for the head of input FIFO `iq` (non-empty), into `v`
+ * (which then owns v->dec): the memo's while its guard holds, else a
+ * fresh decide — the twin, or the Python method.  A twin's decision is
+ * memoized where deciding again would provably return it without a draw:
+ * MIN always, oblivious / PiggyBack once the plan is frozen, in-transit
+ * when the twin drew nothing (under the guard it handed back).  A Python
+ * decide() is never memoized.  `epoch` is the router's congestion epoch
  * read at scan start. */
 static int
 cached_or_decide(KState *ks, RState *rs, InQ *iq, int64_t epoch, Verdict *v)
@@ -3368,7 +3238,7 @@ cached_or_decide(KState *ks, RState *rs, InQ *iq, int64_t epoch, Verdict *v)
     Memo *m = &iq->memo;
     int32_t row = iq->head; /* the ring's: a hook can only append */
     int64_t *pk;
-    int deferred, store = 0, stable = 1;
+    int deferred, store = 0;
 #ifndef NDEBUG
     /* a memo is its head's, and the head's row was not recycled under it */
     if (m->row >= 0 && (m->row != row || m->gen != ks->pool.gen[row])) {
@@ -3389,7 +3259,7 @@ cached_or_decide(KState *ks, RState *rs, InQ *iq, int64_t epoch, Verdict *v)
                                                   : ks->out_occ)[mv->g_idx]
                           == mv->g_val)) {
             *v = *mv;
-            Py_XINCREF(v->dec);
+            ks->ctr[C_MEMO_HITS] += 1;
             return 0;
         }
     }
@@ -3398,54 +3268,31 @@ cached_or_decide(KState *ks, RState *rs, InQ *iq, int64_t epoch, Verdict *v)
     switch (rs->twin) {
     case TWIN_MIN:
         deferred = c_min_decide(ks, rs, pk, v);
+        store = 1;
         break;
     case TWIN_OBLIVIOUS:
         deferred = c_oblivious_decide(ks, rs, pk, v);
+        store = pk[PK_PLAN] != 0;
         break;
     case TWIN_PIGGYBACK:
         deferred = c_piggyback_decide(ks, rs, pk, v);
+        store = pk[PK_PLAN] != 0;
         break;
     case TWIN_INTRANSIT:
         deferred = c_intransit_decide(ks, rs, pk, v);
+        store = v->pure;
         break;
     default: /* TWIN_NONE */
         deferred = 1;
         break;
     }
-    if (deferred < 0 || (deferred && py_decide(ks, rs, row, v) < 0))
-        return -1;
-    pk = PK(ks, row); /* the decide may have grown the pool */
-    switch (rs->cache_policy) {
-    case 1:
-        store = 1;
-        break;
-    case 2:
-        store = pk[PK_PLAN] != 0;
-        break;
-    case 3:
-        if (pk[PK_INTER_GROUP] >= 0 && rs->group != pk[PK_DST_GROUP])
-            store = 1;
-        else {
-            if (deferred && py_decide_guard(ks, rs, v) < 0) {
-                Py_CLEAR(v->dec);
-                return -1;
-            }
-            store = v->pure;
-            stable = 0;
-        }
-        break;
-    default:
-        break;
-    }
+    if (deferred)
+        return (deferred < 0) ? -1 : py_decide(ks, rs, row, v);
     if (store) {
-        memo_clear(m);
         m->row = row;
         m->gen = ks->pool.gen[row];
         m->v = *v;
-        Py_XINCREF(v->dec);
-        if (stable)
-            m->v.guard = GUARD_STABLE;
-        else if (v->guard == GUARD_EPOCH)
+        if (v->guard == GUARD_EPOCH)
             m->v.g_val = epoch;
     }
     return 0;
@@ -3466,10 +3313,10 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
     InQ *iq = &ks->inq[gk];
     int64_t size = iq->size, *pk;
     int32_t row = inq_pop(iq); /* the OP_OUT_ARRIVE record's, below */
-    memo_clear(&iq->memo); /* head changed: decision no longer valid */
+    iq->memo.row = -1; /* head changed: decision no longer valid */
     if (iq->head < 0 && ak_discard(ks, rs, key) < 0)
         return -1;
-    ks->cong_epoch[rs->rid] += 1;
+    ks->epoch[rs->rid] += 1;
     ks->in_port_free[gin] = now + rs->internal;
     ks->switch_free[gout] = now + rs->internal;
     ks->out_occ[gout] += size;
@@ -3568,7 +3415,7 @@ c_step(KState *ks, RState *rs, int64_t now)
     Py_ssize_t n_act, n_dead = 0, n_cand = 0, n_ports = 0;
     int64_t next_time = -1; /* -1 = None */
     int granted = 0, td_active = 0;
-    int64_t epoch = ks->cong_epoch[rs->rid];
+    int64_t epoch = ks->epoch[rs->rid];
     const KeyIndex *ix = &rs->ix;
     Py_ssize_t i, w;
     uint64_t bits;
@@ -3860,7 +3707,7 @@ c_release_output(KState *ks, RState *rs, int64_t port, int64_t size,
                  int64_t now)
 {
     int64_t gp = rs->pb + port;
-    ks->cong_epoch[rs->rid] += 1;
+    ks->epoch[rs->rid] += 1;
     ks->out_occ[gp] -= size;
     if (ks->out_occ[gp] < 0) {
         PyErr_Format(ks->flow_err,
@@ -3876,7 +3723,7 @@ c_release_credit(KState *ks, RState *rs, int64_t port, int64_t vc,
                  int64_t size, int64_t now)
 {
     int64_t ck = rs->kb + port * rs->max_vcs + vc;
-    ks->cong_epoch[rs->rid] += 1;
+    ks->epoch[rs->rid] += 1;
     ks->credits_used[ck] -= size;
     if (ks->credits_used[ck] < 0) {
         PyErr_Format(ks->flow_err,
@@ -4080,7 +3927,8 @@ static const Attr TWIN_ATTRS[] = {
     {"t_local", offsetof(Twin, t_local), A_F64, L_ANY, 1 << TWIN_PIGGYBACK},
     {"groups_state", offsetof(Twin, groups_state), A_LIST, L_GROUPS,
      1 << TWIN_PIGGYBACK},
-    {"_thr_occ", offsetof(Twin, thr_occ), A_I64, L_ANY, 1 << TWIN_INTRANSIT},
+    {"threshold", offsetof(Twin, threshold), A_F64, L_ANY,
+     1 << TWIN_INTRANSIT},
     {"_code_source", offsetof(Twin, code_source), A_I64, L_ANY,
      1 << TWIN_INTRANSIT},
     {"_code_transit", offsetof(Twin, code_transit), A_I64, L_ANY,
@@ -4157,6 +4005,15 @@ twin_build(KState *ks, PyObject *routing)
         if (twin_read_global_out(tw) < 0)
             return -1;
     }
+    if (kind == TWIN_INTRANSIT) {
+        /* The source-router trigger `out_occ / out_cap >= threshold` as
+         * `occ >= thr_occ`, in the reference's double arithmetic: every
+         * output FIFO has the capacity output_buffer. */
+        int64_t cap = ks->out_cap[0];
+        for (tw->thr_occ = 0; tw->thr_occ <= cap; tw->thr_occ++)
+            if ((double)tw->thr_occ / (double)cap >= tw->threshold)
+                break;
+    }
     if (tw->variant != NULL) /* oblivious and PiggyBack: two variants */
         tw->crg = PyUnicode_Check(tw->variant)
                   && PyUnicode_CompareWithASCIIString(tw->variant, "crg") == 0;
@@ -4200,7 +4057,6 @@ static const Attr ROUTER_ATTRS[] = {
     {"transit_priority", offsetof(RState, transit_priority), A_BOOL},
     {"routing", offsetof(RState, routing), A_OBJ},
     {"routing.decide", offsetof(RState, decide), A_OBJ},
-    {"routing.cache_policy", offsetof(RState, cache_policy), A_I64},
     {"_commit_hook", offsetof(RState, commit_override), A_OBJ_OPT},
     {"_arrival_hook", offsetof(RState, arrival_override), A_OBJ_OPT},
     {"_on_injection", offsetof(RState, on_injection), A_OBJ},
@@ -4310,14 +4166,10 @@ static const Attr STORE_ATTRS[] = {
     PORTS(link_free), PORTS(out_pumping), PORTS(credit_nvc),
     PORTS(credit_cap), PORTS(last_grant), PORTS(local_in), PORTS(global_out),
     PORTS(link_lat), PORTS(hop_cost),
-    {"cong_epoch", offsetof(KState, cong_epoch), A_BUF_Q, L_ROUTERS},
     {"pb_snap", offsetof(KState, pb_snap), A_BUF_Q, L_RH},
     {"pb_snap_sum", offsetof(KState, pb_snap_sum), A_BUF_Q, L_ROUTERS},
     {"pb_snap_time", offsetof(KState, pb_snap_time), A_BUF_Q, L_GROUPS},
     {"in_q", offsetof(KState, in_q), A_LIST, L_KEYS},
-    {"dc_pkt", offsetof(KState, dc_pkt), A_LIST, L_KEYS},
-    {"dc_dec", offsetof(KState, dc_dec), A_LIST, L_KEYS},
-    {"dc_cond", offsetof(KState, dc_cond), A_LIST, L_KEYS},
     {"out_fifo", offsetof(KState, out_fifo), A_LIST, L_PORTS},
     {"routers", offsetof(KState, router_list), A_LIST, L_ROUTERS},
 };
@@ -4347,18 +4199,19 @@ kstate_build(PyObject *eq, PyObject *store)
     K = ks->num_routers * ks->nkeys;
     P = ks->num_routers * ks->radix;
 
-    /* the native forms of the store's lists, the calendar and the wiring
-     * tables */
+    /* the native forms of the store's lists, the calendar, the memo's
+     * epochs and the wiring tables */
     ks->cal.free = ks->cal.cur = -1;
     ks->rings = PyMem_Calloc((size_t)(P ? P : 1), sizeof(Ring));
     ks->inq = PyMem_Calloc((size_t)(K ? K : 1), sizeof(InQ));
+    ks->epoch = PyMem_Calloc((size_t)ks->num_routers, sizeof(int64_t));
     ks->peer_rid = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
     ks->peer_port = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
     ks->up_rid = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
     ks->up_port = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
-    if (ks->rings == NULL || ks->inq == NULL || ks->peer_rid == NULL
-        || ks->peer_port == NULL || ks->up_rid == NULL
-        || ks->up_port == NULL) {
+    if (ks->rings == NULL || ks->inq == NULL || ks->epoch == NULL
+        || ks->peer_rid == NULL || ks->peer_port == NULL
+        || ks->up_rid == NULL || ks->up_port == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
@@ -4407,11 +4260,6 @@ kstate_build(PyObject *eq, PyObject *store)
     kernel_step = PyObject_GetAttrString(mod, "step");
     Py_CLEAR(mod);
     if (kernel_step == NULL)
-        goto fail;
-    ks->s_last_decide_pure = PyUnicode_InternFromString("last_decide_pure");
-    ks->s_last_decide_guard =
-        PyUnicode_InternFromString("last_decide_guard");
-    if (ks->s_last_decide_pure == NULL || ks->s_last_decide_guard == NULL)
         goto fail;
     ks->key_objs = PyMem_Calloc((size_t)ks->nkeys, sizeof(PyObject *));
     if (ks->key_objs == NULL) {

@@ -9,10 +9,10 @@ the compiled kernel (``_ckernel.c``), name for name:
   distinct cycle, then an opcode-dispatched scan that calls the target
   router's *phase handler* with positional arguments;
 * the phase handlers :func:`arrive` (input arrival), :func:`step` (the
-  consolidated arbitration → commit pipeline, with :func:`cached_or_decide`
-  and :func:`_commit`), :func:`output_enqueue` (switch traversal into an
-  output FIFO), :func:`send` (link transmission), :func:`release_output`
-  / :func:`release_credit` (resource releases that re-arm the pipeline),
+  consolidated arbitration → commit pipeline, with :func:`_commit`),
+  :func:`output_enqueue` (switch traversal into an output FIFO),
+  :func:`send` (link transmission), :func:`release_output` /
+  :func:`release_credit` (resource releases that re-arm the pipeline),
   :func:`link_step` (= ``release_output`` then ``send``, the merged
   ``OP_LINK`` record of a busy link) and :func:`inject`;
 * :func:`arm` — the one place a pipeline activation is requested: it
@@ -35,11 +35,13 @@ and the routing mechanism through ``r.routing`` at the moment of use —
 nothing is frozen per router, so what is bound to a router is what runs,
 on this backend as on the compiled one.
 
-Three things differ from the C side on purpose: :func:`step` has a
+Four things differ from the C side on purpose: :func:`step` has a
 single-head fast path (selected from ``len(active_keys)``; C runs the
 general scan only), the hottest records are prebuilt constants
-(:func:`prebuild_records`; C records are values), and the calendar is
-native only in C.
+(:func:`prebuild_records`; C records are values), the calendar is native
+only in C, and so is the decision memo: :func:`step` calls
+``routing.decide`` for every head it scans, while the C scan may reuse a
+C twin's decision where re-deciding provably repeats it.
 
 Backend selection
 -----------------
@@ -297,70 +299,6 @@ def arrive(r, port: int, vc: int, pkt: Packet, now: int) -> None:
     arm(r, time if time > now else now)
 
 
-def cached_or_decide(r, gk: int, pkt: Packet, epoch: int) -> tuple:
-    """The decision for head *pkt* at flat key *gk*: memoized, or fresh.
-
-    ``routing.decide`` results are memoized per input key while the same
-    packet stays at the head of that FIFO, in the store's parallel
-    ``dc_*`` arrays: ``dc_pkt[gk]`` is the head the cached ``dc_dec[gk]``
-    belongs to (None = no valid entry) and ``dc_cond[gk]`` its validity
-    condition — None for an unconditionally stable decision, the
-    congestion epoch it was computed at for an RNG-free adaptive one
-    (*epoch* is the router's ``cong_epoch`` read at scan start; it is
-    bumped at every commit / release), or a single-counter guard tuple
-    ``(kind, flat index, value)`` over ``credits_used`` (kind 1) or
-    ``out_occ`` (kind 0), revalidated with one flat load.
-
-    A fresh decision is stored only when the mechanism's ``cache_policy``
-    (the data form of :meth:`~repro.routing.base.RoutingMechanism.
-    decision_stable`) says re-deciding would provably return the same
-    tuple without consuming RNG, so results stay bit-identical with
-    uncached evaluation.  Entries are invalidated on commit (the head
-    changes); a packet's routing state only mutates in
-    ``commit``/``on_arrival``, never while it waits at a head, so the
-    packet-identity check covers arrivals behind the head.
-    """
-    dc_pkt = r._dc_pkt
-    if dc_pkt[gk] is pkt and (
-        (cond := r._dc_cond[gk]) is None
-        or cond == epoch
-        or (
-            cond.__class__ is tuple
-            and (r.credits_used[cond[1]] if cond[0] else r.out_occ[cond[1]])
-            == cond[2]
-        )
-    ):
-        return r._dc_dec[gk]
-    routing = r.routing
-    dec = routing.decide(pkt, r)
-    # The cache-policy switch (decision_stable as data).
-    policy = routing.cache_policy
-    if policy == 1:
-        cond = None
-    elif policy == 2:
-        if not pkt.plan:
-            return dec
-        cond = None
-    elif policy == 3:
-        if pkt.inter_group >= 0 and r.group != pkt.dst_group:
-            cond = None  # committed diversion: pure until the bound group
-        elif routing.last_decide_pure:
-            cond = routing.last_decide_guard
-            if cond is None:
-                cond = epoch
-            elif not cond:  # GUARD_STABLE: frozen-pure decision
-                cond = None
-            # else: a single-counter guard
-        else:
-            return dec
-    else:
-        return dec
-    dc_pkt[gk] = pkt
-    r._dc_dec[gk] = dec
-    r._dc_cond[gk] = cond
-    return dec
-
-
 def step(r, now: int) -> None:
     """Consolidated pipeline activation: arbitrate and commit at *now*.
 
@@ -389,13 +327,13 @@ def step(r, now: int) -> None:
     if not active_keys:
         return  # a release activation woke an idle router: nothing to do
     kb = r.kb
-    epoch = r._epochs[r.router_id]  # stable through the scan (no commits yet)
+    decide = r.routing.decide
 
     if len(active_keys) == 1:
         # Uncontended fast path (the most common activation shape):
         # one head, no output competition, no intermediate lists.
-        # Byte-for-byte the same decisions, cache writes and RNG
-        # consumption as the general scan below restricted to one key.
+        # Byte-for-byte the same decisions and RNG consumption as the
+        # general scan below restricted to one key.
         for key in active_keys:
             break
         gk = kb + key
@@ -407,13 +345,13 @@ def step(r, now: int) -> None:
         t_free = r.in_port_free[r._key_port[gk]]
         if t_free > now:
             if key >= r.injection_boundary and r.transit_priority:
-                # Assert the head's demand (cache write + possible RNG
-                # draw happen exactly as in the general scan; with no
+                # Assert the head's demand (the decide, and any RNG draw
+                # in it, happen exactly as in the general scan; with no
                 # competing injection head the mask itself is moot).
-                cached_or_decide(r, gk, pkt, epoch)
+                decide(pkt, r)
             arm(r, t_free)
             return
-        dec = cached_or_decide(r, gk, pkt, epoch)
+        dec = decide(pkt, r)
         out_port = dec[0]
         gout = r.pb + out_port
         t_sw = r.switch_free[gout]
@@ -475,10 +413,10 @@ def step(r, now: int) -> None:
                 next_time = t_free
             if is_transit and use_priority:
                 # Still assert this head's demand for priority masking.
-                transit_demand |= 1 << cached_or_decide(r, gk, q[0], epoch)[0]
+                transit_demand |= 1 << decide(q[0], r)[0]
             continue
         pkt = q[0]
-        dec = cached_or_decide(r, gk, pkt, epoch)
+        dec = decide(pkt, r)
         out_port = dec[0]
         if is_transit and use_priority:
             transit_demand |= 1 << out_port
@@ -569,8 +507,6 @@ def _commit(r, out_port, gout, key, gk, pkt, dec, now) -> None:
     del q[0]
     if not q:
         r.active_keys.discard(key)
-    r._dc_pkt[gk] = None  # head changed: decision no longer valid
-    r._epochs[rid] += 1  # out_occ / credits are about to change
     busy = now + r.internal_cycles  # the crossbar transfer time
     r.in_port_free[gin] = busy
     r.switch_free[gout] = busy
@@ -690,7 +626,6 @@ def send(r, port: int, now: int) -> None:
 
 def release_output(r, port: int, size: int, now: int) -> None:
     """Phase handler: a packet's tail left the link; FIFO space frees."""
-    r._epochs[r.router_id] += 1
     gp = r.pb + port
     out_occ = r.out_occ
     out_occ[gp] = occ = out_occ[gp] - size
@@ -713,7 +648,6 @@ def link_step(r, port: int, size: int, now: int) -> None:
 
 def release_credit(r, port: int, vc: int, size: int, now: int) -> None:
     """Phase handler: credits for (port, vc) returned from downstream."""
-    r._epochs[r.router_id] += 1
     ck = r.kb + port * r.max_vcs + vc
     credits_used = r.credits_used
     credits_used[ck] = used = credits_used[ck] - size

@@ -1,15 +1,14 @@
 """Structure-of-arrays store for the hot per-router engine state.
 
 Every field the allocation pipeline touches per activation — input/output
-occupancies, credits, switch/link timestamps, memo guards — lives here in
-one *flat* buffer per field, shared by every router of a simulation,
-instead of per-:class:`~repro.hardware.router.Router` instance lists:
+occupancies, credits, switch/link timestamps — lives here in one *flat*
+buffer per field, shared by every router of a simulation, instead of
+per-:class:`~repro.hardware.router.Router` instance lists:
 
 * **per-key fields** (one slot per input FIFO) are indexed
   ``router_id * nkeys + key`` where ``key = port * max_vcs + vc`` and
   ``nkeys = radix * max_vcs``;
 * **per-port fields** are indexed ``router_id * radix + port``;
-* **per-router fields** (the congestion epoch) are indexed ``router_id``;
 * the **PiggyBack snapshot rows** (the periodically broadcast copy of
   every global port's occupancy) are indexed ``router_id * h + j`` for
   global port ``j``, ``router_id`` for their per-router sum and ``group``
@@ -18,10 +17,7 @@ instead of per-:class:`~repro.hardware.router.Router` instance lists:
 A router keeps its two base offsets (``kb = router_id * nkeys``,
 ``pb = router_id * radix``) and references to the shared buffers, making
 it a thin view: ``router.out_occ[router.pb + port]`` is the one canonical
-copy of that counter.  Memo-guard tuples emitted by routing mechanisms
-(see :mod:`repro.routing.base`) carry these *flat* indices, so guard
-revalidation in the kernel is a single flat load regardless of which
-router produced the guard.
+copy of that counter.
 
 Two buffer modes, selected by the engine backend:
 
@@ -34,8 +30,8 @@ Two buffer modes, selected by the engine backend:
 
 Both modes hold bit-identical *values* at every point of a run — the
 cross-backend equivalence suite pins that.  Object-valued fields (input
-FIFOs, output FIFOs, memoized decisions, prebuilt credit records) are
-flat Python lists in both modes.
+FIFOs, output FIFOs, prebuilt credit records) are flat Python lists in
+both modes.
 """
 
 from __future__ import annotations
@@ -87,9 +83,6 @@ class SoAStore:
         "in_cap",
         "key_port",
         "credits_used",
-        "dc_pkt",
-        "dc_dec",
-        "dc_cond",
         "credit_recs",
         # per-port: router_id * radix + port
         "in_port_free",
@@ -106,8 +99,6 @@ class SoAStore:
         "global_out",
         "link_lat",
         "hop_cost",
-        # per-router
-        "cong_epoch",
         # PiggyBack saturation snapshot (repro.routing.piggyback)
         "pb_snap",
         "pb_snap_sum",
@@ -152,14 +143,6 @@ class SoAStore:
         # buffer reached through the key's port/VC (flat layout; only the
         # first credit_nvc[gp] VC slots of a port are meaningful).
         self.credits_used = _int_buffer(K, typed)
-        # Memoized head decisions (see the decision-memo contract of
-        # repro.engine.kernel.cached_or_decide): dc_pkt[gk] is the head
-        # packet the cached dc_dec[gk] belongs to, dc_cond[gk] the
-        # validity condition (None, a congestion epoch, or a flat
-        # single-counter guard tuple).
-        self.dc_pkt: list = [None] * K
-        self.dc_dec: list = [None] * K
-        self.dc_cond: list = [None] * K
         # Prebuilt OP_CREDIT records to the upstream router, per key.
         self.credit_recs: list = [None] * K
 
@@ -181,12 +164,6 @@ class SoAStore:
         self.global_out = _int_buffer(P, typed)  # 1 for global ports
         self.link_lat = _int_buffer(P, typed)
         self.hop_cost = _int_buffer(P, typed)
-
-        # ---- per-router ------------------------------------------------
-        # Congestion epoch: bumped whenever out_occ / credits_used change
-        # (commit, output release, credit release) — the invalidation
-        # signal for epoch-conditioned cached decisions.
-        self.cong_epoch = _int_buffer(num_routers, typed)
 
         # ---- PiggyBack snapshot ----------------------------------------
         # What a group's routers last broadcast about their global links:

@@ -25,9 +25,10 @@ credit return — is defined once per backend, in
 bound here as methods, so the engine's ``rec[1].arrive(...)`` dispatch and
 a direct ``router.step(now)`` run the same code.  The router knows
 nothing about routing policies: the handlers call
-``router.routing.decide(pkt, router)`` for heads and the mechanism's
-``commit`` / ``on_arrival`` hooks for winners and arrivals, keeping the
-mechanism/microarchitecture separation of FOGSim.
+``router.routing.decide(pkt, router)`` for every head on every pass (no
+Python memo; the compiled kernel keeps its own for the C twins) and the
+mechanism's ``commit`` / ``on_arrival`` hooks for winners and arrivals,
+keeping the mechanism/microarchitecture separation of FOGSim.
 """
 
 from __future__ import annotations
@@ -86,11 +87,7 @@ class Router:
         "_local_in",
         "_global_out",
         "_num_node_ports",
-        "_dc_pkt",
-        "_dc_dec",
-        "_dc_cond",
         "_key_port",
-        "_epochs",
         "_pipe_lat",
         "_on_injection",
         "_commit_hook",
@@ -190,19 +187,6 @@ class Router:
         self.transit_priority = rc.transit_priority
         self._arb_time: int | None = None
 
-        # Memoized head decisions in the store's parallel arrays (no
-        # tuple allocation per memo write): dc_pkt[gk] is the head packet
-        # the cached dc_dec[gk] belongs to (None = no valid entry), and
-        # dc_cond[gk] is None for unconditionally-stable decisions, the
-        # congestion epoch the decision was computed at for RNG-free
-        # adaptive decisions, or a flat single-counter guard tuple.
-        self._dc_pkt = store.dc_pkt
-        self._dc_dec = store.dc_dec
-        self._dc_cond = store.dc_cond
-        # cong_epoch[router_id]: bumped whenever out_occ / credits_used
-        # change (commit, output release, credit release) — the
-        # invalidation signal for epoch-conditioned cached decisions.
-        self._epochs = store.cong_epoch
         # key -> flat input-port index (table lookup beats a division in
         # the scan, and the stored value is already `pb + port`).
         self._key_port = store.key_port

@@ -8,25 +8,17 @@ A *decision* is the tuple ``(out_port, out_vc, action, aux)``:
 * ``action = 2`` - opportunistic local misroute (hop counters record it;
   no extra state).
 
-Decisions are recomputed on every allocation pass a head packet
-participates in, so adaptive mechanisms naturally re-evaluate while a
-packet waits; state is only mutated in :meth:`RoutingMechanism.commit`
-(called exactly once per granted hop) and in
-:meth:`RoutingMechanism.on_arrival` (once per link traversal).
-
-**Decision-cache contract.**  The router memoizes the decision for a FIFO
-head and skips re-deciding on later passes *only* when
-:meth:`RoutingMechanism.decision_stable` returns True for that packet:
-the mechanism thereby guarantees that re-calling :meth:`decide` for the
-same head would (a) return the same tuple and (b) consume no RNG, until
-the packet is granted.  The router invalidates the cached entry on commit
-(the head changes); a packet's routing-relevant state (``plan``,
-``inter_group``, hop counters) only mutates in ``commit``/``on_arrival``,
-never while the packet waits at a head, so a stable decision cannot go
-stale between the caching pass and the grant.  Mechanisms whose decisions
-read live congestion state or sample RNG must return False so they keep
-being re-evaluated every pass (the adaptive behaviour the paper relies
-on) — cached and uncached execution are bit-identical by construction.
+:meth:`RoutingMechanism.decide` runs on every allocation pass a head
+packet participates in — nothing in Python memoizes a decision — so
+adaptive mechanisms re-evaluate while a packet waits, reading live
+congestion state and drawing from their RNG; state is only mutated in
+:meth:`RoutingMechanism.commit` (called exactly once per granted hop) and
+in :meth:`RoutingMechanism.on_arrival` (once per link traversal).  The
+only memo is the compiled kernel's own, for the C twins of ``decide``
+(``engine/_ckernel.c``): it reuses a twin's decision only where
+re-deciding provably returns it again without drawing, and the
+python-vs-compiled golden digests check it against this memo-free
+reference.
 """
 
 from __future__ import annotations
@@ -36,28 +28,7 @@ from abc import ABC, abstractmethod
 from repro.errors import RoutingError
 from repro.hardware.packet import Packet
 
-__all__ = [
-    "RoutingMechanism",
-    "min_hop_port",
-    "eject_decision",
-    "CACHE_NEVER",
-    "CACHE_ALWAYS",
-    "CACHE_PLAN_FROZEN",
-    "CACHE_COMMITTED_DIVERSION",
-]
-
-# Decision-cache policies (see the module docstring).  The router inlines
-# the policy check in its allocation scan, so the contract is expressed as
-# data rather than a per-decision virtual call; decision_stable() is the
-# reference implementation of the same rule.
-CACHE_NEVER = 0  # decisions read live congestion / RNG: never reuse
-CACHE_ALWAYS = 1  # decisions are pure functions of frozen packet state
-CACHE_PLAN_FROZEN = 2  # pure once pkt.plan != 0 (source-routed mechanisms)
-CACHE_COMMITTED_DIVERSION = 3  # pure while routing to a bound inter-group
-
-#: sentinel for :attr:`RoutingMechanism.last_decide_guard`: the pure
-#: decision read no congestion counters, so the memo never goes stale.
-GUARD_STABLE: tuple = ()
+__all__ = ["RoutingMechanism", "min_hop_port", "eject_decision"]
 
 
 def min_hop_port(topo, router, target_router: int) -> int:
@@ -116,55 +87,6 @@ class RoutingMechanism(ABC):
         output lacks credit simply loses the pass and is re-evaluated when
         resources free up.
         """
-
-    #: decision-cache policy (CACHE_*): the conservative default disables
-    #: caching; mechanisms whose decide() is provably repeatable override.
-    cache_policy: int = CACHE_NEVER
-
-    #: set by CACHE_COMMITTED_DIVERSION mechanisms after every decide():
-    #: True when that call consumed no RNG, i.e. it was a pure function of
-    #: the packet's frozen state and the router's congestion counters.
-    #: The router may then reuse the decision until the router's
-    #: congestion epoch changes (out_occ / credits_used mutation), which
-    #: is exactly the condition under which a re-decide would repeat the
-    #: same branches and return the same tuple.
-    last_decide_pure: bool = False
-
-    #: refinement of ``last_decide_pure`` (activation-keyed memoization):
-    #: when a pure decision depended on a *single* congestion counter the
-    #: mechanism reports that dependency here and the router revalidates
-    #: the cached entry by comparing the counter's current value instead
-    #: of the whole-router epoch — a counter that still holds its old
-    #: value replays the identical branch structure, so the cached tuple
-    #: is exactly what a re-decide would return (and no RNG is touched).
-    #:
-    #: Values: ``None`` — no single-counter guard, fall back to the epoch
-    #: condition; :data:`GUARD_STABLE` — the decision read no congestion
-    #: state at all (unconditionally stable while the packet heads the
-    #: queue); ``(0, gp, occ)`` — valid while ``out_occ[gp] == occ``;
-    #: ``(1, ck, used)`` — valid while ``credits_used[ck] == used``.
-    #: ``gp``/``ck`` are *flat* SoA-store indices (``router.pb + port``
-    #: resp. ``router.kb + port * max_vcs + vc``, see repro.engine.soa),
-    #: so kernel revalidation is a single flat load.
-    last_decide_guard: tuple | None = None
-
-    # ------------------------------------------------------------------
-    def decision_stable(self, pkt: Packet, router) -> bool:
-        """May the router reuse the decision just computed for this head?
-
-        Evaluated (via the inlined ``cache_policy`` switch) immediately
-        after :meth:`decide`.  True only when a repeat call for the same
-        head would return the same tuple without consuming RNG (see the
-        module docstring's decision-cache contract).
-        """
-        policy = self.cache_policy
-        if policy == CACHE_ALWAYS:
-            return True
-        if policy == CACHE_PLAN_FROZEN:
-            return pkt.plan != 0
-        if policy == CACHE_COMMITTED_DIVERSION:
-            return pkt.inter_group >= 0 and router.group != pkt.dst_group
-        return False
 
     # ------------------------------------------------------------------
     def commit(self, pkt: Packet, router, dec: tuple) -> None:

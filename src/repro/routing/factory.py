@@ -8,15 +8,16 @@ C twin per family in ``engine/_ckernel.c`` for the compiled backend —
 (``src-*``), which freeze the packet's plan the first time it heads its
 injection queue and then walk to the plan's target (PiggyBack reading
 its saturation bits from the snapshot rows of the SoA store), and
-``c_intransit_decide`` (``in-trns-*``, the whole method).  A twin hands
-back the decision with the purity and guard the memo needs, draws the
-same words from an in-kernel MT19937 mirror of ``routing.rng`` (so
-``rng_routing.getstate()`` after a compiled run equals the python
-backend's), and on any branch where the reference raises or cannot
-return calls the Python method, from identical state, for its exact
-exception.  :func:`decide_twin` is the one statement of which runs;
-``repro profile`` names it, and ``tests/test_routing_twin.py`` compares
-the two on networks where every branch draws.
+``c_intransit_decide`` (``in-trns-*``, ``decide`` and the two misroute
+helpers it calls).  A twin hands back the decision with the purity and
+guard the kernel's own decision memo needs (a Python ``decide`` is never
+memoized), draws the same words from an in-kernel MT19937 mirror of
+``routing.rng`` (so ``rng_routing.getstate()`` after a compiled run
+equals the python backend's), and on any branch where the reference
+raises or cannot return calls the Python method, from identical state,
+for its exact exception.  :func:`decide_twin` is the one statement of
+which runs; ``repro profile`` names it, and ``tests/test_routing_twin.py``
+compares the two on networks where every branch draws.
 """
 
 from __future__ import annotations
@@ -94,7 +95,12 @@ _DECIDE_TWINS = {
     ),
     InTransitAdaptiveRouting: (
         "in-transit",
-        _own(InTransitAdaptiveRouting, "decide", "_try_local_misroute"),
+        _own(
+            InTransitAdaptiveRouting,
+            "decide",
+            "_try_global_misroute",
+            "_try_local_misroute",
+        ),
     ),
 }
 

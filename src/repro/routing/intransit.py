@@ -29,13 +29,19 @@ router itself the CRG/MM candidate set coincides with those same
 congested links, so its packets cannot even escape non-minimally
 (Section III).
 
+As implemented, the triggers are: at the source router, the minimal
+port's output-FIFO occupancy reaching ``misroute_threshold``
+(:meth:`~repro.hardware.router.Router.out_frac`); at the PAR second
+decision point and for OLM, the minimal hop being credit-blocked outright
+(its downstream buffer cannot take the packet).
+
 This module is the reference implementation and what the python backend
-runs.  The compiled kernel runs a C twin of :meth:`decide`
-(``c_intransit_decide`` in ``engine/_ckernel.c``; selected by
-:func:`repro.routing.factory.decide_twin`) that must take the same
-branches, read the same counters and draw the same words from
-``rng_routing`` — change the two together;
-``tests/test_routing_twin.py`` compares them where every branch is live.
+runs.  The compiled kernel runs a C twin of :meth:`decide` and the
+helpers it calls (``c_intransit_decide`` in ``engine/_ckernel.c``;
+selected by :func:`repro.routing.factory.decide_twin`) that must take the
+same branches, read the same counters and draw the same words from
+``rng_routing`` — change the two together; ``tests/test_routing_twin.py``
+compares them where every branch is live.
 """
 
 from __future__ import annotations
@@ -43,33 +49,32 @@ from __future__ import annotations
 import random
 
 from repro.hardware.packet import Packet
-from repro.routing.base import (
-    CACHE_COMMITTED_DIVERSION,
-    GUARD_STABLE,
-    RoutingMechanism,
-    eject_decision,
-)
+from repro.routing.base import RoutingMechanism, eject_decision
 from repro.routing.misrouting import (
     MisroutePolicy,
     crg_candidates,
     nrg_candidates,
     rrg_candidates,
 )
-from repro.routing.vc import stage_global_vc
+from repro.routing.vc import stage_global_vc, stage_local_vc
 
 __all__ = ["InTransitAdaptiveRouting"]
+
+#: routers of the group the OLM sampler probes per decision
+OLM_PROBES = 3
+
+
+def _credit_blocked(router, port: int, vc: int, size: int) -> bool:
+    """Can the downstream buffer behind (port, vc) not take *size* phits?"""
+    gp = router.pb + port
+    if not router.credit_nvc[gp]:
+        return False  # an uncredited (node) port
+    ck = router.kb + port * router.max_vcs + vc
+    return router.credits_used[ck] + size > router.credit_cap[gp]
 
 
 class InTransitAdaptiveRouting(RoutingMechanism):
     """PAR + OLM in-transit adaptive routing with a global misrouting policy."""
-
-    # Only the committed-diversion phase (routing minimally towards a
-    # bound intermediate group outside the destination group) is a pure
-    # function of frozen packet state; every other branch samples
-    # congestion signals and possibly RNG, so it must be re-evaluated on
-    # each pass.  ``inter_group`` is cleared in on_arrival (at the
-    # intermediate group), never while the packet waits at a head.
-    cache_policy = CACHE_COMMITTED_DIVERSION
 
     def __init__(self, sim, policy: MisroutePolicy) -> None:
         super().__init__(sim)
@@ -77,319 +82,148 @@ class InTransitAdaptiveRouting(RoutingMechanism):
         self.name = f"in-trns-{policy.value}"
         self.rng: random.Random = sim.rng_routing
         self.threshold = sim.config.misroute_threshold
-        # Exact integer form of the source-router threshold test: output
-        # FIFO capacities are uniform, and _thr_occ is the smallest
-        # occupancy whose *float-divided* fraction reaches the threshold,
-        # so `occ >= _thr_occ` reproduces `occ / cap >= threshold`
-        # byte-for-byte without the per-decide division.
-        cap = sim.config.router.output_buffer
-        self._thr_occ = next(
-            (occ for occ in range(cap + 1) if occ / cap >= self.threshold),
-            cap + 1,
-        )
-        # Hot-path topology bindings (decide runs several times per grant).
         topo = sim.topo
         self._first_local = topo.first_local_port
         self._first_global = topo.first_global_port
         self._groups = topo.groups
         self._gw_router = topo.gw_router_by_delta
         self._gw_port = topo.gw_port_by_delta
-        # Policy resolved to candidate-generator codes once (MM = CRG at
-        # the source router, NRG at the PAR second decision point).
-        _codes = {
+        # The candidate generator of each global decision point, as
+        # 0 CRG, 1 NRG, 2 RRG: MM is CRG at the source router and NRG at
+        # the PAR second decision point.
+        self._code_source, self._code_transit = {
             MisroutePolicy.CRG: (0, 0),
             MisroutePolicy.RRG: (2, 2),
             MisroutePolicy.MM: (0, 1),
         }.get(policy, (1, 1))
-        self._code_source, self._code_transit = _codes
-        # CRG candidate lists memoized per router (list index) and
-        # (src_group, dst_group) pair (int key) — no tuple allocation.
+        # CRG candidates are a pure function of (router, source group,
+        # destination group): cached per router, keyed by the group pair.
         self._crg_by_router: list[dict[int, list] | None] = [
             None
         ] * topo.num_routers
-        # Local-misroute sampling draws `randrange(a)`; inlining CPython's
-        # _randbelow_with_getrandbits (bit_length + rejection loop over
-        # getrandbits) consumes the identical RNG stream without the two
-        # interpreter frames per draw.
-        self._a_bits = topo.a.bit_length()
-        self._getrandbits = self.rng.getrandbits
-        self._rng_used = False  # per-decide RNG-consumption tracker
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _try_local_misroute(
-        self, pkt: Packet, router, min_port: int, min_vc: int, avoid_pos: int
-    ) -> tuple | None:
-        """OLM: divert a backpressured minimal local hop via a third router."""
-        if pkt.group_local_hops != 0:
-            return None  # at most one local misroute per group
-        size = pkt.size
-        credits_used = router.credits_used
-        credit_cap = router.credit_cap
-        credit_nvc = router.credit_nvc
-        max_vcs = router.max_vcs
-        kb = router.kb
-        pb = router.pb
-        # Opportunistic (OLM): only when the minimal local hop is blocked.
-        if not (
-            credit_nvc[pb + min_port]
-            and credits_used[kb + min_port * max_vcs + min_vc] + size
-            > credit_cap[pb + min_port]
-        ):
-            return None
-        a = self.topo.a
-        if a < 3:
-            return None
-        self._rng_used = True  # the sampling loop below draws from the RNG
-        pos = router.pos
-        first_local = self._first_local
-        best_port = -1
-        best_frac = (
-            credits_used[kb + min_port * max_vcs + min_vc]
-            / credit_cap[pb + min_port]
-        )
-        vc = min_vc  # same stage VC; the corrective hop will use the escape
-        getrandbits = self._getrandbits
-        a_bits = self._a_bits
-        for _ in range(3):
-            # Inlined rng.randrange(a): same rejection sampling, same
-            # stream (see __init__).
-            w = getrandbits(a_bits)
-            while w >= a:
-                w = getrandbits(a_bits)
-            if w == pos or w == avoid_pos:
-                continue
-            port = first_local + (w if w < pos else w - 1)
-            ck = kb + port * max_vcs + vc
-            gp = pb + port
-            if credit_nvc[gp] and credits_used[ck] + size > credit_cap[gp]:
-                continue
-            frac = credits_used[ck] / credit_cap[gp] if credit_nvc[gp] else 0.0
-            if frac < best_frac:
-                best_frac = frac
-                best_port = port
-        if best_port < 0:
-            return None
-        return (best_port, vc, 2, 0)
 
     # ------------------------------------------------------------------
     def decide(self, pkt: Packet, router) -> tuple:
-        # Purity tracking: last_decide_pure reports whether this call was
-        # a pure function of frozen packet state + the router's congestion
-        # counters (i.e. consumed no RNG); the router may then reuse the
-        # decision until its congestion epoch changes (the activation-
-        # keyed memoization contract, see routing.base).
         group = router.group
         pos = router.pos
-
-        # Destination group: minimal local hop (or ejection), with OLM.
-        if group == pkt.dst_group:
+        dst_group = pkt.dst_group
+        # The minimal hop towards the current target: the destination
+        # router inside its group; elsewhere the gateway towards the bound
+        # intermediate group of a committed diversion, or towards the
+        # destination group.
+        if group == dst_group:
             if router.router_id == pkt.dst_router:
-                # Ejection reads no congestion state: stable memo.
-                self.last_decide_pure = True
-                self.last_decide_guard = GUARD_STABLE
                 return eject_decision(pkt)
-            # Inlined minimal decision + VC staging (reference:
-            # repro.routing.vc): the target is in this group
-            # (its local position is precomputed on the packet) and the
-            # minimal hop is a local port, so the VC is the escape VC
-            # after a local hop and the stage-2 VC otherwise.
-            ti = pkt.dst_local_router
-            port = self._first_local + (ti if ti < pos else ti - 1)
-            vc = self.n_local_vcs - 1 if pkt.group_local_hops >= 1 else 2
-            # Inlined OLM precheck (one-per-group + blocked); only a
-            # genuinely blocked minimal hop enters the sampler.
-            # Guards carry *flat* store indices (see repro.engine.soa).
-            if pkt.group_local_hops == 0:
-                ck = router.kb + port * router.max_vcs + vc
-                gp = router.pb + port
-                used = router.credits_used[ck]
-                if (
-                    router.credit_nvc[gp]
-                    and used + pkt.size > router.credit_cap[gp]
-                ):
-                    self._rng_used = False
-                    alt = self._try_local_misroute(pkt, router, port, vc, ti)
-                    pure = not self._rng_used
-                    self.last_decide_pure = pure
-                    # A pure verdict here read only this credit counter
-                    # (the sampler bails RNG-free when a < 3).
-                    self.last_decide_guard = (1, ck, used) if pure else None
-                    if alt is not None:
-                        return alt
-                else:
-                    self.last_decide_pure = True
-                    self.last_decide_guard = (
-                        (1, ck, used) if router.credit_nvc[gp] else GUARD_STABLE
-                    )
-            else:
-                self.last_decide_pure = True
-                self.last_decide_guard = GUARD_STABLE
-            return (port, vc, 0, 0)
-
-        first_local = self._first_local
-        first_global = self._first_global
-
-        # Committed diversion: route minimally towards the intermediate
-        # group (cleared by on_arrival when we get there).
-        if pkt.inter_group >= 0:
-            self.last_decide_pure = True
-            self.last_decide_guard = GUARD_STABLE
-            delta = (pkt.inter_group - group) % self._groups
-            gw_pos = self._gw_router[delta]
-            if pos == gw_pos:
+            target = pkt.dst_local_router
+            port = self._first_local + (target if target < pos else target - 1)
+        else:
+            inter = pkt.inter_group
+            delta = ((inter if inter >= 0 else dst_group) - group) % self._groups
+            target = self._gw_router[delta]
+            if pos == target:
                 port = self._gw_port[delta]
             else:
-                port = first_local + (gw_pos if gw_pos < pos else gw_pos - 1)
-            # Inlined VC staging (outside the destination group by
-            # contract; reference: repro.routing.vc).
-            if port >= first_global:
-                vc = pkt.global_hops
-                if vc >= self.n_global_vcs:
-                    vc = stage_global_vc(pkt, self.n_global_vcs)  # raises
-            elif pkt.group_local_hops >= 1:
-                vc = self.n_local_vcs - 1
-            else:
-                vc = 1 if pkt.global_hops >= 1 else 0
-            return (port, vc, 0, 0)
+                port = self._first_local + (target if target < pos else target - 1)
+        if port < self._first_global:
+            vc = stage_local_vc(pkt, group, self.n_local_vcs)
+        else:
+            vc = stage_global_vc(pkt, self.n_global_vcs)
+        minimal = (port, vc, 0, 0)
 
-        # Minimal phase towards the destination group.
-        delta = (pkt.dst_group - group) % self._groups
-        gw_pos = self._gw_router[delta]
-        if pos == gw_pos:
-            min_port = self._gw_port[delta]
+        if group != dst_group and pkt.inter_group >= 0:
+            return minimal  # committed diversion: on to the bound group
+        glh = pkt.group_local_hops
+        gp = router.pb + port
+        # PAR: global misrouting at the source router or after one local
+        # hop; elsewhere OLM, for the first local hop in the group.
+        par = group == pkt.src_group and pkt.global_hops == 0 and group != dst_group
+        if par and glh == 0:
+            # Source router: the minimal output FIFO's occupancy reaching
+            # the threshold (router.out_frac, inlined like the trigger
+            # below: most decisions return without a call).
+            frac = router.out_occ[gp] / router.out_cap[gp]
+            if frac < self.threshold:
+                return minimal
+            choice = self._try_global_misroute(pkt, router, self._code_source, frac)
+            return choice or minimal
+        if not par and (glh or port >= self._first_global):
+            return minimal
+        # The PAR second decision point and OLM: a minimal hop that is
+        # credit-blocked outright (_credit_blocked, inlined).
+        ck = router.kb + port * router.max_vcs + vc
+        if not (
+            router.credit_nvc[gp]
+            and router.credits_used[ck] + pkt.size > router.credit_cap[gp]
+        ):
+            return minimal
+        if par:  # any candidate whose output FIFO is not full
+            choice = self._try_global_misroute(pkt, router, self._code_transit, 1.0)
         else:
-            min_port = first_local + (gw_pos if gw_pos < pos else gw_pos - 1)
-        # Inlined VC staging (outside the destination group by
-        # contract; reference: repro.routing.vc).
-        if min_port >= first_global:
-            min_vc = pkt.global_hops
-            if min_vc >= self.n_global_vcs:
-                min_vc = stage_global_vc(pkt, self.n_global_vcs)  # raises
-        elif pkt.group_local_hops >= 1:
-            min_vc = self.n_local_vcs - 1
-        else:
-            min_vc = 1 if pkt.global_hops >= 1 else 0
-        min_dec = (min_port, min_vc, 0, 0)
+            choice = self._try_local_misroute(pkt, router, port, vc, target)
+        return choice or minimal
 
-        if group == pkt.src_group and pkt.global_hops == 0:
-            # PAR: global misrouting at injection or after one local hop.
-            # Inlined _try_global_misroute (the hottest decide branch —
-            # semantics documented in the module docstring).
-            out_occ = router.out_occ
-            credits_used = router.credits_used
-            credit_cap = router.credit_cap
-            credit_nvc = router.credit_nvc
-            max_vcs = router.max_vcs
-            kb = router.kb
-            pb = router.pb
-            glh = pkt.group_local_hops
-            size = pkt.size
-            if glh == 0:
-                # Source router: proactive trigger on the minimal port's
-                # output FIFO (integer threshold, see __init__; the guard
-                # carries the flat store index).
-                best_occ = out_occ[pb + min_port]
-                if best_occ < self._thr_occ:
-                    self.last_decide_pure = True
-                    self.last_decide_guard = (0, pb + min_port, best_occ)
-                    return min_dec
-                code = self._code_source
-            else:
-                # PAR second decision point: opportunistic (OLM) — divert
-                # only when the minimal output is credit-blocked outright.
-                mk = kb + min_port * max_vcs + min_vc
-                used = credits_used[mk]
-                if not (
-                    credit_nvc[pb + min_port]
-                    and used + size > credit_cap[pb + min_port]
-                ):
-                    self.last_decide_pure = True
-                    self.last_decide_guard = (
-                        (1, mk, used)
-                        if credit_nvc[pb + min_port]
-                        else GUARD_STABLE
-                    )
-                    return min_dec
-                best_occ = router.out_cap[pb + min_port]  # sentinel: frac < 1.0
-                code = self._code_transit
-            if code == 0:  # CRG: memoized per (router, src_group, dst_group)
-                by_pair = self._crg_by_router[router.router_id]
-                if by_pair is None:
-                    by_pair = {}
-                    self._crg_by_router[router.router_id] = by_pair
-                pair = pkt.src_group * self._groups + pkt.dst_group
-                candidates = by_pair.get(pair)
-                if candidates is None:
-                    candidates = crg_candidates(self.topo, router, pkt)
-                    by_pair[pair] = candidates
-            elif code == 1:  # NRG (consumes RNG)
-                candidates = nrg_candidates(self.topo, router, pkt, self.rng)
-            else:  # RRG (consumes RNG)
-                candidates = rrg_candidates(self.topo, router, pkt, self.rng)
-            # Raw-occupancy compares: uniform output capacities make
-            # `a/c < b/c` exactly `a < b`.  Inlined VC staging (global hop
-            # count is 0 here, so a global candidate takes VC 0).
-            local_vc = self.n_local_vcs - 1 if glh >= 1 else 0
-            skip_local = glh >= 2  # third local hop forbidden (VC safety)
-            best_port = -1
-            best_vc = 0
-            best_inter = 0
-            for port, inter_group in candidates:
-                if port < first_global:
-                    if skip_local:
-                        continue
-                    vc = local_vc
-                else:
-                    vc = 0
-                gp = pb + port
-                if out_occ[gp] >= best_occ:
-                    continue
-                if credit_nvc[gp] and (
-                    credits_used[kb + port * max_vcs + vc] + size
-                    > credit_cap[gp]
-                ):
-                    continue
-                best_occ = out_occ[gp]
-                best_port = port
-                best_vc = vc
-                best_inter = inter_group
-            self.last_decide_pure = code == 0
-            self.last_decide_guard = None  # full candidate scan consulted
-            if best_port >= 0:
-                return (best_port, best_vc, 1, best_inter)
-        elif min_port < first_global:
-            # Intermediate group: OLM local misrouting of the hop towards
-            # the gateway of the destination group (inlined precheck).
-            if pkt.group_local_hops == 0:
-                ck = router.kb + min_port * router.max_vcs + min_vc
-                gp = router.pb + min_port
-                used = router.credits_used[ck]
-                if (
-                    router.credit_nvc[gp]
-                    and used + pkt.size > router.credit_cap[gp]
-                ):
-                    self._rng_used = False
-                    alt = self._try_local_misroute(
-                        pkt, router, min_port, min_vc, gw_pos
-                    )
-                    pure = not self._rng_used
-                    self.last_decide_pure = pure
-                    self.last_decide_guard = (1, ck, used) if pure else None
-                    if alt is not None:
-                        return alt
-                else:
-                    self.last_decide_pure = True
-                    self.last_decide_guard = (
-                        (1, ck, used) if router.credit_nvc[gp] else GUARD_STABLE
-                    )
-            else:
-                self.last_decide_pure = True
-                self.last_decide_guard = GUARD_STABLE
+    # ------------------------------------------------------------------
+    def _try_global_misroute(
+        self, pkt: Packet, router, code: int, best: float
+    ) -> tuple | None:
+        """The policy's candidate whose first hop's output FIFO is least
+        occupied, strictly below *best*, and not credit-blocked; None when
+        there is none.  Draws from the RNG for NRG and RRG."""
+        if code == 0:
+            by_pair = self._crg_by_router[router.router_id]
+            if by_pair is None:
+                by_pair = self._crg_by_router[router.router_id] = {}
+            pair = pkt.src_group * self._groups + pkt.dst_group
+            candidates = by_pair.get(pair)
+            if candidates is None:
+                candidates = by_pair[pair] = crg_candidates(self.topo, router, pkt)
+        elif code == 1:
+            candidates = nrg_candidates(self.topo, router, pkt, self.rng)
         else:
-            # Minimal global hop outside source/destination groups reads
-            # no congestion state: stable memo.
-            self.last_decide_pure = True
-            self.last_decide_guard = GUARD_STABLE
-        return min_dec
+            candidates = rrg_candidates(self.topo, router, pkt, self.rng)
+        local_vc = stage_local_vc(pkt, router.group, self.n_local_vcs)
+        global_vc = pkt.global_hops  # 0: the packet's first global hop
+        # A third local hop in one group is forbidden (VC safety).
+        local_ok = pkt.group_local_hops < 2
+        size = pkt.size
+        choice = None
+        for port, inter_group in candidates:
+            if port < self._first_global:
+                if not local_ok:
+                    continue
+                vc = local_vc
+            else:
+                vc = global_vc
+            frac = router.out_frac(port)
+            if frac < best and not _credit_blocked(router, port, vc, size):
+                best = frac
+                choice = (port, vc, 1, inter_group)
+        return choice
+
+    def _try_local_misroute(
+        self, pkt: Packet, router, port: int, vc: int, avoid_pos: int
+    ) -> tuple | None:
+        """OLM: a third router of the group whose local link is less
+        congested than the blocked minimal hop (port, vc), out of
+        ``OLM_PROBES`` sampled positions; None when none is.  The detour
+        keeps the stage VC; its corrective second hop takes the escape
+        VC."""
+        a = self.topo.a
+        if a < 3:
+            return None  # no third router to go through
+        pos = router.pos
+        size = pkt.size
+        best = router.credit_frac(port, vc)
+        choice = None
+        for _ in range(OLM_PROBES):
+            w = self.rng.randrange(a)
+            if w == pos or w == avoid_pos:
+                continue
+            probe = self._first_local + (w if w < pos else w - 1)
+            if _credit_blocked(router, probe, vc, size):
+                continue
+            frac = router.credit_frac(probe, vc)
+            if frac < best:
+                best = frac
+                choice = (probe, vc, 2, 0)
+        return choice

@@ -10,7 +10,7 @@ link(s).
 from __future__ import annotations
 
 from repro.hardware.packet import Packet
-from repro.routing.base import CACHE_ALWAYS, RoutingMechanism
+from repro.routing.base import RoutingMechanism
 from repro.routing.vc import (
     _POSITION_BASE,
     position_global_vc,
@@ -31,9 +31,6 @@ class MinimalRouting(RoutingMechanism):
     """
 
     name = "min"
-    # Purely a function of the packet's frozen destination and hop
-    # counters, which cannot change while it waits at a head.
-    cache_policy = CACHE_ALWAYS
 
     def __init__(self, sim) -> None:
         super().__init__(sim)

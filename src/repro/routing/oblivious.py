@@ -20,12 +20,7 @@ from __future__ import annotations
 import random
 
 from repro.hardware.packet import Packet
-from repro.routing.base import (
-    CACHE_PLAN_FROZEN,
-    RoutingMechanism,
-    eject_decision,
-    min_hop_port,
-)
+from repro.routing.base import RoutingMechanism, eject_decision, min_hop_port
 from repro.routing.vc import position_global_vc, position_local_vc
 
 __all__ = ["ObliviousValiantRouting"]
@@ -33,12 +28,6 @@ __all__ = ["ObliviousValiantRouting"]
 
 class ObliviousValiantRouting(RoutingMechanism):
     """Valiant routing with RRG or CRG intermediate selection."""
-
-    # RNG is consumed only while freezing the Valiant plan (plan 0); once
-    # frozen the decision is pure minimal routing to a fixed target, and
-    # ``plan`` only changes again in on_arrival, never while the packet
-    # waits at a head.
-    cache_policy = CACHE_PLAN_FROZEN
 
     def __init__(self, sim, variant: str) -> None:
         super().__init__(sim)

@@ -29,12 +29,7 @@ from __future__ import annotations
 import random
 
 from repro.hardware.packet import Packet
-from repro.routing.base import (
-    CACHE_PLAN_FROZEN,
-    RoutingMechanism,
-    eject_decision,
-    min_hop_port,
-)
+from repro.routing.base import RoutingMechanism, eject_decision, min_hop_port
 from repro.routing.vc import position_global_vc, position_local_vc
 
 __all__ = ["PiggybackGroupState", "PiggybackRouting"]
@@ -102,11 +97,6 @@ class PiggybackGroupState:
 
 class PiggybackRouting(RoutingMechanism):
     """Source-adaptive MIN/Valiant selection with RRG or CRG non-minimal."""
-
-    # Saturation bits and RNG are consulted only for the frozen source
-    # decision (plan 0); afterwards the path is oblivious minimal routing
-    # to a fixed target.
-    cache_policy = CACHE_PLAN_FROZEN
 
     def __init__(self, sim, variant: str) -> None:
         super().__init__(sim)

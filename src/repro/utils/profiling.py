@@ -153,6 +153,7 @@ def describe_callbacks(metrics: dict[str, Any]) -> str:
             f"reentries({reentries}) {rest} steps={steps} "
             f"scan_keys={counters['scan_keys']} "
             f"({counters['scan_keys'] / steps if steps else 0.0:.2f} per scan) "
+            f"memo_hits={counters['memo_hits']} "
             f"index_reloads={counters['index_reloads']} "
             f"inq_absorbed={counters['inq_absorbed']} "
             f"packets_materialized={counters['packets_materialized']} "

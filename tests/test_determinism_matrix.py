@@ -1,16 +1,16 @@
 """Determinism matrix: identical results for repeated runs, per mechanism.
 
-The router memoizes head decisions (see the decision-cache contract in
+The compiled kernel memoizes its ``decide`` twins' head decisions (see
 :mod:`repro.routing.base`), so a stale-decision bug would show up as a
-divergence between two runs of the same seed — the cache is populated in
+divergence between two runs of the same seed — the memo is populated in
 a timing-dependent order, and any decision that wrongly survived a state
 change would steer packets differently.  This matrix runs every routing
 family crossed with the transit-priority flag twice and asserts every
 field of the :class:`~repro.core.results.SimulationResult` is identical.
 
-The families cover the cache-relevant behaviours: "always stable" (min),
+The families cover the memo's conditions: "always stable" (min),
 "stable once the plan is frozen" (oblivious and PiggyBack source
-routing), and "stable only in the committed-diversion phase" (in-transit
+routing), and "stable under the guard the twin hands back" (in-transit
 adaptive).  All eight mechanisms are listed because each variant is a
 separate candidate generator in the compiled kernel's ``decide`` twins
 (the cross-backend suite reuses this list).

@@ -77,7 +77,6 @@ _NUMERIC_FIELDS = (
     "global_out",
     "link_lat",
     "hop_cost",
-    "cong_epoch",
     "pb_snap",
     "pb_snap_sum",
     "pb_snap_time",

@@ -1,8 +1,8 @@
 """The compiled drain's native event path: mirror in, mirror out, absorb.
 
 For the length of a drain the compiled kernel (``repro.engine._ckernel``)
-holds the calendar, the output FIFOs, the decision memo, the routers'
-``_arb_time`` marks and the queue's counters in native form; Python sees
+holds the calendar, the output FIFOs, the routers' ``_arb_time`` marks
+and the queue's counters in native form; Python sees
 them again on every exit, around every ``OP_CALL`` callback, and — for
 the narrow contract hooks — through the inbox.  This module pins that
 contract against the pure-Python kernel, which keeps all of it in Python
@@ -143,11 +143,6 @@ def _probe(sim: Simulation) -> dict:
         "bucket_sizes": {t: len(b) for t, b in eq._buckets.items()},
         "bucket_ops": {t: [rec[0] for rec in b] for t, b in eq._buckets.items()},
         "out_fifo": [[(p.pid, vc, t) for (p, vc, t) in f] for f in soa.out_fifo],
-        "memo": [
-            (pkt.pid, dec, cond)
-            for pkt, dec, cond in zip(soa.dc_pkt, soa.dc_dec, soa.dc_cond)
-            if pkt is not None
-        ],
         "arb": [r._arb_time for r in sim.routers],
     }
 
@@ -169,7 +164,7 @@ def test_callback_mid_drain_sees_the_full_state(routing):
     first = probes["compiled"][0]
     assert first["now"] == 120 and first["pending"] > 50
     assert first["now"] in first["bucket_sizes"]  # the bucket being drained
-    assert any(first["out_fifo"]) and first["memo"]
+    assert any(first["out_fifo"])
     assert any(t is not None for t in first["arb"])
 
 

@@ -3,9 +3,10 @@
 ``soa.in_q`` holds one Python list per input key (None for a VC its port
 class lacks).  Inside ``_ckernel.drain`` each list's packets live in a
 native ring, next to a cached head, the head's size and the key's
-decision memo; the lists are empty.  They come back on every exit and
-around every ``OP_CALL`` callback, and after a narrow hook the
-injection-key lists of each router ``Router.inject`` armed are absorbed.
+decision memo (C only; cleared on the way out); the lists are empty.
+They come back on every exit and around every ``OP_CALL`` callback, and
+after a narrow hook the injection-key lists of each router
+``Router.inject`` armed are absorbed.
 This module pins that against the pure-Python kernel:
 
 * python and compiled leave the same store and the same set order behind

@@ -3,7 +3,7 @@
 The compiled kernel (``repro.engine._ckernel``) keeps each packet as a
 row of int64 columns, one per ``Packet.__slots__`` field, and builds a
 ``Packet`` only where Python must see one: a mirror out (``soa.in_q``,
-``soa.out_fifo``, ``eq._buckets``, ``soa.dc_pkt``), a Python ``decide``,
+``soa.out_fifo``, ``eq._buckets``), a Python ``decide``,
 the un-lowered generator and sink hooks, overrides and ``OP_CALL``
 callbacks.  The object it builds stays attached to its row, so a packet is
 one object at every crossing, and its fields are written into the object
@@ -13,15 +13,18 @@ Python object throughout:
 
 * (a) a callback fired mid-drain reads every queued packet and edits the
   plan of some, on a source-routed cell: both backends see the same
-  fields and end in the same result;
+  fields and end in the same result, and a waiting head whose plan was
+  edited takes the hop of its new plan (the compiled memo is dropped at
+  every mirror out);
 * (b) a mechanism whose ``decide`` has no C twin sees, at every call, a
   packet whose fields equal the python backend's;
 * (c) an un-lowered cell with the oracle on passes its audit, and the
   oracle's ``on_generate`` and ``on_delivery`` get one object per pid;
-* (d) the decision memo hits exactly where the python backend's does,
-  also across the mirrors that re-take every row (builds without
-  ``NDEBUG`` check, at every lookup, that a memo names its FIFO's head
-  row at the generation it was stored for);
+* (d) the decision memo is the compiled kernel's own: it reuses C twin
+  decisions, and a Python ``decide`` is called on every pass, as on the
+  python backend, also across the mirrors that re-take every row (builds
+  without ``NDEBUG`` check, at every lookup, that a memo names its
+  FIFO's head row at the generation it was stored for);
 * a ``Packet`` Python holds across a drain ends with the fields the
   drain gave it;
 * on a lowered cell whose decisions all run in C twins, the only packets
@@ -34,8 +37,10 @@ import pytest
 
 from repro.config import NetworkConfig, SimulationConfig
 from repro.core.simulation import Simulation
+from repro.engine.events import OP_OUT_ARRIVE
 from repro.exec.serialize import result_to_dict
 from repro.hardware.packet import Packet
+from repro.routing.base import min_hop_port
 from repro.routing.factory import decide_twin, make_routing
 from repro.routing.intransit import InTransitAdaptiveRouting
 from test_engine_backends import _store_snapshot, needs_compiled
@@ -102,6 +107,53 @@ def test_a_callback_edits_plans_mid_drain(routing):
     assert len(log) == 5 and all(fields for _t, fields in log)
     # the edit had something to act on
     assert any(f[Packet.__slots__.index("plan")] == 2 for _t, fs in log for f in fs)
+
+
+def _replan_heads(sim: Simulation, planned: dict) -> None:
+    """Send every waiting Valiant head still in its source group
+    minimally, where that changes its next hop; note that hop by pid."""
+    for r in sim.routers:
+        for key in r.active_keys:
+            q = r.in_q[r.kb + key]
+            if not q or q[0].plan != 2 or q[0].global_hops:
+                continue
+            pkt = q[0]
+            if r.router_id == pkt.dst_router:
+                continue  # ejects under either plan
+            minimal = min_hop_port(sim.topo, r, pkt.dst_router)
+            if minimal != min_hop_port(sim.topo, r, pkt.inter_router):
+                pkt.plan = 1
+                planned[pkt.pid] = minimal
+
+
+def _note_hops(sim: Simulation, planned: dict, taken: dict) -> None:
+    """The output port each replanned packet was granted, once granted."""
+    for bucket in sim.engine._buckets.values():
+        for rec in bucket:
+            if rec[0] == OP_OUT_ARRIVE and rec[3].pid in planned:
+                taken.setdefault(rec[3].pid, rec[2])
+
+
+@pytest.mark.parametrize("routing", ["obl-rrg", "src-crg"])
+def test_a_replanned_waiting_head_takes_its_new_hop(routing):
+    """A head that was decided (and, on the compiled backend, memoized)
+    on a Valiant plan, then switched to minimal by a callback, is granted
+    its minimal hop: neither backend replays the stale decision."""
+    cfg = _cell(routing).with_traffic(pattern="adversarial")
+    runs = {}
+    for backend in BACKENDS:
+        sim = Simulation(cfg, engine_backend=backend)
+        planned: dict = {}
+        taken: dict = {}
+        sim.start()
+        sim.engine.schedule_at(200, _replan_heads, sim, planned)
+        # every cycle: a grant's record waits out the pipeline latency
+        for t in range(201, 260):
+            sim.engine.schedule_at(t, _note_hops, sim, planned, taken)
+        sim.engine.run_until(260)
+        assert taken and {pid: planned[pid] for pid in taken} == taken
+        runs[backend] = (planned, taken)
+    assert runs["compiled"] == runs["python"]
 
 
 # ----------------------------------------------------------------------
@@ -183,16 +235,22 @@ def test_the_oracle_sees_one_object_per_packet():
 # (d) the memo across mirrors
 # ----------------------------------------------------------------------
 def test_the_memo_hits_where_the_reference_does():
-    """The traced mechanism's log is its decide calls: equal logs mean the
-    compiled memo hit (and missed) on exactly the python backend's heads,
-    also after callbacks that mirror every row out and back in."""
+    """Only C twin decisions are memoized.  A twinned lowered cell reuses
+    them; the traced mechanism (no twin) logs its decide calls, and equal
+    logs with no memo hit mean the compiled kernel called it on every
+    pass the python backend did, also after callbacks that mirror every
+    row out and back in."""
+    sim = Simulation(_cell(), engine_backend="compiled")
+    assert sim._lower is not None and decide_twin(sim.routing) == "in-transit"
+    sim.run()
+    assert _counters(sim)["memo_hits"] > 0
     calls = range(60, 450, 35)
     _py, py_log, py_result = _traced_run("python", calls)
     ck, ck_log, ck_result = _traced_run("compiled", calls)
     assert ck_log == py_log and ck_result == py_result
-    assert _counters(ck)["full_mirrors"] == 1 + len(calls)
-    # decisions were reused: fewer decide calls than scanned heads
-    assert len(ck_log) < _counters(ck)["scan_keys"]
+    counters = _counters(ck)
+    assert counters["full_mirrors"] == 1 + len(calls)
+    assert counters["memo_hits"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,10 @@ import pytest
 
 from repro.config import tiny_config, small_config
 from repro.core.simulation import Simulation
-from repro.engine import kernel
 from repro.engine.events import OP_LINK
 from repro.exec.serialize import result_to_dict
 from repro.hardware.packet import Packet
 from repro.hardware.router import Router
-from repro.routing.base import GUARD_STABLE
 from repro.routing.factory import make_routing
 from test_engine_backends import BACKENDS, _store_snapshot
 
@@ -290,104 +288,6 @@ class TestLinkStep:
         assert [x._arb_time for x in merged.routers] == [
             x._arb_time for x in split.routers
         ]
-
-
-class _CountingMechanism:
-    """Stub mechanism: a fixed decision, a call counter, settable purity."""
-
-    DECISION = (1, 0, 0, -1)
-
-    def __init__(self, cache_policy: int) -> None:
-        self.cache_policy = cache_policy
-        self.calls = 0
-        self.last_decide_pure = False
-        self.last_decide_guard = None
-
-    def decide(self, pkt, router):
-        self.calls += 1
-        return self.DECISION
-
-
-class TestCachedOrDecide:
-    """The decision-memo contract of the one ``kernel.cached_or_decide``."""
-
-    EPOCH = 7
-    STALE = (9, 9, 9, 9)  # a memoized decision no decide() returns
-
-    def _head(self, cache_policy: int = 0):
-        sim = Simulation(tiny_config(routing="min"), engine_backend="python")
-        r = sim.routers[0]
-        mech = r.routing = _CountingMechanism(cache_policy)  # no rebind
-        gk = r.kb + 2 * r.max_vcs  # a transit key (global input port 2)
-        far = sim.topo.router_id(1, 0) * sim.topo.p  # a node of group 1
-        return sim, r, mech, gk, sim._make_packet(2, far, 0)
-
-    @pytest.mark.parametrize(
-        "cond, calls",
-        [
-            ("none", 0),
-            ("epoch", 0),
-            ("credits", 0),
-            ("out_occ", 0),
-            ("old-epoch", 1),
-            ("credits-moved", 1),
-            ("out_occ-moved", 1),
-            ("new-head", 1),
-        ],
-    )
-    def test_revalidation(self, cond, calls):
-        sim, r, mech, gk, pkt = self._head()
-        ck, gp = r.kb + 5, r.pb + 1  # any flat counter indices
-        r.credits_used[ck], r.out_occ[gp] = 24, 16
-        r._dc_pkt[gk], r._dc_dec[gk] = pkt, self.STALE
-        r._dc_cond[gk] = {
-            "none": None,
-            "epoch": self.EPOCH,
-            "credits": (1, ck, 24),
-            "out_occ": (0, gp, 16),
-            "old-epoch": self.EPOCH - 1,
-            "credits-moved": (1, ck, 16),
-            "out_occ-moved": (0, gp, 8),
-            "new-head": None,
-        }[cond]
-        head = sim._make_packet(2, 1, 0) if cond == "new-head" else pkt
-        dec = kernel.cached_or_decide(r, gk, head, self.EPOCH)
-        assert mech.calls == calls
-        assert dec == (mech.DECISION if calls else self.STALE)
-
-    @pytest.mark.parametrize(
-        "policy, plan, diverted, pure, guard, written",
-        [
-            (0, 0, False, True, None, "nothing"),
-            (1, 0, False, False, None, None),
-            (2, 1, False, False, None, None),
-            (2, 0, False, False, None, "nothing"),
-            (3, 0, True, False, None, None),
-            (3, 0, False, True, None, EPOCH),
-            (3, 0, False, True, (1, 5, 24), (1, 5, 24)),
-            (3, 0, False, True, GUARD_STABLE, None),
-            (3, 0, False, False, None, "nothing"),
-        ],
-    )
-    def test_cache_policy_write(self, policy, plan, diverted, pure, guard, written):
-        sim, r, mech, gk, pkt = self._head(policy)
-        pkt.plan = plan
-        if diverted:  # bound to an intermediate group, outside the target's
-            pkt.inter_group = 2
-            assert r.group != pkt.dst_group
-        mech.last_decide_pure, mech.last_decide_guard = pure, guard
-        r.credits_used[5] = 24  # what the counter guard of the table reads
-        assert kernel.cached_or_decide(r, gk, pkt, self.EPOCH) == mech.DECISION
-        assert mech.calls == 1
-        if written == "nothing":
-            assert r._dc_pkt[gk] is None
-        else:
-            assert r._dc_pkt[gk] is pkt
-            assert r._dc_dec[gk] == mech.DECISION
-            assert r._dc_cond[gk] == written
-            # and the entry it wrote is the one it now serves
-            kernel.cached_or_decide(r, gk, pkt, self.EPOCH)
-            assert mech.calls == 1
 
 
 class TestScheduleArb:

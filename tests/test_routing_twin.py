@@ -200,7 +200,10 @@ TWINS = {
             "_local_link_saturated",
         ],
     ),
-    "in-trns-mm": ("in-transit", ["decide", "_try_local_misroute"]),
+    "in-trns-mm": (
+        "in-transit",
+        ["decide", "_try_global_misroute", "_try_local_misroute"],
+    ),
 }
 
 
