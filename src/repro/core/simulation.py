@@ -26,7 +26,6 @@ from repro.hardware.packet import Packet
 from repro.hardware.router import Router
 from repro.metrics.collector import StatsCollector
 from repro.metrics.oracle import SimOracle
-from repro.routing.base import RoutingMechanism
 from repro.routing.factory import make_routing
 from repro.topology.dragonfly import DragonflyTopology
 from repro.traffic.patterns import make_traffic
@@ -76,7 +75,6 @@ class Simulation:
         self,
         config: SimulationConfig,
         *,
-        check_decomposition: bool = False,
         engine_backend: str | None = None,
     ) -> None:
         self.config = config
@@ -99,7 +97,6 @@ class Simulation:
             config.total_cycles,
             self.topo.num_routers,
             self.topo.num_nodes,
-            check_decomposition=check_decomposition,
             typed=backend.typed,
         )
 
@@ -170,11 +167,11 @@ class Simulation:
         # sinks natively (c_gen / c_deliver in _ckernel.c, twins of
         # _gen_event and the collector's hooks) from the pattern's lowering
         # descriptor, kept here.  Selected by the cell itself: the compiled
-        # backend, a static pattern with a descriptor, no oracle and no
-        # decomposition check.  None — every cell of the python backend,
-        # every other compiled cell — runs the callback path below.
+        # backend, a static pattern with a descriptor and no oracle.  None
+        # — every cell of the python backend, every other compiled cell —
+        # runs the callback path below.
         self._lower = None
-        if backend.name != "python" and self.oracle is None and not check_decomposition:
+        if backend.name != "python" and self.oracle is None:
             self._lower = self.traffic.lower()
         # The pattern instance the descriptor was taken from: replacing
         # ``sim.traffic`` after construction (tests, custom patterns)
@@ -223,23 +220,13 @@ class Simulation:
 
         The one place that binds a mechanism — and the stats injection
         callback — to the routers, which is where both kernels read
-        them.  ``commit`` / ``on_arrival`` are bound only when the
-        mechanism overrides the base bookkeeping the kernels inline
-        (none in-tree does).
+        them.  Only the mechanism's ``decide`` is ever called: the hop
+        bookkeeping is the kernels' own.
         """
         self.routing = routing
-        kind = type(routing)
-        commit = None if kind.commit is RoutingMechanism.commit else routing.commit
-        arrival = (
-            None
-            if kind.on_arrival is RoutingMechanism.on_arrival
-            else routing.on_arrival
-        )
         on_injection = self.stats.on_injection
         for r in self.routers:
             r.routing = routing
-            r._commit_hook = commit
-            r._arrival_hook = arrival
             r._on_injection = on_injection
 
     # ------------------------------------------------------------------
@@ -418,7 +405,6 @@ class Simulation:
 def run_simulation(
     config: SimulationConfig,
     *,
-    check_decomposition: bool = False,
     engine_backend: str | None = None,
 ) -> SimulationResult:
     """Build, run and close one simulation; return its result.
@@ -430,11 +416,7 @@ def run_simulation(
     cycle collector.  Build a :class:`Simulation` directly to inspect
     its state after the run.
     """
-    sim = Simulation(
-        config,
-        check_decomposition=check_decomposition,
-        engine_backend=engine_backend,
-    )
+    sim = Simulation(config, engine_backend=engine_backend)
     try:
         return sim.run()
     finally:

@@ -40,9 +40,9 @@
  *
  * A cell is lowered when the Simulation sets eq._lower to itself (the
  * compiled backend, a pattern whose lower() returns a descriptor, no
- * oracle, no decomposition check): c_gen and c_deliver then replace the
- * _gen / _sink hooks, reading the Simulation, its collector's window and
- * four stat buffers and the descriptor once, when the KState is built.
+ * oracle): c_gen and c_deliver then replace the _gen / _sink hooks,
+ * reading the Simulation, its collector's window and four stat buffers
+ * and the descriptor once, when the KState is built.
  *
  * What the kernel reads from Python objects is stated once per object
  * kind — event queue, SoA store, router, mechanism / topology, PiggyBack
@@ -80,14 +80,16 @@
  * routing decisions of mechanisms without a twin (every mechanism of
  * repro.routing.factory has one: c_min_decide, c_oblivious_decide,
  * c_piggyback_decide, c_intransit_decide; the modules of repro/routing
- * stay the reference), traffic generation (OP_GEN) and the delivery sink
- * (OP_DELIVER) of cells that are not lowered, generic OP_CALL callbacks
- * (and records whose opcode is outside 1..9, which py_drain runs as
- * callbacks too), overridden routing hooks and stats injection
- * callbacks.  A typed record (opcode 1..9) whose target is not one of the
- * store's routers, whose fields are not in-range ints, or whose packet is
- * not a Packet with int64 fields, raises FlowControlError when it is
- * dispatched: no simulation posts one.
+ * stay the reference), traffic generation (OP_GEN), the delivery sink
+ * (OP_DELIVER) and the stats injection callback of cells that are not
+ * lowered, and generic OP_CALL callbacks (and records whose opcode is
+ * outside 1..9, which py_drain runs as callbacks too).  The hop
+ * bookkeeping (c_commit / c_arrive) and the router pipeline are the
+ * kernel's own: a router class whose step is not kernel.step is refused
+ * when the KState is built.  A typed record (opcode 1..9) whose target is
+ * not one of the store's routers, whose fields are not in-range ints, or
+ * whose packet is not a Packet with int64 fields, raises FlowControlError
+ * when it is dispatched: no simulation posts one.
  *
  * Native event path: mirror in, mirror out, absorb
  * ------------------------------------------------
@@ -112,12 +114,12 @@
  *   each in_q slot of a VC a port class lacks stays None), every Packet
  *   taken into a row it stays attached to;
  * - mirror out on every exit — normal and error — and around whatever
- *   may run arbitrary code (an OP_CALL callback, an overridden
- *   Router.step), followed by a fresh mirror in: such code sees and may
- *   edit the complete state, every packet as the Packet object of its
- *   row (the memo, which Python never sees, is dropped);
+ *   may run arbitrary code (an OP_CALL callback), followed by a fresh
+ *   mirror in: such code sees and may edit the complete state, every
+ *   packet as the Packet object of its row (the memo, which Python never
+ *   sees, is dropped);
  * - after the narrow contract hooks (_gen, _sink, a Python decide,
- *   commit / arrival overrides, on_injection) only absorb the inbox:
+ *   on_injection) only absorb the inbox:
  *   they read eq.now, which is written before the call, and what they
  *   posted into the empty eq._buckets is appended to the calendar in
  *   posting order.  An (OP_STEP, router) token found there is the arming
@@ -481,14 +483,11 @@ typedef struct {
     PyObject *router;           /* owned */
     PyObject *routing;          /* owned */
     PyObject *decide;           /* owned bound method */
-    PyObject *commit_override;  /* owned or NULL (base commit inlined) */
-    PyObject *arrival_override; /* owned or NULL (base arrival inlined) */
     PyObject *on_injection;     /* owned */
     PyObject *active_keys;      /* owned set */
     PyObject *out_peer, *upstream; /* owned lists, per port */
     KeyIndex ix;                /* its native index */
     PyObject *rid_obj;          /* owned */
-    PyObject *py_step;          /* owned bound method, or NULL: C step */
     int64_t kb, pb, rid, group, boundary, max_vcs, nkeys, radix;
     int64_t transit_priority, internal, num_node_ports, pipe_lat, pos;
     int64_t arb;                /* Router._arb_time during a drain */
@@ -709,14 +708,14 @@ typedef struct {
 
 /* Always-on kernel counters (int64 slots of eq._ckcounters, so they
  * outlive the KState); ck_counters names them. */
-enum { C_DRAINS, C_CALL, C_GEN, C_SINK, C_DECIDE, C_OVERRIDE, C_INBOX,
+enum { C_DRAINS, C_CALL, C_GEN, C_SINK, C_DECIDE, C_INJECTION, C_INBOX,
        C_MIRRORS, C_PEAK_PENDING, C_PEAK_BUCKET, C_STEPS, C_SCAN_KEYS,
        C_INDEX_RELOADS, C_INQ_ABSORBED, C_MATERIALIZED, C_PEAK_ROWS,
        C_MEMO_HITS, N_CTR };
 
 static const char *const CTR_NAMES[N_CTR] = {
     "drains", "reentries_call", "reentries_gen", "reentries_sink",
-    "reentries_decide", "reentries_override", "inbox_records",
+    "reentries_decide", "reentries_injection", "inbox_records",
     "full_mirrors", "peak_pending_records", "peak_bucket_len", "steps",
     "scan_keys", "index_reloads", "inq_absorbed", "packets_materialized",
     "peak_packet_rows", "memo_hits",
@@ -792,15 +791,12 @@ rstate_clear(RState *rs)
     Py_XDECREF(rs->router);
     Py_XDECREF(rs->routing);
     Py_XDECREF(rs->decide);
-    Py_XDECREF(rs->commit_override);
-    Py_XDECREF(rs->arrival_override);
     Py_XDECREF(rs->on_injection);
     Py_XDECREF(rs->active_keys);
     Py_XDECREF(rs->out_peer);
     Py_XDECREF(rs->upstream);
     PyMem_Free(rs->ix.slot);
     Py_XDECREF(rs->rid_obj);
-    Py_XDECREF(rs->py_step);
 }
 
 static void
@@ -2337,17 +2333,6 @@ fail:
     return -1;
 }
 
-/* The decision tuple of `v` (new reference): the Python decide()'s own
- * where there is one. */
-static PyObject *
-verdict_tuple(const Verdict *v)
-{
-    if (v->dec != NULL)
-        return Py_NewRef(v->dec);
-    return Py_BuildValue("(LLLL)", (long long)v->port, (long long)v->vc,
-                         (long long)v->action, (long long)v->aux);
-}
-
 /* Take the whole Python-side event state into the kernel: drain entry,
  * and after code that may have changed any of it. */
 static int
@@ -2426,16 +2411,15 @@ absorb_inbox(KState *ks)
 }
 
 /* Call a contract hook that returns nothing of interest: count it, show
- * Python the clock, call, absorb.  `nargs` of a, b, c are passed. */
+ * Python the clock, call fn(a) or fn(a, b) (b NULL or not), absorb. */
 static int
-call_hook(KState *ks, int kind, PyObject *fn, Py_ssize_t nargs, PyObject *a,
-          PyObject *b, PyObject *c)
+call_hook(KState *ks, int kind, PyObject *fn, PyObject *a, PyObject *b)
 {
-    PyObject *args[3] = {a, b, c}, *res;
+    PyObject *args[2] = {a, b}, *res;
     ks->ctr[kind] += 1;
     if (sync_eq(ks) < 0)
         return -1;
-    res = PyObject_Vectorcall(fn, args, (size_t)nargs, NULL);
+    res = PyObject_Vectorcall(fn, args, b == NULL ? 1 : 2, NULL);
     if (res == NULL) {
         absorb_inbox(ks);
         return -1;
@@ -2444,18 +2428,17 @@ call_hook(KState *ks, int kind, PyObject *fn, Py_ssize_t nargs, PyObject *a,
     return absorb_inbox(ks);
 }
 
-/* call_hook with the Packet of `row` as the first argument, then `nargs`
- * - 1 of b, c: the row's fields go into the object before the call and
- * come back after it, also when it raised (keeping its exception). */
+/* call_hook(fn, the Packet of `row`, b): the row's fields go into the
+ * object before the call and come back after it, also when it raised
+ * (keeping its exception). */
 static int
-call_pkt_hook(KState *ks, int kind, PyObject *fn, int32_t row,
-              Py_ssize_t nargs, PyObject *b, PyObject *c)
+call_pkt_hook(KState *ks, int kind, PyObject *fn, int32_t row, PyObject *b)
 {
     PyObject *pkt = row_obj(ks, row), *et, *ev, *tb;
     int rc;
     if (pkt == NULL)
         return -1;
-    rc = call_hook(ks, kind, fn, nargs, pkt, b, c);
+    rc = call_hook(ks, kind, fn, pkt, b);
     PyErr_Fetch(&et, &ev, &tb);
     if (row_load(ks, row, pkt) < 0) {
         if (et == NULL)
@@ -2573,7 +2556,7 @@ static int
 c_deliver(KState *ks, LState *ls, int32_t row, int64_t t)
 {
     const int64_t *pk = PK(ks, row);
-    int64_t n, xi;
+    int64_t n, xi, inj, parts;
     double x, mean, delta;
 
     ls->si[SI_TOTAL_DELIVERED] += 1;
@@ -2596,11 +2579,24 @@ c_deliver(KState *ks, LState *ls, int32_t row, int64_t t)
         ls->sf[SF_LAT_MIN] = x;
     if (x > ls->sf[SF_LAT_MAX])
         ls->sf[SF_LAT_MAX] = x;
-    ls->sf[SF_BD_INJ] += (double)(pk[PK_INJECT_TIME] - pk[PK_GEN_TIME]);
+    inj = pk[PK_INJECT_TIME] - pk[PK_GEN_TIME];
+    ls->sf[SF_BD_INJ] += (double)inj;
     ls->sf[SF_BD_LOCAL] += (double)pk[PK_WAIT_LOCAL];
     ls->sf[SF_BD_GLOBAL] += (double)pk[PK_WAIT_GLOBAL];
     ls->sf[SF_BD_BASE] += (double)pk[PK_BASE_LATENCY];
     ls->sf[SF_BD_MIS] += (double)(pk[PK_SERVICE_SUM] - pk[PK_BASE_LATENCY]);
+    /* the latency ledger audit of StatsCollector.on_delivery, same message */
+    parts = inj + pk[PK_WAIT_LOCAL] + pk[PK_WAIT_GLOBAL] + pk[PK_SERVICE_SUM];
+    if (parts != xi) {
+        PyErr_Format(PyExc_AssertionError, "latency decomposition broken "
+                     "for packet %lld: %lld != %lld (inj=%lld, l=%lld, "
+                     "g=%lld, base=%lld, mis=%lld)", (long long)pk[PK_PID],
+                     (long long)parts, (long long)xi, (long long)inj,
+                     (long long)pk[PK_WAIT_LOCAL], (long long)pk[PK_WAIT_GLOBAL],
+                     (long long)pk[PK_BASE_LATENCY],
+                     (long long)(pk[PK_SERVICE_SUM] - pk[PK_BASE_LATENCY]));
+        return -1;
+    }
     return 0;
 }
 
@@ -3333,8 +3329,8 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
         else {
             PyObject *now_o = now_obj(ks, now);
             if (now_o == NULL
-                || call_hook(ks, C_OVERRIDE, rs->on_injection, 2, rs->rid_obj,
-                             now_o, NULL) < 0)
+                || call_hook(ks, C_INJECTION, rs->on_injection, rs->rid_obj,
+                             now_o) < 0)
                 return -1;
         }
     }
@@ -3372,34 +3368,23 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
         }
     }
 
-    if (rs->commit_override == NULL) {
-        /* Inlined RoutingMechanism.commit (hop ledger + diversion). */
-        pk = PK(ks, row);
-        if (ks->local_in[gout]) {
-            pk[PK_LOCAL_HOPS] += 1;
-            if (++pk[PK_GROUP_LOCAL_HOPS] > 2) {
-                PyErr_Format(ks->routing_err,
-                             "packet %lld took a third local hop in group "
-                             "%lld; VC safety would be violated",
-                             (long long)pk[PK_PID], (long long)rs->group);
-                return -1;
-            }
-        }
-        else if (ks->global_out[gout])
-            pk[PK_GLOBAL_HOPS] += 1;
-        if (v->action == 1)
-            pk[PK_INTER_GROUP] = v->aux;
-    }
-    else {
-        /* the mechanism's own commit gets the decision as a tuple */
-        PyObject *dec = verdict_tuple(v);
-        int rc = dec ? call_pkt_hook(ks, C_OVERRIDE, rs->commit_override, row,
-                                     3, rs->router, dec) : -1;
-        Py_XDECREF(dec);
-        if (rc < 0)
+    /* the hop ledger and the diversion bind */
+    pk = PK(ks, row);
+    if (ks->local_in[gout]) {
+        pk[PK_LOCAL_HOPS] += 1;
+        if (++pk[PK_GROUP_LOCAL_HOPS] > 2) {
+            PyErr_Format(ks->routing_err,
+                         "packet %lld took a third local hop in group "
+                         "%lld; VC safety would be violated",
+                         (long long)pk[PK_PID], (long long)rs->group);
             return -1;
+        }
     }
-    PK(ks, row)[PK_SERVICE_SUM] += ks->hop_cost[gout];
+    else if (ks->global_out[gout])
+        pk[PK_GLOBAL_HOPS] += 1;
+    if (v->action == 1)
+        pk[PK_INTER_GROUP] = v->aux;
+    pk[PK_SERVICE_SUM] += ks->hop_cost[gout];
     /* switch traversal -> OP_OUT_ARRIVE after the pipeline latency */
     return cal_post(ks, now + rs->pipe_lat,
                     REC(OP_OUT_ARRIVE, rs->rid, out_port, v->vc, row));
@@ -3625,25 +3610,15 @@ c_arrive(KState *ks, RState *rs, int64_t port, int64_t vc, int32_t row,
         return -1;
     }
     pk[PK_T_ENQ] = now;
-    if (rs->arrival_override == NULL) {
-        /* Inlined RoutingMechanism.on_arrival. */
-        if (rs->group != pk[PK_CURRENT_GROUP]) {
-            pk[PK_CURRENT_GROUP] = rs->group;
-            pk[PK_GROUP_LOCAL_HOPS] = 0;
-            if (pk[PK_INTER_GROUP] == rs->group)
-                pk[PK_INTER_GROUP] = -1; /* intermediate group reached */
-        }
-        if (pk[PK_PLAN] == 2 && rs->rid == pk[PK_INTER_ROUTER])
-            pk[PK_PLAN] = 1; /* intermediate router reached */
+    /* group transitions and source-routed plan updates */
+    if (rs->group != pk[PK_CURRENT_GROUP]) {
+        pk[PK_CURRENT_GROUP] = rs->group;
+        pk[PK_GROUP_LOCAL_HOPS] = 0;
+        if (pk[PK_INTER_GROUP] == rs->group)
+            pk[PK_INTER_GROUP] = -1; /* intermediate group reached */
     }
-    else {
-        PyObject *port_o = PyLong_FromLongLong((long long)port);
-        int rc = port_o ? call_pkt_hook(ks, C_OVERRIDE, rs->arrival_override,
-                                        row, 3, rs->router, port_o) : -1;
-        Py_XDECREF(port_o);
-        if (rc < 0)
-            return -1;
-    }
+    if (pk[PK_PLAN] == 2 && rs->rid == pk[PK_INTER_ROUTER])
+        pk[PK_PLAN] = 1; /* intermediate router reached */
     if (inq_push(&ks->inq[gk], row, size) < 0 || ak_add(ks, rs, key) < 0)
         return -1;
     wake = ks->in_port_free[rs->pb + port];
@@ -3743,11 +3718,10 @@ c_release_credit(KState *ks, RState *rs, int64_t port, int64_t vc,
  * mirrored out around it.  It is record `taken` - 1 of the cycle-`t`
  * bucket: the ones before it, run already, come back in whole. */
 static int
-dispatch_tuple(KState *ks, int kind, PyObject *rec, int64_t t,
-               Py_ssize_t taken)
+dispatch_tuple(KState *ks, PyObject *rec, int64_t t, Py_ssize_t taken)
 {
     PyObject *fn, *args, *res = NULL, *et, *ev, *tb;
-    ks->ctr[kind] += 1;
+    ks->ctr[C_CALL] += 1;
     ks->cal.cur = -1; /* until the state is back in: nothing to finish */
     if (mirror_out(ks) < 0)
         return -1;
@@ -3788,7 +3762,7 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t taken,
     if (rec->rid == REC_TUPLE) {
         PyObject *tup = rec->u.obj;
         if (rec->op == OP_CALL)
-            return dispatch_tuple(ks, C_CALL, tup, t, taken);
+            return dispatch_tuple(ks, tup, t, taken);
         PyErr_Format(ks->flow_err, "activation record %R (opcode %d, "
                      "target %R): not a router of the store, a field "
                      "that is not an in-range int, or a packet that is not "
@@ -3803,8 +3777,7 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t taken,
             return c_gen(ks, &ks->low, rec->a, t);
         if ((o = PyLong_FromLong(rec->a)) == NULL)
             return -1;
-        rc = call_hook(ks, C_GEN, slot_get(ks->eq, ks->eq_gen), 1, o, NULL,
-                       NULL);
+        rc = call_hook(ks, C_GEN, slot_get(ks->eq, ks->eq_gen), o, NULL);
         Py_DECREF(o);
         return rc;
     }
@@ -3814,7 +3787,7 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t taken,
         if ((o = now_obj(ks, t)) == NULL)
             return -1;
         return call_pkt_hook(ks, C_SINK, slot_get(ks->eq, ks->eq_sink),
-                             (int32_t)rec->u.c, 2, o, NULL);
+                             (int32_t)rec->u.c, o);
     }
     rs = &ks->routers[rec->rid];
     switch (rec->op) {
@@ -3824,18 +3797,7 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t taken,
         rs->arb = ARB_NONE;
         if (rs->ix.used == 0)
             return 0; /* a release woke an idle router */
-        if (rs->py_step == NULL)
-            return c_step(ks, rs, t);
-        /* an overridden Router.step works on the Python-side state: run
-         * it as the callback record (OP_CALL, py_step, (t,)) */
-        if ((o = Py_BuildValue("(iO(L))", OP_CALL, rs->py_step,
-                               (long long)t)) == NULL)
-            return -1;
-        {
-            int rc = dispatch_tuple(ks, C_OVERRIDE, o, t, taken);
-            Py_DECREF(o);
-            return rc;
-        }
+        return c_step(ks, rs, t);
     case OP_OUT_ARRIVE:
         return c_output_enqueue(ks, rs, rec->a, (int32_t)rec->u.c, rec->b, t);
     case OP_ARRIVE:
@@ -4039,8 +4001,7 @@ twin_build(KState *ks, PyObject *routing)
 }
 
 /* Router.<...> (see hardware/router.py): its offsets into the store, its
- * shape, and the mechanism and hooks Simulation.bind_routing bound (None:
- * the base bookkeeping, inlined in c_commit / c_arrive). */
+ * shape, and the mechanism and stats hook Simulation.bind_routing bound. */
 static const Attr ROUTER_ATTRS[] = {
     {"kb", offsetof(RState, kb), A_I64},
     {"pb", offsetof(RState, pb), A_I64},
@@ -4057,8 +4018,6 @@ static const Attr ROUTER_ATTRS[] = {
     {"transit_priority", offsetof(RState, transit_priority), A_BOOL},
     {"routing", offsetof(RState, routing), A_OBJ},
     {"routing.decide", offsetof(RState, decide), A_OBJ},
-    {"_commit_hook", offsetof(RState, commit_override), A_OBJ_OPT},
-    {"_arrival_hook", offsetof(RState, arrival_override), A_OBJ_OPT},
     {"_on_injection", offsetof(RState, on_injection), A_OBJ},
     {"active_keys", offsetof(RState, active_keys), A_SET},
     {"out_peer", offsetof(RState, out_peer), A_LIST, L_RADIX},
@@ -4066,24 +4025,13 @@ static const Attr ROUTER_ATTRS[] = {
 };
 
 static int
-build_rstate(KState *ks, RState *rs, PyObject *r, PyObject *kernel_step)
+build_rstate(KState *ks, RState *rs, PyObject *r)
 {
-    PyObject *step_attr;
     rs->router = Py_NewRef(r);
     rs->arb = ARB_NONE;
     if (READ_ATTRS(ks, "Router", r, rs, ROUTER_ATTRS, -1) < 0
         || (rs->rid_obj = PyLong_FromLongLong((long long)rs->rid)) == NULL)
         return -1;
-    /* A router whose class overrides step gets the Python method. */
-    step_attr = PyObject_GetAttrString((PyObject *)Py_TYPE(r), "step");
-    if (step_attr == NULL)
-        return -1;
-    if (step_attr != kernel_step
-        && (rs->py_step = PyObject_GetAttrString(r, "step")) == NULL) {
-        Py_DECREF(step_attr);
-        return -1;
-    }
-    Py_DECREF(step_attr);
     return 0;
 }
 
@@ -4292,8 +4240,21 @@ kstate_build(PyObject *eq, PyObject *store)
     for (i = 0; i < ks->radix; i++)
         ks->port_first[i] = -1;
 
-    /* routers */
+    /* routers: the drain runs its own pipeline (c_step and the handlers
+     * it calls), so a class whose step is not kernel.step — a patch or a
+     * subclass — is refused rather than silently bypassed */
     ks->router_type = r_tp = Py_TYPE(PyList_GET_ITEM(ks->router_list, 0));
+    if ((tmp = PyObject_GetAttrString((PyObject *)r_tp, "step")) == NULL)
+        goto fail;
+    if (tmp != kernel_step) {
+        PyErr_Format(PyExc_TypeError, "%s.step is %R, not "
+                     "repro.engine.kernel.step: the compiled drain runs its "
+                     "own router pipeline (use the python backend)",
+                     r_tp->tp_name, tmp);
+        goto fail;
+    }
+    Py_CLEAR(tmp);
+    Py_CLEAR(kernel_step);
     if ((ks->r_arb_time = slot_offset(r_tp, "_arb_time")) < 0
         || (ks->r_router_id = slot_offset(r_tp, "router_id")) < 0)
         goto fail;
@@ -4309,7 +4270,7 @@ kstate_build(PyObject *eq, PyObject *store)
                             "heterogeneous router types in SoA store");
             goto fail;
         }
-        if (build_rstate(ks, &ks->routers[i], r, kernel_step) < 0)
+        if (build_rstate(ks, &ks->routers[i], r) < 0)
             goto fail;
         /* records and the flat tables address routers by index */
         if (ks->routers[i].rid != i || ks->routers[i].kb != i * ks->nkeys
@@ -4321,7 +4282,6 @@ kstate_build(PyObject *eq, PyObject *store)
             goto fail;
         }
     }
-    Py_CLEAR(kernel_step);
     /* The decide twin is resolved for the first router's mechanism and
      * applies to every router sharing that object (all of them, in a
      * Simulation). */

@@ -67,9 +67,9 @@ The backend is the only choice.  Whether a compiled cell's traffic
 generation and delivery sink are *lowered* into the kernel (``c_gen`` /
 ``c_deliver``, twins of ``Simulation._gen_event`` and the collector's
 hooks) follows from the cell: a pattern with a
-:meth:`~repro.traffic.base.TrafficPattern.lower` descriptor, no oracle,
-no decomposition check (``Simulation._lower``).  The python backend
-never lowers; its callback path is the reference.
+:meth:`~repro.traffic.base.TrafficPattern.lower` descriptor and no
+oracle (``Simulation._lower``).  The python backend never lowers; its
+callback path is the reference.
 
 Flat indexing glossary (see :mod:`repro.engine.soa`):
 
@@ -279,20 +279,15 @@ def arrive(r, port: int, vc: int, pkt: Packet, now: int) -> None:
             f"{port} vc {vc}: {occ} > {r.in_cap[gk]}"
         )
     pkt.t_enq = now
-    on_arrival = r._arrival_hook
-    if on_arrival is None:
-        # Inlined RoutingMechanism.on_arrival (group transitions and
-        # source-routed plan updates).
-        group = r.group
-        if group != pkt.current_group:
-            pkt.current_group = group
-            pkt.group_local_hops = 0
-            if pkt.inter_group == group:
-                pkt.inter_group = -1  # intermediate group reached
-        if pkt.plan == 2 and r.router_id == pkt.inter_router:
-            pkt.plan = 1  # intermediate router reached; minimal onwards
-    else:
-        on_arrival(pkt, r, port)
+    # Group transitions and source-routed plan updates.
+    group = r.group
+    if group != pkt.current_group:
+        pkt.current_group = group
+        pkt.group_local_hops = 0
+        if pkt.inter_group == group:
+            pkt.inter_group = -1  # intermediate group reached
+    if pkt.plan == 2 and r.router_id == pkt.inter_router:
+        pkt.plan = 1  # intermediate router reached; minimal onwards
     q.append(pkt)
     r.active_keys.add(key)
     time = r.in_port_free[r.pb + port]
@@ -547,24 +542,20 @@ def _commit(r, out_port, gout, key, gk, pkt, dec, now) -> None:
                 f"{out_port} vc {out_vc}"
             )
 
-    routing_commit = r._commit_hook
-    if routing_commit is None:
-        # Inlined RoutingMechanism.commit (hop ledger + diversion bind).
-        if local_in[gout]:
-            pkt.local_hops += 1
-            glh = pkt.group_local_hops + 1
-            pkt.group_local_hops = glh
-            if glh > 2:
-                raise RoutingError(
-                    f"packet {pkt.pid} took a third local hop in group "
-                    f"{r.group}; VC safety would be violated"
-                )
-        elif r._global_out[gout]:
-            pkt.global_hops += 1
-        if dec[2] == 1:
-            pkt.inter_group = dec[3]
-    else:
-        routing_commit(pkt, r, dec)
+    # The hop ledger and the diversion bind.
+    if local_in[gout]:
+        pkt.local_hops += 1
+        glh = pkt.group_local_hops + 1
+        pkt.group_local_hops = glh
+        if glh > 2:
+            raise RoutingError(
+                f"packet {pkt.pid} took a third local hop in group "
+                f"{r.group}; VC safety would be violated"
+            )
+    elif r._global_out[gout]:
+        pkt.global_hops += 1
+    if dec[2] == 1:
+        pkt.inter_group = dec[3]
     pkt.service_sum += r._hop_cost[gout]
     # Switch traversal: the packet reaches the output FIFO after the
     # pipeline latency (OP_OUT_ARRIVE).

@@ -74,6 +74,7 @@ from repro.core.results import SimulationResult
 from repro.core.simulation import run_simulation
 from repro.errors import (
     AnalysisError,
+    ConfigurationError,
     ExecutionError,
     FaultInjection,
     LeaseError,
@@ -119,12 +120,24 @@ def _running(calls: Iterable[_T], workers: int) -> list[_T]:
     return list(islice(calls, workers))
 
 
+def worker_count(value: Any, source: str) -> int:
+    """*value* (an int or its decimal string) as a worker count >= 1, else
+    a :class:`ConfigurationError` naming *source*, where it came from."""
+    try:
+        count = int(value) if isinstance(value, str) else value
+    except ValueError:
+        count = None
+    if type(count) is not int or count < 1:
+        raise ConfigurationError(f"{source} must be an integer >= 1, got {value!r}")
+    return count
+
+
 def default_jobs() -> int:
     """Default worker count: ``REPRO_JOBS`` env override, else the
     affinity-aware CPU count (cgroup limits and pinned masks respected)."""
     env = os.environ.get("REPRO_JOBS")
     if env:
-        return max(1, int(env))
+        return worker_count(env, "REPRO_JOBS")
     return usable_cpu_count()
 
 
@@ -598,7 +611,11 @@ class _PlanExecution:
         if not self.order:
             return
         try:
-            if self.runner.jobs <= 1 or len(self.order) <= 1:
+            # One cell runs inline unless it has a timeout to enforce:
+            # only the pool can stop an overrunning cell.
+            if self.runner.jobs <= 1 or (
+                len(self.order) <= 1 and self.policy.cell_timeout is None
+            ):
                 self._run_serial()
             else:
                 self._run_pooled()

@@ -24,11 +24,13 @@ credit return — is defined once per backend, in
 :mod:`repro.engine.kernel` (and ``_ckernel.c``); its phase handlers are
 bound here as methods, so the engine's ``rec[1].arrive(...)`` dispatch and
 a direct ``router.step(now)`` run the same code.  The router knows
-nothing about routing policies: the handlers call
-``router.routing.decide(pkt, router)`` for every head on every pass (no
-Python memo; the compiled kernel keeps its own for the C twins) and the
-mechanism's ``commit`` / ``on_arrival`` hooks for winners and arrivals,
-keeping the mechanism/microarchitecture separation of FOGSim.
+nothing about routing policies: ``router.routing.decide(pkt, router)``,
+called for every head on every pass (no Python memo; the compiled kernel
+keeps its own for the C twins), is its only call into the mechanism —
+hop counts, group transitions and the Valiant plan switch are router
+behaviour, keeping the mechanism/microarchitecture separation of FOGSim.
+The handlers are no extension point: the compiled drain runs its own and
+refuses a router class whose ``step`` is not ``kernel.step``.
 """
 
 from __future__ import annotations
@@ -90,8 +92,6 @@ class Router:
         "_key_port",
         "_pipe_lat",
         "_on_injection",
-        "_commit_hook",
-        "_arrival_hook",
         "transit_priority",
         "_psize",
         "_token",
@@ -176,14 +176,9 @@ class Router:
         #   upstream[port] = (peer_router, peer_out_port) or None for nodes
         self.out_peer: list[tuple["Router", int] | None] = [None] * self.radix
         self.upstream: list[tuple["Router", int] | None] = [None] * self.radix
-        # Bound by Simulation.bind_routing: the mechanism, the stats
-        # injection callback, and the mechanism's commit / on_arrival
-        # when it overrides the base bookkeeping the kernels inline
-        # (None = the inlined base runs; none in-tree overrides).
+        # Bound by Simulation.bind_routing: the mechanism, the stats hook.
         self.routing = None
         self._on_injection = None
-        self._commit_hook = None
-        self._arrival_hook = None
         self.transit_priority = rc.transit_priority
         self._arb_time: int | None = None
 

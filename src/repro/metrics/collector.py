@@ -20,7 +20,10 @@ Mirrors FOGSim's methodology (Section IV-A): the network warms up for
   ports during the window (the quantity plotted in Figures 4/6).
 
 All-time counters (independent of the window) feed the deadlock watchdog
-and conservation checks.
+and conservation checks.  Every packet delivered in the window is
+audited, on every path: unless injection wait + local and global
+queueing + service (``base + mis``) equal its latency, the delivery
+raises :class:`AssertionError`.
 
 Everything is accumulated in four flat buffers the collector owns, and
 the read API is a view over them: ``si`` (``NSTAT_I`` integer counters,
@@ -85,7 +88,6 @@ class StatsCollector:
         "sf",
         "injected_per_router",
         "delivered_per_router",
-        "check_decomposition",
     )
 
     def __init__(
@@ -95,7 +97,6 @@ class StatsCollector:
         num_routers: int,
         num_nodes: int,
         *,
-        check_decomposition: bool = False,
         typed: bool = False,
     ) -> None:
         self.window_start = window_start
@@ -110,7 +111,6 @@ class StatsCollector:
         self.delivered_per_router = _int_buffer(num_routers, typed)
         self.sf[SF_LAT_MIN] = inf
         self.sf[SF_LAT_MAX] = -inf
-        self.check_decomposition = check_decomposition
 
     # ------------------------------------------------------------------
     def on_generate(self, now: int, size: int) -> None:
@@ -134,7 +134,8 @@ class StatsCollector:
         (``sink(pkt, now)``), so oracle-less runs dispatch ``OP_DELIVER``
         records straight into the collector.  The Welford update has the
         operation order of ``OnlineStats.add`` (and of ``c_deliver``),
-        so mean and M2 are the same floats on every path.
+        so mean and M2 are the same floats on every path, and a broken
+        ledger raises the same :class:`AssertionError` as there.
         """
         si = self.si
         si[SI_TOTAL_DELIVERED] += 1
@@ -156,21 +157,22 @@ class StatsCollector:
         if total > sf[SF_LAT_MAX]:
             sf[SF_LAT_MAX] = total
         inj = pkt.inject_time - pkt.gen_time
+        wait_local = pkt.wait_local
+        wait_global = pkt.wait_global
+        service = pkt.service_sum
         base = pkt.base_latency
-        mis = pkt.service_sum - base
         sf[SF_BD_INJ] += inj
-        sf[SF_BD_LOCAL] += pkt.wait_local
-        sf[SF_BD_GLOBAL] += pkt.wait_global
+        sf[SF_BD_LOCAL] += wait_local
+        sf[SF_BD_GLOBAL] += wait_global
         sf[SF_BD_BASE] += base
-        sf[SF_BD_MIS] += mis
-        if self.check_decomposition:
-            parts = inj + pkt.wait_local + pkt.wait_global + base + mis
-            if parts != total:
-                raise AssertionError(
-                    f"latency decomposition broken for packet {pkt.pid}: "
-                    f"{parts} != {total} (inj={inj}, l={pkt.wait_local}, "
-                    f"g={pkt.wait_global}, base={base}, mis={mis})"
-                )
+        sf[SF_BD_MIS] += service - base
+        if inj + wait_local + wait_global + service != total:
+            raise AssertionError(
+                f"latency decomposition broken for packet {pkt.pid}: "
+                f"{inj + wait_local + wait_global + service} != {total} "
+                f"(inj={inj}, l={wait_local}, g={wait_global}, "
+                f"base={base}, mis={service - base})"
+            )
 
     # ------------------------------------------------------------------
     # all-time, then measurement-window, counters

@@ -8,17 +8,19 @@ A *decision* is the tuple ``(out_port, out_vc, action, aux)``:
 * ``action = 2`` - opportunistic local misroute (hop counters record it;
   no extra state).
 
-:meth:`RoutingMechanism.decide` runs on every allocation pass a head
-packet participates in — nothing in Python memoizes a decision — so
-adaptive mechanisms re-evaluate while a packet waits, reading live
-congestion state and drawing from their RNG; state is only mutated in
-:meth:`RoutingMechanism.commit` (called exactly once per granted hop) and
-in :meth:`RoutingMechanism.on_arrival` (once per link traversal).  The
-only memo is the compiled kernel's own, for the C twins of ``decide``
-(``engine/_ckernel.c``): it reuses a twin's decision only where
-re-deciding provably returns it again without drawing, and the
-python-vs-compiled golden digests check it against this memo-free
-reference.
+:meth:`RoutingMechanism.decide` is the whole interface: mechanisms
+differ only in the routing decision.  It runs on every allocation pass
+a head packet participates in — nothing in Python memoizes a decision —
+so adaptive mechanisms re-evaluate while a packet waits, reading live
+congestion state and drawing from their RNG.  Applying a granted
+decision (hop counts, binding ``action = 1``'s intermediate group) and
+the per-arrival group transitions and Valiant plan switch are router
+behaviour, written once per backend (``engine/kernel.py``'s ``_commit``
+/ ``arrive``, ``engine/_ckernel.c``'s ``c_commit`` / ``c_arrive``).
+The only memo is the compiled kernel's own, for the C twins of
+``decide``: it reuses a twin's decision only where re-deciding provably
+returns it again without drawing, and the python-vs-compiled golden
+digests check it against this memo-free reference.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def eject_decision(pkt: Packet) -> tuple:
 
 
 class RoutingMechanism(ABC):
-    """Base class for all mechanisms; owns arrival-time bookkeeping."""
+    """Base class for all mechanisms: a routing decision, nothing else."""
 
     #: mechanism name as it appears in the paper's legends (set by factory)
     name: str = "?"
@@ -73,10 +75,6 @@ class RoutingMechanism(ABC):
         self.topo = sim.topo
         self.n_local_vcs = sim.config.router.local_vcs
         self.n_global_vcs = sim.config.router.global_vcs
-        # Port-kind lookups for the commit hot path (one list index
-        # instead of a string compare per granted hop).
-        self._commit_local = [k == "local" for k in sim.topo.port_kind]
-        self._commit_global = [k == "global" for k in sim.topo.port_kind]
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -87,32 +85,3 @@ class RoutingMechanism(ABC):
         output lacks credit simply loses the pass and is re-evaluated when
         resources free up.
         """
-
-    # ------------------------------------------------------------------
-    def commit(self, pkt: Packet, router, dec: tuple) -> None:
-        """Apply state changes for a granted hop (called once per grant)."""
-        out_port = dec[0]
-        if self._commit_local[out_port]:
-            pkt.local_hops += 1
-            pkt.group_local_hops += 1
-            if pkt.group_local_hops > 2:
-                raise RoutingError(
-                    f"packet {pkt.pid} took a third local hop in group "
-                    f"{router.group}; VC safety would be violated"
-                )
-        elif self._commit_global[out_port]:
-            pkt.global_hops += 1
-        if dec[2] == 1:
-            pkt.inter_group = dec[3]
-
-    # ------------------------------------------------------------------
-    def on_arrival(self, pkt: Packet, router, port: int) -> None:
-        """Per-link-arrival bookkeeping (group transitions, plan updates)."""
-        group = router.group
-        if group != pkt.current_group:
-            pkt.current_group = group
-            pkt.group_local_hops = 0
-            if pkt.inter_group == group:
-                pkt.inter_group = -1  # intermediate group reached
-        if pkt.plan == 2 and router.router_id == pkt.inter_router:
-            pkt.plan = 1  # intermediate router reached; minimal from here

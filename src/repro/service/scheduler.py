@@ -43,6 +43,7 @@ from repro.exec.runner import (
     describe_error,
     is_retryable,
     run_cell,
+    worker_count,
 )
 from repro.exec.store import ResultStore
 
@@ -140,7 +141,9 @@ class CellScheduler:
         compute_fn: Callable[[str, SimulationConfig], SimulationResult] | None = None,
     ) -> None:
         self.store = store
-        self.max_workers = max_workers or default_jobs()
+        if max_workers is None:
+            max_workers = default_jobs()
+        self.max_workers = worker_count(max_workers, "max_workers")
         self.retry = retry or RetryPolicy()
         self._pool: Executor | None = executor
         self._owns_pool = executor is None

@@ -109,7 +109,7 @@ def _decide_path(sim) -> str:
 
 
 #: re-entry kinds of ``_ckernel.counters`` (keys ``reentries_<kind>``).
-_REENTRY_KINDS = ("call", "gen", "sink", "decide", "override")
+_REENTRY_KINDS = ("call", "gen", "sink", "decide", "injection")
 
 
 def _kernel_counters(sim) -> dict[str, int] | None:

@@ -290,22 +290,16 @@ def _cyclic_garbage(call) -> int:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "kwargs, oracle",
-    [({}, False), ({}, True), ({"check_decomposition": True}, False)],
-    ids=["lowered", "oracle", "check_decomposition"],
-)
-def test_run_simulation_leaves_no_cyclic_garbage(backend, kwargs, oracle):
+@pytest.mark.parametrize("oracle", [False, True], ids=["lowered", "oracle"])
+def test_run_simulation_leaves_no_cyclic_garbage(backend, oracle):
     cfg = _LIFECYCLE_CELL.with_(oracle=oracle)
-    sim = Simulation(cfg, engine_backend=backend, **kwargs)
-    assert (sim._lower is not None) == (
-        backend == "compiled" and not oracle and not kwargs
-    )
+    sim = Simulation(cfg, engine_backend=backend)
+    assert (sim._lower is not None) == (backend == "compiled" and not oracle)
     del sim
     results = []
 
     def cell():
-        results.append(run_simulation(cfg, engine_backend=backend, **kwargs))
+        results.append(run_simulation(cfg, engine_backend=backend))
 
     assert _cyclic_garbage(cell) == 0
     assert results[0] == results[1] and results[1].delivered_packets > 0

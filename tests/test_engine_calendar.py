@@ -209,13 +209,13 @@ def test_unlowered_cell_posts_through_the_inbox(routing):
     assert low["drains"] == 5
     assert low["full_mirrors"] == 5 + low["reentries_call"]
     assert low["inbox_records"] == 0
-    for kind in ("gen", "sink", "decide", "override"):
+    for kind in ("gen", "sink", "decide", "injection"):
         assert low[f"reentries_{kind}"] == 0
     # ... the un-lowered one generated, injected and delivered in Python,
     # and everything those hooks posted came in through the inbox
     un = _ckernel.counters(unlowered.engine)
     assert un["reentries_gen"] > 0 and un["reentries_sink"] > 0
-    assert un["reentries_override"] > 0  # StatsCollector.on_injection
+    assert un["reentries_injection"] > 0  # StatsCollector.on_injection
     assert un["inbox_records"] >= 2 * un["reentries_gen"] - 100
     assert un["reentries_decide"] == 0  # the decide twin is not traffic's
     assert un["peak_pending_records"] > 50 and un["peak_bucket_len"] > 5

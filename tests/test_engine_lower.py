@@ -7,20 +7,21 @@ the collector's hooks, with an in-kernel MT19937.  The python backend
 never lowers: it always runs the callback path, the reference the twins
 are tested against.  The contract is the same as for the backends
 themselves: *bit-identical is the contract*.  The callback reference of a
-lowerable cell is reached through an input that forbids lowering — the
-decomposition audit, whose per-packet check needs the Python sink.  This
-module pins the contract four ways:
+lowerable cell is reached with ``sim._unlower()`` before the first drain.
+Both sinks audit every delivery's latency ledger.  This module pins the
+contract four ways:
 
 * the lowering **selection** — it follows from the backend and the cell
-  alone (static pattern with a descriptor, no oracle, no decomposition
-  check, traffic not swapped after construction);
+  alone (static pattern with a descriptor, no oracle, traffic not swapped
+  after construction);
 * the **equivalence matrix** — each backend's own selection vs the
-  audited callback run, compared field-by-field (result, event /
-  activation counts, the traffic RNG state after the run, the stat
-  buffers) across patterns, down to the byte-identical store entry: on
-  the compiled backend that is lowered vs callback, on the python backend
-  the audit shown to be a pure observer;
-* the golden-trace digests replayed on both backends, audited and not;
+  callback run, compared field-by-field (result, event / activation
+  counts, the traffic RNG state after the run, the stat buffers) across
+  patterns, down to the byte-identical store entry: on the compiled
+  backend that is lowered vs callback, on the python backend two runs of
+  the one path;
+* the golden-trace digests replayed on both backends, lowered and not,
+  and a broken ledger raising at delivery on either sink;
 * the **RNG stream** — a hypothesis property test driving the compiled
   kernel's MT19937 from arbitrary ``random.Random`` states and checking
   every draw and the resulting state word-for-word; and the
@@ -81,10 +82,11 @@ def _payload(result) -> str:
 
 
 def _run(cfg, backend, lowered):
-    """Run *cfg*; ``lowered=False`` takes the callback reference path (the
-    decomposition audit forbids lowering), ``True`` the backend's own
-    selection."""
-    sim = Simulation(cfg, engine_backend=backend, check_decomposition=not lowered)
+    """Run *cfg*; ``lowered=False`` takes the callback reference path,
+    ``True`` the backend's own selection."""
+    sim = Simulation(cfg, engine_backend=backend)
+    if not lowered:
+        sim._unlower()
     result = sim.run()
     return sim, result
 
@@ -96,27 +98,24 @@ def _cell(pattern="uniform", **kw):
     return tiny_config(**kw).with_traffic(pattern=pattern, load=0.3)
 
 
-#: id -> (config, check_decomposition, swap sim.traffic?, lowered on compiled?)
+#: id -> (config, swap sim.traffic?, lowered on compiled?)
 SELECTION = {
-    **{pattern: (_cell(pattern), False, False, True) for pattern in LOWERABLE},
+    **{pattern: (_cell(pattern), False, True) for pattern in LOWERABLE},
     # hotspot draws a bernoulli before the destination: no descriptor
-    "hotspot": (_cell("hotspot"), False, False, False),
+    "hotspot": (_cell("hotspot"), False, False),
     # the oracle audits every delivery: the callback sink must stay
-    "oracle": (_cell(oracle=True), False, False, False),
-    # decomposition checking needs the per-packet sink assertions
-    "check_decomposition": (_cell(), True, False, False),
+    "oracle": (_cell(oracle=True), False, False),
     # time-varying scenarios gate activity per cycle: no static descriptor
     **{
         f"scenario:{name}": (
             sc.apply(small_config().with_traffic(load=0.3)),
             False,
             False,
-            False,
         )
         for name, sc in SCENARIOS.items()
     },
     # a pattern swapped in after construction must be consulted
-    "traffic_swap": (_cell(), False, True, False),
+    "traffic_swap": (_cell(), True, False),
 }
 
 
@@ -125,10 +124,8 @@ SELECTION = {
 def test_lowering_is_selected_by_input(backend, case):
     """The python backend never lowers; the compiled one lowers exactly
     the cells marked so above."""
-    cfg, check_decomposition, swap, lowered = SELECTION[case]
-    sim = Simulation(
-        cfg, engine_backend=backend, check_decomposition=check_decomposition
-    )
+    cfg, swap, lowered = SELECTION[case]
+    sim = Simulation(cfg, engine_backend=backend)
     if swap:
         sim.traffic = make_traffic(cfg.traffic, sim.topo, seed=1)
         sim.start()
@@ -190,6 +187,31 @@ def test_collector_reads_live_inside_a_lowered_drain(backend):
     assert all(f > 0 for _, f in seen)
     assert sim.stats.total_delivered > delivered[-1]
     assert sim.stats.in_flight() == result.in_flight_at_end
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_broken_ledger_raises_at_delivery(backend):
+    """Both sinks audit every delivery in the window, the lowered
+    ``c_deliver`` included: a callback that adds a cycle to a queued
+    packet's ``wait_local`` makes that packet's delivery raise."""
+    sim = Simulation(_cell(), engine_backend=backend)
+    assert (sim._lower is not None) == (backend == "compiled")
+    corrupted = []
+
+    def corrupt():
+        for q in sim.soa.in_q:
+            if q:
+                q[0].wait_local += 1
+                corrupted.append(q[0].pid)
+                return
+        sim.engine.schedule(1, corrupt)  # nothing queued: try next cycle
+
+    sim.engine.schedule_at(300, corrupt)
+    with pytest.raises(AssertionError) as err:
+        sim.run()
+    assert str(err.value).startswith(
+        f"latency decomposition broken for packet {corrupted[0]}: "
+    )
 
 
 @needs_compiled

@@ -4,8 +4,7 @@ The compiled kernel (``repro.engine._ckernel``) keeps each packet as a
 row of int64 columns, one per ``Packet.__slots__`` field, and builds a
 ``Packet`` only where Python must see one: a mirror out (``soa.in_q``,
 ``soa.out_fifo``, ``eq._buckets``), a Python ``decide``,
-the un-lowered generator and sink hooks, overrides and ``OP_CALL``
-callbacks.  The object it builds stays attached to its row, so a packet is
+the un-lowered generator and sink hooks and ``OP_CALL`` callbacks.  The object it builds stays attached to its row, so a packet is
 one object at every crossing, and its fields are written into the object
 before each crossing and read back after it.  This module pins that
 boundary against the pure-Python kernel, which keeps every packet a

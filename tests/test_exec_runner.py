@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import tiny_config
 from repro.core.simulation import run_simulation
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.exec import (
     ExperimentPlan,
     ResultStore,
@@ -22,6 +22,7 @@ from repro.exec import (
     average_injections,
     average_results,
     config_digest,
+    default_jobs,
 )
 from repro.exec.faults import ENV_VAR, FaultSpec
 from repro.exec.serialize import (
@@ -209,6 +210,24 @@ class TestPoolBacklog:
         # Every cell really stalled (once) on a worker.
         assert len(list((tmp_path / "ledger").glob("stall-*"))) == 4
 
+    def test_a_single_cell_keeps_its_timeout(self, monkeypatch, tmp_path):
+        """A pooled run with one cell to compute (``plan resume`` of a
+        store missing one) still enforces ``cell_timeout``: it must not
+        fall back to the inline path, which cannot stop a cell."""
+        plan = ExperimentPlan.point(quick_cfg())
+        (digest,) = plan.cell_digests()
+        spec = FaultSpec(
+            ledger=str(tmp_path / "ledger"),
+            stall_cells=(digest[:16],),
+            stall_seconds=20.0,
+        )
+        monkeypatch.setenv(ENV_VAR, spec.to_env())
+        retry = RetryPolicy(max_attempts=1, cell_timeout=0.5)
+        t0 = time.monotonic()
+        res = Runner(jobs=2, retry=retry).run(plan)
+        assert time.monotonic() - t0 < 10.0
+        assert res.failures[digest].kind == "timeout"
+
 
 class TestResultCache:
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -362,6 +381,21 @@ class TestRunnerValidation:
     def test_offline_requires_a_store(self):
         with pytest.raises(AnalysisError):
             Runner(jobs=1, offline=True)
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+    def test_repro_jobs_must_be_a_positive_integer(self, monkeypatch, env):
+        """``REPRO_JOBS=abc`` used to end in a bare ValueError and
+        ``REPRO_JOBS=0`` to become 1 silently, while ``--jobs 0`` fails."""
+        monkeypatch.setenv("REPRO_JOBS", env)
+        with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
+            default_jobs()
+        with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
+            Runner()
+
+    def test_repro_jobs_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert default_jobs() == 3 and Runner().jobs == 3
+        assert Runner(jobs=1).jobs == 1  # an explicit count wins
 
     def test_retry_policy_bounds(self):
         with pytest.raises(AnalysisError):

@@ -50,7 +50,7 @@ class TestBasicDelivery:
         """At near-zero load every packet's latency equals its base."""
         cfg = small_config(routing="min", warmup_cycles=0, measure_cycles=8000)
         cfg = cfg.with_traffic(pattern="uniform", load=0.01)
-        sim = Simulation(cfg, check_decomposition=True)
+        sim = Simulation(cfg)
         res = sim.run()
         b = res.latency_breakdown
         assert res.avg_latency == pytest.approx(
@@ -64,8 +64,8 @@ class TestBasicDelivery:
     def test_latency_decomposition_exact_under_congestion(self):
         cfg = small_config(routing="in-trns-mm", warmup_cycles=200, measure_cycles=1200)
         cfg = cfg.with_traffic(pattern="advc", load=0.5)
-        # check_decomposition raises on any per-packet mismatch
-        Simulation(cfg, check_decomposition=True).run()
+        # every delivery audits its packet's ledger and raises on a mismatch
+        Simulation(cfg).run()
 
 
 class TestInjectionCounting:
@@ -185,41 +185,6 @@ class TestOccupancyQueries:
         assert len(r.local_port_occupancies()) == sim.topo.a - 1
 
 
-class TestMechanismOverrideFallback:
-    """The router inlines the *base* commit/on_arrival bookkeeping; a
-    mechanism that overrides either hook must still be called."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_overridden_hooks_are_called(self, backend):
-        from repro.routing.minimal import MinimalRouting
-
-        calls = []
-
-        class TracingMinimal(MinimalRouting):
-            def commit(self, pkt, router, dec):
-                calls.append("commit")
-                super().commit(pkt, router, dec)
-
-            def on_arrival(self, pkt, router, port):
-                calls.append("arrival")
-                super().on_arrival(pkt, router, port)
-
-        cfg = tiny_config(routing="min").with_traffic(pattern="uniform", load=0.3)
-        sim = Simulation(cfg, engine_backend=backend)
-        sim.bind_routing(TracingMinimal(sim))
-        result = sim.run()
-        assert result.delivered_packets > 0
-        assert "commit" in calls and "arrival" in calls
-
-    def test_base_hooks_take_the_inlined_path(self):
-        cfg = tiny_config(routing="min")
-        sim = Simulation(cfg)
-        r = sim.routers[0]
-        # None means the inlined base bookkeeping runs.
-        assert r._commit_hook is None
-        assert r._arrival_hook is None
-
-
 class TestMechanismSwap:
     """What is bound to the routers is what routes, on either backend:
     a mechanism installed after construction needs no rebind call."""
@@ -244,6 +209,30 @@ class TestMechanismSwap:
         swapped = self._run(backend, "assign")
         assert swapped == self._run("python", "bind")
         assert swapped != self._run(backend, None)  # MIN no longer routes
+
+
+class TestStepIsNotAnExtensionPoint:
+    """The compiled drain runs its own pipeline: a replaced ``Router.step``
+    fails there, loudly, instead of being honoured while a replaced
+    handler of any other phase would be ignored."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_patched_step(self, backend, monkeypatch):
+        calls = []
+        step = Router.step
+
+        def traced(self, now):
+            calls.append(now)
+            step(self, now)
+
+        monkeypatch.setattr(Router, "step", traced)
+        sim = Simulation(tiny_config(routing="min"), engine_backend=backend)
+        if backend == "python":
+            assert sim.run().delivered_packets > 0 and calls
+        else:
+            with pytest.raises(TypeError, match=r"^Router\.step is .*traced"):
+                sim.run()
+            assert not calls
 
 
 class TestLinkStep:

@@ -118,6 +118,13 @@ class TestRobustness:
     def test_watchdog_fires_on_artificial_freeze(self):
         """The deadlock watchdog raises when nothing is delivered."""
         from repro.core.simulation import Simulation
+        from repro.traffic.base import TrafficPattern
+
+        class Silent(TrafficPattern):
+            name = "silent"
+
+            def dest(self, src_node, rng):
+                return None  # never generates: nothing will be delivered
 
         c = small_config(
             routing="min",
@@ -125,15 +132,8 @@ class TestRobustness:
             measure_cycles=5000,
             deadlock_cycles=1000,
         ).with_traffic(pattern="uniform", load=0.3)
-        from repro.hardware.router import Router
-
         sim = Simulation(c)
-        frozen = lambda self, now: None  # noqa: E731
-        original = Router.step
-        Router.step = frozen
-        try:
-            sim.stats.on_injection(0, 0)  # pretend a packet is in flight
-            with pytest.raises(SimulationError):
-                sim.run()
-        finally:
-            Router.step = original
+        sim.traffic = Silent(sim.topo)  # swapped in: start() un-lowers
+        sim.stats.on_injection(0, 0)  # pretend a packet is in flight
+        with pytest.raises(SimulationError, match="deadlock suspected"):
+            sim.run()

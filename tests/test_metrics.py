@@ -125,19 +125,20 @@ class TestStatsCollector:
         s = self.make()
         for t in (100, 120, 140):
             s.on_generate(t, 8)
-        pkt = make_packet(gen_time=100, base_latency=100)
+        pkt = make_packet(gen_time=100, base_latency=40)
         pkt.inject_time = 101
-        pkt.service_sum = 100
+        pkt.service_sum = 49  # 1 + 49: the ledger adds up to 50
         s.on_delivery(pkt, 150)
         assert s.offered_load() == pytest.approx(3 * 8 / (16 * 100))
         assert s.accepted_load() == pytest.approx(8 / (16 * 100))
 
     def test_decomposition_check_raises_on_mismatch(self):
-        s = self.make(0, 1000, check_decomposition=True)
+        """Every delivery in the window audits its ledger; no switch."""
+        s = self.make(0, 1000)
         pkt = make_packet(gen_time=0, base_latency=100)
         pkt.inject_time = 10
         pkt.service_sum = 100
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="110 != 500"):
             s.on_delivery(pkt, 500)  # waits don't add up
 
     def test_integer_latency_extremes_read_back_as_int(self):

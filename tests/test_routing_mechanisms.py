@@ -25,7 +25,7 @@ def run(routing: str, pattern: str = "uniform", load: float = 0.2, **kw):
     ).with_traffic(pattern=pattern, load=load)
     for key, value in kw.items():
         cfg = cfg.with_(**{key: value})
-    sim = Simulation(cfg, check_decomposition=True)
+    sim = Simulation(cfg)
     return sim, sim.run()
 
 

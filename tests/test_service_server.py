@@ -130,6 +130,22 @@ class TestCellScheduler:
         assert outcome.ok and outcome.attempts == 3
         assert stats["retried"] == 1 and stats["failed"] == 0
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "two", True])
+    def test_max_workers_must_be_a_positive_integer(self, tmp_path, bad):
+        """``repro serve --max-workers 0`` used to mean all cores, and -1
+        a daemon that failed every cell: both are refused up front."""
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            CellScheduler(ResultStore(tmp_path), max_workers=bad)
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            PlanService(tmp_path, ServiceConfig(port=0, max_workers=bad))
+
+    def test_max_workers_none_reads_repro_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert CellScheduler(ResultStore(tmp_path)).max_workers == 3
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
+            CellScheduler(ResultStore(tmp_path))
+
 
 class TestPlanService:
     def test_submit_streams_cells_then_plan_done(self, tmp_path):
