@@ -190,9 +190,8 @@ class ResultStore:
         place: they are stale, not corrupt).
         """
         path = self._path(digest)
-        try:
-            raw = path.read_text()
-        except OSError:
+        raw = self._read_payload(digest)
+        if raw is None:
             return None  # plain miss
         try:
             data = json.loads(raw)
@@ -294,9 +293,16 @@ class ResultStore:
         )
 
     def _read_payload(self, digest: str) -> str | None:
-        """Raw JSON text of one entry (byte-comparable), or None."""
+        """Raw JSON text of one entry (byte-comparable), or None.
+
+        Entries are ASCII JSON.  Bytes that are not UTF-8 decode to lone
+        surrogates, so such an entry fails validation like any other
+        corrupt one instead of raising here.
+        """
         try:
-            return self._path(digest).read_text()
+            return self._path(digest).read_text(
+                encoding="utf-8", errors="surrogateescape"
+            )
         except OSError:
             return None
 

@@ -81,7 +81,8 @@ def encode_frame(message: dict[str, Any]) -> bytes:
 def _decode_payload(payload: bytes) -> dict[str, Any]:
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack allows.
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from exc
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise ProtocolError("frame payload must be an object with a 'type' key")
@@ -169,13 +170,13 @@ def plan_to_wire(plan: ExperimentPlan) -> dict[str, Any]:
     return {"cells": [config_to_dict(unique[d]) for d in sorted(unique)]}
 
 
-def cells_from_wire(data: dict[str, Any]) -> dict[str, SimulationConfig]:
+def cells_from_wire(data: Any) -> dict[str, SimulationConfig]:
     """Rebuild a submit payload into digest-keyed configs.
 
     Digests are re-derived here (never trusted from the peer); an
     unbuildable config is a protocol error, not a daemon crash.
     """
-    cells = data.get("cells")
+    cells = data.get("cells") if isinstance(data, dict) else None
     if not isinstance(cells, list) or not cells:
         raise ProtocolError("submit payload needs a non-empty 'cells' list")
     out: dict[str, SimulationConfig] = {}

@@ -1,4 +1,4 @@
-"""Canonical Dragonfly topology: arrangements, gateway tables, paths, graphs.
+"""Canonical Dragonfly topology: arrangements, gateway tables, paths.
 
 The topology layer is pure and stateless: given ``(p, a, h)`` and a global
 link arrangement it answers structural queries (which port reaches which
@@ -15,11 +15,6 @@ from repro.topology.arrangement import (
 )
 from repro.topology.coordinates import NodeCoord, RouterCoord
 from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.graphs import (
-    router_graph,
-    group_graph,
-    topology_diameter,
-)
 from repro.topology.paths import (
     Hop,
     minimal_path,
@@ -36,11 +31,8 @@ __all__ = [
     "PalmtreeArrangement",
     "RandomArrangement",
     "RouterCoord",
-    "group_graph",
     "make_arrangement",
     "minimal_path",
     "minimal_path_length",
-    "router_graph",
-    "topology_diameter",
     "valiant_path",
 ]

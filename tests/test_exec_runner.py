@@ -302,6 +302,17 @@ class TestCrashSafeStore:
         assert store.load(digest) is None
         assert store.quarantined() == [digest]
 
+    def test_non_utf8_entry_is_a_miss_then_quarantined(self, tmp_path):
+        """Bytes that do not decode are corruption, not a crash."""
+        store, digest = self._stored_digest(tmp_path)
+        path = tmp_path / f"{digest}.json"
+        path.write_bytes(b'{"version": \xff\xfe garbage')
+        assert digest not in store
+        assert path.exists()  # the probe stays non-mutating
+        assert store.load(digest) is None
+        assert store.quarantined() == [digest]
+        assert not path.exists()
+
     def test_quarantined_cell_is_recomputed(self, tmp_path):
         store, digest = self._stored_digest(tmp_path)
         (tmp_path / f"{digest}.json").write_text("{torn")

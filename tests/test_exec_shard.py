@@ -195,6 +195,14 @@ class TestMergeFailures:
         with pytest.raises(AnalysisError, match="incomplete"):
             ResultStore(tmp_path / "merged").merge(roots)
 
+    def test_non_utf8_claimed_entry_reported_corrupt(self, tmp_path):
+        plan = four_cell_plan()
+        roots = self._sharded_stores(tmp_path, plan)
+        claimed = ResultStore(roots[1]).read_manifest().cells[0]
+        (roots[1] / f"{claimed}.json").write_bytes(b'{"version": \xff\xfe garbage')
+        with pytest.raises(AnalysisError, match="corrupt result for claimed cell"):
+            ResultStore(tmp_path / "merged").merge(roots)
+
     def test_conflicting_duplicate_digest_detected(self, tmp_path):
         """Same cell digest, different result bytes: merge must refuse."""
         plan = four_cell_plan()

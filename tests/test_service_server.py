@@ -8,6 +8,7 @@ worker pool swapped for a :class:`~concurrent.futures.ThreadPoolExecutor`
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.client import run_plan
+from repro.service.protocol import read_frame
 from repro.service.server import _Subscriber
 
 def quick_cfg(**kw):
@@ -376,7 +378,12 @@ class TestPlanService:
         assert service.scheduler.stats()["computed"] == 1
         assert len(service.store) == 1
 
-    def test_malformed_frame_gets_error_and_disconnect(self, tmp_path):
+    @staticmethod
+    def _raw_exchange(tmp_path, *frames):
+        """Send *frames* (messages, or raw payloads framed as they are) on
+        one connection, reading one reply after each; return the replies
+        and whatever the daemon sends before it hangs up."""
+
         async def run():
             service = _service(tmp_path)
             await service.start()
@@ -384,21 +391,41 @@ class TestPlanService:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", service.port
                 )
-                writer.write(len(b"garbage").to_bytes(4, "big") + b"garbage")
-                await writer.drain()
-                from repro.service.protocol import read_frame
-
-                reply = await read_frame(reader)
+                replies = []
+                for frame in frames:
+                    if isinstance(frame, dict):
+                        frame = json.dumps(frame).encode()
+                    writer.write(len(frame).to_bytes(4, "big") + frame)
+                    await writer.drain()
+                    replies.append(await read_frame(reader))
                 trailing = await reader.read()
                 writer.close()
                 await writer.wait_closed()
             finally:
                 await service.shutdown()
-            return reply, trailing
+            return replies, trailing
 
-        reply, trailing = asyncio.run(run())
+        return asyncio.run(run())
+
+    def test_malformed_frame_gets_error_and_disconnect(self, tmp_path):
+        (reply,), trailing = self._raw_exchange(tmp_path, b"garbage")
         assert reply["type"] == "error" and "JSON" in reply["error"]
         assert trailing == b""  # daemon hung up after the error frame
+
+    def test_too_deeply_nested_frame_gets_error_and_disconnect(self, tmp_path):
+        (reply,), trailing = self._raw_exchange(tmp_path, b"[" * 100_000)
+        assert reply["type"] == "error" and "JSON" in reply["error"]
+        assert trailing == b""
+
+    @pytest.mark.parametrize("plan", [[1, 2], "cells"], ids=["list", "string"])
+    def test_submit_of_a_non_object_plan_is_an_error(self, tmp_path, plan):
+        # The ping proves the connection survived the bad submit; the
+        # closing garbage frame makes the daemon hang up.
+        submit = {"type": "submit", "plan": plan}
+        replies, _ = self._raw_exchange(tmp_path, submit, {"type": "ping"}, b"x")
+        reply, pong, _ = replies
+        assert reply["type"] == "error" and "'cells' list" in reply["error"]
+        assert pong == {"type": "pong"}
 
     def test_stats_and_ping(self, tmp_path):
         async def run():

@@ -1,4 +1,9 @@
-"""Tests for path computation and NetworkX graph views."""
+"""Tests for path computation, checked against NetworkX views of the wiring.
+
+NetworkX is a test-only dependency: the graphs below are built here, from
+the topology's port tables, so the package itself stays standard-library
+only (``tests/test_import_contract.py``).
+"""
 
 from __future__ import annotations
 
@@ -11,8 +16,46 @@ import networkx as nx
 from repro.config import NetworkConfig
 from repro.errors import TopologyError
 from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.graphs import group_graph, router_graph, topology_diameter
 from repro.topology.paths import minimal_path, minimal_path_length, valiant_path
+
+
+def router_graph(topo: DragonflyTopology) -> nx.Graph:
+    """Undirected router-level graph with edge attribute ``kind``.
+
+    Nodes are flat router ids; edges are local (intra-group) and global
+    (inter-group) links.  Node ports are not represented.
+    """
+    g = nx.Graph()
+    g.add_nodes_from(range(topo.num_routers))
+    for router_id in range(topo.num_routers):
+        grp, i = divmod(router_id, topo.a)
+        # local complete graph (add each edge once)
+        for other in range(i + 1, topo.a):
+            g.add_edge(router_id, topo.router_id(grp, other), kind="local")
+        # global links (add each edge once: only when peer id is larger)
+        for port in range(topo.first_global_port, topo.radix):
+            pg, pi, _pp = topo.global_port_peer(grp, i, port)
+            peer = topo.router_id(pg, pi)
+            if peer > router_id:
+                g.add_edge(router_id, peer, kind="global")
+    return g
+
+
+def group_graph(topo: DragonflyTopology) -> nx.Graph:
+    """Group-level graph (must be the complete graph K_G)."""
+    g = nx.Graph()
+    g.add_nodes_from(range(topo.groups))
+    for grp in range(topo.groups):
+        for i in range(topo.a):
+            for port in range(topo.first_global_port, topo.radix):
+                pg, _pi, _pp = topo.global_port_peer(grp, i, port)
+                g.add_edge(grp, pg)
+    return g
+
+
+def topology_diameter(topo: DragonflyTopology) -> int:
+    """Router-graph diameter (3 for any canonical Dragonfly with a >= 2)."""
+    return nx.diameter(router_graph(topo))
 
 
 @pytest.fixture(scope="module")
