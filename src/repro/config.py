@@ -57,6 +57,25 @@ PATTERN_CHOICES = BASE_PATTERN_CHOICES + (
 )
 
 
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool (``True == 1``, but not in JSON)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _coerce_float(config: object, name: str) -> float:
+    """Store field *name* of a frozen *config* as a ``float`` and return it.
+
+    ``load=1`` and ``load=1.0`` compare equal, so they must be one config
+    with one digest: the canonical JSON of an int would differ.
+    """
+    value = getattr(config, name)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    object.__setattr__(config, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One job of a ``multi_job`` workload (see traffic.scenarios).
@@ -85,11 +104,11 @@ class JobSpec:
     start_cycle: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.first_group, int) or self.first_group < 0:
+        if not _is_int(self.first_group) or self.first_group < 0:
             raise ConfigurationError(
                 f"job first_group must be an int >= 0, got {self.first_group!r}"
             )
-        if not isinstance(self.groups, int) or self.groups < 1:
+        if not _is_int(self.groups) or self.groups < 1:
             raise ConfigurationError(
                 f"job groups must be an int >= 1, got {self.groups!r}"
             )
@@ -100,11 +119,11 @@ class JobSpec:
             )
         if self.pattern == "adversarial" and self.groups < 2:
             raise ConfigurationError("an adversarial job needs at least 2 groups")
-        if not (0.0 < self.load_scale <= 1.0):
+        if not (0.0 < _coerce_float(self, "load_scale") <= 1.0):
             raise ConfigurationError(
                 f"job load_scale must be in (0, 1], got {self.load_scale}"
             )
-        if not isinstance(self.start_cycle, int) or self.start_cycle < 0:
+        if not _is_int(self.start_cycle) or self.start_cycle < 0:
             raise ConfigurationError(
                 f"job start_cycle must be an int >= 0, got {self.start_cycle!r}"
             )
@@ -179,7 +198,7 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         for name in ("p", "a", "h"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigurationError(f"{name} must be a positive int, got {v!r}")
         for name in (
             "local_link_latency",
@@ -187,7 +206,7 @@ class NetworkConfig:
             "node_link_latency",
         ):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigurationError(
                     f"{name} must be a positive int number of cycles, got {v!r}"
                 )
@@ -286,8 +305,12 @@ class RouterConfig:
             "global_vcs",
         ):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigurationError(f"{name} must be a positive int, got {v!r}")
+        if not isinstance(self.transit_priority, bool):
+            raise ConfigurationError(
+                f"transit_priority must be a bool, got {self.transit_priority!r}"
+            )
         if self.global_vcs < 2:
             raise ConfigurationError(
                 "global_vcs must be >= 2: non-minimal paths traverse two "
@@ -361,22 +384,28 @@ class TrafficConfig:
                 f"unknown traffic pattern {self.pattern!r}; "
                 f"expected one of {self._PATTERNS}"
             )
-        if not (0.0 < self.load <= 1.0):
+        if not (0.0 < _coerce_float(self, "load") <= 1.0):
             raise ConfigurationError(
                 f"load must be in (0, 1] phits/(node*cycle), got {self.load}"
             )
-        if not isinstance(self.packet_size, int) or self.packet_size < 1:
+        if not _is_int(self.packet_size) or self.packet_size < 1:
             raise ConfigurationError(
                 f"packet_size must be a positive int, got {self.packet_size!r}"
             )
-        if self.adv_offset == 0:
-            raise ConfigurationError("adv_offset must be nonzero")
-        if not (0.0 < self.hotspot_fraction <= 1.0):
+        if not _is_int(self.adv_offset) or self.adv_offset == 0:
+            raise ConfigurationError(
+                f"adv_offset must be a nonzero int, got {self.adv_offset!r}"
+            )
+        if not (0.0 < _coerce_float(self, "hotspot_fraction") <= 1.0):
             raise ConfigurationError(
                 f"hotspot_fraction must be in (0, 1], got {self.hotspot_fraction}"
             )
-        if self.job_groups is not None and self.job_groups < 2:
-            raise ConfigurationError("job_groups must be >= 2 (or None)")
+        if self.job_groups is not None and (
+            not _is_int(self.job_groups) or self.job_groups < 2
+        ):
+            raise ConfigurationError(
+                f"job_groups must be an int >= 2 (or None), got {self.job_groups!r}"
+            )
         self._validate_scenario_fields()
 
     def _validate_scenario_fields(self) -> None:
@@ -387,9 +416,9 @@ class TrafficConfig:
             "jobs",
             tuple(j if isinstance(j, JobSpec) else JobSpec(**j) for j in self.jobs),
         )
-        for name in ("burst_on", "burst_off", "ramp_cycles"):
+        for name in ("burst_on", "burst_off", "ramp_cycles", "phase_length"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise ConfigurationError(f"{name} must be an int >= 0, got {v!r}")
         if (self.burst_on > 0) != (self.burst_off > 0):
             raise ConfigurationError(
@@ -493,21 +522,27 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"unknown routing {self.routing!r}; expected one of {self._ROUTINGS}"
             )
-        if self.warmup_cycles < 0 or self.measure_cycles < 1:
-            raise ConfigurationError(
-                "warmup_cycles must be >= 0 and measure_cycles >= 1"
-            )
-        if not (0.0 < self.misroute_threshold < 1.0):
+        for name, minimum in (
+            ("warmup_cycles", 0),
+            ("measure_cycles", 1),
+            ("pb_threshold_local", 0),
+            ("pb_threshold_global", 0),
+            ("pb_update_period", 1),
+            ("deadlock_cycles", 1000),
+        ):
+            v = getattr(self, name)
+            if not _is_int(v) or v < minimum:
+                raise ConfigurationError(
+                    f"{name} must be an int >= {minimum}, got {v!r}"
+                )
+        if not _is_int(self.seed):
+            raise ConfigurationError(f"seed must be an int, got {self.seed!r}")
+        if not isinstance(self.oracle, bool):
+            raise ConfigurationError(f"oracle must be a bool, got {self.oracle!r}")
+        if not (0.0 < _coerce_float(self, "misroute_threshold") < 1.0):
             raise ConfigurationError(
                 f"misroute_threshold must be in (0,1), got {self.misroute_threshold}"
             )
-        for name in ("pb_threshold_local", "pb_threshold_global"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.pb_update_period < 1:
-            raise ConfigurationError("pb_update_period must be >= 1 cycle")
-        if self.deadlock_cycles < 1000:
-            raise ConfigurationError("deadlock_cycles must be >= 1000")
         # Cross-checks: the traffic pattern must fit the topology.
         patterns_used = (
             self.traffic.phase_patterns

@@ -51,12 +51,12 @@ class Cell:
     parent: SimulationConfig
     seed_index: int = 0
 
-    @cached_property
+    @property
     def digest(self) -> str:
         """Stable identity of the resolved config (cache/dedup key)."""
         return config_digest(self.config)
 
-    @cached_property
+    @property
     def parent_digest(self) -> str:
         """Stable identity of the logical point this cell belongs to."""
         return config_digest(self.parent)

@@ -4,7 +4,16 @@ The runner's on-disk result store and the cell-level deduplication both
 need a *stable* identity for a :class:`repro.config.SimulationConfig`.
 :func:`config_digest` provides it: the SHA-256 of the config's canonical
 JSON form (sorted keys, exact float repr).  Two configs are equal as
-dataclasses iff they share a digest.
+dataclasses iff they share a digest: the configs coerce their float
+fields to ``float`` on construction, so ``load=1`` and ``load=1.0`` are
+one config with one digest.
+
+A config is immutable, so its digest is computed at most once: the first
+:func:`config_digest` call stores it on the instance and every later
+call (plan cells, parent points, store loads, ``results_for``) reads it
+back.  :func:`config_to_dict` walks the dataclass fields directly; it
+returns exactly what ``dataclasses.asdict`` would (same key order, same
+tuple types), which is what keeps digests and stored bytes unchanged.
 
 Results round-trip losslessly: JSON preserves Python floats exactly
 (``repr`` round-trip) and the derived ``fairness`` field is recomputed by
@@ -16,10 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Any
 
 from repro.config import (
+    JobSpec,
     NetworkConfig,
     RouterConfig,
     SimulationConfig,
@@ -60,9 +70,32 @@ def entry_checksum(result_data: dict[str, Any]) -> str:
     return hashlib.sha256(canonical_json(result_data).encode("utf-8")).hexdigest()
 
 
-def config_to_dict(config: SimulationConfig) -> dict[str, Any]:
-    """Canonical plain-dict form of a simulation config."""
-    return asdict(config)
+#: field names of every config dataclass, in declaration order.
+_FIELDS = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (SimulationConfig, NetworkConfig, RouterConfig, TrafficConfig, JobSpec)
+}
+
+
+def config_to_dict(config: Any) -> dict[str, Any]:
+    """Canonical plain-dict form of a config: what ``dataclasses.asdict``
+    returns, key order and tuple types included.
+
+    A config field holds a scalar, a nested config, or a tuple of scalars
+    or configs (``phase_patterns``, ``jobs``); scalars are immutable, so
+    unlike ``asdict`` this copies nothing.
+    """
+    out = {}
+    for name in _FIELDS[type(config)]:
+        value = getattr(config, name)
+        if type(value) in _FIELDS:
+            value = config_to_dict(value)
+        elif type(value) is tuple:
+            value = tuple(
+                config_to_dict(v) if type(v) in _FIELDS else v for v in value
+            )
+        out[name] = value
+    return out
 
 
 def config_from_dict(data: dict[str, Any]) -> SimulationConfig:
@@ -79,9 +112,19 @@ def config_from_dict(data: dict[str, Any]) -> SimulationConfig:
 
 
 def config_digest(config: SimulationConfig) -> str:
-    """Stable hex digest identifying *config* (equal configs, equal digest)."""
-    payload = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Stable hex digest identifying *config* (equal configs, equal digest).
+
+    Computed once per config object: the first call stores the digest
+    in the instance's ``__dict__`` (outside the dataclass fields, so
+    equality, hashing and ``replace`` never see it).  Two threads racing
+    on a fresh config both store the same value.
+    """
+    digest = config.__dict__.get("_digest")
+    if digest is None:
+        payload = canonical_json(config_to_dict(config))
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        config.__dict__["_digest"] = digest
+    return digest
 
 
 def plan_digest(cell_digests: Iterable[str]) -> str:

@@ -8,11 +8,16 @@ store directory never observe a torn file and a killed writer leaves no
 partial entry visible.
 
 Every entry carries a SHA-256 checksum over its canonical result
-payload.  :meth:`ResultStore.load` **never raises** on a bad entry:
-truncated, unparseable, or checksum-mismatched files are *quarantined*
-(moved to ``quarantine/`` and logged) and reported as cache misses, so
-the runner transparently recomputes them — a corrupt store degrades to a
-cold cache, never a crashed sweep.
+payload.  The checksum does not cover the file name, so a load also
+checks that the stored config hashes to the digest it is filed under
+(that one digest per load also seeds the config's cached digest).
+:meth:`ResultStore.load` **never raises** on a bad entry: truncated,
+unparseable, checksum-mismatched or schema-malformed files, and entries
+holding another cell's config, are *quarantined* (moved to
+``quarantine/`` and logged) and reported as cache misses, so the runner
+transparently recomputes them — a corrupt store degrades to a cold
+cache, never a crashed sweep.  ``digest in store`` and :meth:`merge`
+apply the same validation.
 
 The store embeds :data:`repro.exec.serialize.STORE_VERSION`; entries with
 a different version are ignored (treated as misses, left in place — they
@@ -51,6 +56,7 @@ from repro.errors import AnalysisError
 from repro.exec.faults import FaultInjector
 from repro.exec.serialize import (
     STORE_VERSION,
+    config_digest,
     entry_checksum,
     result_from_dict,
     result_to_dict,
@@ -80,17 +86,39 @@ QUARANTINE_DIR = "quarantine"
 _NON_RESULT_NAMES = frozenset({MANIFEST_NAME, FAILURES_NAME})
 
 
-def _payload_ok(payload: str) -> bool:
-    """True when raw entry text parses, matches the version, and checksums."""
+def _check_entry(payload: str, digest: str) -> tuple[SimulationResult | None, str]:
+    """Validate the raw text of the entry filed under *digest*.
+
+    Returns ``(result, "")`` for a loadable entry, ``(None, "")`` for a
+    foreign-version one (a miss, not corrupt) and ``(None, reason)`` for
+    a corrupt one.  The checksum covers the payload, not the file name,
+    so the rebuilt config must also hash to *digest*; that check seeds
+    the config's cached digest for every later caller.
+    """
     try:
         data = json.loads(payload)
-        return (
-            isinstance(data, dict)
-            and data.get("version") == STORE_VERSION
-            and data.get("checksum") == entry_checksum(data["result"])
-        )
-    except (ValueError, KeyError, TypeError):
-        return False
+    except ValueError:
+        return None, "unparseable JSON (torn write?)"
+    if not isinstance(data, dict):
+        return None, "entry is not an object"
+    if data.get("version") != STORE_VERSION:
+        return None, ""
+    try:
+        entry = data["result"]
+        if data.get("checksum") != entry_checksum(entry):
+            return None, "checksum mismatch"
+        result = result_from_dict(entry)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        # ValueError covers ConfigurationError from config rebuild.
+        return None, "schema-malformed entry"
+    if config_digest(result.config) != digest:
+        return None, "entry holds another cell's config"
+    return result, ""
+
+
+def _payload_ok(payload: str, digest: str) -> bool:
+    """True when raw entry text is a loadable entry for *digest*."""
+    return _check_entry(payload, digest)[0] is not None
 
 
 def current_git_sha() -> str | None:
@@ -170,49 +198,33 @@ class ResultStore:
         """True when a *loadable* entry for *digest* exists.
 
         Applies the same validation as :meth:`load` (parse, store
-        version, checksum) so a torn write or a foreign-version entry is
-        a miss here exactly as it would be there — a bare
-        ``path.exists()`` used to answer True for entries ``load`` would
-        reject, making dedup scans skip cells that could never actually
-        be read back.  Unlike :meth:`load` this is non-mutating: corrupt
+        version, checksum, schema, config digest) so a torn write, a
+        foreign-version or a mis-keyed entry is a miss here exactly as
+        it would be there — a bare ``path.exists()`` used to answer True
+        for entries ``load`` would reject, making dedup scans skip cells
+        that could never actually be read back.  Unlike :meth:`load` this is non-mutating: corrupt
         entries are left for ``load`` to quarantine.
         """
         payload = self._read_payload(digest)
-        return payload is not None and _payload_ok(payload)
+        return payload is not None and _payload_ok(payload, digest)
 
     def load(self, digest: str) -> SimulationResult | None:
         """Return the stored result for *digest*, or None on a miss.
 
-        Never raises on a bad entry: a truncated/unparseable file or a
-        checksum mismatch is quarantined (moved aside, logged) and
+        Never raises on a bad entry: a truncated/unparseable file, a
+        checksum mismatch, a malformed schema or a config that does not
+        hash to *digest* is quarantined (moved aside, logged) and
         reported as a miss so the caller recomputes the cell.  Entries
         with a foreign ``STORE_VERSION`` are plain misses (left in
         place: they are stale, not corrupt).
         """
-        path = self._path(digest)
         raw = self._read_payload(digest)
         if raw is None:
             return None  # plain miss
-        try:
-            data = json.loads(raw)
-        except ValueError:
-            self._quarantine(path, digest, "unparseable JSON (torn write?)")
-            return None
-        if not isinstance(data, dict):
-            self._quarantine(path, digest, "entry is not an object")
-            return None
-        if data.get("version") != STORE_VERSION:
-            return None  # foreign entry: a miss, but not corrupt
-        try:
-            entry = data["result"]
-            if data.get("checksum") != entry_checksum(entry):
-                self._quarantine(path, digest, "checksum mismatch")
-                return None
-            return result_from_dict(entry)
-        except (ValueError, KeyError, TypeError, AttributeError):
-            # ValueError covers ConfigurationError from config rebuild.
-            self._quarantine(path, digest, "schema-malformed entry")
-            return None
+        result, reason = _check_entry(raw, digest)
+        if reason:
+            self._quarantine(self._path(digest), digest, reason)
+        return result
 
     def save(self, digest: str, result: SimulationResult) -> pathlib.Path:
         """Persist *result* under *digest* (atomic, last-writer-wins).
@@ -470,7 +482,7 @@ class ResultStore:
                         f"incomplete: no result for claimed cell "
                         f"{digest[:12]}…"
                     )
-                if not _payload_ok(payload):
+                if not _payload_ok(payload, digest):
                     raise AnalysisError(
                         f"shard {man.shard_index} ({src.root}) is "
                         f"incomplete: corrupt result for claimed cell "

@@ -174,7 +174,9 @@ def cells_from_wire(data: Any) -> dict[str, SimulationConfig]:
     """Rebuild a submit payload into digest-keyed configs.
 
     Digests are re-derived here (never trusted from the peer); an
-    unbuildable config is a protocol error, not a daemon crash.
+    unbuildable config — including a mistyped field, such as a
+    fractional cycle count — is a protocol error at submit, not a daemon
+    crash or a cell that fails in a worker.
     """
     cells = data.get("cells") if isinstance(data, dict) else None
     if not isinstance(cells, list) or not cells:

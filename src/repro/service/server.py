@@ -322,8 +322,9 @@ class PlanService:
             # run (or a replay of a finished one), not new work.
             return self._attach(job, subscriber, resumed=True)
 
-        # The membership probe validates each entry (parse + checksum),
-        # so a wide plan's scan is real disk work — run it off-loop.
+        # The membership probe validates each entry (parse, checksum,
+        # config digest), so a wide plan's scan is real disk work — run
+        # it off-loop.
         store = self.store
         fresh = await asyncio.to_thread(
             lambda: [d for d in cells if d not in store]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import (
+    JobSpec,
     NetworkConfig,
     RouterConfig,
     SimulationConfig,
@@ -135,6 +136,69 @@ class TestSimulationConfig:
             SimulationConfig(misroute_threshold=0.0)
         with pytest.raises(ConfigurationError):
             SimulationConfig(misroute_threshold=1.0)
+
+
+class TestFieldTypes:
+    """Int and bool fields take exactly that type; ``True == 1`` and
+    ``100.5`` must not slip through to a run or into a digest."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("warmup_cycles", 100.5),
+            ("measure_cycles", 300.0),
+            ("seed", 1.5),
+            ("seed", True),
+            ("pb_threshold_local", 2.5),
+            ("pb_threshold_global", "3"),
+            ("pb_update_period", 8.0),
+            ("deadlock_cycles", 5e4),
+            ("oracle", "yes"),
+            ("oracle", 1),
+        ],
+    )
+    def test_simulation_fields(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("adv_offset", 1.5),
+            ("adv_offset", True),
+            ("job_groups", 2.0),
+            ("phase_length", 1.5),
+            ("load", "0.5"),
+            ("load", True),
+            ("hotspot_fraction", None),
+        ],
+    )
+    def test_traffic_fields(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrafficConfig(**{field: value})
+
+    def test_network_router_and_job_fields(self):
+        with pytest.raises(ConfigurationError, match="p must"):
+            NetworkConfig(p=True)
+        with pytest.raises(ConfigurationError, match="transit_priority"):
+            RouterConfig(transit_priority=1)
+        with pytest.raises(ConfigurationError, match="load_scale"):
+            JobSpec(load_scale="1")
+
+    def test_float_fields_are_stored_as_floats(self):
+        cfg = SimulationConfig(
+            traffic=TrafficConfig(load=1, hotspot_fraction=1),
+        )
+        assert type(cfg.traffic.load) is type(cfg.traffic.hotspot_fraction) is float
+        assert type(JobSpec(load_scale=1).load_scale) is float
+        assert cfg == SimulationConfig(
+            traffic=TrafficConfig(load=1.0, hotspot_fraction=1.0)
+        )
+
+    def test_valid_types_accepted(self):
+        cfg = SimulationConfig(seed=-3, oracle=True, warmup_cycles=0)
+        assert cfg.seed == -3 and cfg.oracle is True
+        assert TrafficConfig(pattern="job", job_groups=3).job_groups == 3
 
 
 class TestPresets:

@@ -11,7 +11,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.config import tiny_config
+from repro.analysis.figures import FIGURE2_MECHANISMS
+from repro.config import JobSpec, SimulationConfig, small_config, tiny_config
 from repro.core.simulation import run_simulation
 from repro.errors import AnalysisError, ConfigurationError
 from repro.exec import (
@@ -23,6 +24,7 @@ from repro.exec import (
     average_results,
     config_digest,
     default_jobs,
+    serialize,
 )
 from repro.exec.faults import ENV_VAR, FaultSpec
 from repro.exec.serialize import (
@@ -33,6 +35,7 @@ from repro.exec.serialize import (
     result_to_dict,
 )
 from repro.traffic.patterns import pattern_name
+from repro.traffic.scenarios import SCENARIOS
 from repro.utils.rng import split_seed
 
 
@@ -98,7 +101,107 @@ class TestPlan:
         assert "UN" in text
 
 
+def _fig2c_grid():
+    """Every cell and parent config of the Fig. 2c grid (147 + 49)."""
+    base = small_config().with_traffic(pattern="advc")
+    plan = ExperimentPlan.merge(
+        ExperimentPlan.sweep(
+            base.with_(routing=mech), (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6), seeds=3
+        )
+        for mech in FIGURE2_MECHANISMS
+    )
+    return [cell.config for cell in plan] + plan.points()
+
+
+def _multi_job():
+    jobs = (JobSpec(0, 2, "adversarial", 0.5, 100), JobSpec(3, 3))
+    return [small_config().with_traffic(pattern="multi_job", jobs=jobs)]
+
+
+def _typed(value):
+    """*value* with every key order and every type made comparable."""
+    if isinstance(value, dict):
+        return [(key, _typed(v)) for key, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "configs",
+        [_fig2c_grid(), _multi_job()]
+        + [[s.apply(small_config())] for s in SCENARIOS.values()],
+        ids=["fig2c_grid", "multi_job", *SCENARIOS],
+    )
+    def test_canonical_form_equals_asdict(self, configs):
+        """Store keys and bytes hang on this form: it must be exactly what
+        ``dataclasses.asdict`` gives, key order and tuple types included."""
+        for cfg in configs:
+            assert _typed(config_to_dict(cfg)) == _typed(dataclasses.asdict(cfg))
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                SimulationConfig,
+                "87b026b543352035213bce25ca5be78fb939506243eeb699e9dac07d1a620197",
+            ),
+            (
+                lambda: SCENARIOS["multi_job_interference"].apply(small_config()),
+                "3c7cf8edff84bade48de4ea1a737b78ae407298fff524b78783ccd8f06232508",
+            ),
+            (
+                lambda: SCENARIOS["phased_un_advc"].apply(small_config()),
+                "bd6f4e7ab5e769437c6abba342c6807917e6685cb87aab449e731b0ffa342261",
+            ),
+        ],
+        ids=["default", "multi_job_interference", "phased_un_advc"],
+    )
+    def test_digest_literals_are_pinned(self, make, digest):
+        assert config_digest(make()) == digest
+
+    def test_digest_is_computed_once_per_config(self, monkeypatch):
+        cfg = quick_cfg()
+        calls = []
+        real = serialize.config_to_dict
+        monkeypatch.setattr(
+            serialize, "config_to_dict", lambda c: calls.append(c) or real(c)
+        )
+        plan = ExperimentPlan.point(cfg, seeds=2)
+        for _ in range(3):
+            [(cell.digest, cell.parent_digest) for cell in plan]
+            config_digest(cfg)
+        # One parent and two seed cells, each serialized once.
+        assert sum(isinstance(c, SimulationConfig) for c in calls) == 3
+        # The cache rides on the object, outside the dataclass fields.
+        assert cfg == quick_cfg() and hash(cfg) == hash(quick_cfg())
+
+    def test_equal_configs_share_a_digest(self):
+        cfg = quick_cfg()
+        hot = cfg.with_traffic(pattern="hotspot")
+        jobs = cfg.with_traffic(pattern="multi_job", jobs=(JobSpec(0, 2),))
+        pairs = [
+            (cfg.with_traffic(load=1), cfg.with_traffic(load=1.0)),
+            (
+                hot.with_traffic(hotspot_fraction=1),
+                hot.with_traffic(hotspot_fraction=1.0),
+            ),
+            (
+                jobs.with_traffic(jobs=(JobSpec(0, 2, load_scale=1),)),
+                jobs.with_traffic(jobs=(JobSpec(0, 2, load_scale=1.0),)),
+            ),
+        ]
+        for a, b in pairs:
+            assert a == b
+            assert config_digest(a) == config_digest(b)
+
+    def test_sweep_reads_back_an_int_load(self):
+        cfg = quick_cfg()
+        res = Runner(jobs=1).run(ExperimentPlan.sweep(cfg, [1]))
+        (point,) = res.sweep(cfg, [1.0]).points
+        assert point.seeds == 1
+
     def test_config_round_trip(self):
         cfg = quick_cfg(routing="in-trns-mm").with_traffic(pattern="advc", load=0.35)
         assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -366,6 +469,27 @@ class TestCrashSafeStore:
         path.write_text('{"version": 99, "result": {}}')  # foreign version
         assert digest not in store
         assert "0" * 64 not in store  # plain absence
+
+    def test_entry_filed_under_another_digest_is_quarantined(self, tmp_path, caplog):
+        """The checksum covers the payload, not the file name: an intact
+        entry holding another cell's result must not be served."""
+        cfg = quick_cfg()
+        digest = config_digest(cfg)
+        store = ResultStore(tmp_path)
+        store.save(digest, run_simulation(cfg.with_(seed=2)))
+        assert digest not in store
+        assert store.quarantined() == []  # the probe stays non-mutating
+        assert store.load(digest) is None
+        assert store.quarantined() == [digest]
+        assert "another cell's config" in caplog.text
+        res = Runner(jobs=1, store=store).run(ExperimentPlan.point(cfg, seeds=1))
+        assert res.computed == 1  # recomputed, not served
+
+    def test_load_seeds_the_config_digest(self, tmp_path, monkeypatch):
+        store, digest = self._stored_digest(tmp_path)
+        result = store.load(digest)
+        monkeypatch.setattr(serialize, "config_to_dict", None)  # never called
+        assert config_digest(result.config) == digest
 
     def test_failures_journal_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)

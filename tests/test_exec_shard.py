@@ -203,6 +203,18 @@ class TestMergeFailures:
         with pytest.raises(AnalysisError, match="corrupt result for claimed cell"):
             ResultStore(tmp_path / "merged").merge(roots)
 
+    def test_claimed_entry_holding_another_cell_reported_corrupt(self, tmp_path):
+        """Intact bytes filed under the wrong digest pass the checksum but
+        not the config-digest check."""
+        plan = four_cell_plan()
+        roots = self._sharded_stores(tmp_path, plan)
+        mine, other = ResultStore(roots[1]).read_manifest().cells[:2]
+        (roots[1] / f"{mine}.json").write_bytes(
+            (roots[1] / f"{other}.json").read_bytes()
+        )
+        with pytest.raises(AnalysisError, match="corrupt result for claimed cell"):
+            ResultStore(tmp_path / "merged").merge(roots)
+
     def test_conflicting_duplicate_digest_detected(self, tmp_path):
         """Same cell digest, different result bytes: merge must refuse."""
         plan = four_cell_plan()

@@ -158,6 +158,15 @@ class TestPlanPayloads:
         with pytest.raises(ProtocolError, match="unbuildable"):
             cells_from_wire({"cells": [broken]})
 
+    @pytest.mark.parametrize(
+        "field, value", [("warmup_cycles", 400.5), ("oracle", "yes")]
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        wire = plan_to_wire(ExperimentPlan.point(quick_cfg(), seeds=1))
+        broken = dict(wire["cells"][0], **{field: value})
+        with pytest.raises(ProtocolError, match=field):
+            cells_from_wire({"cells": [broken]})
+
     def test_digest_rederived_not_trusted(self):
         # A client cannot alias config A under cell key B: keys come from
         # hashing the rebuilt config, whatever the peer claims.

@@ -25,7 +25,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.client import run_plan
-from repro.service.protocol import read_frame
+from repro.service.protocol import plan_to_wire, read_frame
 from repro.service.server import _Subscriber
 
 def quick_cfg(**kw):
@@ -426,6 +426,15 @@ class TestPlanService:
         reply, pong, _ = replies
         assert reply["type"] == "error" and "'cells' list" in reply["error"]
         assert pong == {"type": "pong"}
+
+    def test_submit_of_a_malformed_cell_is_refused_unscheduled(self, tmp_path):
+        cell = plan_to_wire(_grid([0.1]))["cells"][0]
+        cell["warmup_cycles"] = 50.5  # a cycle count must be an int
+        submit = {"type": "submit", "plan": {"cells": [cell]}}
+        replies, _ = self._raw_exchange(tmp_path, submit, {"type": "stats"}, b"x")
+        reply, stats, _ = replies
+        assert reply["type"] == "error" and "warmup_cycles" in reply["error"]
+        assert stats["computed"] == stats["failed"] == stats["plans"] == 0
 
     def test_stats_and_ping(self, tmp_path):
         async def run():
