@@ -16,8 +16,8 @@ Quickstart
 >>> result.accepted_load           # doctest: +SKIP
 >>> result.fairness.max_min_ratio  # doctest: +SKIP
 
-See README.md for the full tour and benchmarks/ for the per-figure
-reproduction harness.
+See README.md for the full tour; ``repro paper OUT_DIR`` renders every
+figure and table of the paper (:mod:`repro.analysis.paper`).
 """
 
 from repro.config import (

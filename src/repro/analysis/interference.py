@@ -5,21 +5,18 @@ network per job: each job occupies whole groups, so the per-router
 injection/delivery counters map onto jobs exactly.  This module turns
 one (or a sweep of) :class:`repro.core.results.SimulationResult` into
 per-job series — how much each job injected and received inside the
-measurement window — and renders the interference table the
-``multi_job_interference`` benchmark profile reports.
+measurement window — and renders the interference table of the
+``multi_job_interference`` paper artifact.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 from repro.config import JobSpec, NetworkConfig, SimulationConfig
 from repro.core.results import SimulationResult
 from repro.errors import AnalysisError
-from repro.exec.plan import ExperimentPlan
-from repro.exec.runner import Runner
-from repro.exec.store import ResultStore
+from repro.exec.runner import PlanResult
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -70,26 +67,20 @@ def per_job_counts(result: SimulationResult) -> list[dict]:
 
 
 def interference_report(
-    base: SimulationConfig,
-    loads: Sequence[float],
-    *,
-    seeds: int = 1,
-    jobs: int = 1,
-    store: ResultStore | str | os.PathLike | None = None,
-    offline: bool = False,
+    res: PlanResult, base: SimulationConfig, loads: Sequence[float]
 ) -> str:
-    """Sweep a ``multi_job`` config over *loads* and render per-job rows.
+    """Render per-job rows of a ``multi_job`` load sweep read from *res*.
 
     ``base`` must carry a ``multi_job`` traffic config (e.g. the
-    ``multi_job_interference`` scenario applied to a preset).  Each row
+    ``multi_job_interference`` scenario applied to a preset), and *res*
+    must hold ``ExperimentPlan.sweep(base, loads, ...)``.  Each row
     shows one (load, job) pair: packets the job injected and received in
     the window, the job's share of all deliveries, and the run's oracle
     verdict when the cells were audited.
     """
     if not base.traffic.jobs:
         raise AnalysisError("interference_report needs a multi_job base config")
-    plan = ExperimentPlan.sweep(base, loads, seeds=seeds)
-    res = Runner(jobs=jobs, store=store, offline=offline).run(plan)
+    seeds = len(res.results_for(base.with_traffic(load=loads[0])))
     rows = []
     for load in loads:
         cfg = base.with_traffic(load=load)

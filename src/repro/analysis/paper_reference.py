@@ -2,7 +2,8 @@
 
 Absolute values are not expected to match (different scale, packet-level
 model — see :func:`repro.config.small_config`); they anchor the *shape*
-comparisons in the benchmark output (``benchmarks/results/``).
+comparisons in the rendered paper artifacts (``benchmarks/results/``,
+written by ``repro paper``).
 """
 
 from __future__ import annotations

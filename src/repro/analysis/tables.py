@@ -1,21 +1,20 @@
-"""Generators for the paper's fairness tables (II and III).
+"""Readers for the paper's fairness tables (II and III).
 
-:func:`fairness_table` runs the ADVc @ 0.4 experiment for every mechanism
-and returns the three metrics per row; :func:`format_fairness_table`
-renders them next to the paper's values so shape can be eyeballed
-directly in the benchmark output.
+:func:`fairness_table` reads the ADVc @ 0.4 point of every mechanism out
+of an executed plan (the cells :func:`repro.analysis.figures.advc_plan`
+lists) and returns the three metrics per row;
+:func:`format_fairness_table` renders them next to the paper's values so
+shape can be eyeballed directly in the rendered artifact.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
+from repro.analysis.figures import advc_point
 from repro.analysis.paper_reference import PAPER_TABLE_II, PAPER_TABLE_III
 from repro.config import SimulationConfig
-from repro.exec.plan import ExperimentPlan
-from repro.exec.runner import Runner
-from repro.exec.store import ResultStore
+from repro.exec.runner import PlanResult
 from repro.metrics.fairness import FairnessMetrics
 from repro.utils.tables import format_table
 
@@ -34,31 +33,21 @@ TABLE_MECHANISMS = (
 
 
 def fairness_table(
+    res: PlanResult,
     base: SimulationConfig,
     *,
     mechanisms: Sequence[str] = TABLE_MECHANISMS,
     load: float = 0.4,
-    seeds: int = 1,
-    jobs: int = 1,
-    store: ResultStore | str | os.PathLike | None = None,
-    offline: bool = False,
 ) -> dict[str, FairnessMetrics]:
-    """Run ADVc at *load* for each mechanism; return the fairness metrics.
+    """Seed-averaged fairness metrics of each mechanism's ADVc point.
 
     ``base.router.transit_priority`` decides whether this is Table II
-    (True) or Table III (False).  All mechanism/seed cells go into one
-    plan, so ``jobs=N`` parallelises the whole table.
+    (True) or Table III (False).  *res* must hold
+    ``advc_plan(base, mechanisms, load=load)``.
     """
-
-    def point_cfg(mech: str) -> SimulationConfig:
-        return base.with_(routing=mech).with_traffic(pattern="advc", load=load)
-
-    plan = ExperimentPlan.merge(
-        ExperimentPlan.point(point_cfg(mech), seeds=seeds)
-        for mech in mechanisms
-    )
-    res = Runner(jobs=jobs, store=store, offline=offline).run(plan)
-    return {mech: res.point(point_cfg(mech)).fairness for mech in mechanisms}
+    return {
+        mech: res.point(advc_point(base, mech, load)).fairness for mech in mechanisms
+    }
 
 
 def format_fairness_table(

@@ -46,6 +46,11 @@ stores, check completeness, and render a figure offline::
     python -m repro.cli plan status ... --cache merged
     python -m repro.cli figures --pattern advc --routings min in-trns-mm \
         --loads 0.1 0.2 0.3 --seeds 2 --cache merged --offline
+
+Regenerate every figure and table of the paper (one merged plan, one
+runner; writes ``<name>.txt`` per artifact)::
+
+    python -m repro.cli paper benchmarks/results
 """
 
 from __future__ import annotations
@@ -56,12 +61,14 @@ import contextlib
 import json
 import logging
 import os
+import pathlib
 import signal
 import sys
 import time
 from collections.abc import Sequence
 
 from repro.analysis.figures import figure2_sweeps, format_figure2
+from repro.analysis.paper import paper_plan, render_paper
 from repro.config import (
     BASE_PATTERN_CHOICES,
     SimulationConfig,
@@ -297,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="destination store for the merge action",
     )
     plan_p.add_argument(
-        "--execute",
-        action="store_true",
-        help="legacy alias for the run action",
-    )
-    plan_p.add_argument(
         "--leases",
         action="store_true",
         help="coordinate cells through on-disk leases in --cache, so "
@@ -340,6 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="never simulate: every cell must already be in --cache "
         "(e.g. a store merged from sharded CI runs)",
     )
+
+    paper_p = sub.add_parser(
+        "paper",
+        help="run every figure and table of the paper as one plan and "
+        "write OUT_DIR/<name>.txt for each",
+    )
+    paper_p.add_argument("out_dir", metavar="OUT_DIR")
+    exec_opts(paper_p)
 
     scen_p = sub.add_parser(
         "scenarios",
@@ -627,6 +637,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
+    if args.command == "paper":
+        try:
+            return _cmd_paper(args)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
     if args.command == "serve":
         try:
             return _cmd_serve(args)
@@ -834,9 +851,6 @@ def _grid_plan(
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     action = args.action
-    if args.execute and action == "show":
-        action = "run"
-
     if action == "merge":
         if not args.stores:
             raise ReproError("plan merge needs shard store directories")
@@ -997,6 +1011,23 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         )
     )
     return 0
+
+
+def _cmd_paper(args: argparse.Namespace) -> int:
+    runner = Runner(jobs=args.jobs, store=args.cache, retry=_retry_policy(args))
+    res = runner.run(paper_plan())
+    if _print_failures(res):
+        return 1
+    out = pathlib.Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    texts = render_paper(res)
+    for name, text in texts.items():
+        (out / f"{name}.txt").write_text(text + "\n")
+    print(
+        f"executed {res.computed} cells with jobs={runner.jobs}, "
+        f"{res.cached} from cache; wrote {len(texts)} artifacts to {out}"
+    )
+    return 1 if _print_oracle_verdicts(res) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

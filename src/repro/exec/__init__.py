@@ -3,8 +3,8 @@ result caching, and aggregation.
 
 This is the orchestration seam between the pure simulator
 (:func:`repro.core.simulation.run_simulation`) and every consumer that
-needs many simulations — the CLI, the figure/table generators, and the
-benchmark harness.  The flow is::
+needs many simulations — the CLI, ``repro paper`` and its figure/table
+readers, the shards and the sweep daemon.  The flow is::
 
     plan   = ExperimentPlan.grid(base, routings=..., patterns=..., loads=...)
     result = Runner(jobs=8, store=".repro-cache").run(plan)

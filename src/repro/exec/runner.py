@@ -271,7 +271,7 @@ class PlanResult:
     failures: dict[str, CellFailure] = field(default_factory=dict)
     retried: dict[str, int] = field(default_factory=dict)
     adopted: int = 0
-    _by_parent: dict[str, list[SimulationResult]] | None = field(
+    _by_parent: dict[str, list[SimulationResult] | CellFailure] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -305,27 +305,37 @@ class PlanResult:
         """Seed-ordered results of the logical point *config*.
 
         *config* is a **parent** config as passed to the plan constructors
-        (master seed, pre-splitting).
+        (master seed, pre-splitting).  A point with a failed cell raises
+        :class:`ExecutionError` naming that cell: averaging the surviving
+        seeds would silently report a different experiment.
         """
         if self._by_parent is None:
-            index: dict[str, list[SimulationResult]] = {}
+            index: dict[str, list[SimulationResult] | CellFailure] = {}
+            failed: dict[str, CellFailure] = {}
             seen: set[str] = set()
             for cell in self.plan:
                 # A cell listed twice (e.g. merged plans) is one simulation;
-                # counting it once keeps SweepPoint.seeds honest.  Failed
-                # cells have no result to index.
-                if cell.digest in seen or cell.digest not in self.results:
+                # counting it once keeps SweepPoint.seeds honest.
+                if cell.digest in seen:
                     continue
                 seen.add(cell.digest)
-                index.setdefault(cell.parent_digest, []).append(
-                    self.results[cell.digest]
-                )
+                if cell.digest in self.results:
+                    index.setdefault(cell.parent_digest, []).append(
+                        self.results[cell.digest]
+                    )
+                elif cell.digest in self.failures:
+                    failed.setdefault(cell.parent_digest, self.failures[cell.digest])
+            index.update(failed)
             self._by_parent = index
         out = self._by_parent.get(config_digest(config))
+        if isinstance(out, CellFailure):
+            raise ExecutionError(
+                f"a cell of the requested point failed: {out.digest} after "
+                f"{out.attempts} attempt(s), {out.kind}: {out.error}"
+            )
         if not out:
             raise AnalysisError(
-                "no results for the requested config; was it in the plan "
-                "(and did its cells survive execution)?"
+                "no results for the requested config; was it in the plan?"
             )
         return out
 

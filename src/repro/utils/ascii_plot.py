@@ -1,6 +1,6 @@
 """Minimal ASCII line plots.
 
-The examples and benchmark harness are headless (no matplotlib in this
+The examples and the paper artifacts are headless (no matplotlib in this
 environment), so figure reproductions are emitted as numeric series plus a
 coarse ASCII rendering that makes curve *shape* (saturation knees, latency
 peaks) visible directly in a terminal or log file.

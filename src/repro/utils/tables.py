@@ -1,6 +1,6 @@
-"""Plain-text table formatting for benchmark/report output.
+"""Plain-text table formatting for the rendered paper artifacts.
 
-The benchmark harness prints the same rows the paper's tables report; this
+The paper artifacts print the same rows the paper's tables report; this
 module renders them with aligned columns so the output is directly
 comparable against Tables II/III of the paper.
 """

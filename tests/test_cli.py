@@ -38,7 +38,7 @@ class TestParser:
         assert args.routings == ["min"]
         assert args.patterns is None  # resolved to uniform unless --scenario
         assert args.jobs is None
-        assert not args.execute
+        assert args.action == "show"  # a bare `plan` runs nothing
 
     def test_plan_rejects_unknown_routing(self):
         with pytest.raises(SystemExit):
@@ -138,13 +138,13 @@ class TestCommands:
             _fast(
                 [
                     "plan",
+                    "run",
                     "--preset",
                     "tiny",
                     "--routings",
                     "min",
                     "--loads",
                     "0.2",
-                    "--execute",
                     "--jobs",
                     "2",
                 ]

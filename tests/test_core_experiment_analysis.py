@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.figures import (
+    advc_plan,
     figure2_sweeps,
     figure3_breakdown,
+    figure3_plan,
     figure4_injections,
     format_figure2,
     format_figure3,
@@ -26,7 +28,7 @@ from repro.analysis.tables import fairness_table, format_fairness_table
 from repro.config import JobSpec, NetworkConfig, small_config
 from repro.core.simulation import run_simulation
 from repro.errors import AnalysisError
-from repro.exec import ExperimentPlan, Runner, average_results
+from repro.exec import ExperimentPlan, PlanResult, Runner, average_results
 
 
 def quick_cfg(**kw):
@@ -126,21 +128,24 @@ class TestAnalysisGenerators:
 
     def test_figure3(self):
         base = quick_cfg()
-        bd = figure3_breakdown(base, [0.2])
+        res = Runner(jobs=1).run(figure3_plan(base, [0.2]))
+        bd = figure3_breakdown(res, base, [0.2])
         text = format_figure3(bd)
         assert "misroute" in text
         assert len(bd) == 1
 
     def test_figure4(self):
         base = quick_cfg()
-        inj = figure4_injections(base, mechanisms=("obl-crg",), load=0.3)
+        res = Runner(jobs=1).run(advc_plan(base, ("obl-crg",), load=0.3))
+        inj = figure4_injections(res, base, mechanisms=("obl-crg",), load=0.3)
         assert len(inj["obl-crg"]) == base.network.a
         text = format_figure4(inj, title="fig4")
         assert "bottleneck" in text
 
     def test_fairness_table(self):
         base = quick_cfg()
-        table = fairness_table(base, mechanisms=("obl-crg",), load=0.3)
+        res = Runner(jobs=1).run(advc_plan(base, ("obl-crg",), load=0.3))
+        table = fairness_table(res, base, mechanisms=("obl-crg",), load=0.3)
         text = format_fairness_table(table, priority=True)
         assert "Table II" in text
         assert "obl-crg" in text
@@ -180,16 +185,13 @@ class TestOfflineErrorPaths:
 
     def test_figure3_and_4_offline_cold_store_raise(self, tmp_path):
         base = quick_cfg()
-        with pytest.raises(AnalysisError, match="missing"):
-            figure3_breakdown(base, [0.2], store=tmp_path / "c3", offline=True)
-        with pytest.raises(AnalysisError, match="missing"):
-            figure4_injections(
-                base,
-                mechanisms=("obl-crg",),
-                load=0.3,
-                store=tmp_path / "c4",
-                offline=True,
-            )
+        for name, plan in (
+            ("c3", figure3_plan(base, [0.2])),
+            ("c4", advc_plan(base, ("obl-crg",), load=0.3)),
+        ):
+            runner = Runner(jobs=1, store=tmp_path / name, offline=True)
+            with pytest.raises(AnalysisError, match="missing"):
+                runner.run(plan)
 
     def test_figure2_offline_warm_store_renders(self, tmp_path):
         base = quick_cfg().with_traffic(pattern="uniform")
@@ -229,11 +231,13 @@ class TestInterference:
             per_job_counts(result)
 
     def test_report_renders(self):
-        text = interference_report(self._base(), [0.2], seeds=1)
+        base = self._base()
+        res = Runner(jobs=1).run(ExperimentPlan.sweep(base, [0.2]))
+        text = interference_report(res, base, [0.2])
         assert "job0" in text and "job1" in text
         assert "adversarial" in text
         assert "ok" in text  # oracle verdict column
 
     def test_report_needs_multi_job(self):
         with pytest.raises(AnalysisError):
-            interference_report(quick_cfg(), [0.2])
+            interference_report(PlanResult(ExperimentPlan(), {}), quick_cfg(), [0.2])

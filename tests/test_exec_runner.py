@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.figures import FIGURE2_MECHANISMS
 from repro.config import JobSpec, SimulationConfig, small_config, tiny_config
 from repro.core.simulation import run_simulation
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError, ExecutionError
 from repro.exec import (
     ExperimentPlan,
     ResultStore,
@@ -251,6 +251,36 @@ class TestRunnerDeterminism:
         cfg = quick_cfg()
         res = Runner(jobs=1).run(ExperimentPlan.point(cfg))
         with pytest.raises(AnalysisError):
+            res.point(cfg.with_traffic(load=0.9))
+
+
+class TestFailedCellsOfAPoint:
+    """A point with a failed cell raises instead of averaging the seeds
+    that survived (which would report a different experiment)."""
+
+    @pytest.mark.parametrize("failed", [(1,), (0, 1)], ids=["one-seed", "all-seeds"])
+    def test_reading_the_point_names_the_failed_cell(
+        self, monkeypatch, tmp_path, failed
+    ):
+        cfg = quick_cfg(routing="obl-crg").with_traffic(load=0.3)
+        plan = ExperimentPlan.point(cfg, seeds=2)
+        victims = [plan.cells[i].digest for i in failed]
+        spec = FaultSpec(
+            ledger=str(tmp_path / "ledger"),
+            raise_cells=tuple(d[:16] for d in victims),
+        )
+        monkeypatch.setenv(ENV_VAR, spec.to_env())
+        res = Runner(jobs=1, retry=RetryPolicy(max_attempts=1)).run(plan)
+        assert sorted(res.failures) == sorted(victims)
+        for read in (res.results_for, res.point):
+            with pytest.raises(ExecutionError, match=victims[0]) as info:
+                read(cfg)
+            assert "after 1 attempt(s)" in str(info.value)
+            assert "FaultInjection" in str(info.value)
+        with pytest.raises(ExecutionError):
+            res.sweep(cfg, [cfg.traffic.load])
+        # A config the plan never held is still an analysis error.
+        with pytest.raises(AnalysisError, match="in the plan"):
             res.point(cfg.with_traffic(load=0.9))
 
 
