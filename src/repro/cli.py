@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SECONDS",
             help="wall-clock limit per cell attempt, counted from when a "
-            "worker starts it (parallel runs only; default: none)",
+            "worker starts it; cells then compute on a process pool, one "
+            "worker at --jobs 1 (default: none)",
         )
 
     run_p = sub.add_parser("run", help="run one simulation")

@@ -11,9 +11,10 @@ readers, the shards and the sweep daemon.  The flow is::
     sweep  = result.sweep(base.with_(routing="min"), loads)
 
 Cells are deduplicated by a stable config digest, cached on disk as JSON
-(:class:`ResultStore`), and executed either inline or over a process
-pool; per-cell seeds are pre-derived so parallel and serial execution
-are bit-identical.
+(:class:`ResultStore`), and computed in process or over a process pool
+by :class:`~repro.exec.executor.CellExecutor`, the one retry/timeout
+contract of the Runner and the sweep daemon; per-cell seeds are
+pre-derived so parallel and serial execution are bit-identical.
 """
 
 from repro.exec.aggregate import (
@@ -22,19 +23,17 @@ from repro.exec.aggregate import (
     average_injections,
     average_results,
 )
-from repro.exec.faults import FaultInjector, FaultSpec, pick_cells
-from repro.exec.leases import LeaseCoordinator, LeaseRecord
-from repro.exec.plan import Cell, ExperimentPlan, Shard
-from repro.exec.runner import (
+from repro.exec.executor import (
     CellFailure,
-    PlanResult,
     RetryPolicy,
-    Runner,
-    default_jobs,
     describe_error,
     is_retryable,
     run_cell,
 )
+from repro.exec.faults import FaultInjector, FaultSpec, pick_cells
+from repro.exec.leases import LeaseCoordinator, LeaseRecord
+from repro.exec.plan import Cell, ExperimentPlan, Shard
+from repro.exec.runner import PlanResult, Runner, default_jobs
 from repro.exec.serialize import config_digest, plan_digest
 from repro.exec.store import MergeReport, ResultStore, ShardManifest
 

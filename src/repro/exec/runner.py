@@ -1,31 +1,23 @@
-"""Fault-tolerant plan execution: serial, process-parallel, or sharded.
+"""Fault-tolerant plan execution: in-process, process-parallel, or sharded.
 
 The :class:`Runner` takes an :class:`repro.exec.plan.ExperimentPlan`,
 deduplicates its cells by config digest, loads whatever an attached
 :class:`repro.exec.store.ResultStore` already holds, and computes the
-rest — inline when ``jobs <= 1``, otherwise fanned out over a
-``concurrent.futures.ProcessPoolExecutor``.
+rest on a :class:`repro.exec.executor.CellExecutor` — in this process,
+one cell at a time on a worker thread, when ``jobs <= 1`` and no
+``cell_timeout`` is set; otherwise over a process pool of ``jobs``
+workers.
 
 Every cell is a pure deterministic function of its (fully seeded)
 config, so parallel and serial execution return bit-identical results;
-the executor only changes wall-clock time.  That purity is also what
-makes the fault tolerance cheap: retrying, recomputing, or racing a
-cell can never produce conflicting bytes.
+the executor only changes wall-clock time.
 
-Fault tolerance (``submit`` + wait loop, not ``pool.map``):
+:meth:`Runner.run` keeps a synchronous signature; inside, it drives one
+coroutine per missing cell on a private event loop (any loop the caller
+has is left alone).  The retry, timeout and teardown rules are the
+executor's (see :mod:`repro.exec.executor`), shared with the sweep
+daemon.  On top of them the runner adds:
 
-* the pool holds one queued cell behind each running one, so a worker
-  that finishes a cell starts its next at once while this process
-  persists the last result;
-* each cell is retried under a :class:`RetryPolicy` — seeded
-  exponential backoff with jitter, an optional per-cell wall-clock
-  timeout measured from the moment a worker starts the cell, not from
-  its submission (the pool is replaced when a cell overruns), and a
-  bounded attempt count;
-* a dead worker process (``BrokenProcessPool``) or a timeout costs one
-  attempt for the cells that had started; queued cells never ran and
-  go back on the queue without losing one.  The pool is rebuilt and
-  the sweep continues;
 * every completed cell is persisted to the store *as it lands*, so one
   poison cell can no longer discard its siblings' results;
 * cells that exhaust their attempts are quarantined into structured
@@ -53,71 +45,35 @@ merged store without re-simulation).
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
-import time
-from collections import deque
-from collections.abc import Iterable, Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, TypeVar
+from typing import Any
 
 from repro.config import SimulationConfig
 from repro.core.results import SimulationResult
-from repro.core.simulation import run_simulation
 from repro.errors import (
     AnalysisError,
     ConfigurationError,
     ExecutionError,
-    FaultInjection,
     LeaseError,
-    ReproError,
 )
 from repro.exec.aggregate import LoadSweepResult, SweepPoint, average_results
-from repro.exec.faults import FaultInjector
+from repro.exec.executor import CellExecutor, CellFailure, RetryPolicy
 from repro.exec.leases import LeaseCoordinator, LeaseRecord
 from repro.exec.plan import ExperimentPlan, Shard
 from repro.exec.serialize import config_digest
 from repro.exec.store import ResultStore, ShardManifest, current_git_sha
 from repro.utils.cpu import usable_cpu_count
 
-__all__ = [
-    "CellFailure",
-    "PlanResult",
-    "RetryPolicy",
-    "Runner",
-    "default_jobs",
-    "describe_error",
-    "is_retryable",
-    "run_cell",
-]
+__all__ = ["CellFailure", "PlanResult", "RetryPolicy", "Runner", "default_jobs"]
 
-_T = TypeVar("_T")
-
-#: wait-loop slice: future polling, foreign-lease store polling, idle sleep.
+#: how often a cell leased by a peer checks the store and the lease again.
 _POLL = 0.1
-
-#: cells a pooled run keeps submitted per worker: one running, one queued.
-_PER_WORKER = 2
-
-
-def _running(calls: Iterable[_T], workers: int) -> list[_T]:
-    """The calls a pool of *workers* is running, out of its unfinished
-    *calls* in submission order.
-
-    An executor starts its calls in FIFO order, so the oldest *workers*
-    unfinished ones are running and the rest wait in its queue.  Both
-    executors of cells (:class:`Runner` and the service's scheduler)
-    start a cell's timeout clock when it enters this window.
-    """
-    return list(islice(calls, workers))
 
 
 def worker_count(value: Any, source: str) -> int:
@@ -139,117 +95,6 @@ def default_jobs() -> int:
     if env:
         return worker_count(env, "REPRO_JOBS")
     return usable_cpu_count()
-
-
-def run_cell(digest: str, config: SimulationConfig) -> SimulationResult:
-    """Top-level worker entry point (must be picklable for the pool).
-
-    Threads the cell digest through so the ``REPRO_FAULTS`` harness can
-    target individual cells deterministically.  Public so other
-    executors — the :mod:`repro.service` daemon's scheduler — can fan
-    the exact same entry point out over their own pools.
-    """
-    injector = FaultInjector.from_env()
-    if injector is not None:
-        injector.on_cell_start(digest)
-    result = run_simulation(config)
-    if injector is not None:
-        injector.on_cell_end(digest)
-    return result
-
-
-#: internal alias — the execution loops (and the chaos tests' monkeypatch
-#: seam) route through this name so a patched entry point affects every
-#: executor uniformly.
-_run_cell = run_cell
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-cell retry/timeout/backoff contract of a :class:`Runner`.
-
-    Backoff before retry ``k`` (1-based) is
-    ``min(max_delay, base_delay * backoff**(k-1))`` scaled by up to
-    ``1 + jitter`` — the jitter RNG is seeded from the plan and cell
-    digests, so two replays of the same sweep back off identically.
-
-    ``cell_timeout`` is wall-clock seconds per attempt, counted from the
-    moment a worker starts the cell (time spent queued behind other
-    cells does not count) and enforced only in pooled runs
-    (``jobs >= 2``): an overrunning cell's worker pool is terminated and
-    rebuilt, the attempt counts as a ``timeout`` failure.
-
-    Deterministic simulator errors (any :class:`repro.errors.ReproError`
-    except injected faults) are not retried — a cell that fails
-    validation or an oracle check will fail identically every attempt,
-    so it is quarantined immediately.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    backoff: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
-    cell_timeout: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise AnalysisError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0 or self.max_delay < 0 or self.jitter < 0:
-            raise AnalysisError("backoff delays/jitter must be >= 0")
-        if self.backoff < 1:
-            raise AnalysisError(f"backoff factor must be >= 1, got {self.backoff}")
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise AnalysisError(f"cell_timeout must be > 0, got {self.cell_timeout}")
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        """Seconds to back off before retry *attempt* (1-based)."""
-        d = min(self.max_delay, self.base_delay * self.backoff ** max(0, attempt - 1))
-        if self.jitter > 0:
-            d *= 1.0 + self.jitter * rng.random()
-        return d
-
-
-def is_retryable(exc: BaseException) -> bool:
-    """Whether a cell failure may heal on retry.
-
-    Infrastructure failures (worker death, timeouts, pickling hiccups —
-    anything that is not a simulator error) and injected chaos faults
-    are retryable; deterministic :class:`ReproError`\\ s are not.
-    """
-    if isinstance(exc, FaultInjection):
-        return True
-    return not isinstance(exc, ReproError)
-
-
-@dataclass(frozen=True)
-class CellFailure:
-    """Structured record of one cell that could not be computed."""
-
-    digest: str
-    attempts: int
-    kind: str  # "error" | "timeout" | "worker-lost"
-    error: str
-    quarantined: bool = True
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "digest": self.digest,
-            "attempts": self.attempts,
-            "kind": self.kind,
-            "error": self.error,
-            "quarantined": self.quarantined,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CellFailure":
-        return cls(
-            digest=data["digest"],
-            attempts=int(data["attempts"]),
-            kind=data["kind"],
-            error=data["error"],
-            quarantined=bool(data.get("quarantined", True)),
-        )
 
 
 @dataclass
@@ -377,19 +222,6 @@ class PlanResult:
 
 
 @dataclass
-class _CellState:
-    """Bookkeeping of one in-progress cell inside an execution."""
-
-    digest: str
-    config: SimulationConfig
-    rng: random.Random
-    attempts: int = 0
-    eligible_at: float = 0.0  # monotonic time the next attempt may start
-    deadline: float | None = None  # monotonic timeout, set once a worker runs it
-    lease: LeaseRecord | None = None
-
-
-@dataclass
 class Runner:
     """Executes plans; ``jobs=None`` means :func:`default_jobs`.
 
@@ -412,8 +244,7 @@ class Runner:
     def __post_init__(self) -> None:
         if self.jobs is None:
             self.jobs = default_jobs()
-        if self.jobs < 1:
-            raise AnalysisError(f"jobs must be >= 1, got {self.jobs}")
+        self.jobs = worker_count(self.jobs, "jobs")
         if self.store is not None and not isinstance(self.store, ResultStore):
             self.store = ResultStore(self.store)
         if self.offline and self.store is None:
@@ -470,7 +301,10 @@ class Runner:
             )
 
         execution = _PlanExecution(self, plan, missing, unique, results)
-        execution.run()
+        if missing:
+            # A private loop: whatever loop the caller has stays current.
+            with asyncio.Runner(loop_factory=asyncio.new_event_loop) as aio:
+                aio.run(execution.run())
 
         if self.store is not None:
             self.store.write_failures(
@@ -502,7 +336,15 @@ class Runner:
 
 
 class _PlanExecution:
-    """One `Runner.run` invocation's retry/lease/pool state machine."""
+    """One `Runner.run` invocation: a coroutine per missing cell over one
+    :class:`CellExecutor`, plus the leases that share the plan with peers.
+
+    Each cell's coroutine takes one of the executor's slots, leases the
+    cell (when leases are on), computes it, then persists it and
+    completes the lease.  A cell a live peer holds waits for it outside
+    the slots: it adopts the peer's stored result, or takes the lease
+    over once it expires — or when this runner is idle and steals it.
+    """
 
     def __init__(
         self,
@@ -513,19 +355,14 @@ class _PlanExecution:
         results: dict[str, SimulationResult],
     ) -> None:
         self.runner = runner
-        self.policy: RetryPolicy = runner.retry
         self.store = runner.store
+        self.plan_digest = plan.digest
+        self.unique = unique
         self.results = results
-        self.order = list(missing)
-        self.states = {
-            d: _CellState(
-                digest=d,
-                config=unique[d],
-                rng=random.Random(f"backoff:{plan.digest}:{d}"),
-            )
-            for d in self.order
-        }
-        self.pending: set[str] = set(self.order)
+        self.missing = list(missing)
+        self.pending: set[str] = set(missing)
+        self.foreign: set[str] = set()  # pending cells a live peer holds
+        self.leases: dict[str, LeaseRecord] = {}
         self.failures: dict[str, CellFailure] = {}
         self.retried: dict[str, int] = {}
         self.computed = 0
@@ -538,290 +375,127 @@ class _PlanExecution:
                 worker_id=runner.worker_id,
                 ttl=runner.lease_ttl,
             )
-        self._last_beat = time.monotonic()
 
-    # -- shared transitions --------------------------------------------------
-    def _try_lease(self, st: _CellState) -> bool:
-        """Hold (or obtain) the lease for *st*; True when we own it."""
-        if self.coordinator is None or st.lease is not None:
+    async def run(self) -> None:
+        runner = self.runner
+        # One cell at a time in this process, unless there is a timeout
+        # to enforce: only a process pool can stop an overrunning cell.
+        inline = runner.retry.cell_timeout is None and (
+            runner.jobs <= 1 or len(self.missing) <= 1
+        )
+        workers = 1 if inline else min(runner.jobs, len(self.missing))
+        thread = ThreadPoolExecutor(max_workers=1) if inline else None
+        self.cells = CellExecutor(workers, runner.retry, pool=thread)
+        keeper = None
+        if self.coordinator is not None:
+            keeper = asyncio.create_task(self._keep_leases())
+        try:
+            await asyncio.gather(*(self._cell(d) for d in self.missing))
+        finally:
+            if keeper is not None:
+                keeper.cancel()
+                with suppress(asyncio.CancelledError):
+                    await keeper  # surfaces a heartbeat that crashed
+            self.cells.close()
+            if thread is not None:
+                # No wait: an interrupted run returns without its cell.
+                thread.shutdown(wait=False, cancel_futures=True)
+            for lease in self.leases.values():
+                self.coordinator.release(lease)
+            self.leases.clear()
+
+    async def _cell(self, digest: str) -> None:
+        async with self.cells.slots:
+            # A peer may have completed the cell since the store was probed.
+            leased = self._claim(digest)
+            if leased and not self._adopt(digest):
+                await self._compute(digest)
+        if not leased and await self._wait_for_peer(digest):
+            async with self.cells.slots:
+                await self._compute(digest)
+
+    def _claim(self, digest: str) -> bool:
+        """Whether this runner may compute *digest*: leases are off, or it
+        holds (or has just acquired) the cell's lease."""
+        if self.coordinator is None or digest in self.leases:
             return True
-        record = self.coordinator.acquire(st.digest)
-        if record is None:
-            return False
-        st.lease = record
-        return True
+        record = self.coordinator.acquire(digest)
+        if record is not None:
+            self.leases[digest] = record
+        return record is not None
 
-    def _adopt(self, st: _CellState) -> bool:
-        """Pick up *st*'s result if a concurrent worker stored it."""
-        if self.store is None:
+    def _adopt(self, digest: str) -> bool:
+        """Take *digest*'s result from the store if a peer saved it (leases
+        on), and give up any lease on the cell."""
+        if self.coordinator is None:
             return False
-        hit = self.store.load(st.digest)
+        hit = self.store.load(digest)
         if hit is None:
             return False
-        self.results[st.digest] = hit
-        self.pending.discard(st.digest)
+        self.results[digest] = hit
+        self.pending.discard(digest)
         self.adopted += 1
+        lease = self.leases.pop(digest, None)
+        if lease is not None:
+            self.coordinator.release(lease)
         return True
 
-    def _complete(self, st: _CellState, result: SimulationResult) -> None:
-        self.results[st.digest] = result
-        self.pending.discard(st.digest)
+    async def _wait_for_peer(self, digest: str) -> bool:
+        """Wait out a peer's lease on *digest*: False once the peer's
+        stored result is adopted, True once the lease is ours."""
+        self.foreign.add(digest)
+        try:
+            while True:
+                await asyncio.sleep(_POLL)
+                if self._adopt(digest):
+                    return False
+                if self._claim(digest):  # expired, or stolen for us
+                    return not self._adopt(digest)
+        finally:
+            self.foreign.discard(digest)
+
+    async def _compute(self, digest: str) -> None:
+        rng = random.Random(f"backoff:{self.plan_digest}:{digest}")
+        outcome, attempts = await self.cells.run(digest, self.unique[digest], rng)
+        self.pending.discard(digest)
+        if isinstance(outcome, CellFailure):
+            self.failures[digest] = outcome
+            lease = self.leases.pop(digest, None)
+            if lease is not None:
+                # Give the cell up so another worker may try its luck.
+                self.coordinator.release(lease)
+            return
+        self.results[digest] = outcome
         self.computed += 1
-        if st.attempts:
-            self.retried[st.digest] = st.attempts + 1
+        if attempts > 1:
+            self.retried[digest] = attempts
         if self.store is not None:
-            self.store.save(st.digest, result)
-        if st.lease is not None:
-            self.coordinator.complete(st.lease)
-            st.lease = None
+            # On the loop, which serves no one else: a thread hop per save
+            # costs this process CPU time that the pool's workers need.
+            self.store.save(digest, outcome)
+        lease = self.leases.pop(digest, None)
+        if lease is not None:
+            self.coordinator.complete(lease)
 
-    def _attempt_failed(
-        self, st: _CellState, kind: str, error: str, *, retryable: bool = True
-    ) -> None:
-        """Record a failed attempt; quarantine or schedule the retry."""
-        st.attempts += 1
-        st.deadline = None
-        if retryable and st.attempts < self.policy.max_attempts:
-            st.eligible_at = time.monotonic() + self.policy.delay(st.attempts, st.rng)
-            return
-        self.failures[st.digest] = CellFailure(
-            digest=st.digest,
-            attempts=st.attempts,
-            kind=kind,
-            error=error,
-            quarantined=True,
-        )
-        self.pending.discard(st.digest)
-        if st.lease is not None:
-            # Give the cell up so another worker may try its luck.
-            self.coordinator.release(st.lease)
-            st.lease = None
+    async def _keep_leases(self) -> None:
+        """Renew the held leases every ttl/3, computing cells included;
+        while every pending cell is a peer's, steal the slowest."""
+        coordinator = self.coordinator
+        while True:
+            await asyncio.sleep(coordinator.ttl / 3)
+            for digest, lease in list(self.leases.items()):
+                try:
+                    self.leases[digest] = coordinator.heartbeat(lease)
+                except LeaseError:
+                    # Reclaimed or stolen. Keep computing — results are
+                    # bit-identical so a duplicate save is harmless — but
+                    # stop claiming the lease.
+                    del self.leases[digest]
+            if self.foreign and self.foreign == self.pending:
+                self._steal_slowest()
 
-    def _heartbeat(self) -> None:
-        """Renew owned leases roughly every ttl/3; handle losses."""
-        if self.coordinator is None:
-            return
-        now = time.monotonic()
-        if now - self._last_beat < self.runner.lease_ttl / 3:
-            return
-        self._last_beat = now
-        for st in self.states.values():
-            if st.lease is None:
-                continue
-            try:
-                st.lease = self.coordinator.heartbeat(st.lease)
-            except LeaseError:
-                # Reclaimed or stolen. Keep computing — results are
-                # bit-identical so a duplicate save is harmless — but
-                # stop claiming the lease.
-                st.lease = None
-
-    # -- execution strategies ------------------------------------------------
-    def run(self) -> None:
-        if not self.order:
-            return
-        try:
-            # One cell runs inline unless it has a timeout to enforce:
-            # only the pool can stop an overrunning cell.
-            if self.runner.jobs <= 1 or (
-                len(self.order) <= 1 and self.policy.cell_timeout is None
-            ):
-                self._run_serial()
-            else:
-                self._run_pooled()
-        finally:
-            if self.coordinator is not None:
-                for st in self.states.values():
-                    if st.lease is not None:
-                        self.coordinator.release(st.lease)
-                        st.lease = None
-
-    def _run_serial(self) -> None:
-        """Inline execution with retries (no per-cell timeout enforcement)."""
-        queue = deque(self.order)
-        while queue:
-            digest = queue.popleft()
-            if digest not in self.pending:
-                continue
-            st = self.states[digest]
-            if not self._try_lease(st):
-                if self._adopt(st):
-                    continue
-                time.sleep(_POLL)  # held by a live worker; check back
-                queue.append(digest)
-                continue
-            now = time.monotonic()
-            if st.eligible_at > now:
-                time.sleep(st.eligible_at - now)
-            try:
-                result = _run_cell(digest, st.config)
-            except Exception as exc:
-                self._attempt_failed(
-                    st, "error", describe_error(exc), retryable=is_retryable(exc)
-                )
-                if digest in self.pending:
-                    queue.append(digest)
-            else:
-                self._complete(st, result)
-            self._heartbeat()
-
-    def _run_pooled(self) -> None:
-        workers = min(self.runner.jobs, len(self.order))
-        pool = ProcessPoolExecutor(max_workers=workers)
-        # Submission order, which is the order the executor starts them
-        # in: the first `workers` entries are running (see `_running`).
-        inflight: dict[Future, str] = {}
-        launch: deque[str] = deque(self.order)
-        foreign: set[str] = set()  # leased by another live worker
-        last_foreign_poll = 0.0
-        try:
-            while self.pending:
-                now = time.monotonic()
-                broken = False
-                overdue: list[tuple[Future, str]] = []
-
-                # Launch eligible cells until each worker has one running
-                # and one queued: a worker that finishes takes its next
-                # cell from the executor's queue at once, while this
-                # process persists the result it just sent.  A dying
-                # worker can break the pool mid-submit; the cell goes
-                # back on the queue (no attempt burned — it never
-                # started) and the pool is rebuilt below.
-                deferred: list[str] = []
-                while launch and len(inflight) < _PER_WORKER * workers:
-                    digest = launch.popleft()
-                    if digest not in self.pending:
-                        continue
-                    st = self.states[digest]
-                    if st.eligible_at > now:
-                        deferred.append(digest)
-                        continue
-                    if not self._try_lease(st):
-                        foreign.add(digest)
-                        continue
-                    try:
-                        future = pool.submit(_run_cell, digest, st.config)
-                    except BrokenProcessPool:
-                        broken = True
-                        launch.appendleft(digest)
-                        break
-                    inflight[future] = digest
-                launch.extend(deferred)
-
-                # Cells leased elsewhere: adopt stored results, reclaim
-                # expired leases, and steal from the slowest live holder
-                # when we have nothing else to do.
-                if foreign and now - last_foreign_poll >= _POLL:
-                    last_foreign_poll = now
-                    for digest in sorted(foreign):
-                        st = self.states[digest]
-                        if self._adopt(st):
-                            foreign.discard(digest)
-                        elif self._try_lease(st):
-                            foreign.discard(digest)
-                            launch.append(digest)
-                    if not inflight and not launch and foreign:
-                        stolen = self._steal_slowest(foreign)
-                        if stolen is not None:
-                            foreign.discard(stolen)
-                            launch.append(stolen)
-
-                if inflight:
-                    self._start_clocks(inflight, workers)
-                    done, _ = wait(
-                        list(inflight), timeout=_POLL, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        digest = inflight[future]
-                        st = self.states[digest]
-                        try:
-                            result = future.result()
-                        except BrokenProcessPool:
-                            # Every unfinished future of a broken pool
-                            # raises this, queued ones too: the teardown
-                            # below charges only the cells that had started.
-                            broken = True
-                            continue
-                        except Exception as exc:
-                            self._attempt_failed(
-                                st,
-                                "error",
-                                describe_error(exc),
-                                retryable=is_retryable(exc),
-                            )
-                        else:
-                            self._complete(st, result)
-                        del inflight[future]
-                        if digest in self.pending:
-                            launch.append(digest)
-
-                    # Per-cell wall-clock timeouts: an overrunning
-                    # simulation cannot be cancelled, so its worker (and
-                    # with it the whole pool) is terminated and rebuilt.
-                    # Only running cells have a clock, so every overdue
-                    # cell is among the first `workers` entries.
-                    now = time.monotonic()
-                    overdue = [
-                        (future, digest)
-                        for future, digest in inflight.items()
-                        if self.states[digest].deadline is not None
-                        and now > self.states[digest].deadline
-                    ]
-                    if overdue:
-                        broken = True
-                        for future, digest in overdue:
-                            inflight.pop(future)
-                            st = self.states[digest]
-                            self._attempt_failed(
-                                st,
-                                "timeout",
-                                f"cell exceeded {self.policy.cell_timeout}s "
-                                f"wall clock",
-                            )
-                            if digest in self.pending:
-                                launch.append(digest)
-                        _terminate_workers(pool)
-
-                if broken:
-                    # The executor is unusable.  Cells that had started
-                    # retry in a fresh pool at the cost of one attempt:
-                    # their work is lost, whether it was their worker that
-                    # died or a sibling's.  Queued cells never ran and go
-                    # back on the queue for free.
-                    started = _running(inflight, workers - len(overdue))
-                    for future, digest in inflight.items():
-                        if future in started:
-                            self._attempt_failed(
-                                self.states[digest],
-                                "worker-lost",
-                                "worker pool torn down",
-                            )
-                        if digest in self.pending:
-                            launch.append(digest)
-                    inflight.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                elif not inflight and self.pending:
-                    # Nothing running: we are waiting out a backoff delay
-                    # or a foreign lease.
-                    time.sleep(_POLL)
-
-                self._heartbeat()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _start_clocks(self, inflight: dict[Future, str], workers: int) -> None:
-        """Start the timeout clock of every cell a worker has taken."""
-        if self.policy.cell_timeout is None:
-            return
-        now = time.monotonic()
-        for future in _running(inflight, workers):
-            st = self.states[inflight[future]]
-            if st.deadline is None:
-                st.deadline = now + self.policy.cell_timeout
-
-    def _steal_slowest(self, foreign: set[str]) -> str | None:
-        """Steal the oldest lease that has been held suspiciously long.
+    def _steal_slowest(self) -> None:
+        """Steal the oldest foreign lease that has been held suspiciously long.
 
         "Suspiciously long" is two TTLs: a live holder heartbeats every
         ttl/3, so a lease that old belongs to a worker much slower than
@@ -833,7 +507,7 @@ class _PlanExecution:
         threshold = 2 * coordinator.ttl
         now = coordinator.clock()
         best: tuple[float, str] | None = None
-        for digest in sorted(foreign):
+        for digest in sorted(self.foreign):
             record = coordinator.read(digest)
             if record is None:
                 continue
@@ -841,29 +515,7 @@ class _PlanExecution:
             if age >= threshold and (best is None or record.acquired_at < best[0]):
                 best = (record.acquired_at, digest)
         if best is None:
-            return None
+            return
         record = coordinator.steal(best[1])
-        if record is None:
-            return None
-        self.states[best[1]].lease = record
-        return best[1]
-
-
-def describe_error(exc: BaseException) -> str:
-    """Compact one-line rendering of an exception for failure records."""
-    text = f"{type(exc).__name__}: {exc}"
-    return text if len(text) <= 500 else text[:497] + "..."
-
-
-def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-    """Hard-kill a pool's worker processes (timeout enforcement).
-
-    Reaches into the executor because ``concurrent.futures`` offers no
-    public kill switch; a missing attribute just degrades to waiting for
-    the slow cell to finish on its own.
-    """
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.terminate()
-        except OSError:
-            pass
+        if record is not None:
+            self.leases[best[1]] = record

@@ -38,7 +38,7 @@ from typing import Any
 
 from repro.config import SimulationConfig
 from repro.errors import ProtocolError
-from repro.exec.runner import CellFailure, RetryPolicy
+from repro.exec.executor import CellFailure, RetryPolicy
 from repro.exec.serialize import plan_digest
 from repro.exec.store import ResultStore
 from repro.service.protocol import cells_from_wire, read_frame, write_frame

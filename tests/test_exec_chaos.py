@@ -8,14 +8,20 @@ resumed + merged pipeline is indistinguishable from a fault-free one.
 
 from __future__ import annotations
 
+import asyncio
+import threading
+import time
+
 import pytest
 
 from repro.config import tiny_config
 from repro.errors import AnalysisError, ExecutionError
 from repro.exec import ExperimentPlan, ResultStore, Runner, Shard
 from repro.exec.faults import ENV_VAR, FaultSpec, pick_cells
+from repro.exec.leases import LeaseCoordinator
 from repro.exec.runner import RetryPolicy
 from repro.exec.store import MANIFEST_NAME
+from repro.service import CellScheduler
 
 
 def quick_cfg(**kw):
@@ -96,12 +102,12 @@ class TestRaiseInjection:
     def test_deterministic_simulator_error_fails_fast(self, monkeypatch):
         """ReproErrors other than injected faults are not retried."""
         from repro.errors import ConfigurationError
-        import repro.exec.runner as runner_mod
+        import repro.exec.executor as executor_mod
 
         def poisoned(digest, config):
             raise ConfigurationError("broken config")
 
-        monkeypatch.setattr(runner_mod, "_run_cell", poisoned)
+        monkeypatch.setattr(executor_mod, "run_cell", poisoned)
         res = Runner(jobs=1).run(sweep_plan(loads=(0.1,)))
         (failure,) = res.failures.values()
         assert failure.attempts == 1  # no retries burned
@@ -195,6 +201,68 @@ class TestQueuedCellsKeepTheirAttempts:
         assert res.results == clean.results
 
 
+class TestOneContract:
+    """The Runner and the daemon's scheduler compute on one executor: the
+    same faults end in the same per-cell ``(ok, kind, attempts)``.
+
+    Both drivers submit the four cells in plan order to two workers, so
+    the first two run while the other two wait in the queue.
+    """
+
+    @staticmethod
+    def scenario(name, plan):
+        first, second, third = [cell.digest[:16] for cell in plan][:3]
+        if name == "kill":
+            # The first cell's worker dies after it while the second,
+            # stalled, still runs: both are charged, the queued two not.
+            faults = dict(kill_after=1, stall_cells=(second,), stall_seconds=0.5)
+            return faults, RetryPolicy(max_attempts=1)
+        if name == "raise":
+            faults = dict(raise_cells=(third,))  # fires once, then heals
+            return faults, RetryPolicy(max_attempts=2, base_delay=0.01)
+        # The first cell stalls past the timeout, alone in the window by
+        # then: the three fast cells beside it are long done.
+        faults = dict(stall_cells=(first,), stall_seconds=20.0)
+        return faults, RetryPolicy(max_attempts=1, cell_timeout=1.0)
+
+    @staticmethod
+    def through_runner(plan, retry):
+        res = Runner(jobs=2, retry=retry).run(plan)
+        outcomes = {d: (True, None, res.retried.get(d, 1)) for d in res.results}
+        for d, failure in res.failures.items():
+            outcomes[d] = (False, failure.kind, failure.attempts)
+        return outcomes
+
+    @staticmethod
+    def through_scheduler(plan, retry, store_root):
+        async def run():
+            sched = CellScheduler(ResultStore(store_root), max_workers=2, retry=retry)
+            try:
+                # One at a time, so the cells reach the pool in plan order.
+                futures = [(await sched.schedule(c.digest, c.config))[0] for c in plan]
+                return [await future for future in futures]
+            finally:
+                sched.close()
+
+        return {o.digest: (o.ok, o.kind, o.attempts) for o in asyncio.run(run())}
+
+    @pytest.mark.parametrize("name", ["kill", "raise", "timeout"])
+    def test_runner_and_scheduler_agree(self, monkeypatch, tmp_path, name):
+        plan = sweep_plan(loads=(0.1, 0.2), routings=("min", "obl-crg"))
+        faults, retry = self.scenario(name, plan)
+        set_faults(monkeypatch, tmp_path / "runner", **faults)
+        runner = self.through_runner(plan, retry)
+        set_faults(monkeypatch, tmp_path / "scheduler", **faults)
+        scheduler = self.through_scheduler(plan, retry, tmp_path / "store")
+        assert runner == scheduler
+        expected = {
+            "kill": [(False, "worker-lost", 1)] * 2 + [(True, None, 1)] * 2,
+            "raise": [(True, None, 1)] * 2 + [(True, None, 2), (True, None, 1)],
+            "timeout": [(False, "timeout", 1)] + [(True, None, 1)] * 3,
+        }[name]
+        assert [runner[cell.digest] for cell in plan] == expected
+
+
 class TestTruncatedStore:
     def test_truncated_entry_is_quarantined_and_recomputed(
         self, monkeypatch, tmp_path
@@ -279,3 +347,30 @@ class TestLeaseCoordinatedRunners:
         assert first.results == second.results
         # No leases left behind.
         assert not list(store.glob("leases/**/*.json"))
+
+    def test_lease_is_renewed_while_an_inline_cell_computes(
+        self, monkeypatch, tmp_path
+    ):
+        """At ``jobs=1`` the lease used to be renewed only between cells,
+        so a peer could reclaim a cell that was still computing.  The cell
+        now computes off the event loop, which keeps heartbeating."""
+        plan = sweep_plan(loads=(0.1,))
+        (digest,) = plan.cell_digests()
+        set_faults(monkeypatch, tmp_path, stall_cells=(digest[:16],), stall_seconds=1.5)
+        store = tmp_path / "store"
+        runner = Runner(jobs=1, store=store, leases=True, lease_ttl=0.5)
+        out = {}
+        thread = threading.Thread(target=lambda: out.update(res=runner.run(plan)))
+        thread.start()
+        try:
+            stall = tmp_path / "ledger" / f"stall-{digest[:16]}.0"
+            deadline = time.monotonic() + 10.0
+            while not stall.exists():
+                assert time.monotonic() < deadline, "the cell never started"
+                time.sleep(0.01)
+            time.sleep(1.0)  # two TTLs into the cell
+            peer = LeaseCoordinator(store, plan.digest, worker_id="peer", ttl=0.5)
+            assert peer.acquire(digest) is None
+        finally:
+            thread.join(timeout=30.0)
+        assert out["res"].ok and out["res"].computed == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 import random
@@ -240,7 +241,7 @@ class TestRunnerDeterminism:
         )
 
     def test_invalid_jobs(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ConfigurationError):
             Runner(jobs=0)
 
     def test_empty_plan_rejected(self):
@@ -312,14 +313,16 @@ class TestPoolBacklog:
     def test_one_cell_queued_per_worker(self, monkeypatch):
         """A worker that finishes a cell must find its next one already
         queued: the pool gets exactly two cells per worker, never more."""
-        import repro.exec.runner as runner_mod
+        import repro.exec.executor as executor_mod
+
+        run_cell = executor_mod.run_cell  # the real one, before the patch
 
         def slow_cell(digest, config):
             time.sleep(0.1)  # outlasts every submit of the launch loop
-            return runner_mod.run_cell(digest, config)
+            return run_cell(digest, config)
 
-        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(runner_mod, "_run_cell", slow_cell)
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(executor_mod, "run_cell", slow_cell)
         monkeypatch.setattr(_RecordingPool, "peak", 0)
         plan = ExperimentPlan.sweep(quick_cfg(), [0.1, 0.2, 0.3, 0.4], seeds=2)
         res = Runner(jobs=2).run(plan)
@@ -360,6 +363,39 @@ class TestPoolBacklog:
         res = Runner(jobs=2, retry=retry).run(plan)
         assert time.monotonic() - t0 < 10.0
         assert res.failures[digest].kind == "timeout"
+
+    def test_one_job_enforces_the_cell_timeout(self, monkeypatch, tmp_path):
+        """``jobs=1`` used to compute inline and ignore ``cell_timeout``
+        (two 2 s stalls ran to the end, 4 s, and passed): a run with a
+        timeout computes on a one-worker pool, which can stop a cell."""
+        plan = ExperimentPlan.sweep(quick_cfg(), [0.1, 0.2])
+        spec = FaultSpec(
+            ledger=str(tmp_path / "ledger"),
+            stall_cells=tuple(d[:16] for d in plan.cell_digests()),
+            stall_seconds=2.0,
+        )
+        monkeypatch.setenv(ENV_VAR, spec.to_env())
+        retry = RetryPolicy(max_attempts=1, cell_timeout=0.5)
+        t0 = time.monotonic()
+        res = Runner(jobs=1, retry=retry).run(plan)
+        assert time.monotonic() - t0 < 3.5
+        assert [f.kind for f in res.failures.values()] == ["timeout", "timeout"]
+
+
+class TestEventLoop:
+    def test_run_leaves_the_callers_event_loop_alone(self):
+        """``run`` drives its cells on a private loop: a loop the caller
+        set (as a daemon between rounds would) stays current and usable."""
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        try:
+            res = Runner(jobs=1).run(ExperimentPlan.point(quick_cfg(), seeds=2))
+            assert res.ok and res.computed == 2
+            assert asyncio.get_event_loop() is loop
+            assert loop.run_until_complete(asyncio.sleep(0, "ok")) == "ok"
+        finally:
+            asyncio.set_event_loop(None)
+            loop.close()
 
 
 class TestResultCache:
@@ -556,6 +592,17 @@ class TestRunnerValidation:
             default_jobs()
         with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
             Runner()
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, "two", True])
+    def test_jobs_must_be_a_positive_integer(self, bad):
+        """``Runner(jobs="2")`` used to fail with a bare TypeError and
+        ``jobs=2.5`` or ``jobs=True`` to be accepted; ``jobs`` is checked
+        like the daemon's ``max_workers``."""
+        with pytest.raises(ConfigurationError, match="jobs"):
+            Runner(jobs=bad)
+
+    def test_jobs_may_be_a_decimal_string(self):
+        assert Runner(jobs="2").jobs == 2
 
     def test_repro_jobs_sets_the_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")

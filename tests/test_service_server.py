@@ -587,8 +587,8 @@ class TestSchedulerPoolHygiene:
             try:
                 cell = next(iter(_grid([0.1])))
                 outcome = await sched.outcome(cell.digest, cell.config)
-                torn_down = sched._pool is None
-                rebuilt = sched._executor() is not None
+                torn_down = sched.cells.pool is None
+                rebuilt = sched.cells._executor() is not None
                 return outcome, torn_down, rebuilt
             finally:
                 sched.close()
@@ -649,7 +649,7 @@ class TestSchedulerPoolHygiene:
             )
             cell = next(iter(_grid([0.1])))
             outcome = await sched.outcome(cell.digest, cell.config)
-            return outcome, sched._pool
+            return outcome, sched.cells.pool
 
         try:
             outcome, kept = asyncio.run(run())
