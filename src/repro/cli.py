@@ -8,7 +8,7 @@ Run one simulation and print the summary::
 
 Sweep offered load in parallel and print a latency/throughput table::
 
-    python -m repro.cli sweep --routing min --pattern adversarial \
+    python -m repro.cli plan run --routings min --patterns adversarial \
         --loads 0.1 0.2 0.3 0.4 --seeds 2 --jobs 4
 
 Show the fairness profile of one group (paper Figure 4 style)::
@@ -30,7 +30,7 @@ Profile the engine hot path under one configuration (perf workflow)::
 
 Print a declarative plan (digest + cells, nothing runs), then execute
 it over all cores with a result cache (re-runs only compute missing
-cells)::
+cells, so the same command resumes a crashed or faulted run)::
 
     python -m repro.cli plan --routings min in-trns-mm --patterns advc \
         --loads 0.1 0.2 0.3 --seeds 2
@@ -38,11 +38,12 @@ cells)::
         --loads 0.1 0.2 0.3 --seeds 2 --cache .repro-cache
 
 Run the same plan as two shards (different machines), merge the shard
-stores, check completeness, and render a figure offline::
+stores against the plan, check completeness, and render a figure
+offline (``...`` is the same grid flags every time)::
 
     python -m repro.cli plan run ... --shard 0/2 --cache shard0
     python -m repro.cli plan run ... --shard 1/2 --cache shard1
-    python -m repro.cli plan merge shard0 shard1 --out merged
+    python -m repro.cli plan merge shard0 shard1 ... --cache merged
     python -m repro.cli plan status ... --cache merged
     python -m repro.cli figures --pattern advc --routings min in-trns-mm \
         --loads 0.1 0.2 0.3 --seeds 2 --cache merged --offline
@@ -51,6 +52,9 @@ Regenerate every figure and table of the paper (one merged plan, one
 runner; writes ``<name>.txt`` per artifact)::
 
     python -m repro.cli paper benchmarks/results
+
+Every command reports a :class:`repro.errors.ReproError` as one
+``error: ...`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -213,12 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(run_p)
     run_p.add_argument("--load", type=float, default=0.4)
 
-    sweep_p = sub.add_parser("sweep", help="sweep offered load")
-    common(sweep_p)
-    exec_opts(sweep_p)
-    sweep_p.add_argument("--loads", type=float, nargs="+", required=True)
-    sweep_p.add_argument("--seeds", type=int, default=1)
-
     fair_p = sub.add_parser(
         "fairness", help="per-router injection profile of one group"
     )
@@ -251,25 +249,25 @@ def build_parser() -> argparse.ArgumentParser:
     plan_p = sub.add_parser(
         "plan",
         help="declarative routings x patterns x loads x seeds grids: "
-        "show (default), run [--shard K/N], resume, merge, status",
+        "show (default), run [--shard K/N], merge, status",
     )
     plan_p.add_argument(
         "action",
         nargs="?",
-        choices=("show", "run", "resume", "merge", "status"),
+        choices=("show", "run", "merge", "status"),
         default="show",
         help="show = print digest + cells without running (default); "
-        "run = execute (optionally one shard); resume = recompute the "
-        "cells a store is still missing after a crash/fault; merge = "
-        "union shard stores; status = report missing cells, failures, "
-        "quarantine and leases of a store",
+        "run = execute, or complete, the plan (optionally one shard) "
+        "against --cache; merge = copy the plan's cells from STOREs "
+        "into --cache; status = report missing cells, failures, "
+        "quarantine and leases of --cache",
     )
     plan_p.add_argument(
         "stores",
         nargs="*",
         default=[],
         metavar="STORE",
-        help="shard store directories to union (merge action only)",
+        help="source stores that together hold the plan (merge action only)",
     )
     common_base(plan_p)
     exec_opts(plan_p)
@@ -295,14 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard",
         default=None,
         metavar="K/N",
-        help="execute only shard K of an N-way partition (run action; "
-        "requires --cache, writes shard.json there)",
-    )
-    plan_p.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="destination store for the merge action",
+        help="only shard K of an N-way partition: run executes it "
+        "(requires --cache); show, merge and status work on it",
     )
     plan_p.add_argument(
         "--leases",
@@ -528,138 +520,90 @@ def _sweep_table(sweep) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-
     backend = getattr(args, "engine_backend", None)
-    if backend is not None:
-        # Validate eagerly (an explicit `compiled` without the built
-        # extension should fail before any work), then export through the
-        # environment so Runner worker processes and the profiler resolve
-        # the same backend.
-        resolve_backend(backend)
-        os.environ[BACKEND_ENV] = backend
+    try:
+        if backend is not None:
+            # Validate eagerly (an explicit `compiled` without the built
+            # extension should fail before any work), then export through
+            # the environment so Runner worker processes, the profiler and
+            # run_simulation resolve the same backend.
+            resolve_backend(backend)
+            os.environ[BACKEND_ENV] = backend
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    if args.command == "run":
-        result = run_simulation(
-            _config(args).with_traffic(load=args.load), engine_backend=backend
-        )
-        print(result.summary())
-        print(
-            "latency breakdown:",
-            {k: round(v, 2) for k, v in result.latency_breakdown.items()},
-        )
-        if result.oracle is not None:
-            state = "passed" if result.oracle["passed"] else "FAILED"
-            print(f"oracle: {state} ({len(result.oracle['checks'])} checks)")
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    result = run_simulation(_config(args).with_traffic(load=args.load))
+    print(result.summary())
+    print(
+        "latency breakdown:",
+        {k: round(v, 2) for k, v in result.latency_breakdown.items()},
+    )
+    if result.oracle is not None:
+        state = "passed" if result.oracle["passed"] else "FAILED"
+        print(f"oracle: {state} ({len(result.oracle['checks'])} checks)")
+    return 0
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    cfg = _config(args).with_traffic(load=args.load)
+    result, report, metrics = profile_simulation(
+        cfg, sort=args.sort, limit=args.limit, dump_path=args.output
+    )
+    print(report, end="")
+    print(
+        f"engine: {metrics['events']} events "
+        f"({metrics['events_per_s']:,.0f}/s) in "
+        f"{metrics['activations']} activations "
+        f"({metrics['activations_per_s']:,.0f}/s) "
+        "[profiled rates]"
+    )
+    print(describe_callbacks(metrics))
+    print(result.summary())
+    if args.output:
+        print(f"raw profile written to {args.output}")
+    return 0
+
+
+def _cmd_scenarios(args: argparse.Namespace) -> int:
+    if args.name:
+        print(describe_scenario(get_scenario(args.name)))
         return 0
+    print(f"{len(SCENARIOS)} registered scenarios:")
+    for name in scenario_names():
+        print(f"  {name:24s} {SCENARIOS[name].description}")
+    print(
+        "use `repro scenarios NAME` for details; run one with "
+        "`repro run --scenario NAME ...` or "
+        "`repro plan run --scenario NAME ...`"
+    )
+    return 0
 
-    if args.command == "profile":
-        cfg = _config(args).with_traffic(load=args.load)
-        result, report, metrics = profile_simulation(
-            cfg, sort=args.sort, limit=args.limit, dump_path=args.output
+
+def _cmd_fairness(args: argparse.Namespace) -> int:
+    cfg = _config(args)
+    result = run_simulation(cfg.with_traffic(load=args.load))
+    counts = result.group_injections(args.group)
+    print(
+        format_table(
+            ["router", "injected"],
+            [[f"R{i}", c] for i, c in enumerate(counts)],
+            title=(
+                f"group {args.group} injections "
+                f"({cfg.routing}, {cfg.traffic.pattern}@{args.load}, "
+                f"priority={'off' if args.no_priority else 'on'})"
+            ),
         )
-        print(report, end="")
-        print(
-            f"engine: {metrics['events']} events "
-            f"({metrics['events_per_s']:,.0f}/s) in "
-            f"{metrics['activations']} activations "
-            f"({metrics['activations_per_s']:,.0f}/s) "
-            "[profiled rates]"
-        )
-        print(describe_callbacks(metrics))
-        print(result.summary())
-        if args.output:
-            print(f"raw profile written to {args.output}")
-        return 0
-
-    if args.command == "sweep":
-        cfg = _config(args)
-        plan = ExperimentPlan.sweep(cfg, args.loads, seeds=args.seeds)
-        res = Runner(
-            jobs=args.jobs, store=args.cache, retry=_retry_policy(args)
-        ).run(plan)
-        if _print_failures(res):
-            return 1
-        print(_sweep_table(res.sweep(cfg, args.loads)))
-        return 1 if _print_oracle_verdicts(res) else 0
-
-    if args.command == "scenarios":
-        try:
-            if args.name:
-                print(describe_scenario(get_scenario(args.name)))
-            else:
-                print(f"{len(SCENARIOS)} registered scenarios:")
-                for name in scenario_names():
-                    print(f"  {name:24s} {SCENARIOS[name].description}")
-                print(
-                    "use `repro scenarios NAME` for details; run one with "
-                    "`repro sweep --scenario NAME ...` or "
-                    "`repro plan run --scenario NAME ...`"
-                )
-            return 0
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "fairness":
-        cfg = _config(args)
-        result = run_simulation(
-            cfg.with_traffic(load=args.load), engine_backend=backend
-        )
-        counts = result.group_injections(args.group)
-        print(
-            format_table(
-                ["router", "injected"],
-                [[f"R{i}", c] for i, c in enumerate(counts)],
-                title=(
-                    f"group {args.group} injections "
-                    f"({cfg.routing}, {cfg.traffic.pattern}@{args.load}, "
-                    f"priority={'off' if args.no_priority else 'on'})"
-                ),
-            )
-        )
-        f = result.fairness
-        print(
-            f"network: min={f.min_injected:.0f} max/min="
-            f"{f.max_min_ratio:.3g} cov={f.cov:.4f} jain={f.jain:.4f}"
-        )
-        return 0
-
-    if args.command == "plan":
-        try:
-            return _cmd_plan(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "figures":
-        try:
-            return _cmd_figures(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "paper":
-        try:
-            return _cmd_paper(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "serve":
-        try:
-            return _cmd_serve(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "submit":
-        try:
-            return _cmd_submit(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    )
+    f = result.fairness
+    print(
+        f"network: min={f.min_injected:.0f} max/min="
+        f"{f.max_min_ratio:.3g} cov={f.cov:.4f} jain={f.jain:.4f}"
+    )
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -852,39 +796,42 @@ def _grid_plan(
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     action = args.action
-    if action == "merge":
-        if not args.stores:
-            raise ReproError("plan merge needs shard store directories")
-        if not args.out:
-            raise ReproError("plan merge needs --out DIR")
-        report = ResultStore(args.out).merge(args.stores)
-        man = report.manifest
-        print(
-            f"merged {report.sources} shard store(s) into {args.out}: "
-            f"{report.copied} cell(s) copied, {report.reused} already "
-            "present"
-        )
-        print(f"plan digest: {man.plan_digest}")
-        print(f"covered cells: {len(man.plan_cells)} (complete)")
-        return 0
-
+    if action != "show" and not args.cache:
+        if args.leases:
+            raise ReproError("--leases needs --cache DIR (leases live in the store)")
+        if action != "run" or args.shard:
+            flag = " --shard" if action == "run" else ""
+            raise ReproError(f"plan {action}{flag} needs --cache DIR")
     base, plan, loads, patterns = _grid_plan(args)
+    full = plan
     shard = Shard.parse(args.shard) if args.shard else None
+    if shard is not None:
+        # Every action but show works on the owned sub-plan: its digest
+        # keys the failures journal and the leases of a sharded run.
+        plan = plan.shard(shard.index, shard.count)
+        print(
+            f"shard {shard}: owns {plan.unique_cells()} of "
+            f"{full.unique_cells()} unique cells of plan {full.digest}"
+        )
 
     if action == "show":
-        print(plan.describe())
-        if shard is not None:
-            owned = plan.shard_digests(shard)
-            print(
-                f"shard {shard}: owns {len(owned)} of "
-                f"{plan.unique_cells()} unique cells"
-            )
+        print(full.describe())
         print("(dry run; use `repro plan run` to execute)")
         return 0
 
+    if action == "merge":
+        if not args.stores:
+            raise ReproError("plan merge needs source store directories")
+        report = ResultStore(args.cache).merge(args.stores, plan.cell_digests())
+        print(
+            f"merged {len(args.stores)} store(s) into {args.cache}: "
+            f"{report.copied} cell(s) copied, {report.reused} already present"
+        )
+        print(f"plan digest: {plan.digest}")
+        print(f"covered cells: {plan.unique_cells()} (complete)")
+        return 0
+
     if action == "status":
-        if not args.cache:
-            raise ReproError("plan status needs --cache DIR")
         store = ResultStore(args.cache)
         # load() (not a bare existence check) so entries a consumer would
         # reject — foreign STORE_VERSION, truncated JSON — count as missing.
@@ -919,19 +866,17 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 )
                 print(f"  {cell[:12]}… held by {rec.owner} ({state})")
         if missing:
-            print("run `repro plan resume` with the same grid to complete it")
+            print("run `repro plan run` with the same grid to complete it")
         # Non-zero on a non-empty failures journal even when every cell is
         # present (e.g. a sibling run completed them later): CI gates on
         # this exit code, and quarantined failures deserve a red build.
         return 1 if (missing or journal) else 0
 
-    # action in ("run", "resume")
-    if shard is not None and args.cache is None:
-        raise ReproError(f"plan {action} --shard needs --cache DIR")
-    if action == "resume" and not args.cache:
-        raise ReproError("plan resume needs --cache DIR (the store to complete)")
-    if args.leases and not args.cache:
-        raise ReproError("--leases needs --cache DIR (leases live in the store)")
+    # action == "run": a re-run against the same store computes only the
+    # cells it is still missing, so it also resumes a crashed run.
+    if not len(plan):
+        print("nothing to run")  # more shards than cells
+        return 0
     runner = Runner(
         jobs=args.jobs,
         store=args.cache,
@@ -939,42 +884,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         leases=args.leases,
         lease_ttl=args.lease_ttl,
     )
-    res = runner.run(plan, shard=shard)
-    failed = _print_failures(res)
-
-    if action == "resume":
-        print(f"plan digest: {plan.digest}")
-        scope = f"shard {shard}: " if shard is not None else ""
-        print(
-            f"{scope}resume: {res.cached} cell(s) already present, "
-            f"{res.computed} recomputed with jobs={runner.jobs}"
-        )
-        if failed:
-            print(
-                f"{failed} cell(s) remain unrecovered — see the failure "
-                "records above",
-                file=sys.stderr,
-            )
-            return 1
-        print("store is complete")
-        return 1 if _print_oracle_verdicts(res) else 0
-
-    if failed:
+    res = runner.run(plan)
+    if _print_failures(res):
         return 1
-    if shard is not None:
-        print(f"plan digest: {plan.digest}")
-        print(
-            f"shard {shard}: executed {res.computed} cells with "
-            f"jobs={runner.jobs}, {res.cached} from cache "
-            f"({len(res.plan)} of {len(plan)} plan cells owned)"
-        )
-        print(f"shard manifest: {runner.store.manifest_path}")
-        return 1 if _print_oracle_verdicts(res) else 0
     print(
         f"executed {res.computed} cells with jobs={runner.jobs}"
         + (f", {res.cached} from cache" if args.cache else "")
     )
-    for routing in args.routings:
+    # A shard's sub-plan lacks the other shards' cells: no tables.
+    for routing in args.routings if shard is None else []:
         for pattern in patterns if patterns is not None else [None]:
             cfg = base.with_(routing=routing)
             if pattern is not None:
@@ -1029,6 +947,19 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         f"{res.cached} from cache; wrote {len(texts)} artifacts to {out}"
     )
     return 1 if _print_oracle_verdicts(res) else 0
+
+
+_COMMANDS = {
+    "run": _cmd_run,
+    "profile": _cmd_profile,
+    "fairness": _cmd_fairness,
+    "scenarios": _cmd_scenarios,
+    "plan": _cmd_plan,
+    "figures": _cmd_figures,
+    "paper": _cmd_paper,
+    "serve": _cmd_serve,
+    "submit": _cmd_submit,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

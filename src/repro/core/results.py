@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.config import SimulationConfig
+from repro.errors import AnalysisError
 from repro.metrics.fairness import FairnessMetrics, fairness_from_counts
 
 __all__ = ["SimulationResult"]
@@ -46,6 +47,9 @@ class SimulationResult:
     # ------------------------------------------------------------------
     def group_injections(self, group: int) -> list[int]:
         """Per-router injection counts restricted to one group (Fig. 4/6)."""
+        groups = self.config.network.groups
+        if not 0 <= group < groups:
+            raise AnalysisError(f"group {group} out of range [0, {groups})")
         a = self.config.network.a
         return self.injected_per_router[group * a : (group + 1) * a]
 

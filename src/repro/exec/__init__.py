@@ -35,7 +35,7 @@ from repro.exec.leases import LeaseCoordinator, LeaseRecord
 from repro.exec.plan import Cell, ExperimentPlan, Shard
 from repro.exec.runner import PlanResult, Runner, default_jobs
 from repro.exec.serialize import config_digest, plan_digest
-from repro.exec.store import MergeReport, ResultStore, ShardManifest
+from repro.exec.store import MergeReport, ResultStore
 
 __all__ = [
     "Cell",
@@ -52,7 +52,6 @@ __all__ = [
     "RetryPolicy",
     "Runner",
     "Shard",
-    "ShardManifest",
     "SweepPoint",
     "average_injections",
     "average_results",

@@ -200,27 +200,18 @@ class ExperimentPlan:
         """Sorted unique digests of every cell in the plan."""
         return tuple(sorted({cell.digest for cell in self.cells}))
 
-    def shard_digests(self, shard: Shard) -> frozenset[str]:
-        """The cell digests owned by *shard*.
+    def shard(self, index: int, count: int) -> "ExperimentPlan":
+        """The sub-plan owned by shard *index* of *count*.
 
         The partition walks the sorted unique digests round-robin, so it
         is deterministic, balanced to within one cell, and depends only
         on the plan's cell *set* — never on grid construction order.
-        """
-        return frozenset(
-            digest
-            for i, digest in enumerate(self.cell_digests())
-            if i % shard.count == shard.index
-        )
-
-    def shard(self, index: int, count: int) -> "ExperimentPlan":
-        """The sub-plan owned by shard *index* of *count*.
-
         ``shard(0, 1)`` is the identity. A plan with fewer unique cells
         than *count* yields empty sub-plans for the surplus shards, which
         run (and merge) cleanly as no-ops.
         """
-        owned = self.shard_digests(Shard(index, count))
+        Shard(index, count)  # validates the coordinates
+        owned = set(self.cell_digests()[index::count])
         return ExperimentPlan(
             tuple(cell for cell in self.cells if cell.digest in owned)
         )

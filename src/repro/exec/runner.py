@@ -1,4 +1,4 @@
-"""Fault-tolerant plan execution: in-process, process-parallel, or sharded.
+"""Fault-tolerant plan execution: in process or process-parallel.
 
 The :class:`Runner` takes an :class:`repro.exec.plan.ExperimentPlan`,
 deduplicates its cells by config digest, loads whatever an attached
@@ -30,17 +30,15 @@ With ``leases=True`` the runner coordinates through an on-disk
 several runners pointed at the same store partition the plan dynamically
 (first-acquirer wins), adopt each other's stored results, reclaim leases
 of dead workers after their deadline, and — when otherwise idle — steal
-from the slowest live holder.  This is the elastic tier behind
-``repro plan resume``.
+from the slowest live holder (``repro plan run --leases``).
 
-Passing ``shard=Shard(k, n)`` to :meth:`Runner.run` executes only the
-cells the shard owns (a deterministic digest partition of the full plan)
-and records a :class:`repro.exec.store.ShardManifest` in the attached
-store, so N machines given the same plan and distinct ``k`` cover it
-exactly once and their stores merge back into the unsharded result.
-``offline=True`` inverts the contract: nothing may be computed — every
-needed cell must already be in the store (used to render figures from a
-merged store without re-simulation).
+A sharded run is an ordinary run of a sub-plan: ``plan.shard(k, n)`` is
+shard ``k``'s deterministic slice of the digest partition, so N machines
+given the same plan and distinct ``k`` cover it exactly once, and
+:meth:`repro.exec.store.ResultStore.merge` checks their stores back
+against the full plan.  ``offline=True`` inverts the contract: nothing
+may be computed — every needed cell must already be in the store (used
+to render figures from a merged store without re-simulation).
 """
 
 from __future__ import annotations
@@ -65,9 +63,9 @@ from repro.errors import (
 from repro.exec.aggregate import LoadSweepResult, SweepPoint, average_results
 from repro.exec.executor import CellExecutor, CellFailure, RetryPolicy
 from repro.exec.leases import LeaseCoordinator, LeaseRecord
-from repro.exec.plan import ExperimentPlan, Shard
+from repro.exec.plan import ExperimentPlan
 from repro.exec.serialize import config_digest
-from repro.exec.store import ResultStore, ShardManifest, current_git_sha
+from repro.exec.store import ResultStore
 from repro.utils.cpu import usable_cpu_count
 
 __all__ = ["CellFailure", "PlanResult", "RetryPolicy", "Runner", "default_jobs"]
@@ -112,7 +110,6 @@ class PlanResult:
     results: dict[str, SimulationResult]
     computed: int = 0
     cached: int = 0
-    shard: Shard | None = None
     failures: dict[str, CellFailure] = field(default_factory=dict)
     retried: dict[str, int] = field(default_factory=dict)
     adopted: int = 0
@@ -122,7 +119,7 @@ class PlanResult:
 
     @property
     def ok(self) -> bool:
-        """True when every cell of the (sub-)plan completed."""
+        """True when every cell of the plan completed."""
         return not self.failures
 
     def raise_for_failures(self) -> None:
@@ -257,31 +254,17 @@ class Runner:
                 "directory and results are exchanged through it)"
             )
 
-    def run(self, plan: ExperimentPlan, shard: Shard | None = None) -> PlanResult:
+    def run(self, plan: ExperimentPlan) -> PlanResult:
         """Execute *plan*, reusing cached results when a store is attached.
-
-        With *shard*, only the owned sub-plan executes and a shard
-        manifest is written to the store (required); the returned
-        :class:`PlanResult` covers just the owned cells.  An empty owned
-        sub-plan (more shards than cells) is valid and writes a manifest
-        claiming no cells.
 
         Never raises on individual cell failures: completed cells are in
         ``.results`` (and the store), exhausted ones in ``.failures``.
         """
         if not len(plan):
             raise AnalysisError("cannot run an empty plan")
-        sub = plan
-        if shard is not None:
-            if self.store is None:
-                raise AnalysisError(
-                    "sharded runs need a store (the shard manifest and "
-                    "mergeable results live there)"
-                )
-            sub = plan.shard(shard.index, shard.count)
 
         unique: dict[str, SimulationConfig] = {}
-        for cell in sub:
+        for cell in plan:
             unique.setdefault(cell.digest, cell.config)
 
         results: dict[str, SimulationResult] = {}
@@ -311,24 +294,12 @@ class Runner:
                 plan.digest,
                 [f.to_dict() for f in execution.failures.values()],
             )
-        if shard is not None:
-            self.store.write_manifest(
-                ShardManifest(
-                    plan_digest=plan.digest,
-                    shard_index=shard.index,
-                    shard_count=shard.count,
-                    plan_cells=plan.cell_digests(),
-                    cells=tuple(sorted(unique)),
-                    git_sha=current_git_sha(),
-                )
-            )
 
         return PlanResult(
-            plan=sub,
+            plan=plan,
             results=results,
             computed=execution.computed,
             cached=cached,
-            shard=shard,
             failures=execution.failures,
             retried=execution.retried,
             adopted=execution.adopted,

@@ -1,4 +1,4 @@
-"""On-disk result cache keyed by config digest, plus shard merging.
+"""On-disk result cache keyed by config digest, plus store merging.
 
 One JSON file per simulated cell, named ``<digest>.json`` under the store
 root.  Re-running a plan against the same store only computes cells whose
@@ -25,18 +25,16 @@ are foreign, not corrupt), so bumping the version after a
 semantics-changing simulator update invalidates stale results without
 manual cleanup.
 
-Alongside the result entries a store may hold a shard manifest
-(``shard.json``), a failures journal (``failures.json``, the structured
-per-cell failure records of the last run against this store), and the
-lease directory (``leases/``) of the fault-tolerant runner.
+Alongside the result entries a store may hold a failures journal
+(``failures.json``, the structured per-cell failure records of the last
+run against this store) and the lease directory (``leases/``) of the
+fault-tolerant runner.
 
-Sharded runs additionally write a :class:`ShardManifest` (``shard.json``)
-into their store: the plan digest, the shard coordinates, and the exact
-cell digests the shard owns.  :meth:`ResultStore.merge` unions shard
-stores back into one, using the manifests to verify that every cell of
-the plan is covered exactly once — missing shards, missing results,
-double-claimed cells and digest conflicts all fail loudly instead of
-producing a silently incomplete merged store.
+A store records no plan of its own: the plan is the only contract.
+:meth:`ResultStore.merge` takes the plan's cell digests and copies one
+valid entry per cell out of any number of source stores — shard stores,
+a sweep daemon's store, a lease-shared store — failing loudly on a cell
+no source holds a valid copy of, or on two copies that disagree.
 """
 
 from __future__ import annotations
@@ -45,10 +43,9 @@ import json
 import logging
 import os
 import pathlib
-import subprocess
 import tempfile
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.results import SimulationResult
@@ -64,26 +61,18 @@ from repro.exec.serialize import (
 
 __all__ = [
     "FAILURES_NAME",
-    "MANIFEST_NAME",
     "MergeReport",
     "QUARANTINE_DIR",
     "ResultStore",
-    "ShardManifest",
 ]
 
 log = logging.getLogger(__name__)
-
-#: file name of the per-shard manifest inside a store directory.
-MANIFEST_NAME = "shard.json"
 
 #: file name of the per-run failure journal inside a store directory.
 FAILURES_NAME = "failures.json"
 
 #: subdirectory corrupt entries are moved to (never read back as results).
 QUARANTINE_DIR = "quarantine"
-
-#: store-root file names that are not result entries.
-_NON_RESULT_NAMES = frozenset({MANIFEST_NAME, FAILURES_NAME})
 
 
 def _check_entry(payload: str, digest: str) -> tuple[SimulationResult | None, str]:
@@ -116,73 +105,13 @@ def _check_entry(payload: str, digest: str) -> tuple[SimulationResult | None, st
     return result, ""
 
 
-def _payload_ok(payload: str, digest: str) -> bool:
-    """True when raw entry text is a loadable entry for *digest*."""
-    return _check_entry(payload, digest)[0] is not None
-
-
-def current_git_sha() -> str | None:
-    """HEAD commit of the enclosing checkout, or None outside git."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
-
-
-@dataclass(frozen=True)
-class ShardManifest:
-    """Provenance record of one shard's slice of a plan.
-
-    ``plan_cells`` is the full plan's sorted unique cell digests and
-    ``cells`` the subset this shard owns; carrying both lets a merge
-    verify completeness without reconstructing the plan.
-    """
-
-    plan_digest: str
-    shard_index: int
-    shard_count: int
-    plan_cells: tuple[str, ...]
-    cells: tuple[str, ...]
-    git_sha: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "plan_digest": self.plan_digest,
-            "shard": {"index": self.shard_index, "count": self.shard_count},
-            "plan_cells": list(self.plan_cells),
-            "cells": list(self.cells),
-            "git_sha": self.git_sha,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ShardManifest":
-        return cls(
-            plan_digest=data["plan_digest"],
-            shard_index=data["shard"]["index"],
-            shard_count=data["shard"]["count"],
-            plan_cells=tuple(data["plan_cells"]),
-            cells=tuple(data["cells"]),
-            git_sha=data.get("git_sha"),
-        )
-
-
 @dataclass(frozen=True)
 class MergeReport:
-    """Outcome of :meth:`ResultStore.merge`."""
+    """Outcome of :meth:`ResultStore.merge`: cells written into the
+    destination, and cells it already held byte for byte."""
 
-    manifest: ShardManifest
-    sources: int
     copied: int
-    reused: int = 0
-    shard_git_shas: tuple[str | None, ...] = field(default=())
+    reused: int
 
 
 class ResultStore:
@@ -206,7 +135,7 @@ class ResultStore:
         entries are left for ``load`` to quarantine.
         """
         payload = self._read_payload(digest)
-        return payload is not None and _payload_ok(payload, digest)
+        return payload is not None and _check_entry(payload, digest)[0] is not None
 
     def load(self, digest: str) -> SimulationResult | None:
         """Return the stored result for *digest*, or None on a miss.
@@ -295,13 +224,13 @@ class ResultStore:
         return len(self.digests())
 
     def digests(self) -> list[str]:
-        """Digests of every result entry (manifest/journal excluded)."""
+        """Digests of every result entry (the failures journal excluded)."""
         if not self.root.is_dir():
             return []
         return sorted(
             p.stem
             for p in self.root.glob("*.json")
-            if p.name not in _NON_RESULT_NAMES
+            if p.name != FAILURES_NAME
         )
 
     def _read_payload(self, digest: str) -> str | None:
@@ -329,8 +258,8 @@ class ResultStore:
         """Persist the structured failure records of the last run.
 
         An empty *records* clears the journal (the plan's cells all
-        completed).  The journal is advisory — ``plan status`` and
-        ``plan resume`` read it to explain what went wrong — so it is
+        completed).  The journal is advisory — ``plan status`` reads it
+        to explain what went wrong — so it is
         tolerant on read and last-writer-wins on write.
         """
         if not records:
@@ -360,161 +289,62 @@ class ResultStore:
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return []
 
-    # -- shard manifests ----------------------------------------------------
-    @property
-    def manifest_path(self) -> pathlib.Path:
-        return self.root / MANIFEST_NAME
-
-    def write_manifest(self, manifest: ShardManifest) -> pathlib.Path:
-        """Persist the shard manifest for this store (atomic)."""
-        payload = json.dumps(
-            {"version": STORE_VERSION, "manifest": manifest.to_dict()},
-            indent=2,
-            sort_keys=True,
-        )
-        return self._write_atomic(self.manifest_path, payload)
-
-    def read_manifest(self) -> ShardManifest:
-        """Load this store's shard manifest; missing or foreign is an error.
-
-        Unlike result entries (where a bad file is just a cache miss), a
-        bad manifest means shard provenance is unknown, so merging must
-        not silently proceed.
-        """
-        try:
-            raw = self.manifest_path.read_text()
-        except OSError as exc:
-            raise AnalysisError(
-                f"no shard manifest at {self.manifest_path} — was this "
-                "store written by a sharded run?"
-            ) from exc
-        try:
-            data = json.loads(raw)
-            version = data.get("version")
-            manifest = ShardManifest.from_dict(data["manifest"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise AnalysisError(
-                f"unreadable shard manifest at {self.manifest_path}: {exc}"
-            ) from exc
-        if version != STORE_VERSION:
-            raise AnalysisError(
-                f"shard manifest {self.manifest_path} has store version "
-                f"{version!r}, expected {STORE_VERSION}"
-            )
-        return manifest
-
     # -- merging ------------------------------------------------------------
-    def merge(self, paths: Sequence["ResultStore | str | os.PathLike"]) -> MergeReport:
-        """Union the shard stores at *paths* into this store.
+    def merge(
+        self,
+        sources: Sequence["ResultStore | str | os.PathLike"],
+        cells: Sequence[str],
+    ) -> MergeReport:
+        """Copy one valid entry per cell digest in *cells* out of *sources*.
 
-        Verifies — via the shard manifests — that all sources belong to
-        the same plan, that every shard of the partition is present
-        exactly once, that the owned cell sets are disjoint and cover the
-        plan, and that every claimed result exists.  Raises
-        :class:`repro.errors.AnalysisError` on any gap, duplicate claim,
-        or digest conflict (same cell, different result bytes).
-
-        On success the merged store gets its own ``shard.json`` marking
-        it a complete 1-shard store of the same plan, so it can be
-        status-checked, re-merged, or consumed offline like any other.
+        *cells* is the plan's unique cell digests; *sources* are any stores
+        that together hold them (shards, a daemon's store, a lease-shared
+        store).  A copy is valid when :meth:`load` would accept it.  Raises
+        :class:`repro.errors.AnalysisError` on a cell no source holds a
+        valid copy of (naming every source whose copy is corrupt), and on
+        a byte conflict: two valid source copies that differ, or a source
+        copy that differs from an entry already in this store.  Nothing is
+        written unless every cell passes.
         """
-        sources = [p if isinstance(p, ResultStore) else ResultStore(p) for p in paths]
-        if not sources:
-            raise AnalysisError("merge needs at least one shard store")
-        manifests = [src.read_manifest() for src in sources]
-
-        first = manifests[0]
-        for src, man in zip(sources, manifests):
-            if man.plan_digest != first.plan_digest:
-                raise AnalysisError(
-                    f"shard store {src.root} belongs to plan "
-                    f"{man.plan_digest[:12]}…, expected "
-                    f"{first.plan_digest[:12]}… — all shards must come "
-                    "from the same plan"
-                )
-            if man.shard_count != first.shard_count:
-                raise AnalysisError(
-                    f"shard store {src.root} was cut {man.shard_index}/"
-                    f"{man.shard_count}, expected a partition into "
-                    f"{first.shard_count} shard(s)"
-                )
-            if man.plan_cells != first.plan_cells:
-                raise AnalysisError(
-                    f"shard store {src.root} disagrees on the plan's cell "
-                    "set despite a matching plan digest (corrupt manifest?)"
-                )
-
-        indices = [man.shard_index for man in manifests]
-        if len(set(indices)) != len(indices):
-            dupes = sorted({i for i in indices if indices.count(i) > 1})
-            raise AnalysisError(f"duplicate shard index(es): {dupes}")
-        missing_shards = sorted(set(range(first.shard_count)) - set(indices))
-        if missing_shards:
-            raise AnalysisError(
-                f"missing shard(s) {missing_shards} of "
-                f"{first.shard_count}: got indices {sorted(indices)}"
-            )
-
-        claimed: dict[str, int] = {}
-        for man in manifests:
-            for digest in man.cells:
-                if digest in claimed:
-                    raise AnalysisError(
-                        f"cell {digest[:12]}… claimed by shards "
-                        f"{claimed[digest]} and {man.shard_index}"
-                    )
-                claimed[digest] = man.shard_index
-        uncovered = sorted(set(first.plan_cells) - set(claimed))
-        if uncovered:
-            raise AnalysisError(
-                f"{len(uncovered)} plan cell(s) not covered by any shard "
-                f"(first: {uncovered[0][:12]}…)"
-            )
-
-        copied = 0
+        stores = [s if isinstance(s, ResultStore) else ResultStore(s) for s in sources]
+        if not stores:
+            raise AnalysisError("merge needs at least one source store")
+        chosen: dict[str, str] = {}
         reused = 0
-        for src, man in zip(sources, manifests):
-            for digest in man.cells:
+        for digest in cells:
+            found: tuple[ResultStore, str] | None = None
+            bad: list[str] = []
+            for src in stores:
                 payload = src._read_payload(digest)
                 if payload is None:
-                    raise AnalysisError(
-                        f"shard {man.shard_index} ({src.root}) is "
-                        f"incomplete: no result for claimed cell "
-                        f"{digest[:12]}…"
-                    )
-                if not _payload_ok(payload, digest):
-                    raise AnalysisError(
-                        f"shard {man.shard_index} ({src.root}) is "
-                        f"incomplete: corrupt result for claimed cell "
-                        f"{digest[:12]}… — run `plan resume` against the "
-                        "shard store to recompute it"
-                    )
-                existing = self._read_payload(digest)
-                if existing is not None:
-                    if existing != payload:
-                        raise AnalysisError(
-                            f"digest conflict for cell {digest[:12]}…: "
-                            f"{src.root} disagrees with already-merged "
-                            "bytes"
-                        )
-                    reused += 1
                     continue
-                self._write_atomic(self._path(digest), payload)
-                copied += 1
-
-        merged = ShardManifest(
-            plan_digest=first.plan_digest,
-            shard_index=0,
-            shard_count=1,
-            plan_cells=first.plan_cells,
-            cells=first.plan_cells,
-            git_sha=current_git_sha(),
-        )
-        self.write_manifest(merged)
-        return MergeReport(
-            manifest=merged,
-            sources=len(sources),
-            copied=copied,
-            reused=reused,
-            shard_git_shas=tuple(man.git_sha for man in manifests),
-        )
+                result, reason = _check_entry(payload, digest)
+                if result is None:
+                    bad.append(f"{src.root} ({reason or 'foreign store version'})")
+                elif found is None:
+                    found = (src, payload)
+                elif payload != found[1]:
+                    raise AnalysisError(
+                        f"byte conflict for cell {digest[:12]}…: {src.root} "
+                        f"and {found[0].root} hold different valid copies"
+                    )
+            if found is None:
+                detail = f"; invalid copies: {', '.join(bad)}" if bad else ""
+                raise AnalysisError(
+                    f"cell {digest[:12]}… of the plan has no valid copy in "
+                    f"any of {len(stores)} source store(s){detail} — run "
+                    "`plan run` against the store that owns it to compute it"
+                )
+            existing = self._read_payload(digest)
+            if existing is None:
+                chosen[digest] = found[1]
+            elif existing == found[1]:
+                reused += 1
+            else:
+                raise AnalysisError(
+                    f"byte conflict for cell {digest[:12]}…: {found[0].root} "
+                    f"disagrees with the entry already in {self.root}"
+                )
+        for digest, payload in chosen.items():
+            self._write_atomic(self._path(digest), payload)
+        return MergeReport(copied=len(chosen), reused=reused)

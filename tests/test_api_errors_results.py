@@ -75,6 +75,12 @@ class TestSimulationResult:
         assert total == sum(result.injected_per_router)
         assert len(result.group_injections(0)) == a
 
+    def test_group_injections_rejects_out_of_range_groups(self, result):
+        groups = result.config.network.groups
+        for group in (groups, -1):
+            with pytest.raises(AnalysisError, match=rf"\[0, {groups}\)"):
+                result.group_injections(group)
+
     def test_summary_mentions_key_fields(self, result):
         s = result.summary()
         assert "min" in s

@@ -29,9 +29,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--routing", "warp"])
 
-    def test_sweep_requires_loads(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep"])
+    def test_sweep_requires_loads(self, capsys):
+        assert main(["plan", "run"]) == 2
+        assert "plan run needs --loads" in capsys.readouterr().err
 
     def test_plan_defaults(self):
         args = build_parser().parse_args(["plan", "--loads", "0.1"])
@@ -57,7 +57,8 @@ class TestCommands:
         rc = main(
             _fast(
                 [
-                    "sweep",
+                    "plan",
+                    "run",
                     "--loads",
                     "0.1",
                     "0.3",
@@ -68,6 +69,7 @@ class TestCommands:
         )
         assert rc == 0
         out = capsys.readouterr().out
+        assert "min under UN" in out
         assert "offered" in out and "accepted" in out
         assert out.count("\n") >= 4
 
@@ -91,7 +93,8 @@ class TestCommands:
     def test_sweep_with_jobs_and_cache(self, capsys, tmp_path):
         argv = _fast(
             [
-                "sweep",
+                "plan",
+                "run",
                 "--loads",
                 "0.1",
                 "0.3",
@@ -104,10 +107,13 @@ class TestCommands:
             ]
         )
         assert main(argv) == 0
-        first = capsys.readouterr().out
+        head, table = capsys.readouterr().out.split("\n", 1)
+        assert head == "executed 2 cells with jobs=2, 0 from cache"
         # Re-run: pure cache hits, identical table.
         assert main(argv) == 0
-        assert capsys.readouterr().out == first
+        head, again = capsys.readouterr().out.split("\n", 1)
+        assert head == "executed 0 cells with jobs=2, 2 from cache"
+        assert again == table
 
     def test_plan_dry_run(self, capsys):
         rc = main(
@@ -198,16 +204,11 @@ class TestCommands:
             shard = ["--shard", f"{k}/2", "--cache", str(tmp_path / f"s{k}")]
             rc = main(_fast(["plan", "run"] + grid) + shard + ["--jobs", "1"])
             assert rc == 0
-            assert "shard manifest:" in capsys.readouterr().out
+            assert f"shard {k}/2: owns 2 of 4" in capsys.readouterr().out
         rc = main(
-            [
-                "plan",
-                "merge",
-                str(tmp_path / "s0"),
-                str(tmp_path / "s1"),
-                "--out",
-                str(tmp_path / "merged"),
-            ]
+            _fast(["plan", "merge", str(tmp_path / "s0"), str(tmp_path / "s1")])
+            + grid
+            + ["--cache", str(tmp_path / "merged")]
         )
         assert rc == 0
         assert "(complete)" in capsys.readouterr().out
@@ -217,15 +218,20 @@ class TestCommands:
         )
         assert rc == 0
         assert "4/4 cells present" in capsys.readouterr().out
-        # An incomplete store reports the gap and exits non-zero.
+        # An incomplete store reports the gap and exits non-zero …
         rc = main(_fast(["plan", "status"] + grid) + ["--cache", str(tmp_path / "s0")])
         assert rc == 1
         assert "missing" in capsys.readouterr().out
+        # … but audited as the shard it is, it is complete.
+        rc = main(
+            _fast(["plan", "status"] + grid)
+            + ["--shard", "0/2", "--cache", str(tmp_path / "s0")]
+        )
+        assert rc == 0
+        assert "2/2 cells present" in capsys.readouterr().out
         # An entry no consumer could load (foreign store version) counts
         # as missing too: status must agree with the offline contract.
-        victim = next(
-            p for p in (tmp_path / "merged").glob("*.json") if p.name != "shard.json"
-        )
+        victim = next((tmp_path / "merged").glob("*.json"))
         victim.write_text('{"version": 99, "result": {}}')
         rc = main(
             _fast(["plan", "status"] + grid) + ["--cache", str(tmp_path / "merged")]
@@ -233,36 +239,19 @@ class TestCommands:
         assert rc == 1
 
     def test_plan_merge_missing_shard_fails(self, capsys, tmp_path):
+        # Two cells, so shard 1/2 owns one that shard 0/2's store lacks.
+        grid = ["--preset", "tiny", "--loads", "0.1", "0.2"]
         rc = main(
-            _fast(
-                [
-                    "plan",
-                    "run",
-                    "--preset",
-                    "tiny",
-                    "--loads",
-                    "0.1",
-                    "--shard",
-                    "0/2",
-                    "--cache",
-                    str(tmp_path / "s0"),
-                    "--jobs",
-                    "1",
-                ]
-            )
+            _fast(["plan", "run"] + grid)
+            + ["--shard", "0/2", "--cache", str(tmp_path / "s0"), "--jobs", "1"]
         )
         assert rc == 0
         rc = main(
-            [
-                "plan",
-                "merge",
-                str(tmp_path / "s0"),
-                "--out",
-                str(tmp_path / "merged"),
-            ]
+            _fast(["plan", "merge", str(tmp_path / "s0")] + grid)
+            + ["--cache", str(tmp_path / "merged")]
         )
         assert rc == 2
-        assert "missing shard" in capsys.readouterr().err
+        assert "no valid copy" in capsys.readouterr().err
 
     def test_plan_bad_shard_spec_fails_cleanly(self, capsys, tmp_path):
         rc = main(
@@ -335,6 +324,18 @@ class TestCommands:
         assert rc == 2
         assert "missing" in capsys.readouterr().err
 
+    def test_run_bad_load_fails_cleanly(self, capsys):
+        rc = main(_fast(["run", "--preset", "tiny", "--load", "1.5"]))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: load must be in (0, 1]")
+
+    @pytest.mark.parametrize("group", ["3", "-1"])
+    def test_fairness_group_out_of_range_fails_cleanly(self, capsys, group):
+        rc = main(_fast(["fairness", "--preset", "tiny", "--group", group]))
+        assert rc == 2
+        assert f"group {group} out of range [0, 3)" in capsys.readouterr().err
+
     def test_no_priority_flag(self, capsys):
         rc = main(
             _fast(
@@ -355,11 +356,6 @@ class TestCommands:
 class TestResumeAndFaults:
     GRID = ["--preset", "tiny", "--routings", "min", "--loads", "0.1", "0.2"]
 
-    def test_resume_requires_cache(self, capsys):
-        rc = main(_fast(["plan", "resume"] + self.GRID))
-        assert rc == 2
-        assert "needs --cache" in capsys.readouterr().err
-
     def test_resume_completes_a_partial_store(self, capsys, tmp_path):
         store = str(tmp_path)
         # Seed the store with half the plan …
@@ -369,29 +365,24 @@ class TestResumeAndFaults:
         )
         assert rc == 0
         capsys.readouterr()
-        # … status reports the gap and points at resume …
+        # … status reports the gap and points at `plan run` …
         rc = main(_fast(["plan", "status"] + self.GRID) + ["--cache", store])
         assert rc == 1
         out = capsys.readouterr().out
         assert "1/2 cells present" in out
-        assert "plan resume" in out
-        # … resume computes only the missing cell and exits zero …
+        assert "plan run" in out
+        # … re-running computes only the missing cell and exits zero …
         rc = main(
-            _fast(["plan", "resume"] + self.GRID)
-            + ["--cache", store, "--jobs", "1"]
+            _fast(["plan", "run"] + self.GRID) + ["--cache", store, "--jobs", "1"]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "1 cell(s) already present" in out
-        assert "1 recomputed" in out
-        assert "store is complete" in out
-        # … and a second resume is pure cache hits.
+        assert "executed 1 cells with jobs=1, 1 from cache" in capsys.readouterr().out
+        # … and a second run is pure cache hits.
         rc = main(
-            _fast(["plan", "resume"] + self.GRID)
-            + ["--cache", store, "--jobs", "1"]
+            _fast(["plan", "run"] + self.GRID) + ["--cache", store, "--jobs", "1"]
         )
         assert rc == 0
-        assert "0 recomputed" in capsys.readouterr().out
+        assert "executed 0 cells with jobs=1, 2 from cache" in capsys.readouterr().out
 
     def test_resume_recovers_a_corrupt_entry(self, capsys, tmp_path):
         store = str(tmp_path)
@@ -400,14 +391,13 @@ class TestResumeAndFaults:
         )
         assert rc == 0
         capsys.readouterr()
-        victim = next(p for p in tmp_path.glob("*.json") if p.name != "shard.json")
+        victim = next(tmp_path.glob("*.json"))
         victim.write_text("{torn")
         rc = main(
-            _fast(["plan", "resume"] + self.GRID)
-            + ["--cache", store, "--jobs", "1"]
+            _fast(["plan", "run"] + self.GRID) + ["--cache", store, "--jobs", "1"]
         )
         assert rc == 0
-        assert "1 recomputed" in capsys.readouterr().out
+        assert "executed 1 cells with jobs=1, 1 from cache" in capsys.readouterr().out
         # The torn entry was quarantined and shows up in status.
         rc = main(_fast(["plan", "status"] + self.GRID) + ["--cache", store])
         assert rc == 0
@@ -445,6 +435,33 @@ class TestResumeAndFaults:
         assert "failures journal: 1 record(s)" in out
         assert victim[:12] in out
 
+    def test_shard_status_reads_the_shard_failures_journal(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.config import tiny_config
+        from repro.exec.faults import ENV_VAR, FaultSpec
+        from repro.exec.plan import ExperimentPlan
+
+        plan = ExperimentPlan.grid(
+            tiny_config(warmup_cycles=100, measure_cycles=400), loads=[0.1, 0.2]
+        )
+        (victim,) = plan.shard(0, 2).cell_digests()
+        spec = FaultSpec(
+            ledger=str(tmp_path / "ledger"), raise_cells=(victim[:16],), raise_times=3
+        )
+        monkeypatch.setenv(ENV_VAR, spec.to_env())
+        shard = ["--shard", "0/2", "--cache", str(tmp_path / "s0")]
+        rc = main(_fast(["plan", "run"] + self.GRID) + shard + ["--jobs", "1"])
+        assert rc == 1
+        monkeypatch.delenv(ENV_VAR)
+        capsys.readouterr()
+        rc = main(_fast(["plan", "status"] + self.GRID) + shard)
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "0/1 cells present" in out
+        assert "failures journal: 1 record(s)" in out
+        assert victim[:12] in out
+
     def test_sweep_retry_flags_recover_injected_fault(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -459,7 +476,8 @@ class TestResumeAndFaults:
         rc = main(
             _fast(
                 [
-                    "sweep",
+                    "plan",
+                    "run",
                     "--preset",
                     "tiny",
                     "--loads",
@@ -514,23 +532,22 @@ class TestScenariosCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scenario", "nope"])
 
-    def test_pattern_and_scenario_are_exclusive(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="mutually exclusive"):
-            main(
-                _fast(
-                    [
-                        "run",
-                        "--scenario",
-                        "bursty_uniform",
-                        "--pattern",
-                        "advc",
-                        "--preset",
-                        "tiny",
-                    ]
-                )
+    def test_pattern_and_scenario_are_exclusive(self, capsys):
+        rc = main(
+            _fast(
+                [
+                    "run",
+                    "--scenario",
+                    "bursty_uniform",
+                    "--pattern",
+                    "advc",
+                    "--preset",
+                    "tiny",
+                ]
             )
+        )
+        assert rc == 2
+        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_patterns_and_scenario_are_exclusive_in_plan(self, capsys):
         rc = main(
@@ -604,7 +621,8 @@ class TestScenarioRuns:
         rc = main(
             _fast(
                 [
-                    "sweep",
+                    "plan",
+                    "run",
                     "--scenario",
                     "bursty_uniform",
                     "--preset",

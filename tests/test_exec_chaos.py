@@ -16,11 +16,10 @@ import pytest
 
 from repro.config import tiny_config
 from repro.errors import AnalysisError, ExecutionError
-from repro.exec import ExperimentPlan, ResultStore, Runner, Shard
+from repro.exec import ExperimentPlan, ResultStore, Runner
 from repro.exec.faults import ENV_VAR, FaultSpec, pick_cells
 from repro.exec.leases import LeaseCoordinator
 from repro.exec.runner import RetryPolicy
-from repro.exec.store import MANIFEST_NAME
 from repro.service import CellScheduler
 
 
@@ -43,7 +42,7 @@ def entry_bytes(store_root):
     return {
         p.stem: p.read_bytes()
         for p in store_root.glob("*.json")
-        if p.name not in (MANIFEST_NAME, "failures.json")
+        if p.name != "failures.json"
     }
 
 
@@ -288,13 +287,14 @@ class TestChaosPipeline:
 
     def test_faulted_pipeline_merges_bit_identical(self, monkeypatch, tmp_path):
         plan = sweep_plan(loads=(0.1, 0.2), routings=("min", "obl-crg"))
-        shards = [Shard(k, 2) for k in range(2)]
+        shards = [plan.shard(k, 2) for k in range(2)]
+        cells = plan.cell_digests()
 
         # Fault-free reference pipeline.
         for k, shard in enumerate(shards):
-            Runner(jobs=1, store=tmp_path / f"clean{k}").run(plan, shard=shard)
+            Runner(jobs=1, store=tmp_path / f"clean{k}").run(shard)
         ResultStore(tmp_path / "clean-merged").merge(
-            [tmp_path / "clean0", tmp_path / "clean1"]
+            [tmp_path / "clean0", tmp_path / "clean1"], cells
         )
 
         # Chaos pipeline: a worker dies mid-shard and one stored entry
@@ -307,23 +307,21 @@ class TestChaosPipeline:
             truncate_cells=(victim[:16],),
         )
         for k, shard in enumerate(shards):
-            Runner(jobs=2, store=tmp_path / f"chaos{k}").run(plan, shard=shard)
+            Runner(jobs=2, store=tmp_path / f"chaos{k}").run(shard)
         monkeypatch.delenv(ENV_VAR)
 
         # Merging with the torn entry in place must fail loudly …
-        with pytest.raises(AnalysisError, match="incomplete"):
+        with pytest.raises(AnalysisError, match=f"{victim[:12]}.*no valid copy"):
             ResultStore(tmp_path / "premature").merge(
-                [tmp_path / "chaos0", tmp_path / "chaos1"]
+                [tmp_path / "chaos0", tmp_path / "chaos1"], cells
             )
 
         # … resume each shard store, then the merge goes through …
         for k, shard in enumerate(shards):
-            resumed = Runner(jobs=1, store=tmp_path / f"chaos{k}").run(
-                plan, shard=shard
-            )
+            resumed = Runner(jobs=1, store=tmp_path / f"chaos{k}").run(shard)
             assert resumed.ok
         ResultStore(tmp_path / "chaos-merged").merge(
-            [tmp_path / "chaos0", tmp_path / "chaos1"]
+            [tmp_path / "chaos0", tmp_path / "chaos1"], cells
         )
 
         # … and the recovered store is byte-identical to the clean one.

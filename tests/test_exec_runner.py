@@ -347,7 +347,7 @@ class TestPoolBacklog:
         assert len(list((tmp_path / "ledger").glob("stall-*"))) == 4
 
     def test_a_single_cell_keeps_its_timeout(self, monkeypatch, tmp_path):
-        """A pooled run with one cell to compute (``plan resume`` of a
+        """A pooled run with one cell to compute (a ``plan run`` re-run of a
         store missing one) still enforces ``cell_timeout``: it must not
         fall back to the inline path, which cannot stop a cell."""
         plan = ExperimentPlan.point(quick_cfg())

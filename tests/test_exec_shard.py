@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.config import tiny_config
 from repro.errors import AnalysisError, SimulationError
 from repro.exec import (
@@ -15,7 +17,7 @@ from repro.exec import (
     Shard,
     plan_digest,
 )
-from repro.exec.store import MANIFEST_NAME
+from repro.exec.serialize import entry_checksum
 
 
 def quick_cfg(**kw):
@@ -87,34 +89,35 @@ class TestPlanSharding:
         assert sorted(sizes, reverse=True) == [1, 1, 0, 0, 0]
 
 
-class TestShardedRunner:
-    def test_sharded_run_requires_store(self):
-        with pytest.raises(AnalysisError):
-            Runner(jobs=1).run(four_cell_plan(), shard=Shard(0, 2))
+def run_shards(tmp_path, plan, count, name="shard"):
+    """Run every non-empty shard of *plan* into ``tmp_path/<name>K``."""
+    roots = []
+    for k in range(count):
+        root = tmp_path / f"{name}{k}"
+        sub = plan.shard(k, count)
+        if len(sub):
+            Runner(jobs=1, store=root).run(sub)
+        roots.append(root)
+    return roots
 
-    def test_manifest_records_plan_and_ownership(self, tmp_path):
-        plan = four_cell_plan()
-        res = Runner(jobs=1, store=tmp_path).run(plan, shard=Shard(1, 2))
-        assert res.shard == Shard(1, 2)
-        manifest = ResultStore(tmp_path).read_manifest()
-        assert manifest.plan_digest == plan.digest
-        assert (manifest.shard_index, manifest.shard_count) == (1, 2)
-        assert manifest.plan_cells == plan.cell_digests()
-        assert set(manifest.cells) == plan.shard_digests(Shard(1, 2))
-        raw = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert "git_sha" in raw["manifest"]
+
+class TestShardedRunner:
+    def test_sharded_run_requires_store(self, capsys):
+        rc = main(
+            ["plan", "run", "--preset", "tiny", "--loads", "0.1", "--shard", "0/2"]
+        )
+        assert rc == 2
+        assert "needs --cache" in capsys.readouterr().err
 
     def test_sharded_runs_merge_bit_identical_to_unsharded(self, tmp_path):
         """Acceptance: 0/2 + 1/2 merged == unsharded store, byte for byte."""
         plan = four_cell_plan()
         Runner(jobs=1, store=tmp_path / "full").run(plan)
-        for k in range(2):
-            Runner(jobs=1, store=tmp_path / f"shard{k}").run(plan, shard=Shard(k, 2))
+        roots = run_shards(tmp_path, plan, 2)
 
         merged = ResultStore(tmp_path / "merged")
-        report = merged.merge([tmp_path / "shard0", tmp_path / "shard1"])
+        report = merged.merge(roots, plan.cell_digests())
         assert report.copied == 4
-        assert report.manifest.plan_digest == plan.digest
 
         full = ResultStore(tmp_path / "full")
         assert merged.digests() == full.digests()
@@ -130,16 +133,25 @@ class TestShardedRunner:
         assert offline.cached == plan.unique_cells()
         assert offline.results == direct.results
 
-    def test_empty_shard_merges_cleanly(self, tmp_path):
+    def test_empty_shard_merges_cleanly(self, tmp_path, capsys):
         plan = ExperimentPlan.point(quick_cfg(), seeds=2)  # 2 cells
         for k in range(4):
-            res = Runner(jobs=1, store=tmp_path / f"s{k}").run(plan, shard=Shard(k, 4))
-            assert res.computed + res.cached == len(plan.shard(k, 4))
+            sub = plan.shard(k, 4)
+            if len(sub):
+                res = Runner(jobs=1, store=tmp_path / f"s{k}").run(sub)
+                assert res.computed + res.cached == len(sub)
         report = ResultStore(tmp_path / "merged").merge(
-            [tmp_path / f"s{k}" for k in range(4)]
+            [tmp_path / f"s{k}" for k in range(4)], plan.cell_digests()
         )
         assert report.copied == 2
         assert len(ResultStore(tmp_path / "merged")) == 2
+        # The CLI runs an empty shard as a clean no-op.
+        rc = main(
+            ["plan", "run", "--preset", "tiny", "--loads", "0.1", "--shard", "3/4"]
+            + ["--cache", str(tmp_path / "empty")]
+        )
+        assert rc == 0
+        assert "nothing to run" in capsys.readouterr().out
 
     def test_offline_with_cold_store_raises(self, tmp_path):
         with pytest.raises(AnalysisError):
@@ -149,78 +161,61 @@ class TestShardedRunner:
 
 
 class TestMergeFailures:
-    def _sharded_stores(self, tmp_path, plan, count=2):
-        roots = []
-        for k in range(count):
-            root = tmp_path / f"shard{k}"
-            Runner(jobs=1, store=root).run(plan, shard=Shard(k, count))
-            roots.append(root)
-        return roots
-
     def test_missing_shard_detected(self, tmp_path):
         plan = four_cell_plan()
-        roots = self._sharded_stores(tmp_path, plan)
-        with pytest.raises(AnalysisError, match="missing shard"):
-            ResultStore(tmp_path / "merged").merge(roots[:1])
-
-    def test_missing_manifest_detected(self, tmp_path):
-        plan = four_cell_plan()
-        roots = self._sharded_stores(tmp_path, plan)
-        (roots[1] / MANIFEST_NAME).unlink()
-        with pytest.raises(AnalysisError, match="manifest"):
-            ResultStore(tmp_path / "merged").merge(roots)
-
-    def test_foreign_manifest_version_reported_as_such(self, tmp_path):
-        plan = four_cell_plan()
-        roots = self._sharded_stores(tmp_path, plan)
-        path = roots[1] / MANIFEST_NAME
-        data = json.loads(path.read_text())
-        data["version"] = 99
-        path.write_text(json.dumps(data))
-        # A clean version mismatch must not masquerade as a corrupt file.
-        with pytest.raises(AnalysisError, match="store version"):
-            ResultStore(tmp_path / "merged").merge(roots)
+        roots = run_shards(tmp_path, plan, 2)
+        with pytest.raises(AnalysisError, match="no valid copy"):
+            ResultStore(tmp_path / "merged").merge(roots[:1], plan.cell_digests())
+        assert not (tmp_path / "merged").exists()  # nothing half-merged
 
     def test_duplicate_shard_index_detected(self, tmp_path):
+        """One shard store passed twice: its identical copies are no
+        conflict, and they do not cover the other shard's cells."""
         plan = four_cell_plan()
-        roots = self._sharded_stores(tmp_path, plan)
-        with pytest.raises(AnalysisError, match="duplicate shard"):
-            ResultStore(tmp_path / "merged").merge([roots[0], roots[0]])
+        roots = run_shards(tmp_path, plan, 2)
+        with pytest.raises(AnalysisError, match="no valid copy"):
+            ResultStore(tmp_path / "merged").merge(
+                [roots[0], roots[0]], plan.cell_digests()
+            )
+        report = ResultStore(tmp_path / "merged").merge(
+            [roots[0], roots[0], roots[1]], plan.cell_digests()
+        )
+        assert report.copied == plan.unique_cells()
 
     def test_incomplete_shard_detected(self, tmp_path):
         plan = four_cell_plan()
-        roots = self._sharded_stores(tmp_path, plan)
-        claimed = ResultStore(roots[1]).read_manifest().cells[0]
-        (roots[1] / f"{claimed}.json").unlink()
-        with pytest.raises(AnalysisError, match="incomplete"):
-            ResultStore(tmp_path / "merged").merge(roots)
+        roots = run_shards(tmp_path, plan, 2)
+        owned = ResultStore(roots[1]).digests()[0]
+        (roots[1] / f"{owned}.json").unlink()
+        with pytest.raises(AnalysisError, match=f"cell {owned[:12]}.*no valid copy"):
+            ResultStore(tmp_path / "merged").merge(roots, plan.cell_digests())
 
     def test_non_utf8_claimed_entry_reported_corrupt(self, tmp_path):
         plan = four_cell_plan()
-        roots = self._sharded_stores(tmp_path, plan)
-        claimed = ResultStore(roots[1]).read_manifest().cells[0]
-        (roots[1] / f"{claimed}.json").write_bytes(b'{"version": \xff\xfe garbage')
-        with pytest.raises(AnalysisError, match="corrupt result for claimed cell"):
-            ResultStore(tmp_path / "merged").merge(roots)
+        roots = run_shards(tmp_path, plan, 2)
+        owned = ResultStore(roots[1]).digests()[0]
+        (roots[1] / f"{owned}.json").write_bytes(b'{"version": \xff\xfe garbage')
+        with pytest.raises(AnalysisError, match=f"invalid copies: {roots[1]}"):
+            ResultStore(tmp_path / "merged").merge(roots, plan.cell_digests())
 
     def test_claimed_entry_holding_another_cell_reported_corrupt(self, tmp_path):
         """Intact bytes filed under the wrong digest pass the checksum but
         not the config-digest check."""
         plan = four_cell_plan()
-        roots = self._sharded_stores(tmp_path, plan)
-        mine, other = ResultStore(roots[1]).read_manifest().cells[:2]
+        roots = run_shards(tmp_path, plan, 2)
+        mine, other = ResultStore(roots[1]).digests()[:2]
         (roots[1] / f"{mine}.json").write_bytes(
             (roots[1] / f"{other}.json").read_bytes()
         )
-        with pytest.raises(AnalysisError, match="corrupt result for claimed cell"):
-            ResultStore(tmp_path / "merged").merge(roots)
+        with pytest.raises(AnalysisError, match="another cell's config"):
+            ResultStore(tmp_path / "merged").merge(roots, plan.cell_digests())
 
     def test_conflicting_duplicate_digest_detected(self, tmp_path):
         """Same cell digest, different result bytes: merge must refuse."""
         plan = four_cell_plan()
-        roots = self._sharded_stores(tmp_path, plan)
+        roots = run_shards(tmp_path, plan, 2)
         merged = ResultStore(tmp_path / "merged")
-        merged.merge(roots)
+        merged.merge(roots, plan.cell_digests())
         # Tamper one already-merged entry, then re-merge on top.
         digest = merged.digests()[0]
         path = tmp_path / "merged" / f"{digest}.json"
@@ -228,22 +223,97 @@ class TestMergeFailures:
         data["result"]["avg_latency"] += 1.0
         path.write_text(json.dumps(data))
         with pytest.raises(AnalysisError, match="conflict"):
-            merged.merge(roots)
+            merged.merge(roots, plan.cell_digests())
 
     def test_foreign_plan_detected(self, tmp_path):
         plan = four_cell_plan()
         other = ExperimentPlan.point(quick_cfg(seed=9), seeds=2)
-        Runner(jobs=1, store=tmp_path / "a").run(plan, shard=Shard(0, 2))
-        Runner(jobs=1, store=tmp_path / "b").run(other, shard=Shard(1, 2))
-        with pytest.raises(AnalysisError, match="plan"):
-            ResultStore(tmp_path / "merged").merge([tmp_path / "a", tmp_path / "b"])
+        Runner(jobs=1, store=tmp_path / "a").run(plan.shard(0, 2))
+        Runner(jobs=1, store=tmp_path / "b").run(other.shard(1, 2))
+        with pytest.raises(AnalysisError, match="of the plan has no valid copy"):
+            ResultStore(tmp_path / "merged").merge(
+                [tmp_path / "a", tmp_path / "b"], plan.cell_digests()
+            )
 
     def test_merged_store_is_re_mergeable(self, tmp_path):
         plan = four_cell_plan()
-        roots = self._sharded_stores(tmp_path, plan)
+        roots = run_shards(tmp_path, plan, 2)
         first = ResultStore(tmp_path / "merged")
-        first.merge(roots)
-        # A merged store is a complete 1-shard store of the same plan.
-        report = ResultStore(tmp_path / "again").merge([tmp_path / "merged"])
+        first.merge(roots, plan.cell_digests())
+        # A merged store is a complete store of the same plan.
+        report = ResultStore(tmp_path / "again").merge(
+            [tmp_path / "merged"], plan.cell_digests()
+        )
         assert report.copied == plan.unique_cells()
-        assert report.manifest.plan_digest == plan.digest
+        # Merging into a store that already holds the bytes copies nothing.
+        report = first.merge(roots, plan.cell_digests())
+        assert (report.copied, report.reused) == (0, plan.unique_cells())
+
+    def test_differing_valid_source_copies_conflict(self, tmp_path):
+        """Two sources with valid (checksummed, correctly filed) but
+        different bytes for one cell: neither may silently win."""
+        plan = four_cell_plan()
+        full = tmp_path / "full"
+        Runner(jobs=1, store=full).run(plan)
+        forged = tmp_path / "forged"
+        forged.mkdir()
+        digest = plan.cell_digests()[0]
+        data = json.loads((full / f"{digest}.json").read_text())
+        data["result"]["avg_latency"] += 1.0
+        data["checksum"] = entry_checksum(data["result"])
+        (forged / f"{digest}.json").write_text(json.dumps(data))
+        assert digest in ResultStore(forged)  # a valid copy on its own
+        with pytest.raises(AnalysisError, match="byte conflict"):
+            ResultStore(tmp_path / "merged").merge(
+                [full, forged], plan.cell_digests()
+            )
+
+
+class TestMergeAnySource:
+    def test_daemon_store_and_plan_run_store_merge_complete(
+        self, tmp_path, capsys
+    ):
+        """A sweep daemon's store and a plain `plan run` store hold two
+        halves of one plan; merged against the plan they are complete."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.exec import RetryPolicy
+        from repro.service import CellScheduler, PlanService, ServiceConfig
+        from repro.service.client import run_plan
+
+        plan = ExperimentPlan.grid(quick_cfg(), loads=[0.1, 0.2, 0.3])
+        served = ExperimentPlan.grid(quick_cfg(), loads=[0.1, 0.2])
+        daemon = ResultStore(tmp_path / "daemon")
+
+        async def serve():
+            scheduler = CellScheduler(
+                daemon,
+                retry=RetryPolicy(base_delay=0.001, max_delay=0.01),
+                executor=ThreadPoolExecutor(max_workers=2),
+            )
+            service = PlanService(daemon, ServiceConfig(port=0), scheduler=scheduler)
+            await service.start()
+            try:
+                return await run_plan("127.0.0.1", service.port, served)
+            finally:
+                await service.shutdown()
+
+        assert asyncio.run(serve()).ok
+        rc = main(
+            ["plan", "run", "--preset", "tiny", "--warmup", "100"]
+            + ["--measure", "300", "--loads", "0.3", "--jobs", "1"]
+            + ["--cache", str(tmp_path / "serial")]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(
+            ["plan", "merge", str(daemon.root), str(tmp_path / "serial")]
+            + ["--preset", "tiny", "--warmup", "100", "--measure", "300"]
+            + ["--loads", "0.1", "0.2", "0.3", "--cache", str(tmp_path / "merged")]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert f"plan digest: {plan.digest}" in out
+        assert "3 cell(s) copied" in out
+        offline = Runner(jobs=1, store=tmp_path / "merged", offline=True).run(plan)
+        assert offline.results == Runner(jobs=1).run(plan).results
