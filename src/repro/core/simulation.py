@@ -107,6 +107,7 @@ class Simulation:
         self.soa = SoAStore(
             self.topo.num_routers,
             self.topo.radix,
+            self.topo.p,
             max(rc.local_vcs, rc.global_vcs, 1),
             self.topo.groups,
             self.topo.h,
@@ -251,12 +252,11 @@ class Simulation:
                     f"destination {dst} for source node {node} "
                     f"(valid: [0, {self._num_nodes}) excluding the source)"
                 )
-            pkt = make_packet(self, node, dst, now)
-            self.stats.on_generate(now, pkt.size)
+            self.stats.on_generate(now, self._psize)
             if self.oracle is not None:
-                self.oracle.on_generate(pkt)
+                self.oracle.on_generate(node, dst, self._psize)
             router, node_port = self._inject_map[node]
-            router.inject(node_port, pkt, now)
+            router.enqueue(node_port, dst, now)
         self.engine.post(now + next_gap(rng, self._log_q), self._gen_recs[node])
 
     # ------------------------------------------------------------------

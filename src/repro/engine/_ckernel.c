@@ -20,10 +20,13 @@
  *   release_output                 c_release_output
  *   release_credit                 c_release_credit
  *   link_step                      dispatch, OP_LINK: release, then send
+ *   promote                        promote (from c_step's scan; the
+ *                                    constructor is row_fill on a lowered
+ *                                    cell, Simulation._make_packet else)
  *   Simulation._gen_event          c_gen (the pattern's dest as its
- *     / pattern.dest                 lowering descriptor; inject,
- *                                  make_packet, next_gap and on_generate
- *                                  inlined)
+ *     / pattern.dest                 lowering descriptor; enqueue,
+ *                                  next_gap and on_generate inlined)
+ *   make_packet                    row_fill
  *   StatsCollector.on_delivery     c_deliver
  *   StatsCollector.on_injection    inline in c_commit
  *
@@ -80,9 +83,10 @@
  * routing decisions of mechanisms without a twin (every mechanism of
  * repro.routing.factory has one: c_min_decide, c_oblivious_decide,
  * c_piggyback_decide, c_intransit_decide; the modules of repro/routing
- * stay the reference), traffic generation (OP_GEN), the delivery sink
- * (OP_DELIVER) and the stats injection callback of cells that are not
- * lowered, and generic OP_CALL callbacks (and records whose opcode is
+ * stay the reference), traffic generation (OP_GEN), the packet
+ * constructor (promote), the delivery sink (OP_DELIVER) and the stats
+ * injection callback of cells that are not lowered, and generic OP_CALL
+ * callbacks (and records whose opcode is
  * outside 1..9, which py_drain runs as callbacks too).  The hop
  * bookkeeping (c_commit / c_arrive) and the router pipeline are the
  * kernel's own: a router class whose step is not kernel.step is refused
@@ -97,10 +101,14 @@
  * native record: the calendar (eq._buckets / eq._times) is a Calendar of
  * 24-byte Recs, the output FIFOs (soa.out_fifo) are per-port Rings, the
  * input FIFOs (soa.in_q) are one InQ record per key — ring, cached head
- * and its size, and the key's memo — and Router._arb_time and the queue's
- * now / processed / activations are plain int64s.  A packet is a row of the KState's packet
- * pool (one int64 column per Packet.__slots__ field, "packet rows"
- * below), and records, rings and memos name rows by index.  Only the
+ * and its size, and the key's memo — the injection tails (soa.inj_tail)
+ * one Tail of uint32 (gen_time, dst) pairs per node, and Router._arb_time
+ * and the queue's now / processed / activations are plain int64s.  A
+ * packet is a row of the KState's packet pool (one int64 column per
+ * Packet.__slots__ field, "packet rows" below), and records, rings and
+ * memos name rows by index; a packet behind the head of its injection
+ * FIFO is only its tail's pair, and becomes a row when promote makes it
+ * the head.  Only the
  * active-key sets stay Python objects; the kernel reads each set through
  * a write-through native index.  Two contracts make the InQ cache sound:
  * only Packet.__init__ (and c_gen, which fills a row) writes a packet's
@@ -125,7 +133,10 @@
  *   posting order.  An (OP_STEP, router) token found there is the arming
  *   Router.inject does from a None mark, and is replayed through
  *   arm_step; the router's injection-key lists, [kb, kb + boundary), are
- *   then moved into their rings (load_inq checks every entry it takes).
+ *   then moved into their rings (load_inq checks every entry it takes,
+ *   and refuses a list whose node's tail holds pairs: its packets would
+ *   overtake them, as Router.inject refuses), and its nodes' tail arrays
+ *   (what Router.enqueue queued) behind their tails (load_tail).
  *   A hook that takes a packet gets the Packet object of its row, with
  *   the row's fields written into it before the call and read back
  *   after it.
@@ -484,6 +495,7 @@ typedef struct {
     PyObject *routing;          /* owned */
     PyObject *decide;           /* owned bound method */
     PyObject *on_injection;     /* owned */
+    PyObject *make_packet;      /* owned: Simulation._make_packet */
     PyObject *active_keys;      /* owned set */
     PyObject *out_peer, *upstream; /* owned lists, per port */
     KeyIndex ix;                /* its native index */
@@ -706,23 +718,33 @@ typedef struct {
     Ring ring;           /* (row, 0, size) entries */
 } InQ;
 
+/* One node's injection tail (soa.inj_tail[n], an array('I')): the
+ * (gen_time, dst) pairs of the packets generated behind the head of its
+ * injection FIFO, pairs [head, len) of `e` (2 * cap uint32s, allocated on
+ * first use). */
+typedef struct {
+    uint32_t *e;
+    Py_ssize_t head, len, cap; /* in pairs */
+} Tail;
+
 /* Always-on kernel counters (int64 slots of eq._ckcounters, so they
  * outlive the KState); ck_counters names them. */
 enum { C_DRAINS, C_CALL, C_GEN, C_SINK, C_DECIDE, C_INJECTION, C_INBOX,
        C_MIRRORS, C_PEAK_PENDING, C_PEAK_BUCKET, C_STEPS, C_SCAN_KEYS,
        C_INDEX_RELOADS, C_INQ_ABSORBED, C_MATERIALIZED, C_PEAK_ROWS,
-       C_MEMO_HITS, N_CTR };
+       C_MEMO_HITS, C_PEAK_TAIL, C_PROMOTE, N_CTR };
 
 static const char *const CTR_NAMES[N_CTR] = {
     "drains", "reentries_call", "reentries_gen", "reentries_sink",
     "reentries_decide", "reentries_injection", "inbox_records",
     "full_mirrors", "peak_pending_records", "peak_bucket_len", "steps",
     "scan_keys", "index_reloads", "inq_absorbed", "packets_materialized",
-    "peak_packet_rows", "memo_hits",
+    "peak_packet_rows", "memo_hits", "peak_tail_records",
+    "reentries_promote",
 };
 
-/* buffer rows of the tables below: 20 store, 1 queue, 5 simulation */
-#define N_VIEWS 26
+/* buffer rows of the tables below: 21 store, 1 queue, 5 simulation */
+#define N_VIEWS 27
 
 typedef struct {
     PyObject *eq;        /* borrowed: the queue being drained */
@@ -737,7 +759,8 @@ typedef struct {
     Py_buffer views[N_VIEWS];
     int nviews;
     /* store geometry */
-    int64_t num_routers, radix, max_vcs, nkeys, groups, global_ports;
+    int64_t num_routers, radix, node_ports, max_vcs, nkeys, groups,
+        global_ports;
     /* per-key */
     int64_t *in_occ, *in_cap, *key_port, *credits_used;
     /* per-port */
@@ -747,18 +770,22 @@ typedef struct {
     /* per router (owned): bumped whenever its out_occ / credits_used
      * change, the validity of GUARD_EPOCH memos */
     int64_t *epoch;
+    /* per node: the read offsets of soa.inj_tail */
+    int64_t *inj_tail_head;
     /* PiggyBack snapshot rows: R*h, R, groups (see soa.py) */
     int64_t *pb_snap, *pb_snap_sum, *pb_snap_time;
     int64_t *ctr;        /* N_CTR kernel counters */
     /* object-valued store fields (owned lists); empty / None while their
      * native form below is live */
-    PyObject *in_q, *out_fifo;
+    PyObject *in_q, *out_fifo, *inj_tail;
     PyObject *router_list; /* owned: soa.routers */
     /* the queue's dict and list (owned): the inbox during a drain */
     PyObject *buckets, *times;
     Calendar cal;
     Ring *rings;         /* per port */
     InQ *inq;            /* per key */
+    Tail *tails;         /* per node */
+    int64_t tail_pairs;  /* held by all of them */
     /* wiring, per port: Router.out_peer / Router.upstream as (router
      * index, port), -1 where None (node ports) */
     int32_t *peer_rid, *peer_port, *up_rid, *up_port;
@@ -792,6 +819,7 @@ rstate_clear(RState *rs)
     Py_XDECREF(rs->routing);
     Py_XDECREF(rs->decide);
     Py_XDECREF(rs->on_injection);
+    Py_XDECREF(rs->make_packet);
     Py_XDECREF(rs->active_keys);
     Py_XDECREF(rs->out_peer);
     Py_XDECREF(rs->upstream);
@@ -850,6 +878,10 @@ native_free(KState *ks)
     for (i = 0; ks->inq != NULL && i < ks->num_routers * ks->nkeys; i++)
         PyMem_Free(ks->inq[i].ring.e);
     PyMem_Free(ks->inq);
+    for (i = 0; ks->tails != NULL && i < ks->num_routers * ks->node_ports;
+         i++)
+        PyMem_Free(ks->tails[i].e);
+    PyMem_Free(ks->tails);
     for (i = 0; i < p->hi; i++)
         Py_XDECREF(p->obj[i]);
     PyMem_Free(p->pk);
@@ -878,6 +910,7 @@ kstate_free(KState *ks)
     Py_XDECREF(ks->packet_type);
     Py_XDECREF(ks->in_q);
     Py_XDECREF(ks->out_fifo);
+    Py_XDECREF(ks->inj_tail);
     Py_XDECREF(ks->router_list);
     Py_XDECREF(ks->buckets);
     Py_XDECREF(ks->times);
@@ -943,8 +976,8 @@ static const char *const A_TEXT[] = {
 };
 
 /* Expected lengths in the store's geometry; L_ANY is unchecked. */
-enum { L_ANY, L_KEYS, L_PORTS, L_ROUTERS, L_RR, L_RH, L_GROUPS, L_RADIX,
-       L_NSTAT_I, L_NSTAT_F, L_CTR };
+enum { L_ANY, L_KEYS, L_PORTS, L_NODES, L_ROUTERS, L_RR, L_RH, L_GROUPS,
+       L_RADIX, L_NSTAT_I, L_NSTAT_F, L_CTR };
 
 typedef struct {
     const char *name;
@@ -957,8 +990,8 @@ static Py_ssize_t
 attr_len(const KState *ks, int len)
 {
     const int64_t R = ks->num_routers, n[] = {
-        -1, R * ks->nkeys, R * ks->radix, R, R * R, R * ks->global_ports,
-        ks->groups, ks->radix, NSTAT_I, NSTAT_F, N_CTR};
+        -1, R * ks->nkeys, R * ks->radix, R * ks->node_ports, R, R * R,
+        R * ks->global_ports, ks->groups, ks->radix, NSTAT_I, NSTAT_F, N_CTR};
     return (Py_ssize_t)n[len];
 }
 
@@ -1178,9 +1211,16 @@ lstate_build(KState *ks)
     LState *ls = &ks->low;
     if (READ_ATTRS(ks, "Simulation", ls->sim, ls, SIM_ATTRS, -1) < 0)
         return -1;
-    if (ls->p < 1 || ls->a < 1 || ls->num_nodes != ks->num_routers * ls->p) {
+    if (ls->p != ks->node_ports || ls->a < 1
+        || ls->num_nodes != ks->num_routers * ls->p) {
         PyErr_SetString(PyExc_ValueError,
                         "Simulation.topo disagrees with the SoA store");
+        return -1;
+    }
+    if (ls->end_time > (int64_t)UINT32_MAX + 1) {
+        /* c_gen queues its cycles as the tail's uint32s */
+        PyErr_SetString(PyExc_ValueError, "Simulation._end_time: a lowered "
+                        "cell generates at cycles below 2**32 only");
         return -1;
     }
     return lstate_descriptor(ls);
@@ -1245,8 +1285,11 @@ router_state(const KState *ks, PyObject *o)
 /* packet rows                                                         */
 /* ------------------------------------------------------------------ */
 
-/* Inside a drain a packet is a row of ks->pool: c_gen fills one, the
- * handlers read and write its columns, and delivery releases it.  The
+/* Inside a drain a packet is a row of ks->pool: promote fills one when
+ * the packet reaches the head of its injection FIFO (until then it is a
+ * (gen_time, dst) pair of its node's Tail, 8 bytes, so a saturated
+ * node's backlog holds no rows), the handlers read and write its
+ * columns, and delivery releases it.  The
  * Packet object of a row is built the first time Python must see the
  * packet (row_obj) and stays attached to the row, so that every later
  * crossing hands Python the same object; a Packet Python made is taken
@@ -1670,6 +1713,56 @@ inq_pop(InQ *q)
     return row;
 }
 
+/* Append the pair (gen_time, dst) to a node's tail.  A full tail slides
+ * its unread pairs down when at least a quarter of it has been read, and
+ * grows by half otherwise: a saturated cell's backlog is the bulk of its
+ * memory, so the slack is kept small. */
+static int
+tail_push(KState *ks, Tail *tl, uint32_t gen_time, uint32_t dst)
+{
+    if (tl->len == tl->cap) {
+        if (tl->head > 0 && 4 * tl->head >= tl->len) {
+            memmove(tl->e, tl->e + 2 * tl->head,
+                    (size_t)(tl->len - tl->head) * 2 * sizeof(uint32_t));
+            tl->len -= tl->head;
+            tl->head = 0;
+        }
+        else {
+            Py_ssize_t ncap = tl->cap ? tl->cap + (tl->cap >> 1) : 4;
+            uint32_t *e = PyMem_Realloc(tl->e,
+                                        (size_t)ncap * 2 * sizeof(uint32_t));
+            if (e == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            tl->e = e;
+            tl->cap = ncap;
+        }
+    }
+    tl->e[2 * tl->len] = gen_time;
+    tl->e[2 * tl->len + 1] = dst;
+    tl->len += 1;
+    if (++ks->tail_pairs > ks->ctr[C_PEAK_TAIL])
+        ks->ctr[C_PEAK_TAIL] = ks->tail_pairs;
+    return 0;
+}
+
+/* The tail of node port `port` of router `rs`. */
+static inline Tail *
+node_tail(KState *ks, const RState *rs, int64_t port)
+{
+    return &ks->tails[rs->rid * ks->node_ports + port];
+}
+
+/* Drop a node's first pair (the tail is not empty). */
+static inline void
+tail_pop(KState *ks, Tail *tl)
+{
+    if (++tl->head == tl->len)
+        tl->head = tl->len = 0;
+    ks->tail_pairs -= 1;
+}
+
 /* ------------------------------------------------------------------ */
 /* the active-key index                                                */
 /* ------------------------------------------------------------------ */
@@ -2060,6 +2153,19 @@ load_inq(KState *ks, Py_ssize_t gk)
         if (inq_push(iq, row, PK(ks, row)[PK_SIZE]) < 0)
             goto undo;
     }
+    if (n > 0 && gk % ks->nkeys < ks->node_ports * ks->max_vcs) {
+        /* an injection key: the list's packets would go behind the ring,
+         * but the node's tail comes after the ring (Router.inject) */
+        int64_t rid = gk / ks->nkeys, port = gk % ks->nkeys / ks->max_vcs;
+        const Tail *tl = node_tail(ks, &ks->routers[rid], port);
+        if (tl->len > 0) {
+            PyErr_Format(ks->flow_err, "router %lld: a packet injected on "
+                         "node port %lld would overtake the %zd generated "
+                         "packets queued there", (long long)rid,
+                         (long long)port, tl->len - tl->head);
+            goto undo;
+        }
+    }
     if (n > 0 && PyList_SetSlice(q, 0, n, NULL) < 0)
         goto undo;
     return n;
@@ -2121,6 +2227,94 @@ store_inq(KState *ks)
     return 0;
 }
 
+/* soa.inj_tail[n], its pairs from inj_tail_head[n] on -> node n's tail,
+ * behind what that holds, leaving the array empty and its offset 0.  The
+ * array must be an array('I') of pairs whose destinations are nodes.
+ * Returns how many pairs moved; on error none did. */
+static Py_ssize_t
+load_tail(KState *ks, Py_ssize_t n)
+{
+    PyObject *arr = PyList_GET_ITEM(ks->inj_tail, n);
+    Tail *tl = &ks->tails[n];
+    Py_ssize_t len0 = tl->len, head0 = tl->head, items = 0, from, i;
+    int64_t nodes = ks->num_routers * ks->node_ports;
+    const uint32_t *pair;
+    Py_buffer view;
+    int ok;
+    if (PyObject_GetBuffer(arr, &view, PyBUF_CONTIG_RO | PyBUF_FORMAT) < 0)
+        goto bad;
+    from = (Py_ssize_t)ks->inj_tail_head[n];
+    ok = strcmp(view.format, "I") == 0 && view.itemsize == 4;
+    if (ok) {
+        items = view.len / 4;
+        ok = from >= 0 && from <= items && (items - from) % 2 == 0;
+    }
+    for (i = from; ok && i < items; i += 2) {
+        pair = (const uint32_t *)view.buf + i;
+        ok = pair[1] < nodes && tail_push(ks, tl, pair[0], pair[1]) == 0;
+    }
+    PyBuffer_Release(&view);
+    if (ok && (items == 0 || PySequence_DelSlice(arr, 0, items) == 0)) {
+        ks->inj_tail_head[n] = 0;
+        return (items - from) / 2;
+    }
+    /* the array still holds them all; take back what the tail took (a
+     * slide moved the tail's own pairs to the front) */
+    ks->tail_pairs -= tl->len - tl->head - (len0 - head0);
+    if (tl->head != head0) {
+        tl->len = len0 - head0;
+        tl->head = 0;
+    }
+    else
+        tl->len = len0;
+bad:
+    if (!PyErr_Occurred() || PyErr_ExceptionMatches(PyExc_TypeError)
+        || PyErr_ExceptionMatches(PyExc_BufferError)) {
+        PyErr_Clear();
+        PyErr_Format(ks->flow_err, "soa.inj_tail[%zd] is not an array('I') "
+                     "of (gen_time, dst) pairs from inj_tail_head[%zd] on, "
+                     "each dst a node", n, n);
+    }
+    return -1;
+}
+
+/* Node tails -> soa.inj_tail, each in front of the pairs its array holds
+ * (none, unless an absorb refused them), freeing the native tails. */
+static int
+store_tails(KState *ks)
+{
+    Py_ssize_t n;
+    for (n = 0; n < ks->num_routers * ks->node_ports; n++) {
+        Tail *tl = &ks->tails[n];
+        PyObject *arr = PyList_GET_ITEM(ks->inj_tail, n), *front, *mv, *res;
+        int rc;
+        if (tl->len > 0) {
+            mv = PyMemoryView_FromMemory(
+                (char *)(tl->e + 2 * tl->head),
+                (tl->len - tl->head) * 2 * (Py_ssize_t)sizeof(uint32_t),
+                PyBUF_READ);
+            front = mv ? PyObject_CallFunction((PyObject *)Py_TYPE(arr), "s",
+                                               "I") : NULL;
+            res = front ? PyObject_CallMethod(front, "frombytes", "O", mv)
+                        : NULL;
+            rc = res ? PySequence_SetSlice(arr, 0,
+                                           (Py_ssize_t)ks->inj_tail_head[n],
+                                           front) : -1;
+            Py_XDECREF(res);
+            Py_XDECREF(front);
+            Py_XDECREF(mv);
+            if (rc < 0)
+                return -1;
+            ks->inj_tail_head[n] = 0;
+            ks->tail_pairs -= tl->len - tl->head;
+        }
+        PyMem_Free(tl->e);
+        tl->e = NULL;
+        tl->head = tl->len = tl->cap = 0;
+    }
+    return 0;
+}
+
 /* eq._buckets -> calendar, leaving the dict and eq._times empty.  With
  * `inbox` the dict holds only what a contract hook just posted: an
  * (OP_STEP, router) token there was armed by Router.inject from the None
@@ -2134,7 +2328,7 @@ static int
 load_buckets(KState *ks, int inbox)
 {
     PyObject *key, *bucket;
-    Py_ssize_t pos = 0, i, n, bad_q = -1;
+    Py_ssize_t pos = 0, i, n, bad_q = -1, bad_tail = -1;
     RState *bad = NULL;
     while (PyDict_Next(ks->buckets, &pos, &key, &bucket)) {
         int64_t t = as_ll(key);
@@ -2152,7 +2346,7 @@ load_buckets(KState *ks, int inbox)
                 return -1;
             if (inbox && r.op == OP_STEP && r.rid >= 0) {
                 RState *rs = &ks->routers[r.rid];
-                Py_ssize_t gk, moved;
+                Py_ssize_t gk, n, moved;
                 slot_set(rs->router, ks->r_arb_time, Py_NewRef(Py_None));
                 if (arm_step(ks, rs, t) < 0)
                     return -1;
@@ -2160,6 +2354,16 @@ load_buckets(KState *ks, int inbox)
                     if ((moved = load_inq(ks, gk)) < 0) {
                         PyErr_Clear();
                         bad_q = gk;
+                    }
+                    else
+                        ks->ctr[C_INQ_ABSORBED] += moved;
+                }
+                /* the pairs Router.enqueue queued, behind those lists */
+                for (n = rs->rid * ks->node_ports;
+                     n < (rs->rid + 1) * ks->node_ports; n++) {
+                    if ((moved = load_tail(ks, n)) < 0) {
+                        PyErr_Clear();
+                        bad_tail = n;
                     }
                     else
                         ks->ctr[C_INQ_ABSORBED] += moved;
@@ -2186,7 +2390,8 @@ load_buckets(KState *ks, int inbox)
     }
     PyDict_Clear(ks->buckets);
     if (PyList_SetSlice(ks->times, 0, n, NULL) < 0
-        || (bad_q >= 0 && load_inq(ks, bad_q) < 0))
+        || (bad_q >= 0 && load_inq(ks, bad_q) < 0)
+        || (bad_tail >= 0 && load_tail(ks, bad_tail) < 0))
         return -1;
     return bad != NULL ? ix_sync(ks, bad) : 0;
 }
@@ -2363,6 +2568,9 @@ mirror_in(KState *ks)
     for (i = 0; i < ks->num_routers * ks->nkeys; i++)
         if (load_inq(ks, i) < 0)
             return -1;
+    for (i = 0; i < ks->num_routers * ks->node_ports; i++)
+        if (load_tail(ks, i) < 0)
+            return -1;
     return kstate_rng_in(ks);
 }
 
@@ -2383,7 +2591,10 @@ mirror_out(KState *ks)
             return -1;
         rs->arb = ARB_NONE;
     }
-    if (store_buckets(ks) < 0 || store_fifos(ks) < 0 || store_inq(ks) < 0)
+    /* store_inq last: builds without NDEBUG raise from it once every
+     * FIFO is back */
+    if (store_buckets(ks) < 0 || store_fifos(ks) < 0 || store_tails(ks) < 0
+        || store_inq(ks) < 0)
         rc = -1;
     else
         pool_reset(ks); /* every row's packet is Python's now */
@@ -2456,8 +2667,7 @@ call_pkt_hook(KState *ks, int kind, PyObject *fn, int32_t row, PyObject *b)
 static int
 c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
 {
-    int64_t dst, src_router, dst_router, key, gap, *pk;
-    int32_t row;
+    int64_t dst, key, gap;
     RState *rs;
 
     if (t >= ls->end_time)
@@ -2491,46 +2701,18 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
         break;
     }
 
-    src_router = node / ls->p;
-    dst_router = dst / ls->p;
-    ls->pid += 1;
-
-    /* Row twin of Packet.__init__(pid, size, src_node, src_router,
-     * src_group, dst_node, dst_router, dst_group, dst_local_router,
-     * dst_node_port, gen_time, base_latency), the derived defaults
-     * included. */
-    if ((row = row_alloc(ks)) < 0)
-        return -1;
-    pk = PK(ks, row);
-    pk[PK_PID] = ls->pid;
-    pk[PK_SIZE] = ls->psize;
-    pk[PK_SRC_NODE] = node;
-    pk[PK_SRC_ROUTER] = src_router;
-    pk[PK_SRC_GROUP] = pk[PK_CURRENT_GROUP] = src_router / ls->a;
-    pk[PK_DST_NODE] = dst;
-    pk[PK_DST_ROUTER] = dst_router;
-    pk[PK_DST_GROUP] = dst_router / ls->a;
-    pk[PK_DST_LOCAL_ROUTER] = dst_router % ls->a;
-    pk[PK_DST_NODE_PORT] = dst % ls->p;
-    pk[PK_GEN_TIME] = pk[PK_T_ENQ] = t;
-    pk[PK_BASE_LATENCY] =
-        ls->ms_table[src_router * ks->num_routers + dst_router];
-    pk[PK_INJECT_TIME] = pk[PK_INTER_ROUTER] = pk[PK_INTER_GROUP] = -1;
-    pk[PK_WAIT_LOCAL] = pk[PK_WAIT_GLOBAL] = pk[PK_SERVICE_SUM] = 0;
-    pk[PK_LOCAL_HOPS] = pk[PK_GLOBAL_HOPS] = pk[PK_GROUP_LOCAL_HOPS] = 0;
-    pk[PK_PLAN] = 0;
-
     ls->si[SI_TOTAL_GENERATED] += 1;
     if (t >= ls->ws && t < ls->we) {
         ls->si[SI_GEN_PHITS] += ls->psize;
         ls->si[SI_GEN_PACKETS] += 1;
     }
 
-    /* inlined Router.inject(node % p, pkt, t); the row already has
-     * t_enq = gen_time = t */
-    rs = &ks->routers[src_router];
+    /* inlined Router.enqueue(node % p, dst, t): the packet joins the
+     * node's tail (soa.inj_tail[node]) as a pair; promote builds its
+     * row */
+    rs = &ks->routers[node / ls->p];
     key = (node % ls->p) * rs->max_vcs;
-    if (inq_push(&ks->inq[rs->kb + key], row, ls->psize) < 0
+    if (tail_push(ks, &ks->tails[node], t, dst) < 0
         || ak_add(ks, rs, key) < 0 || arm_step(ks, rs, t) < 0)
         return -1;
 
@@ -2548,6 +2730,77 @@ c_gen(KState *ks, LState *ls, int64_t node, int64_t t)
         }
     }
     return cal_post(ks, t + gap, REC(OP_GEN, REC_NONE, node, 0, 0));
+}
+
+/* Row twin of make_packet(sim, node, dst, gen_time), i.e. of
+ * Packet.__init__(pid, size, src_node, src_router, src_group, dst_node,
+ * dst_router, dst_group, dst_local_router, dst_node_port, gen_time,
+ * base_latency), the derived defaults included (t_enq = gen_time); draws
+ * the next packet id. */
+static void
+row_fill(KState *ks, LState *ls, int32_t row, int64_t node, int64_t dst,
+         int64_t gen_time)
+{
+    int64_t *pk = PK(ks, row), src_router = node / ls->p,
+            dst_router = dst / ls->p;
+    ls->pid += 1;
+    pk[PK_PID] = ls->pid;
+    pk[PK_SIZE] = ls->psize;
+    pk[PK_SRC_NODE] = node;
+    pk[PK_SRC_ROUTER] = src_router;
+    pk[PK_SRC_GROUP] = pk[PK_CURRENT_GROUP] = src_router / ls->a;
+    pk[PK_DST_NODE] = dst;
+    pk[PK_DST_ROUTER] = dst_router;
+    pk[PK_DST_GROUP] = dst_router / ls->a;
+    pk[PK_DST_LOCAL_ROUTER] = dst_router % ls->a;
+    pk[PK_DST_NODE_PORT] = dst % ls->p;
+    pk[PK_GEN_TIME] = pk[PK_T_ENQ] = gen_time;
+    pk[PK_BASE_LATENCY] =
+        ls->ms_table[src_router * ks->num_routers + dst_router];
+    pk[PK_INJECT_TIME] = pk[PK_INTER_ROUTER] = pk[PK_INTER_GROUP] = -1;
+    pk[PK_WAIT_LOCAL] = pk[PK_WAIT_GLOBAL] = pk[PK_SERVICE_SUM] = 0;
+    pk[PK_LOCAL_HOPS] = pk[PK_GLOBAL_HOPS] = pk[PK_GROUP_LOCAL_HOPS] = 0;
+    pk[PK_PLAN] = 0;
+}
+
+/* kernel.promote: the first pair of node port `port`'s tail (not empty)
+ * becomes the head of its injection FIFO `iq` (empty), built by the
+ * constructor the cell's generator runs — row_fill on a lowered cell,
+ * Simulation._make_packet (Router._make_packet) otherwise — which draws
+ * the packet id now. */
+static int
+promote(KState *ks, RState *rs, InQ *iq, int64_t port)
+{
+    int64_t node = rs->rid * ks->node_ports + port;
+    Tail *tl = node_tail(ks, rs, port);
+    int64_t gen_time = tl->e[2 * tl->head], dst = tl->e[2 * tl->head + 1];
+    int32_t row;
+    if (ks->low.sim != NULL) {
+        if ((row = row_alloc(ks)) < 0)
+            return -1;
+        row_fill(ks, &ks->low, row, node, dst, gen_time);
+    }
+    else {
+        PyObject *args[3], *pkt;
+        int i;
+        ks->ctr[C_PROMOTE] += 1;
+        args[0] = PyLong_FromLongLong((long long)node);
+        args[1] = PyLong_FromLongLong((long long)dst);
+        args[2] = PyLong_FromLongLong((long long)gen_time);
+        pkt = (args[0] && args[1] && args[2])
+                  ? PyObject_Vectorcall(rs->make_packet, args, 3, NULL)
+                  : NULL;
+        for (i = 0; i < 3; i++)
+            Py_XDECREF(args[i]);
+        if (pkt == NULL)
+            return -1;
+        row = row_absorb(ks, pkt);
+        Py_DECREF(pkt);
+        if (row < 0)
+            return -1;
+    }
+    tail_pop(ks, tl);
+    return inq_push(iq, row, PK(ks, row)[PK_SIZE]);
 }
 
 /* (The row is released with the OP_DELIVER record, when drain_core drops
@@ -3310,7 +3563,11 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
     int64_t size = iq->size, *pk;
     int32_t row = inq_pop(iq); /* the OP_OUT_ARRIVE record's, below */
     iq->memo.row = -1; /* head changed: decision no longer valid */
-    if (iq->head < 0 && ak_discard(ks, rs, key) < 0)
+    /* an injection key stays active while its tail holds pairs: the
+     * next scan promotes the first */
+    if (iq->head < 0
+        && (key >= rs->boundary || node_tail(ks, rs, in_port)->len == 0)
+        && ak_discard(ks, rs, key) < 0)
         return -1;
     ks->epoch[rs->rid] += 1;
     ks->in_port_free[gin] = now + rs->internal;
@@ -3444,8 +3701,13 @@ c_step(KState *ks, RState *rs, int64_t now)
         int64_t t_free, out_port, gout, t_sw, size;
         Verdict v;
         if (iq->head < 0) {
-            ks->scr_dead[n_dead++] = key;
-            continue;
+            if (key >= rs->boundary
+                || node_tail(ks, rs, key / rs->max_vcs)->len == 0) {
+                ks->scr_dead[n_dead++] = key;
+                continue;
+            }
+            if (promote(ks, rs, iq, key / rs->max_vcs) < 0)
+                goto done;
         }
 #ifndef NDEBUG
         if (iq->head != iq->ring.e[iq->ring.head].row
@@ -4019,6 +4281,7 @@ static const Attr ROUTER_ATTRS[] = {
     {"routing", offsetof(RState, routing), A_OBJ},
     {"routing.decide", offsetof(RState, decide), A_OBJ},
     {"_on_injection", offsetof(RState, on_injection), A_OBJ},
+    {"_make_packet", offsetof(RState, make_packet), A_OBJ},
     {"active_keys", offsetof(RState, active_keys), A_SET},
     {"out_peer", offsetof(RState, out_peer), A_LIST, L_RADIX},
     {"upstream", offsetof(RState, upstream), A_LIST, L_RADIX},
@@ -4105,6 +4368,7 @@ static const Attr EQ_ATTRS[] = {
 static const Attr STORE_ATTRS[] = {
     {"num_routers", offsetof(KState, num_routers), A_I64},
     {"radix", offsetof(KState, radix), A_I64},
+    {"node_ports", offsetof(KState, node_ports), A_I64},
     {"max_vcs", offsetof(KState, max_vcs), A_I64},
     {"nkeys", offsetof(KState, nkeys), A_I64},
     {"groups", offsetof(KState, groups), A_I64},
@@ -4117,7 +4381,9 @@ static const Attr STORE_ATTRS[] = {
     {"pb_snap", offsetof(KState, pb_snap), A_BUF_Q, L_RH},
     {"pb_snap_sum", offsetof(KState, pb_snap_sum), A_BUF_Q, L_ROUTERS},
     {"pb_snap_time", offsetof(KState, pb_snap_time), A_BUF_Q, L_GROUPS},
+    {"inj_tail_head", offsetof(KState, inj_tail_head), A_BUF_Q, L_NODES},
     {"in_q", offsetof(KState, in_q), A_LIST, L_KEYS},
+    {"inj_tail", offsetof(KState, inj_tail), A_LIST, L_NODES},
     {"out_fifo", offsetof(KState, out_fifo), A_LIST, L_PORTS},
     {"routers", offsetof(KState, router_list), A_LIST, L_ROUTERS},
 };
@@ -4130,7 +4396,7 @@ kstate_build(PyObject *eq, PyObject *store)
     KState *ks = PyMem_Calloc(1, sizeof(KState));
     PyObject *mod = NULL, *tmp = NULL, *kernel_step = NULL;
     PyTypeObject *eq_tp, *r_tp;
-    Py_ssize_t i, K, P;
+    Py_ssize_t i, K, P, N;
 
     if (ks == NULL) {
         PyErr_NoMemory();
@@ -4140,24 +4406,29 @@ kstate_build(PyObject *eq, PyObject *store)
         || ensure_counters(eq) < 0
         || READ_ATTRS(ks, "EventQueue", eq, ks, EQ_ATTRS, -1) < 0)
         goto fail;
-    if (ks->num_routers < 1) {
-        PyErr_SetString(PyExc_ValueError, "SoAStore holds no routers");
+    if (ks->num_routers < 1 || ks->node_ports < 1
+        || ks->node_ports > ks->radix) {
+        PyErr_SetString(PyExc_ValueError, "SoAStore holds no routers, or "
+                        "node_ports outside [1, radix]");
         goto fail;
     }
     K = ks->num_routers * ks->nkeys;
     P = ks->num_routers * ks->radix;
+    N = ks->num_routers * ks->node_ports;
 
     /* the native forms of the store's lists, the calendar, the memo's
      * epochs and the wiring tables */
     ks->cal.free = ks->cal.cur = -1;
     ks->rings = PyMem_Calloc((size_t)(P ? P : 1), sizeof(Ring));
     ks->inq = PyMem_Calloc((size_t)(K ? K : 1), sizeof(InQ));
+    ks->tails = PyMem_Calloc((size_t)(N ? N : 1), sizeof(Tail));
     ks->epoch = PyMem_Calloc((size_t)ks->num_routers, sizeof(int64_t));
     ks->peer_rid = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
     ks->peer_port = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
     ks->up_rid = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
     ks->up_port = PyMem_Malloc((size_t)(P ? P : 1) * sizeof(int32_t));
-    if (ks->rings == NULL || ks->inq == NULL || ks->epoch == NULL
+    if (ks->rings == NULL || ks->inq == NULL || ks->tails == NULL
+        || ks->epoch == NULL
         || ks->peer_rid == NULL || ks->peer_port == NULL
         || ks->up_rid == NULL || ks->up_port == NULL) {
         PyErr_NoMemory();
@@ -4276,7 +4547,8 @@ kstate_build(PyObject *eq, PyObject *store)
         if (ks->routers[i].rid != i || ks->routers[i].kb != i * ks->nkeys
             || ks->routers[i].pb != i * ks->radix
             || ks->routers[i].radix != ks->radix
-            || ks->routers[i].max_vcs != ks->max_vcs) {
+            || ks->routers[i].max_vcs != ks->max_vcs
+            || ks->routers[i].num_node_ports != ks->node_ports) {
             PyErr_SetString(PyExc_RuntimeError,
                             "router geometry disagrees with the SoA store");
             goto fail;

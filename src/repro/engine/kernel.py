@@ -22,7 +22,13 @@ the compiled kernel (``_ckernel.c``), name for name:
 * :func:`make_packet` / :func:`next_gap` — the packet constructor and the
   geometric inter-generation gap of the traffic generator
   (``Simulation._gen_event``, which the compiled kernel's ``c_gen`` twins
-  on a lowered cell, with both inlined).
+  on a lowered cell, with both inlined);
+* :func:`enqueue` / :func:`promote` — the injection tail
+  (:attr:`SoAStore.inj_tail <repro.engine.soa.SoAStore.inj_tail>`): a
+  generated packet is queued as a ``(gen_time, dst)`` pair, and its
+  :class:`Packet` is built only when the allocation scan finds its
+  injection FIFO empty (``c_step`` promotes at the same point, so the
+  packet ids agree across backends).
 
 Every record is posted through :meth:`EventQueue.post
 <repro.engine.events.EventQueue.post>`; the intra-cycle order of phases
@@ -54,10 +60,11 @@ Backend selection
   (built via ``python setup.py build_ext --inplace``; no third-party
   toolchain beyond a C compiler).  The store uses ``array('q')`` buffers
   the C drain maps to raw ``int64_t*`` once per run.  Raises
-  :class:`~repro.errors.ConfigurationError` when the extension is not
-  built.
+  :class:`~repro.errors.ConfigurationError`, quoting the ImportError,
+  when the extension does not import.
 * ``auto`` (default, also via ``REPRO_ENGINE_BACKEND``) — ``compiled``
-  when importable, else ``python``.
+  when importable, else ``python`` (:func:`compiled_import_error` keeps
+  the reason, which ``repro profile``'s ``backend:`` line prints).
 
 Both backends are bit-identical by contract: golden-trace digests, the
 determinism matrix and the ``events_processed``/``activations`` counters
@@ -110,6 +117,7 @@ __all__ = [
     "ENGINE_BACKEND_CHOICES",
     "EngineBackend",
     "available_backends",
+    "compiled_import_error",
     "py_drain",
     "resolve_backend",
     "step",
@@ -251,14 +259,63 @@ def arm(r, time: int) -> None:
 
 
 def inject(r, node_port: int, pkt: Packet, now: int | None = None) -> None:
-    """Enqueue a freshly generated packet on a node (injection) port."""
+    """Enqueue Packet *pkt* on a node (injection) port, behind its FIFO.
+
+    Refused with :class:`~repro.errors.FlowControlError` while the port's
+    tail holds generated packets: *pkt* would overtake them.
+    """
     if now is None:
         now = r.engine.now
+    queued = r.tail_len(node_port)
+    if queued:
+        raise FlowControlError(
+            f"router {r.router_id}: a packet injected on node port "
+            f"{node_port} would overtake the {queued} generated packets "
+            "queued there"
+        )
     key = node_port * r.max_vcs
     pkt.t_enq = now
     r.in_q[r.kb + key].append(pkt)
     r.active_keys.add(key)
     arm(r, now)
+
+
+def enqueue(r, node_port: int, dst: int, now: int) -> None:
+    """Queue the packet node port *node_port* generated at *now* for *dst*.
+
+    It joins the port's tail as a ``(gen_time, dst)`` pair; :func:`promote`
+    builds its :class:`Packet` when it reaches the head of the FIFO.
+    """
+    tail = r._tail[r._nb + node_port]
+    tail.append(now)
+    tail.append(dst)
+    r.active_keys.add(node_port * r.max_vcs)
+    arm(r, now)
+
+
+def promote(r, node_port: int, q: list) -> bool:
+    """Build the head of node port *node_port*'s empty injection FIFO *q*.
+
+    Pops the first pair of the port's tail and appends the packet it
+    names, built by the generator's constructor (``Simulation._make_packet``,
+    which draws the packet id now) with ``t_enq = gen_time``.  False when
+    the tail is empty too.  The allocation scan calls it for an active
+    injection key whose FIFO is empty, as ``c_step`` does.
+    """
+    n = r._nb + node_port
+    tail = r._tail[n]
+    i = r._tail_head[n]
+    if i == len(tail):
+        return False
+    gen_time = tail[i]
+    dst = tail[i + 1]
+    i += 2
+    if 2 * i >= len(tail):
+        del tail[:i]  # the read pairs: amortised O(1) per pair
+        i = 0
+    r._tail_head[n] = i
+    q.append(r._make_packet(n, dst, gen_time))
+    return True
 
 
 def arrive(r, port: int, vc: int, pkt: Packet, now: int) -> None:
@@ -333,7 +390,9 @@ def step(r, now: int) -> None:
             break
         gk = kb + key
         q = r.in_q[gk]
-        if not q:
+        if not q and (
+            key >= r.injection_boundary or not promote(r, key // r.max_vcs, q)
+        ):
             active_keys.discard(key)
             return
         pkt = q[0]
@@ -393,7 +452,7 @@ def step(r, now: int) -> None:
     for key in active_keys:
         gk = kb + key
         q = in_q[gk]
-        if not q:
+        if not q and (key >= boundary or not promote(r, key // max_vcs, q)):
             # Defer the discard: mutating the set mid-iteration is
             # illegal, and the deferred order matches the scan order.
             if dead is None:
@@ -500,7 +559,9 @@ def _commit(r, out_port, gout, key, gk, pkt, dec, now) -> None:
     rid = r.router_id
     q = r.in_q[gk]
     del q[0]
-    if not q:
+    # An injection key stays active while its tail holds pairs: the next
+    # scan promotes the first (promote).
+    if not q and (in_port >= r._num_node_ports or not r.tail_len(in_port)):
         r.active_keys.discard(key)
     busy = now + r.internal_cycles  # the crossbar transfer time
     r.in_port_free[gin] = busy
@@ -717,18 +778,26 @@ class EngineBackend:
 _PY_BACKEND = EngineBackend("python", False, py_drain)
 
 
-def _load_compiled() -> EngineBackend | None:
-    """The compiled backend, or None when the extension is not built."""
+def _load_compiled() -> EngineBackend | ImportError:
+    """The compiled backend, or the ImportError that keeps it from loading
+    (the extension is not built, or a built one does not load)."""
     try:
         from repro.engine import _ckernel
-    except ImportError:
-        return None
+    except ImportError as exc:
+        return exc
     return EngineBackend("compiled", True, _ckernel.drain)
+
+
+def compiled_import_error() -> str | None:
+    """Why the compiled extension does not import (its ImportError's
+    text), or None when it does: the reason ``auto`` runs ``python``."""
+    loaded = _load_compiled()
+    return str(loaded) if isinstance(loaded, ImportError) else None
 
 
 def available_backends() -> tuple[str, ...]:
     """Concrete backends importable right now (excludes ``auto``)."""
-    if _load_compiled() is None:
+    if isinstance(_load_compiled(), ImportError):
         return ("python",)
     return ("python", "compiled")
 
@@ -747,16 +816,17 @@ def resolve_backend(name: str | None = None) -> EngineBackend:
         return _PY_BACKEND
     if name == "compiled":
         backend = _load_compiled()
-        if backend is None:
+        if isinstance(backend, ImportError):
             raise ConfigurationError(
                 "engine backend 'compiled' requested but the "
-                "repro.engine._ckernel extension is not built; run "
-                "`python setup.py build_ext --inplace` or use "
+                f"repro.engine._ckernel extension does not import ({backend}); "
+                "run `python setup.py build_ext --inplace` or use "
                 "REPRO_ENGINE_BACKEND=python"
             )
         return backend
     if name == "auto":
-        return _load_compiled() or _PY_BACKEND
+        backend = _load_compiled()
+        return _PY_BACKEND if isinstance(backend, ImportError) else backend
     raise ConfigurationError(
         f"unknown engine backend {name!r}; choose from "
         f"{', '.join(ENGINE_BACKEND_CHOICES)}"

@@ -9,6 +9,8 @@ per-:class:`~repro.hardware.router.Router` instance lists:
   ``router_id * nkeys + key`` where ``key = port * max_vcs + vc`` and
   ``nkeys = radix * max_vcs``;
 * **per-port fields** are indexed ``router_id * radix + port``;
+* **per-node fields** (one slot per node, i.e. per injection port) are
+  indexed ``router_id * node_ports + port``;
 * the **PiggyBack snapshot rows** (the periodically broadcast copy of
   every global port's occupancy) are indexed ``router_id * h + j`` for
   global port ``j``, ``router_id`` for their per-router sum and ``group``
@@ -31,7 +33,7 @@ Two buffer modes, selected by the engine backend:
 Both modes hold bit-identical *values* at every point of a run — the
 cross-backend equivalence suite pins that.  Object-valued fields (input
 FIFOs, output FIFOs, prebuilt credit records) are flat Python lists in
-both modes.
+both modes, and the injection tails are ``array('I')`` in both.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ class SoAStore:
     __slots__ = (
         "num_routers",
         "radix",
+        "node_ports",
         "max_vcs",
         "nkeys",
         "groups",
@@ -99,6 +102,9 @@ class SoAStore:
         "global_out",
         "link_lat",
         "hop_cost",
+        # per-node: router_id * node_ports + port
+        "inj_tail",
+        "inj_tail_head",
         # PiggyBack saturation snapshot (repro.routing.piggyback)
         "pb_snap",
         "pb_snap_sum",
@@ -109,6 +115,7 @@ class SoAStore:
         self,
         num_routers: int,
         radix: int,
+        node_ports: int,
         max_vcs: int,
         groups: int,
         global_ports: int,
@@ -117,6 +124,7 @@ class SoAStore:
     ) -> None:
         self.num_routers = num_routers
         self.radix = radix
+        self.node_ports = node_ports
         self.max_vcs = max_vcs
         self.nkeys = nkeys = radix * max_vcs
         self.groups = groups
@@ -164,6 +172,21 @@ class SoAStore:
         self.global_out = _int_buffer(P, typed)  # 1 for global ports
         self.link_lat = _int_buffer(P, typed)
         self.hop_cost = _int_buffer(P, typed)
+
+        # ---- per-node ---------------------------------------------------
+        # The injection tail: the packets generated at a node that have
+        # not reached the head of its injection FIFO, as interleaved
+        # (gen_time, dst) pairs of an array('I'), read from the item
+        # offset inj_tail_head[n] on.  A packet becomes a Packet (or, in
+        # a compiled drain, a packet row) only when it reaches the head
+        # (kernel.promote), so a saturated node's backlog costs 8 bytes
+        # a packet instead of a row plus an object (~640 bytes); the
+        # price is that cycles and node ids must fit 32 unsigned bits
+        # (appending a larger one raises OverflowError).  Every Packet of
+        # the node's in_q list comes before every pair of its tail.
+        N = num_routers * node_ports
+        self.inj_tail: list[array] = [array("I") for _ in range(N)]
+        self.inj_tail_head = _int_buffer(N, typed)
 
         # ---- PiggyBack snapshot ----------------------------------------
         # What a group's routers last broadcast about their global links:

@@ -4,7 +4,11 @@ Model summary:
 
 * **Input side** — one FIFO per (port, VC).  Node (injection) ports have a
   single unbounded FIFO; local/global ports have per-VC buffers whose
-  capacity is enforced *at the upstream sender* through credits.
+  capacity is enforced *at the upstream sender* through credits.  An
+  injection FIFO holds a built :class:`~repro.hardware.packet.Packet` at
+  its head only: the packets generated behind it wait in the store's
+  injection tail as ``(gen_time, dst)`` pairs (``SoAStore.inj_tail``), so
+  a saturated node's backlog costs 8 bytes a packet.
 * **Output side** — a FIFO per port drains onto the link at 1 phit/cycle
   (8 cycles per packet) after the 5-cycle pipeline; propagation latency is
   added on top.  Ejection (node) ports deliver to the simulation sink.
@@ -99,6 +103,10 @@ class Router:
         "_link_recs",
         "_rel_recs",
         "_credit_recs",
+        "_nb",
+        "_tail",
+        "_tail_head",
+        "_make_packet",
     )
 
     def __init__(self, sim, router_id: int) -> None:
@@ -130,7 +138,9 @@ class Router:
         for port in range(self.radix):
             kind = topo.port_kind[port]
             if kind == "node":
-                nvc, cap = 1, 0  # unbounded injection FIFO (cap unused)
+                # unbounded injection FIFO (cap unused): a head, and
+                # behind it the node's tail of (gen_time, dst) pairs
+                nvc, cap = 1, 0
             elif kind == "local":
                 nvc, cap = rc.local_vcs, rc.local_input_buffer
             else:
@@ -142,6 +152,12 @@ class Router:
                 self.in_cap[gk] = cap
         self.in_port_free = store.in_port_free
         self.active_keys: set[int] = set()
+        # The injection tails of this router's nodes (router_id * p + port)
+        # and the constructor that promotes their pairs (kernel.promote).
+        self._nb = router_id * topo.p
+        self._tail = store.inj_tail
+        self._tail_head = store.inj_tail_head
+        self._make_packet = sim._make_packet
 
         # ---- output side (store buffers pre-zeroed; fifo pre-built) ------
         self.out_fifo = store.out_fifo
@@ -295,6 +311,7 @@ class Router:
     # One implementation for method dispatch and the drain loop:
     # assigning the functions makes them this class's methods.
     inject = _kernel.inject
+    enqueue = _kernel.enqueue
     arrive = _kernel.arrive
     schedule_arb = _kernel.arm
     step = _kernel.step
@@ -308,16 +325,25 @@ class Router:
     def backlog(self) -> int:
         """Total packets waiting in this router's input queues (debug)."""
         kb = self.kb
-        return sum(len(q) for q in self.in_q[kb : kb + self.nkeys] if q)
+        queued = sum(len(q) for q in self.in_q[kb : kb + self.nkeys] if q)
+        tails = sum(self.tail_len(port) for port in range(self._num_node_ports))
+        return queued + tails
+
+    def tail_len(self, port: int) -> int:
+        """Packets generated behind the head of node port *port*'s
+        injection FIFO: the pairs of its tail."""
+        n = self._nb + port
+        return (len(self._tail[n]) - self._tail_head[n]) // 2
 
     def injection_backlog(self) -> int:
-        """Packets waiting in this router's injection (node-port) FIFOs.
+        """Packets waiting in this router's injection (node-port) FIFOs:
+        their heads and the pairs of their tails.
 
         The oracle's conservation check uses this: after a full drain
         nothing may remain queued at injection.
         """
         return sum(
-            len(self.in_q[self.kb + port * self.max_vcs])
+            len(self.in_q[self.kb + port * self.max_vcs]) + self.tail_len(port)
             for port in range(self._num_node_ports)
         )
 

@@ -125,14 +125,16 @@ class SimOracle:
     # ------------------------------------------------------------------
     # hooks (hot-ish path: once per packet each)
     # ------------------------------------------------------------------
-    def on_generate(self, pkt: Packet) -> None:
-        """A node created *pkt* (destination already resolved)."""
+    def on_generate(self, src_node: int, dst_node: int, size: int) -> None:
+        """Node *src_node* generated a *size*-phit packet for *dst_node*
+        (its Packet is built later, when it reaches the head of the
+        injection FIFO)."""
         self.generated += 1
-        self.generated_phits += pkt.size
-        j = self._job_of(pkt.src_node)
+        self.generated_phits += size
+        j = self._job_of(src_node)
         if j is not None:
             self.job_generated[j] = self.job_generated.get(j, 0) + 1
-            if self._job_of(pkt.dst_node) != j:
+            if self._job_of(dst_node) != j:
                 self.cross_job += 1
 
     def on_delivery(self, pkt: Packet, now: int) -> None:

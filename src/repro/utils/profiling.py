@@ -36,14 +36,25 @@ through the inbox, how often the whole state was mirrored, the
 calendar's peak occupancy, how many allocation scans ran over how many
 active keys (mean keys per scan), how often a hook made the kernel
 reload a router's active-key index, and how many packets it took from
-the injection FIFO lists after a hook.  ``cProfile`` counts re-entries it
-can see as Python frames; these are counted where they happen.
+the injection FIFO lists and tails after a hook.  ``cProfile`` counts
+re-entries it can see as Python frames; these are counted where they
+happen.
 
-A last line reports the cycle collector's work while the cell was built
-and run, read through a :data:`gc.callbacks` hook: collections per
-generation, the objects they freed and the seconds they took.  A
+A ``collector:`` line reports the cycle collector's work while the cell
+was built and run, read through a :data:`gc.callbacks` hook: collections
+per generation, the objects they freed and the seconds they took.  A
 collection in an older generation traverses everything still alive, so
 this is where garbage that reference counting could not free shows up.
+
+Two lines say what the run ran on and what it held.  ``backend:`` names
+the resolved engine backend and, when ``auto`` fell back to ``python``,
+the ImportError that kept the compiled extension out.  ``memory:`` gives
+the process's peak RSS (``ru_maxrss``), the compiled kernel's packet-pool
+and injection-tail high-water marks (``peak_packet_rows``,
+``peak_tail_records``) and the injection backlog left at the horizon,
+split into the FIFOs' built heads and their tails' pairs: a saturated
+cell's backlog grows with the cycles simulated, and its pairs are what
+keep that growth at 8 bytes a packet.
 """
 
 from __future__ import annotations
@@ -51,12 +62,16 @@ from __future__ import annotations
 import cProfile
 import gc
 import io
+import os
 import pstats
+import resource
+import sys
 import time
 from typing import Any
 
 from repro.config import SimulationConfig
 from repro.core.results import SimulationResult
+from repro.engine.kernel import BACKEND_ENV, compiled_import_error
 
 __all__ = [
     "PROFILE_SORTS",
@@ -109,7 +124,7 @@ def _decide_path(sim) -> str:
 
 
 #: re-entry kinds of ``_ckernel.counters`` (keys ``reentries_<kind>``).
-_REENTRY_KINDS = ("call", "gen", "sink", "decide", "injection")
+_REENTRY_KINDS = ("call", "gen", "promote", "sink", "decide", "injection")
 
 
 def _kernel_counters(sim) -> dict[str, int] | None:
@@ -120,6 +135,30 @@ def _kernel_counters(sim) -> dict[str, int] | None:
     from repro.engine import _ckernel
 
     return _ckernel.counters(sim.engine)
+
+
+def _backend(sim) -> str:
+    """The resolved backend, with the reason when ``auto`` fell back."""
+    name = sim.engine_backend
+    error = compiled_import_error() if name == "python" else None
+    if error is not None and (os.environ.get(BACKEND_ENV) or "auto") == "auto":
+        return f"{name} (auto fell back: {error})"
+    return name
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size (``ru_maxrss``), in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _injection_backlog(sim) -> tuple[int, int]:
+    """(built heads, tail pairs) queued at injection."""
+    queued = pairs = 0
+    for r in sim.routers:
+        queued += r.injection_backlog()
+        pairs += sum(r.tail_len(port) for port in range(r._num_node_ports))
+    return queued - pairs, pairs
 
 
 def describe_callbacks(metrics: dict[str, Any]) -> str:
@@ -159,8 +198,18 @@ def describe_callbacks(metrics: dict[str, Any]) -> str:
             f"packets_materialized={counters['packets_materialized']} "
             f"peak_packet_rows={counters['peak_packet_rows']}"
         )
+    heads, pairs = metrics["injection_backlog"]
+    pool = (
+        f"peak_packet_rows={counters['peak_packet_rows']} "
+        f"peak_tail_records={counters['peak_tail_records']} "
+        if counters
+        else ""
+    )
     gens = " ".join(f"gen{gen}={n}" for gen, n in enumerate(metrics["gc_collections"]))
     lines += (
+        f"\nbackend: {metrics['backend']}"
+        f"\nmemory: peak_rss={metrics['peak_rss_mb']:.1f}MB {pool}"
+        f"injection_backlog={heads + pairs} (heads={heads} tail={pairs})"
         f"\ncollector: {gens} collected={metrics['gc_collected']} "
         f"in {metrics['gc_s']:.3f}s"
     )
@@ -207,7 +256,10 @@ def profile_simulation(
     ``kernel_counters``: the compiled kernel's own counters, None on the
     python backend; ``gc_collections`` (per generation), ``gc_collected``
     and ``gc_s``: the cycle collector's work while the cell was built and
-    run — :func:`describe_callbacks` renders all of these).
+    run; ``backend``: the resolved backend, with the ImportError when
+    ``auto`` fell back; ``peak_rss_mb``: the process's peak RSS;
+    ``injection_backlog``: the (heads, tail pairs) queued at injection
+    at the horizon — :func:`describe_callbacks` renders all of these).
     With *dump_path* the raw profile is additionally written for offline
     viewers (snakeviz, pstats).
     """
@@ -248,6 +300,9 @@ def profile_simulation(
         "gc_collections": tuple(watch.collections),
         "gc_collected": watch.collected,
         "gc_s": watch.seconds,
+        "backend": _backend(sim),
+        "peak_rss_mb": _peak_rss_mb(),
+        "injection_backlog": _injection_backlog(sim),
     }
     return result, render_profile(profiler, sort=sort, limit=limit), metrics
 

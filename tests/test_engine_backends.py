@@ -93,6 +93,11 @@ def _store_snapshot(sim: Simulation) -> dict:
     snap["out_fifo"] = [
         [(p.pid, vc, t) for (p, vc, t) in fifo] for fifo in soa.out_fifo
     ]
+    # each node's injection tail, as the pairs it holds (the read offset
+    # is where a backend last compacted, not state)
+    snap["inj_tail"] = [
+        list(tail[head:]) for tail, head in zip(soa.inj_tail, soa.inj_tail_head)
+    ]
     return snap
 
 
@@ -197,9 +202,14 @@ def test_store_reads_equal_object_field_views(seed, load, routing, pattern):
             if key >= r.injection_boundary:
                 assert soa.in_occ[kb + key] == sum(p.size for p in q)
             assert soa.key_port[kb + key] == pb + key // soa.max_vcs
-        assert r.backlog() == sum(
-            len(q) for q in soa.in_q[kb : kb + soa.nkeys] if q
+        # the injection tails' pairs count as the packets they stand for
+        nb = r.router_id * soa.node_ports
+        queued = sum(len(q) for q in soa.in_q[kb : kb + soa.nkeys] if q)
+        pairs = sum(
+            (len(soa.inj_tail[n]) - soa.inj_tail_head[n]) // 2
+            for n in range(nb, nb + soa.node_ports)
         )
+        assert r.backlog() == queued + pairs
         # per-port: accessor methods recompute from the same flat slots
         for port in range(r.radix):
             gp = pb + port

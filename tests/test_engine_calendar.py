@@ -209,7 +209,7 @@ def test_unlowered_cell_posts_through_the_inbox(routing):
     assert low["drains"] == 5
     assert low["full_mirrors"] == 5 + low["reentries_call"]
     assert low["inbox_records"] == 0
-    for kind in ("gen", "sink", "decide", "injection"):
+    for kind in ("gen", "promote", "sink", "decide", "injection"):
         assert low[f"reentries_{kind}"] == 0
     # ... the un-lowered one generated, injected and delivered in Python,
     # and everything those hooks posted came in through the inbox

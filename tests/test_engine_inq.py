@@ -9,7 +9,8 @@ after a narrow hook the injection-key lists of each router
 ``Router.inject`` armed are absorbed.
 This module pins that against the pure-Python kernel:
 
-* python and compiled leave the same store and the same set order behind
+* python and compiled leave the same store (the injection tails
+  included) and the same set order behind
   at ``run_until`` boundaries — a lowered cell, an un-lowered oracle cell
   whose generator injects inside a hook, and a callback that reverses an
   injection queue and moves a packet between two VCs of one port;
@@ -60,16 +61,21 @@ def _cell(**kw) -> SimulationConfig:
     ).with_traffic(pattern="advc", load=0.8)
 
 
-def _census(sim: Simulation) -> list[int]:
-    """The pids of every packet the Python side can see: input FIFOs,
-    output FIFOs and the pending records of the calendar."""
+def _census(sim: Simulation) -> list[tuple[int, int]]:
+    """Every packet the Python side can see, as (source node, generation
+    cycle): input FIFOs, output FIFOs, the pending records of the
+    calendar and the pairs of the injection tails.  A node generates at
+    most one packet a cycle, so the pair names one packet."""
     soa = sim.soa
-    pids = [p.pid for q in soa.in_q if q for p in q if isinstance(p, Packet)]
-    pids += [p.pid for fifo in soa.out_fifo for (p, _vc, _t) in fifo]
+    pkts = [p for q in soa.in_q if q for p in q if isinstance(p, Packet)]
+    pkts += [p for fifo in soa.out_fifo for (p, _vc, _t) in fifo]
     at = {2: 4, 3: 3, 8: 1}  # OP_ARRIVE, OP_OUT_ARRIVE, OP_DELIVER
     for bucket in sim.engine._buckets.values():
-        pids += [rec[at[rec[0]]].pid for rec in bucket if rec[0] in at]
-    return sorted(pids)
+        pkts += [rec[at[rec[0]]] for rec in bucket if rec[0] in at]
+    seen = [(p.src_node, p.gen_time) for p in pkts]
+    for node, (tail, head) in enumerate(zip(soa.inj_tail, soa.inj_tail_head)):
+        seen += [(node, tail[i]) for i in range(head, len(tail), 2)]
+    return sorted(seen)
 
 
 # ----------------------------------------------------------------------

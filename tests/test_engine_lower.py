@@ -26,7 +26,7 @@ contract four ways:
   kernel's MT19937 from arbitrary ``random.Random`` states and checking
   every draw and the resulting state word-for-word; and the
   ``Simulation._make_packet`` reference constructor pinned
-  field-by-field against the construction the generator inlines.
+  field-by-field against the packet a generated pair is promoted to.
 
 Compiled parameterizations skip cleanly when the extension is not
 built.
@@ -44,10 +44,10 @@ from hypothesis import strategies as st
 
 from repro.config import small_config, tiny_config
 from repro.core.simulation import Simulation
+from repro.engine import kernel
 from repro.engine.kernel import available_backends
 from repro.exec.serialize import result_to_dict
 from repro.hardware.packet import Packet
-from repro.hardware.router import Router
 from repro.traffic import SCENARIOS
 from repro.traffic.patterns import make_traffic
 from test_determinism_matrix import _result_fields
@@ -249,37 +249,40 @@ def test_golden_traces_per_backend_and_lowering(backend, lowered):
     "make_cfg", [tiny_config, small_config], ids=["tiny", "small"]
 )
 @pytest.mark.parametrize("pattern", LOWERABLE)
-def test_make_packet_matches_gen_event(make_cfg, pattern, monkeypatch):
-    """``Simulation._make_packet`` (the documented reference constructor)
-    and the construction ``_gen_event`` runs produce identical packets for
-    the same (source, destination, cycle) over random node pairs of real
-    topologies."""
+def test_make_packet_matches_gen_event(make_cfg, pattern):
+    """``_gen_event`` queues a ``(gen_time, dst)`` pair in the node's
+    injection tail, and the packet ``kernel.promote`` builds from it is
+    ``Simulation._make_packet``'s (the documented reference constructor)
+    for the same (source, destination, cycle), over random node pairs of
+    real topologies."""
     cfg = make_cfg(seed=23).with_traffic(pattern=pattern, load=0.5)
     sim = Simulation(cfg)
-    captured = []
-    original = Router.inject
-
-    def recording_inject(self, node_port, pkt, now=None):
-        captured.append(pkt)
-        return original(self, node_port, pkt, now)
-
-    monkeypatch.setattr(Router, "inject", recording_inject)
+    soa = sim.soa
     rng = random.Random(99)
+    built = 0
     for _ in range(40):
         node = rng.randrange(sim.topo.num_nodes)
-        before = len(captured)
+        router, port = sim._inject_map[node]
+        tail = soa.inj_tail[node]
+        del tail[:]
+        soa.inj_tail_head[node] = 0
         sim._gen_event(node)
-        if len(captured) == before:
+        if not tail:
             continue  # pattern generated nothing this cycle
-        pkt = captured[-1]
-        ref = sim._make_packet(node, pkt.dst_node, pkt.gen_time)
+        gen_time, dst = tail
+        assert gen_time == sim.engine.now and 0 <= dst < sim.topo.num_nodes
+        q: list = []
+        assert kernel.promote(router, port, q) and not tail
+        (pkt,) = q
+        ref = sim._make_packet(node, dst, gen_time)
         for field in Packet.__slots__:
             if field == "pid":
-                # _make_packet drew the next id after the captured one
+                # _make_packet drew the next id after the promoted one
                 assert ref.pid == pkt.pid + 1
             else:
                 assert getattr(ref, field) == getattr(pkt, field), field
-    assert captured, "no packets generated"
+        built += 1
+    assert built, "no packets generated"
 
 
 # ----------------------------------------------------------------------

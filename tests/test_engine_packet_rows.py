@@ -17,8 +17,10 @@ Python object throughout:
   every mirror out);
 * (b) a mechanism whose ``decide`` has no C twin sees, at every call, a
   packet whose fields equal the python backend's;
-* (c) an un-lowered cell with the oracle on passes its audit, and the
-  oracle's ``on_generate`` and ``on_delivery`` get one object per pid;
+* (c) an un-lowered cell with the oracle on passes its audit, and every
+  packet its ``on_delivery`` gets is the object the generator's
+  constructor (``Simulation._make_packet``) built when the packet
+  reached the head of its injection FIFO;
 * (d) the decision memo is the compiled kernel's own: it reuses C twin
   decisions, and a Python ``decide`` is called on every pass, as on the
   python backend, also across the mirrors that re-take every row (builds
@@ -27,7 +29,11 @@ Python object throughout:
 * a ``Packet`` Python holds across a drain ends with the fields the
   drain gave it;
 * on a lowered cell whose decisions all run in C twins, the only packets
-  built are those the kernel held at drain exit (``packets_materialized``).
+  built are those the kernel held at drain exit (``packets_materialized``)
+  — those in the network and the heads of the injection FIFOs: the
+  packets behind a head stay ``(gen_time, dst)`` pairs;
+* a saturated cell's packets leave each node in generation order on both
+  backends, and the backlog does not grow the packet pool.
 """
 
 from __future__ import annotations
@@ -198,35 +204,43 @@ def test_a_python_decide_sees_the_reference_packet():
 # (c) one object per packet on an audited, un-lowered cell
 # ----------------------------------------------------------------------
 class _Identity:
-    """The oracle, its ledger hooks noting which object each pid was."""
+    """The oracle, its delivery hook noting whether each packet is the
+    object the generator's constructor built for its pid."""
 
-    def __init__(self, oracle) -> None:
-        self._oracle = oracle
-        self.generated: dict[int, Packet] = {}
+    def __init__(self, sim: Simulation) -> None:
+        self._oracle = sim.oracle
+        self.built: dict[int, Packet] = {}
         self.same: list[bool] = []
+        make = sim._make_packet
+
+        def tracked(node, dst, gen_time):
+            pkt = make(node, dst, gen_time)
+            self.built[pkt.pid] = pkt
+            return pkt
+
+        for r in sim.routers:
+            r._make_packet = tracked
 
     def __getattr__(self, name):
         return getattr(self._oracle, name)
 
-    def on_generate(self, pkt) -> None:
-        self.generated[pkt.pid] = pkt
-        self._oracle.on_generate(pkt)
-
     def on_delivery(self, pkt, now) -> None:
-        self.same.append(self.generated[pkt.pid] is pkt)
+        self.same.append(self.built[pkt.pid] is pkt)
         self._oracle.on_delivery(pkt, now)
 
 
 def test_the_oracle_sees_one_object_per_packet():
     sim = Simulation(_cell(oracle=True), engine_backend="compiled")
     assert sim._lower is None
-    sim.oracle = seen = _Identity(sim.oracle)
+    sim.oracle = seen = _Identity(sim)
     result = sim.run()
     assert result.oracle["passed"]
-    assert len(seen.same) == len(seen.generated) > 500 and all(seen.same)
-    # Python made every packet: the kernel took them in and built none
+    assert len(seen.same) == len(seen.built) > 500 and all(seen.same)
+    # Python made every packet, at promotion: the kernel took the pairs
+    # the generator queued and the packets built from them, and built none
     counters = _counters(sim)
-    assert counters["inq_absorbed"] == len(seen.generated)
+    assert counters["inq_absorbed"] == sim.stats.total_generated
+    assert counters["reentries_promote"] == len(seen.built)
     assert counters["packets_materialized"] == 0
 
 
@@ -281,8 +295,16 @@ def test_a_twinned_lowered_cell_builds_only_the_packets_it_holds_at_exit():
     assert sim._lower is not None and decide_twin(sim.routing) == "in-transit"
     result = sim.run()
     counters = _counters(sim)
+    soa = sim.soa
+    heads = sum(
+        len(soa.in_q[r.kb + port * r.max_vcs])
+        for r in sim.routers
+        for port in range(r._num_node_ports)
+    )
     queued = sum(r.injection_backlog() for r in sim.routers)
     assert counters["drains"] == 1 and counters["reentries_decide"] == 0
-    assert counters["packets_materialized"] == result.in_flight_at_end + queued
+    assert counters["packets_materialized"] == result.in_flight_at_end + heads
+    assert queued > heads > 0  # a backlog stayed pairs behind its heads
     assert len(_queued(sim)) <= counters["packets_materialized"] > 0
     assert counters["peak_packet_rows"] >= counters["packets_materialized"]
+    assert counters["peak_tail_records"] >= queued - heads

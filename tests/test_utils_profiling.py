@@ -1,14 +1,20 @@
-"""``repro profile``'s collector report: what the cycle collector did."""
+"""``repro profile``'s report lines: what the cycle collector did, which
+backend ran (and why, when ``auto`` fell back) and what the run held."""
 
 from __future__ import annotations
 
+import builtins
 import gc
+import re
 
 import pytest
 
-from repro.config import tiny_config
+from repro.config import small_config, tiny_config
 from repro.core.simulation import Simulation
+from repro.engine.kernel import BACKEND_ENV, compiled_import_error, resolve_backend
+from repro.errors import ConfigurationError
 from repro.utils.profiling import describe_callbacks, profile_simulation
+from test_engine_backends import BACKENDS
 
 
 class Boom(Exception):
@@ -35,3 +41,70 @@ def test_the_hook_is_gone_when_the_run_raises(monkeypatch):
     with pytest.raises(Boom):
         profile_simulation(tiny_config())
     assert gc.callbacks == hooks
+
+
+# ----------------------------------------------------------------------
+# the backend: and memory: lines
+# ----------------------------------------------------------------------
+def _saturated():
+    """An h=2 ADVc@0.6 MIN cell that ends with an injection backlog."""
+    return small_config(
+        routing="min", warmup_cycles=100, measure_cycles=600, seed=3
+    ).with_traffic(pattern="advc", load=0.6)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_profile_reports_the_backend_and_the_memory(backend, monkeypatch):
+    monkeypatch.setenv(BACKEND_ENV, backend)
+    _result, _report, metrics = profile_simulation(_saturated(), limit=1)
+    lines = describe_callbacks(metrics).splitlines()
+    assert f"backend: {backend}" in lines
+    (memory,) = [line for line in lines if line.startswith("memory: ")]
+    # the backlog the same cell leaves at its horizon: heads and pairs
+    sim = Simulation(_saturated())
+    sim.run()
+    soa = sim.soa
+    pairs = sum(
+        (len(tail) - head) // 2 for tail, head in zip(soa.inj_tail, soa.inj_tail_head)
+    )
+    heads = sum(r.injection_backlog() for r in sim.routers) - pairs
+    assert pairs > heads > 0
+    assert memory.endswith(
+        f" injection_backlog={heads + pairs} (heads={heads} tail={pairs})"
+    )
+    rss = float(re.search(r"peak_rss=([\d.]+)MB ", memory).group(1))
+    assert rss == pytest.approx(metrics["peak_rss_mb"], abs=0.1) and rss > 10
+    if backend == "python":
+        assert "peak_packet_rows" not in memory
+        return
+    rows = int(re.search(r" peak_packet_rows=(\d+) ", memory).group(1))
+    tail = int(re.search(r" peak_tail_records=(\d+) ", memory).group(1))
+    assert tail >= pairs and 0 < rows < pairs
+
+
+def test_a_compiled_extension_that_does_not_import_is_reported(monkeypatch):
+    """A built extension that fails to load (a layout mismatch, a missing
+    symbol) must not read as "not built": an explicit request quotes the
+    ImportError, and ``auto``'s fallback names it on the backend line."""
+    real_import = builtins.__import__
+
+    def failing_import(name, globals=None, locals=None, fromlist=(), level=0):
+        if name == "repro.engine" and fromlist and "_ckernel" in fromlist:
+            raise ImportError("layout mismatch")
+        return real_import(name, globals, locals, fromlist, level)
+
+    monkeypatch.setattr(builtins, "__import__", failing_import)
+    assert compiled_import_error() == "layout mismatch"
+    with pytest.raises(
+        ConfigurationError, match=r"does not import \(layout mismatch\)"
+    ):
+        resolve_backend("compiled")
+    assert resolve_backend("auto").name == "python"
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    _result, _report, metrics = profile_simulation(tiny_config(), limit=1)
+    lines = describe_callbacks(metrics).splitlines()
+    assert "backend: python (auto fell back: layout mismatch)" in lines
+    # an explicit python request is no fallback
+    monkeypatch.setenv(BACKEND_ENV, "python")
+    _result, _report, metrics = profile_simulation(tiny_config(), limit=1)
+    assert "backend: python" in describe_callbacks(metrics).splitlines()
