@@ -524,18 +524,18 @@ typedef struct {
 #define TWIN_PIGGYBACK 3
 #define TWIN_INTRANSIT 4
 
+/* the candidate sets of a Mechanism row's source / transit
+ * (misrouting.CRG / NRG / RRG) */
+#define CRG 0
+#define NRG 1
+#define RRG 2
+
 /* candidates sampled per decision by NRG / RRG (misrouting.SAMPLE_K),
  * routers probed by the OLM sampler (_try_local_misroute) and groups
- * probed by PiggyBack's RRG (_nonmin_candidate) */
+ * probed by PiggyBack's RRG (piggyback.PB_PROBES) */
 #define SAMPLE_K 4
 #define OLM_PROBES 3
 #define PB_PROBES 4
-
-/* A PiggybackGroupState's own constants. */
-typedef struct {
-    int64_t period;
-    double t_global;
-} PbGroup;
 
 typedef struct {
     PyObject *routing;   /* owned: the mechanism the twin stands in for */
@@ -549,17 +549,15 @@ typedef struct {
     int64_t *go_port, *go_off; /* owned, a*h: topo.global_out[pos][j] */
     int64_t *cand;       /* owned scratch, max(h, PB_PROBES) groups */
     RngMirror rng;       /* rng_routing, in-kernel during a drain */
-    /* oblivious and PiggyBack: the variant */
-    PyObject *variant;   /* owned */
-    int crg;             /* 1 "crg", 0 "rrg" */
-    /* PiggyBack: its thresholds and each group state's own constants */
-    double t_local;
-    PyObject *groups_state; /* owned list */
-    PbGroup *pb;         /* owned, `groups` entries */
+    /* routing.mechanism: the candidate sets (CRG / NRG / RRG) at the
+     * source router and, in-transit only, the PAR second point */
+    int64_t source, transit;
+    /* PiggyBack: its thresholds and snapshot period */
+    double t_local, t_global;
+    int64_t pb_period;
     /* in-transit */
     double threshold;    /* misroute_threshold */
     int64_t thr_occ;     /* the least occ with occ / cap >= threshold */
-    int64_t code_source, code_transit; /* 0 CRG, 1 NRG, 2 RRG */
 } Twin;
 
 /* What a twin hands back besides the decision: whether it drew, and what
@@ -837,9 +835,6 @@ twin_clear(Twin *tw)
     PyMem_Free(tw->go_port);
     PyMem_Free(tw->go_off);
     PyMem_Free(tw->cand);
-    Py_CLEAR(tw->variant);
-    Py_CLEAR(tw->groups_state);
-    PyMem_Free(tw->pb);
     rng_clear(&tw->rng);
 }
 
@@ -2859,8 +2854,8 @@ c_deliver(KState *ks, LState *ls, int32_t row, int64_t t)
 
 /* Every twin fills a Verdict and returns 0, or returns 1 on a branch
  * where the Python reference raises (VC overflow, a degenerate
- * randrange) or cannot return — leaving packet, store and RNG as a
- * re-run of the reference expects to find them: the caller then runs the
+ * randrange) — leaving packet, store and RNG as a re-run of the
+ * reference expects to find them: the caller then runs the
  * reference for its exact exception.  -1 is an error of the twin's own
  * (allocation), with an exception set. */
 
@@ -2931,11 +2926,12 @@ c_min_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
 
 /* Both freeze a plan the first time a packet heads its injection queue
  * (pkt.plan 0 -> 1 minimal, 2 via pkt.inter_router) and walk minimally
- * to the plan's target from then on.  A raise in the walk needs no
- * foresight: by then the plan is written and the draws are made exactly
- * as the reference makes them before it raises, so the Python decide()
- * the caller falls back to skips the freeze and raises from the same
- * state.  Only what would raise (or never return) *inside* the freeze is
+ * to the plan's target from then on: the one decide of their Python
+ * base, SourceRoutedMechanism (repro/routing/base.py).  A raise in the
+ * walk needs no foresight: by then the plan is written and the draws are
+ * made exactly as the reference makes them before it raises, so the
+ * Python decide() the caller falls back to skips the freeze and raises
+ * from the same state.  Only what would raise *inside* the freeze is
  * checked before the first draw. */
 
 /* Record the frozen plan on the packet: via router `inter`, or minimal
@@ -2966,8 +2962,8 @@ c_plan_walk(KState *ks, RState *rs, const int64_t *pk, int64_t plan,
 }
 
 /* The groups this router's own global links reach, in port order and
- * without `dst_group` (the CRG list of _choose_intermediate and
- * _nonmin_candidate), into tw->cand; returns how many. */
+ * without `dst_group` (SourceRoutedMechanism._crg_groups), into
+ * tw->cand; returns how many. */
 static int64_t
 crg_groups(Twin *tw, const RState *rs, int64_t dst_group)
 {
@@ -2989,8 +2985,9 @@ random_router_of(Twin *tw, int64_t g)
 }
 
 /* C twin of ObliviousValiantRouting.decide + _choose_intermediate
- * (repro/routing/oblivious.py): `rng.choice` over the CRG list is one
- * _randbelow(len), RRG the randrange(groups) rejection loop. */
+ * (repro/routing/oblivious.py), CRG or RRG by the row's source:
+ * `rng.choice` over the CRG list is one _randbelow(len), RRG the
+ * randrange(groups) rejection loop. */
 static int
 c_oblivious_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
 {
@@ -3000,7 +2997,7 @@ c_oblivious_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
     if (plan == 0) {
         int64_t dst_group = pk[PK_DST_GROUP];
         int64_t inter = -1, g;
-        if (tw->crg) {
+        if (tw->source == CRG) {
             int64_t cnt = crg_groups(tw, rs, dst_group);
             if (cnt > 0) {
                 g = tw->cand[mt_randbelow(&tw->rng.mt, cnt, bit_length(cnt))];
@@ -3009,8 +3006,6 @@ c_oblivious_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
         }
         else {
             int64_t src_group = pk[PK_SRC_GROUP];
-            if (tw->groups < ((src_group == dst_group) ? 2 : 3))
-                return 1; /* no third group: the reference loops forever */
             do
                 g = mt_randbelow(&tw->rng.mt, tw->groups, tw->groups_bits);
             while (g == src_group || g == dst_group);
@@ -3058,14 +3053,14 @@ live_over_mean(const KState *ks, const RState *rs, int64_t first, int64_t n,
     return over_mean(occ_idx, sum, n, t);
 }
 
-/* PiggybackGroupState._refresh: retake the group's snapshot rows when
+/* PiggybackRouting._refresh: retake the group's snapshot rows when
  * the last one is at least `period` cycles old. */
 static void
 pb_refresh(KState *ks, int64_t group)
 {
     const Twin *tw = &ks->twin;
     int64_t taken = ks->pb_snap_time[group], i, j;
-    if (taken >= 0 && ks->now - taken < tw->pb[group].period)
+    if (taken >= 0 && ks->now - taken < tw->pb_period)
         return;
     ks->pb_snap_time[group] = ks->now;
     for (i = 0; i < tw->a; i++) {
@@ -3080,14 +3075,14 @@ pb_refresh(KState *ks, int64_t group)
     }
 }
 
-/* PiggybackGroupState.saturated_global with `rs` the querier: its own
+/* PiggybackRouting._saturated_global with `rs` the querier: its own
  * link live, anyone else's from the snapshot. */
 static int
 pb_saturated_global(KState *ks, const RState *rs, int64_t owner_pos,
                     int64_t j)
 {
     const Twin *tw = &ks->twin;
-    double t = tw->pb[rs->group].t_global;
+    double t = tw->t_global;
     int64_t owner;
     if (owner_pos == rs->pos)
         return live_over_mean(ks, rs, tw->first_global, tw->h, j, t);
@@ -3126,7 +3121,7 @@ pb_nonmin_candidate(KState *ks, const RState *rs, const int64_t *pk,
 {
     Twin *tw = &ks->twin;
     int64_t cnt = 0, n;
-    if (tw->crg) {
+    if (tw->source == CRG) {
         cnt = crg_groups(tw, rs, dst_group);
         for (n = 0; n < cnt; n++)
             if (tw->cand[n] == rs->group)
@@ -3157,10 +3152,11 @@ pb_nonmin_candidate(KState *ks, const RState *rs, const int64_t *pk,
     return 0;
 }
 
-/* C twin of PiggybackRouting.decide (repro/routing/piggyback.py, the
- * reference): the source decision on the saturation bits — this router's
- * links live, the rest of the group from the snapshot rows of the SoA
- * store, which PiggybackGroupState reads and writes too. */
+/* C twin of PiggybackRouting.decide + _choose_intermediate
+ * (repro/routing/piggyback.py, the reference): the source decision on
+ * the saturation bits — this router's links live, the rest of the group
+ * from the snapshot rows of the SoA store, which PiggybackRouting reads
+ * and writes too. */
 static int
 c_piggyback_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
 {
@@ -3362,7 +3358,7 @@ c_intransit_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
                 v->g_val = sc.best_occ;
                 return 0;
             }
-            code = tw->code_source;
+            code = tw->source;
         }
         else {
             /* Second decision point: only when credit-blocked outright. */
@@ -3378,15 +3374,15 @@ c_intransit_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
                 return 0;
             }
             sc.best_occ = ks->out_cap[gmin]; /* sentinel: frac < 1.0 */
-            code = tw->code_transit;
+            code = tw->transit;
         }
-        if (code == 1 && (tw->a < 2 || tw->h < 1))
+        if (code == NRG && (tw->a < 2 || tw->h < 1))
             return 1; /* randrange(0) raises in nrg_candidates */
         sc.local_vc = (glh >= 1) ? tw->n_local_vcs - 1 : 0;
         sc.skip_local = (glh >= 2); /* third local hop forbidden */
         sc.best_port = -1;
         sc.best_vc = sc.best_inter = 0;
-        if (code == 0) { /* CRG: this router's own global links */
+        if (code == CRG) { /* this router's own global links */
             const int64_t *port = tw->go_port + pos * tw->h;
             const int64_t *off = tw->go_off + pos * tw->h;
             for (n = 0; n < tw->h; n++) {
@@ -3395,7 +3391,7 @@ c_intransit_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
                     scan_candidate(ks, rs, tw, &sc, port[n], peer);
             }
         }
-        else if (code == 1) { /* NRG: via other routers of this group */
+        else if (code == NRG) { /* via other routers of this group */
             for (n = 0; n < SAMPLE_K; n++) {
                 int64_t w = mt_randbelow(&tw->rng.mt, tw->a - 1,
                                          tw->am1_bits);
@@ -3425,7 +3421,7 @@ c_intransit_decide(KState *ks, RState *rs, int64_t *pk, Verdict *v)
                                tg);
             }
         }
-        v->pure = (code == 0);
+        v->pure = (code == CRG);
         v->guard = GUARD_EPOCH; /* full candidate scan consulted */
         if (sc.best_port >= 0) {
             v->port = sc.best_port;
@@ -4146,23 +4142,14 @@ static const Attr TWIN_ATTRS[] = {
     {"topo.gw_port_by_delta", offsetof(Twin, gw_port), A_INTS, L_GROUPS},
     {"topo.global_out", offsetof(Twin, global_out), A_LIST, L_ANY, DRAWING},
     {"rng", offsetof(Twin, rng.rng), A_OBJ, L_ANY, DRAWING},
-    {"variant", offsetof(Twin, variant), A_OBJ, L_ANY,
-     (1 << TWIN_OBLIVIOUS) | (1 << TWIN_PIGGYBACK)},
+    {"mechanism.source", offsetof(Twin, source), A_I64, L_ANY, DRAWING},
+    {"mechanism.transit", offsetof(Twin, transit), A_I64, L_ANY,
+     1 << TWIN_INTRANSIT},
     {"t_local", offsetof(Twin, t_local), A_F64, L_ANY, 1 << TWIN_PIGGYBACK},
-    {"groups_state", offsetof(Twin, groups_state), A_LIST, L_GROUPS,
-     1 << TWIN_PIGGYBACK},
+    {"t_global", offsetof(Twin, t_global), A_F64, L_ANY, 1 << TWIN_PIGGYBACK},
+    {"period", offsetof(Twin, pb_period), A_I64, L_ANY, 1 << TWIN_PIGGYBACK},
     {"threshold", offsetof(Twin, threshold), A_F64, L_ANY,
      1 << TWIN_INTRANSIT},
-    {"_code_source", offsetof(Twin, code_source), A_I64, L_ANY,
-     1 << TWIN_INTRANSIT},
-    {"_code_transit", offsetof(Twin, code_transit), A_I64, L_ANY,
-     1 << TWIN_INTRANSIT},
-};
-
-/* routing.groups_state[g].<...>, the PiggyBack twin's per-group constants */
-static const Attr PB_GROUP_ATTRS[] = {
-    {"period", offsetof(PbGroup, period), A_I64},
-    {"t_global", offsetof(PbGroup, t_global), A_F64},
 };
 
 /* Resolve the decide twin of *routing* (repro.routing.factory
@@ -4175,7 +4162,6 @@ twin_build(KState *ks, PyObject *routing)
     Twin *tw = &ks->twin;
     PyObject *mod, *name;
     size_t i;
-    Py_ssize_t g;
     int kind = TWIN_NONE;
 
     tw->routing = Py_NewRef(routing);
@@ -4238,25 +4224,20 @@ twin_build(KState *ks, PyObject *routing)
             if ((double)tw->thr_occ / (double)cap >= tw->threshold)
                 break;
     }
-    if (tw->variant != NULL) /* oblivious and PiggyBack: two variants */
-        tw->crg = PyUnicode_Check(tw->variant)
-                  && PyUnicode_CompareWithASCIIString(tw->variant, "crg") == 0;
-    if (kind == TWIN_PIGGYBACK) {
-        if (ks->num_routers != tw->groups * tw->a) {
-            PyErr_SetString(PyExc_ValueError,
-                            "store does not hold groups x a routers");
-            return -1;
-        }
-        if ((tw->pb = PyMem_Calloc((size_t)tw->groups, sizeof(PbGroup)))
-            == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (g = 0; g < tw->groups; g++)
-            if (READ_ATTRS(ks, "PiggybackGroupState",
-                           PyList_GET_ITEM(tw->groups_state, g), &tw->pb[g],
-                           PB_GROUP_ATTRS, -1) < 0)
-                return -1;
+    if (kind != TWIN_MIN
+        && (tw->source < CRG || tw->source > RRG
+            || (kind == TWIN_INTRANSIT
+                && (tw->transit < CRG || tw->transit > RRG)))) {
+        PyErr_Format(PyExc_ValueError,
+                     "routing.mechanism: candidate sets (%lld, %lld) are "
+                     "not CRG / NRG / RRG (0 / 1 / 2)",
+                     (long long)tw->source, (long long)tw->transit);
+        return -1;
+    }
+    if (kind == TWIN_PIGGYBACK && ks->num_routers != tw->groups * tw->a) {
+        PyErr_SetString(PyExc_ValueError,
+                        "store does not hold groups x a routers");
+        return -1;
     }
     tw->kind = kind;
     return 0;

@@ -193,7 +193,7 @@ class SoAStore:
         # pb_snap[router_id * h + j] is the occupancy of global port j,
         # pb_snap_sum[router_id] the sum over that router's h ports, both
         # as of cycle pb_snap_time[group] (-1: never taken).  Written by
-        # PiggybackGroupState._refresh and by the compiled kernel's
+        # PiggybackRouting._refresh and by the compiled kernel's
         # PiggyBack decide twin; always allocated (tiny), idle under every
         # other mechanism.
         self.pb_snap = _int_buffer(num_routers * global_ports, typed)

@@ -1,42 +1,38 @@
-"""Routing mechanisms and global misrouting policies.
+"""Routing mechanisms and global misrouting candidate sets.
 
-The paper's legend maps to these classes (built via :func:`make_routing`):
+The paper's legend is :data:`~repro.routing.factory.MECHANISMS`, one
+:class:`~repro.routing.factory.Mechanism` row per name (built via
+:func:`make_routing`): the class that routes it and its candidate sets at
+the source router and at the PAR second decision point.
 
-=============== ==========================================================
-Name            Mechanism
-=============== ==========================================================
-``min``         Minimal routing (oblivious)
-``obl-rrg``     Oblivious non-minimal, random intermediate (Valiant)
-``obl-crg``     Oblivious non-minimal, intermediate restricted to groups
-                directly connected to the source router
-``src-rrg``     PiggyBack source-adaptive, RRG non-minimal selection
-``src-crg``     PiggyBack source-adaptive, CRG non-minimal selection
-``in-trns-rrg`` In-transit adaptive (PAR + OLM), RRG global misrouting
-``in-trns-crg`` In-transit adaptive, CRG global misrouting
-``in-trns-mm``  In-transit adaptive, Mixed-Mode (CRG at the source router,
-                NRG for in-transit packets)
-=============== ==========================================================
+=============== ====================================== ====== =======
+Name            Class                                  source transit
+=============== ====================================== ====== =======
+``min``         ``MinimalRouting`` (oblivious)
+``obl-rrg``     ``ObliviousValiantRouting`` (Valiant)  RRG
+``obl-crg``     ``ObliviousValiantRouting``            CRG
+``src-rrg``     ``PiggybackRouting`` (source-adaptive) RRG
+``src-crg``     ``PiggybackRouting``                   CRG
+``in-trns-rrg`` ``InTransitAdaptiveRouting`` (PAR+OLM) RRG    RRG
+``in-trns-crg`` ``InTransitAdaptiveRouting``           CRG    CRG
+``in-trns-mm``  ``InTransitAdaptiveRouting``           CRG    NRG
+=============== ====================================== ====== =======
 """
 
 from repro.routing.base import RoutingMechanism, eject_decision, min_hop_port
-from repro.routing.factory import ROUTING_NAMES, make_routing
+from repro.routing.factory import MECHANISMS, ROUTING_NAMES, Mechanism, make_routing
 from repro.routing.minimal import MinimalRouting
-from repro.routing.misrouting import (
-    MisroutePolicy,
-    crg_candidates,
-    nrg_candidates,
-    rrg_candidates,
-)
+from repro.routing.misrouting import crg_candidates, nrg_candidates, rrg_candidates
 from repro.routing.oblivious import ObliviousValiantRouting
-from repro.routing.piggyback import PiggybackGroupState, PiggybackRouting
+from repro.routing.piggyback import PiggybackRouting
 from repro.routing.intransit import InTransitAdaptiveRouting
 
 __all__ = [
     "InTransitAdaptiveRouting",
+    "MECHANISMS",
+    "Mechanism",
     "MinimalRouting",
-    "MisroutePolicy",
     "ObliviousValiantRouting",
-    "PiggybackGroupState",
     "PiggybackRouting",
     "ROUTING_NAMES",
     "RoutingMechanism",

@@ -9,10 +9,12 @@ A *decision* is the tuple ``(out_port, out_vc, action, aux)``:
   no extra state).
 
 :meth:`RoutingMechanism.decide` is the whole interface: mechanisms
-differ only in the routing decision.  It runs on every allocation pass
-a head packet participates in — nothing in Python memoizes a decision —
-so adaptive mechanisms re-evaluate while a packet waits, reading live
-congestion state and drawing from their RNG.  Applying a granted
+differ only in the routing decision, which reads the mechanism's
+:class:`~repro.routing.factory.Mechanism` row (``self.mechanism``).  It
+runs on every allocation pass a head packet participates in — nothing in
+Python memoizes a decision — so adaptive mechanisms re-evaluate while a
+packet waits, reading live congestion state and drawing from their RNG
+(``self.rng``, the simulation's ``rng_routing``).  Applying a granted
 decision (hop counts, binding ``action = 1``'s intermediate group) and
 the per-arrival group transitions and Valiant plan switch are router
 behaviour, written once per backend (``engine/kernel.py``'s ``_commit``
@@ -25,12 +27,19 @@ digests check it against this memo-free reference.
 
 from __future__ import annotations
 
+import random
 from abc import ABC, abstractmethod
 
 from repro.errors import RoutingError
 from repro.hardware.packet import Packet
+from repro.routing.vc import position_global_vc, position_local_vc
 
-__all__ = ["RoutingMechanism", "min_hop_port", "eject_decision"]
+__all__ = [
+    "RoutingMechanism",
+    "SourceRoutedMechanism",
+    "eject_decision",
+    "min_hop_port",
+]
 
 
 def min_hop_port(topo, router, target_router: int) -> int:
@@ -67,11 +76,16 @@ def eject_decision(pkt: Packet) -> tuple:
 class RoutingMechanism(ABC):
     """Base class for all mechanisms: a routing decision, nothing else."""
 
-    #: mechanism name as it appears in the paper's legends (set by factory)
-    name: str = "?"
+    #: kind of the compiled kernel's C twin of ``decide`` for exactly this
+    #: class (see :func:`repro.routing.factory.decide_twin`); None: no twin
+    twin: str | None = None
 
-    def __init__(self, sim) -> None:
+    def __init__(self, sim, mechanism) -> None:
         self.sim = sim
+        self.mechanism = mechanism
+        #: the name of the mechanism's row, as in the paper's legends
+        self.name: str = mechanism.name
+        self.rng: random.Random = sim.rng_routing
         self.topo = sim.topo
         self.n_local_vcs = sim.config.router.local_vcs
         self.n_global_vcs = sim.config.router.global_vcs
@@ -85,3 +99,45 @@ class RoutingMechanism(ABC):
         output lacks credit simply loses the pass and is re-evaluated when
         resources free up.
         """
+
+
+class SourceRoutedMechanism(RoutingMechanism):
+    """A mechanism that fixes each packet's path at its source router.
+
+    The plan is frozen the first time the packet is evaluated at the head
+    of its injection queue — ``plan`` 0 -> 2 via the Valiant intermediate
+    router :meth:`_choose_intermediate` returns, or 0 -> 1 minimal when it
+    returns -1 — and never revisited; from then on ``decide`` walks
+    minimally to the plan's target on position-based VCs (the C twins'
+    ``freeze_plan`` and ``c_plan_walk``).
+    """
+
+    @abstractmethod
+    def _choose_intermediate(self, pkt: Packet, router) -> int:
+        """Valiant intermediate router id, or -1 for the minimal path."""
+
+    def _crg_groups(self, pkt: Packet, router) -> list[int]:
+        """The groups *router*'s own global links reach, in port order,
+        without the destination group (the C twins' ``crg_groups``)."""
+        topo = self.topo
+        offsets = topo.global_neighbor_groups(router.pos)
+        groups = [(router.group + off) % topo.groups for off in offsets]
+        return [g for g in groups if g != pkt.dst_group]
+
+    def decide(self, pkt: Packet, router) -> tuple:
+        if pkt.plan == 0:
+            inter = self._choose_intermediate(pkt, router)
+            if inter < 0:
+                pkt.plan = 1
+            else:
+                pkt.plan = 2
+                pkt.inter_router = inter
+        if pkt.plan == 1 and router.router_id == pkt.dst_router:
+            return eject_decision(pkt)
+        target = pkt.inter_router if pkt.plan == 2 else pkt.dst_router
+        out_port = min_hop_port(self.topo, router, target)
+        if self.topo.is_global_port(out_port):
+            vc = position_global_vc(pkt, self.n_global_vcs)
+        else:
+            vc = position_local_vc(pkt, self.n_local_vcs)
+        return (out_port, vc, 0, 0)

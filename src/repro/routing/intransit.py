@@ -8,9 +8,9 @@ Decision structure (Section II-C of the paper):
   output port — the occupied fraction of the downstream input buffer for
   the VC the packet would use.  Misrouting triggers when the minimal
   port's credit occupancy reaches ``misroute_threshold`` (Table I: 43%)
-  and a policy-legal non-minimal candidate is strictly less congested.
-  The candidate set follows the configured global misrouting policy
-  (CRG / RRG / MM = CRG-at-source + NRG-in-transit).
+  and a non-minimal candidate of the point's candidate set is strictly
+  less congested.  The sets are the mechanism row's ``source`` and
+  ``transit`` (CRG / RRG; MM = CRG-at-source + NRG-in-transit).
 * **Local misrouting** (OLM): in the intermediate or destination group,
   when the minimal local hop is backpressured past the same threshold,
   divert through a third router of the group (two local hops replace one;
@@ -46,12 +46,11 @@ compares them where every branch is live.
 
 from __future__ import annotations
 
-import random
-
 from repro.hardware.packet import Packet
 from repro.routing.base import RoutingMechanism, eject_decision
 from repro.routing.misrouting import (
-    MisroutePolicy,
+    CRG,
+    NRG,
     crg_candidates,
     nrg_candidates,
     rrg_candidates,
@@ -74,13 +73,14 @@ def _credit_blocked(router, port: int, vc: int, size: int) -> bool:
 
 
 class InTransitAdaptiveRouting(RoutingMechanism):
-    """PAR + OLM in-transit adaptive routing with a global misrouting policy."""
+    """PAR + OLM in-transit adaptive routing; the row's ``source`` and
+    ``transit`` are the candidate sets of the source router and of the PAR
+    second decision point."""
 
-    def __init__(self, sim, policy: MisroutePolicy) -> None:
-        super().__init__(sim)
-        self.policy = policy
-        self.name = f"in-trns-{policy.value}"
-        self.rng: random.Random = sim.rng_routing
+    twin = "in-transit"
+
+    def __init__(self, sim, mechanism) -> None:
+        super().__init__(sim, mechanism)
         self.threshold = sim.config.misroute_threshold
         topo = sim.topo
         self._first_local = topo.first_local_port
@@ -88,14 +88,6 @@ class InTransitAdaptiveRouting(RoutingMechanism):
         self._groups = topo.groups
         self._gw_router = topo.gw_router_by_delta
         self._gw_port = topo.gw_port_by_delta
-        # The candidate generator of each global decision point, as
-        # 0 CRG, 1 NRG, 2 RRG: MM is CRG at the source router and NRG at
-        # the PAR second decision point.
-        self._code_source, self._code_transit = {
-            MisroutePolicy.CRG: (0, 0),
-            MisroutePolicy.RRG: (2, 2),
-            MisroutePolicy.MM: (0, 1),
-        }.get(policy, (1, 1))
         # CRG candidates are a pure function of (router, source group,
         # destination group): cached per router, keyed by the group pair.
         self._crg_by_router: list[dict[int, list] | None] = [
@@ -144,7 +136,9 @@ class InTransitAdaptiveRouting(RoutingMechanism):
             frac = router.out_occ[gp] / router.out_cap[gp]
             if frac < self.threshold:
                 return minimal
-            choice = self._try_global_misroute(pkt, router, self._code_source, frac)
+            choice = self._try_global_misroute(
+                pkt, router, self.mechanism.source, frac
+            )
             return choice or minimal
         if not par and (glh or port >= self._first_global):
             return minimal
@@ -157,19 +151,21 @@ class InTransitAdaptiveRouting(RoutingMechanism):
         ):
             return minimal
         if par:  # any candidate whose output FIFO is not full
-            choice = self._try_global_misroute(pkt, router, self._code_transit, 1.0)
+            choice = self._try_global_misroute(
+                pkt, router, self.mechanism.transit, 1.0
+            )
         else:
             choice = self._try_local_misroute(pkt, router, port, vc, target)
         return choice or minimal
 
     # ------------------------------------------------------------------
     def _try_global_misroute(
-        self, pkt: Packet, router, code: int, best: float
+        self, pkt: Packet, router, candidate_set: int, best: float
     ) -> tuple | None:
-        """The policy's candidate whose first hop's output FIFO is least
-        occupied, strictly below *best*, and not credit-blocked; None when
-        there is none.  Draws from the RNG for NRG and RRG."""
-        if code == 0:
+        """The candidate of *candidate_set* whose first hop's output FIFO
+        is least occupied, strictly below *best*, and not credit-blocked;
+        None when there is none.  Draws from the RNG for NRG and RRG."""
+        if candidate_set == CRG:
             by_pair = self._crg_by_router[router.router_id]
             if by_pair is None:
                 by_pair = self._crg_by_router[router.router_id] = {}
@@ -177,7 +173,7 @@ class InTransitAdaptiveRouting(RoutingMechanism):
             candidates = by_pair.get(pair)
             if candidates is None:
                 candidates = by_pair[pair] = crg_candidates(self.topo, router, pkt)
-        elif code == 1:
+        elif candidate_set == NRG:
             candidates = nrg_candidates(self.topo, router, pkt, self.rng)
         else:
             candidates = rrg_candidates(self.topo, router, pkt, self.rng)

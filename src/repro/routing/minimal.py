@@ -30,10 +30,10 @@ class MinimalRouting(RoutingMechanism):
     and handle the (raising) overflow paths.
     """
 
-    name = "min"
+    twin = "min"
 
-    def __init__(self, sim) -> None:
-        super().__init__(sim)
+    def __init__(self, sim, mechanism) -> None:
+        super().__init__(sim, mechanism)
         topo = sim.topo
         self._a = topo.a
         self._groups = topo.groups

@@ -1,4 +1,4 @@
-"""Global misrouting policies: candidate generation for non-minimal hops.
+"""Global misrouting candidate sets: candidate generation for non-minimal hops.
 
 Definitions from Garcia et al. (INA-OCMC'13), Section II-B of the paper:
 
@@ -14,6 +14,9 @@ Definitions from Garcia et al. (INA-OCMC'13), Section II-B of the paper:
 * **MM** (mixed mode, in-transit only): CRG when deciding at the source
   router, NRG for packets already in transit.
 
+A :class:`~repro.routing.factory.Mechanism` row names its ``source`` and
+``transit`` sets by the constants below; MM is ``(CRG, NRG)``.
+
 Each candidate is ``(first_hop_port, intermediate_group)``.  The in-transit
 mechanism samples a bounded number of candidates per decision and picks
 the least-occupied first hop, which models FOGSim's credit-count
@@ -22,29 +25,24 @@ comparison without scanning every group at every allocation.
 
 from __future__ import annotations
 
-import enum
 import random
 
 from repro.hardware.packet import Packet
 
 __all__ = [
-    "MisroutePolicy",
+    "CRG",
+    "NRG",
+    "RRG",
     "crg_candidates",
     "nrg_candidates",
     "rrg_candidates",
 ]
 
-#: candidates sampled per decision by the randomised policies
+#: the candidate sets, as a mechanism's row and the C twins name them
+CRG, NRG, RRG = 0, 1, 2
+
+#: candidates sampled per decision by the randomised sets
 SAMPLE_K = 4
-
-
-class MisroutePolicy(enum.Enum):
-    """Global misrouting policy selector."""
-
-    CRG = "crg"
-    NRG = "nrg"
-    RRG = "rrg"
-    MM = "mm"
 
 
 def crg_candidates(topo, router, pkt: Packet) -> list[tuple[int, int]]:

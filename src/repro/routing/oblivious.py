@@ -5,7 +5,9 @@ of a random intermediate node, per the paper's node-based Valiant), routes
 minimally to it, then minimally to the destination:
 
 * **Obl-RRG** — the intermediate node is uniform over the whole network,
-  excluding the source and destination groups (classic Valiant).
+  excluding the source and destination groups (classic Valiant); on a
+  network of fewer than 3 groups there is none, and building the
+  mechanism there is a :class:`~repro.errors.ConfigurationError`.
 * **Obl-CRG** — the intermediate node lives in one of the groups directly
   connected to the *source router*, saving the frequent first local hop at
   the cost of less randomisation.
@@ -17,34 +19,33 @@ oblivious to network state.
 
 from __future__ import annotations
 
-import random
-
+from repro.errors import ConfigurationError
 from repro.hardware.packet import Packet
-from repro.routing.base import RoutingMechanism, eject_decision, min_hop_port
-from repro.routing.vc import position_global_vc, position_local_vc
+from repro.routing.base import SourceRoutedMechanism
+from repro.routing.misrouting import CRG
 
 __all__ = ["ObliviousValiantRouting"]
 
 
-class ObliviousValiantRouting(RoutingMechanism):
-    """Valiant routing with RRG or CRG intermediate selection."""
+class ObliviousValiantRouting(SourceRoutedMechanism):
+    """Valiant routing with RRG or CRG intermediate selection (the row's
+    ``source``)."""
 
-    def __init__(self, sim, variant: str) -> None:
-        super().__init__(sim)
-        if variant not in ("rrg", "crg"):
-            raise ValueError(f"unknown oblivious variant {variant!r}")
-        self.variant = variant
-        self.name = f"obl-{variant}"
-        self.rng: random.Random = sim.rng_routing
+    twin = "oblivious"
 
-    # ------------------------------------------------------------------
+    def __init__(self, sim, mechanism) -> None:
+        super().__init__(sim, mechanism)
+        if mechanism.source != CRG and sim.topo.groups < 3:
+            raise ConfigurationError(
+                f"{mechanism.name} needs at least 3 groups (an intermediate "
+                f"group besides source and destination); the network has "
+                f"{sim.topo.groups}"
+            )
+
     def _choose_intermediate(self, pkt: Packet, router) -> int:
-        """Random intermediate router id, or -1 to fall back to minimal."""
         topo = self.topo
-        if self.variant == "crg":
-            offsets = topo.global_neighbor_groups(router.pos)
-            groups = [(router.group + off) % topo.groups for off in offsets]
-            groups = [g for g in groups if g != pkt.dst_group]
+        if self.mechanism.source == CRG:
+            groups = self._crg_groups(pkt, router)
             if not groups:
                 return -1
             g = self.rng.choice(groups)
@@ -55,22 +56,3 @@ class ObliviousValiantRouting(RoutingMechanism):
             g = self.rng.randrange(groups)
             if g != pkt.src_group and g != pkt.dst_group:
                 return topo.router_id(g, self.rng.randrange(topo.a))
-
-    # ------------------------------------------------------------------
-    def decide(self, pkt: Packet, router) -> tuple:
-        if pkt.plan == 0:
-            inter = self._choose_intermediate(pkt, router)
-            if inter < 0:
-                pkt.plan = 1
-            else:
-                pkt.plan = 2
-                pkt.inter_router = inter
-        if pkt.plan == 1 and router.router_id == pkt.dst_router:
-            return eject_decision(pkt)
-        target = pkt.inter_router if pkt.plan == 2 else pkt.dst_router
-        out_port = min_hop_port(self.topo, router, target)
-        if self.topo.is_global_port(out_port):
-            vc = position_global_vc(pkt, self.n_global_vcs)
-        else:
-            vc = position_local_vc(pkt, self.n_local_vcs)
-        return (out_port, vc, 0, 0)

@@ -26,94 +26,77 @@ link is *not* flagged (both-saturated falls back to minimal).
 
 from __future__ import annotations
 
-import random
-
 from repro.hardware.packet import Packet
-from repro.routing.base import RoutingMechanism, eject_decision, min_hop_port
-from repro.routing.vc import position_global_vc, position_local_vc
+from repro.routing.base import SourceRoutedMechanism
+from repro.routing.misrouting import CRG
 
-__all__ = ["PiggybackGroupState", "PiggybackRouting"]
+__all__ = ["PiggybackRouting"]
+
+#: groups an RRG row probes per source decision
+PB_PROBES = 4
 
 
-class PiggybackGroupState:
-    """Snapshot-based saturation sharing inside one group.
+class PiggybackRouting(SourceRoutedMechanism):
+    """Source-adaptive MIN/Valiant selection with RRG or CRG non-minimal
+    (the row's ``source``).
 
-    ``saturated_global(owner_pos, port_j, querier_pos)`` answers "does the
-    querier currently believe global port *j* of router *owner_pos* is
-    saturated?" — live occupancy when the querier owns the link, the last
-    periodic snapshot otherwise.
-
-    The snapshot lives in the ``pb_snap*`` rows of the simulation's
-    :class:`~repro.engine.soa.SoAStore` (occupancy per global port, their
-    per-router sum, the cycle it was taken), refreshed lazily by the first
-    remote query at least ``period`` cycles after the last refresh.  The
-    compiled kernel's PiggyBack ``decide`` twin reads and writes the same
-    rows, so this class stays the one definition of the state.
+    The saturation snapshot lives in the ``pb_snap*`` rows of the
+    simulation's :class:`~repro.engine.soa.SoAStore` (occupancy per global
+    port, their per-router sum, the cycle each group's was taken),
+    refreshed lazily by the first remote query at least ``period`` cycles
+    after the group's last refresh.  The compiled kernel's twin reads and
+    writes the same rows.
     """
 
-    def __init__(self, sim, group: int) -> None:
-        self.sim = sim
-        self.group = group
-        self.period = sim.config.pb_update_period
+    twin = "piggyback"
+
+    def __init__(self, sim, mechanism) -> None:
+        super().__init__(sim, mechanism)
         self.psize = sim.config.traffic.packet_size
+        self.t_local = sim.config.pb_threshold_local * self.psize
         self.t_global = sim.config.pb_threshold_global * self.psize
-        a = sim.topo.a
-        self._routers = [sim.routers[sim.topo.router_id(group, i)] for i in range(a)]
-        self._h = sim.topo.h
+        self.period = sim.config.pb_update_period
+        self._routers = sim.routers
         self._snap = sim.soa.pb_snap
         self._snap_sum = sim.soa.pb_snap_sum
         self._snap_time = sim.soa.pb_snap_time
 
-    def _refresh(self, now: int) -> None:
-        taken = self._snap_time[self.group]
+    # ------------------------------------------------------------------
+    # saturation checks
+    # ------------------------------------------------------------------
+    def _refresh(self, group: int) -> None:
+        """Retake *group*'s snapshot rows if the last is ``period`` old."""
+        now = self.sim.engine.now
+        taken = self._snap_time[group]
         if now - taken < self.period and taken >= 0:
             return
-        self._snap_time[self.group] = now
+        self._snap_time[group] = now
+        h = self.topo.h
         snap = self._snap
-        for router in self._routers:
+        for i in range(self.topo.a):
+            router = self._routers[self.topo.router_id(group, i)]
             occs = router.global_port_occupancies()
-            base = router.router_id * self._h
+            base = router.router_id * h
             for j, occ in enumerate(occs):
                 snap[base + j] = occ
             self._snap_sum[router.router_id] = sum(occs)
 
-    def _is_sat(self, occs: list[int], j: int) -> bool:
-        mean = sum(occs) / len(occs)
-        return occs[j] > mean + self.t_global
-
-    def saturated_global(self, owner_pos: int, port_j: int, querier_pos: int) -> bool:
-        """Saturation belief for global port *port_j* of *owner_pos*."""
-        if querier_pos == owner_pos:
-            occs = self._routers[owner_pos].global_port_occupancies()
-            return self._is_sat(occs, port_j)
-        self._refresh(self.sim.engine.now)
-        h = self._h
+    def _saturated_global(self, router, owner_pos: int, port_j: int) -> bool:
+        """Does *router* believe global port *port_j* of the router at
+        *owner_pos* of its group is saturated?  Live occupancy when it owns
+        the link, the group's last snapshot otherwise."""
+        if owner_pos == router.pos:
+            occs = router.global_port_occupancies()
+            mean = sum(occs) / len(occs)
+            return occs[port_j] > mean + self.t_global
+        self._refresh(router.group)
+        h = self.topo.h
         if not h:
             return False
-        owner = self._routers[owner_pos].router_id
+        owner = self.topo.router_id(router.group, owner_pos)
         mean = self._snap_sum[owner] / h
         return self._snap[owner * h + port_j] > mean + self.t_global
 
-
-class PiggybackRouting(RoutingMechanism):
-    """Source-adaptive MIN/Valiant selection with RRG or CRG non-minimal."""
-
-    def __init__(self, sim, variant: str) -> None:
-        super().__init__(sim)
-        if variant not in ("rrg", "crg"):
-            raise ValueError(f"unknown PiggyBack variant {variant!r}")
-        self.variant = variant
-        self.name = f"src-{variant}"
-        self.rng: random.Random = sim.rng_routing
-        self.psize = sim.config.traffic.packet_size
-        self.t_local = sim.config.pb_threshold_local * self.psize
-        self.groups_state: list[PiggybackGroupState] = [
-            PiggybackGroupState(sim, g) for g in range(sim.topo.groups)
-        ]
-
-    # ------------------------------------------------------------------
-    # saturation checks
-    # ------------------------------------------------------------------
     def _local_link_saturated(self, router, port: int) -> bool:
         occs = router.local_port_occupancies()
         if not occs:
@@ -127,9 +110,7 @@ class PiggybackRouting(RoutingMechanism):
         if pkt.dst_group == router.group:
             return False  # intra-group minimal: nothing to divert
         gw_pos, gw_port = topo.gateway(router.group, pkt.dst_group)
-        state = self.groups_state[router.group]
-        j = gw_port - topo.first_global_port
-        if state.saturated_global(gw_pos, j, router.pos):
+        if self._saturated_global(router, gw_pos, gw_port - topo.first_global_port):
             return True
         if gw_pos != router.pos:
             local = topo.local_port(router.pos, gw_pos)
@@ -140,44 +121,25 @@ class PiggybackRouting(RoutingMechanism):
     def _nonmin_candidate(self, pkt: Packet, router) -> int:
         """Pick a Valiant intermediate router; -1 if none is acceptable."""
         topo = self.topo
-        state = self.groups_state[router.group]
-        if self.variant == "crg":
-            offsets = topo.global_neighbor_groups(router.pos)
-            groups = [(router.group + off) % topo.groups for off in offsets]
-            groups = [g for g in groups if g != pkt.dst_group]
+        if self.mechanism.source == CRG:
+            groups = self._crg_groups(pkt, router)
         else:
             groups = []
-            for _ in range(4):
+            for _ in range(PB_PROBES):
                 g = self.rng.randrange(topo.groups)
                 if g not in (pkt.src_group, pkt.dst_group):
                     groups.append(g)
         self.rng.shuffle(groups)
         for g in groups:
             gw_pos, gw_port = topo.gateway(router.group, g)
-            j = gw_port - topo.first_global_port
-            if not state.saturated_global(gw_pos, j, router.pos):
+            if not self._saturated_global(
+                router, gw_pos, gw_port - topo.first_global_port
+            ):
                 return topo.router_id(g, self.rng.randrange(topo.a))
         return -1
 
     # ------------------------------------------------------------------
-    def decide(self, pkt: Packet, router) -> tuple:
-        if pkt.plan == 0:
-            # Frozen source decision at the first head-of-queue evaluation.
-            if self._min_path_saturated(pkt, router):
-                inter = self._nonmin_candidate(pkt, router)
-                if inter >= 0:
-                    pkt.plan = 2
-                    pkt.inter_router = inter
-                else:
-                    pkt.plan = 1
-            else:
-                pkt.plan = 1
-        if pkt.plan == 1 and router.router_id == pkt.dst_router:
-            return eject_decision(pkt)
-        target = pkt.inter_router if pkt.plan == 2 else pkt.dst_router
-        out_port = min_hop_port(self.topo, router, target)
-        if self.topo.is_global_port(out_port):
-            vc = position_global_vc(pkt, self.n_global_vcs)
-        else:
-            vc = position_local_vc(pkt, self.n_local_vcs)
-        return (out_port, vc, 0, 0)
+    def _choose_intermediate(self, pkt: Packet, router) -> int:
+        if not self._min_path_saturated(pkt, router):
+            return -1
+        return self._nonmin_candidate(pkt, router)

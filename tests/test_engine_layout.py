@@ -21,6 +21,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -194,6 +195,26 @@ def _break_permutation(sim):
 def test_a_bad_attribute_is_named(breaks, error, message):
     sim = _lowered_cell()
     breaks(sim)
+    with pytest.raises(error, match=re.escape(message)):
+        sim.run()
+
+
+@pytest.mark.parametrize(
+    "transit, error, message",
+    [
+        (3, ValueError, "routing.mechanism: candidate sets (0, 3) are not CRG"),
+        (None, TypeError, "routing.mechanism.transit: expected an int ("),
+    ],
+    ids=["out-of-range", "none"],
+)
+def test_a_bad_candidate_set_is_refused(transit, error, message):
+    """The in-transit twin reads its row's ``source`` / ``transit`` as
+    ints, and only the three candidate sets it implements."""
+    sim = Simulation(
+        tiny_config(routing="in-trns-mm").with_traffic(pattern="advc", load=0.4),
+        engine_backend="compiled",
+    )
+    sim.routing.mechanism = dataclasses.replace(sim.routing.mechanism, transit=transit)
     with pytest.raises(error, match=re.escape(message)):
         sim.run()
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import small_config
+from repro.config import NetworkConfig, SimulationConfig, small_config
 from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError
-from repro.routing.factory import ROUTING_NAMES, make_routing
+from repro.routing.factory import MECHANISMS, ROUTING_NAMES, make_routing
 from repro.routing.intransit import InTransitAdaptiveRouting
 from repro.routing.minimal import MinimalRouting
 from repro.routing.oblivious import ObliviousValiantRouting
@@ -31,15 +31,46 @@ def run(routing: str, pattern: str = "uniform", load: float = 0.2, **kw):
 
 class TestFactory:
     def test_all_names_construct(self):
+        """The catalogue in legend order; each name builds its row's class,
+        which reads that row."""
+        assert ROUTING_NAMES == (
+            "min",
+            "obl-rrg",
+            "obl-crg",
+            "src-rrg",
+            "src-crg",
+            "in-trns-rrg",
+            "in-trns-crg",
+            "in-trns-mm",
+        )
         sim = Simulation(small_config())
         for name in ROUTING_NAMES:
             mech = make_routing(name, sim)
             assert mech.name == name
+            assert mech.mechanism is MECHANISMS[name]
+            assert type(mech) is MECHANISMS[name].cls
 
     def test_unknown_name_raises(self):
         sim = Simulation(small_config())
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as exc:
             make_routing("warp", sim)
+        assert "'warp'" in str(exc.value)
+        assert all(repr(name) in str(exc.value) for name in ROUTING_NAMES)
+
+    def test_oblivious_rrg_needs_a_third_group(self):
+        """groups = a*h + 1 = 2 leaves Obl-RRG no intermediate group (its
+        rejection loop would never end); every other mechanism runs."""
+        cfg = SimulationConfig(
+            network=NetworkConfig(p=1, a=1, h=1),
+            routing="obl-rrg",
+            warmup_cycles=50,
+            measure_cycles=200,
+        ).with_traffic(pattern="uniform", load=0.3)
+        with pytest.raises(ConfigurationError, match="at least 3 groups"):
+            Simulation(cfg)
+        for name in ROUTING_NAMES:
+            if name != "obl-rrg":
+                assert Simulation(cfg.with_(routing=name)).run().delivered_packets
 
     def test_types(self):
         sim = Simulation(small_config())

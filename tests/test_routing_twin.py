@@ -5,13 +5,13 @@ The modules of ``repro/routing`` are the reference implementations of
 (``c_min_decide``, ``c_oblivious_decide``, ``c_piggyback_decide``,
 ``c_intransit_decide``), all but the first drawing from an in-kernel
 mirror of ``rng_routing``, and the PiggyBack one keeping the saturation
-snapshot in the same SoA-store rows as ``PiggybackGroupState``.  This
+snapshot in the same SoA-store rows as ``PiggybackRouting``.  This
 module pins the two things that make that safe:
 
 * **selection** — a twin runs iff :func:`repro.routing.factory.decide_twin`
-  says so: exact type, ``decide`` and the helpers it calls neither
-  shadowed nor patched, regardless of the mechanism's ``name`` and of
-  traffic lowering;
+  says so: exactly the row's class, no function of that class or its
+  routing bases shadowed or patched, regardless of the mechanism's
+  ``name`` and of traffic lowering;
 * **equivalence where the branches are live** — python vs compiled on
   networks with ``a >= 3`` and ``h >= 2`` (the tiny a=2, h=1 network of
   the other parity suites returns from the OLM sampler before its first
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cProfile
 import dataclasses
+import inspect
 import pstats
 import random
 
@@ -37,11 +38,11 @@ from repro.config import NetworkConfig, SimulationConfig, tiny_config
 from repro.core.simulation import Simulation
 from repro.engine.kernel import available_backends
 from repro.errors import RoutingError
-from repro.routing.factory import ROUTING_NAMES, decide_twin
+from repro.routing.base import RoutingMechanism
+from repro.routing.factory import MECHANISMS, ROUTING_NAMES, Mechanism, decide_twin
 from repro.routing.intransit import InTransitAdaptiveRouting
 from repro.routing.minimal import MinimalRouting
-from repro.routing.misrouting import MisroutePolicy
-from repro.routing.piggyback import PiggybackGroupState
+from repro.routing.misrouting import NRG
 from repro.traffic.scenarios import SCENARIOS
 from test_determinism_matrix import _result_fields
 from test_engine_backends import BACKENDS, _store_snapshot, needs_compiled
@@ -134,7 +135,7 @@ class _CountingMin(MinimalRouting):
     """Keeps ``name == "min"``; every decision goes through Python."""
 
     def __init__(self, sim) -> None:
-        super().__init__(sim)
+        super().__init__(sim, MECHANISMS["min"])
         self.calls = 0
 
     def decide(self, pkt, router):
@@ -185,26 +186,16 @@ def test_decide_shadowed_on_the_instance_is_called(backend, routing):
     assert _result_fields(result) == _result_fields(plain)
 
 
-#: decide_twin's answer per mechanism, and every function of the class
-#: its twin replaces
-TWINS = {
-    "min": ("min", ["decide"]),
-    "obl-rrg": ("oblivious", ["decide", "_choose_intermediate"]),
-    "obl-crg": ("oblivious", ["decide", "_choose_intermediate"]),
-    "src-rrg": (
-        "piggyback",
-        [
-            "decide",
-            "_min_path_saturated",
-            "_nonmin_candidate",
-            "_local_link_saturated",
-        ],
-    ),
-    "in-trns-mm": (
-        "in-transit",
-        ["decide", "_try_global_misroute", "_try_local_misroute"],
-    ),
-}
+def _functions(cls) -> dict:
+    """Every function *cls* has from itself and its routing bases, by name:
+    the class that defines it."""
+    owners = {}
+    for base in reversed(cls.__mro__):
+        if issubclass(base, RoutingMechanism):
+            for name, value in vars(base).items():
+                if inspect.isfunction(value):
+                    owners[name] = base
+    return owners
 
 
 def test_every_mechanism_has_a_twin():
@@ -212,55 +203,55 @@ def test_every_mechanism_has_a_twin():
     for name in ROUTING_NAMES:
         sim = Simulation(tiny_config(routing=name), engine_backend="python")
         kinds[name] = decide_twin(sim.routing)
-    assert None not in kinds.values()
-    assert {name: kinds[name] for name in TWINS} == {
-        name: kind for name, (kind, _) in TWINS.items()
+    assert kinds == {
+        "min": "min",
+        "obl-rrg": "oblivious",
+        "obl-crg": "oblivious",
+        "src-rrg": "piggyback",
+        "src-crg": "piggyback",
+        "in-trns-rrg": "in-transit",
+        "in-trns-crg": "in-transit",
+        "in-trns-mm": "in-transit",
     }
     sim = Simulation(tiny_config(routing="min"), engine_backend="python")
     assert decide_twin(_CountingMin(sim)) is None
-    for policy in MisroutePolicy:
-        assert decide_twin(InTransitAdaptiveRouting(sim, policy)) == "in-transit"
+    nrg = Mechanism("in-trns-nrg", InTransitAdaptiveRouting, NRG, NRG)
+    routing = InTransitAdaptiveRouting(sim, nrg)
+    assert routing.name == "in-trns-nrg"
+    assert decide_twin(routing) == "in-transit"
+    # a row naming another class than the one built with it
+    assert decide_twin(InTransitAdaptiveRouting(sim, MECHANISMS["min"])) is None
 
 
 @pytest.mark.parametrize(
-    "name, helper",
-    [(name, helper) for name, (_, helpers) in TWINS.items() for helper in helpers],
+    "name, function",
+    [(name, f) for name, m in MECHANISMS.items() for f in sorted(_functions(m.cls))],
 )
-def test_a_replaced_function_disqualifies_the_twin(name, helper, monkeypatch):
-    """Shadowed on the instance or patched on the class, ``decide`` *or* a
-    helper it calls: the twin is no longer the code it was written
-    against."""
+def test_a_replaced_function_disqualifies_the_twin(name, function, monkeypatch):
+    """Shadowed on the instance, or patched on the class or routing base
+    that defines it, ``decide`` *or* any other function: the twin is no
+    longer the code it was written against."""
     sim = Simulation(tiny_config(routing=name), engine_backend="python")
     routing = sim.routing
-    reference = getattr(routing, helper)
-    setattr(routing, helper, lambda *args: reference(*args))
-    assert decide_twin(routing) is None
-    delattr(routing, helper)
     assert decide_twin(routing) is not None
-    function = getattr(type(routing), helper)
-    monkeypatch.setattr(
-        type(routing), helper, lambda self, *args: function(self, *args)
-    )
+    reference = getattr(routing, function)
+    setattr(routing, function, lambda *args: reference(*args))
+    assert decide_twin(routing) is None
+    delattr(routing, function)
+    assert decide_twin(routing) is not None
+    defining = _functions(type(routing))[function]
+    original = vars(defining)[function]
+    monkeypatch.setattr(defining, function, lambda self, *a: original(self, *a))
     assert decide_twin(routing) is None
 
 
-@pytest.mark.parametrize("name", [n for n in TWINS if n != "min"])
+@pytest.mark.parametrize("name", [n for n in ROUTING_NAMES if n != "min"])
 def test_drawing_twins_need_a_plain_random(name):
     class Seeded(random.Random):
         pass
 
     sim = Simulation(tiny_config(routing=name), engine_backend="python")
     sim.routing.rng = Seeded(1)  # the twins only mirror a plain Random
-    assert decide_twin(sim.routing) is None
-
-
-def test_piggyback_twin_needs_plain_group_states():
-    class Instant(PiggybackGroupState):
-        pass
-
-    sim = Simulation(tiny_config(routing="src-crg"), engine_backend="python")
-    assert decide_twin(sim.routing) == "piggyback"
-    sim.routing.groups_state[1] = Instant(sim, 1)
     assert decide_twin(sim.routing) is None
 
 
@@ -439,7 +430,8 @@ def test_nrg_at_the_source_router_agrees(shape, pattern):
     on every trigger instead of only at the second decision point."""
 
     def prepare(sim):
-        _install(sim, InTransitAdaptiveRouting(sim, MisroutePolicy.NRG))
+        row = Mechanism("in-trns-nrg", InTransitAdaptiveRouting, NRG, NRG)
+        _install(sim, InTransitAdaptiveRouting(sim, row))
 
     cfg = _cell(shape, "in-trns-mm", pattern, 0.8)
     ck = _assert_agree(cfg, prepare)
