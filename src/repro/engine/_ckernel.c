@@ -22,8 +22,9 @@
  *   link_step                      dispatch, OP_LINK: release, then send
  *   promote                        promote (from c_step's scan; the
  *                                    constructor is row_fill on a lowered
- *                                    cell, Simulation._make_packet else)
- *   Simulation._gen_event          c_gen (the pattern's dest as its
+ *                                    cell, TrafficGenerator._make_packet
+ *                                    else)
+ *   TrafficGenerator._gen_event    c_gen (the pattern's dest as its
  *     / pattern.dest                 lowering descriptor; enqueue,
  *                                  next_gap and on_generate inlined)
  *   make_packet                    row_fill
@@ -41,19 +42,21 @@
  * code that edits a waiting packet or a counter is seen at the next
  * pass.
  *
- * A cell is lowered when the Simulation sets eq._lower to itself (the
- * compiled backend, a pattern whose lower() returns a descriptor, no
- * oracle): c_gen and c_deliver then replace the _gen / _sink hooks,
- * reading the Simulation, its collector's window and four stat buffers
- * and the descriptor once, when the KState is built.
+ * A cell is lowered when the Simulation sets eq._lower to its
+ * TrafficGenerator (the compiled backend, a pattern whose lower() returns
+ * a descriptor, no oracle): c_gen and c_deliver then replace the _gen /
+ * _sink hooks, reading the generator, its collector's window and four
+ * stat buffers and the descriptor once, when the KState is built.  The
+ * generator, not the Simulation: nothing the kernel holds may refer back
+ * to the Simulation, so that dropping it closes it.
  *
  * What the kernel reads from Python objects is stated once per object
  * kind — event queue, SoA store, router, mechanism / topology, PiggyBack
- * group state, simulation / collector — as a table of checked attribute
- * reads (read_attrs: a failure names the kind and the attribute).  The
- * constants it shares with Python (the OP_* opcodes of engine/events.py,
- * the SI_* / SF_* stat-block slots of metrics/collector.py) are compared
- * by name at import (check_layout).
+ * group state, traffic generator / collector — as a table of checked
+ * attribute reads (read_attrs: a failure names the kind and the
+ * attribute).  The constants it shares with Python (the OP_* opcodes of
+ * engine/events.py, the SI_* / SF_* stat-block slots of
+ * metrics/collector.py) are compared by name at import (check_layout).
  *
  * Bit-identity contract
  * ---------------------
@@ -495,7 +498,7 @@ typedef struct {
     PyObject *routing;          /* owned */
     PyObject *decide;           /* owned bound method */
     PyObject *on_injection;     /* owned */
-    PyObject *make_packet;      /* owned: Simulation._make_packet */
+    PyObject *make_packet;      /* owned: TrafficGenerator._make_packet */
     PyObject *active_keys;      /* owned set */
     PyObject *out_peer, *upstream; /* owned lists, per port */
     KeyIndex ix;                /* its native index */
@@ -600,20 +603,20 @@ typedef struct {
 #define SF_BD_MIS 8
 #define NSTAT_F 9
 
-/* A lowered cell's generator and sink: the Simulation (eq._lower), what
- * Simulation._gen_event and its collector read, as struct fields and
- * buffer views, and the pattern's descriptor (Simulation._lower, the
- * tuple TrafficPattern.lower returned) unpacked.  The traffic RNG and the
+/* A lowered cell's generator and sink: the TrafficGenerator (eq._lower),
+ * what its _gen_event and its collector read, as struct fields and buffer
+ * views, and the pattern's descriptor (TrafficGenerator._lower, the tuple
+ * TrafficPattern.lower returned) unpacked.  The traffic RNG and the
  * packet-id counter run in-kernel between kstate_rng_in / _out. */
 typedef struct {
-    PyObject *sim;         /* owned; NULL: the cell is not lowered */
+    PyObject *gen;         /* owned; NULL: the cell is not lowered */
     RngMirror rng;         /* rng_traffic, in-kernel during a drain */
     PyObject *desc;        /* owned: the descriptor */
     int64_t *ms_table;     /* R*R contention-free service costs */
     int64_t *si;           /* the NSTAT_I block */
     double *sf;            /* the NSTAT_F block */
     int64_t *inj_router, *del_router; /* router_id-indexed */
-    int64_t pid;           /* mirrored from sim._pid per drain */
+    int64_t pid;           /* mirrored from gen._pid per drain */
     int64_t p, a, psize, end_time, ws, we, num_nodes;
     double log_q;          /* NAN: p == 1, every gap is 1 */
     /* descriptor (see TrafficPattern.lower) */
@@ -806,7 +809,7 @@ typedef struct {
     int64_t *order_ports; /* radix: first-seen output order */
     uint8_t *td_mask;     /* radix: transit-demand membership */
     int64_t *f_idx;       /* nkeys: filtered candidate scratch */
-    LState low;          /* lowered OP_GEN / OP_DELIVER (low.sim != NULL) */
+    LState low;          /* lowered OP_GEN / OP_DELIVER (low.gen != NULL) */
     Twin twin;
 } KState;
 
@@ -841,7 +844,7 @@ twin_clear(Twin *tw)
 static void
 lstate_clear(LState *ls)
 {
-    Py_CLEAR(ls->sim);
+    Py_CLEAR(ls->gen);
     rng_clear(&ls->rng);
     Py_CLEAR(ls->desc);
     PyMem_Free(ls->offsets);
@@ -1122,7 +1125,7 @@ read_attrs(KState *ks, const char *what, PyObject *obj, void *dst,
 /* LState: the lowered generator / sink                                */
 /* ------------------------------------------------------------------ */
 
-/* Simulation.<...>: what _gen_event, make_packet, next_gap and the
+/* TrafficGenerator.<...>: what _gen_event, make_packet, next_gap and the
  * collector's hooks read.  Row 0 is read again at every drain entry
  * (kstate_rng_in). */
 static const Attr SIM_ATTRS[] = {
@@ -1195,8 +1198,8 @@ lstate_descriptor(LState *ls)
     if (ok)
         return 0;
     PyErr_Clear();
-    PyErr_Format(PyExc_ValueError, "Simulation._lower: malformed pattern "
-                 "lowering descriptor %R", desc);
+    PyErr_Format(PyExc_ValueError, "TrafficGenerator._lower: malformed "
+                 "pattern lowering descriptor %R", desc);
     return -1;
 }
 
@@ -1204,18 +1207,19 @@ static int
 lstate_build(KState *ks)
 {
     LState *ls = &ks->low;
-    if (READ_ATTRS(ks, "Simulation", ls->sim, ls, SIM_ATTRS, -1) < 0)
+    if (READ_ATTRS(ks, "TrafficGenerator", ls->gen, ls, SIM_ATTRS, -1) < 0)
         return -1;
     if (ls->p != ks->node_ports || ls->a < 1
         || ls->num_nodes != ks->num_routers * ls->p) {
         PyErr_SetString(PyExc_ValueError,
-                        "Simulation.topo disagrees with the SoA store");
+                        "TrafficGenerator.topo disagrees with the SoA "
+                        "store");
         return -1;
     }
     if (ls->end_time > (int64_t)UINT32_MAX + 1) {
         /* c_gen queues its cycles as the tail's uint32s */
-        PyErr_SetString(PyExc_ValueError, "Simulation._end_time: a lowered "
-                        "cell generates at cycles below 2**32 only");
+        PyErr_SetString(PyExc_ValueError, "TrafficGenerator._end_time: a "
+                        "lowered cell generates at cycles below 2**32 only");
         return -1;
     }
     return lstate_descriptor(ls);
@@ -1228,10 +1232,10 @@ static int
 kstate_rng_in(KState *ks)
 {
     LState *ls = &ks->low;
-    if (ls->sim != NULL
+    if (ls->gen != NULL
         && (rng_load(&ls->rng) < 0
-            || read_attrs(ks, "Simulation", ls->sim, ls, SIM_ATTRS, 1, -1)
-                   < 0))
+            || read_attrs(ks, "TrafficGenerator", ls->gen, ls, SIM_ATTRS, 1,
+                          -1) < 0))
         return -1;
     if (ks->twin.rng.rng != NULL && rng_load(&ks->twin.rng) < 0)
         return -1;
@@ -1244,10 +1248,10 @@ kstate_rng_out(KState *ks)
 {
     LState *ls = &ks->low;
     int rc = 0;
-    if (ls->sim != NULL) {
+    if (ls->gen != NULL) {
         PyObject *pid = PyLong_FromLongLong((long long)ls->pid);
         if (rng_store(&ls->rng) < 0 || pid == NULL
-            || PyObject_SetAttrString(ls->sim, "_pid", pid) < 0)
+            || PyObject_SetAttrString(ls->gen, "_pid", pid) < 0)
             rc = -1;
         Py_XDECREF(pid);
     }
@@ -2039,7 +2043,7 @@ rec_from_tuple(KState *ks, PyObject *tup, int whole, Rec *r)
         goto whole;
     if (op == OP_GEN) {
         /* a lowered generator indexes its node tables with it */
-        if (!small_field(it[1], ks->low.sim ? ks->low.num_nodes : INT32_MAX,
+        if (!small_field(it[1], ks->low.gen ? ks->low.num_nodes : INT32_MAX,
                          &r->a))
             goto whole;
         r->rid = REC_NONE;
@@ -2761,8 +2765,8 @@ row_fill(KState *ks, LState *ls, int32_t row, int64_t node, int64_t dst,
 /* kernel.promote: the first pair of node port `port`'s tail (not empty)
  * becomes the head of its injection FIFO `iq` (empty), built by the
  * constructor the cell's generator runs — row_fill on a lowered cell,
- * Simulation._make_packet (Router._make_packet) otherwise — which draws
- * the packet id now. */
+ * TrafficGenerator._make_packet (Router._make_packet) otherwise — which
+ * draws the packet id now. */
 static int
 promote(KState *ks, RState *rs, InQ *iq, int64_t port)
 {
@@ -2770,7 +2774,7 @@ promote(KState *ks, RState *rs, InQ *iq, int64_t port)
     Tail *tl = node_tail(ks, rs, port);
     int64_t gen_time = tl->e[2 * tl->head], dst = tl->e[2 * tl->head + 1];
     int32_t row;
-    if (ks->low.sim != NULL) {
+    if (ks->low.gen != NULL) {
         if ((row = row_alloc(ks)) < 0)
             return -1;
         row_fill(ks, &ks->low, row, node, dst, gen_time);
@@ -3572,7 +3576,7 @@ c_commit(KState *ks, RState *rs, int64_t out_port, int64_t gout,
 
     if (in_port < rs->num_node_ports) {
         PK(ks, row)[PK_INJECT_TIME] = now;
-        if (ks->low.sim != NULL) {
+        if (ks->low.gen != NULL) {
             /* inlined StatsCollector.on_injection (rs->on_injection) */
             LState *ls = &ks->low;
             ls->si[SI_TOTAL_INJECTED] += 1;
@@ -4031,7 +4035,7 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t taken,
     }
     if (rec->op == OP_GEN) {
         int rc;
-        if (ks->low.sim != NULL)
+        if (ks->low.gen != NULL)
             return c_gen(ks, &ks->low, rec->a, t);
         if ((o = PyLong_FromLong(rec->a)) == NULL)
             return -1;
@@ -4040,7 +4044,7 @@ dispatch(KState *ks, const Rec *rec, int64_t t, Py_ssize_t taken,
         return rc;
     }
     if (rec->op == OP_DELIVER) {
-        if (ks->low.sim != NULL)
+        if (ks->low.gen != NULL)
             return c_deliver(ks, &ks->low, (int32_t)rec->u.c, t);
         if ((o = now_obj(ks, t)) == NULL)
             return -1;
@@ -4332,13 +4336,13 @@ ensure_counters(PyObject *eq)
 }
 
 /* EventQueue.<...>: the calendar (the inbox during a drain), the kernel
- * counters and the lowered Simulation, if any.  (The slots the drain
+ * counters and the lowered generator, if any.  (The slots the drain
  * writes are resolved to offsets.) */
 static const Attr EQ_ATTRS[] = {
     {"_buckets", offsetof(KState, buckets), A_DICT},
     {"_times", offsetof(KState, times), A_LIST},
     {"_ckcounters", offsetof(KState, ctr), A_BUF_Q, L_CTR},
-    {"_lower", offsetof(KState, low.sim), A_OBJ_OPT},
+    {"_lower", offsetof(KState, low.gen), A_OBJ_OPT},
 };
 
 /* SoAStore.<...> (see soa.py): its geometry, every flat field the kernel
@@ -4550,7 +4554,7 @@ kstate_build(PyObject *eq, PyObject *store)
                           ks->up_port) < 0)
             goto fail;
     }
-    if (ks->low.sim != NULL && lstate_build(ks) < 0)
+    if (ks->low.gen != NULL && lstate_build(ks) < 0)
         goto fail;
     return ks;
 
@@ -4711,10 +4715,9 @@ ck_drain(PyObject *self, PyObject *args)
     }
     else {
         /* hand everything back, keeping the drain's exception; nothing
-         * the capsule holds is needed after that, and dropping it here
-         * is what lets a Simulation whose run raised be collected
-         * (eq -> capsule -> routers -> sim -> eq is invisible to the
-         * cycle collector) */
+         * the capsule holds is needed after that, so its native state is
+         * freed here rather than when the Simulation is dropped (a later
+         * drain rebuilds it) */
         PyObject *et, *ev, *tb;
         PyErr_Fetch(&et, &ev, &tb);
         if (mirror_out(ks) < 0

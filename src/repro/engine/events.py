@@ -147,9 +147,10 @@ class EventQueue:
         # compiled backend only.  _ckcounters is that kernel's block of
         # always-on counters (an array('q') it creates on its first
         # drain and keeps when _ckstate is dropped; read it through
-        # _ckernel.counters(eq)).  _lower is the Simulation whose
-        # OP_GEN / OP_DELIVER the compiled kernel runs natively (set by a
-        # lowered Simulation; None: they go to _gen / _sink).
+        # _ckernel.counters(eq)).  _lower is the simulation's
+        # TrafficGenerator, whose OP_GEN / OP_DELIVER the compiled kernel
+        # runs natively (set by a lowered Simulation; None: they go to
+        # _gen / _sink).
         self._drain = None
         self._soa = None
         self._ckstate = None

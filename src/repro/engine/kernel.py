@@ -21,8 +21,8 @@ the compiled kernel (``_ckernel.c``), name for name:
   most once and the drain loop skips stale tokens with one compare;
 * :func:`make_packet` / :func:`next_gap` — the packet constructor and the
   geometric inter-generation gap of the traffic generator
-  (``Simulation._gen_event``, which the compiled kernel's ``c_gen`` twins
-  on a lowered cell, with both inlined);
+  (``TrafficGenerator._gen_event``, which the compiled kernel's
+  ``c_gen`` twins on a lowered cell, with both inlined);
 * :func:`enqueue` / :func:`promote` — the injection tail
   (:attr:`SoAStore.inj_tail <repro.engine.soa.SoAStore.inj_tail>`): a
   generated packet is queued as a ``(gen_time, dst)`` pair, and its
@@ -72,8 +72,8 @@ are pinned across backends by the cross-backend equivalence suite.
 
 The backend is the only choice.  Whether a compiled cell's traffic
 generation and delivery sink are *lowered* into the kernel (``c_gen`` /
-``c_deliver``, twins of ``Simulation._gen_event`` and the collector's
-hooks) follows from the cell: a pattern with a
+``c_deliver``, twins of ``TrafficGenerator._gen_event`` and the
+collector's hooks) follows from the cell: a pattern with a
 :meth:`~repro.traffic.base.TrafficPattern.lower` descriptor and no
 oracle (``Simulation._lower``).  The python backend never lowers; its
 callback path is the reference.
@@ -297,10 +297,11 @@ def promote(r, node_port: int, q: list) -> bool:
     """Build the head of node port *node_port*'s empty injection FIFO *q*.
 
     Pops the first pair of the port's tail and appends the packet it
-    names, built by the generator's constructor (``Simulation._make_packet``,
-    which draws the packet id now) with ``t_enq = gen_time``.  False when
-    the tail is empty too.  The allocation scan calls it for an active
-    injection key whose FIFO is empty, as ``c_step`` does.
+    names, built by the generator's constructor
+    (``TrafficGenerator._make_packet``, which draws the packet id now)
+    with ``t_enq = gen_time``.  False when the tail is empty too.  The
+    allocation scan calls it for an active injection key whose FIFO is
+    empty, as ``c_step`` does.
     """
     n = r._nb + node_port
     tail = r._tail[n]
@@ -713,22 +714,22 @@ def release_credit(r, port: int, vc: int, size: int, now: int) -> None:
 # ----------------------------------------------------------------------
 # traffic generation: the packet constructor and the gap draw
 # ----------------------------------------------------------------------
-def make_packet(sim, src_node: int, dst_node: int, now: int) -> Packet:
-    """The packet *sim* generates at *now* from *src_node* to *dst_node*.
+def make_packet(gen, src_node: int, dst_node: int, now: int) -> Packet:
+    """The packet *gen* generates at *now* from *src_node* to *dst_node*.
 
     Draws the next packet id; the base latency is a read of the
     topology-owned minimal-path table (the Fig. 3 base).  Bound as
-    ``Simulation._make_packet``.
+    ``TrafficGenerator._make_packet``.
     """
-    topo = sim.topo
+    topo = gen.topo
     p = topo.p
     a = topo.a
     src_router = src_node // p
     dst_router = dst_node // p
-    sim._pid = pid = sim._pid + 1
+    gen._pid = pid = gen._pid + 1
     return Packet(
         pid,
-        sim._psize,
+        gen._psize,
         src_node,
         src_router,
         src_router // a,
@@ -738,7 +739,7 @@ def make_packet(sim, src_node: int, dst_node: int, now: int) -> Packet:
         dst_router % a,
         dst_node % p,
         now,
-        sim._ms_table[src_router * topo.num_routers + dst_router],
+        gen._ms_table[src_router * topo.num_routers + dst_router],
     )
 
 

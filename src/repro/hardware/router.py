@@ -153,11 +153,12 @@ class Router:
         self.in_port_free = store.in_port_free
         self.active_keys: set[int] = set()
         # The injection tails of this router's nodes (router_id * p + port)
-        # and the constructor that promotes their pairs (kernel.promote).
+        # and the constructor that promotes their pairs (kernel.promote),
+        # the generator's, bound by the Simulation.
         self._nb = router_id * topo.p
         self._tail = store.inj_tail
         self._tail_head = store.inj_tail_head
-        self._make_packet = sim._make_packet
+        self._make_packet = None
 
         # ---- output side (store buffers pre-zeroed; fifo pre-built) ------
         self.out_fifo = store.out_fifo

@@ -81,7 +81,9 @@ class RoutingMechanism(ABC):
     twin: str | None = None
 
     def __init__(self, sim, mechanism) -> None:
-        self.sim = sim
+        # the engine (its clock), never *sim*: nothing a simulation wires
+        # may refer back to it (see Simulation.close)
+        self.engine = sim.engine
         self.mechanism = mechanism
         #: the name of the mechanism's row, as in the paper's legends
         self.name: str = mechanism.name

@@ -66,7 +66,7 @@ class PiggybackRouting(SourceRoutedMechanism):
     # ------------------------------------------------------------------
     def _refresh(self, group: int) -> None:
         """Retake *group*'s snapshot rows if the last is ``period`` old."""
-        now = self.sim.engine.now
+        now = self.engine.now
         taken = self._snap_time[group]
         if now - taken < self.period and taken >= 0:
             return

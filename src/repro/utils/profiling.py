@@ -18,8 +18,8 @@ Since the phase-batched engine rewrite, the harness reports two rates:
 Since the OP_GEN / OP_DELIVER lowering, it also
 reports the **python-callback share**: the cumulative profiled time
 spent inside the traffic-generation and delivery-sink callbacks
-(``Simulation._gen_event`` and the bound sink).  On a lowered run both
-disappear from the profile and the share drops to ~0 — the number is
+(``TrafficGenerator._gen_event`` and the bound sink).  On a lowered run
+both disappear from the profile and the share drops to ~0 — the number is
 the direct witness of what the lowering removed, and of what a
 non-lowerable configuration (oracle, scenario patterns) still pays.
 
@@ -51,10 +51,14 @@ the resolved engine backend and, when ``auto`` fell back to ``python``,
 the ImportError that kept the compiled extension out.  ``memory:`` gives
 the process's peak RSS (``ru_maxrss``), the compiled kernel's packet-pool
 and injection-tail high-water marks (``peak_packet_rows``,
-``peak_tail_records``) and the injection backlog left at the horizon,
-split into the FIFOs' built heads and their tails' pairs: a saturated
-cell's backlog grows with the cycles simulated, and its pairs are what
-keep that growth at 8 bytes a packet.
+``peak_tail_records``), whether the run was freed on drop and the
+injection backlog left at the horizon, split into the FIFOs' built heads
+and their tails' pairs: a saturated cell's backlog grows with the cycles
+simulated, and its pairs are what keep that growth at 8 bytes a packet.
+``freed_on_drop=no`` means something of the run — a custom mechanism or
+pattern, say — still refers to the ``Simulation``, so the run waits for
+the cycle collector instead of being freed by reference counting when it
+is dropped.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import pstats
 import resource
 import sys
 import time
+import weakref
 from typing import Any
 
 from repro.config import SimulationConfig
@@ -209,6 +214,7 @@ def describe_callbacks(metrics: dict[str, Any]) -> str:
     lines += (
         f"\nbackend: {metrics['backend']}"
         f"\nmemory: peak_rss={metrics['peak_rss_mb']:.1f}MB {pool}"
+        f"freed_on_drop={'yes' if metrics['freed_on_drop'] else 'no'} "
         f"injection_backlog={heads + pairs} (heads={heads} tail={pairs})"
         f"\ncollector: {gens} collected={metrics['gc_collected']} "
         f"in {metrics['gc_s']:.3f}s"
@@ -259,7 +265,9 @@ def profile_simulation(
     run; ``backend``: the resolved backend, with the ImportError when
     ``auto`` fell back; ``peak_rss_mb``: the process's peak RSS;
     ``injection_backlog``: the (heads, tail pairs) queued at injection
-    at the horizon — :func:`describe_callbacks` renders all of these).
+    at the horizon; ``freed_on_drop``: whether dropping the simulation
+    freed it at once, with the collector not involved —
+    :func:`describe_callbacks` renders all of these).
     With *dump_path* the raw profile is additionally written for offline
     viewers (snakeviz, pstats).
     """
@@ -304,6 +312,9 @@ def profile_simulation(
         "peak_rss_mb": _peak_rss_mb(),
         "injection_backlog": _injection_backlog(sim),
     }
+    ref = weakref.ref(sim)
+    del sim
+    metrics["freed_on_drop"] = ref() is None
     return result, render_profile(profiler, sort=sort, limit=limit), metrics
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import sys
 import weakref
 
 import pytest
@@ -35,6 +36,10 @@ from hypothesis import strategies as st
 from repro.config import NetworkConfig, SimulationConfig, tiny_config
 from repro.core.simulation import Simulation, run_simulation
 from repro.engine.kernel import available_backends
+from repro.errors import ConfigurationError
+from repro.hardware.router import Router
+from repro.routing.factory import ROUTING_NAMES
+from repro.traffic.scenarios import SCENARIOS
 from test_determinism_matrix import ROUTINGS, _result_fields
 from test_golden_trace import (
     BURSTY_CONFIG,
@@ -247,9 +252,9 @@ def test_finished_simulations_are_collectable(backend):
     """A finished run leaves nothing the cycle collector cannot free.
 
     The compiled kernel's cached state owns strong references to the
-    routers and is not GC-traversed, so unless ``_collect()`` drops it
-    every Simulation stays alive forever (eq -> capsule -> routers ->
-    sim -> eq).  The counters ``_collect()`` leaves behind stay readable.
+    routers and is not GC-traversed; dropping the Simulation drops it
+    (``close()``).  The counters ``_collect()`` leaves behind stay
+    readable.
     """
     cfg = tiny_config().with_traffic(pattern="uniform", load=0.4)
     counts = []
@@ -341,7 +346,8 @@ def test_a_raising_run_simulation_leaves_no_cyclic_garbage(backend, monkeypatch)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_simulation_built_directly_stays_inspectable(backend):
     """run() does not close: routers, queues and calendar outlive it, and
-    only close() frees the run by reference counting."""
+    close(), or dropping the simulation, frees the run by reference
+    counting."""
     sim = Simulation(_LIFECYCLE_CELL, engine_backend=backend)
     result = sim.run()
     assert sim.engine.pending > 0 and sim.engine.peek_time() > sim.engine.now
@@ -370,3 +376,103 @@ def test_dataclass_result_fields_cover_everything():
     fields = _result_fields(res)
     if dataclasses.is_dataclass(res):
         assert "events_processed" in fields
+
+
+# ----------------------------------------------------------------------
+# dropping a Simulation closes it: nothing it wires refers back to it
+# ----------------------------------------------------------------------
+def _freed_on_drop(build) -> bool:
+    """True when the simulation *build()* returns is freed at once,
+    by reference counting, as the last reference to it goes."""
+    sim = build()
+    ref = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim
+        return ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_drained_simulation_that_was_never_collected_frees_on_drop(backend):
+    """Drained but never ``_collect()``ed: on a lowered compiled cell the
+    kernel's cached state still holds the routers and the generator."""
+
+    def drained() -> Simulation:
+        sim = Simulation(_LIFECYCLE_CELL, engine_backend=backend)
+        assert (sim._lower is not None) == (backend == "compiled")
+        sim.start()
+        sim.engine.run_until(200)
+        return sim
+
+    assert _freed_on_drop(drained)
+
+
+#: make_routing refuses obl-rrg on 2 groups, after the wiring
+_REFUSED_ROUTING = tiny_config(routing="obl-rrg").with_(
+    network=NetworkConfig(p=1, a=1, h=1)
+)
+
+
+@pytest.mark.parametrize(
+    "config, backend",
+    [
+        pytest.param(_REFUSED_ROUTING, "python", id="routing-python"),
+        pytest.param(
+            _REFUSED_ROUTING, "compiled", id="routing-compiled", marks=needs_compiled
+        ),
+        # resolve_backend refuses the name, before any router exists
+        pytest.param(_LIFECYCLE_CELL, "no-such-backend", id="backend"),
+    ],
+)
+def test_a_simulation_whose_constructor_raised_frees_its_routers(
+    config, backend, monkeypatch
+):
+    """``__del__`` runs ``close()`` on the half-built object, silently."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+    def routers() -> int:
+        return sum(isinstance(o, Router) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = routers()
+        try:
+            Simulation(config, engine_backend=backend)
+        except ConfigurationError:
+            pass
+        else:  # pragma: no cover - the constructor must refuse the cell
+            pytest.fail("the constructor did not raise")
+        left = routers() - before
+    finally:
+        gc.enable()
+    assert left == 0
+    assert unraisable == []
+
+
+#: id -> a cell: every mechanism, an audited (oracle) cell and a
+#: scenario cell, neither of them lowered
+_DROP_CELLS = {
+    **{name: _LIFECYCLE_CELL.with_(routing=name) for name in ROUTING_NAMES},
+    "oracle": _LIFECYCLE_CELL.with_(oracle=True),
+    "scenario": SCENARIOS["bursty_adv"].apply(_LIFECYCLE_CELL),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", _DROP_CELLS)
+def test_every_cell_frees_on_drop(backend, case):
+    """A run dropped without ``close()`` is freed by reference counting:
+    no mechanism, audit or pattern keeps the Simulation."""
+
+    def run() -> Simulation:
+        sim = Simulation(_DROP_CELLS[case], engine_backend=backend)
+        lowered = backend == "compiled" and case in ROUTING_NAMES
+        assert (sim._lower is not None) == lowered
+        assert sim.run().delivered_packets > 0
+        return sim
+
+    assert _freed_on_drop(run)

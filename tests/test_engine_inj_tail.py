@@ -163,8 +163,8 @@ def test_inject_is_honoured_behind_a_head_and_refused_behind_a_tail(backend):
     sim = Simulation(_saturated(), engine_backend=backend)
     soa = sim.soa
     # an idle port (no tail): the packet joins the FIFO ...
-    r, port = sim._inject_map[0]
-    first = sim._make_packet(0, 9, 0)
+    r, port = sim.gen._inject_map[0]
+    first = sim.gen._make_packet(0, 9, 0)
     r.inject(port, first, 0)
     assert soa.in_q[r.kb + port * r.max_vcs] == [first]
     sim.start()
@@ -174,10 +174,11 @@ def test_inject_is_honoured_behind_a_head_and_refused_behind_a_tail(backend):
     node = next(
         n for n, tail in enumerate(soa.inj_tail) if len(tail) > soa.inj_tail_head[n]
     )
-    r, port = sim._inject_map[node]
+    r, port = sim.gen._inject_map[node]
     q = soa.in_q[r.kb + port * r.max_vcs]
     before = list(q)
-    pkt = sim._make_packet(node, (node + 5) % sim.topo.num_nodes, sim.engine.now)
+    dst = (node + 5) % sim.topo.num_nodes
+    pkt = sim.gen._make_packet(node, dst, sim.engine.now)
     with pytest.raises(FlowControlError, match="would overtake the"):
         r.inject(port, pkt)
     assert q == before
@@ -197,8 +198,8 @@ class _InjectingPattern:
     def dest(self, node, rng):
         sim = self._sim
         if sim.engine.now >= 200:
-            r, port = sim._inject_map[node]
-            pkt = sim._make_packet(
+            r, port = sim.gen._inject_map[node]
+            pkt = sim.gen._make_packet(
                 node, (node + 5) % sim.topo.num_nodes, sim.engine.now
             )
             r.inject(port, pkt)

@@ -280,7 +280,7 @@ class _Planting:
 
     def dest(self, node, rng):
         if self._sim.engine.now >= 80:
-            r, port = self._sim._inject_map[node]
+            r, port = self._sim.gen._inject_map[node]
             r.in_q[r.kb + port * r.max_vcs].append(object())
         return self._inner.dest(node, rng)
 

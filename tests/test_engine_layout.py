@@ -169,8 +169,8 @@ def _break_permutation(sim):
         (
             _break_collector,
             TypeError,
-            "Simulation.stats.si: expected an int64 ('q') buffer of 7 items "
-            "(got a 'q' buffer of 24 bytes)",
+            "TrafficGenerator.stats.si: expected an int64 ('q') buffer of 7 "
+            "items (got a 'q' buffer of 24 bytes)",
         ),
         (
             _break_store,
@@ -182,12 +182,12 @@ def _break_permutation(sim):
         (
             _break_descriptor,
             ValueError,
-            "Simulation._lower: malformed pattern lowering descriptor",
+            "TrafficGenerator._lower: malformed pattern lowering descriptor",
         ),
         (
             _break_permutation,
             ValueError,
-            "Simulation._lower: malformed pattern lowering descriptor",
+            "TrafficGenerator._lower: malformed pattern lowering descriptor",
         ),
     ],
     ids=["collector", "store", "router", "mechanism", "descriptor", "permutation"],

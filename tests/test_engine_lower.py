@@ -2,8 +2,8 @@
 
 On the compiled backend a cell whose pattern has a lowering descriptor
 generates and sinks natively: ``c_gen`` / ``c_deliver`` in
-``_ckernel.c``, twins of ``Simulation._gen_event`` (``pattern.dest``) and
-the collector's hooks, with an in-kernel MT19937.  The python backend
+``_ckernel.c``, twins of ``TrafficGenerator._gen_event`` (``pattern.dest``)
+and the collector's hooks, with an in-kernel MT19937.  The python backend
 never lowers: it always runs the callback path, the reference the twins
 are tested against.  The contract is the same as for the backends
 themselves: *bit-identical is the contract*.  The callback reference of a
@@ -25,7 +25,7 @@ contract four ways:
 * the **RNG stream** — a hypothesis property test driving the compiled
   kernel's MT19937 from arbitrary ``random.Random`` states and checking
   every draw and the resulting state word-for-word; and the
-  ``Simulation._make_packet`` reference constructor pinned
+  ``TrafficGenerator._make_packet`` reference constructor pinned
   field-by-field against the packet a generated pair is promoted to.
 
 Compiled parameterizations skip cleanly when the extension is not
@@ -131,7 +131,7 @@ def test_lowering_is_selected_by_input(backend, case):
         sim.start()
     assert sim.engine_backend == backend
     assert (sim._lower is not None) == (lowered and backend == "compiled")
-    assert (sim.engine._lower is sim) == (sim._lower is not None)
+    assert (sim.engine._lower is sim.gen) == (sim._lower is not None)
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +154,7 @@ def test_lowering_is_bit_identical(backend, pattern):
     assert off_sim.engine.activations == on_sim.engine.activations
     # the traffic RNG consumed exactly the same stream prefix
     assert off_sim.rng_traffic.getstate() == on_sim.rng_traffic.getstate()
-    assert off_sim._pid == on_sim._pid
+    assert off_sim.gen._pid == on_sim.gen._pid
     # one sink: both paths leave the same four stat buffers behind
     for name in ("si", "sf", "injected_per_router", "delivered_per_router"):
         off_buf, on_buf = getattr(off_sim.stats, name), getattr(on_sim.stats, name)
@@ -252,9 +252,9 @@ def test_golden_traces_per_backend_and_lowering(backend, lowered):
 def test_make_packet_matches_gen_event(make_cfg, pattern):
     """``_gen_event`` queues a ``(gen_time, dst)`` pair in the node's
     injection tail, and the packet ``kernel.promote`` builds from it is
-    ``Simulation._make_packet``'s (the documented reference constructor)
-    for the same (source, destination, cycle), over random node pairs of
-    real topologies."""
+    ``TrafficGenerator._make_packet``'s (the documented reference
+    constructor) for the same (source, destination, cycle), over random
+    node pairs of real topologies."""
     cfg = make_cfg(seed=23).with_traffic(pattern=pattern, load=0.5)
     sim = Simulation(cfg)
     soa = sim.soa
@@ -262,11 +262,11 @@ def test_make_packet_matches_gen_event(make_cfg, pattern):
     built = 0
     for _ in range(40):
         node = rng.randrange(sim.topo.num_nodes)
-        router, port = sim._inject_map[node]
+        router, port = sim.gen._inject_map[node]
         tail = soa.inj_tail[node]
         del tail[:]
         soa.inj_tail_head[node] = 0
-        sim._gen_event(node)
+        sim.gen._gen_event(node)
         if not tail:
             continue  # pattern generated nothing this cycle
         gen_time, dst = tail
@@ -274,7 +274,7 @@ def test_make_packet_matches_gen_event(make_cfg, pattern):
         q: list = []
         assert kernel.promote(router, port, q) and not tail
         (pkt,) = q
-        ref = sim._make_packet(node, dst, gen_time)
+        ref = sim.gen._make_packet(node, dst, gen_time)
         for field in Packet.__slots__:
             if field == "pid":
                 # _make_packet drew the next id after the promoted one

@@ -19,7 +19,7 @@ Python object throughout:
   packet whose fields equal the python backend's;
 * (c) an un-lowered cell with the oracle on passes its audit, and every
   packet its ``on_delivery`` gets is the object the generator's
-  constructor (``Simulation._make_packet``) built when the packet
+  constructor (``TrafficGenerator._make_packet``) built when the packet
   reached the head of its injection FIFO;
 * (d) the decision memo is the compiled kernel's own: it reuses C twin
   decisions, and a Python ``decide`` is called on every pass, as on the
@@ -211,7 +211,7 @@ class _Identity:
         self._oracle = sim.oracle
         self.built: dict[int, Packet] = {}
         self.same: list[bool] = []
-        make = sim._make_packet
+        make = sim.gen._make_packet
 
         def tracked(node, dst, gen_time):
             pkt = make(node, dst, gen_time)

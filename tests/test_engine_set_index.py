@@ -209,7 +209,7 @@ class _Poisoned:
 
     def dest(self, node, rng):
         if self._sim.engine.now >= 80:
-            self._sim._inject_map[node][0].active_keys.add(self._member)
+            self._sim.gen._inject_map[node][0].active_keys.add(self._member)
         return self._inner.dest(node, rng)
 
 

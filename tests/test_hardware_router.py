@@ -114,10 +114,10 @@ class TestBusyTransitMasking:
         sim = Simulation(cfg)
         r = sim.routers[0]  # group 0, pos 0: port 0 node, 1 local, 2 global
         dst_node = 1  # node on router 1 (same group): min hop = local port 1
-        inj_pkt = sim._make_packet(0, dst_node, 0)
+        inj_pkt = sim.gen._make_packet(0, dst_node, 0)
         r.inject(0, inj_pkt)
 
-        transit_pkt = sim._make_packet(2, dst_node, 0)  # generated elsewhere
+        transit_pkt = sim.gen._make_packet(2, dst_node, 0)  # generated elsewhere
         transit_pkt.global_hops = 1  # arrived through the global link
         key = 2 * r.max_vcs  # global input port 2, VC 0 (router-local key)
         r.in_q[r.kb + key].append(transit_pkt)  # kb/pb: flat SoA offsets
@@ -148,7 +148,7 @@ class TestBusyTransitMasking:
         key = 2 * r.max_vcs
         q = r.in_q[r.kb + key]
         q.clear()
-        q.append(sim._make_packet(2, dst_node, 0))
+        q.append(sim.gen._make_packet(2, dst_node, 0))
         r.step(0)
         assert inj_pkt.injected  # the local port was not masked
 

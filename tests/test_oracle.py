@@ -78,8 +78,8 @@ class TestLoudFailures:
         """Run + drain without verification (so a test can corrupt state)."""
         for node in range(sim.topo.num_nodes):
             if sim.traffic.active(node):
-                sim.engine.schedule(0, sim._gen_event, node)
-        sim.engine.run_until(sim._end_time)
+                sim.engine.schedule(0, sim.gen._gen_event, node)
+        sim.engine.run_until(sim.gen._end_time)
         sim._drain()
 
     def test_corrupted_credit_counter_fails_loudly(self):

@@ -13,6 +13,7 @@ from repro.config import small_config, tiny_config
 from repro.core.simulation import Simulation
 from repro.engine.kernel import BACKEND_ENV, compiled_import_error, resolve_backend
 from repro.errors import ConfigurationError
+from repro.routing.minimal import MinimalRouting
 from repro.utils.profiling import describe_callbacks, profile_simulation
 from test_engine_backends import BACKENDS
 
@@ -80,6 +81,38 @@ def test_profile_reports_the_backend_and_the_memory(backend, monkeypatch):
     rows = int(re.search(r" peak_packet_rows=(\d+) ", memory).group(1))
     tail = int(re.search(r" peak_tail_records=(\d+) ", memory).group(1))
     assert tail >= pairs and 0 < rows < pairs
+
+
+def _memory_line(metrics) -> str:
+    (memory,) = [
+        line
+        for line in describe_callbacks(metrics).splitlines()
+        if line.startswith("memory: ")
+    ]
+    return memory
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_profile_reports_whether_the_run_was_freed_on_drop(backend, monkeypatch):
+    """A run is freed on drop; one a mechanism keeps the Simulation of
+    (a cycle the collector must find) says so."""
+    monkeypatch.setenv(BACKEND_ENV, backend)
+    cfg = tiny_config(routing="min")
+    _result, _report, metrics = profile_simulation(cfg, limit=1)
+    assert metrics["freed_on_drop"] is True
+    assert " freed_on_drop=yes " in _memory_line(metrics)
+
+    init = MinimalRouting.__init__
+
+    def keeping(self, sim, mechanism):
+        init(self, sim, mechanism)
+        self.sim = sim
+
+    monkeypatch.setattr(MinimalRouting, "__init__", keeping)
+    _result, _report, metrics = profile_simulation(cfg, limit=1)
+    assert metrics["freed_on_drop"] is False
+    assert " freed_on_drop=no " in _memory_line(metrics)
+    gc.collect()
 
 
 def test_a_compiled_extension_that_does_not_import_is_reported(monkeypatch):
